@@ -1,9 +1,8 @@
-//! Criterion micro-benchmarks for the pipeline-shuffle mechanism:
-//! the threaded pipeline vs sequential processing, the literal Algorithms 1&2
-//! protocol, the Lemma-1 block-size machinery, the zero-copy vs owned-copy
-//! triplet hot path, the dense-id data layout vs the seed's hash-keyed
-//! layout (`dense_hot_path`), and the end-to-end serial-vs-threaded
-//! execution modes of the middleware runtime.
+//! Criterion micro-benchmarks for the middleware hot path: the Lemma-1
+//! block-size machinery, the zero-copy vs owned-copy triplet hot path, the
+//! dense-id data layout vs the seed's hash-keyed layout (`dense_hot_path`),
+//! and the end-to-end serial-vs-threaded execution modes of the middleware
+//! runtime.
 //!
 //! Besides the human-readable criterion output, the suite emits a
 //! machine-readable `BENCH_pipeline.json` (mode, graph, wall time, blocks,
@@ -14,7 +13,6 @@ use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use gxplug_accel::{presets, BackendKind};
 use gxplug_algos::{MultiSourceSssp, PageRank, RankValue};
 use gxplug_core::daemon::{execute_share, merge_addressed};
-use gxplug_core::pipeline::shuffle::{run_pipeline, run_shuffle_protocol};
 use gxplug_core::{
     split_by_capacity, CachePolicy, Daemon, ExecutionMode, GraphService, JobOptions,
     MiddlewareConfig, PipelineCoefficients, Session, SessionBuilder,
@@ -35,72 +33,6 @@ use gxplug_ipc::key::KeyGenerator;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn make_blocks(blocks: usize, block_size: usize) -> Vec<Vec<u64>> {
-    (0..blocks)
-        .map(|b| ((b * block_size) as u64..((b + 1) * block_size) as u64).collect())
-        .collect()
-}
-
-fn kernel(x: &u64) -> u64 {
-    // A small but non-trivial per-item computation (relaxation-like).
-    let mut v = *x;
-    for _ in 0..8 {
-        v = v
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-    }
-    v
-}
-
-fn bench_threaded_pipeline(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pipeline_shuffle");
-    for &blocks in &[4usize, 16, 64] {
-        let input = make_blocks(blocks, 2_048);
-        // Both arms fold the *computed values* into the result so the kernel
-        // work cannot be optimised away, and both pay the same input clone.
-        group.bench_with_input(
-            BenchmarkId::new("three_thread_pipeline", blocks),
-            &input,
-            |b, input| {
-                b.iter(|| {
-                    let mut out = 0u64;
-                    run_pipeline(input.clone(), kernel, |block: Vec<u64>| {
-                        out = block.iter().fold(out, |acc, &v| acc.wrapping_add(v));
-                    });
-                    black_box(out)
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("sequential_baseline", blocks),
-            &input,
-            |b, input| {
-                b.iter(|| {
-                    let mut out = 0u64;
-                    for block in input.clone() {
-                        out = block
-                            .iter()
-                            .map(kernel)
-                            .fold(out, |acc, v| acc.wrapping_add(v));
-                    }
-                    black_box(out)
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-fn bench_shuffle_protocol(c: &mut Criterion) {
-    let input = make_blocks(16, 1_024);
-    c.bench_function("shuffle_protocol_algorithms_1_and_2", |b| {
-        b.iter(|| {
-            let (out, stats) = run_shuffle_protocol(input.clone(), kernel);
-            black_box((out.len(), stats.rotations))
-        })
-    });
-}
 
 fn bench_block_size_selection(c: &mut Criterion) {
     let coefficients = PipelineCoefficients::paper_pagerank();
@@ -1045,8 +977,6 @@ fn bench_server_http(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_threaded_pipeline,
-    bench_shuffle_protocol,
     bench_block_size_selection,
     bench_msg_gen_hot_path,
     bench_dense_hot_path,

@@ -71,10 +71,11 @@ pub(crate) struct IterationPlan {
 struct PlanScratch {
     /// Local ids of the iteration's active edges (ascending).
     active_edge_ids: Vec<usize>,
-    /// Dedup bitset for the download working set, over dense local ids.
-    needed_marks: FrontierSet,
-    /// The iteration's download working set, in deterministic probe order.
-    needed_vertices: Vec<VertexId>,
+    /// The iteration's download working set, as dense local ids.
+    needed: FrontierSet,
+    /// The cache probe order of `needed`: `(splitmix64(global), global,
+    /// local)`, sorted.
+    probes: Vec<(u64, VertexId, u32)>,
 }
 
 /// What executing one daemon's share produced, together with the planning
@@ -172,7 +173,7 @@ where
         let cache = config.caching.then(|| {
             let capacity =
                 ((local_vertices as f64 * config.cache_capacity_fraction).ceil() as usize).max(1);
-            VertexCache::new(capacity)
+            VertexCache::new(capacity, local_vertices)
         });
         Self {
             node_id,
@@ -236,55 +237,46 @@ where
         }
         self.stats.iterations += 1;
 
-        // Dedup the download working set through a dense bitset over the
-        // node's local ids — no hashing on the hot path.
-        let needed_marks = &mut self.plan.needed_marks;
-        needed_marks.ensure_capacity(node.num_vertices());
-        needed_marks.clear();
-        let needed_vertices = &mut self.plan.needed_vertices;
-        needed_vertices.clear();
+        // The download working set: every endpoint of an active edge, deduped
+        // through a dense bitset over the node's local ids — no hashing on
+        // the hot path.
+        let needed = &mut self.plan.needed;
+        needed.ensure_capacity(node.num_vertices());
+        needed.clear();
         for &edge_id in &self.plan.active_edge_ids {
             if let Some((src, dst)) = node.edge_endpoint_locals(edge_id) {
-                if needed_marks.insert(src) {
-                    needed_vertices.push(node.vertex_table().global_of(src));
-                }
-                if needed_marks.insert(dst) {
-                    needed_vertices.push(node.vertex_table().global_of(dst));
-                }
+                needed.insert(src);
+                needed.insert(dst);
             }
         }
-        // Probe the cache in a deterministic order: the probe order decides
-        // LRU evictions, so a fixed total order (independent of how the set
-        // was gathered) is what makes the hit/miss counters reproducible.
-        // The order is scrambled by a fixed mix (not ascending) because a
-        // strict sequential scan is the LRU worst case — it would evict every
-        // entry just before re-probing it.
-        needed_vertices.sort_unstable_by_key(|&v| (gxplug_ipc::key::splitmix64(v as u64), v));
-        let needed_count = needed_vertices.len();
         let vertex_downloads = match &mut self.cache {
             Some(cache) => {
-                let mut misses = 0usize;
-                for &v in needed_vertices.iter() {
-                    let current = match node.vertex_value(v) {
-                        Some(value) => value,
-                        None => continue,
-                    };
-                    // A hit only counts if the cached copy is still identical
-                    // to the upper system's value; stale entries must be
-                    // re-downloaded.
-                    let fresh = cache
-                        .lookup(v, iteration as u64)
-                        .map(|cached| &cached == current)
-                        .unwrap_or(false);
-                    if !fresh {
-                        cache.fill(v, current.clone(), iteration as u64);
-                        misses += 1;
+                // Probe the cache in a deterministic order: the probe order
+                // decides LRU evictions, so a fixed total order (independent
+                // of how the set was gathered) is what makes the hit/miss
+                // counters reproducible.  The order is scrambled by a fixed
+                // mix (not ascending) because a strict sequential scan is the
+                // LRU worst case — it would evict every entry just before
+                // re-probing it.
+                let table = node.vertex_table();
+                let probes = &mut self.plan.probes;
+                probes.clear();
+                probes.extend(needed.iter().map(|local| {
+                    let global = table.global_of(local);
+                    (gxplug_ipc::key::splitmix64(global as u64), global, local)
+                }));
+                probes.sort_unstable();
+                let mut downloads = 0usize;
+                for &(_, global, local) in probes.iter() {
+                    let current = &table.row_at(local).attr;
+                    if cache.probe(local, global, current, iteration as u64) {
+                        downloads += 1;
                     }
                 }
-                self.stats.downloads_avoided += (needed_count - misses) as u64;
-                misses
+                self.stats.downloads_avoided += (needed.len() - downloads) as u64;
+                downloads
             }
-            None => needed_count,
+            None => needed.len(),
         };
         // Edge topology is static: it is registered in the shared memory
         // space once, on the first iteration, and never re-downloaded.
@@ -339,9 +331,9 @@ where
 
         // ---- upload phase -----------------------------------------------------
         let uploads = if self.config.lazy_upload && self.cache.is_some() {
-            // Messages whose target is mastered on this very node never need
-            // to leave the middleware: the agent keeps them in its cache and
-            // only remote-destined entities enter the global data queue.
+            // Lazy uploading as a count: messages whose target is mastered on
+            // this very node never need to leave the middleware, so only
+            // remote-destined entities are charged as uploads.
             let remote = merged
                 .iter()
                 .filter(|m| {

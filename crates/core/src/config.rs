@@ -43,8 +43,8 @@ pub struct MiddlewareConfig {
     pub pipeline: PipelineMode,
     /// Inter-iteration optimisation: LRU-based synchronization caching.
     pub caching: bool,
-    /// Inter-iteration optimisation: lazy uploading through the global
-    /// query/data queues (requires `caching`).
+    /// Inter-iteration optimisation: lazy uploading (Algorithm 3), modelled
+    /// as uploading only remote-mastered targets (requires `caching`).
     pub lazy_upload: bool,
     /// Inter-iteration optimisation: synchronization skipping.
     pub skipping: bool,

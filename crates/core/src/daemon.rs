@@ -29,7 +29,6 @@ use gxplug_engine::profile::RuntimeProfile;
 use gxplug_engine::template::{AddressedMessage, GraphAlgorithm};
 use gxplug_graph::types::{Triplet, VertexId};
 use gxplug_ipc::blocks::{triplet_block_views, TripletBlockRef};
-use gxplug_ipc::channel::ControlLink;
 use gxplug_ipc::key::IpcKey;
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
@@ -239,7 +238,6 @@ pub struct Daemon {
     name: String,
     backend: Box<dyn AcceleratorBackend>,
     key: IpcKey,
-    link: Option<ControlLink>,
     started: bool,
     stats: DaemonStats,
 }
@@ -264,17 +262,9 @@ impl Daemon {
             name: name.into(),
             backend: device.into(),
             key,
-            link: None,
             started: false,
             stats: DaemonStats::default(),
         }
-    }
-
-    /// Attaches the daemon side of a control link (for protocol-level tests
-    /// and the threaded pipeline).
-    pub fn with_link(mut self, link: ControlLink) -> Self {
-        self.link = Some(link);
-        self
     }
 
     /// Daemon name.
@@ -310,11 +300,6 @@ impl Daemon {
     /// Cumulative statistics.
     pub fn stats(&self) -> DaemonStats {
         self.stats
-    }
-
-    /// The control link, if attached.
-    pub fn link(&self) -> Option<&ControlLink> {
-        self.link.as_ref()
     }
 
     /// Starts the daemon: initialises the device context once.  Returns the

@@ -16,11 +16,13 @@
 //!
 //! The three optimisation families of §III are implemented here:
 //!
-//! * **intra-iteration** — [`pipeline`]: the 3-layer pipeline shuffle and the
-//!   Lemma-1 block-size selection;
-//! * **inter-iteration** — [`sync_cache`]: LRU synchronization caching and
-//!   lazy uploading (synchronization skipping is decided per iteration by the
-//!   cluster driver when the configuration enables it);
+//! * **intra-iteration** — [`pipeline`]: the Lemma-1 block-size selection
+//!   and the cost model of the 3-layer pipeline shuffle (the pipeline itself
+//!   is modelled, not executed);
+//! * **inter-iteration** — [`sync_cache`]: the LRU synchronization cache
+//!   whose hit/miss accounting prices the download phase (lazy uploading is
+//!   a count in the agent's upload phase; synchronization skipping is decided
+//!   per iteration by the cluster driver when the configuration enables it);
 //! * **beyond-iteration** — [`balance`]: the Lemma-2 / Lemma-3 workload
 //!   balancing prescriptions and device-to-node assignment.
 //!
@@ -35,8 +37,7 @@
 //!   (runtime isolation, §IV-C);
 //! * an agent dispatches each daemon's capacity share as a job and collects
 //!   the results afterwards ([`runtime::ThreadedAgent`]), so the daemons of a
-//!   node compute their blocks concurrently and the 3-layer pipeline shuffle
-//!   genuinely overlaps transfers with computation;
+//!   node compute their blocks concurrently;
 //! * the cluster's per-node compute phase fans out across scoped threads
 //!   within each superstep ([`runtime::ThreadedNodes`]), with the BSP barrier
 //!   and metric aggregation joining in node order.
@@ -97,4 +98,4 @@ pub use service::{
 pub use session::{
     system_label, RunOutcome, RunOverrides, Session, SessionBuilder, SessionError, SessionSpec,
 };
-pub use sync_cache::{CacheStats, GlobalSyncQueues, VertexCache};
+pub use sync_cache::{CacheStats, VertexCache};

@@ -88,8 +88,6 @@ impl AgentStats {
         self.cache.hits += other.cache.hits;
         self.cache.misses += other.cache.misses;
         self.cache.evictions += other.cache.evictions;
-        self.cache.lazy_deferrals += other.cache.lazy_deferrals;
-        self.cache.uploads += other.cache.uploads;
         self.iterations += other.iterations;
         self.block_size_sum += other.block_size_sum;
         self.block_count_sum += other.block_count_sum;

@@ -1,36 +1,39 @@
 //! Inter-iteration optimisation: synchronization caching (§III-B2).
 //!
-//! Two mechanisms reduce the data volume crossing between the upper system and
-//! the middleware at iteration boundaries:
+//! The paper reduces the data volume crossing between the upper system and
+//! the middleware at iteration boundaries with two mechanisms:
 //!
 //! * **LRU-based caching** — the agent keeps a temporary vertex table so that
 //!   vertices repeatedly involved in computation are not re-downloaded from
 //!   the upper system when their attributes have not changed;
-//! * **Lazy uploading** — updated vertices are uploaded only when some other
-//!   distributed node actually asks for them, coordinated through a *global
-//!   query queue* and a *global data queue* (Algorithm 3).
+//! * **Lazy uploading** (Algorithm 3) — updated vertices are uploaded only
+//!   when some other distributed node actually asks for them.
+//!
+//! Both are **cost-modelled, not executed**: in this reproduction the vertex
+//! table *is* the upper system's storage, so no data really moves.  The cache
+//! below answers one question per needed vertex — "would this have been a
+//! download?" — and its counters feed the simulated transfer time; lazy
+//! uploading is the remote-target count in the agent's `finish_iteration`.
+//! There are no global query/data queues.
 
 use gxplug_graph::types::VertexId;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Statistics of one agent's cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
-    /// Lookups satisfied from the cache (downloads avoided).
+    /// Probes that found the vertex resident.
     pub hits: u64,
-    /// Lookups that had to go to the upper system.
+    /// Probes that did not (the vertex was inserted).
     pub misses: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
-    /// Dirty entries whose upload was deferred by lazy uploading.
-    pub lazy_deferrals: u64,
-    /// Dirty entries eventually uploaded (on eviction or on demand).
-    pub uploads: u64,
 }
 
 impl CacheStats {
-    /// Hit ratio in `[0, 1]`; zero when there were no lookups.
+    /// Hit ratio in `[0, 1]`; zero when there were no probes.
     pub fn hit_ratio(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
@@ -41,42 +44,58 @@ impl CacheStats {
     }
 }
 
+/// A resident vertex: the value last downloaded and the iteration of its
+/// last probe.
 #[derive(Debug, Clone)]
-struct CacheEntry<V> {
+struct Slot<V> {
     value: V,
-    /// Iteration of last use; entries age as iterations pass and the least
-    /// recently used entry is evicted first.
     last_used: u64,
-    /// Whether the entry was updated locally and not yet uploaded.
-    dirty: bool,
 }
 
-/// The agent-local vertex cache.
+/// Heap key of a resident entry.  Ordered by `(last_used, global id)`, the
+/// eviction order; the local id only names the slot.
+type LruKey = Reverse<(u64, VertexId, u32)>;
+
+/// The agent-local LRU vertex cache, addressed by the node's dense local ids.
+///
+/// The victim of an eviction is the resident entry with the smallest
+/// `(last_used, global id)`.  `lru` holds exactly one key per resident entry;
+/// a hit only bumps the slot's `last_used`, so a key may be *older* than its
+/// entry and is corrected when it surfaces: [`VertexCache::probe`] pops keys,
+/// re-pushing stale ones with their true recency, until one matches its
+/// slot.  Every key is a lower bound of its entry's true key, so the first
+/// match is the true minimum — provided `now` never decreases between
+/// probes.
 #[derive(Debug, Clone)]
 pub struct VertexCache<V> {
     capacity: usize,
-    entries: HashMap<VertexId, CacheEntry<V>>,
+    slots: Vec<Option<Slot<V>>>,
+    lru: BinaryHeap<LruKey>,
     stats: CacheStats,
 }
 
-impl<V: Clone> VertexCache<V> {
-    /// Creates a cache holding at most `capacity` vertices.
-    pub fn new(capacity: usize) -> Self {
+impl<V: Clone + PartialEq> VertexCache<V> {
+    /// Creates a cache holding at most `capacity` (at least one) of a node's
+    /// `locals` vertices.  Everything is allocated here, once; a probe of a
+    /// local id beyond `locals` still works, it grows the slot array.
+    pub fn new(capacity: usize, locals: usize) -> Self {
+        let capacity = capacity.max(1);
         Self {
-            capacity: capacity.max(1),
-            entries: HashMap::with_capacity(capacity.min(1 << 20)),
+            capacity,
+            slots: (0..locals).map(|_| None).collect(),
+            lru: BinaryHeap::with_capacity(capacity.min(locals)),
             stats: CacheStats::default(),
         }
     }
 
     /// Number of cached vertices.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.lru.len()
     }
 
     /// Returns `true` if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.lru.is_empty()
     }
 
     /// The configured capacity.
@@ -89,180 +108,69 @@ impl<V: Clone> VertexCache<V> {
         self.stats
     }
 
-    /// Looks up a vertex for computation at iteration `now`.
+    /// Returns `true` if the vertex at `local` is resident, without touching
+    /// recency or statistics.
+    pub fn contains(&self, local: u32) -> bool {
+        matches!(self.slots.get(local as usize), Some(Some(_)))
+    }
+
+    /// Probes the vertex at dense id `local` (global id `global`) for
+    /// computation at iteration `now`, given its `current` value in the upper
+    /// system.  Returns `true` if the vertex has to be downloaded: it was not
+    /// resident, or the resident copy differs from `current`.  Either way the
+    /// cache holds `current` afterwards.
     ///
-    /// A hit refreshes the entry's recency (its "weight" in the paper's
-    /// terms); a miss means the agent must download the vertex from the upper
-    /// system and then [`VertexCache::fill`] it.
-    pub fn lookup(&mut self, v: VertexId, now: u64) -> Option<V> {
-        match self.entries.get_mut(&v) {
-            Some(entry) => {
-                entry.last_used = now;
-                self.stats.hits += 1;
-                Some(entry.value.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Returns `true` if the vertex is cached, without touching recency or
-    /// statistics.
-    pub fn contains(&self, v: VertexId) -> bool {
-        self.entries.contains_key(&v)
-    }
-
-    /// Inserts a vertex freshly downloaded from the upper system.
+    /// A resident vertex counts as a hit and has its recency refreshed even
+    /// when stale.  A non-resident one is a miss and evicts the least
+    /// recently used entry (ties broken by global id) once the cache is full.
     ///
-    /// Returns the dirty entries that had to be evicted (and therefore must be
-    /// uploaded to the upper system now, as the paper prescribes: "If the
-    /// chosen vertices were updated in previous iterations, corresponding
-    /// information will be uploaded").
-    pub fn fill(&mut self, v: VertexId, value: V, now: u64) -> Vec<(VertexId, V)> {
-        let mut forced_uploads = Vec::new();
-        if !self.entries.contains_key(&v) && self.entries.len() >= self.capacity {
-            if let Some((victim, entry)) = self.evict_lru() {
-                if entry.dirty {
-                    self.stats.uploads += 1;
-                    forced_uploads.push((victim, entry.value));
-                }
-            }
+    /// `now` must not decrease from one probe to the next.
+    pub fn probe(&mut self, local: u32, global: VertexId, current: &V, now: u64) -> bool {
+        let index = local as usize;
+        if index >= self.slots.len() {
+            self.slots.resize_with(index + 1, || None);
         }
-        self.entries.insert(
-            v,
-            CacheEntry {
-                value,
-                last_used: now,
-                dirty: false,
-            },
-        );
-        forced_uploads
-    }
-
-    /// Records a locally computed update: the new value enters the cache,
-    /// marked dirty, with refreshed recency.  Returns forced uploads exactly
-    /// like [`VertexCache::fill`].
-    pub fn record_update(&mut self, v: VertexId, value: V, now: u64) -> Vec<(VertexId, V)> {
-        let forced = if self.entries.contains_key(&v) {
-            Vec::new()
+        if let Some(slot) = &mut self.slots[index] {
+            self.stats.hits += 1;
+            slot.last_used = now;
+            let stale = slot.value != *current;
+            if stale {
+                slot.value.clone_from(current);
+            }
+            return stale;
+        }
+        self.stats.misses += 1;
+        // A full cache recycles the victim's value, so its allocation (if
+        // any) is reused by `clone_from`.
+        let value = if self.lru.len() >= self.capacity {
+            let mut value = self.evict_lru();
+            value.clone_from(current);
+            value
         } else {
-            self.fill(v, value.clone(), now)
+            current.clone()
         };
-        if let Some(entry) = self.entries.get_mut(&v) {
-            entry.value = value;
-            entry.dirty = true;
-            entry.last_used = now;
-            self.stats.lazy_deferrals += 1;
-        }
-        forced
+        self.slots[index] = Some(Slot {
+            value,
+            last_used: now,
+        });
+        self.lru.push(Reverse((now, global, local)));
+        true
     }
 
-    /// Drops a cached vertex (e.g. because another node updated it, so the
-    /// cached copy is stale).
-    pub fn invalidate(&mut self, v: VertexId) {
-        self.entries.remove(&v);
-    }
-
-    /// Answers a global query: returns (and marks uploaded) the dirty entries
-    /// among `queried`, which is exactly what lazy uploading pushes to the
-    /// global data queue (Algorithm 3, line 4-5).
-    pub fn answer_query(&mut self, queried: &HashSet<VertexId>) -> Vec<(VertexId, V)> {
-        let mut answers = Vec::new();
-        for (&v, entry) in self.entries.iter_mut() {
-            if entry.dirty && queried.contains(&v) {
-                entry.dirty = false;
-                answers.push((v, entry.value.clone()));
+    /// Removes the entry with the smallest `(last_used, global id)` and
+    /// returns its value.  Only called on a full (hence non-empty) cache.
+    fn evict_lru(&mut self) -> V {
+        loop {
+            let Reverse((keyed, global, local)) =
+                self.lru.pop().expect("a full cache has a resident entry");
+            let entry = &mut self.slots[local as usize];
+            if let Some(slot) = entry.take_if(|slot| slot.last_used == keyed) {
+                self.stats.evictions += 1;
+                return slot.value;
             }
+            let slot = entry.as_ref().expect("one key per resident entry");
+            self.lru.push(Reverse((slot.last_used, global, local)));
         }
-        self.stats.uploads += answers.len() as u64;
-        answers
-    }
-
-    /// Number of entries currently dirty (deferred uploads outstanding).
-    pub fn dirty_count(&self) -> usize {
-        self.entries.values().filter(|e| e.dirty).count()
-    }
-
-    /// Flushes every dirty entry (used at the end of a run so the upper
-    /// system ends up with the final values).
-    pub fn flush_dirty(&mut self) -> Vec<(VertexId, V)> {
-        let mut flushed = Vec::new();
-        for (&v, entry) in self.entries.iter_mut() {
-            if entry.dirty {
-                entry.dirty = false;
-                flushed.push((v, entry.value.clone()));
-            }
-        }
-        self.stats.uploads += flushed.len() as u64;
-        flushed
-    }
-
-    fn evict_lru(&mut self) -> Option<(VertexId, CacheEntry<V>)> {
-        let victim = self
-            .entries
-            .iter()
-            .min_by_key(|(&v, entry)| (entry.last_used, v))
-            .map(|(&v, _)| v)?;
-        self.stats.evictions += 1;
-        self.entries.remove(&victim).map(|entry| (victim, entry))
-    }
-}
-
-/// The cluster-wide lazy-uploading rendezvous of Algorithm 3: agents push the
-/// vertex ids they will need next iteration into the *global query queue*,
-/// then answer each other's queries through the *global data queue*.
-#[derive(Debug, Clone, Default)]
-pub struct GlobalSyncQueues<V> {
-    query: HashSet<VertexId>,
-    data: HashMap<VertexId, V>,
-}
-
-impl<V: Clone> GlobalSyncQueues<V> {
-    /// Creates empty queues for one synchronisation round.
-    pub fn new() -> Self {
-        Self {
-            query: HashSet::new(),
-            data: HashMap::new(),
-        }
-    }
-
-    /// An agent pushes the vertex ids its node will need next iteration
-    /// (Algorithm 3, lines 1-2).
-    pub fn push_query<I: IntoIterator<Item = VertexId>>(&mut self, needed: I) {
-        self.query.extend(needed);
-    }
-
-    /// The union of all queried vertex ids, broadcast to every agent.
-    pub fn queried(&self) -> &HashSet<VertexId> {
-        &self.query
-    }
-
-    /// An agent pushes the queried entities it owns updated copies of
-    /// (Algorithm 3, lines 4-5).
-    pub fn push_data<I: IntoIterator<Item = (VertexId, V)>>(&mut self, updates: I) {
-        self.data.extend(updates);
-    }
-
-    /// An agent fetches the values it queried (Algorithm 3, line 7).
-    pub fn fetch(&self, needed: &HashSet<VertexId>) -> Vec<(VertexId, V)> {
-        self.data
-            .iter()
-            .filter(|(v, _)| needed.contains(v))
-            .map(|(&v, value)| (v, value.clone()))
-            .collect()
-    }
-
-    /// Number of entities carried by the global data queue — the actual
-    /// synchronisation payload after lazy uploading.
-    pub fn data_volume(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Number of distinct queried vertices.
-    pub fn query_volume(&self) -> usize {
-        self.query.len()
     }
 }
 
@@ -272,88 +180,57 @@ mod tests {
 
     #[test]
     fn lookups_hit_after_fill_and_miss_before() {
-        let mut cache = VertexCache::new(8);
-        assert_eq!(cache.lookup(3, 0), None);
-        cache.fill(3, 1.5f64, 0);
-        assert_eq!(cache.lookup(3, 1), Some(1.5));
+        let mut cache = VertexCache::new(8, 4);
+        assert!(cache.probe(3, 30, &1.5f64, 0), "first probe downloads");
+        assert!(!cache.probe(3, 30, &1.5, 1), "an unchanged value is fresh");
+        assert!(
+            cache.probe(3, 30, &2.5, 2),
+            "a changed value is re-downloaded"
+        );
+        assert!(!cache.probe(3, 30, &2.5, 3), "and then cached again");
         let stats = cache.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
-        assert!((stats.hit_ratio() - 0.5).abs() < 1e-12);
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (3, 1, 0));
+        assert!((stats.hit_ratio() - 0.75).abs() < 1e-12);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn lru_eviction_prefers_least_recently_used() {
-        let mut cache = VertexCache::new(2);
-        cache.fill(1, 10, 0);
-        cache.fill(2, 20, 1);
+        let mut cache = VertexCache::new(2, 4);
+        cache.probe(1, 10, &10, 0);
+        cache.probe(2, 20, &20, 1);
         // Touch vertex 1 so vertex 2 becomes the LRU entry.
-        cache.lookup(1, 2);
-        cache.fill(3, 30, 3);
+        cache.probe(1, 10, &10, 2);
+        cache.probe(3, 30, &30, 3);
         assert!(cache.contains(1));
         assert!(!cache.contains(2));
         assert!(cache.contains(3));
         assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
-    fn evicting_a_dirty_entry_forces_an_upload() {
-        let mut cache = VertexCache::new(1);
-        cache.record_update(7, 70, 0);
-        assert_eq!(cache.dirty_count(), 1);
-        let forced = cache.fill(8, 80, 1);
-        assert_eq!(forced, vec![(7, 70)]);
-        assert_eq!(cache.stats().uploads, 1);
-        assert_eq!(cache.dirty_count(), 0);
-    }
-
-    #[test]
-    fn lazy_upload_only_answers_queried_vertices() {
-        let mut cache = VertexCache::new(8);
-        cache.record_update(1, 100, 0);
-        cache.record_update(2, 200, 0);
-        cache.record_update(3, 300, 0);
-        let queried: HashSet<VertexId> = [2, 3].into_iter().collect();
-        let mut answers = cache.answer_query(&queried);
-        answers.sort_unstable_by_key(|(v, _)| *v);
-        assert_eq!(answers, vec![(2, 200), (3, 300)]);
-        // Vertex 1 stays deferred; a flush gets it out eventually.
-        assert_eq!(cache.dirty_count(), 1);
-        assert_eq!(cache.flush_dirty(), vec![(1, 100)]);
-        assert_eq!(cache.dirty_count(), 0);
-    }
-
-    #[test]
-    fn invalidation_causes_the_next_lookup_to_miss() {
-        let mut cache = VertexCache::new(4);
-        cache.fill(5, 50, 0);
-        assert!(cache.lookup(5, 1).is_some());
-        cache.invalidate(5);
-        assert!(cache.lookup(5, 2).is_none());
-    }
-
-    #[test]
-    fn global_queues_follow_algorithm_three() {
-        let mut queues = GlobalSyncQueues::new();
-        // Agent 0 will need vertices {1, 2}; agent 1 will need {2, 3}.
-        queues.push_query([1, 2]);
-        queues.push_query([2, 3]);
-        assert_eq!(queues.query_volume(), 3);
-        // Agent 0 owns updated copies of 3; agent 1 owns 1 and 7 (7 unqueried,
-        // its cache would not answer with it).
-        queues.push_data([(3, 30)]);
-        queues.push_data([(1, 10)]);
-        assert_eq!(queues.data_volume(), 2);
-        let needed: HashSet<VertexId> = [2, 3].into_iter().collect();
-        let mut fetched = queues.fetch(&needed);
-        fetched.sort_unstable_by_key(|(v, _)| *v);
-        assert_eq!(fetched, vec![(3, 30)]);
+    fn recency_ties_evict_the_smallest_global_id() {
+        // Local id order is the reverse of global id order here.
+        let mut cache = VertexCache::new(3, 5);
+        cache.probe(0, 9, &0, 0);
+        cache.probe(1, 5, &0, 0);
+        cache.probe(2, 7, &0, 0);
+        cache.probe(3, 1, &0, 1);
+        assert!(!cache.contains(1), "global 5 is the smallest of the tie");
+        cache.probe(4, 2, &0, 1);
+        assert!(!cache.contains(2), "then global 7");
+        assert!(cache.contains(0) && cache.contains(3) && cache.contains(4));
     }
 
     #[test]
     fn cache_capacity_is_at_least_one() {
-        let cache: VertexCache<u8> = VertexCache::new(0);
+        let mut cache: VertexCache<u8> = VertexCache::new(0, 2);
         assert_eq!(cache.capacity(), 1);
         assert!(cache.is_empty());
+        cache.probe(0, 0, &1, 0);
+        cache.probe(1, 1, &1, 0);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().evictions, 1);
     }
 }

@@ -1,50 +1,13 @@
-//! Vertex, edge and triplet blocks.
+//! Triplet blocks.
 //!
-//! "For efficient processing in accelerators, a daemon uses a series of data
-//! blocks, including vertex blocks and edge blocks, to be fed to accelerators.
-//! Each edge block contains a fixed number of edges.  Also, each edge block is
-//! associated with a paired vertex block, where both source and destination
-//! vertices of an edge can be found." (§II-B)
-//!
-//! The pipeline-shuffle optimisation additionally uses *edge triplets* as the
-//! homogeneous intermediate structure of all three pipeline layers (§III-A2a);
-//! [`TripletBlock`] is that unit.
+//! The pipeline-shuffle optimisation uses *edge triplets* as the homogeneous
+//! intermediate structure of all three pipeline layers (§III-A2a);
+//! [`TripletBlock`] is that unit and [`TripletBlockRef`] its borrowed,
+//! zero-copy form.  (The paper's paired vertex/edge blocks of §II-B — the
+//! unpipelined data flow — are not reproduced.)
 
 use gxplug_graph::types::{Edge, Triplet, VertexId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-
-/// A block containing a fixed number of edges.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EdgeBlock<E> {
-    /// The edges of this block, at most the configured block size.
-    pub edges: Vec<Edge<E>>,
-}
-
-/// The vertex block paired with an edge block: every source and destination
-/// vertex of the paired edges, with its current attribute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct VertexBlock<V> {
-    /// `(vertex id, attribute)` entries, deduplicated, in first-seen order.
-    pub entries: Vec<(VertexId, V)>,
-}
-
-impl<V> VertexBlock<V> {
-    /// Looks up the attribute of `v` in this block.
-    pub fn attr_of(&self, v: VertexId) -> Option<&V> {
-        self.entries.iter().find(|(id, _)| *id == v).map(|(_, a)| a)
-    }
-}
-
-/// A paired vertex block and edge block — the unit the agent packages for the
-/// daemon in the basic (non-pipelined) data flow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BlockPair<V, E> {
-    /// Vertices referenced by the edges.
-    pub vertices: VertexBlock<V>,
-    /// The edges of this block.
-    pub edges: EdgeBlock<E>,
-}
 
 /// A block of edge triplets: the basic processing unit of a pipelined
 /// iteration.  "Within an iteration, there is no data dependencies between
@@ -107,7 +70,7 @@ impl<V, E> TripletBlockRef<'_, V, E> {
     }
 
     /// Copies the view into an owned [`TripletBlock`] (only needed off the
-    /// hot path, e.g. to stage a block into a shared segment).
+    /// hot path).
     pub fn to_owned(&self) -> TripletBlock<V, E>
     where
         V: Clone,
@@ -130,39 +93,6 @@ pub fn triplet_block_views<V, E>(
         .chunks(block_size.max(1))
         .enumerate()
         .map(|(index, triplets)| TripletBlockRef { index, triplets })
-}
-
-/// Groups a node's edges into paired vertex/edge blocks of size `block_size`.
-///
-/// `attr_of` supplies the current attribute of a vertex (from the agent's
-/// vertex table or its cache).
-pub fn pack_block_pairs<V: Clone, E: Clone>(
-    edges: &[Edge<E>],
-    mut attr_of: impl FnMut(VertexId) -> V,
-    block_size: usize,
-) -> Vec<BlockPair<V, E>> {
-    assert!(block_size > 0, "block size must be positive");
-    edges
-        .chunks(block_size)
-        .map(|chunk| {
-            let mut seen: HashMap<VertexId, usize> = HashMap::new();
-            let mut entries = Vec::new();
-            for edge in chunk {
-                for v in [edge.src, edge.dst] {
-                    if let std::collections::hash_map::Entry::Vacant(slot) = seen.entry(v) {
-                        slot.insert(entries.len());
-                        entries.push((v, attr_of(v)));
-                    }
-                }
-            }
-            BlockPair {
-                vertices: VertexBlock { entries },
-                edges: EdgeBlock {
-                    edges: chunk.to_vec(),
-                },
-            }
-        })
-        .collect()
 }
 
 /// Groups a node's edges into triplet blocks of size `block_size`, joining the
@@ -212,26 +142,6 @@ mod tests {
             Edge::new(0, 2, 4.0),
             Edge::new(3, 1, 5.0),
         ]
-    }
-
-    #[test]
-    fn block_pairs_have_fixed_size_and_paired_vertices() {
-        let pairs = pack_block_pairs(&edges(), |v| v as f64 * 10.0, 2);
-        assert_eq!(pairs.len(), 3);
-        assert_eq!(pairs[0].edges.edges.len(), 2);
-        assert_eq!(pairs[2].edges.edges.len(), 1);
-        // The vertex block of the first pair covers vertices {0, 1, 2}.
-        let ids: Vec<_> = pairs[0].vertices.entries.iter().map(|(v, _)| *v).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
-        assert_eq!(pairs[0].vertices.attr_of(2), Some(&20.0));
-        assert_eq!(pairs[0].vertices.attr_of(9), None);
-        // Every edge endpoint can be resolved within its own pair.
-        for pair in &pairs {
-            for e in &pair.edges.edges {
-                assert!(pair.vertices.attr_of(e.src).is_some());
-                assert!(pair.vertices.attr_of(e.dst).is_some());
-            }
-        }
     }
 
     #[test]

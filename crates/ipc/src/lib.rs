@@ -1,52 +1,34 @@
 //! # gxplug-ipc
 //!
-//! System-V-IPC-like substrate for the GX-Plug reproduction: keyed shared
-//! memory segments, the vertex/edge/triplet block formats that travel through
-//! them, and the control-message protocol spoken between agents and daemons.
+//! The dependency-free substrate the GX-Plug reproduction's threads and
+//! sockets talk through.  The paper's agents and daemons are processes joined
+//! by System-V shared memory and message queues; here they are threads in one
+//! address space, so what remains of that layer is:
 //!
-//! * [`key`] — IPC keys and the `ftok`-style key generator;
-//! * [`queue`] — the `Send + Sync` Mutex/Condvar-backed MPMC queue every
-//!   control channel (and the threaded daemon runtime) is built on, with
-//!   blocking, deadline and non-blocking receive flavours;
+//! * [`key`] — IPC keys, the `ftok`-style key generator and the `splitmix64`
+//!   mix it is built on;
+//! * [`queue`] — the `Send + Sync` Mutex/Condvar-backed MPMC queue the
+//!   daemon worker threads, the service lanes and the server's connection
+//!   hand-off are built on, with blocking, deadline and non-blocking receive
+//!   flavours and peer-disconnect detection;
 //! * [`oneshot`] — the exactly-once result slot job tickets park on;
-//! * [`segment`] — shared memory segments with mutual visibility and traffic
-//!   statistics, sharded per `(node, daemon)` through [`SegmentPool`] so
-//!   concurrent daemons never contend on one lock;
-//! * [`blocks`] — vertex blocks, edge blocks, block pairs, owned triplet
-//!   blocks and the borrowed [`TripletBlockRef`] views of the zero-copy
-//!   pipeline;
-//! * [`messages`] — the control-message vocabulary of Algorithms 1 and 2;
-//! * [`channel`] — bidirectional agent ↔ daemon control links;
+//! * [`blocks`] — owned triplet blocks and the borrowed [`TripletBlockRef`]
+//!   views of the zero-copy pipeline;
 //! * [`wire`] — the versioned, length-prefixed binary frame format the
 //!   network serving layer speaks (job submissions, results, errors, stats),
 //!   with the unified [`ServerError`] vocabulary every transport shares.
-//!
-//! All of these primitives are cross-thread safe: `ControlLink`,
-//! `SharedSegment` and the queue endpoints are `Send + Sync` (for `Send +
-//! Sync` payloads), block on condition variables rather than spinning, and
-//! detect peer disconnection — the substrate the daemon worker threads of
-//! `gxplug-core` run on.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod blocks;
-pub mod channel;
 pub mod key;
-pub mod messages;
 pub mod oneshot;
 pub mod queue;
-pub mod segment;
 pub mod wire;
 
-pub use blocks::{
-    pack_block_pairs, pack_triplet_blocks, triplet_block_views, BlockPair, EdgeBlock, TripletBlock,
-    TripletBlockRef, VertexBlock,
-};
-pub use channel::{control_link_pair, ChannelError, ControlLink, Side};
+pub use blocks::{pack_triplet_blocks, triplet_block_views, TripletBlock, TripletBlockRef};
 pub use key::{IpcKey, KeyGenerator};
-pub use messages::{ApiCall, ControlMessage};
 pub use oneshot::{oneshot, OneshotReceiver, OneshotSender};
 pub use queue::{sync_queue, QueueReceiver, QueueRecvError, QueueSendError, QueueSender};
-pub use segment::{SegmentPool, SegmentStats, SharedSegment};
 pub use wire::{Frame, JobSpec, JobState, ServerError, StatsFrame, WireError, WireJobOptions};

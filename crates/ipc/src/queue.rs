@@ -1,4 +1,5 @@
-//! The cross-thread message queue underlying every control channel.
+//! The cross-thread message queue under the daemon runtime, the job service and
+//! the socket front end.
 //!
 //! Daemons run on their own OS threads (§IV-C: agents and daemons "work as
 //! independent processes"), so the primitives connecting them must be

@@ -10,11 +10,11 @@
 //! * [`accel`] — the pluggable accelerator substrate: the
 //!   `AcceleratorBackend` kernel ABI with interchangeable sim /
 //!   host-parallel backends behind `DeviceSpec` descriptors;
-//! * [`ipc`] — shared-memory segments, blocks and the agent/daemon protocol;
+//! * [`ipc`] — cross-thread queues, triplet blocks and the wire frame protocol;
 //! * [`engine`] — the simulated distributed upper systems (GraphX-like BSP,
 //!   PowerGraph-like GAS) and the cluster iteration driver;
 //! * [`core`] — the GX-Plug middleware itself (daemon–agent framework,
-//!   pipeline shuffle, synchronization caching/skipping, workload
+//!   pipeline block sizing, synchronization caching/skipping, workload
 //!   balancing), the `Session` API and the `GraphService` concurrent job
 //!   service;
 //! * [`algos`] — SSSP-BF, PageRank, LP, CC and k-core on the algorithm
@@ -109,7 +109,7 @@ pub mod prelude {
     pub use gxplug_ipc::wire::{
         Frame, JobSpec, JobState, ServerError, WireJobOptions, WireMutationOp,
     };
-    pub use gxplug_ipc::{SegmentPool, SharedSegment, TripletBlockRef};
+    pub use gxplug_ipc::TripletBlockRef;
     pub use gxplug_server::{
         standard_registry, standard_service, AlgorithmRegistry, ServeRank, ServeReach, ServeVertex,
         Server, ServerConfig, Tenant, TenantQuota, TenantRegistry,

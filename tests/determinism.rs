@@ -862,3 +862,66 @@ fn fused_jobs_are_bit_identical_to_fresh_serial_sessions() {
         }
     }
 }
+
+/// `[hits, misses, evictions, downloaded_entities]` summed over every agent.
+fn sync_cache_counters(stats: &[gx_plug::core::AgentStats]) -> [u64; 4] {
+    let mut total = gx_plug::core::AgentStats::default();
+    for agent in stats {
+        total.merge(agent);
+    }
+    [
+        total.cache.hits,
+        total.cache.misses,
+        total.cache.evictions,
+        total.downloaded_entities,
+    ]
+}
+
+#[test]
+fn sync_cache_counters_match_the_golden_pin() {
+    // The synchronization cache is an accounting model: its only outputs are
+    // these counters, which feed `download_entities` and through it every
+    // simulated duration.  A changed probe order, victim order or freshness
+    // rule moves them without touching a single vertex value, so they are
+    // pinned as literals (captured on the scan-evicting `HashMap` cache that
+    // preceded the dense one).
+    fn counters<V, A>(algorithm: &A, default_value: V, mode: ExecutionMode) -> [u64; 4]
+    where
+        V: Clone + PartialEq + Send + Sync + std::fmt::Debug,
+        A: GraphAlgorithm<V, f64>,
+    {
+        let list = Rmat::new(10, 8.0).generate(7);
+        let graph = PropertyGraph::from_edge_list(list, default_value).unwrap();
+        let partitioning = GreedyVertexCutPartitioner::default()
+            .partition(&graph, 4)
+            .unwrap();
+        let outcome = SessionBuilder::new(&graph)
+            .partitioned_by(partitioning)
+            .profile(RuntimeProfile::powergraph())
+            .devices(mixed_devices(4))
+            .config(MiddlewareConfig::default().with_execution(mode))
+            .dataset("rmat")
+            .max_iterations(100)
+            .build()
+            .unwrap()
+            .run(algorithm)
+            .unwrap();
+        sync_cache_counters(&outcome.agent_stats)
+    }
+    let rank = RankValue {
+        rank: 1.0,
+        out_degree: 0,
+    };
+    for mode in [ExecutionMode::Serial, ExecutionMode::Threaded] {
+        assert_eq!(
+            counters(&PageRank::new(5), rank, mode),
+            [1280, 5695, 4891, 15007],
+            "PageRank x5, {mode:?}"
+        );
+        assert_eq!(
+            counters(&MultiSourceSssp::new(vec![0, 1]), Vec::new(), mode),
+            [1297, 3275, 2471, 12455],
+            "2-source SSSP, {mode:?}"
+        );
+    }
+}

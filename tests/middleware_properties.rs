@@ -1,11 +1,10 @@
 //! Property-based tests (proptest) over the core data structures and the
 //! analytical results of the paper: Lemma 1 (block sizing), Lemmas 2 and 3
-//! (workload balancing), partitioning invariants, the cache, and the pipeline
-//! mechanism.
+//! (workload balancing), partitioning invariants and the synchronization
+//! cache.
 
 use gx_plug::prelude::*;
 use proptest::prelude::*;
-use std::collections::HashSet;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -162,83 +161,59 @@ proptest! {
         }
     }
 
-    // ---------------- Cache and pipeline mechanics ----------------
+    // ---------------- Synchronization cache ----------------
 
-    /// The LRU cache never exceeds its capacity, never loses a dirty entry
-    /// silently, and reports every deferred update either through a forced
-    /// eviction upload, a query answer, or the final flush.
+    /// The dense, heap-evicting sync cache is indistinguishable from the
+    /// naive algorithm it replaced — a flat list with a linear
+    /// `min (last_used, global id)` victim scan: same download answer on
+    /// every probe, same victim on every eviction, same counters.  Local ids
+    /// map to global ids out of order, so recency ties are provably broken
+    /// on *global* ids.
     #[test]
-    fn cache_never_loses_dirty_updates(
+    fn sync_cache_matches_the_naive_lru_oracle(
         capacity in 1usize..64,
-        operations in prop::collection::vec((0u32..200, any::<bool>()), 1..300),
+        operations in prop::collection::vec((0u32..96, any::<bool>(), any::<bool>()), 1..400),
     ) {
-        let mut cache: gx_plug::core::VertexCache<u64> = gx_plug::core::VertexCache::new(capacity);
-        let mut expected: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
-        let mut surfaced: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
-        for (step, (vertex, is_update)) in operations.iter().enumerate() {
-            let now = step as u64;
-            if *is_update {
-                let value = step as u64;
-                expected.insert(*vertex, value);
-                for (v, val) in cache.record_update(*vertex, value, now) {
-                    surfaced.insert(v, val);
+        let global_of = |local: u32| (local * 37 + 11) % 101;
+        let mut cache = gx_plug::core::VertexCache::<u64>::new(capacity, 48);
+        // The oracle: `(global id, cached value, last_used)` per resident entry.
+        let mut oracle: Vec<(u32, u64, u64)> = Vec::new();
+        let mut expected = gx_plug::core::CacheStats::default();
+        let mut upper_system = [0u64; 96];
+        let mut now = 0u64;
+        for &(local, changed, advance) in &operations {
+            now += u64::from(advance);
+            let current = &mut upper_system[local as usize];
+            *current += u64::from(changed);
+            let global = global_of(local);
+            let download = match oracle.iter_mut().find(|entry| entry.0 == global) {
+                Some(entry) => {
+                    expected.hits += 1;
+                    let stale = entry.1 != *current;
+                    *entry = (global, *current, now);
+                    stale
                 }
-            } else {
-                let _ = cache.lookup(*vertex, now);
+                None => {
+                    expected.misses += 1;
+                    if oracle.len() >= capacity {
+                        let victim = (0..oracle.len())
+                            .min_by_key(|&i| (oracle[i].2, oracle[i].0))
+                            .unwrap();
+                        oracle.swap_remove(victim);
+                        expected.evictions += 1;
+                    }
+                    oracle.push((global, *current, now));
+                    true
+                }
+            };
+            prop_assert_eq!(cache.probe(local, global, current, now), download);
+            prop_assert_eq!(cache.stats(), expected);
+            prop_assert_eq!(cache.len(), oracle.len());
+            for local in 0..96 {
+                let resident = oracle.iter().any(|entry| entry.0 == global_of(local));
+                prop_assert_eq!(cache.contains(local), resident, "residency of local {}", local);
             }
-            prop_assert!(cache.len() <= capacity);
         }
-        for (v, val) in cache.flush_dirty() {
-            surfaced.insert(v, val);
-        }
-        // Every vertex whose latest update was not overwritten by a newer one
-        // must have surfaced with its latest value.
-        for (vertex, value) in expected {
-            prop_assert_eq!(surfaced.get(&vertex).copied(), Some(value),
-                "vertex {} lost its update", vertex);
-        }
-    }
-
-    /// The threaded pipeline outputs exactly the transformed input, in order.
-    #[test]
-    fn pipeline_preserves_items(
-        block_sizes in prop::collection::vec(1usize..50, 0..20),
-    ) {
-        let mut counter = 0u64;
-        let blocks: Vec<Vec<u64>> = block_sizes
-            .iter()
-            .map(|&len| {
-                let block: Vec<u64> = (counter..counter + len as u64).collect();
-                counter += len as u64;
-                block
-            })
-            .collect();
-        let mut output = Vec::new();
-        gx_plug::core::pipeline::shuffle::run_pipeline(
-            blocks,
-            |&x| x * 2 + 1,
-            |block: Vec<u64>| output.extend(block),
-        );
-        let expected: Vec<u64> = (0..counter).map(|x| x * 2 + 1).collect();
-        prop_assert_eq!(output, expected);
-    }
-
-    /// The literal Algorithms-1-and-2 protocol computes every block exactly
-    /// once regardless of block count and size.
-    #[test]
-    fn shuffle_protocol_computes_all_items(
-        block_sizes in prop::collection::vec(1usize..40, 0..12),
-    ) {
-        let blocks: Vec<Vec<u32>> = block_sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &len)| (0..len as u32).map(|x| x + (i as u32) * 1_000).collect())
-            .collect();
-        let expected: HashSet<u32> = blocks.iter().flatten().map(|&x| x + 5).collect();
-        let (output, _stats) =
-            gx_plug::core::pipeline::shuffle::run_shuffle_protocol(blocks, |&x| x + 5);
-        let got: HashSet<u32> = output.into_iter().flatten().collect();
-        prop_assert_eq!(got, expected);
     }
 
     // ---------------- Graph construction ----------------
