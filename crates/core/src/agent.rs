@@ -26,8 +26,9 @@
 //! Two agent front-ends share this logic through [`AgentCore`]: the serial
 //! [`Agent`] here, which owns its daemons and drives them on the calling
 //! thread, and the threaded
-//! [`ThreadedAgent`](crate::runtime::ThreadedAgent), which dispatches shares
-//! to daemon worker threads so its daemons genuinely compute concurrently.
+//! [`ThreadedAgent`](crate::runtime::ThreadedAgent), which does the same for
+//! small shares and dispatches large ones to daemon worker threads so its
+//! daemons genuinely compute concurrently.
 
 use crate::config::{MiddlewareConfig, PipelineMode};
 use crate::daemon::{execute_share, Daemon};
@@ -109,7 +110,8 @@ pub(crate) struct AgentScratch<V, E, M> {
     pub triplets: Arc<TripletBuffer<V, E>>,
     pub msg_bufs: Vec<Vec<AddressedMessage<M>>>,
     pub shares: Vec<Range<usize>>,
-    pub dispatched: Vec<usize>,
+    /// `(daemon index, share_runs slot)` of every share dispatched to a worker.
+    pub dispatched: Vec<(usize, usize)>,
     pub share_runs: Vec<ShareRun>,
     /// Pooled dense slots for the per-target `MSGMerge`, keyed by the node's
     /// dense local ids — the hash-free sibling of the triplet arena; an epoch

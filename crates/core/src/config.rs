@@ -4,9 +4,11 @@
 //! evaluation harness can reproduce the ablations of §V (pipeline on/off/optimal,
 //! caching on/off, skipping on/off, balancing on/off).  On top of the paper's
 //! knobs, [`MiddlewareConfig::execution`] selects how the runtime schedules
-//! the work on the host: [`ExecutionMode::Threaded`] (the default) runs every
-//! daemon on its own worker thread and every node's agent on its own scoped
-//! thread; [`ExecutionMode::Serial`] runs everything on the calling thread.
+//! the work on the host: [`ExecutionMode::Threaded`] (the default) threads in
+//! proportion to the work — supersteps and daemon shares below the fan-out
+//! floor run on the calling thread, larger ones on parked node workers and
+//! daemon worker threads spawned once per run;
+//! [`ExecutionMode::Serial`] runs everything on the calling thread.
 //! Results are identical in both modes.
 
 use serde::{Deserialize, Serialize};

@@ -29,25 +29,35 @@
 //! # The threaded runtime
 //!
 //! By default the middleware executes *concurrently*, matching the process
-//! structure of the paper rather than simulating it:
+//! structure of the paper rather than simulating it — but only where the
+//! work pays for the hand-off.  A thread hand-off costs two queue hops
+//! whatever it carries, so, like a kernel launch in the §III-A pipeline
+//! model, it has to be amortised: one floor on the active-edge count
+//! ([`gxplug_engine::fanout`]) decides per superstep and per share.
 //!
-//! * every daemon lives on its own OS worker thread for the whole run
-//!   ([`runtime::DaemonHandle`]: spawn / submit / join, panic-safe shutdown),
-//!   so device contexts stay alive across iterations on their own threads
-//!   (runtime isolation, §IV-C);
-//! * an agent dispatches each daemon's capacity share as a job and collects
-//!   the results afterwards ([`runtime::ThreadedAgent`]), so the daemons of a
-//!   node compute their blocks concurrently;
-//! * the cluster's per-node compute phase fans out across scoped threads
-//!   within each superstep ([`runtime::ThreadedNodes`]), with the BSP barrier
-//!   and metric aggregation joining in node order.
+//! * a superstep below the floor runs its nodes in node order on the calling
+//!   thread; a larger one lends each node, with its agent's state, *by
+//!   value* to that node's parked worker and takes it back at the BSP
+//!   barrier ([`runtime::ThreadedNodes`]).  The workers are spawned once per
+//!   run, at the first superstep that needs them, and sleep in between;
+//! * an agent computes a daemon's share in place while it is below the
+//!   floor; the first share that crosses it moves the daemon onto its own
+//!   worker thread for the rest of the run ([`runtime::DaemonHandle`]: spawn
+//!   / submit / join, panic-safe shutdown), so the daemons of a node compute
+//!   large shares concurrently and device contexts stay alive across
+//!   iterations (runtime isolation, §IV-C) ([`runtime::ThreadedAgent`]);
+//! * a run whose supersteps all stay small therefore creates no thread and
+//!   crosses no queue.
 //!
 //! The [`config::ExecutionMode`] switch in [`MiddlewareConfig`] selects
 //! between this threaded runtime and a serial one running the identical
-//! logic on the calling thread; shares are split, dispatched and merged in a
-//! fixed order, so the two modes produce **bit-identical** results (the
-//! `determinism` integration test runs PageRank and SSSP both ways and
-//! compares exactly).
+//! logic on the calling thread.  Where a share or a node was computed never
+//! shows in the result: every daemon fills its own buffer and the buffers
+//! are merged in daemon order, every node's output lands in that node's slot
+//! and the slots are read in node order — so the two modes produce
+//! **bit-identical** results (the `determinism` integration test runs
+//! PageRank and SSSP both ways, on both sides of the floor, and compares
+//! exactly).
 //!
 //! [`session`] ties everything together: a [`SessionBuilder`] validates and
 //! deploys the cluster once (typed [`SessionError`]s instead of panics), and

@@ -2,23 +2,43 @@
 //!
 //! The paper's daemons "work as independent processes" (§IV-C); this module
 //! gives the reproduction real concurrency instead of a single-threaded
-//! simulation of it:
+//! simulation of it — **in proportion to the work**.  Handing work to another
+//! thread costs two queue hops whatever its size, so, like a kernel launch in
+//! the §III-A pipeline model, it is only worth it when the work amortises it.
+//! One floor on the active-edge count
+//! ([`fanout`](gxplug_engine::fanout)) decides, superstep by superstep and
+//! share by share:
 //!
-//! * [`DaemonHandle`] runs one [`Daemon`] on its own OS worker thread for the
-//!   whole lifetime of a run (runtime isolation: the device context is
-//!   created once and stays alive across iterations).  Work is submitted as
-//!   jobs over the `Send + Sync` queue of `gxplug-ipc`; [`DaemonHandle::join`]
-//!   recovers the daemon — or the panic payload if a kernel panicked.
-//! * [`ThreadedAgent`] is the threaded front-end of the agent: it plans an
-//!   iteration exactly like the serial [`Agent`](crate::Agent) (same
-//!   download/cache/merge/upload/timing code via `AgentCore`), but dispatches
-//!   every daemon's capacity share as a job and only then collects the
-//!   results — so all daemons of a node genuinely compute concurrently, the
-//!   overlap the §III pipeline shuffle is designed around.
 //! * [`ThreadedNodes`] is the cluster-level
-//!   [`ComputePhase`](gxplug_engine::cluster::ComputePhase): one scoped
-//!   thread per distributed node per superstep, joined in node order at the
-//!   BSP barrier.
+//!   [`ComputePhase`](gxplug_engine::cluster::ComputePhase).  A superstep
+//!   whose nodes hold fewer active edges than the floor runs them in node
+//!   order on the calling thread.  A larger one lends every node but the
+//!   last — its `NodeState` and its agent's state, *by value*, because the
+//!   nodes are only borrowed for one `compute` call — to that node's parked
+//!   worker, computes the last node itself, and takes everything back in node
+//!   order at the BSP barrier.  The workers are spawned once, at the first
+//!   superstep that crosses the floor, on the scope
+//!   [`ThreadedAgent::spawn`] receives; between supersteps they sleep on
+//!   their job queues.
+//! * [`ThreadedAgent`] plans an iteration exactly like the serial
+//!   [`Agent`](crate::Agent) (same download/cache/merge/upload/timing code
+//!   via `AgentCore`).  Its daemons start out on the agent's own thread and a
+//!   share below the floor is computed right there with `execute_share`.  The
+//!   first share that crosses the floor moves its daemon onto a worker thread
+//!   ([`DaemonHandle`]) for the rest of the run, so the daemons of a node
+//!   compute large shares concurrently — the overlap the §III pipeline
+//!   shuffle is designed around.  The daemon with the largest capacity factor
+//!   never leaves: the agent's thread would otherwise only wait, so it
+//!   computes the largest share itself.
+//! * [`DaemonHandle`] runs one [`Daemon`] on its own OS worker thread (runtime
+//!   isolation: the device context stays alive across iterations).  Work is
+//!   submitted as jobs over the `Send + Sync` queue of `gxplug-ipc`;
+//!   [`DaemonHandle::join`] recovers the daemon — or the panic payload if a
+//!   kernel panicked.
+//!
+//! A run whose supersteps all stay below the floor therefore creates no
+//! thread and crosses no queue; [`ThreadedAgent::threads_spawned`] counts
+//! what a run did create.
 //!
 //! Zero-copy dispatch: a share job does not move an owned `Vec<Triplet>` to
 //! the worker.  The iteration's triplets live in one reusable
@@ -29,15 +49,17 @@
 //! iteration.  By collection time the `Arc` is uniquely held again, so the
 //! next refill needs no new allocation either.
 //!
-//! Determinism: shares are split, dispatched and collected in daemon-index
-//! order, and node outputs are joined in node order, so a threaded run
-//! produces bit-identical results to a serial run (covered by the
-//! `determinism` integration test).
+//! Determinism: where a share or a node is computed never shows in the
+//! result.  Every daemon writes its own message buffer and the buffers are
+//! merged in daemon-index order; every node's output lands in that node's
+//! slot and the slots are read in node order.  A threaded run is therefore
+//! bit-identical to a serial one, whichever side of the floor its supersteps
+//! fall on (covered by the `determinism` integration test).
 //!
 //! Worker threads are *scoped* (`std::thread::scope`), which is what lets
-//! jobs borrow the algorithm and the iteration's data without `'static`
-//! bounds or reference counting; the scope guarantees every worker is joined
-//! before the borrowed data goes away.
+//! jobs borrow the algorithm without `'static` bounds or reference counting;
+//! the scope guarantees every worker is joined before the borrowed data goes
+//! away.
 
 use crate::agent::{dense_merge, split_by_capacity_into, AgentCore, AgentScratch, ShareRun};
 use crate::config::MiddlewareConfig;
@@ -45,6 +67,7 @@ use crate::daemon::{execute_share, Daemon, DaemonInfo, DaemonStats};
 use crate::metrics::AgentStats;
 use gxplug_accel::{AccelError, SimDuration};
 use gxplug_engine::cluster::{ComputePhase, NodeComputeOutput};
+use gxplug_engine::fanout::{fan_out, settle, worth_fanning_out, Lane};
 use gxplug_engine::node::NodeState;
 use gxplug_engine::profile::RuntimeProfile;
 use gxplug_engine::template::{AddressedMessage, GraphAlgorithm};
@@ -55,6 +78,9 @@ use std::fmt;
 use std::panic::resume_unwind;
 use std::sync::{mpsc, Arc};
 use std::thread::{Scope, ScopedJoinHandle};
+
+/// A superstep's result for one node.
+type NodeResult<V, M> = Result<NodeComputeOutput<V, M>, RuntimeError>;
 
 /// Errors surfaced by the threaded runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -228,159 +254,94 @@ impl<M> Drop for ReplyGuard<M> {
     }
 }
 
-/// The threaded front-end of an agent: same planning and bookkeeping as the
-/// serial [`Agent`](crate::Agent), with every daemon behind a
-/// [`DaemonHandle`] so capacity shares execute concurrently.
-///
-/// Like the serial agent it is generic over the message type `M` of the
-/// algorithm it serves, which lets it pool the per-daemon reply buffers and
-/// reply channels across iterations.
+/// Where one of an agent's daemons currently lives.
 #[derive(Debug)]
-pub struct ThreadedAgent<'scope, 'env, V, E, M> {
-    core: AgentCore<V>,
-    handles: Vec<DaemonHandle<'scope, 'env>>,
-    /// Capacity factors of the daemons, captured once (they are static).
-    capacities: Vec<f64>,
-    scratch: AgentScratch<V, E, M>,
-    /// One long-lived reply channel per daemon, reused every iteration.
-    replies: Vec<ReplyChannel<M>>,
+enum DaemonSeat<'scope, 'env, M> {
+    /// On the agent's own thread, where every daemon starts: shares run in
+    /// place.
+    Home(Daemon),
+    /// On its own worker thread, since the first share that crossed the
+    /// fan-out floor: shares travel there as jobs and report on the seat's
+    /// long-lived reply channel.
+    Away {
+        handle: DaemonHandle<'scope, 'env>,
+        replies: ReplyChannel<M>,
+    },
+    /// Transient while [`DaemonSeat::send_away`] moves the daemon; permanent
+    /// once the daemon's worker died and its panic was re-raised (a kernel
+    /// panic takes the daemon with it).
+    Vacant,
 }
 
-impl<'scope, 'env, V, E, M> ThreadedAgent<'scope, 'env, V, E, M>
+impl<'scope, 'env, M> DaemonSeat<'scope, 'env, M> {
+    /// Moves a daemon that is still home onto its own worker thread; returns
+    /// whether a thread was spawned.
+    fn send_away(&mut self, scope: &'scope Scope<'scope, 'env>) -> bool {
+        match std::mem::replace(self, DaemonSeat::Vacant) {
+            DaemonSeat::Home(daemon) => {
+                *self = DaemonSeat::Away {
+                    handle: DaemonHandle::spawn(scope, daemon),
+                    replies: mpsc::channel(),
+                };
+                true
+            }
+            seat => {
+                *self = seat;
+                false
+            }
+        }
+    }
+
+    /// Runs `f` on the daemon wherever it lives — in place when it is home, a
+    /// blocking round-trip to its worker otherwise.
+    fn with_daemon<R, F>(&mut self, f: F) -> Result<R, RuntimeError>
+    where
+        R: Send + 'env,
+        F: FnOnce(&mut Daemon) -> R + Send + 'env,
+    {
+        match self {
+            DaemonSeat::Home(daemon) => Ok(f(daemon)),
+            DaemonSeat::Away { handle, .. } => handle.call(f),
+            DaemonSeat::Vacant => Err(RuntimeError::DaemonStopped {
+                name: "a daemon lost to a kernel panic".to_string(),
+            }),
+        }
+    }
+}
+
+/// Everything of a [`ThreadedAgent`] that computes: boxed so it can be lent,
+/// together with its node's `NodeState`, to a parked node worker for one
+/// superstep and taken back with the output.
+#[derive(Debug)]
+struct AgentState<'scope, 'env, V, E, M> {
+    scope: &'scope Scope<'scope, 'env>,
+    core: AgentCore<V>,
+    seats: Vec<DaemonSeat<'scope, 'env, M>>,
+    /// Planning snapshots of the daemons, in seat order.
+    infos: Vec<DaemonInfo>,
+    /// Capacity factors of the daemons, captured once (they are static).
+    capacities: Vec<f64>,
+    /// The daemon with the largest capacity factor.  It takes the largest
+    /// share of every iteration, and it never leaves: the agent's thread
+    /// would otherwise only wait for the others, so it computes that share.
+    resident: usize,
+    scratch: AgentScratch<V, E, M>,
+    /// Daemon worker threads spawned so far.
+    daemon_workers: usize,
+}
+
+impl<'env, V, E, M> AgentState<'_, 'env, V, E, M>
 where
     V: Clone + PartialEq + Send + Sync + 'env,
     E: Clone + Send + Sync + 'env,
     M: Clone + Send + Sync + 'env,
 {
-    /// Creates the agent for distributed node `node_id` and spawns one worker
-    /// thread per daemon on `scope`.
-    pub fn spawn(
-        scope: &'scope Scope<'scope, 'env>,
-        node_id: PartitionId,
-        daemons: Vec<Daemon>,
-        profile: RuntimeProfile,
-        config: MiddlewareConfig,
-        local_vertices: usize,
-    ) -> Self {
-        assert!(!daemons.is_empty(), "an agent needs at least one daemon");
-        let handles: Vec<DaemonHandle<'scope, 'env>> = daemons
-            .into_iter()
-            .map(|daemon| DaemonHandle::spawn(scope, daemon))
-            .collect();
-        let capacities: Vec<f64> = handles
-            .iter()
-            .map(|handle| handle.info().capacity_factor())
-            .collect();
-        let scratch = AgentScratch::new(handles.len());
-        let replies = (0..handles.len()).map(|_| mpsc::channel()).collect();
-        Self {
-            core: AgentCore::new(node_id, profile, config, local_vertices),
-            handles,
-            capacities,
-            scratch,
-            replies,
-        }
-    }
-
-    /// The distributed node this agent serves.
-    pub fn node_id(&self) -> PartitionId {
-        self.core.node_id()
-    }
-
-    /// Number of attached daemons.
-    pub fn num_daemons(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Planning metadata of the attached daemons.
-    pub fn daemon_infos(&self) -> Vec<&DaemonInfo> {
-        self.handles.iter().map(DaemonHandle::info).collect()
-    }
-
-    /// Total computation capacity factor of the attached daemons.
-    pub fn capacity_factor(&self) -> f64 {
-        self.capacities.iter().sum()
-    }
-
-    /// The middleware configuration in force.
-    pub fn config(&self) -> &MiddlewareConfig {
-        self.core.config()
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> AgentStats {
-        self.core.stats()
-    }
-
-    /// Installs a pooled triplet arena (e.g. the session's, so a reused
-    /// session keeps one warm buffer per node across runs).
-    pub fn install_triplet_buffer(&mut self, buffer: Arc<TripletBuffer<V, E>>) {
-        self.scratch.install_triplets(buffer);
-    }
-
-    /// Takes the triplet arena back (returning a fresh empty one to the
-    /// agent), so the session can pool it for the next run.
-    pub fn take_triplet_buffer(&mut self) -> Arc<TripletBuffer<V, E>> {
-        self.scratch
-            .install_triplets(Arc::new(TripletBuffer::new()))
-    }
-
-    /// `connect()`: initialises every daemon's device context, concurrently
-    /// across the worker threads, once per run (runtime isolation).  Returns
-    /// the summed initialisation time.
-    pub fn connect(&mut self) -> SimDuration {
-        let replies: Vec<_> = self
-            .handles
-            .iter()
-            .map(|handle| {
-                let (tx, rx) = mpsc::channel::<SimDuration>();
-                handle
-                    .submit(move |daemon| {
-                        let _ = tx.send(daemon.start());
-                    })
-                    .expect("daemon worker alive during connect");
-                rx
-            })
-            .collect();
-        let mut total = SimDuration::ZERO;
-        for (handle, reply) in self.handles.iter().zip(replies) {
-            total += reply.recv().unwrap_or_else(|_| {
-                panic!("daemon '{}' died during connect", handle.info().name())
-            });
-        }
-        self.core.record_init_time(total);
-        total
-    }
-
-    /// `disconnect()`: shuts every daemon down (device contexts torn down on
-    /// the worker threads; the workers stay alive until [`Self::join`]).
-    pub fn disconnect(&mut self) {
-        for handle in &self.handles {
-            let _ = handle.call(|daemon| daemon.shutdown());
-        }
-    }
-
-    /// Executes one middleware iteration for this agent's node: plans the
-    /// download and the capacity shares, dispatches every share — a borrowed
-    /// view into the iteration's triplet buffer — to its daemon's worker
-    /// thread, then collects the results in daemon order and finishes the
-    /// merge/upload/timing phases.
-    ///
-    /// # Errors
-    /// [`RuntimeError::Kernel`] if a device rejects a block, or
-    /// [`RuntimeError::DaemonStopped`] if a worker is gone at dispatch time.
-    /// Every dispatched share is still collected before the error is
-    /// returned, so the pooled buffers stay consistent.
-    ///
-    /// # Panics
-    /// Panics if a daemon worker dies (panics) while computing its share (the
-    /// panic then propagates to the run through the cluster driver's join).
-    pub fn process_iteration<A>(
+    fn process_iteration<A>(
         &mut self,
         node: &mut NodeState<V, E>,
         algorithm: &'env A,
         iteration: usize,
-    ) -> Result<NodeComputeOutput<V, M>, RuntimeError>
+    ) -> NodeResult<V, M>
     where
         A: GraphAlgorithm<V, E, Msg = M>,
     {
@@ -389,7 +350,7 @@ where
             None => return Ok(NodeComputeOutput::idle()),
         };
 
-        // ---- compute phase: dispatch every share, then collect -----------
+        // ---- compute phase: small shares in place, large ones dispatched ---
         let buffer = Arc::get_mut(&mut self.scratch.triplets)
             .expect("no triplet share views outstanding between iterations");
         node.fill_triplets(self.core.active_edge_ids(), buffer);
@@ -397,93 +358,112 @@ where
         split_by_capacity_into(d, &self.capacities, &mut self.scratch.shares);
         self.scratch.share_runs.clear();
         self.scratch.dispatched.clear();
-        let mut dispatch_failure: Option<RuntimeError> = None;
-        for (daemon_index, range) in self.scratch.shares.iter().enumerate() {
+        let mut first_error: Option<RuntimeError> = None;
+        for daemon_index in 0..self.scratch.shares.len() {
+            let range = self.scratch.shares[daemon_index].clone();
             if range.is_empty() {
                 continue;
             }
-            let handle = &self.handles[daemon_index];
-            let coefficients = handle.info().coefficients(self.core.profile());
+            let info = &self.infos[daemon_index];
+            let coefficients = info.coefficients(self.core.profile());
             let share_len = range.len();
-            let block_size = self.core.block_size_for(
-                &coefficients,
-                share_len,
-                handle.info().memory_capacity_items(),
-            );
-            let view = Arc::clone(&self.scratch.triplets);
-            let range = range.clone();
-            let mut out = std::mem::take(&mut self.scratch.msg_bufs[daemon_index]);
-            let reply_tx = self.replies[daemon_index].0.clone();
-            let submitted = handle.submit(move |daemon| {
-                let guard = ReplyGuard::new(reply_tx, daemon.name().to_string());
-                out.clear();
-                let result = execute_share(
-                    daemon,
-                    algorithm,
-                    view.share(range),
-                    block_size,
-                    iteration,
-                    &mut out,
-                );
-                // Release the share view BEFORE replying: the agent treats
-                // the reply as "this share is done" and may refill the
-                // triplet arena for the next iteration immediately, which
-                // requires the arena to be uniquely held again.
-                drop(view);
-                guard.reply((out, result));
-            });
-            match submitted {
-                Ok(()) => {
-                    self.scratch.dispatched.push(daemon_index);
-                    self.scratch.share_runs.push(ShareRun {
-                        coefficients,
-                        share_len,
-                        block_size,
-                        blocks: 0,
-                    });
+            let block_size =
+                self.core
+                    .block_size_for(&coefficients, share_len, info.memory_capacity_items());
+            if daemon_index != self.resident
+                && worth_fanning_out(share_len)
+                && self.seats[daemon_index].send_away(self.scope)
+            {
+                self.daemon_workers += 1;
+            }
+            let executed = match &mut self.seats[daemon_index] {
+                DaemonSeat::Home(daemon) => {
+                    let out = &mut self.scratch.msg_bufs[daemon_index];
+                    out.clear();
+                    let share = &self.scratch.triplets.as_slice()[range];
+                    execute_share(daemon, algorithm, share, block_size, iteration, out)
                 }
+                DaemonSeat::Away { handle, replies } => {
+                    let view = Arc::clone(&self.scratch.triplets);
+                    let mut out = std::mem::take(&mut self.scratch.msg_bufs[daemon_index]);
+                    let reply_tx = replies.0.clone();
+                    let submitted = handle.submit(move |daemon| {
+                        let guard = ReplyGuard::new(reply_tx, daemon.name().to_string());
+                        out.clear();
+                        let result = execute_share(
+                            daemon,
+                            algorithm,
+                            view.share(range),
+                            block_size,
+                            iteration,
+                            &mut out,
+                        );
+                        // Release the share view BEFORE replying: the agent
+                        // treats the reply as "this share is done" and may
+                        // refill the triplet arena for the next iteration
+                        // immediately, which requires the arena to be
+                        // uniquely held again.
+                        drop(view);
+                        guard.reply((out, result));
+                    });
+                    // The block count arrives with the reply.
+                    submitted.map(|()| {
+                        let slot = self.scratch.share_runs.len();
+                        self.scratch.dispatched.push((daemon_index, slot));
+                        0
+                    })
+                }
+                DaemonSeat::Vacant => Err(RuntimeError::DaemonStopped {
+                    name: self.infos[daemon_index].name().to_string(),
+                }),
+            };
+            match executed {
+                Ok(blocks) => self.scratch.share_runs.push(ShareRun {
+                    coefficients,
+                    share_len,
+                    block_size,
+                    blocks,
+                }),
                 Err(error) => {
-                    // The worker is gone; stop dispatching, but still collect
-                    // what is already in flight below.
-                    dispatch_failure = Some(error);
+                    // A kernel rejected its block, or a worker is gone: stop
+                    // handing out shares, but still collect what is already
+                    // in flight below.
+                    first_error = Some(error);
                     break;
                 }
             }
         }
-        // Collect in daemon-index order (the dispatch order), which keeps the
-        // raw message order — and therefore the merge — identical to the
-        // serial agent's.  Every dispatched share is collected even when one
-        // of them fails, so the buffer pool and the triplet arena come back.
-        let mut first_error: Option<RuntimeError> = dispatch_failure;
-        for slot in 0..self.scratch.dispatched.len() {
-            let daemon_index = self.scratch.dispatched[slot];
-            let died = || {
-                panic!(
-                    "daemon '{}' died while computing its share",
-                    self.handles[daemon_index].info().name()
-                )
+        // Collect in daemon-index order.  Every dispatched share is collected
+        // even when one of them fails, so the buffer pool and the triplet
+        // arena come back; and an error collected here belongs to a lower
+        // daemon index than the one that stopped the loop above, so the run
+        // reports the same first error a serial agent would.
+        let mut collected_error: Option<RuntimeError> = None;
+        for position in 0..self.scratch.dispatched.len() {
+            let (daemon_index, slot) = self.scratch.dispatched[position];
+            let DaemonSeat::Away { replies, .. } = &self.seats[daemon_index] else {
+                unreachable!("only daemons on a worker are dispatched to");
             };
-            match self.replies[daemon_index].1.recv() {
+            match replies.1.recv() {
+                // A DaemonStopped reply from inside a job is the ReplyGuard
+                // reporting that the job unwound.
+                Ok((_, Err(RuntimeError::DaemonStopped { .. }))) | Err(_) => {
+                    self.reraise_worker_panic(daemon_index)
+                }
                 Ok((out, result)) => {
                     // The pooled buffer always comes back, so its capacity
                     // survives even a failed iteration.
                     self.scratch.msg_bufs[daemon_index] = out;
                     match result {
                         Ok(blocks) => self.scratch.share_runs[slot].blocks = blocks,
-                        // A DaemonStopped reply from inside a job is the
-                        // ReplyGuard reporting that the job unwound.
-                        Err(RuntimeError::DaemonStopped { .. }) => died(),
                         Err(error) => {
-                            if first_error.is_none() {
-                                first_error = Some(error);
-                            }
+                            collected_error.get_or_insert(error);
                         }
                     }
                 }
-                Err(_) => died(),
             }
         }
-        if let Some(error) = first_error {
+        if let Some(error) = collected_error.or(first_error) {
             for buf in &mut self.scratch.msg_bufs {
                 buf.clear();
             }
@@ -503,27 +483,251 @@ where
             .core
             .finish_iteration(node, &plan, merged, &self.scratch.share_runs))
     }
+}
 
-    /// Joins every daemon worker, returning the daemons.  Re-raises the panic
-    /// of any worker that died from a panicking job.
+impl<V, E, M> AgentState<'_, '_, V, E, M> {
+    /// A daemon worker died under its share — a kernel panicked.  Joins the
+    /// worker and re-raises the kernel's own panic, so the run sees the same
+    /// payload it would have seen had the share been computed in place.
+    fn reraise_worker_panic(&mut self, daemon_index: usize) -> ! {
+        let seat = std::mem::replace(&mut self.seats[daemon_index], DaemonSeat::Vacant);
+        if let DaemonSeat::Away { handle, .. } = seat {
+            if let Err(payload) = handle.join() {
+                resume_unwind(payload);
+            }
+        }
+        panic!(
+            "daemon '{}' died while computing its share",
+            self.infos[daemon_index].name()
+        )
+    }
+}
+
+/// What travels to a parked node worker for one superstep.
+type NodeLoan<'scope, 'env, V, E, M> = (NodeState<V, E>, Box<AgentState<'scope, 'env, V, E, M>>);
+
+/// The threaded front-end of an agent: same planning and bookkeeping as the
+/// serial [`Agent`](crate::Agent), with threads added in proportion to the
+/// work — a worker per daemon once that daemon's share crosses the fan-out
+/// floor, and a parked node worker that [`ThreadedNodes`] lends the node to
+/// in supersteps that cross it.  Until then everything runs on the calling
+/// thread and the agent owns no thread at all.
+///
+/// Like the serial agent it is generic over the message type `M` of the
+/// algorithm it serves, which lets it pool the per-daemon reply buffers and
+/// reply channels across iterations.
+#[derive(Debug)]
+pub struct ThreadedAgent<'scope, 'env, V, E, M> {
+    /// `None` only while [`ThreadedNodes`] has lent it out for one superstep.
+    state: Option<Box<AgentState<'scope, 'env, V, E, M>>>,
+    /// This node's parked worker.
+    lane: Lane<'scope, NodeLoan<'scope, 'env, V, E, M>, NodeResult<V, M>>,
+}
+
+impl<'scope, 'env, V, E, M> ThreadedAgent<'scope, 'env, V, E, M>
+where
+    V: Clone + PartialEq + Send + Sync + 'env,
+    E: Clone + Send + Sync + 'env,
+    M: Clone + Send + Sync + 'env,
+{
+    /// Creates the agent for distributed node `node_id`.  No thread is
+    /// spawned yet: the daemons' workers and the node's own worker are
+    /// spawned on `scope` — which must enclose the whole run — the first
+    /// time the work calls for them.
+    pub fn spawn(
+        scope: &'scope Scope<'scope, 'env>,
+        node_id: PartitionId,
+        daemons: Vec<Daemon>,
+        profile: RuntimeProfile,
+        config: MiddlewareConfig,
+        local_vertices: usize,
+    ) -> Self {
+        assert!(!daemons.is_empty(), "an agent needs at least one daemon");
+        let infos: Vec<DaemonInfo> = daemons.iter().map(Daemon::info).collect();
+        let capacities: Vec<f64> = infos.iter().map(DaemonInfo::capacity_factor).collect();
+        let resident = (1..capacities.len()).fold(0, |best, index| {
+            if capacities[index] > capacities[best] {
+                index
+            } else {
+                best
+            }
+        });
+        let scratch = AgentScratch::new(daemons.len());
+        let state = AgentState {
+            scope,
+            core: AgentCore::new(node_id, profile, config, local_vertices),
+            seats: daemons.into_iter().map(DaemonSeat::Home).collect(),
+            infos,
+            capacities,
+            resident,
+            scratch,
+            daemon_workers: 0,
+        };
+        Self {
+            state: Some(Box::new(state)),
+            lane: Lane::default(),
+        }
+    }
+
+    fn state(&self) -> &AgentState<'scope, 'env, V, E, M> {
+        self.state
+            .as_deref()
+            .expect("the agent's state is home between supersteps")
+    }
+
+    fn state_mut(&mut self) -> &mut AgentState<'scope, 'env, V, E, M> {
+        self.state
+            .as_deref_mut()
+            .expect("the agent's state is home between supersteps")
+    }
+
+    /// The distributed node this agent serves.
+    pub fn node_id(&self) -> PartitionId {
+        self.state().core.node_id()
+    }
+
+    /// Number of attached daemons.
+    pub fn num_daemons(&self) -> usize {
+        self.state().seats.len()
+    }
+
+    /// Planning metadata of the attached daemons.
+    pub fn daemon_infos(&self) -> Vec<&DaemonInfo> {
+        self.state().infos.iter().collect()
+    }
+
+    /// Total computation capacity factor of the attached daemons.
+    pub fn capacity_factor(&self) -> f64 {
+        self.state().capacities.iter().sum()
+    }
+
+    /// The middleware configuration in force.
+    pub fn config(&self) -> &MiddlewareConfig {
+        self.state().core.config()
+    }
+
+    /// Accumulated statistics.
+    pub fn stats(&self) -> AgentStats {
+        self.state().core.stats()
+    }
+
+    /// OS threads this agent has spawned so far: one per daemon whose share
+    /// has crossed the fan-out floor, plus the node's own parked worker once
+    /// [`ThreadedNodes`] has lent the node out.  Zero for a run whose
+    /// supersteps all stayed below the floor; never more than one per worker,
+    /// however many supersteps crossed it.
+    pub fn threads_spawned(&self) -> usize {
+        self.lane.spawns() + self.state().daemon_workers
+    }
+
+    /// Installs a pooled triplet arena (e.g. the session's, so a reused
+    /// session keeps one warm buffer per node across runs).
+    pub fn install_triplet_buffer(&mut self, buffer: Arc<TripletBuffer<V, E>>) {
+        self.state_mut().scratch.install_triplets(buffer);
+    }
+
+    /// Takes the triplet arena back (returning a fresh empty one to the
+    /// agent), so the session can pool it for the next run.
+    pub fn take_triplet_buffer(&mut self) -> Arc<TripletBuffer<V, E>> {
+        self.state_mut()
+            .scratch
+            .install_triplets(Arc::new(TripletBuffer::new()))
+    }
+
+    /// `connect()`: initialises every daemon's device context, once per run
+    /// (runtime isolation).  Returns the summed initialisation time.
+    ///
+    /// # Panics
+    /// Panics if a daemon that already lives on a worker thread has died.
+    pub fn connect(&mut self) -> SimDuration {
+        let state = self.state_mut();
+        let mut total = SimDuration::ZERO;
+        for seat in &mut state.seats {
+            total += seat
+                .with_daemon(|daemon| daemon.start())
+                .unwrap_or_else(|error| panic!("{error} (during connect)"));
+        }
+        state.core.record_init_time(total);
+        total
+    }
+
+    /// `disconnect()`: shuts every daemon down (device contexts torn down
+    /// wherever the daemon lives; workers stay alive until [`Self::join`]).
+    pub fn disconnect(&mut self) {
+        for seat in &mut self.state_mut().seats {
+            let _ = seat.with_daemon(|daemon| daemon.shutdown());
+        }
+    }
+
+    /// Executes one middleware iteration for this agent's node on the calling
+    /// thread: plans the download and the capacity shares, computes every
+    /// share below the fan-out floor (and the resident daemon's, whatever its
+    /// size) in place, dispatches the others — a borrowed view into the
+    /// iteration's triplet buffer — to their daemons' worker threads, then
+    /// collects the results in daemon order and finishes the
+    /// merge/upload/timing phases.
+    ///
+    /// # Errors
+    /// [`RuntimeError::Kernel`] if a device rejects a block, or
+    /// [`RuntimeError::DaemonStopped`] if a worker is gone at dispatch time —
+    /// the first error in daemon order, as the serial agent reports it.
+    /// Every dispatched share is still collected before the error is
+    /// returned, so the pooled buffers stay consistent.
+    ///
+    /// # Panics
+    /// Panics if a kernel panics, with the kernel's own payload wherever the
+    /// share ran: a dispatched share's dead worker is joined and its panic
+    /// re-raised here.  The panic takes that daemon with it.
+    pub fn process_iteration<A>(
+        &mut self,
+        node: &mut NodeState<V, E>,
+        algorithm: &'env A,
+        iteration: usize,
+    ) -> Result<NodeComputeOutput<V, M>, RuntimeError>
+    where
+        A: GraphAlgorithm<V, E, Msg = M>,
+    {
+        self.state_mut()
+            .process_iteration(node, algorithm, iteration)
+    }
+
+    /// Stops the agent's workers and returns the daemons (minus any that a
+    /// kernel panic already took down).  Re-raises the panic of any daemon
+    /// worker that died from a panicking job.
     pub fn join(self) -> Vec<Daemon> {
-        self.handles
+        let ThreadedAgent { state, lane } = self;
+        drop(lane);
+        let state = state.expect("the agent's state is home between supersteps");
+        state
+            .seats
             .into_iter()
-            .map(|handle| match handle.join() {
-                Ok(daemon) => daemon,
-                Err(payload) => resume_unwind(payload),
+            .filter_map(|seat| match seat {
+                DaemonSeat::Home(daemon) => Some(daemon),
+                DaemonSeat::Away { handle, .. } => match handle.join() {
+                    Ok(daemon) => Some(daemon),
+                    Err(payload) => resume_unwind(payload),
+                },
+                DaemonSeat::Vacant => None,
             })
             .collect()
     }
 }
 
-/// Cluster-level compute phase running one scoped thread per distributed
-/// node, each driving that node's [`ThreadedAgent`].
+/// Cluster-level compute phase driving one [`ThreadedAgent`] per distributed
+/// node, with threading proportional to the superstep's work.
 ///
-/// Outputs are joined in node order, so the global synchronisation sees the
-/// same message order as with the serial driver.  A per-node error (e.g. a
-/// rejected kernel block) aborts the superstep: every node is still joined,
-/// then the first error in node order is reported.
+/// A superstep whose nodes hold fewer active edges than the fan-out floor
+/// runs them in node order on the calling thread.  A larger one lends every
+/// node but the last — `NodeState` and agent state, by value — to that node's
+/// parked worker (spawned once per run, at the first such superstep), runs
+/// the last node itself, and takes everything back at the BSP barrier.
+///
+/// Each node's output lands in that node's slot and the slots are read in
+/// node order, so the global synchronisation sees the same message order as
+/// with the serial driver whichever way a superstep ran.  A per-node error
+/// (e.g. a rejected kernel block) aborts the superstep with the first error
+/// in node order; a per-node panic is re-raised only after every node and
+/// agent state is back where it was lent from.
 pub struct ThreadedNodes<'agents, 'scope, 'env, V, E, A>
 where
     A: GraphAlgorithm<V, E>,
@@ -555,25 +759,41 @@ where
             "one threaded agent per node is required"
         );
         let algorithm = self.algorithm;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = nodes
+        let agents = &mut *self.agents;
+        let active_edges: usize = nodes.iter().map(NodeState::active_edge_count).sum();
+        if nodes.len() < 2 || !worth_fanning_out(active_edges) {
+            return nodes
                 .iter_mut()
-                .zip(self.agents.iter_mut())
-                .map(|(node, agent)| {
-                    scope.spawn(move || agent.process_iteration(node, algorithm, iteration))
-                })
+                .zip(agents.iter_mut())
+                .map(|(node, agent)| agent.process_iteration(node, algorithm, iteration))
                 .collect();
-            // Join every node before reporting, so an error does not leave
-            // stragglers computing into the next superstep.
-            let results: Vec<Result<NodeComputeOutput<V, A::Msg>, RuntimeError>> = handles
-                .into_iter()
-                .map(|handle| match handle.join() {
-                    Ok(result) => result,
-                    Err(payload) => resume_unwind(payload),
-                })
-                .collect();
-            results.into_iter().collect()
+        }
+        let scope = agents[0].state().scope;
+        let lent: Vec<NodeLoan<'scope, 'env, V, E, A::Msg>> = nodes
+            .iter_mut()
+            .zip(agents.iter_mut())
+            .map(|(node, agent)| {
+                let state = agent
+                    .state
+                    .take()
+                    .expect("the agent's state is home between supersteps");
+                (std::mem::take(node), state)
+            })
+            .collect();
+        let returned = fan_out(
+            scope,
+            agents.iter_mut().map(|agent| &mut agent.lane),
+            lent,
+            move |(node, state): &mut NodeLoan<'scope, 'env, V, E, A::Msg>| {
+                state.process_iteration(node, algorithm, iteration)
+            },
+        );
+        settle(returned, |index, (node, state)| {
+            nodes[index] = node;
+            agents[index].state = Some(state);
         })
+        .into_iter()
+        .collect()
     }
 }
 
@@ -751,9 +971,9 @@ mod tests {
         let list: EdgeList<f64> = [(0u32, 1u32, 1.0f64), (1, 2, 1.0)].into_iter().collect();
         let graph = PropertyGraph::from_edge_list(list, 0.0).unwrap();
         let partitioning = HashEdgePartitioner::new(0).partition(&graph, 1).unwrap();
-        // The reply channels are long-lived, so without the ReplyGuard a
-        // worker that unwinds mid-share would leave the agent blocked on
-        // recv forever; this must surface as a panic instead.
+        // Two edges stay far below the fan-out floor, so the kernel panics
+        // right here on the calling thread (the fanned-out flavours are
+        // covered by `kernel_panics_propagate_unchanged_...` below).
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             thread::scope(|scope| {
                 let mut agent: ThreadedAgent<'_, '_, f64, f64, f64> = ThreadedAgent::spawn(
@@ -770,6 +990,373 @@ mod tests {
             });
         }));
         assert!(result.is_err(), "the dead worker must panic the run");
+    }
+
+    // ---- work-proportional threading -------------------------------------
+
+    use gxplug_accel::{AcceleratorBackend, ChunkKernel, CostModel, DeviceKind, KernelTiming};
+    use gxplug_engine::cluster::{Cluster, SyncPolicy};
+    use gxplug_engine::metrics::RunReport;
+    use gxplug_engine::network::NetworkModel;
+    use gxplug_graph::edge_list::EdgeList;
+    use gxplug_graph::graph::PropertyGraph;
+    use gxplug_graph::partition::Partitioning;
+    use gxplug_graph::types::{Triplet, VertexId};
+    use std::panic::AssertUnwindSafe;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
+
+    /// Every vertex pushes half its value along every out-edge, every
+    /// superstep, for `rounds` supersteps — so each superstep carries every
+    /// edge of the graph.  An armed instance panics on the one edge whose
+    /// attribute is negative, after noting which thread it was on.
+    struct Spread {
+        rounds: usize,
+        armed: bool,
+        exploded_on: Mutex<Option<ThreadId>>,
+    }
+
+    impl Spread {
+        fn new(rounds: usize, armed: bool) -> Self {
+            Self {
+                rounds,
+                armed,
+                exploded_on: Mutex::new(None),
+            }
+        }
+    }
+
+    impl GraphAlgorithm<f64, f64> for Spread {
+        type Msg = f64;
+        fn init_vertex(&self, v: VertexId, _d: usize) -> f64 {
+            v as f64
+        }
+        fn msg_gen(&self, t: &Triplet<f64, f64>, _i: usize) -> Vec<AddressedMessage<f64>> {
+            if self.armed && t.edge_attr < 0.0 {
+                *self.exploded_on.lock().unwrap() = Some(thread::current().id());
+                panic!("user kernel exploded");
+            }
+            vec![AddressedMessage::new(t.dst, t.src_attr * 0.5)]
+        }
+        fn msg_merge(&self, a: f64, b: f64) -> f64 {
+            a + b
+        }
+        fn msg_apply(&self, _v: VertexId, _c: &f64, m: &f64, _i: usize) -> Option<f64> {
+            Some(*m)
+        }
+        fn always_active(&self) -> bool {
+            true
+        }
+        fn max_iterations(&self) -> usize {
+            self.rounds
+        }
+        fn name(&self) -> &'static str {
+            "spread"
+        }
+    }
+
+    /// A backend whose device rejects every block.
+    #[derive(Debug)]
+    struct Rejecting(Box<dyn AcceleratorBackend>);
+
+    impl AcceleratorBackend for Rejecting {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn kind(&self) -> DeviceKind {
+            self.0.kind()
+        }
+        fn cost_model(&self) -> &CostModel {
+            self.0.cost_model()
+        }
+        fn spec(&self) -> gxplug_accel::DeviceSpec {
+            self.0.spec()
+        }
+        fn is_initialized(&self) -> bool {
+            self.0.is_initialized()
+        }
+        fn initialize(&mut self) -> SimDuration {
+            self.0.initialize()
+        }
+        fn shutdown(&mut self) {
+            self.0.shutdown()
+        }
+        fn max_concurrency(&self) -> usize {
+            self.0.max_concurrency()
+        }
+        fn launch(
+            &mut self,
+            _items: usize,
+            _kernel: &ChunkKernel<'_>,
+        ) -> gxplug_accel::Result<KernelTiming> {
+            Err(AccelError::OutOfMemory {
+                requested: 1,
+                capacity: 0,
+                device: self.0.name().to_string(),
+            })
+        }
+        fn items_processed(&self) -> u64 {
+            self.0.items_processed()
+        }
+        fn kernel_launches(&self) -> u64 {
+            self.0.kernel_launches()
+        }
+    }
+
+    /// A ring of `vertices` with `chords` out-edges per vertex, split by
+    /// source into two equal nodes (edges `0..E/2` on node 0, in edge-id
+    /// order).  Edge `marked` carries a negative attribute.
+    fn ring(
+        vertices: u32,
+        chords: u32,
+        marked: Option<usize>,
+    ) -> (PropertyGraph<f64, f64>, Partitioning) {
+        let mut list: EdgeList<f64> = EdgeList::with_vertices(vertices as usize);
+        for v in 0..vertices {
+            for j in 1..=chords {
+                let attr = if Some(list.num_edges()) == marked {
+                    -1.0
+                } else {
+                    1.0
+                };
+                list.push(v, (v + j) % vertices, attr);
+            }
+        }
+        let graph = PropertyGraph::from_edge_list(list, 0.0).unwrap();
+        let half = graph.num_edges() / 2;
+        let assignment = (0..graph.num_edges())
+            .map(|e| usize::from(e >= half))
+            .collect();
+        let partitioning = Partitioning::from_edge_assignment(&graph, 2, assignment).unwrap();
+        (graph, partitioning)
+    }
+
+    /// 256 edges: every superstep and every share stays below the floor.
+    const SMALL: (u32, u32) = (64, 4);
+    /// 81 920 edges, 40 960 per node, two equal shares of 20 480 per node:
+    /// every superstep and every share crosses the floor.
+    const LARGE: (u32, u32) = (4_096, 20);
+
+    /// Two equal daemons per node, so the second daemon of a node takes half
+    /// of the node's triplets (the first one is the resident).
+    fn twin_daemons(reject: Option<(usize, usize)>) -> Vec<Vec<Daemon>> {
+        let keys = KeyGenerator::new(9);
+        (0..2)
+            .map(|node| {
+                (0..2)
+                    .map(|index| {
+                        let name = format!("node{node}-daemon{index}");
+                        let backend = presets::gpu_v100(name.clone()).build();
+                        let backend: Box<dyn AcceleratorBackend> = if reject == Some((node, index))
+                        {
+                            Box::new(Rejecting(backend))
+                        } else {
+                            backend
+                        };
+                        Daemon::new(name, backend, keys.key_for(node, index))
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// One run through [`ThreadedNodes`], the way the session drives it.
+    /// Returns the run's result, its final values, and how many threads each
+    /// agent spawned.
+    fn run_threaded(
+        graph: &PropertyGraph<f64, f64>,
+        partitioning: &Partitioning,
+        algorithm: &Spread,
+        daemons: Vec<Vec<Daemon>>,
+    ) -> (Result<RunReport, RuntimeError>, Vec<f64>, Vec<usize>) {
+        let profile = RuntimeProfile::powergraph();
+        let mut cluster = Cluster::build(
+            graph,
+            partitioning.clone(),
+            algorithm,
+            profile,
+            NetworkModel::datacenter(),
+        );
+        let (report, spawned) = thread::scope(|scope| {
+            let mut agents: Vec<ThreadedAgent<'_, '_, f64, f64, f64>> = daemons
+                .into_iter()
+                .enumerate()
+                .map(|(node, node_daemons)| {
+                    ThreadedAgent::spawn(
+                        scope,
+                        node,
+                        node_daemons,
+                        profile,
+                        MiddlewareConfig::default(),
+                        cluster.node(node).num_vertices(),
+                    )
+                })
+                .collect();
+            let setup = agents
+                .iter_mut()
+                .map(ThreadedAgent::connect)
+                .fold(SimDuration::ZERO, SimDuration::max);
+            let report = cluster.run_phased(
+                algorithm,
+                "ring",
+                "test",
+                usize::MAX,
+                SyncPolicy::AlwaysSync,
+                setup,
+                &mut ThreadedNodes {
+                    agents: &mut agents,
+                    algorithm,
+                },
+            );
+            let spawned = agents.iter().map(ThreadedAgent::threads_spawned).collect();
+            for agent in agents {
+                agent.join();
+            }
+            (report, spawned)
+        });
+        (report, cluster.collect_values(), spawned)
+    }
+
+    #[test]
+    fn a_run_below_the_floor_spawns_no_thread_and_one_above_spawns_each_worker_once() {
+        let algorithm = Spread::new(6, false);
+
+        let (graph, partitioning) = ring(SMALL.0, SMALL.1, None);
+        let (report, _, spawned) =
+            run_threaded(&graph, &partitioning, &algorithm, twin_daemons(None));
+        assert_eq!(report.unwrap().num_iterations(), 6);
+        assert_eq!(spawned, vec![0, 0], "256 edges are not worth a thread");
+
+        let (graph, partitioning) = ring(LARGE.0, LARGE.1, None);
+        let (report, _, spawned) =
+            run_threaded(&graph, &partitioning, &algorithm, twin_daemons(None));
+        assert_eq!(report.unwrap().num_iterations(), 6);
+        // Six supersteps crossed the floor, yet node 0 spawned its parked
+        // node worker and its second daemon's worker once each; node 1 is
+        // the calling thread's own, so it only ever spawned the daemon
+        // worker.  The resident daemons never left.
+        assert_eq!(spawned, vec![2, 1]);
+    }
+
+    #[test]
+    fn fanned_out_supersteps_compute_exactly_what_inline_ones_do() {
+        // The same large graph, once through the fan-out and once through the
+        // serial agents: every bit of every value and the whole report match.
+        let algorithm = Spread::new(4, false);
+        let (graph, partitioning) = ring(LARGE.0, LARGE.1, None);
+        let (threaded, threaded_values, spawned) =
+            run_threaded(&graph, &partitioning, &algorithm, twin_daemons(None));
+        assert_eq!(spawned, vec![2, 1]);
+
+        let profile = RuntimeProfile::powergraph();
+        let mut cluster = Cluster::build(
+            &graph,
+            partitioning.clone(),
+            &algorithm,
+            profile,
+            NetworkModel::datacenter(),
+        );
+        let mut agents: Vec<crate::Agent<f64, f64, f64>> = twin_daemons(None)
+            .into_iter()
+            .enumerate()
+            .map(|(node, node_daemons)| {
+                crate::Agent::new(
+                    node,
+                    node_daemons,
+                    profile,
+                    MiddlewareConfig::default(),
+                    cluster.node(node).num_vertices(),
+                )
+            })
+            .collect();
+        let setup = agents
+            .iter_mut()
+            .map(crate::Agent::connect)
+            .fold(SimDuration::ZERO, SimDuration::max);
+        let serial = cluster.run_custom(
+            &algorithm,
+            "ring",
+            "test",
+            usize::MAX,
+            SyncPolicy::AlwaysSync,
+            setup,
+            |node, iteration| {
+                agents[node.id()]
+                    .process_iteration(node, &algorithm, iteration)
+                    .unwrap()
+            },
+        );
+        assert_eq!(threaded.unwrap(), serial);
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&threaded_values), bits(&cluster.collect_values()));
+    }
+
+    #[test]
+    fn kernel_errors_are_the_same_typed_error_inline_and_fanned_out() {
+        let algorithm = Spread::new(3, false);
+        // (node, daemon) of the rejecting device: a resident daemon (always
+        // computed in place, on a lent node in the large run) and a second
+        // daemon (dispatched to its worker in the large run).
+        for reject in [(0, 0), (0, 1), (1, 1)] {
+            let mut errors = Vec::new();
+            for (scale, fanned_out) in [(SMALL, false), (LARGE, true)] {
+                let (graph, partitioning) = ring(scale.0, scale.1, None);
+                let (report, _, spawned) = run_threaded(
+                    &graph,
+                    &partitioning,
+                    &algorithm,
+                    twin_daemons(Some(reject)),
+                );
+                assert_eq!(
+                    spawned.iter().sum::<usize>() > 0,
+                    fanned_out,
+                    "rejecting {reject:?}: spawned {spawned:?}"
+                );
+                errors.push(report.expect_err("the rejecting device aborts the run"));
+            }
+            assert_eq!(errors[0], errors[1], "rejecting {reject:?}");
+            match &errors[0] {
+                RuntimeError::Kernel { daemon, error } => {
+                    assert_eq!(daemon, &format!("node{}-daemon{}", reject.0, reject.1));
+                    assert!(matches!(error, AccelError::OutOfMemory { .. }));
+                }
+                other => panic!("expected a kernel error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_panics_propagate_unchanged_inline_and_fanned_out_and_never_hang() {
+        let here = thread::current().id();
+        // The armed edge sits first on node 0 (resident share, lent node),
+        // last on node 0 (dispatched share, lent node) or last on node 1
+        // (dispatched share, the calling thread's own node).
+        for position in [0.0, 0.5, 1.0] {
+            for (scale, fanned_out) in [(SMALL, false), (LARGE, true)] {
+                let edges = (scale.0 * scale.1) as usize;
+                let marked = ((edges as f64 * position) as usize).saturating_sub(1);
+                let (graph, partitioning) = ring(scale.0, scale.1, Some(marked));
+                let algorithm = Spread::new(3, true);
+                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    run_threaded(&graph, &partitioning, &algorithm, twin_daemons(None))
+                }));
+                let payload = match result {
+                    Err(payload) => payload,
+                    Ok(_) => panic!("the kernel panic must abort the run"),
+                };
+                assert_eq!(
+                    payload.downcast_ref::<&str>().copied(),
+                    Some("user kernel exploded"),
+                    "edge {marked} of {edges}: the kernel's own panic arrives"
+                );
+                let exploded_on = algorithm.exploded_on.lock().unwrap().expect("it exploded");
+                assert_eq!(
+                    exploded_on != here,
+                    fanned_out,
+                    "edge {marked} of {edges} exploded on the wrong side of the floor"
+                );
+            }
+        }
     }
 
     #[test]

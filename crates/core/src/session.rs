@@ -24,14 +24,17 @@
 //! host-side cluster construction).  The `determinism` integration test
 //! checks this exactly.
 //!
-//! [`MiddlewareConfig::execution`] still selects the runtime per run: in the
-//! default [`ExecutionMode::Threaded`], every daemon computes on its own
-//! worker thread ([`crate::runtime::DaemonHandle`]) and every node's compute
-//! phase runs on its own scoped thread per superstep
-//! ([`crate::runtime::ThreadedNodes`]); [`ExecutionMode::Serial`] drives the
-//! same logic on the calling thread.  The two modes produce bit-identical
-//! results, and [`Session::set_config`] can switch any middleware knob
-//! between runs on the same deployment (ablations without re-deploying).
+//! [`MiddlewareConfig::execution`] still selects the runtime per run.  The
+//! default [`ExecutionMode::Threaded`] threads in proportion to the work: a
+//! superstep below the fan-out floor runs on the calling thread like a serial
+//! one, a larger one lends its nodes to parked per-run node workers
+//! ([`crate::runtime::ThreadedNodes`]), and a daemon moves to its own worker
+//! thread ([`crate::runtime::DaemonHandle`]) the first time its share of an
+//! iteration crosses the floor — so a run of small supersteps creates no
+//! thread at all.  [`ExecutionMode::Serial`] drives the same logic on the
+//! calling thread throughout.  The two modes produce bit-identical results,
+//! and [`Session::set_config`] can switch any middleware knob between runs
+//! on the same deployment (ablations without re-deploying).
 
 use crate::agent::Agent;
 use crate::config::{ExecutionMode, MiddlewareConfig};
@@ -783,10 +786,11 @@ where
     /// session stays usable for further runs.
     ///
     /// # Panics
-    /// Panics if a daemon worker panics while computing (the worker's panic
-    /// is propagated).  A panicked worker takes its daemon with it, so a
-    /// session whose run panicked is poisoned: if the panic is caught,
-    /// further [`Session::run`] calls report [`SessionError::NoDevices`].
+    /// Panics if a kernel panics while computing (the kernel's own panic is
+    /// propagated, whichever thread it ran on).  The run's daemons are lost
+    /// in the unwind, so a session whose run panicked is poisoned: if the
+    /// panic is caught, further [`Session::run`] calls report
+    /// [`SessionError::NoDevices`].
     pub fn run<A>(&mut self, algorithm: &A) -> Result<RunOutcome<V>, SessionError>
     where
         A: GraphAlgorithm<V, E>,
@@ -1044,8 +1048,9 @@ where
     (report, agent_stats, daemons, pool)
 }
 
-/// The threaded middleware path: a scoped thread per daemon for the whole
-/// run, plus a scoped thread per node within each superstep.
+/// The threaded middleware path: one scope around the whole run, on which the
+/// agents spawn their node and daemon workers if and when a superstep is
+/// large enough to pay for them.
 fn run_agents_threaded<V, E, A>(
     cluster: &mut Cluster<V, E>,
     algorithm: &A,
@@ -1096,11 +1101,12 @@ where
             &mut phase,
         );
         let agent_stats = agents.iter().map(ThreadedAgent::stats).collect();
-        // Join every daemon worker (a worker that panicked re-raises here)
-        // WITHOUT disconnecting: the recovered daemons keep their device
-        // contexts alive for the session's next run.  The triplet arenas are
-        // taken back first; by the end of the joins every outstanding share
-        // view has been dropped, so the arenas are uniquely held again.
+        // Stop whatever workers the run spawned (a daemon worker that
+        // panicked re-raises here) WITHOUT disconnecting: the recovered
+        // daemons keep their device contexts alive for the session's next
+        // run.  The triplet arenas are taken back first; by the end of the
+        // joins every outstanding share view has been dropped, so the arenas
+        // are uniquely held again.
         let (daemons, pool) = agents
             .into_iter()
             .map(|mut agent| {

@@ -9,6 +9,7 @@
 //! messages to master vertices, applies them, refreshes replicas and
 //! re-computes the active frontier.
 
+use crate::fanout::{fan_out, settle, worth_fanning_out, Lane};
 use crate::metrics::{IterationMetrics, RunReport};
 use crate::network::NetworkModel;
 use crate::node::NodeState;
@@ -22,7 +23,19 @@ use gxplug_graph::types::{PartitionId, VertexId};
 use serde::{Deserialize, Serialize};
 use std::convert::Infallible;
 use std::sync::Arc;
-use std::thread;
+use std::thread::{self, Scope};
+
+/// `(&mut items[a], &items[b])` for two distinct positions.
+fn pair_mut<T>(items: &mut [T], a: usize, b: usize) -> (&mut T, &T) {
+    debug_assert_ne!(a, b);
+    if a < b {
+        let (low, high) = items.split_at_mut(b);
+        (&mut low[a], &high[0])
+    } else {
+        let (low, high) = items.split_at_mut(a);
+        (&mut high[0], &low[b])
+    }
+}
 
 /// Unwraps the result of an infallible compute phase.
 fn into_ok<T>(result: Result<T, Infallible>) -> T {
@@ -36,14 +49,19 @@ fn into_ok<T>(result: Result<T, Infallible>) -> T {
 ///
 /// The simulated *time* model is identical in both modes (per-iteration time
 /// is the maximum over the nodes either way); the switch controls whether the
-/// host actually overlaps the nodes' work on OS threads.
+/// host may overlap the nodes' work on OS threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum ExecutionMode {
     /// Nodes compute one after another on the calling thread.
     Serial,
-    /// Nodes compute concurrently, one scoped OS thread per node, joined in
-    /// node order at the BSP barrier (results are identical to
-    /// [`ExecutionMode::Serial`]).
+    /// Threading proportional to work ([`fanout`](crate::fanout)): a
+    /// superstep whose active-edge count is below the fan-out floor runs its
+    /// nodes in node order on the calling thread, exactly like
+    /// [`ExecutionMode::Serial`]; a larger one lends every node but the last
+    /// to a parked worker — spawned once per run, at the first such
+    /// superstep — and takes them back in node order at the BSP barrier.  A
+    /// run that never crosses the floor creates no thread.  Results are
+    /// identical to [`ExecutionMode::Serial`] either way.
     #[default]
     Threaded,
 }
@@ -97,21 +115,47 @@ where
     }
 }
 
-/// [`ComputePhase`] adapter fanning a shared per-node function out across
-/// scoped OS threads, one per node, joining in node order.
+/// [`ComputePhase`] adapter running a shared per-node function with
+/// work-proportional threading: supersteps below the fan-out floor run in
+/// node order on the calling thread, larger ones on parked per-run workers
+/// ([`fanout`](crate::fanout)) spawned on the scope given to
+/// [`ParallelNodes::new`].  Outputs are in node order either way.
 ///
-/// The function is shared (`Fn + Sync`) rather than mutable per node, which
+/// The function is shared (`Fn + Clone`) rather than mutable per node, which
 /// fits stateless compute phases such as [`native_node_compute`]; stateful
 /// phases (one middleware agent per node) implement [`ComputePhase`]
 /// directly.
-pub struct ParallelNodes<F>(pub F);
+pub struct ParallelNodes<'scope, 'env, V, E, M, F> {
+    scope: &'scope Scope<'scope, 'env>,
+    f: F,
+    /// One lane per node but the last, which the calling thread keeps.
+    lanes: Vec<Lane<'scope, NodeState<V, E>, NodeComputeOutput<V, M>>>,
+}
 
-impl<V, E, M, F> ComputePhase<V, E, M> for ParallelNodes<F>
+impl<'scope, 'env, V, E, M, F> ParallelNodes<'scope, 'env, V, E, M, F> {
+    /// A compute phase running `f` per node; any worker it needs is spawned
+    /// on `scope`, which must enclose the whole run.
+    pub fn new(scope: &'scope Scope<'scope, 'env>, f: F) -> Self {
+        Self {
+            scope,
+            f,
+            lanes: Vec::new(),
+        }
+    }
+
+    /// Threads spawned so far: 0 until a superstep crosses the fan-out
+    /// floor, one per node but the last ever after.
+    pub fn threads_spawned(&self) -> usize {
+        self.lanes.iter().map(|lane| lane.spawns()).sum()
+    }
+}
+
+impl<'scope, V, E, M, F> ComputePhase<V, E, M> for ParallelNodes<'scope, '_, V, E, M, F>
 where
-    V: Send,
-    E: Send,
-    M: Send,
-    F: Fn(&mut NodeState<V, E>, usize) -> NodeComputeOutput<V, M> + Sync,
+    V: Send + 'scope,
+    E: Send + 'scope,
+    M: Send + 'scope,
+    F: Fn(&mut NodeState<V, E>, usize) -> NodeComputeOutput<V, M> + Clone + Send + 'scope,
 {
     type Error = Infallible;
 
@@ -120,20 +164,23 @@ where
         nodes: &mut [NodeState<V, E>],
         iteration: usize,
     ) -> Result<Vec<NodeComputeOutput<V, M>>, Infallible> {
-        let f = &self.0;
-        Ok(thread::scope(|scope| {
-            let handles: Vec<_> = nodes
+        let active_edges: usize = nodes.iter().map(NodeState::active_edge_count).sum();
+        if nodes.len() < 2 || !worth_fanning_out(active_edges) {
+            return Ok(nodes
                 .iter_mut()
-                .map(|node| scope.spawn(move || f(node, iteration)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| match handle.join() {
-                    Ok(output) => output,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        }))
+                .map(|node| (self.f)(node, iteration))
+                .collect());
+        }
+        self.lanes.resize_with(nodes.len() - 1, Lane::default);
+        let f = self.f.clone();
+        let lent = nodes.iter_mut().map(std::mem::take).collect();
+        let returned = fan_out(
+            self.scope,
+            &mut self.lanes,
+            lent,
+            move |node: &mut NodeState<V, E>| f(node, iteration),
+        );
+        Ok(settle(returned, |index, node| nodes[index] = node))
     }
 }
 
@@ -188,8 +235,11 @@ impl<V, M> NodeComputeOutput<V, M> {
 struct SyncScratch<V, M> {
     /// Per-target merged message of the current iteration.
     merged: DenseSlots<M>,
-    /// Per-vertex new value of the current iteration (pre-applied + applied).
-    changed: DenseSlots<V>,
+    /// The vertices whose value changed this iteration.  A vertex changed by
+    /// `msg_apply` holds `None`: its new value is read back from the master
+    /// row it was written to, not cloned a second time.  Only a value the
+    /// compute phase pre-applied travels here.
+    changed: DenseSlots<Option<V>>,
 }
 
 impl<V, M> SyncScratch<V, M> {
@@ -560,24 +610,22 @@ where
     /// Panics if some vertex has no master copy (which would indicate a
     /// broken partitioning).
     pub fn collect_values(&self) -> Vec<V> {
-        let mut values: Vec<Option<V>> = vec![None; self.num_vertices];
-        for node in &self.nodes {
-            for row in node.vertex_table().rows() {
-                if row.is_master {
-                    values[row.id as usize] = Some(row.attr.clone());
-                }
-            }
-        }
-        values
-            .into_iter()
-            .enumerate()
-            .map(|(v, value)| value.unwrap_or_else(|| panic!("vertex {v} has no master copy")))
+        (0..self.num_vertices as VertexId)
+            .map(|v| {
+                self.nodes[self.partitioning.master_of(v)]
+                    .vertex_table()
+                    .get(v)
+                    .filter(|row| row.is_master)
+                    .unwrap_or_else(|| panic!("vertex {v} has no master copy"))
+                    .attr
+                    .clone()
+            })
             .collect()
     }
 
     /// Runs the algorithm natively (no accelerators): every node processes its
-    /// active triplets at the upper system's own per-edge cost.  Nodes
-    /// advance concurrently ([`ExecutionMode::Threaded`]); use
+    /// active triplets at the upper system's own per-edge cost, with
+    /// work-proportional threading ([`ExecutionMode::Threaded`]); use
     /// [`Cluster::run_native_mode`] to pin the execution mode.
     pub fn run_native<A>(
         &mut self,
@@ -617,15 +665,19 @@ where
                 SimDuration::ZERO,
                 &mut SerialNodes(compute),
             ),
-            ExecutionMode::Threaded => self.run_phased(
-                algorithm,
-                dataset,
-                &system,
-                max_iterations,
-                SyncPolicy::AlwaysSync,
-                SimDuration::ZERO,
-                &mut ParallelNodes(compute),
-            ),
+            // The scope encloses the run, so the phase's workers are spawned
+            // at most once and parked between supersteps.
+            ExecutionMode::Threaded => thread::scope(|scope| {
+                self.run_phased(
+                    algorithm,
+                    dataset,
+                    &system,
+                    max_iterations,
+                    SyncPolicy::AlwaysSync,
+                    SimDuration::ZERO,
+                    &mut ParallelNodes::new(scope, compute),
+                )
+            }),
         })
     }
 
@@ -786,7 +838,7 @@ where
         let mut remote_messages = 0usize;
         for (node_id, output) in outputs.into_iter().enumerate() {
             for (v, value) in output.pre_applied {
-                changed.put(v, value);
+                changed.put(v, Some(value));
             }
             for message in output.messages {
                 let master = self.partitioning.master_of(message.target);
@@ -808,16 +860,16 @@ where
             };
             let master = self.partitioning.master_of(target);
             let node = &mut self.nodes[master];
-            let current = match node.vertex_value(target) {
-                Some(value) => value.clone(),
-                None => continue,
+            let Some(current) = node.vertex_value(target) else {
+                continue;
             };
             applies += 1;
-            if let Some(new_value) = algorithm.msg_apply(target, &current, &message, iteration) {
-                if new_value != current {
-                    node.update_vertex(target, new_value.clone());
-                    changed.put(target, new_value);
+            match algorithm.msg_apply(target, current, &message, iteration) {
+                Some(new_value) if new_value != *current => {
+                    node.update_vertex(target, new_value);
+                    changed.put(target, None);
                 }
+                _ => {}
             }
         }
         // 3. Decide whether the global synchronisation can be skipped: every
@@ -844,9 +896,8 @@ where
             node.clear_active();
         }
         for &v in changed.touched() {
-            let value = match changed.get(v) {
-                Some(value) => value,
-                None => continue,
+            let Some(pre_applied) = changed.get(v) else {
+                continue;
             };
             let master = self.partitioning.master_of(v);
             if skipped {
@@ -855,7 +906,12 @@ where
             }
             for &part in &self.replica_locations[v as usize] {
                 if part != master {
-                    self.nodes[part].update_vertex(v, value.clone());
+                    let (replica, master) = pair_mut(&mut self.nodes, part, master);
+                    let value = pre_applied
+                        .as_ref()
+                        .or_else(|| master.vertex_value(v))
+                        .expect("a changed vertex has a master row");
+                    replica.update_vertex_from(v, value);
                     replica_updates += 1;
                 }
                 self.nodes[part].activate(v);
@@ -1101,6 +1157,58 @@ mod tests {
             times[1],
             times[0]
         );
+    }
+
+    #[test]
+    fn fanned_out_native_supersteps_match_serial_ones_and_spawn_workers_once() {
+        // 20 000 edges: once the frontier has spread, supersteps carry more
+        // active edges than the fan-out floor and run on parked workers.
+        use gxplug_graph::generators::{ErdosRenyi, Generator};
+        let list = ErdosRenyi::new(2_000, 20_000).generate(7);
+        let graph = PropertyGraph::from_edge_list(list, f64::INFINITY).unwrap();
+        let algorithm = MinDist { source: 0 };
+        let parts = 3;
+        let build = || {
+            Cluster::build(
+                &graph,
+                HashEdgePartitioner::new(3)
+                    .partition(&graph, parts)
+                    .unwrap(),
+                &algorithm,
+                RuntimeProfile::powergraph(),
+                NetworkModel::datacenter(),
+            )
+        };
+        let mut serial = build();
+        let expected = serial.run_native_mode(&algorithm, "er", 100, ExecutionMode::Serial);
+        assert!(
+            expected
+                .iterations
+                .iter()
+                .any(|i| worth_fanning_out(i.triplets_processed)),
+            "the run must cross the fan-out floor"
+        );
+
+        let mut threaded = build();
+        let profile = *threaded.profile();
+        let (report, spawned) = thread::scope(|scope| {
+            let mut phase = ParallelNodes::new(scope, |node: &mut NodeState<f64, f64>, i| {
+                native_node_compute(node, &algorithm, &profile, i)
+            });
+            let report = into_ok(threaded.run_phased(
+                &algorithm,
+                "er",
+                profile.name,
+                100,
+                SyncPolicy::AlwaysSync,
+                SimDuration::ZERO,
+                &mut phase,
+            ));
+            (report, phase.threads_spawned())
+        });
+        assert_eq!(report, expected);
+        assert_eq!(threaded.collect_values(), serial.collect_values());
+        assert_eq!(spawned, parts - 1, "one parked worker per lent node, once");
     }
 
     #[test]

@@ -12,12 +12,15 @@
 //! * [`node`] — per-distributed-node state (vertex/edge tables, frontier);
 //! * [`cluster`] — the iteration driver (native or custom/middleware compute
 //!   phases, synchronisation, replica refresh, activity tracking);
+//! * [`fanout`] — work-proportional threading: the floor below which a
+//!   superstep runs inline, and the parked per-run workers above it;
 //! * [`metrics`] — per-iteration metrics and run reports.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod cluster;
+pub mod fanout;
 pub mod metrics;
 pub mod network;
 pub mod node;

@@ -55,6 +55,29 @@ pub struct NodeState<V, E> {
     out_degrees: Vec<u32>,
 }
 
+/// An empty node: no vertices, no edges, nothing active.  It is what
+/// `std::mem::take` leaves in a cluster's node slot while the real state is
+/// lent by value to a parked worker for one superstep
+/// ([`fanout`](crate::fanout)).
+impl<V, E> Default for NodeState<V, E> {
+    fn default() -> Self {
+        Self {
+            id: 0,
+            vertex_table: VertexTable::new(),
+            edge_table: EdgeTable::new(),
+            // One bucket: the orphan bucket that sits one past the last
+            // local id.
+            csr: Csr::from_edges(1, std::iter::empty()),
+            edge_src_local: Vec::new(),
+            edge_dst_local: Vec::new(),
+            orphan_edges: 0,
+            active: FrontierSet::default(),
+            active_edges: FrontierSet::default(),
+            out_degrees: Vec::new(),
+        }
+    }
+}
+
 impl<V: Clone, E: Clone> NodeState<V, E> {
     /// Builds the node state for partition `id` of a partitioned graph,
     /// initialising vertex attributes through the algorithm template.
@@ -488,6 +511,12 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
     /// `true` if the vertex exists locally.
     pub fn update_vertex(&mut self, v: VertexId, value: V) -> bool {
         self.vertex_table.update(v, value)
+    }
+
+    /// [`NodeState::update_vertex`] from a borrowed value, cloned *into* the
+    /// existing row so a heap-backed attribute reuses the row's allocation.
+    pub fn update_vertex_from(&mut self, v: VertexId, value: &V) -> bool {
+        self.vertex_table.update_from(v, value)
     }
 }
 

@@ -1,11 +1,13 @@
 //! Serial vs threaded determinism, and session-reuse determinism.
 //!
-//! The threaded runtime (daemon worker threads + per-node scoped threads)
-//! must be a pure scheduling change: a threaded session run has to produce
-//! **bit-identical** vertex values, iteration counts and middleware
-//! data-movement counters to the serial mode.  PageRank exercises
-//! floating-point *sum* merging (where any reordering would show up in the
-//! last bits) and SSSP exercises frontier-driven min merging.
+//! The threaded runtime (small supersteps inline, large ones on parked node
+//! workers and daemon worker threads) must be a pure scheduling change: a
+//! threaded session run has to produce **bit-identical** vertex values,
+//! iteration counts and middleware data-movement counters to the serial
+//! mode, whichever side of the fan-out floor its supersteps fall on.
+//! PageRank exercises floating-point *sum* merging (where any reordering
+//! would show up in the last bits) and SSSP exercises frontier-driven min
+//! merging.
 //!
 //! Session reuse must be a pure *deployment* change as well: running twice
 //! on one deployed [`Session`] has to be bit-identical to two fresh one-shot
@@ -47,14 +49,37 @@ fn assert_modes_identical<V, A, B>(
     let partitioning = GreedyVertexCutPartitioner::default()
         .partition(&graph, parts)
         .unwrap();
+    assert_modes_identical_on(
+        &graph,
+        partitioning,
+        mixed_devices(parts),
+        algorithm,
+        canonical_bits,
+    );
+}
+
+/// [`assert_modes_identical`] on a given deployment.  Returns the serial
+/// run's report so callers can check which supersteps the run had.
+fn assert_modes_identical_on<V, A, B>(
+    graph: &PropertyGraph<V, f64>,
+    partitioning: Partitioning,
+    devices: Vec<Vec<DeviceSpec>>,
+    algorithm: &A,
+    canonical_bits: B,
+) -> RunReport
+where
+    V: Clone + PartialEq + Send + Sync + std::fmt::Debug,
+    A: GraphAlgorithm<V, f64>,
+    B: Fn(&V) -> Vec<u64>,
+{
     // One fresh deployment per mode, so both runs pay the same setup and the
     // agent statistics (including init time) must match exactly.
     let run = |mode| {
-        SessionBuilder::new(&graph)
+        SessionBuilder::new(graph)
             .partitioned_by(partitioning.clone())
             .profile(RuntimeProfile::powergraph())
             .network(NetworkModel::datacenter())
-            .devices(mixed_devices(parts))
+            .devices(devices.clone())
             .config(MiddlewareConfig::default().with_execution(mode))
             .dataset("rmat")
             .max_iterations(100)
@@ -66,13 +91,13 @@ fn assert_modes_identical<V, A, B>(
     let serial = run(ExecutionMode::Serial);
     let threaded = run(ExecutionMode::Threaded);
 
+    // Every simulated quantity of every superstep, not just the count.
     assert_eq!(
-        serial.report.num_iterations(),
-        threaded.report.num_iterations(),
-        "iteration counts diverged for {}",
+        serial.report,
+        threaded.report,
+        "run reports diverged for {}",
         algorithm.name()
     );
-    assert_eq!(serial.report.converged, threaded.report.converged);
     assert_eq!(serial.values.len(), threaded.values.len());
     for (v, (a, b)) in serial.values.iter().zip(&threaded.values).enumerate() {
         assert_eq!(
@@ -93,6 +118,7 @@ fn assert_modes_identical<V, A, B>(
     {
         assert_eq!(s, t, "agent stats diverged on node {node}");
     }
+    serial.report
 }
 
 #[test]
@@ -116,6 +142,56 @@ fn threaded_sssp_is_bit_identical_to_serial() {
         3,
         23,
         |distances: &Vec<f64>| distances.iter().map(|d| d.to_bits()).collect(),
+    );
+}
+
+#[test]
+fn a_run_with_supersteps_on_both_sides_of_the_fan_out_floor_is_bit_identical_to_serial() {
+    // SSSP from one source on rmat-14: the frontier starts as one vertex,
+    // grows until a superstep relaxes tens of thousands of edges and shrinks
+    // back to nothing — so a single threaded run computes some supersteps on
+    // the calling thread and others on its parked node workers, and (two
+    // equal GPUs per node) some shares in place and others on a daemon
+    // worker.  Nothing of that may show: values, iteration count, the
+    // per-superstep report, `AgentStats` and the `CacheStats` inside them
+    // must equal the serial run's exactly.
+    use gx_plug::engine::fanout::worth_fanning_out;
+    let parts = 2;
+    let list = Rmat::new(14, 8.0).generate(7);
+    let graph = PropertyGraph::from_edge_list(list, Vec::new()).unwrap();
+    let partitioning = GreedyVertexCutPartitioner::default()
+        .partition(&graph, parts)
+        .unwrap();
+    let twin_gpus: Vec<Vec<DeviceSpec>> = (0..parts)
+        .map(|n| {
+            vec![
+                gpu_v100(format!("n{n}-gpu0")),
+                gpu_v100(format!("n{n}-gpu1")),
+            ]
+        })
+        .collect();
+    let source = (0..graph.num_vertices() as u32)
+        .max_by_key(|&v| graph.out_degree(v))
+        .unwrap();
+    let report = assert_modes_identical_on(
+        &graph,
+        partitioning,
+        twin_gpus,
+        &MultiSourceSssp::new(vec![source]),
+        |distances: &Vec<f64>| distances.iter().map(|d| d.to_bits()).collect(),
+    );
+    let sizes: Vec<usize> = report
+        .iterations
+        .iter()
+        .map(|iteration| iteration.triplets_processed)
+        .collect();
+    assert!(
+        !worth_fanning_out(sizes[0]) && !worth_fanning_out(*sizes.last().unwrap()),
+        "the run starts and ends below the floor: {sizes:?}"
+    );
+    assert!(
+        sizes.iter().any(|&d| worth_fanning_out(d / (2 * parts))),
+        "some superstep carries enough for a daemon share to cross the floor: {sizes:?}"
     );
 }
 
