@@ -42,7 +42,7 @@ use gxplug_engine::node::NodeState;
 use gxplug_engine::profile::RuntimeProfile;
 use gxplug_engine::template::{AddressedMessage, GraphAlgorithm};
 use gxplug_graph::dense::{DenseSlots, FrontierSet};
-use gxplug_graph::types::{PartitionId, VertexId};
+use gxplug_graph::types::PartitionId;
 use gxplug_graph::view::TripletBuffer;
 use std::ops::Range;
 use std::sync::Arc;
@@ -68,15 +68,37 @@ pub(crate) struct IterationPlan {
 /// edge list and the download set.  Cleared — never reallocated — between
 /// iterations, so the planning phase stops allocating at steady state just
 /// like the triplet path.
+///
+/// Both working sets hold **probe ranks** (positions in
+/// [`NodeState::probe_order`]), not local ids, so their ascending scan is
+/// already the cache probe order.
 #[derive(Debug, Default)]
 struct PlanScratch {
     /// Local ids of the iteration's active edges (ascending).
     active_edge_ids: Vec<usize>,
-    /// The iteration's download working set, as dense local ids.
+    /// The download working set of a partially active iteration.
     needed: FrontierSet,
-    /// The cache probe order of `needed`: `(splitmix64(global), global,
-    /// local)`, sorted.
-    probes: Vec<(u64, VertexId, u32)>,
+    /// The working set of an all-active iteration — every endpoint of every
+    /// local edge — gathered on the run's first such iteration and reused:
+    /// the node's structure does not change within a run.
+    all_endpoints: Option<FrontierSet>,
+}
+
+/// Inserts the probe rank of both endpoints of every edge in `edge_ids`.
+fn gather_endpoints<V, E>(
+    node: &NodeState<V, E>,
+    edge_ids: impl Iterator<Item = usize>,
+    into: &mut FrontierSet,
+) {
+    let rank = node.probe_rank();
+    into.ensure_capacity(node.num_vertices());
+    into.clear();
+    for edge_id in edge_ids {
+        if let Some((src, dst)) = node.edge_endpoint_locals(edge_id) {
+            into.insert(rank[src as usize]);
+            into.insert(rank[dst as usize]);
+        }
+    }
 }
 
 /// What executing one daemon's share produced, together with the planning
@@ -240,38 +262,32 @@ where
         self.stats.iterations += 1;
 
         // The download working set: every endpoint of an active edge, deduped
-        // through a dense bitset over the node's local ids — no hashing on
-        // the hot path.
-        let needed = &mut self.plan.needed;
-        needed.ensure_capacity(node.num_vertices());
-        needed.clear();
-        for &edge_id in &self.plan.active_edge_ids {
-            if let Some((src, dst)) = node.edge_endpoint_locals(edge_id) {
-                needed.insert(src);
-                needed.insert(dst);
-            }
-        }
+        // through a dense bitset over the node's probe ranks — no hashing on
+        // the hot path.  An all-active iteration needs the same set every
+        // time, so it is gathered once.
+        let plan = &mut self.plan;
+        let needed: &FrontierSet = if d == node.num_edges() {
+            plan.all_endpoints.get_or_insert_with(|| {
+                let mut all = FrontierSet::default();
+                gather_endpoints(node, 0..d, &mut all);
+                all
+            })
+        } else {
+            gather_endpoints(node, plan.active_edge_ids.iter().copied(), &mut plan.needed);
+            &plan.needed
+        };
         let vertex_downloads = match &mut self.cache {
             Some(cache) => {
-                // Probe the cache in a deterministic order: the probe order
-                // decides LRU evictions, so a fixed total order (independent
-                // of how the set was gathered) is what makes the hit/miss
-                // counters reproducible.  The order is scrambled by a fixed
-                // mix (not ascending) because a strict sequential scan is the
-                // LRU worst case — it would evict every entry just before
-                // re-probing it.
+                // The probe order decides LRU evictions; walking the set by
+                // probe rank is `NodeState::probe_order` without a sort.
                 let table = node.vertex_table();
-                let probes = &mut self.plan.probes;
-                probes.clear();
-                probes.extend(needed.iter().map(|local| {
-                    let global = table.global_of(local);
-                    (gxplug_ipc::key::splitmix64(global as u64), global, local)
-                }));
-                probes.sort_unstable();
+                let order = node.probe_order();
+                let tie = node.global_rank();
                 let mut downloads = 0usize;
-                for &(_, global, local) in probes.iter() {
+                for rank in needed.iter() {
+                    let local = order[rank as usize];
                     let current = &table.row_at(local).attr;
-                    if cache.probe(local, global, current, iteration as u64) {
+                    if cache.probe(local, tie[local as usize], current, iteration as u64) {
                         downloads += 1;
                     }
                 }
@@ -318,11 +334,10 @@ where
     /// buffers in daemon order (then block, then triplet) into the merge,
     /// which keeps the per-target combine order, and therefore the results,
     /// identical.
-    pub(crate) fn finish_iteration<E, M>(
+    pub(crate) fn finish_iteration<M>(
         &mut self,
-        node: &NodeState<V, E>,
         plan: &IterationPlan,
-        merged: Vec<AddressedMessage<M>>,
+        merged: Merged<M>,
         share_runs: &[ShareRun],
     ) -> NodeComputeOutput<V, M> {
         let d = plan.d;
@@ -330,26 +345,17 @@ where
         for run in share_runs {
             self.stats.kernel_launches += run.blocks as u64;
         }
+        let Merged { messages, remote } = merged;
 
         // ---- upload phase -----------------------------------------------------
         let uploads = if self.config.lazy_upload && self.cache.is_some() {
             // Lazy uploading as a count: messages whose target is mastered on
             // this very node never need to leave the middleware, so only
             // remote-destined entities are charged as uploads.
-            let remote = merged
-                .iter()
-                .filter(|m| {
-                    !node
-                        .vertex_table()
-                        .get(m.target)
-                        .map(|row| row.is_master)
-                        .unwrap_or(false)
-                })
-                .count();
-            self.stats.uploads_avoided += (merged.len() - remote) as u64;
+            self.stats.uploads_avoided += (messages.len() - remote) as u64;
             remote
         } else {
-            merged.len()
+            messages.len()
         };
         self.stats.uploaded_entities += uploads as u64;
 
@@ -390,10 +396,19 @@ where
             compute_time,
             middleware_time: overhead_time,
             triplets_processed: d,
-            messages: merged,
+            messages,
             pre_applied: Vec::new(),
         }
     }
+}
+
+/// The output of [`dense_merge`].
+#[derive(Debug)]
+pub(crate) struct Merged<M> {
+    /// One message per target, in first-seen order, then the overflow.
+    pub messages: Vec<AddressedMessage<M>>,
+    /// How many of `messages` target a vertex not mastered on this node.
+    pub remote: usize,
 }
 
 /// The per-target `MSGMerge` of one iteration's raw daemon output, through
@@ -405,14 +420,15 @@ where
 /// order.  Targets without a local replica (never produced by a sound
 /// partitioning) pass through `overflow`, appended verbatim — the cluster's
 /// synchronisation folds them with the same left-to-right combine order
-/// either way.  Zero steady-state allocation beyond the returned vector.
+/// either way — and count as remote.  Zero steady-state allocation beyond
+/// the returned vector.
 pub(crate) fn dense_merge<V, E, A>(
     node: &NodeState<V, E>,
     algorithm: &A,
     raw: impl IntoIterator<Item = AddressedMessage<A::Msg>>,
     slots: &mut DenseSlots<A::Msg>,
     overflow: &mut Vec<AddressedMessage<A::Msg>>,
-) -> Vec<AddressedMessage<A::Msg>>
+) -> Merged<A::Msg>
 where
     A: GraphAlgorithm<V, E>,
 {
@@ -427,18 +443,18 @@ where
             None => overflow.push(message),
         }
     }
-    let mut merged = Vec::with_capacity(slots.len() + overflow.len());
+    let table = node.vertex_table();
+    let mut messages = Vec::with_capacity(slots.len() + overflow.len());
+    let mut remote = overflow.len();
     for i in 0..slots.len() {
         let local = slots.touched_at(i);
         if let Some(payload) = slots.take(local) {
-            merged.push(AddressedMessage::new(
-                node.vertex_table().global_of(local),
-                payload,
-            ));
+            remote += usize::from(!table.row_at(local).is_master);
+            messages.push(AddressedMessage::new(table.global_of(local), payload));
         }
     }
-    merged.append(overflow);
-    merged
+    messages.append(overflow);
+    Merged { messages, remote }
 }
 
 /// The agent of one distributed node, driving its daemons serially on the
@@ -619,7 +635,7 @@ where
         let merged = dense_merge(node, algorithm, raw, merge, overflow);
         Ok(self
             .core
-            .finish_iteration(node, &plan, merged, &self.scratch.share_runs))
+            .finish_iteration(&plan, merged, &self.scratch.share_runs))
     }
 }
 
@@ -696,7 +712,7 @@ mod tests {
     use gxplug_graph::edge_list::EdgeList;
     use gxplug_graph::graph::PropertyGraph;
     use gxplug_graph::partition::{HashEdgePartitioner, Partitioner};
-    use gxplug_graph::types::Triplet;
+    use gxplug_graph::types::{Triplet, VertexId};
     use gxplug_ipc::key::KeyGenerator;
 
     struct Relax;

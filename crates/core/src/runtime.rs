@@ -481,7 +481,7 @@ where
         let merged = dense_merge(node, algorithm, raw, merge, overflow);
         Ok(self
             .core
-            .finish_iteration(node, &plan, merged, &self.scratch.share_runs))
+            .finish_iteration(&plan, merged, &self.scratch.share_runs))
     }
 }
 

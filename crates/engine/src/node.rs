@@ -21,10 +21,60 @@ use gxplug_graph::partition::Partitioning;
 use gxplug_graph::tables::{EdgeTable, VertexTable};
 use gxplug_graph::types::{Edge, EdgeId, PartitionId, Triplet, VertexId};
 use gxplug_graph::view::TripletBuffer;
+use gxplug_ipc::key::splitmix64;
 
 /// Sentinel local id for an edge endpoint that is not stored locally (which
 /// would indicate a broken partitioning — tolerated, never enumerated).
 const NO_LOCAL: u32 = u32::MAX;
+
+/// The middleware's synchronization-cache probe order of a vertex: probes
+/// decide LRU evictions, so a fixed total order (independent of how a working
+/// set was gathered) is what makes the cache counters reproducible.  The
+/// order is scrambled by a fixed mix rather than ascending because a strict
+/// sequential scan is LRU's worst case — it would evict every entry just
+/// before re-probing it.
+fn probe_key(global: VertexId) -> (u64, VertexId) {
+    (splitmix64(global as u64), global)
+}
+
+/// Extends `rank` — every local id's position among the node's locals
+/// sorted by a distinct `key` — to the locals `rank.len()..locals` appended
+/// since the last call, merging them in without re-sorting the old ones:
+/// O(locals + new·log new).  Returns the new sorted order (the inverse
+/// permutation), or `None` if no local was appended.
+fn extend_rank<K: Ord>(
+    rank: &mut Vec<u32>,
+    locals: usize,
+    key: impl Fn(u32) -> K,
+) -> Option<Vec<u32>> {
+    let old = rank.len();
+    if locals <= old {
+        return None;
+    }
+    let mut previous = vec![0; old];
+    for (local, &position) in rank.iter().enumerate() {
+        previous[position as usize] = local as u32;
+    }
+    let mut fresh: Vec<(K, u32)> = (old as u32..locals as u32)
+        .map(|local| (key(local), local))
+        .collect();
+    fresh.sort_unstable();
+    let mut order = Vec::with_capacity(locals);
+    let mut fresh = fresh.into_iter().peekable();
+    for local in previous {
+        let old_key = key(local);
+        while let Some((_, new)) = fresh.next_if(|(new_key, _)| *new_key < old_key) {
+            order.push(new);
+        }
+        order.push(local);
+    }
+    order.extend(fresh.map(|(_, local)| local));
+    rank.resize(locals, 0);
+    for (position, &local) in order.iter().enumerate() {
+        rank[local as usize] = position as u32;
+    }
+    Some(order)
+}
 
 /// The state of one distributed node.
 #[derive(Debug, Clone)]
@@ -53,6 +103,13 @@ pub struct NodeState<V, E> {
     /// at build time so the node can re-seed itself for a new algorithm
     /// without the graph.
     out_degrees: Vec<u32>,
+    /// Locals in synchronization-cache probe order (see [`probe_key`]).
+    probe_order: Vec<u32>,
+    /// Every local's position in `probe_order`, indexed by local id.
+    probe_rank: Vec<u32>,
+    /// Every local's position among the locals sorted by global id: the
+    /// cache's recency tie-break.
+    global_rank: Vec<u32>,
 }
 
 /// An empty node: no vertices, no edges, nothing active.  It is what
@@ -74,6 +131,9 @@ impl<V, E> Default for NodeState<V, E> {
             active: FrontierSet::default(),
             active_edges: FrontierSet::default(),
             out_degrees: Vec::new(),
+            probe_order: Vec::new(),
+            probe_rank: Vec::new(),
+            global_rank: Vec::new(),
         }
     }
 }
@@ -150,6 +210,15 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
             None => active.activate_all(),
         }
         let active_edges = FrontierSet::new(edge_table.len());
+        let mut probe_rank = Vec::new();
+        let probe_order = extend_rank(&mut probe_rank, num_locals, |local| {
+            probe_key(vertex_table.global_of(local))
+        })
+        .unwrap_or_default();
+        let mut global_rank = Vec::new();
+        extend_rank(&mut global_rank, num_locals, |local| {
+            vertex_table.global_of(local)
+        });
         Self {
             id,
             vertex_table,
@@ -161,6 +230,9 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
             active,
             active_edges,
             out_degrees,
+            probe_order,
+            probe_rank,
+            global_rank,
         }
     }
 
@@ -206,7 +278,8 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
     /// locally held vertices, and `detached` resets attributes in place.
     /// The per-node CSR (orphan bucket included), the endpoint local-id maps
     /// and the frontier capacities are rebuilt to match — O(this shard), the
-    /// untouched shards of the cluster pay nothing.
+    /// untouched shards of the cluster pay nothing — and new locals are
+    /// merged into the probe and global-id orders.
     ///
     /// The frontier itself is cleared: the caller re-seeds it through
     /// [`NodeState::reset_for`] or [`NodeState::seed_incremental`] before
@@ -242,6 +315,15 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
             }
         }
         let num_locals = self.vertex_table.len();
+        let table = &self.vertex_table;
+        if let Some(order) = extend_rank(&mut self.probe_rank, num_locals, |local| {
+            probe_key(table.global_of(local))
+        }) {
+            self.probe_order = order;
+        }
+        extend_rank(&mut self.global_rank, num_locals, |local| {
+            table.global_of(local)
+        });
         let orphan = num_locals as u32;
         self.edge_src_local = self
             .edge_table
@@ -339,6 +421,27 @@ impl<V, E> NodeState<V, E> {
             Some(local) => self.csr.edge_ids(local),
             None => &[],
         }
+    }
+
+    /// Every local id, in the middleware's synchronization-cache probe order:
+    /// ascending `(splitmix64(global), global)`.  Computed at build, merged
+    /// on growth by [`NodeState::apply_mutations`], never sorted per
+    /// superstep.
+    pub fn probe_order(&self) -> &[u32] {
+        &self.probe_order
+    }
+
+    /// The position of every local id in [`NodeState::probe_order`], indexed
+    /// by local id.
+    pub fn probe_rank(&self) -> &[u32] {
+        &self.probe_rank
+    }
+
+    /// The rank of every local id among the node's locals sorted by global
+    /// id, indexed by local id: compares like the global ids, but stays below
+    /// [`NodeState::num_vertices`].
+    pub fn global_rank(&self) -> &[u32] {
+        &self.global_rank
     }
 
     /// The dense local ids `(src, dst)` of edge `id`'s endpoints, if both are
@@ -678,6 +781,46 @@ mod tests {
         let stats = buffer.stats();
         assert_eq!(stats.fills, 2);
         assert!(stats.reallocations <= 1);
+    }
+
+    #[test]
+    fn probe_and_global_orders_match_a_fresh_sort_after_build_and_growth() {
+        fn check(node: &NodeState<u32, f64>) {
+            let locals = node.num_vertices() as u32;
+            let global = |local: u32| node.vertex_table().global_of(local);
+            let mut probe: Vec<u32> = (0..locals).collect();
+            probe.sort_by_key(|&local| (splitmix64(global(local) as u64), global(local)));
+            assert_eq!(node.probe_order(), probe.as_slice());
+            let mut by_global: Vec<u32> = (0..locals).collect();
+            by_global.sort_by_key(|&local| global(local));
+            for (order, rank) in [
+                (&probe, node.probe_rank()),
+                (&by_global, node.global_rank()),
+            ] {
+                assert_eq!(rank.len(), order.len());
+                for (position, &local) in order.iter().enumerate() {
+                    assert_eq!(rank[local as usize], position as u32);
+                }
+            }
+        }
+        let list: EdgeList<f64> = (0u32..64).map(|v| (v, (v * 7 + 3) % 64, 1.0)).collect();
+        let graph = PropertyGraph::from_edge_list(list, 0u32).unwrap();
+        let partitioning = HashEdgePartitioner::new(3).partition(&graph, 2).unwrap();
+        let mut node = NodeState::build(0, &graph, &partitioning, &MinLabel);
+        check(&node);
+        // Grow by replicas of existing low-id vertices (their new locals fall
+        // out of global order) and by brand-new vertices.
+        let mut upserts: Vec<(VertexId, u32, bool, u32)> = (0u32..64)
+            .filter(|&v| !node.vertex_table().contains(v))
+            .take(5)
+            .map(|v| (v, v, false, 1))
+            .collect();
+        assert!(!upserts.is_empty(), "node 0 misses some vertex");
+        upserts.extend((64u32..67).map(|v| (v, v, true, 0)));
+        let before = node.num_vertices();
+        node.apply_mutations(&[], &[], upserts, &[], &[]);
+        assert!(node.num_vertices() > before);
+        check(&node);
     }
 
     #[test]

@@ -163,57 +163,41 @@ proptest! {
 
     // ---------------- Synchronization cache ----------------
 
-    /// The dense, heap-evicting sync cache is indistinguishable from the
-    /// naive algorithm it replaced — a flat list with a linear
+    /// The dense, generation-ordered sync cache is indistinguishable from
+    /// the naive algorithm it replaced — a flat list with a linear
     /// `min (last_used, global id)` victim scan: same download answer on
-    /// every probe, same victim on every eviction, same counters.  Local ids
-    /// map to global ids out of order, so recency ties are provably broken
-    /// on *global* ids.
+    /// every probe, same victim on every eviction, same counters.  Four
+    /// shapes of probe sequence: the first advances `now` by 0 or 1 at
+    /// random; the second probes ~32 vertices per `now` into a smaller cache,
+    /// so most evictions hit the iteration's own generation; the third lets
+    /// `now` jump by up to 4; the fourth re-probes one hot set, which fits the
+    /// cache, in 4 or more rounds, so every round leaves the previous round's
+    /// queue items stale and compaction must run.
     #[test]
     fn sync_cache_matches_the_naive_lru_oracle(
         capacity in 1usize..64,
         operations in prop::collection::vec((0u32..96, any::<bool>(), any::<bool>()), 1..400),
+        small_capacity in 1usize..16,
+        bursts in prop::collection::vec((0u32..96, any::<bool>(), 0u32..32), 1..400),
+        jumps in prop::collection::vec((0u32..96, any::<bool>(), 0u64..5), 1..400),
+        hot in prop::collection::vec((0u32..96, any::<bool>()), 1..48),
+        rounds in 4usize..24,
     ) {
-        let global_of = |local: u32| (local * 37 + 11) % 101;
-        let mut cache = gx_plug::core::VertexCache::<u64>::new(capacity, 48);
-        // The oracle: `(global id, cached value, last_used)` per resident entry.
-        let mut oracle: Vec<(u32, u64, u64)> = Vec::new();
-        let mut expected = gx_plug::core::CacheStats::default();
-        let mut upper_system = [0u64; 96];
-        let mut now = 0u64;
-        for &(local, changed, advance) in &operations {
-            now += u64::from(advance);
-            let current = &mut upper_system[local as usize];
-            *current += u64::from(changed);
-            let global = global_of(local);
-            let download = match oracle.iter_mut().find(|entry| entry.0 == global) {
-                Some(entry) => {
-                    expected.hits += 1;
-                    let stale = entry.1 != *current;
-                    *entry = (global, *current, now);
-                    stale
-                }
-                None => {
-                    expected.misses += 1;
-                    if oracle.len() >= capacity {
-                        let victim = (0..oracle.len())
-                            .min_by_key(|&i| (oracle[i].2, oracle[i].0))
-                            .unwrap();
-                        oracle.swap_remove(victim);
-                        expected.evictions += 1;
-                    }
-                    oracle.push((global, *current, now));
-                    true
-                }
-            };
-            prop_assert_eq!(cache.probe(local, global, current, now), download);
-            prop_assert_eq!(cache.stats(), expected);
-            prop_assert_eq!(cache.len(), oracle.len());
-            for local in 0..96 {
-                let resident = oracle.iter().any(|entry| entry.0 == global_of(local));
-                prop_assert_eq!(cache.contains(local), resident, "residency of local {}", local);
-            }
-        }
+        let random = operations
+            .iter()
+            .map(|&(local, changed, advance)| (local, changed, u64::from(advance)));
+        check_sync_cache_against_oracle(capacity, random);
+        let bursts = bursts
+            .iter()
+            .map(|&(local, changed, roll)| (local, changed, u64::from(roll == 0)));
+        check_sync_cache_against_oracle(small_capacity, bursts);
+        check_sync_cache_against_oracle(capacity, jumps.iter().copied());
+        let rounds = (0..rounds).flat_map(|_| {
+            hot.iter()
+                .enumerate()
+                .map(|(i, &(local, changed))| (local, changed, u64::from(i == 0)))
+        });
+        check_sync_cache_against_oracle(hot.len(), rounds);
     }
 
     // ---------------- Graph construction ----------------
@@ -235,6 +219,61 @@ proptest! {
             prop_assert_eq!(triplet.dst, edge.dst);
             prop_assert_eq!(triplet.src_attr, edge.src * 3);
             prop_assert_eq!(triplet.dst_attr, edge.dst * 3);
+        }
+    }
+}
+
+/// Replays `(local, changed, advance)` probes on a `VertexCache` sized for 48
+/// locals (locals up to 95 grow its slots) and on the naive oracle, checking
+/// both agree after every probe.  Local ids map to global ids out of order,
+/// so recency ties are provably broken on *global* ids.
+fn check_sync_cache_against_oracle(
+    capacity: usize,
+    operations: impl IntoIterator<Item = (u32, bool, u64)>,
+) {
+    let global_of = |local: u32| (local * 37 + 11) % 101;
+    let mut cache = gx_plug::core::VertexCache::<u64>::new(capacity, 48);
+    // The oracle: `(global id, cached value, last_used)` per resident entry.
+    let mut oracle: Vec<(u32, u64, u64)> = Vec::new();
+    let mut expected = gx_plug::core::CacheStats::default();
+    let mut upper_system = [0u64; 96];
+    let mut now = 0u64;
+    for (local, changed, advance) in operations {
+        now += advance;
+        let current = &mut upper_system[local as usize];
+        *current += u64::from(changed);
+        let global = global_of(local);
+        let download = match oracle.iter_mut().find(|entry| entry.0 == global) {
+            Some(entry) => {
+                expected.hits += 1;
+                let stale = entry.1 != *current;
+                *entry = (global, *current, now);
+                stale
+            }
+            None => {
+                expected.misses += 1;
+                if oracle.len() >= capacity {
+                    let victim = (0..oracle.len())
+                        .min_by_key(|&i| (oracle[i].2, oracle[i].0))
+                        .unwrap();
+                    oracle.swap_remove(victim);
+                    expected.evictions += 1;
+                }
+                oracle.push((global, *current, now));
+                true
+            }
+        };
+        prop_assert_eq!(cache.probe(local, global, current, now), download);
+        prop_assert_eq!(cache.stats(), expected);
+        prop_assert_eq!(cache.len(), oracle.len());
+        for local in 0..96 {
+            let resident = oracle.iter().any(|entry| entry.0 == global_of(local));
+            prop_assert_eq!(
+                cache.contains(local),
+                resident,
+                "residency of local {}",
+                local
+            );
         }
     }
 }

@@ -53,6 +53,42 @@ where
         .unwrap()
 }
 
+/// An edge `(u, v)` whose insertion replicates the lowest-id vertex `v`
+/// possible onto a node that does not hold it yet (the master node of `u`,
+/// where a new edge lands).  Mutated in place, that node appends `v` as a
+/// new local id out of global-id order; rebuilt, it holds `v` in order.
+fn low_id_replica_edge(partitioning: &Partitioning) -> (VertexId, VertexId) {
+    let n = partitioning.num_vertices() as VertexId;
+    (0..n)
+        .flat_map(|v| (0..n).map(move |u| (u, v)))
+        .find(|&(u, v)| {
+            u != v
+                && partitioning
+                    .part(partitioning.master_of(u))
+                    .vertices
+                    .binary_search(&v)
+                    .is_err()
+        })
+        .expect("some node lacks a replica of some vertex")
+}
+
+/// The synchronization-cache counters of every agent: `[hits, misses,
+/// evictions, downloaded_entities]`.  They depend on the probe and victim
+/// orders, which must not depend on how a node's local ids were assigned.
+fn sync_cache_counters(stats: &[gx_plug::core::AgentStats]) -> Vec<[u64; 4]> {
+    stats
+        .iter()
+        .map(|agent| {
+            [
+                agent.cache.hits,
+                agent.cache.misses,
+                agent.cache.evictions,
+                agent.downloaded_entities,
+            ]
+        })
+        .collect()
+}
+
 /// Applies `delta` to clones of the master graph and partitioning — the
 /// "rebuild from scratch" side of every equivalence check.
 fn rebuild<V: Clone + PartialEq>(
@@ -79,10 +115,12 @@ fn mutated_service_pagerank_is_bit_identical_to_rebuilt_service() {
         .partition(&graph, 2)
         .unwrap();
     let new_vertex = graph.num_vertices() as VertexId;
+    let (u, v) = low_id_replica_edge(&partitioning);
     let batch = MutationBatch::new()
         .add_vertex(default)
         .add_edge(0, new_vertex, 1.0)
         .add_edge(new_vertex, 5, 1.0)
+        .add_edge(u, v, 1.0)
         .remove_edge(3)
         .remove_edge(17);
     let rank_bits = |values: &[RankValue]| -> Vec<(u64, u32)> {
@@ -114,6 +152,11 @@ fn mutated_service_pagerank_is_bit_identical_to_rebuilt_service() {
             rank_bits(&reference.values),
             "in-place mutation diverged from rebuild in {mode:?}"
         );
+        assert_eq!(
+            sync_cache_counters(&mutated.agent_stats),
+            sync_cache_counters(&reference.agent_stats),
+            "in-place mutation moved the sync-cache counters in {mode:?}"
+        );
         assert_eq!(mutated.values.len(), graph.num_vertices() + 1);
     }
 }
@@ -128,11 +171,13 @@ fn mutated_service_sssp_incremental_recompute_matches_rebuilt_service() {
     // Insert-only: the warm distances stay valid upper bounds, so the
     // incremental path is sound and taken.
     let new_vertex = graph.num_vertices() as VertexId;
+    let (u, v) = low_id_replica_edge(&partitioning);
     let batch = MutationBatch::new()
         .add_vertex(Vec::new())
         .add_edge(0, new_vertex, 0.5)
         .add_edge(new_vertex, 9, 0.25)
-        .add_edge(2, 7, 0.125);
+        .add_edge(2, 7, 0.125)
+        .add_edge(u, v, 4.0);
     let sssp_bits = |values: &[Vec<f64>]| -> Vec<Vec<u64>> {
         values
             .iter()
@@ -161,6 +206,21 @@ fn mutated_service_sssp_incremental_recompute_matches_rebuilt_service() {
             sssp_bits(&incremental.values),
             sssp_bits(&reference.values),
             "incremental recompute diverged from rebuild in {mode:?}"
+        );
+        // The incremental rerun legitimately does less work than the
+        // rebuild, so the sync-cache counters are compared on a full run of
+        // other sources (no warm state to continue from) on each side.
+        let full = MultiSourceSssp::new(vec![1, 3]);
+        let mutated_full = service.submit(full.clone()).unwrap().wait().unwrap();
+        let reference_full = fresh.submit(full).unwrap().wait().unwrap();
+        assert_eq!(
+            sssp_bits(&mutated_full.values),
+            sssp_bits(&reference_full.values)
+        );
+        assert_eq!(
+            sync_cache_counters(&mutated_full.agent_stats),
+            sync_cache_counters(&reference_full.agent_stats),
+            "in-place mutation moved the sync-cache counters in {mode:?}"
         );
         assert_eq!(incremental.values.len(), graph.num_vertices() + 1);
         // The new vertex hangs off source-side structure: it must have been
