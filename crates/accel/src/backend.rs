@@ -28,7 +28,7 @@
 //! interchangeable without touching the determinism guarantees.
 
 use crate::cost::CostModel;
-use crate::device::{AccelError, DeviceKind, KernelRun, KernelTiming, Result};
+use crate::device::{AccelError, DeviceKind, KernelTiming, Result};
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
@@ -300,8 +300,7 @@ impl SimBackend {
     }
 
     /// Builds the sim backend described by `spec`, ignoring the spec's
-    /// backend selection (used by the baseline engines, which always
-    /// simulate).
+    /// backend selection.
     pub fn from_spec(spec: &DeviceSpec) -> Self {
         Self::new(spec.name.clone(), spec.kind, spec.cost)
     }
@@ -335,44 +334,6 @@ impl SimBackend {
             self.initialized = true;
             self.cost.init
         }
-    }
-
-    /// Executes `kernel` over every item in `batch`, collecting the outputs
-    /// in input order.  Convenience wrapper over the chunk ABI used by the
-    /// baseline engines and tests.
-    ///
-    /// # Errors
-    /// [`AccelError::OutOfMemory`] if the batch exceeds device memory — the
-    /// check runs *before* sizing the output buffer, so an over-capacity
-    /// batch costs an error, not a giant host allocation.
-    pub fn execute_batch<T, R>(
-        &mut self,
-        batch: &[T],
-        mut kernel: impl FnMut(&T) -> R,
-    ) -> Result<KernelRun<R>> {
-        check_memory(&self.cost, &self.name, batch.len())?;
-        let mut outputs: Vec<R> = Vec::with_capacity(batch.len());
-        let timing = self.execute_batch_with(batch, |item| outputs.push(kernel(item)))?;
-        Ok(KernelRun { outputs, timing })
-    }
-
-    /// Executes `per_item` over every item in `batch` without collecting
-    /// outputs — the sink-style variant of [`SimBackend::execute_batch`]: the
-    /// caller's closure writes results straight into its own reusable buffer,
-    /// so the backend allocates nothing per launch.
-    pub fn execute_batch_with<T>(
-        &mut self,
-        batch: &[T],
-        mut per_item: impl FnMut(&T),
-    ) -> Result<KernelTiming> {
-        check_memory(&self.cost, &self.name, batch.len())?;
-        let init = self.initialize();
-        for item in batch {
-            per_item(item);
-        }
-        self.items_processed += batch.len() as u64;
-        self.kernel_launches += 1;
-        Ok(cost_timing(&self.cost, init, batch.len()))
     }
 }
 
@@ -646,7 +607,7 @@ impl fmt::Debug for PoolSlot {
 /// order exactly — results are bit-identical to [`SimBackend`].  Simulated
 /// [`KernelTiming`] still comes from the cost model (time attribution is
 /// backend-independent); what this backend improves is real wall-clock time,
-/// which `cargo bench` measures directly.
+/// which the benchmark measures directly (`accel.host_parallel_speedup`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostParallelBackend {
     name: String,
@@ -1018,26 +979,5 @@ mod tests {
     fn backend_kind_labels_are_stable() {
         assert_eq!(BackendKind::Sim.label(), "sim");
         assert_eq!(BackendKind::host_parallel().to_string(), "host-parallel");
-    }
-
-    #[test]
-    fn sim_execute_batch_collects_in_input_order() {
-        let mut sim = SimBackend::new("s", DeviceKind::Cpu, cost());
-        let items: Vec<u64> = (0..1000).collect();
-        let run = sim.execute_batch(&items, |&x| x * x).unwrap();
-        assert_eq!(run.outputs.len(), 1000);
-        assert_eq!(run.outputs[31], 31 * 31);
-        assert_eq!(sim.items_processed, 1000);
-        let mut out = Vec::new();
-        let timing = sim
-            .execute_batch_with(&items, |&x| out.push(x + 1))
-            .unwrap();
-        assert_eq!(out[10], 11);
-        assert_eq!(timing.call, sim.cost_model().call);
-        let oversized = vec![0u8; 10_001];
-        assert!(matches!(
-            sim.execute_batch(&oversized, |_| ()),
-            Err(AccelError::OutOfMemory { .. })
-        ));
     }
 }

@@ -108,16 +108,6 @@ impl KernelTiming {
     }
 }
 
-/// The result of executing a kernel over a batch with collected outputs
-/// (see [`SimBackend::execute_batch`](crate::backend::SimBackend::execute_batch)).
-#[derive(Debug, Clone)]
-pub struct KernelRun<R> {
-    /// Per-item kernel outputs, in input order.
-    pub outputs: Vec<R>,
-    /// Timing attribution for the call.
-    pub timing: KernelTiming,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

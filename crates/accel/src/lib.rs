@@ -35,6 +35,6 @@ pub use backend::{
     SimBackend,
 };
 pub use cost::CostModel;
-pub use device::{AccelError, DeviceKind, KernelRun, KernelTiming, Result};
+pub use device::{AccelError, DeviceKind, KernelTiming, Result};
 pub use registry::DeviceRegistry;
 pub use time::{SimClock, SimDuration};

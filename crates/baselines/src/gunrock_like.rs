@@ -7,11 +7,14 @@
 //! than device memory fail with out-of-memory, which is exactly how it
 //! behaves in Fig. 9 of the paper.
 
-use gxplug_accel::{AccelError, DeviceSpec, SimBackend, SimDuration};
+use crate::sim_daemon;
+use gxplug_accel::{AccelError, AcceleratorBackend, DeviceSpec, SimDuration};
+use gxplug_core::Daemon;
 use gxplug_engine::metrics::{IterationMetrics, RunReport};
-use gxplug_engine::template::{AddressedMessage, GraphAlgorithm};
+use gxplug_engine::template::GraphAlgorithm;
 use gxplug_graph::graph::PropertyGraph;
-use gxplug_graph::types::VertexId;
+use gxplug_graph::types::{Triplet, VertexId};
+use gxplug_ipc::blocks::TripletBlockRef;
 use std::collections::{HashMap, HashSet};
 
 /// Host-side per-iteration overhead of the frontier manager (kernel fusion,
@@ -21,25 +24,23 @@ const FRONTIER_OVERHEAD: SimDuration = SimDuration::ZERO;
 
 /// A Gunrock-like single-GPU engine.
 ///
-/// Baselines are comparators for the *shape* of the results, so they always
-/// execute on the cost-model [`SimBackend`], whatever backend the spec
-/// selects for the middleware.
+/// Its one [`Daemon`] always simulates, whatever backend the spec selects.
 #[derive(Debug)]
 pub struct GunrockLike {
-    device: SimBackend,
+    daemon: Daemon,
 }
 
 impl GunrockLike {
     /// Creates the engine around one GPU (or other) device spec.
     pub fn new(spec: DeviceSpec) -> Self {
         Self {
-            device: SimBackend::from_spec(&spec),
+            daemon: sim_daemon(spec, 0, 0),
         }
     }
 
     /// The wrapped device.
-    pub fn device(&self) -> &SimBackend {
-        &self.device
+    pub fn device(&self) -> &dyn AcceleratorBackend {
+        self.daemon.backend()
     }
 
     /// Runs `algorithm` over `graph` entirely on the single device.
@@ -54,21 +55,22 @@ impl GunrockLike {
         max_iterations: usize,
     ) -> Result<(RunReport, Vec<V>), AccelError>
     where
-        V: Clone + PartialEq,
-        E: Clone,
+        V: Clone + PartialEq + Sync,
+        E: Clone + Sync,
         A: GraphAlgorithm<V, E>,
     {
+        let cost = *self.device().cost_model();
         // The whole edge list must be resident in device memory.
-        if self.device.cost_model().exceeds_memory(graph.num_edges()) {
+        if cost.exceeds_memory(graph.num_edges()) {
             return Err(AccelError::OutOfMemory {
                 requested: graph.num_edges(),
-                capacity: self.device.cost_model().memory_capacity_items.unwrap_or(0),
-                device: self.device.name().to_string(),
+                capacity: cost.memory_capacity_items.unwrap_or(0),
+                device: self.daemon.name().to_string(),
             });
         }
-        let mut setup = self.device.initialize();
+        let mut setup = self.daemon.start();
         // Loading the graph onto the device is a one-off bulk copy.
-        setup += self.device.cost_model().copy_time(graph.num_edges());
+        setup += cost.copy_time(graph.num_edges());
 
         let mut values: Vec<V> = (0..graph.num_vertices() as VertexId)
             .map(|v| algorithm.init_vertex(v, graph.out_degree(v)))
@@ -108,7 +110,7 @@ impl GunrockLike {
                 .iter()
                 .map(|&id| {
                     let edge = graph.edge(id);
-                    gxplug_graph::types::Triplet::new(
+                    Triplet::new(
                         edge.src,
                         edge.dst,
                         values[edge.src as usize].clone(),
@@ -120,17 +122,16 @@ impl GunrockLike {
             // The graph is already device-resident, so the only per-iteration
             // costs are the kernel launch and the compute itself (no PCIe
             // copies): model it explicitly instead of the full invocation.
-            let kernel_run = self
-                .device
-                .execute_batch(&triplets, |t| algorithm.msg_gen(t, iteration))?;
-            let compute_time = kernel_run.timing.init
-                + kernel_run.timing.call
-                + kernel_run.timing.compute
-                + FRONTIER_OVERHEAD;
+            let block = TripletBlockRef {
+                index: 0,
+                triplets: &triplets,
+            };
+            let (messages, timing) = self.daemon.execute_gen(algorithm, block, iteration)?;
+            let compute_time = timing.init + timing.call + timing.compute + FRONTIER_OVERHEAD;
             // Merge and apply on the device (host cost negligible in Gunrock's
             // fused kernels; charge the apply at the device's per-item rate).
             let mut merged: HashMap<VertexId, A::Msg> = HashMap::new();
-            for message in kernel_run.outputs.into_iter().flatten() {
+            for message in messages {
                 match merged.remove(&message.target) {
                     Some(existing) => {
                         let combined = algorithm.msg_merge(existing, message.payload);
@@ -141,7 +142,7 @@ impl GunrockLike {
                     }
                 }
             }
-            let apply_time = self.device.cost_model().compute_time(merged.len());
+            let apply_time = cost.compute_time(merged.len());
             let mut changed = HashSet::new();
             for (target, message) in merged {
                 let current = values[target as usize].clone();
@@ -176,12 +177,6 @@ impl GunrockLike {
         }
         Ok((report, values))
     }
-}
-
-/// Helper for the messages produced by `MSGGen`.
-#[allow(dead_code)]
-fn message_target<M>(message: &AddressedMessage<M>) -> VertexId {
-    message.target
 }
 
 #[cfg(test)]

@@ -16,7 +16,9 @@
 //!   updated vertex is broadcast to every other node, with no caching, lazy
 //!   uploading or skipping.
 
-use gxplug_accel::{AccelError, DeviceSpec, SimBackend, SimDuration};
+use crate::sim_daemon;
+use gxplug_accel::{AccelError, DeviceSpec, SimDuration};
+use gxplug_core::Daemon;
 use gxplug_engine::cluster::{Cluster, NodeComputeOutput, SyncPolicy};
 use gxplug_engine::metrics::RunReport;
 use gxplug_engine::network::NetworkModel;
@@ -25,6 +27,7 @@ use gxplug_engine::template::{AddressedMessage, GraphAlgorithm};
 use gxplug_graph::graph::PropertyGraph;
 use gxplug_graph::partition::Partitioning;
 use gxplug_graph::types::VertexId;
+use gxplug_ipc::blocks::triplet_block_views;
 use std::collections::HashMap;
 
 /// Fraction by which Lux's hand-tuned kernels beat the generic daemon kernels
@@ -46,14 +49,15 @@ fn lux_profile() -> RuntimeProfile {
 /// A Lux-like distributed multi-GPU engine.
 #[derive(Debug)]
 pub struct LuxLike {
-    devices_per_node: Vec<Vec<SimBackend>>,
+    devices_per_node: Vec<Vec<Daemon>>,
     network: NetworkModel,
 }
 
 impl LuxLike {
     /// Creates the engine with the given device assignment (one spec list
     /// per distributed node) and interconnect.  Like the Gunrock baseline,
-    /// Lux always executes on the cost-model [`SimBackend`].
+    /// Lux always executes on the cost-model
+    /// [`SimBackend`](gxplug_accel::SimBackend).
     pub fn new(devices_per_node: Vec<Vec<DeviceSpec>>, network: NetworkModel) -> Self {
         assert!(
             devices_per_node.iter().all(|d| !d.is_empty()),
@@ -61,8 +65,14 @@ impl LuxLike {
         );
         Self {
             devices_per_node: devices_per_node
-                .iter()
-                .map(|node| node.iter().map(SimBackend::from_spec).collect())
+                .into_iter()
+                .enumerate()
+                .map(|(node_id, node)| {
+                    node.into_iter()
+                        .enumerate()
+                        .map(|(index, spec)| sim_daemon(spec, node_id, index))
+                        .collect()
+                })
                 .collect(),
             network,
         }
@@ -102,7 +112,8 @@ impl LuxLike {
             let capacity: usize = devices
                 .iter()
                 .map(|d| {
-                    d.cost_model()
+                    d.backend()
+                        .cost_model()
                         .memory_capacity_items
                         .unwrap_or(usize::MAX / 2)
                 })
@@ -124,8 +135,8 @@ impl LuxLike {
             let share = partition_edges / devices.len().max(1);
             let mut node_setup = SimDuration::ZERO;
             for device in devices.iter_mut() {
-                node_setup += device.initialize();
-                node_setup += device.cost_model().copy_time(share);
+                node_setup += device.start();
+                node_setup += device.backend().cost_model().copy_time(share);
             }
             setup = setup.max(node_setup);
         }
@@ -151,12 +162,12 @@ impl LuxLike {
 fn lux_node_compute<V, E, A>(
     node: &mut gxplug_engine::node::NodeState<V, E>,
     algorithm: &A,
-    devices: &mut [SimBackend],
+    devices: &mut [Daemon],
     iteration: usize,
 ) -> NodeComputeOutput<V, A::Msg>
 where
-    V: Clone,
-    E: Clone,
+    V: Clone + Sync,
+    E: Clone + Sync,
     A: GraphAlgorithm<V, E>,
 {
     let triplets = node.active_triplets();
@@ -168,16 +179,18 @@ where
     let per_device = triplets.len().div_ceil(devices.len());
     let mut compute_time = SimDuration::ZERO;
     let mut raw_messages: Vec<AddressedMessage<A::Msg>> = Vec::new();
-    for (device, chunk) in devices.iter_mut().zip(triplets.chunks(per_device)) {
-        let run = device
-            .execute_batch(chunk, |t| algorithm.msg_gen(t, iteration))
+    for (device, block) in devices
+        .iter_mut()
+        .zip(triplet_block_views(&triplets, per_device))
+    {
+        let (messages, timing) = device
+            .execute_gen(algorithm, block, iteration)
             .expect("residency was checked before the run");
         // No PCIe copies per iteration (data is resident); only launch and
         // compute, scaled by Lux's kernel efficiency edge.
-        let share_time =
-            (run.timing.call + run.timing.compute) * KERNEL_EFFICIENCY_EDGE + run.timing.init;
+        let share_time = (timing.call + timing.compute) * KERNEL_EFFICIENCY_EDGE + timing.init;
         compute_time = compute_time.max(share_time);
-        raw_messages.extend(run.outputs.into_iter().flatten());
+        raw_messages.extend(messages);
     }
     // Local merge (MSGMerge equivalent) before the eager global exchange.
     let mut merged: HashMap<VertexId, A::Msg> = HashMap::new();

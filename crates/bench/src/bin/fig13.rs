@@ -10,7 +10,8 @@ use gxplug_accel::{presets, SimDuration};
 use gxplug_bench::{format_duration, print_table, scale_from_env, DEFAULT_SEED};
 use gxplug_core::Daemon;
 use gxplug_graph::datasets;
-use gxplug_ipc::blocks::pack_triplet_blocks;
+use gxplug_graph::types::Triplet;
+use gxplug_ipc::blocks::triplet_block_views;
 use gxplug_ipc::key::KeyGenerator;
 
 use gxplug_algos::{PageRank, RankValue};
@@ -31,15 +32,16 @@ fn main() {
         )
         .unwrap();
     let algorithm = PageRank::new(iterations);
-    // One node's worth of triplet blocks, re-used every iteration.
-    let blocks = pack_triplet_blocks(
-        graph.edges(),
-        |v| RankValue {
-            rank: 1.0,
-            out_degree: graph.out_degree(v) as u32,
-        },
-        4_096,
-    );
+    // One node's worth of triplets, viewed as blocks every iteration.
+    let attr = |v| RankValue {
+        rank: 1.0,
+        out_degree: graph.out_degree(v) as u32,
+    };
+    let triplets: Vec<_> = graph
+        .edges()
+        .iter()
+        .map(|e| Triplet::new(e.src, e.dst, attr(e.src), attr(e.dst), e.attr))
+        .collect();
     let keys = KeyGenerator::new(13);
 
     // --- Daemon-agent solution: initialise once, compute 11 iterations. ---
@@ -47,10 +49,8 @@ fn main() {
     let mut daemon_init = daemon.start();
     let mut daemon_compute = SimDuration::ZERO;
     for iteration in 0..iterations {
-        for block in &blocks {
-            let (_messages, timing) = daemon
-                .execute_gen(&algorithm, block.as_ref(), iteration)
-                .unwrap();
+        for block in triplet_block_views(&triplets, 4_096) {
+            let (_messages, timing) = daemon.execute_gen(&algorithm, block, iteration).unwrap();
             daemon_init += timing.init;
             daemon_compute += timing.call + timing.copy + timing.compute;
         }
@@ -62,10 +62,8 @@ fn main() {
     let mut raw_compute = SimDuration::ZERO;
     for iteration in 0..iterations {
         raw_init += raw.start();
-        for block in &blocks {
-            let (_messages, timing) = raw
-                .execute_gen(&algorithm, block.as_ref(), iteration)
-                .unwrap();
+        for block in triplet_block_views(&triplets, 4_096) {
+            let (_messages, timing) = raw.execute_gen(&algorithm, block, iteration).unwrap();
             raw_init += timing.init;
             raw_compute += timing.call + timing.copy + timing.compute;
         }

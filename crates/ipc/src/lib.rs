@@ -12,8 +12,8 @@
 //!   hand-off are built on, with blocking, deadline and non-blocking receive
 //!   flavours and peer-disconnect detection;
 //! * [`oneshot`] — the exactly-once result slot job tickets park on;
-//! * [`blocks`] — owned triplet blocks and the borrowed [`TripletBlockRef`]
-//!   views of the zero-copy pipeline;
+//! * [`blocks`] — the borrowed [`TripletBlockRef`] views of the zero-copy
+//!   pipeline;
 //! * [`wire`] — the versioned, length-prefixed binary frame format the
 //!   network serving layer speaks (job submissions, results, errors, stats),
 //!   with the unified [`ServerError`] vocabulary every transport shares.
@@ -27,7 +27,7 @@ pub mod oneshot;
 pub mod queue;
 pub mod wire;
 
-pub use blocks::{pack_triplet_blocks, triplet_block_views, TripletBlock, TripletBlockRef};
+pub use blocks::{triplet_block_views, TripletBlockRef};
 pub use key::{IpcKey, KeyGenerator};
 pub use oneshot::{oneshot, OneshotReceiver, OneshotSender};
 pub use queue::{sync_queue, QueueReceiver, QueueRecvError, QueueSendError, QueueSender};

@@ -18,7 +18,9 @@
 //!
 //! A third arm covers the lazy-deployment path: a mutation applied before a
 //! service's first job must be replayed into the worker's freshly built
-//! cluster before it runs.
+//! cluster before it runs.  A fourth pins that the incremental path is
+//! *taken*: counted in triplets, not wall time, a refresh after a small
+//! insert-only batch does at most half the work of a full rerun.
 
 use gx_plug::prelude::*;
 use std::sync::Arc;
@@ -269,5 +271,71 @@ fn mutations_before_the_first_job_replay_into_the_lazy_deployment() {
     for (a, b) in outcome.values.iter().zip(&reference.values) {
         let bits = |d: &Vec<f64>| d.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         assert_eq!(bits(a), bits(b));
+    }
+}
+
+#[test]
+fn insert_only_refresh_does_at_most_half_the_work_of_a_full_rerun() {
+    let list = Rmat::new(12, 8.0).generate(42);
+    let graph = PropertyGraph::from_edge_list(list, Vec::new()).unwrap();
+    let partitioning = GreedyVertexCutPartitioner::default()
+        .partition(&graph, 2)
+        .unwrap();
+    // About 0.1 % of the edges, insert-only, at scrambled but fixed
+    // endpoints: the warm distances stay valid upper bounds.
+    let n = graph.num_vertices() as u64;
+    let batch = (0..graph.num_edges() / 1_000).fold(MutationBatch::new(), |batch, i| {
+        let x = gx_plug::ipc::key::splitmix64(i as u64);
+        let (src, dst) = ((x % n) as VertexId, ((x >> 32) % n) as VertexId);
+        batch.add_edge(src, dst, 0.5 + (i % 7) as f64)
+    });
+    let delta = MutationLog::new(
+        graph.num_vertices(),
+        graph.edges().iter().map(|e| (e.src, e.dst)),
+    )
+    .append(&batch)
+    .unwrap();
+    let algorithm = MultiSourceSssp::paper_default();
+    let bits = |values: &[Vec<f64>]| -> Vec<Vec<u64>> {
+        values
+            .iter()
+            .map(|d| d.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    };
+
+    for mode in [ExecutionMode::Serial, ExecutionMode::Threaded] {
+        let deploy = || {
+            SessionBuilder::new(&graph)
+                .partitioned_by(partitioning.clone())
+                .devices(mixed_devices(partitioning.num_parts()))
+                .config(MiddlewareConfig::default().with_execution(mode))
+                .dataset("rmat")
+                .max_iterations(100)
+                .build()
+                .unwrap()
+        };
+        let (mut incremental, mut full) = (deploy(), deploy());
+        assert!(incremental.run(&algorithm).unwrap().report.converged);
+        assert!(full.run(&algorithm).unwrap().report.converged);
+        incremental.apply_mutations(&delta);
+        full.apply_mutations(&delta);
+        full.forget_warm_state();
+        let refresh = incremental.run(&algorithm).unwrap();
+        let rerun = full.run(&algorithm).unwrap();
+
+        assert_eq!(
+            bits(&refresh.values),
+            bits(&rerun.values),
+            "incremental refresh diverged from the full rerun in {mode:?}"
+        );
+        let (warm, cold) = (
+            refresh.report.total_triplets(),
+            rerun.report.total_triplets(),
+        );
+        assert!(
+            2 * warm <= cold,
+            "refresh processed {warm} triplets, full rerun {cold}, in {mode:?}: \
+             the incremental path was not taken"
+        );
     }
 }
