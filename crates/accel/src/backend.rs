@@ -299,12 +299,6 @@ impl SimBackend {
         }
     }
 
-    /// Builds the sim backend described by `spec`, ignoring the spec's
-    /// backend selection.
-    pub fn from_spec(spec: &DeviceSpec) -> Self {
-        Self::new(spec.name.clone(), spec.kind, spec.cost)
-    }
-
     /// Device name.
     pub fn name(&self) -> &str {
         &self.name
@@ -650,16 +644,6 @@ impl HostParallelBackend {
             kernel_launches: 0,
             pool: PoolSlot(None),
         }
-    }
-
-    /// Builds the backend described by `spec` (the spec's backend selection
-    /// decides the thread count; a `Sim` spec gets automatic threads).
-    pub fn from_spec(spec: &DeviceSpec) -> Self {
-        let threads = match spec.backend {
-            BackendKind::HostParallel { threads } => threads,
-            BackendKind::Sim => None,
-        };
-        Self::new(spec.name.clone(), spec.kind, spec.cost, threads)
     }
 
     /// The effective number of worker threads per launch.

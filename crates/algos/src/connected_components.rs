@@ -18,23 +18,22 @@ impl GraphAlgorithm<u32, f64> for ConnectedComponents {
         v
     }
 
-    fn msg_gen(
+    fn msg_gen_into(
         &self,
         triplet: &Triplet<u32, f64>,
         _iteration: usize,
-    ) -> Vec<AddressedMessage<u32>> {
+        out: &mut Vec<AddressedMessage<u32>>,
+    ) {
         // Treat the edge as undirected: the smaller label is offered to both
         // endpoints (sending to the source is how the label travels "against"
         // a directed edge).
         let label = triplet.src_attr.min(triplet.dst_attr);
-        let mut messages = Vec::with_capacity(2);
         if label < triplet.dst_attr {
-            messages.push(AddressedMessage::new(triplet.dst, label));
+            out.push(AddressedMessage::new(triplet.dst, label));
         }
         if label < triplet.src_attr {
-            messages.push(AddressedMessage::new(triplet.src, label));
+            out.push(AddressedMessage::new(triplet.src, label));
         }
-        messages
     }
 
     fn msg_merge(&self, a: u32, b: u32) -> u32 {

@@ -59,25 +59,24 @@ impl GraphAlgorithm<CoreState, f64> for KCore {
         }
     }
 
-    fn msg_gen(
+    fn msg_gen_into(
         &self,
         triplet: &Triplet<CoreState, f64>,
         _iteration: usize,
-    ) -> Vec<AddressedMessage<u32>> {
+        out: &mut Vec<AddressedMessage<u32>>,
+    ) {
         // Each endpoint endorses the other while it is alive, so a vertex's
         // endorsement count equals its degree (in + out) restricted to alive
         // neighbours — the quantity the peeling rule compares against `k`.
         // The zero-weight self message guarantees an alive source is applied
         // every round even if none of its neighbours endorse it any more.
-        let mut messages = Vec::with_capacity(3);
         if triplet.src_attr.alive {
-            messages.push(AddressedMessage::new(triplet.dst, 1));
-            messages.push(AddressedMessage::new(triplet.src, 0));
+            out.push(AddressedMessage::new(triplet.dst, 1));
+            out.push(AddressedMessage::new(triplet.src, 0));
         }
         if triplet.dst_attr.alive {
-            messages.push(AddressedMessage::new(triplet.src, 1));
+            out.push(AddressedMessage::new(triplet.src, 1));
         }
-        messages
     }
 
     fn msg_merge(&self, a: u32, b: u32) -> u32 {

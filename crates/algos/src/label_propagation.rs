@@ -93,15 +93,16 @@ impl GraphAlgorithm<u32, f64> for LabelPropagation {
         v
     }
 
-    fn msg_gen(
+    fn msg_gen_into(
         &self,
         triplet: &Triplet<u32, f64>,
         _iteration: usize,
-    ) -> Vec<AddressedMessage<LabelHistogram>> {
-        vec![AddressedMessage::new(
+        out: &mut Vec<AddressedMessage<LabelHistogram>>,
+    ) {
+        out.push(AddressedMessage::new(
             triplet.dst,
             LabelHistogram::singleton(triplet.src_attr),
-        )]
+        ));
     }
 
     fn msg_merge(&self, a: LabelHistogram, b: LabelHistogram) -> LabelHistogram {

@@ -64,16 +64,17 @@ impl GraphAlgorithm<RankValue, f64> for PageRank {
         }
     }
 
-    fn msg_gen(
+    fn msg_gen_into(
         &self,
         triplet: &Triplet<RankValue, f64>,
         _iteration: usize,
-    ) -> Vec<AddressedMessage<f64>> {
+        out: &mut Vec<AddressedMessage<f64>>,
+    ) {
         let out_degree = triplet.src_attr.out_degree.max(1) as f64;
-        vec![AddressedMessage::new(
+        out.push(AddressedMessage::new(
             triplet.dst,
             triplet.src_attr.rank / out_degree,
-        )]
+        ));
     }
 
     fn msg_merge(&self, a: f64, b: f64) -> f64 {

@@ -54,26 +54,33 @@ impl GraphAlgorithm<Distances, f64> for MultiSourceSssp {
             .collect()
     }
 
-    fn msg_gen(
+    fn msg_gen_into(
         &self,
         triplet: &Triplet<Distances, f64>,
         _iteration: usize,
-    ) -> Vec<AddressedMessage<Distances>> {
+        out: &mut Vec<AddressedMessage<Distances>>,
+    ) {
         // Relax the edge for every source whose distance at the source vertex
         // is finite; skip the message entirely if nothing can be relaxed.
         if triplet.src_attr.iter().all(|d| d.is_infinite()) {
-            return Vec::new();
+            return;
         }
         let candidate: Distances = triplet
             .src_attr
             .iter()
             .map(|d| d + triplet.edge_attr)
             .collect();
-        vec![AddressedMessage::new(triplet.dst, candidate)]
+        out.push(AddressedMessage::new(triplet.dst, candidate));
     }
 
-    fn msg_merge(&self, a: Distances, b: Distances) -> Distances {
-        a.iter().zip(&b).map(|(x, y)| x.min(*y)).collect()
+    /// Folds `min` into the owned left operand, reusing its allocation.  The
+    /// result has the shorter operand's length, as a column-wise `zip` would.
+    fn msg_merge(&self, mut a: Distances, b: Distances) -> Distances {
+        a.truncate(b.len());
+        for (x, y) in a.iter_mut().zip(&b) {
+            *x = x.min(*y);
+        }
+        a
     }
 
     fn msg_apply(
@@ -83,20 +90,18 @@ impl GraphAlgorithm<Distances, f64> for MultiSourceSssp {
         message: &Distances,
         _iteration: usize,
     ) -> Option<Distances> {
-        let mut improved = false;
-        let next: Distances = current
-            .iter()
-            .zip(message)
-            .map(|(cur, new)| {
-                if *new < *cur {
-                    improved = true;
-                    *new
-                } else {
-                    *cur
-                }
-            })
-            .collect();
-        improved.then_some(next)
+        // Most merged messages improve nothing: answer those before
+        // allocating the next distance vector.
+        if !current.iter().zip(message).any(|(cur, new)| new < cur) {
+            return None;
+        }
+        Some(
+            current
+                .iter()
+                .zip(message)
+                .map(|(cur, new)| if new < cur { *new } else { *cur })
+                .collect(),
+        )
     }
 
     fn initial_active(&self, num_vertices: usize) -> Option<Vec<VertexId>> {
@@ -245,6 +250,54 @@ mod tests {
         el.ensure_vertex(63); // add isolated vertices 16..=63
         let graph = PropertyGraph::from_edge_list(el, Vec::new()).unwrap();
         check_against_reference(&graph, vec![0], 2);
+    }
+
+    #[test]
+    fn in_place_merge_and_early_apply_match_the_collecting_forms() {
+        // The collecting forms the in-place ones replaced.
+        fn zip_merge(a: &Distances, b: &Distances) -> Distances {
+            a.iter().zip(b).map(|(x, y)| x.min(*y)).collect()
+        }
+        fn zip_apply(current: &Distances, message: &Distances) -> Option<Distances> {
+            let mut improved = false;
+            let next: Distances = current
+                .iter()
+                .zip(message)
+                .map(|(cur, new)| {
+                    if *new < *cur {
+                        improved = true;
+                        *new
+                    } else {
+                        *cur
+                    }
+                })
+                .collect();
+            improved.then_some(next)
+        }
+        let bits = |v: &Distances| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        let inf = f64::INFINITY;
+        let vectors: Vec<Distances> = vec![
+            vec![],
+            vec![0.0],
+            vec![inf, inf, inf, inf],
+            vec![1.0, inf, -inf, 3.5],
+            vec![2.0, 4.0, inf, 3.5],
+            vec![-inf, 0.5, 7.0],
+            vec![1.0, inf, -inf, 3.5, 9.0, inf],
+        ];
+        let algorithm = MultiSourceSssp::paper_default();
+        for a in &vectors {
+            for b in &vectors {
+                let merged = algorithm.msg_merge(a.clone(), b.clone());
+                assert_eq!(bits(&merged), bits(&zip_merge(a, b)), "merge {a:?} {b:?}");
+                let applied = algorithm.msg_apply(0, a, b, 0);
+                assert_eq!(
+                    applied.as_ref().map(bits),
+                    zip_apply(a, b).as_ref().map(bits),
+                    "apply {a:?} {b:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -150,9 +150,12 @@ where
 /// messages (in block order) to the caller's reusable `out` buffer.  Returns
 /// the number of blocks launched.  This is the unit of work an agent hands to
 /// a daemon — on the calling thread in serial mode, on the daemon's worker
-/// thread in threaded mode — and it copies no triplet and allocates nothing
-/// beyond `out`'s amortised growth (plus per-chunk staging on multi-lane
-/// backends).
+/// thread in threaded mode — and it copies no triplet.  The kernel appends
+/// through [`GraphAlgorithm::msg_gen_into`] straight into `out` (or a
+/// pooled per-chunk slot on multi-lane backends), so for flat message types
+/// it allocates nothing beyond `out`'s amortised growth (and, on multi-lane
+/// backends, one staging pool per share).  Message types that own heap data
+/// (multi-source SSSP's distance vectors) still allocate their payloads.
 ///
 /// # Errors
 /// A block the backend rejects (e.g. [`AccelError::OutOfMemory`] for a
@@ -425,7 +428,7 @@ impl Daemon {
             self.backend.launch(triplets.len(), &|chunk: ChunkSpec| {
                 let mut sink = lock_slot(&sink);
                 for triplet in &triplets[chunk.range] {
-                    sink.extend(algorithm.msg_gen(triplet, iteration));
+                    algorithm.msg_gen_into(triplet, iteration, &mut sink);
                 }
             })?
         } else {
@@ -437,7 +440,7 @@ impl Daemon {
             let timing = self.backend.launch(triplets.len(), &|chunk: ChunkSpec| {
                 let mut slot = lock_slot(&slots[chunk.index]);
                 for triplet in &triplets[chunk.range] {
-                    slot.extend(algorithm.msg_gen(triplet, iteration));
+                    algorithm.msg_gen_into(triplet, iteration, &mut slot);
                 }
             })?;
             // Drain in chunk order — serial item order by the chunk
@@ -529,11 +532,14 @@ mod tests {
         fn init_vertex(&self, _v: VertexId, _d: usize) -> f64 {
             f64::INFINITY
         }
-        fn msg_gen(&self, t: &Triplet<f64, f64>, _i: usize) -> Vec<AddressedMessage<f64>> {
+        fn msg_gen_into(
+            &self,
+            t: &Triplet<f64, f64>,
+            _i: usize,
+            out: &mut Vec<AddressedMessage<f64>>,
+        ) {
             if t.src_attr.is_finite() {
-                vec![AddressedMessage::new(t.dst, t.src_attr + t.edge_attr)]
-            } else {
-                Vec::new()
+                out.push(AddressedMessage::new(t.dst, t.src_attr + t.edge_attr));
             }
         }
         fn msg_merge(&self, a: f64, b: f64) -> f64 {
@@ -671,7 +677,7 @@ mod tests {
         let from_spec = Daemon::new("a", spec.clone(), keys.key_for(0, 0));
         let from_backend = Daemon::new(
             "b",
-            gxplug_accel::SimBackend::from_spec(&spec),
+            SimBackend::new(spec.name.clone(), spec.kind, spec.cost),
             keys.key_for(0, 1),
         );
         assert_eq!(from_spec.kind(), from_backend.kind());

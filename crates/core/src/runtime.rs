@@ -895,8 +895,13 @@ mod tests {
             fn init_vertex(&self, _v: VertexId, _d: usize) -> f64 {
                 0.0
             }
-            fn msg_gen(&self, t: &Triplet<f64, f64>, _i: usize) -> Vec<AddressedMessage<f64>> {
-                vec![AddressedMessage::new(t.dst, t.src_attr)]
+            fn msg_gen_into(
+                &self,
+                t: &Triplet<f64, f64>,
+                _i: usize,
+                out: &mut Vec<AddressedMessage<f64>>,
+            ) {
+                out.push(AddressedMessage::new(t.dst, t.src_attr));
             }
             fn msg_merge(&self, a: f64, _b: f64) -> f64 {
                 a
@@ -953,7 +958,12 @@ mod tests {
             fn init_vertex(&self, _v: VertexId, _d: usize) -> f64 {
                 0.0
             }
-            fn msg_gen(&self, _t: &Triplet<f64, f64>, _i: usize) -> Vec<AddressedMessage<f64>> {
+            fn msg_gen_into(
+                &self,
+                _t: &Triplet<f64, f64>,
+                _i: usize,
+                _out: &mut Vec<AddressedMessage<f64>>,
+            ) {
                 panic!("user kernel exploded")
             }
             fn msg_merge(&self, a: f64, _b: f64) -> f64 {
@@ -1031,12 +1041,17 @@ mod tests {
         fn init_vertex(&self, v: VertexId, _d: usize) -> f64 {
             v as f64
         }
-        fn msg_gen(&self, t: &Triplet<f64, f64>, _i: usize) -> Vec<AddressedMessage<f64>> {
+        fn msg_gen_into(
+            &self,
+            t: &Triplet<f64, f64>,
+            _i: usize,
+            out: &mut Vec<AddressedMessage<f64>>,
+        ) {
             if self.armed && t.edge_attr < 0.0 {
                 *self.exploded_on.lock().unwrap() = Some(thread::current().id());
                 panic!("user kernel exploded");
             }
-            vec![AddressedMessage::new(t.dst, t.src_attr * 0.5)]
+            out.push(AddressedMessage::new(t.dst, t.src_attr * 0.5));
         }
         fn msg_merge(&self, a: f64, b: f64) -> f64 {
             a + b

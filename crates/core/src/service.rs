@@ -2328,11 +2328,14 @@ mod tests {
                 f64::INFINITY
             }
         }
-        fn msg_gen(&self, t: &Triplet<f64, f64>, _i: usize) -> Vec<AddressedMessage<f64>> {
+        fn msg_gen_into(
+            &self,
+            t: &Triplet<f64, f64>,
+            _i: usize,
+            out: &mut Vec<AddressedMessage<f64>>,
+        ) {
             if t.src_attr.is_finite() {
-                vec![AddressedMessage::new(t.dst, t.src_attr + t.edge_attr)]
-            } else {
-                Vec::new()
+                out.push(AddressedMessage::new(t.dst, t.src_attr + t.edge_attr));
             }
         }
         fn msg_merge(&self, a: f64, b: f64) -> f64 {
@@ -2350,7 +2353,7 @@ mod tests {
     }
 
     /// A gate the test holds closed while it stuffs the queue: the worker
-    /// blocks in the job's first `msg_gen` until released.
+    /// blocks in the job's first `msg_gen_into` until released.
     #[derive(Clone, Default)]
     struct GateControl(Arc<(Mutex<bool>, Condvar)>);
 
@@ -2381,9 +2384,14 @@ mod tests {
         fn init_vertex(&self, v: VertexId, d: usize) -> f64 {
             GraphAlgorithm::init_vertex(&self.inner, v, d)
         }
-        fn msg_gen(&self, t: &Triplet<f64, f64>, i: usize) -> Vec<AddressedMessage<f64>> {
+        fn msg_gen_into(
+            &self,
+            t: &Triplet<f64, f64>,
+            i: usize,
+            out: &mut Vec<AddressedMessage<f64>>,
+        ) {
             self.gate.wait_open();
-            GraphAlgorithm::msg_gen(&self.inner, t, i)
+            GraphAlgorithm::msg_gen_into(&self.inner, t, i, out)
         }
         fn msg_merge(&self, a: f64, b: f64) -> f64 {
             GraphAlgorithm::msg_merge(&self.inner, a, b)
@@ -2425,8 +2433,13 @@ mod tests {
             self.once.call_once(|| lock(&self.log).push(self.tag));
             GraphAlgorithm::init_vertex(&self.inner, v, d)
         }
-        fn msg_gen(&self, t: &Triplet<f64, f64>, i: usize) -> Vec<AddressedMessage<f64>> {
-            GraphAlgorithm::msg_gen(&self.inner, t, i)
+        fn msg_gen_into(
+            &self,
+            t: &Triplet<f64, f64>,
+            i: usize,
+            out: &mut Vec<AddressedMessage<f64>>,
+        ) {
+            GraphAlgorithm::msg_gen_into(&self.inner, t, i, out)
         }
         fn msg_merge(&self, a: f64, b: f64) -> f64 {
             GraphAlgorithm::msg_merge(&self.inner, a, b)
@@ -2450,7 +2463,12 @@ mod tests {
         fn init_vertex(&self, _v: VertexId, _d: usize) -> f64 {
             0.0
         }
-        fn msg_gen(&self, _t: &Triplet<f64, f64>, _i: usize) -> Vec<AddressedMessage<f64>> {
+        fn msg_gen_into(
+            &self,
+            _t: &Triplet<f64, f64>,
+            _i: usize,
+            _out: &mut Vec<AddressedMessage<f64>>,
+        ) {
             panic!("injected job failure");
         }
         fn msg_merge(&self, a: f64, _b: f64) -> f64 {
@@ -2945,8 +2963,13 @@ mod tests {
         fn init_vertex(&self, v: VertexId, d: usize) -> f64 {
             GraphAlgorithm::init_vertex(&self.inner, v, d)
         }
-        fn msg_gen(&self, t: &Triplet<f64, f64>, i: usize) -> Vec<AddressedMessage<f64>> {
-            GraphAlgorithm::msg_gen(&self.inner, t, i)
+        fn msg_gen_into(
+            &self,
+            t: &Triplet<f64, f64>,
+            i: usize,
+            out: &mut Vec<AddressedMessage<f64>>,
+        ) {
+            GraphAlgorithm::msg_gen_into(&self.inner, t, i, out)
         }
         fn msg_merge(&self, a: f64, b: f64) -> f64 {
             GraphAlgorithm::msg_merge(&self.inner, a, b)
@@ -3058,8 +3081,13 @@ mod tests {
         fn init_vertex(&self, v: VertexId, d: usize) -> f64 {
             GraphAlgorithm::init_vertex(&self.inner, v, d)
         }
-        fn msg_gen(&self, t: &Triplet<f64, f64>, i: usize) -> Vec<AddressedMessage<f64>> {
-            GraphAlgorithm::msg_gen(&self.inner, t, i)
+        fn msg_gen_into(
+            &self,
+            t: &Triplet<f64, f64>,
+            i: usize,
+            out: &mut Vec<AddressedMessage<f64>>,
+        ) {
+            GraphAlgorithm::msg_gen_into(&self.inner, t, i, out)
         }
         fn msg_merge(&self, a: f64, b: f64) -> f64 {
             GraphAlgorithm::msg_merge(&self.inner, a, b)
@@ -3433,18 +3461,19 @@ mod tests {
                 .map(|&s| if s == v { 0.0 } else { f64::INFINITY })
                 .collect()
         }
-        fn msg_gen(
+        fn msg_gen_into(
             &self,
             t: &Triplet<Vec<f64>, f64>,
             _i: usize,
-        ) -> Vec<AddressedMessage<Vec<f64>>> {
+            out: &mut Vec<AddressedMessage<Vec<f64>>>,
+        ) {
             if t.src_attr.iter().all(|d| d.is_infinite()) {
-                return Vec::new();
+                return;
             }
-            vec![AddressedMessage::new(
+            out.push(AddressedMessage::new(
                 t.dst,
                 t.src_attr.iter().map(|d| d + t.edge_attr).collect(),
-            )]
+            ));
         }
         fn msg_merge(&self, a: Vec<f64>, b: Vec<f64>) -> Vec<f64> {
             a.iter().zip(&b).map(|(x, y)| x.min(*y)).collect()
@@ -3505,9 +3534,14 @@ mod tests {
         fn init_vertex(&self, v: VertexId, d: usize) -> Vec<f64> {
             GraphAlgorithm::init_vertex(&self.inner, v, d)
         }
-        fn msg_gen(&self, t: &Triplet<Vec<f64>, f64>, i: usize) -> Vec<AddressedMessage<Vec<f64>>> {
+        fn msg_gen_into(
+            &self,
+            t: &Triplet<Vec<f64>, f64>,
+            i: usize,
+            out: &mut Vec<AddressedMessage<Vec<f64>>>,
+        ) {
             self.gate.wait_open();
-            GraphAlgorithm::msg_gen(&self.inner, t, i)
+            GraphAlgorithm::msg_gen_into(&self.inner, t, i, out)
         }
         fn msg_merge(&self, a: Vec<f64>, b: Vec<f64>) -> Vec<f64> {
             GraphAlgorithm::msg_merge(&self.inner, a, b)

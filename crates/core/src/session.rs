@@ -1141,11 +1141,14 @@ mod tests {
                 f64::INFINITY
             }
         }
-        fn msg_gen(&self, t: &Triplet<f64, f64>, _i: usize) -> Vec<AddressedMessage<f64>> {
+        fn msg_gen_into(
+            &self,
+            t: &Triplet<f64, f64>,
+            _i: usize,
+            out: &mut Vec<AddressedMessage<f64>>,
+        ) {
             if t.src_attr.is_finite() {
-                vec![AddressedMessage::new(t.dst, t.src_attr + t.edge_attr)]
-            } else {
-                Vec::new()
+                out.push(AddressedMessage::new(t.dst, t.src_attr + t.edge_attr));
             }
         }
         fn msg_merge(&self, a: f64, b: f64) -> f64 {

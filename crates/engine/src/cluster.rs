@@ -965,8 +965,12 @@ where
     let mut merged: DenseSlots<A::Msg> = DenseSlots::with_capacity(node.num_vertices());
     merged.begin();
     let mut overflow: Vec<AddressedMessage<A::Msg>> = Vec::new();
+    // One scratch sink for every triplet: drained after each kernel call, so
+    // its capacity is reused and the loop allocates only when it grows.
+    let mut generated: Vec<AddressedMessage<A::Msg>> = Vec::new();
     for triplet in &triplets {
-        for message in algorithm.msg_gen(triplet, iteration) {
+        algorithm.msg_gen_into(triplet, iteration, &mut generated);
+        for message in generated.drain(..) {
             match node.vertex_table().local_of(message.target) {
                 Some(local) => merged.merge(local, message.payload, |existing, payload| {
                     algorithm.msg_merge(existing, payload)
@@ -1019,18 +1023,17 @@ mod tests {
                 f64::INFINITY
             }
         }
-        fn msg_gen(
+        fn msg_gen_into(
             &self,
             triplet: &Triplet<f64, f64>,
             _iteration: usize,
-        ) -> Vec<AddressedMessage<f64>> {
+            out: &mut Vec<AddressedMessage<f64>>,
+        ) {
             if triplet.src_attr.is_finite() {
-                vec![AddressedMessage::new(
+                out.push(AddressedMessage::new(
                     triplet.dst,
                     triplet.src_attr + triplet.edge_attr,
-                )]
-            } else {
-                Vec::new()
+                ));
             }
         }
         fn msg_merge(&self, a: f64, b: f64) -> f64 {

@@ -638,12 +638,13 @@ mod tests {
         fn init_vertex(&self, v: VertexId, _out_degree: usize) -> u32 {
             v
         }
-        fn msg_gen(
+        fn msg_gen_into(
             &self,
             triplet: &Triplet<u32, f64>,
             _iteration: usize,
-        ) -> Vec<AddressedMessage<u32>> {
-            vec![AddressedMessage::new(triplet.dst, triplet.src_attr)]
+            out: &mut Vec<AddressedMessage<u32>>,
+        ) {
+            out.push(AddressedMessage::new(triplet.dst, triplet.src_attr));
         }
         fn msg_merge(&self, a: u32, b: u32) -> u32 {
             a.min(b)

@@ -11,6 +11,18 @@
 //! * the native (non-accelerated) execution paths of the BSP and GAS engines
 //!   in this crate, and
 //! * the daemon-side accelerated execution in `gxplug-core`.
+//!
+//! # The `MSGGen` kernel contract
+//!
+//! In the paper a daemon runs `MSGGen` over a triplet block and writes the
+//! messages into the shared memory space its agent drains.  Here that space
+//! is a caller-owned buffer: [`GraphAlgorithm::msg_gen_into`] *appends* zero
+//! or more messages to `out` and never reads, reorders or clears what is
+//! already there.  The daemon passes its pooled per-share buffer straight
+//! through, so for flat message types (`f64`, integers, small `Copy`
+//! structs) a steady-state superstep generates every message without a heap
+//! allocation.  [`GraphAlgorithm::msg_gen`] is only a convenience wrapper
+//! for one-off calls; the superstep path never uses it.
 
 use gxplug_graph::mutate::MutationScope;
 use gxplug_graph::types::{Triplet, VertexId};
@@ -69,13 +81,32 @@ pub trait GraphAlgorithm<V, E>: Send + Sync {
     fn init_vertex(&self, v: VertexId, out_degree: usize) -> V;
 
     /// `MSGGen()` — given an edge triplet whose *source* vertex is active,
-    /// produce messages (usually one, to the destination).  Called once per
-    /// active triplet per iteration.
+    /// append its messages (usually one, to the destination) to `out`.
+    /// Called once per active triplet per iteration.
+    ///
+    /// The kernel contract: append zero or more messages and never read or
+    /// clear `out` — it holds the messages of earlier triplets, and their
+    /// order is part of the deterministic message stream.
+    fn msg_gen_into(
+        &self,
+        triplet: &Triplet<V, E>,
+        iteration: usize,
+        out: &mut Vec<AddressedMessage<Self::Msg>>,
+    );
+
+    /// [`msg_gen_into`](GraphAlgorithm::msg_gen_into) into a fresh `Vec`,
+    /// for one-off calls.
+    ///
+    /// Never override: the superstep path calls `msg_gen_into`.
     fn msg_gen(
         &self,
         triplet: &Triplet<V, E>,
         iteration: usize,
-    ) -> Vec<AddressedMessage<Self::Msg>>;
+    ) -> Vec<AddressedMessage<Self::Msg>> {
+        let mut out = Vec::new();
+        self.msg_gen_into(triplet, iteration, &mut out);
+        out
+    }
 
     /// `MSGMerge()` — combine two messages addressed to the same vertex.
     fn msg_merge(&self, a: Self::Msg, b: Self::Msg) -> Self::Msg;
@@ -112,11 +143,12 @@ pub trait GraphAlgorithm<V, E>: Send + Sync {
         false
     }
 
-    /// Returns `true` if `msg_gen` reads the *destination* vertex attribute
-    /// (or addresses messages back to the source), as connected-components
-    /// style algorithms do.  Synchronization skipping must then only trigger
-    /// when a changed vertex's in-edges are co-located with its master too,
-    /// otherwise a stale replica could be read on another node.  Forward-only
+    /// Returns `true` if `msg_gen_into` reads the *destination* vertex
+    /// attribute (or addresses messages back to the source), as
+    /// connected-components style algorithms do.  Synchronization skipping
+    /// must then only trigger when a changed vertex's in-edges are
+    /// co-located with its master too, otherwise a stale replica could be
+    /// read on another node.  Forward-only
     /// algorithms (SSSP, PageRank, LP) keep the default `false`, which matches
     /// the paper's "updated vertex and its outer edges" condition exactly.
     fn reads_destination_attribute(&self) -> bool {
@@ -260,8 +292,13 @@ pub trait GraphAlgorithm<V, E>: Send + Sync {
 pub trait DynAlgorithm<V, E, M>: Send + Sync {
     /// See [`GraphAlgorithm::init_vertex`].
     fn init_vertex(&self, v: VertexId, out_degree: usize) -> V;
-    /// See [`GraphAlgorithm::msg_gen`].
-    fn msg_gen(&self, triplet: &Triplet<V, E>, iteration: usize) -> Vec<AddressedMessage<M>>;
+    /// See [`GraphAlgorithm::msg_gen_into`].
+    fn msg_gen_into(
+        &self,
+        triplet: &Triplet<V, E>,
+        iteration: usize,
+        out: &mut Vec<AddressedMessage<M>>,
+    );
     /// See [`GraphAlgorithm::msg_merge`].
     fn msg_merge(&self, a: M, b: M) -> M;
     /// See [`GraphAlgorithm::msg_apply`].
@@ -296,8 +333,13 @@ where
         GraphAlgorithm::init_vertex(self, v, out_degree)
     }
 
-    fn msg_gen(&self, triplet: &Triplet<V, E>, iteration: usize) -> Vec<AddressedMessage<A::Msg>> {
-        GraphAlgorithm::msg_gen(self, triplet, iteration)
+    fn msg_gen_into(
+        &self,
+        triplet: &Triplet<V, E>,
+        iteration: usize,
+        out: &mut Vec<AddressedMessage<A::Msg>>,
+    ) {
+        GraphAlgorithm::msg_gen_into(self, triplet, iteration, out)
     }
 
     fn msg_merge(&self, a: A::Msg, b: A::Msg) -> A::Msg {
@@ -415,8 +457,13 @@ where
         self.inner.init_vertex(v, out_degree)
     }
 
-    fn msg_gen(&self, triplet: &Triplet<V, E>, iteration: usize) -> Vec<AddressedMessage<M>> {
-        self.inner.msg_gen(triplet, iteration)
+    fn msg_gen_into(
+        &self,
+        triplet: &Triplet<V, E>,
+        iteration: usize,
+        out: &mut Vec<AddressedMessage<M>>,
+    ) {
+        self.inner.msg_gen_into(triplet, iteration, out)
     }
 
     fn msg_merge(&self, a: M, b: M) -> M {
@@ -509,8 +556,13 @@ mod tests {
                 f64::INFINITY
             }
         }
-        fn msg_gen(&self, t: &Triplet<f64, f64>, _i: usize) -> Vec<AddressedMessage<f64>> {
-            vec![AddressedMessage::new(t.dst, t.src_attr + t.edge_attr)]
+        fn msg_gen_into(
+            &self,
+            t: &Triplet<f64, f64>,
+            _i: usize,
+            out: &mut Vec<AddressedMessage<f64>>,
+        ) {
+            out.push(AddressedMessage::new(t.dst, t.src_attr + t.edge_attr));
         }
         fn msg_merge(&self, a: f64, b: f64) -> f64 {
             a.min(b)
@@ -532,8 +584,13 @@ mod tests {
         fn init_vertex(&self, v: VertexId, _d: usize) -> f64 {
             v as f64
         }
-        fn msg_gen(&self, t: &Triplet<f64, f64>, _i: usize) -> Vec<AddressedMessage<f64>> {
-            vec![AddressedMessage::new(t.dst, t.src_attr)]
+        fn msg_gen_into(
+            &self,
+            t: &Triplet<f64, f64>,
+            _i: usize,
+            out: &mut Vec<AddressedMessage<f64>>,
+        ) {
+            out.push(AddressedMessage::new(t.dst, t.src_attr));
         }
         fn msg_merge(&self, a: f64, b: f64) -> f64 {
             a.max(b)
@@ -590,6 +647,26 @@ mod tests {
             GraphAlgorithm::max_iterations(&shared),
             GraphAlgorithm::max_iterations(&MinProp)
         );
+    }
+
+    #[test]
+    fn msg_gen_into_appends_through_the_erased_handle() {
+        // The kernel contract: earlier messages in the sink are kept, in
+        // order, and the wrapper yields exactly what was appended.
+        let shared = SharedAlgorithm::new(MinProp);
+        let triplet = Triplet::new(0, 1, 2.0, f64::INFINITY, 3.0);
+        let mut out = vec![AddressedMessage::new(9, -1.0)];
+        GraphAlgorithm::msg_gen_into(&shared, &triplet, 0, &mut out);
+        GraphAlgorithm::msg_gen_into(&MinProp, &triplet, 0, &mut out);
+        assert_eq!(
+            out,
+            vec![
+                AddressedMessage::new(9, -1.0),
+                AddressedMessage::new(1, 5.0),
+                AddressedMessage::new(1, 5.0),
+            ]
+        );
+        assert_eq!(GraphAlgorithm::msg_gen(&shared, &triplet, 0), out[2..]);
     }
 
     #[test]

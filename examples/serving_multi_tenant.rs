@@ -46,9 +46,14 @@ impl GraphAlgorithm<TenantVertex, f64> for RankJob {
         }
     }
 
-    fn msg_gen(&self, t: &Triplet<TenantVertex, f64>, _i: usize) -> Vec<AddressedMessage<f64>> {
+    fn msg_gen_into(
+        &self,
+        t: &Triplet<TenantVertex, f64>,
+        _i: usize,
+        out: &mut Vec<AddressedMessage<f64>>,
+    ) {
         let degree = t.src_attr.degree.max(1) as f64;
-        vec![AddressedMessage::new(t.dst, t.src_attr.rank / degree)]
+        out.push(AddressedMessage::new(t.dst, t.src_attr.rank / degree));
     }
 
     fn msg_merge(&self, a: f64, b: f64) -> f64 {
@@ -99,11 +104,14 @@ impl GraphAlgorithm<TenantVertex, f64> for ReachJob {
         }
     }
 
-    fn msg_gen(&self, t: &Triplet<TenantVertex, f64>, _i: usize) -> Vec<AddressedMessage<f64>> {
+    fn msg_gen_into(
+        &self,
+        t: &Triplet<TenantVertex, f64>,
+        _i: usize,
+        out: &mut Vec<AddressedMessage<f64>>,
+    ) {
         if t.src_attr.dist.is_finite() {
-            vec![AddressedMessage::new(t.dst, t.src_attr.dist + t.edge_attr)]
-        } else {
-            Vec::new()
+            out.push(AddressedMessage::new(t.dst, t.src_attr.dist + t.edge_attr));
         }
     }
 

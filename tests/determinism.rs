@@ -861,14 +861,19 @@ impl GraphAlgorithm<Vec<f64>, f64> for GatedMulti {
     fn init_vertex(&self, v: VertexId, d: usize) -> Vec<f64> {
         GraphAlgorithm::init_vertex(&self.inner, v, d)
     }
-    fn msg_gen(&self, t: &Triplet<Vec<f64>, f64>, i: usize) -> Vec<AddressedMessage<Vec<f64>>> {
+    fn msg_gen_into(
+        &self,
+        t: &Triplet<Vec<f64>, f64>,
+        i: usize,
+        out: &mut Vec<AddressedMessage<Vec<f64>>>,
+    ) {
         let (flag, condvar) = &*self.gate;
         let mut open = flag.lock().unwrap();
         while !*open {
             open = condvar.wait(open).unwrap();
         }
         drop(open);
-        GraphAlgorithm::msg_gen(&self.inner, t, i)
+        GraphAlgorithm::msg_gen_into(&self.inner, t, i, out)
     }
     fn msg_merge(&self, a: Vec<f64>, b: Vec<f64>) -> Vec<f64> {
         GraphAlgorithm::msg_merge(&self.inner, a, b)

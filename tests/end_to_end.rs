@@ -387,11 +387,12 @@ fn panicking_job_poisons_only_its_own_session() {
         fn init_vertex(&self, _v: VertexId, _d: usize) -> Vec<f64> {
             vec![0.0]
         }
-        fn msg_gen(
+        fn msg_gen_into(
             &self,
             _t: &Triplet<Vec<f64>, f64>,
             _i: usize,
-        ) -> Vec<AddressedMessage<Vec<f64>>> {
+            _out: &mut Vec<AddressedMessage<Vec<f64>>>,
+        ) {
             panic!("poison pill");
         }
         fn msg_merge(&self, a: Vec<f64>, _b: Vec<f64>) -> Vec<f64> {

@@ -14,16 +14,57 @@
 //! * the session's pooled triplet arenas prove the *allocation* story: a
 //!   reused session re-running a workload it has seen performs zero arena
 //!   reallocations — warm-up discovers the peak, steady state refills in
-//!   place.
+//!   place;
+//! * a counting global allocator proves the *message* path is
+//!   allocation-free too: `MSGGen` appends into the daemon's pooled message
+//!   buffer, so a warm agent's superstep allocates a constant handful of
+//!   times, not once per triplet.
 
+use gx_plug::engine::node::NodeState;
+use gx_plug::ipc::key::KeyGenerator;
 use gx_plug::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Serialises the tests of this binary: both clone counting edges into the
-/// process-global [`EDGE_CLONES`] counter, and cargo runs `#[test]` fns on
+/// Serialises the tests of this binary: they count edge clones and heap
+/// allocations into process-global counters, and cargo runs `#[test]` fns on
 /// parallel threads by default.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+/// Forwards to [`System`], counting every allocation and reallocation.
+struct CountingAllocator;
+
+/// Global count of heap allocations (including reallocations).  A statistic
+/// that publishes no other data, hence `Relaxed` increments.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter increment neither
+// allocates nor touches the memory being managed.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn serialize_test() -> MutexGuard<'static, ()> {
     TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
@@ -58,11 +99,14 @@ impl GraphAlgorithm<f64, CountingEdge> for Relax {
             f64::INFINITY
         }
     }
-    fn msg_gen(&self, t: &Triplet<f64, CountingEdge>, _i: usize) -> Vec<AddressedMessage<f64>> {
+    fn msg_gen_into(
+        &self,
+        t: &Triplet<f64, CountingEdge>,
+        _i: usize,
+        out: &mut Vec<AddressedMessage<f64>>,
+    ) {
         if t.src_attr.is_finite() {
-            vec![AddressedMessage::new(t.dst, t.src_attr + t.edge_attr.0)]
-        } else {
-            Vec::new()
+            out.push(AddressedMessage::new(t.dst, t.src_attr + t.edge_attr.0));
         }
     }
     fn msg_merge(&self, a: f64, b: f64) -> f64 {
@@ -191,4 +235,54 @@ fn reused_sessions_reach_zero_arena_reallocations_at_steady_state() {
             "node {node}: steady-state refills must not touch the allocator"
         );
     }
+}
+
+#[test]
+fn warm_agent_supersteps_allocate_far_less_than_once_per_triplet() {
+    let _guard = serialize_test();
+    let rank = RankValue {
+        rank: 1.0,
+        out_degree: 0,
+    };
+    let graph = PropertyGraph::from_edge_list(Rmat::new(11, 8.0).generate(5), rank).unwrap();
+    let partitioning = HashEdgePartitioner::new(0).partition(&graph, 1).unwrap();
+    let algorithm = PageRank::new(10);
+    let mut node = NodeState::build(0, &graph, &partitioning, &algorithm);
+    let keys = KeyGenerator::new(2);
+    let daemons = vec![
+        Daemon::new("gpu", gpu_v100("gpu"), keys.key_for(0, 0)),
+        Daemon::new("cpu", cpu_xeon_20c("cpu"), keys.key_for(0, 1)),
+    ];
+    let mut agent = Agent::new(
+        0,
+        daemons,
+        RuntimeProfile::powergraph(),
+        MiddlewareConfig::default(),
+        node.num_vertices(),
+    );
+    agent.connect();
+
+    // Warm-up supersteps size every pooled buffer: the triplet arena, the
+    // per-daemon message buffers, the dense merge slots, the sync cache.
+    for iteration in 0..2 {
+        node.activate_all();
+        agent
+            .process_iteration(&mut node, &algorithm, iteration)
+            .unwrap();
+    }
+
+    node.activate_all();
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let output = agent.process_iteration(&mut node, &algorithm, 2).unwrap();
+    let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
+
+    let triplets = output.triplets_processed as u64;
+    assert!(triplets >= 10_000, "only {triplets} triplets on the node");
+    // One allocation per triplet would mean `MSGGen` returns a fresh `Vec`
+    // per edge; what remains is per-superstep bookkeeping (the merged output
+    // vector and the like), independent of the edge count.
+    assert!(
+        allocations < triplets / 64,
+        "{allocations} allocations for {triplets} triplets in one warm superstep"
+    );
 }
