@@ -29,6 +29,7 @@ use gxplug_graph::partition::Partitioning;
 use gxplug_graph::types::VertexId;
 use gxplug_ipc::blocks::triplet_block_views;
 use std::collections::HashMap;
+use std::marker::PhantomData;
 
 /// Fraction by which Lux's hand-tuned kernels beat the generic daemon kernels
 /// on the same device (GPU-internal optimisation edge).
@@ -214,7 +215,7 @@ where
         middleware_time: SimDuration::ZERO,
         triplets_processed: triplets.len(),
         messages,
-        pre_applied: Vec::new(),
+        vertex_type: PhantomData,
     }
 }
 

@@ -44,6 +44,7 @@ use gxplug_engine::template::{AddressedMessage, GraphAlgorithm};
 use gxplug_graph::dense::{DenseSlots, FrontierSet};
 use gxplug_graph::types::PartitionId;
 use gxplug_graph::view::TripletBuffer;
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -397,7 +398,7 @@ where
             middleware_time: overhead_time,
             triplets_processed: d,
             messages,
-            pre_applied: Vec::new(),
+            vertex_type: PhantomData,
         }
     }
 }

@@ -8,6 +8,14 @@
 //! compared fairly), followed by a global *synchronisation* phase that routes
 //! messages to master vertices, applies them, refreshes replicas and
 //! re-computes the active frontier.
+//!
+//! The synchronisation is *owner-computes over dense local ids*: one routing
+//! table, derived from the nodes' vertex tables at build and after every
+//! mutation batch, names each vertex's master row `(node, local id)` and,
+//! per master row, the `(node, local id)` of every mirror — GraphX's routing
+//! table, laid out as a flat array plus one CSR per node.  Applying a message
+//! and refreshing a replica are then array loads in ascending local order,
+//! with no per-vertex heap list and no global → local lookup.
 
 use crate::fanout::{fan_out, settle, worth_fanning_out, Lane};
 use crate::metrics::{IterationMetrics, RunReport};
@@ -16,12 +24,13 @@ use crate::node::NodeState;
 use crate::profile::RuntimeProfile;
 use crate::template::{AddressedMessage, GraphAlgorithm};
 use gxplug_accel::SimDuration;
-use gxplug_graph::dense::DenseSlots;
+use gxplug_graph::dense::{DenseSlots, FrontierSet};
 use gxplug_graph::graph::PropertyGraph;
 use gxplug_graph::partition::Partitioning;
-use gxplug_graph::types::{PartitionId, VertexId};
+use gxplug_graph::types::{Edge, PartitionId, VertexId};
 use serde::{Deserialize, Serialize};
 use std::convert::Infallible;
+use std::marker::PhantomData;
 use std::sync::Arc;
 use std::thread::{self, Scope};
 
@@ -210,10 +219,9 @@ pub struct NodeComputeOutput<V, M> {
     /// Messages produced by `MSGGen`, merged per target vertex *within this
     /// node* (`MSGMerge`), still to be applied at the targets' master nodes.
     pub messages: Vec<AddressedMessage<M>>,
-    /// New values the compute phase already wrote for locally mastered
-    /// vertices, if any (used by accelerated paths that apply locally; native
-    /// execution leaves this empty and lets the cluster apply).
-    pub pre_applied: Vec<(VertexId, V)>,
+    /// Zero-sized: types the output by the vertex value `V` of the nodes
+    /// that produced it.
+    pub vertex_type: PhantomData<fn() -> V>,
 }
 
 impl<V, M> NodeComputeOutput<V, M> {
@@ -224,30 +232,127 @@ impl<V, M> NodeComputeOutput<V, M> {
             middleware_time: SimDuration::ZERO,
             triplets_processed: 0,
             messages: Vec::new(),
-            pre_applied: Vec::new(),
+            vertex_type: PhantomData,
         }
     }
 }
 
-/// Pooled dense scratch for the synchronisation phase, allocated once per run
-/// and reset with an epoch bump each iteration — the global vertex space is
-/// dense `0..num_vertices`, so global ids index the slots directly.
-struct SyncScratch<V, M> {
-    /// Per-target merged message of the current iteration.
+/// Pooled scratch for the synchronisation phase, allocated once per run and
+/// reset with an epoch bump each iteration.
+struct SyncScratch<M> {
+    /// Per-target merged message of the current iteration, indexed by
+    /// global id (the global vertex space is dense `0..num_vertices`).
     merged: DenseSlots<M>,
-    /// The vertices whose value changed this iteration.  A vertex changed by
-    /// `msg_apply` holds `None`: its new value is read back from the master
-    /// row it was written to, not cloned a second time.  Only a value the
-    /// compute phase pre-applied travels here.
-    changed: DenseSlots<Option<V>>,
+    /// Per node, the local ids of the master rows whose value changed this
+    /// iteration; the ascending scan is the refresh order.
+    changed: Vec<FrontierSet>,
 }
 
-impl<V, M> SyncScratch<V, M> {
-    fn new(num_vertices: usize) -> Self {
+impl<M> SyncScratch<M> {
+    fn new<V, E>(num_vertices: usize, nodes: &[NodeState<V, E>]) -> Self {
         Self {
             merged: DenseSlots::with_capacity(num_vertices),
-            changed: DenseSlots::with_capacity(num_vertices),
+            changed: nodes
+                .iter()
+                .map(|node| FrontierSet::new(node.num_vertices()))
+                .collect(),
         }
+    }
+}
+
+/// [`SyncRoutes::owner`] of a vertex no node masters (a broken partitioning).
+const NO_OWNER: (u32, u32) = (u32::MAX, u32::MAX);
+
+/// The cluster's routing table over dense local ids: where each vertex's
+/// master row lives, and where each master row's mirrors live.
+///
+/// Derived from the node vertex tables and their `is_master` flags alone (no
+/// graph walk), so it is rebuilt in O(Σ locals) whenever they change.
+#[derive(Debug, Clone)]
+struct SyncRoutes {
+    /// Indexed by global id: `(master node, local id on the master)`.
+    owner: Vec<(u32, u32)>,
+    /// Per node, a CSR over its locals: `mirrors[offsets[l]..offsets[l + 1]]`
+    /// lists `(node, local id there)` for every non-master replica of the
+    /// vertex at local `l` (empty unless `l` is a master row), ascending by
+    /// node.
+    nodes: Vec<MirrorCsr>,
+}
+
+/// One node's mirror lists (see [`SyncRoutes::nodes`]).
+#[derive(Debug, Clone)]
+struct MirrorCsr {
+    offsets: Vec<u32>,
+    mirrors: Vec<(u32, u32)>,
+}
+
+impl SyncRoutes {
+    fn build<V, E>(nodes: &[NodeState<V, E>], num_vertices: usize) -> Self {
+        let mut owner = vec![NO_OWNER; num_vertices];
+        for (node_id, node) in nodes.iter().enumerate() {
+            for (local, row) in node.vertex_table().rows().enumerate() {
+                if row.is_master {
+                    owner[row.id as usize] = (node_id as u32, local as u32);
+                }
+            }
+        }
+        // Every mirror row as `(master local, (node, local))`, grouped by
+        // master node, in node order then local order.
+        let mut found: Vec<Vec<(u32, (u32, u32))>> = vec![Vec::new(); nodes.len()];
+        for (node_id, node) in nodes.iter().enumerate() {
+            for (local, row) in node.vertex_table().rows().enumerate() {
+                let (master, master_local) = owner[row.id as usize];
+                if !row.is_master && master != NO_OWNER.0 {
+                    found[master as usize].push((master_local, (node_id as u32, local as u32)));
+                }
+            }
+        }
+        let csrs = found
+            .into_iter()
+            .zip(nodes)
+            .map(|(found, node)| {
+                // Counting sort by master local: stable, so each list keeps
+                // node order.
+                let mut offsets = vec![0u32; node.num_vertices() + 1];
+                for &(local, _) in &found {
+                    offsets[local as usize + 1] += 1;
+                }
+                for i in 1..offsets.len() {
+                    offsets[i] += offsets[i - 1];
+                }
+                let mut cursor = offsets.clone();
+                let mut mirrors = vec![(0, 0); found.len()];
+                for (local, mirror) in found {
+                    mirrors[cursor[local as usize] as usize] = mirror;
+                    cursor[local as usize] += 1;
+                }
+                MirrorCsr { offsets, mirrors }
+            })
+            .collect();
+        Self { owner, nodes: csrs }
+    }
+}
+
+impl MirrorCsr {
+    /// The mirrors of the master row at `local`.
+    #[inline]
+    fn of(&self, local: u32) -> &[(u32, u32)] {
+        let local = local as usize;
+        &self.mirrors[self.offsets[local] as usize..self.offsets[local + 1] as usize]
+    }
+}
+
+/// Clears `out_local[src]` / `in_local[dst]` for every placed `(part, edge)`
+/// whose part is not that endpoint's master part.
+fn record_edge_placement<'a, E: 'a>(
+    out_local: &mut [bool],
+    in_local: &mut [bool],
+    partitioning: &Partitioning,
+    placed: impl IntoIterator<Item = (PartitionId, &'a Edge<E>)>,
+) {
+    for (part, edge) in placed {
+        out_local[edge.src as usize] &= part == partitioning.master_of(edge.src);
+        in_local[edge.dst as usize] &= part == partitioning.master_of(edge.dst);
     }
 }
 
@@ -267,12 +372,12 @@ struct SyncOutcome {
 pub struct Cluster<V, E> {
     nodes: Vec<NodeState<V, E>>,
     partitioning: Arc<Partitioning>,
-    /// For every vertex, the parts holding a replica of it.
-    replica_locations: Vec<Vec<PartitionId>>,
-    /// For every vertex, the parts holding at least one of its out-edges.
-    out_edge_parts: Vec<Vec<PartitionId>>,
-    /// For every vertex, the parts holding at least one of its in-edges.
-    in_edge_parts: Vec<Vec<PartitionId>>,
+    /// Master and mirror rows of every vertex, in dense local ids.
+    routes: SyncRoutes,
+    /// For every vertex, whether all of its out-edges lie on its master part.
+    out_local: Vec<bool>,
+    /// For every vertex, whether all of its in-edges lie on its master part.
+    in_local: Vec<bool>,
     profile: RuntimeProfile,
     network: NetworkModel,
     num_vertices: usize,
@@ -299,31 +404,25 @@ where
         let nodes: Vec<NodeState<V, E>> = (0..partitioning.num_parts())
             .map(|id| NodeState::build(id, graph, &partitioning, algorithm))
             .collect();
-        let mut replica_locations = vec![Vec::new(); num_vertices];
-        for (part_id, part) in partitioning.parts().iter().enumerate() {
-            for &v in &part.vertices {
-                replica_locations[v as usize].push(part_id);
-            }
-        }
-        let mut out_edge_parts: Vec<Vec<PartitionId>> = vec![Vec::new(); num_vertices];
-        let mut in_edge_parts: Vec<Vec<PartitionId>> = vec![Vec::new(); num_vertices];
-        for (edge_id, edge) in graph.edges().iter().enumerate() {
-            let part = partitioning.part_of_edge(edge_id);
-            let out_list = &mut out_edge_parts[edge.src as usize];
-            if !out_list.contains(&part) {
-                out_list.push(part);
-            }
-            let in_list = &mut in_edge_parts[edge.dst as usize];
-            if !in_list.contains(&part) {
-                in_list.push(part);
-            }
-        }
+        let routes = SyncRoutes::build(&nodes, num_vertices);
+        let mut out_local = vec![true; num_vertices];
+        let mut in_local = vec![true; num_vertices];
+        record_edge_placement(
+            &mut out_local,
+            &mut in_local,
+            &partitioning,
+            graph
+                .edges()
+                .iter()
+                .enumerate()
+                .map(|(edge_id, edge)| (partitioning.part_of_edge(edge_id), edge)),
+        );
         Self {
             nodes,
             partitioning: Arc::new(partitioning),
-            replica_locations,
-            out_edge_parts,
-            in_edge_parts,
+            routes,
+            out_local,
+            in_local,
             profile,
             network,
             num_vertices,
@@ -332,8 +431,8 @@ where
 
     /// Re-seeds every node's vertex attributes and active frontier for a
     /// fresh run of `algorithm`, keeping the expensive structural state
-    /// (edge tables, vertex-edge maps, replica and edge-placement indexes)
-    /// built by [`Cluster::build`].
+    /// (edge tables, vertex-edge maps, routing table and edge-locality
+    /// flags) built by [`Cluster::build`].
     ///
     /// A reset cluster is bit-identical to a freshly built one, which is what
     /// lets a deployed session serve many algorithm runs: the deployment is
@@ -358,11 +457,11 @@ where
     /// op-supplied attribute, new replicas of existing vertices with a copy
     /// of their master's *current* value, so warm state survives for
     /// incremental recompute — and per-vertex out-degrees absorb the batch's
-    /// degree deltas on every node holding the vertex.  The replica and
-    /// edge-placement indexes are extended incrementally for insert-only
-    /// batches; removals recompute the edge-placement index exactly, so the
-    /// synchronisation-skipping decision matches a cluster rebuilt from the
-    /// mutated graph bit for bit.
+    /// degree deltas on every node holding the vertex.  The routing table is
+    /// rebuilt from the grown vertex tables (O(Σ locals)); the edge-locality
+    /// flags are narrowed incrementally for insert-only batches and
+    /// recomputed exactly after removals, so the synchronisation-skipping
+    /// decision matches a cluster rebuilt from the mutated graph bit for bit.
     ///
     /// Batches must apply in log order, exactly once; afterwards the cluster
     /// is structurally identical to one built from the mutated graph with
@@ -396,7 +495,7 @@ where
         // Added edges per part, aligned with the ids the partitioning just
         // assigned (base + i for the i-th added edge).
         let base = delta.prior_num_edges - delta.removed_edges.len();
-        let mut add_edges: Vec<Vec<gxplug_graph::types::Edge<E>>> = vec![Vec::new(); num_parts];
+        let mut add_edges: Vec<Vec<Edge<E>>> = vec![Vec::new(); num_parts];
         for (i, edge) in delta.added_edges.iter().enumerate() {
             let part = self.partitioning.part_of_edge(base + i);
             add_edges[part].push(edge.clone());
@@ -411,14 +510,6 @@ where
             *deltas.entry(edge.src).or_insert(0) += 1;
         }
         let degree_adjust: Vec<(VertexId, i64)> = deltas.iter().map(|(&v, &d)| (v, d)).collect();
-        // Grow the per-vertex indexes for the new vertices.
-        for &(v, _) in &delta.added_vertices {
-            debug_assert_eq!(v as usize, self.replica_locations.len());
-            self.replica_locations
-                .push(vec![self.partitioning.master_of(v)]);
-            self.out_edge_parts.push(Vec::new());
-            self.in_edge_parts.push(Vec::new());
-        }
         self.num_vertices = delta.num_vertices();
         // Plan the vertex upserts per node: new masters first (id order),
         // then endpoints of added edges (op order), deduplicated.  Attribute
@@ -481,17 +572,6 @@ where
                 plan(part, edge.dst, &mut upserts, &mut planned);
             }
         }
-        // Replica index: every planned upsert is a new replica (inserted
-        // keeping the part list ascending, the order a from-scratch build
-        // produces).
-        for (part, vertices) in planned.iter().enumerate() {
-            for &v in vertices {
-                let locations = &mut self.replica_locations[v as usize];
-                if let Err(pos) = locations.binary_search(&part) {
-                    locations.insert(pos, part);
-                }
-            }
-        }
         // Apply each node's share.
         for (part, node) in self.nodes.iter_mut().enumerate() {
             node.apply_mutations(
@@ -502,40 +582,37 @@ where
                 &delta.detached,
             );
         }
-        // Edge-placement indexes: exact incremental extension for inserts;
-        // removals recompute from the node edge tables so no stale part
-        // entry survives (membership is all that matters — the skip
-        // decision quantifies over the list).
+        // Edge-locality flags: inserts can only narrow them; a removal can
+        // widen one, so removals recompute them from the node edge tables.
         if delta.has_removals() {
-            let mut out_edge_parts: Vec<Vec<PartitionId>> = vec![Vec::new(); self.num_vertices];
-            let mut in_edge_parts: Vec<Vec<PartitionId>> = vec![Vec::new(); self.num_vertices];
-            for (part, node) in self.nodes.iter().enumerate() {
-                for edge in node.edge_table().edges() {
-                    let out_list = &mut out_edge_parts[edge.src as usize];
-                    if !out_list.contains(&part) {
-                        out_list.push(part);
-                    }
-                    let in_list = &mut in_edge_parts[edge.dst as usize];
-                    if !in_list.contains(&part) {
-                        in_list.push(part);
-                    }
-                }
-            }
-            self.out_edge_parts = out_edge_parts;
-            self.in_edge_parts = in_edge_parts;
+            self.out_local = vec![true; self.num_vertices];
+            self.in_local = vec![true; self.num_vertices];
+            record_edge_placement(
+                &mut self.out_local,
+                &mut self.in_local,
+                &self.partitioning,
+                self.nodes.iter().enumerate().flat_map(|(part, node)| {
+                    node.edge_table()
+                        .edges()
+                        .iter()
+                        .map(move |edge| (part, edge))
+                }),
+            );
         } else {
-            for (i, edge) in delta.added_edges.iter().enumerate() {
-                let part = self.partitioning.part_of_edge(base + i);
-                let out_list = &mut self.out_edge_parts[edge.src as usize];
-                if !out_list.contains(&part) {
-                    out_list.push(part);
-                }
-                let in_list = &mut self.in_edge_parts[edge.dst as usize];
-                if !in_list.contains(&part) {
-                    in_list.push(part);
-                }
-            }
+            self.out_local.resize(self.num_vertices, true);
+            self.in_local.resize(self.num_vertices, true);
+            record_edge_placement(
+                &mut self.out_local,
+                &mut self.in_local,
+                &self.partitioning,
+                delta
+                    .added_edges
+                    .iter()
+                    .enumerate()
+                    .map(|(i, edge)| (self.partitioning.part_of_edge(base + i), edge)),
+            );
         }
+        self.routes = SyncRoutes::build(&self.nodes, self.num_vertices);
     }
 
     /// Seeds the cluster for an *incremental* recompute of `algorithm`: the
@@ -610,13 +687,16 @@ where
     /// Panics if some vertex has no master copy (which would indicate a
     /// broken partitioning).
     pub fn collect_values(&self) -> Vec<V> {
-        (0..self.num_vertices as VertexId)
-            .map(|v| {
-                self.nodes[self.partitioning.master_of(v)]
-                    .vertex_table()
-                    .get(v)
-                    .filter(|row| row.is_master)
+        self.routes
+            .owner
+            .iter()
+            .enumerate()
+            .map(|(v, &(node, local))| {
+                self.nodes
+                    .get(node as usize)
                     .unwrap_or_else(|| panic!("vertex {v} has no master copy"))
+                    .vertex_table()
+                    .row_at(local)
                     .attr
                     .clone()
             })
@@ -752,7 +832,7 @@ where
             converged: false,
             setup,
         };
-        let mut scratch = SyncScratch::new(self.num_vertices);
+        let mut scratch = SyncScratch::new(self.num_vertices, &self.nodes);
         for iteration in 0..iteration_cap {
             if algorithm.always_active() {
                 // Fixed-point algorithms keep the whole frontier active —
@@ -811,38 +891,48 @@ where
     }
 
     /// Routes messages to master vertices, applies them, refreshes replicas
-    /// and recomputes the active frontier.
+    /// and recomputes the active frontier — owner-computes over the routing
+    /// table's dense local ids.
     ///
-    /// `scratch` is the run's pooled dense merge/changed state; slots are
-    /// indexed directly by global vertex id.  Both the apply and the replica
-    /// refresh are per-vertex independent, so draining the slots in
-    /// first-seen order produces bit-identical results to any other order.
+    /// Messages are merged per target into `scratch`'s global-id slots,
+    /// consuming the outputs in node order, so each target's combine order
+    /// (node order, then each node's own output order) is exactly what it
+    /// was before the routing table existed.  Every step after the merge is
+    /// per-vertex independent: each merged message is applied at its master
+    /// row, each changed master lands in its node's changed set, and the
+    /// refresh walks those sets in ascending local order, copying the master
+    /// row into every mirror row.  Any drain order therefore gives
+    /// bit-identical values, counters and frontiers.
     fn synchronize<A>(
         &mut self,
         algorithm: &A,
         outputs: Vec<NodeComputeOutput<V, A::Msg>>,
         policy: SyncPolicy,
         iteration: usize,
-        scratch: &mut SyncScratch<V, A::Msg>,
+        scratch: &mut SyncScratch<A::Msg>,
     ) -> SyncOutcome
     where
         A: GraphAlgorithm<V, E>,
     {
+        let Self {
+            nodes,
+            routes,
+            out_local,
+            in_local,
+            profile,
+            network,
+            ..
+        } = self;
         let SyncScratch { merged, changed } = scratch;
         merged.begin();
-        changed.begin();
         // 1. Merge all per-node messages by target vertex, remembering how
         //    many crossed a node boundary (those are the entities the global
         //    data queue would carry).  Outputs arrive in node order, so the
         //    per-target combine order is deterministic.
         let mut remote_messages = 0usize;
         for (node_id, output) in outputs.into_iter().enumerate() {
-            for (v, value) in output.pre_applied {
-                changed.put(v, Some(value));
-            }
             for message in output.messages {
-                let master = self.partitioning.master_of(message.target);
-                if master != node_id {
+                if routes.owner[message.target as usize].0 as usize != node_id {
                     remote_messages += 1;
                 }
                 merged.merge(message.target, message.payload, |existing, payload| {
@@ -850,86 +940,72 @@ where
                 });
             }
         }
-        // 2. Apply merged messages at the master copies.
+        // 2. Apply merged messages at the master rows.
+        for set in changed.iter_mut() {
+            set.clear();
+        }
         let mut applies = 0usize;
         for i in 0..merged.len() {
             let target = merged.touched_at(i);
-            let message = match merged.take(target) {
-                Some(message) => message,
-                None => continue,
-            };
-            let master = self.partitioning.master_of(target);
-            let node = &mut self.nodes[master];
-            let Some(current) = node.vertex_value(target) else {
+            let Some(message) = merged.take(target) else {
                 continue;
             };
+            let (master, local) = routes.owner[target as usize];
+            let row = nodes[master as usize].vertex_table_mut().row_at_mut(local);
             applies += 1;
-            match algorithm.msg_apply(target, current, &message, iteration) {
-                Some(new_value) if new_value != *current => {
-                    node.update_vertex(target, new_value);
-                    changed.put(target, None);
+            match algorithm.msg_apply(target, &row.attr, &message, iteration) {
+                Some(new_value) if new_value != row.attr => {
+                    row.attr = new_value;
+                    row.dirty = true;
+                    changed[master as usize].insert(local);
                 }
                 _ => {}
             }
         }
+        let changed_vertices: usize = changed.iter().map(FrontierSet::len).sum();
         // 3. Decide whether the global synchronisation can be skipped: every
         //    changed vertex must have all of its out-edges on its master node
         //    and no message may have crossed a node boundary.
         let needs_in_edges_local = algorithm.reads_destination_attribute();
-        let all_local = remote_messages == 0
-            && changed.touched().iter().all(|&v| {
-                let master = self.partitioning.master_of(v);
-                let out_local = self.out_edge_parts[v as usize]
-                    .iter()
-                    .all(|&part| part == master);
-                let in_local = !needs_in_edges_local
-                    || self.in_edge_parts[v as usize]
-                        .iter()
-                        .all(|&part| part == master);
-                out_local && in_local
+        let skipped = policy == SyncPolicy::SkipWhenLocal
+            && remote_messages == 0
+            && changed.iter().zip(nodes.iter()).all(|(set, node)| {
+                set.iter().all(|local| {
+                    let v = node.vertex_table().global_of(local) as usize;
+                    out_local[v] && (!needs_in_edges_local || in_local[v])
+                })
             });
-        let skipped = policy == SyncPolicy::SkipWhenLocal && all_local;
-        // 4. Refresh replicas of changed vertices (unless skipped) and build
-        //    the next active frontier.
+        // 4. Refresh the mirrors of changed vertices (unless skipped) and
+        //    build the next active frontier.
         let mut replica_updates = 0usize;
-        for node in &mut self.nodes {
+        for node in nodes.iter_mut() {
             node.clear_active();
         }
-        for &v in changed.touched() {
-            let Some(pre_applied) = changed.get(v) else {
-                continue;
-            };
-            let master = self.partitioning.master_of(v);
-            if skipped {
-                self.nodes[master].activate(v);
-                continue;
-            }
-            for &part in &self.replica_locations[v as usize] {
-                if part != master {
-                    let (replica, master) = pair_mut(&mut self.nodes, part, master);
-                    let value = pre_applied
-                        .as_ref()
-                        .or_else(|| master.vertex_value(v))
-                        .expect("a changed vertex has a master row");
-                    replica.update_vertex_from(v, value);
+        for (master, set) in changed.iter().enumerate() {
+            let mirrors = &routes.nodes[master];
+            for local in set.iter() {
+                nodes[master].activate_local(local);
+                if skipped {
+                    continue;
+                }
+                for &(part, replica_local) in mirrors.of(local) {
+                    let (replica, owner) = pair_mut(nodes, part as usize, master);
+                    let row = replica.vertex_table_mut().row_at_mut(replica_local);
+                    row.attr
+                        .clone_from(&owner.vertex_table().row_at(local).attr);
+                    row.dirty = true;
+                    replica.activate_local(replica_local);
                     replica_updates += 1;
                 }
-                self.nodes[part].activate(v);
-            }
-            // Masters of isolated changed vertices might not appear in
-            // replica_locations (no incident edges); keep them active anyway.
-            if self.replica_locations[v as usize].is_empty() {
-                self.nodes[master].activate(v);
             }
         }
         // 5. Cost attribution.
-        let apply_time = self.profile.per_apply * applies as f64;
+        let apply_time = profile.per_apply * applies as f64;
         let time = if skipped {
             SimDuration::ZERO
         } else {
             let items = remote_messages + replica_updates;
-            self.network.synchronization(self.num_nodes(), items)
-                + self.profile.per_item_sync * items as f64
+            network.synchronization(nodes.len(), items) + profile.per_item_sync * items as f64
         };
         SyncOutcome {
             time,
@@ -937,7 +1013,7 @@ where
             remote_messages,
             replica_updates,
             skipped,
-            changed_vertices: changed.len(),
+            changed_vertices,
         }
     }
 }
@@ -997,7 +1073,7 @@ where
         middleware_time: SimDuration::ZERO,
         triplets_processed: triplets.len(),
         messages,
-        pre_applied: Vec::new(),
+        vertex_type: PhantomData,
     }
 }
 
@@ -1261,58 +1337,131 @@ mod tests {
         }
     }
 
+    /// Connected-components style minimum label: labels travel both ways
+    /// along every edge, so the algorithm reads destination attributes.
+    struct MinLabel;
+
+    impl GraphAlgorithm<f64, f64> for MinLabel {
+        type Msg = f64;
+        fn init_vertex(&self, v: VertexId, _out_degree: usize) -> f64 {
+            v as f64
+        }
+        fn msg_gen_into(
+            &self,
+            triplet: &Triplet<f64, f64>,
+            _iteration: usize,
+            out: &mut Vec<AddressedMessage<f64>>,
+        ) {
+            out.push(AddressedMessage::new(triplet.dst, triplet.src_attr));
+            out.push(AddressedMessage::new(triplet.src, triplet.dst_attr));
+        }
+        fn msg_merge(&self, a: f64, b: f64) -> f64 {
+            a.min(b)
+        }
+        fn msg_apply(
+            &self,
+            _vertex: VertexId,
+            current: &f64,
+            message: &f64,
+            _iteration: usize,
+        ) -> Option<f64> {
+            (message < current).then_some(*message)
+        }
+        fn reads_destination_attribute(&self) -> bool {
+            true
+        }
+        fn name(&self) -> &'static str {
+            "min-label"
+        }
+    }
+
     #[test]
     fn mutated_cluster_matches_rebuild_from_mutated_graph() {
         use gxplug_graph::mutate::{MutationBatch, MutationLog};
-        let graph = line_graph(24);
-        let algorithm = MinDist { source: 0 };
-        let partitioning = HashEdgePartitioner::new(3).partition(&graph, 3).unwrap();
-        let mut mutated = Cluster::build(
-            &graph,
-            partitioning.clone(),
-            &algorithm,
-            RuntimeProfile::powergraph(),
-            NetworkModel::datacenter(),
-        );
-        mutated.run_native(&algorithm, "line", 100);
 
-        // Splice vertex 24 into the line behind 23, cut edge 10→11, and
-        // bridge the cut with a heavier 10→12 edge.
+        /// Runs `algorithm` under both sync policies on a cluster mutated in
+        /// place and on one rebuilt from the mutated graph, requiring equal
+        /// per-superstep metrics and values; returns the values.
+        fn compare<A: GraphAlgorithm<f64, f64>>(
+            algorithm: &A,
+            graph: &PropertyGraph<f64, f64>,
+            partitioning: &Partitioning,
+            delta: &gxplug_graph::mutate::ResolvedMutation<f64, f64>,
+        ) -> Vec<f64> {
+            let build = |graph: &PropertyGraph<f64, f64>, partitioning: &Partitioning| {
+                Cluster::build(
+                    graph,
+                    partitioning.clone(),
+                    algorithm,
+                    RuntimeProfile::powergraph(),
+                    NetworkModel::datacenter(),
+                )
+            };
+            let mut mutated = build(graph, partitioning);
+            mutated.run_native(algorithm, "line", 100);
+            mutated.apply_mutations(delta);
+            let mut reference_graph = graph.clone();
+            reference_graph.apply_mutations(delta);
+            let mut reference_partitioning = partitioning.clone();
+            reference_partitioning.apply_mutations(delta);
+            let mut rebuilt = build(&reference_graph, &reference_partitioning);
+            let profile = *rebuilt.profile();
+            for policy in [SyncPolicy::AlwaysSync, SyncPolicy::SkipWhenLocal] {
+                let run = |cluster: &mut Cluster<f64, f64>| {
+                    cluster.reset_for(algorithm);
+                    cluster.run_custom(
+                        algorithm,
+                        "line",
+                        profile.name,
+                        100,
+                        policy,
+                        SimDuration::ZERO,
+                        |node, iteration| native_node_compute(node, algorithm, &profile, iteration),
+                    )
+                };
+                let report = run(&mut mutated);
+                let reference = run(&mut rebuilt);
+                assert!(report.converged);
+                assert_eq!(report.iterations, reference.iterations, "{policy:?}");
+                assert_eq!(mutated.collect_values(), rebuilt.collect_values());
+            }
+            mutated.collect_values()
+        }
+
+        let graph = line_graph(24);
+        let partitioning = HashEdgePartitioner::new(3).partition(&graph, 3).unwrap();
+        // A backward edge u → w (shortens no distance) whose head w has no
+        // replica yet on u's master part: the new edge lands there, so an
+        // existing vertex gains a mirror.  w is not the source, so its value
+        // changes and the new mirror must be refreshed.
+        let (u, w) = (2..24u32)
+            .flat_map(|u| (1..u).map(move |w| (u, w)))
+            .find(|&(u, w)| {
+                !partitioning
+                    .part(partitioning.master_of(u))
+                    .vertices
+                    .contains(&w)
+            })
+            .expect("some existing vertex lacks a replica on another's master part");
+
+        // Splice vertex 24 into the line behind 23, cut edge 10→11, bridge
+        // the cut with a heavier 10→12 edge, and add the backward u → w.
         let endpoints: Vec<_> = graph.edges().iter().map(|e| (e.src, e.dst)).collect();
         let mut log: MutationLog<f64, f64> = MutationLog::new(graph.num_vertices(), endpoints);
         let batch = MutationBatch::new()
             .add_vertex(f64::INFINITY)
             .add_edge(23, 24, 1.0)
             .remove_edge(10)
-            .add_edge(10, 12, 3.0);
+            .add_edge(10, 12, 3.0)
+            .add_edge(u, w, 1.0);
         let delta = log.append(&batch).unwrap();
 
-        let mut reference_graph = graph.clone();
-        reference_graph.apply_mutations(&delta);
-        let mut reference_partitioning = partitioning;
-        reference_partitioning.apply_mutations(&delta);
-
-        mutated.apply_mutations(&delta);
-        mutated.reset_for(&algorithm);
-        let report = mutated.run_native(&algorithm, "line", 100);
-
-        let mut rebuilt = Cluster::build(
-            &reference_graph,
-            reference_partitioning,
-            &algorithm,
-            RuntimeProfile::powergraph(),
-            NetworkModel::datacenter(),
-        );
-        let reference = rebuilt.run_native(&algorithm, "line", 100);
-
-        assert_eq!(report.iterations, reference.iterations);
-        assert_eq!(report.total_triplets(), reference.total_triplets());
-        let values = mutated.collect_values();
-        assert_eq!(values, rebuilt.collect_values());
+        let values = compare(&MinDist { source: 0 }, &graph, &partitioning, &delta);
         assert_eq!(values.len(), 25);
         // The detour through the heavier bridge costs one extra hop's worth.
         assert_eq!(values[12], 13.0);
         assert_eq!(values[24], 25.0);
+        assert_eq!(compare(&MinLabel, &graph, &partitioning, &delta).len(), 25);
     }
 
     #[test]

@@ -498,6 +498,11 @@ impl<V, E> NodeState<V, E> {
         }
     }
 
+    /// Marks the vertex at dense local id `local` active.
+    pub(crate) fn activate_local(&mut self, local: u32) {
+        self.active.insert(local);
+    }
+
     /// Clears the active set.
     pub fn clear_active(&mut self) {
         self.active.clear();
@@ -614,12 +619,6 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
     /// `true` if the vertex exists locally.
     pub fn update_vertex(&mut self, v: VertexId, value: V) -> bool {
         self.vertex_table.update(v, value)
-    }
-
-    /// [`NodeState::update_vertex`] from a borrowed value, cloned *into* the
-    /// existing row so a heap-backed attribute reuses the row's allocation.
-    pub fn update_vertex_from(&mut self, v: VertexId, value: &V) -> bool {
-        self.vertex_table.update_from(v, value)
     }
 }
 

@@ -155,23 +155,6 @@ impl<V> VertexTable<V> {
         }
     }
 
-    /// [`VertexTable::update`] from a borrowed value: `clone_from` into the
-    /// existing row, so a heap-backed attribute (a `Vec`, say) reuses the
-    /// row's allocation instead of dropping it for a fresh clone.
-    pub fn update_from(&mut self, id: VertexId, attr: &V) -> bool
-    where
-        V: Clone,
-    {
-        match self.get_mut(id) {
-            Some(row) => {
-                row.attr.clone_from(attr);
-                row.dirty = true;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Iterates over all rows.
     pub fn rows(&self) -> impl Iterator<Item = &VertexRow<V>> {
         self.rows.iter()
@@ -320,11 +303,6 @@ mod tests {
         assert_eq!(t.dirty_rows().next().unwrap().id, 1);
         t.clear_dirty();
         assert_eq!(t.dirty_count(), 0);
-        // The borrowed flavour behaves the same.
-        assert!(t.update_from(2, &6.0));
-        assert!(!t.update_from(99, &6.0));
-        assert_eq!(t.get(2).unwrap().attr, 6.0);
-        assert_eq!(t.dirty_rows().next().unwrap().id, 2);
     }
 
     #[test]

@@ -1006,3 +1006,70 @@ fn sync_cache_counters_match_the_golden_pin() {
         );
     }
 }
+
+#[test]
+fn synchronize_counters_match_the_golden_pin() {
+    // The upper system's synchronisation counts the messages that cross a
+    // node boundary, the replica copies it refreshes and the supersteps it
+    // may skip; all three feed the simulated sync time.  A routing change
+    // that drops a mirror, refreshes one twice or misjudges locality moves
+    // them without necessarily moving a vertex value, so they are pinned as
+    // literals: `[iterations, Σ active, Σ remote messages, Σ replica
+    // updates, skipped supersteps]`.
+    fn counters<V, A>(algorithm: &A, default_value: V, mode: ExecutionMode) -> [usize; 5]
+    where
+        V: Clone + PartialEq + Send + Sync + std::fmt::Debug,
+        A: GraphAlgorithm<V, f64>,
+    {
+        let list = Rmat::new(10, 8.0).generate(7);
+        let graph = PropertyGraph::from_edge_list(list, default_value).unwrap();
+        let partitioning = GreedyVertexCutPartitioner::default()
+            .partition(&graph, 4)
+            .unwrap();
+        let report = SessionBuilder::new(&graph)
+            .partitioned_by(partitioning)
+            .profile(RuntimeProfile::powergraph())
+            .devices(mixed_devices(4))
+            .config(MiddlewareConfig::default().with_execution(mode))
+            .dataset("rmat")
+            .max_iterations(100)
+            .build()
+            .unwrap()
+            .run(algorithm)
+            .unwrap()
+            .report;
+        let sum = |field: fn(&gx_plug::engine::IterationMetrics) -> usize| -> usize {
+            report.iterations.iter().map(field).sum()
+        };
+        [
+            report.num_iterations(),
+            sum(|i| i.active_vertices),
+            sum(|i| i.remote_messages),
+            sum(|i| i.replica_updates),
+            report.skipped_iterations(),
+        ]
+    }
+    let rank = RankValue {
+        rank: 1.0,
+        out_degree: 0,
+    };
+    for mode in [ExecutionMode::Serial, ExecutionMode::Threaded] {
+        assert_eq!(
+            counters(&PageRank::new(5), rank, mode),
+            [5, 8030, 2685, 2905, 0],
+            "PageRank x5, {mode:?}"
+        );
+        assert_eq!(
+            counters(&MultiSourceSssp::new(vec![0, 1]), Vec::new(), mode),
+            [6, 2922, 1875, 1301, 0],
+            "2-source SSSP, {mode:?}"
+        );
+        // Connected components reads destination attributes, so its skipped
+        // supersteps also exercise the in-edge locality flag.
+        assert_eq!(
+            counters(&ConnectedComponents, 0u32, mode),
+            [4, 6424, 623, 683, 2],
+            "connected components, {mode:?}"
+        );
+    }
+}
