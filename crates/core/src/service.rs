@@ -41,11 +41,12 @@
 //! integration test submits from many threads and compares exactly.
 //!
 //! A panicking job costs its worker's deployment, not the service: the
-//! scheduler catches the unwind, resolves the ticket with
-//! [`ServiceError::JobPanicked`], drops the poisoned session (daemons shut
-//! their device contexts down on drop) and redeploys a fresh one.
+//! scheduler catches the unwind, resolves every ticket of the job's flight
+//! (see below) with [`ServiceError::JobPanicked`], drops the poisoned
+//! session (daemons shut their device contexts down on drop) and redeploys
+//! a fresh one.
 //!
-//! # Result cache, single-flight and fusion
+//! # Result cache and flights
 //!
 //! Duplicate traffic — the common shape of a many-tenant service — is served
 //! without re-running anything:
@@ -61,16 +62,23 @@
 //!   bumps the service's graph version so stale results are never served,
 //!   and [`GraphService::clear_cache`] drops them outright.  Per job,
 //!   [`CachePolicy`] opts out (`Bypass`) or forces a re-fill (`Refresh`).
-//! * **Single-flight coalescing** — when a worker dequeues a job, it also
-//!   drains same-key duplicates still queued behind it; all their tickets
-//!   resolve from the one run.
-//! * **Cross-job fusion** — algorithm families that implement
-//!   [`GraphAlgorithm::fusion_family`]/[`GraphAlgorithm::fuse`] can have up
-//!   to [`ServiceBuilder::fusion_limit`] queued jobs merged into one fused
-//!   run whose per-superstep work is shared, with per-member results carved
-//!   back out by [`GraphAlgorithm::extract_fused`].  Off by default.
+//! * **Flights** — a worker runs one *flight* per claim: the job it
+//!   dequeued (the leader) plus the queued jobs that can share its run,
+//!   claimed in one sweep per lane.  A same-key `UseOrFill` duplicate is
+//!   *coalesced* (single-flight): it takes the leader's result.  With
+//!   [`ServiceBuilder::fusion_limit`] set (off by default), up to
+//!   `fusion_limit - 1` queued jobs of the leader's
+//!   [`GraphAlgorithm::fusion_family`], concrete type and overrides are
+//!   *fused*: [`GraphAlgorithm::fuse`] merges them into one run whose
+//!   per-superstep work is shared, and [`GraphAlgorithm::extract_fused`]
+//!   carves each member's result back out.  A coalesced flight is a fusion
+//!   of identical members.  The flight runs once, then one loop resolves
+//!   every member — success, session error and panic alike — leader first,
+//!   so its cache fill lands before any duplicate's ticket wakes.  Each
+//!   member counts by outcome and records its own queue wait; the run
+//!   records one wall sample.
 //!
-//! All three serve answers bit-identical to a fresh run — the `determinism`
+//! Both serve answers bit-identical to a fresh run — the `determinism`
 //! integration test proves it for both execution modes.
 
 use crate::config::{MiddlewareConfig, PipelineMode};
@@ -609,12 +617,11 @@ impl<V: Clone> ResultCache<V> {
     /// served.
     fn lookup(&mut self, key: &JobKey, version: u64) -> Option<RunOutcome<V>> {
         let position = self.entries.iter().position(|entry| *entry.key == *key)?;
-        if self.entries[position].version != version {
-            let stale = self.entries.remove(position).expect("position is in range");
-            self.bytes -= stale.bytes;
+        let entry = self.entries.remove(position)?;
+        if entry.version != version {
+            self.bytes -= entry.bytes;
             return None;
         }
-        let entry = self.entries.remove(position).expect("position is in range");
         let outcome = entry.outcome.clone();
         self.entries.push_back(entry);
         Some(outcome)
@@ -632,8 +639,8 @@ impl<V: Clone> ResultCache<V> {
         if bytes > self.byte_budget {
             return;
         }
-        if let Some(position) = self.entries.iter().position(|entry| entry.key == key) {
-            let replaced = self.entries.remove(position).expect("position is in range");
+        let position = self.entries.iter().position(|entry| entry.key == key);
+        if let Some(replaced) = position.and_then(|position| self.entries.remove(position)) {
             self.bytes -= replaced.bytes;
         }
         self.bytes += bytes;
@@ -644,10 +651,9 @@ impl<V: Clone> ResultCache<V> {
             outcome: outcome.clone(),
         });
         while self.entries.len() > self.capacity || self.bytes > self.byte_budget {
-            let evicted = self
-                .entries
-                .pop_front()
-                .expect("over-budget cache is non-empty");
+            let Some(evicted) = self.entries.pop_front() else {
+                break;
+            };
             self.bytes -= evicted.bytes;
         }
     }
@@ -1716,77 +1722,199 @@ where
     }
 }
 
-/// Drains every queued envelope matching `predicate` from all lanes (one
-/// atomic sweep per lane, highest lane first), releases their admission
-/// slots and claims them for execution.  Envelopes already cancelled by
-/// their callers (or voided by an abort) resolve immediately and are not
-/// returned.  Each claimed envelope is paired with its queue wait, measured
-/// at claim time.
-fn claim_matching<V, E>(
+/// Claims one dequeued envelope: frees its admission slot, measures its
+/// queue wait and marks it running.  An envelope its caller cancelled (or
+/// that an abort voids) resolves [`ServiceError::Cancelled`] here instead.
+fn claim<V, E>(
     shared: &ServiceShared<V, E>,
-    mut predicate: impl FnMut(&JobEnvelope<V, E>) -> bool,
-) -> Vec<(JobEnvelope<V, E>, Duration)> {
-    let mut claimed = Vec::new();
-    for lane in &shared.lanes {
-        claimed.extend(lane.drain_matching(&mut predicate));
+    envelope: JobEnvelope<V, E>,
+) -> Option<(JobEnvelope<V, E>, Duration)> {
+    shared.release_slot();
+    let queue_wait = envelope.submitted.elapsed();
+    if shared.abort.load(Ordering::SeqCst) || !envelope.cell.begin_running() {
+        envelope.cell.cancel();
+        lock(&shared.stats).cancelled += 1;
+        let _ = envelope.reply.send(Err(ServiceError::Cancelled));
+        return None;
     }
-    let mut kept = Vec::with_capacity(claimed.len());
-    for envelope in claimed {
-        shared.release_slot();
-        let queue_wait = envelope.submitted.elapsed();
-        if shared.abort.load(Ordering::SeqCst) || !envelope.cell.begin_running() {
-            envelope.cell.cancel();
-            lock(&shared.stats).cancelled += 1;
-            let _ = envelope.reply.send(Err(ServiceError::Cancelled));
-        } else {
-            kept.push((envelope, queue_wait));
-        }
-    }
-    kept
+    Some((envelope, queue_wait))
 }
 
-/// Resolves one claimed job from its run result: finishes the cell, counts
-/// and samples the run, fills the cache (keyed, non-`Bypass` successes) and
-/// fires the reply.
-///
-/// `run_wall` is `Some` only on the flight's leader: one physical run is
-/// sampled once however many coalesced/fused tickets it resolves.  `sizer`
-/// comes from the leader's [`ErasedJob::outcome_sizer`] (every member of a
-/// flight shares the leader's concrete algorithm type).
-#[allow(clippy::too_many_arguments)]
-fn resolve_run<V, E>(
-    shared: &ServiceShared<V, E>,
-    cell: &JobCell,
+/// How a claimed job rides in its flight.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// The job the worker popped; the flight's run is its run.
+    Leader,
+    /// A queued same-key `UseOrFill` duplicate of the leader: it takes the
+    /// leader's result.
+    Coalesced,
+    /// A queued fusion peer of the leader: it runs fused with the leader and
+    /// gets its own extracted result.
+    Fused,
+}
+
+/// The ticket side of one flight member.
+struct Member<V> {
+    role: Role,
+    cell: Arc<JobCell>,
     reply: OneshotSender<JobResult<V>>,
-    key: Option<&Arc<JobKey>>,
-    policy: CachePolicy,
+    /// The key this member's result fills: `None` for uncacheable jobs,
+    /// `Bypass` submissions and coalesced members (the leader fills theirs).
+    key: Option<Arc<JobKey>>,
     queue_wait: Duration,
-    run_wall: Option<Duration>,
+}
+
+/// One physical run and every ticket it resolves.
+struct Flight<V, E> {
+    /// The leader's job, consumed by the run.
+    job: Box<dyn ErasedJob<V, E>>,
+    overrides: RunOverrides,
+    /// The fused members' jobs, in member order.
+    peers: Vec<Box<dyn ErasedJob<V, E>>>,
+    /// The leader first, then the swept members in sweep order.
+    members: Vec<Member<V>>,
+}
+
+impl<V, E> Flight<V, E> {
+    /// Claims `leader` and assembles its flight in one sweep per lane
+    /// (highest first).  The sweep takes every queued same-key `UseOrFill`
+    /// duplicate of a keyed `UseOrFill` leader and, when the leader declares
+    /// a fusion family and `fusion_limit > 1`, up to `fusion_limit - 1`
+    /// peers of that family with the leader's overrides and concrete type.
+    /// A job passing both tests is a duplicate.  `None` if the leader was
+    /// cancelled.
+    fn assemble(shared: &ServiceShared<V, E>, leader: JobEnvelope<V, E>) -> Option<Self> {
+        let (leader, queue_wait) = claim(shared, leader)?;
+        let duplicate_key = leader
+            .key
+            .clone()
+            .filter(|_| leader.policy == CachePolicy::UseOrFill);
+        let is_duplicate = |peer: &JobEnvelope<V, E>| {
+            duplicate_key.is_some()
+                && peer.policy == CachePolicy::UseOrFill
+                && peer.key == duplicate_key
+        };
+        let family = leader
+            .job
+            .fusion_family()
+            .filter(|_| shared.fusion_limit > 1);
+        let mut budget = shared.fusion_limit.saturating_sub(1);
+        let mut swept = Vec::new();
+        for lane in &shared.lanes {
+            swept.extend(lane.drain_matching(|peer| {
+                if is_duplicate(peer) {
+                    return true;
+                }
+                let fuses = budget > 0
+                    && family.is_some_and(|family| peer.job.fusion_family() == Some(family))
+                    && peer.overrides == leader.overrides
+                    && leader.job.can_fuse_with(peer.job.as_ref());
+                budget -= usize::from(fuses);
+                fuses
+            }));
+        }
+        let mut flight = Flight {
+            job: leader.job,
+            overrides: leader.overrides,
+            peers: Vec::new(),
+            members: vec![Member {
+                role: Role::Leader,
+                cell: leader.cell,
+                reply: leader.reply,
+                key: leader.key,
+                queue_wait,
+            }],
+        };
+        for envelope in swept {
+            let role = if is_duplicate(&envelope) {
+                Role::Coalesced
+            } else {
+                Role::Fused
+            };
+            let Some((envelope, queue_wait)) = claim(shared, envelope) else {
+                continue;
+            };
+            if role == Role::Fused {
+                flight.peers.push(envelope.job);
+            }
+            flight.members.push(Member {
+                role,
+                cell: envelope.cell,
+                reply: envelope.reply,
+                key: (role == Role::Fused).then_some(envelope.key).flatten(),
+                queue_wait,
+            });
+        }
+        Some(flight)
+    }
+}
+
+/// Resolves every member of a flight from its run's `group` (`None` when
+/// the run panicked).  The leader resolves first, so its cache fill lands
+/// before any duplicate's ticket wakes; it alone records the physical run's
+/// wall.  `sizer` is the leader's [`ErasedJob::outcome_sizer`]: fused
+/// members share its concrete type.
+fn land<V: Clone, E>(
+    shared: &ServiceShared<V, E>,
+    members: Vec<Member<V>>,
+    group: Option<GroupOutcome<V>>,
+    run_wall: Duration,
     version: u64,
     sizer: fn(&RunOutcome<V>) -> usize,
-    result: Result<RunOutcome<V>, SessionError>,
-) where
-    V: Clone,
-{
-    cell.finish();
-    {
-        let mut stats = lock(&shared.stats);
-        stats.record_wait(queue_wait);
-        if let Some(run_wall) = run_wall {
-            stats.record_wall(run_wall);
+) {
+    // A run returns one result per leader and fused member; any it did not
+    // return (a panic returns none) resolves with `missing`.
+    let (results, fused, missing) = match group {
+        Some(group) => (group.results, group.fused, ServiceError::Lost),
+        None => (Vec::new(), false, ServiceError::JobPanicked),
+    };
+    let mut own = results
+        .into_iter()
+        .map(|result| result.map_err(ServiceError::Session));
+    let mut copies = members
+        .iter()
+        .filter(|member| member.role == Role::Coalesced)
+        .count();
+    let mut leader_result = None;
+    for member in members {
+        let result = match member.role {
+            Role::Coalesced => {
+                copies -= 1;
+                if copies == 0 {
+                    leader_result.take()
+                } else {
+                    leader_result.clone()
+                }
+            }
+            Role::Leader | Role::Fused => own.next(),
         }
-        match &result {
-            Ok(_) => stats.completed += 1,
-            Err(_) => stats.failed += 1,
+        .unwrap_or_else(|| Err(missing.clone()));
+        if member.role == Role::Leader && copies > 0 {
+            leader_result = Some(result.clone());
         }
+        member.cell.finish();
+        {
+            let mut stats = lock(&shared.stats);
+            stats.record_wait(member.queue_wait);
+            match &result {
+                Ok(_) => stats.completed += 1,
+                Err(ServiceError::JobPanicked) => stats.panicked += 1,
+                Err(_) => stats.failed += 1,
+            }
+            match member.role {
+                Role::Leader => {
+                    stats.record_wall(run_wall);
+                    stats.fused_runs += u64::from(fused);
+                }
+                Role::Coalesced => stats.coalesced_jobs += 1,
+                Role::Fused => {}
+            }
+        }
+        if let (Ok(outcome), Some(key)) = (&result, &member.key) {
+            lock(&shared.cache).store(Arc::clone(key), outcome, version, sizer(outcome));
+        }
+        let _ = member.reply.send(result);
     }
-    if policy != CachePolicy::Bypass {
-        if let (Ok(outcome), Some(key)) = (&result, key) {
-            let bytes = sizer(outcome);
-            lock(&shared.cache).store(Arc::clone(key), outcome, version, bytes);
-        }
-    }
-    let _ = reply.send(result.map_err(ServiceError::Session));
 }
 
 /// The scheduler loop of one worker session.
@@ -1823,65 +1951,16 @@ fn worker_loop<V, E>(
     // surplus tokens behind; a wake-up that finds no envelope just parks
     // again.
     while doorbell.recv().is_ok() {
-        let Some(envelope) = pop_highest_priority(&shared.lanes) else {
-            continue;
-        };
-        shared.release_slot();
-        let JobEnvelope {
-            cell,
-            reply,
-            submitted,
-            overrides,
-            key,
-            policy,
+        let Some(Flight {
             job,
-        } = envelope;
-        let queue_wait = submitted.elapsed();
-        if shared.abort.load(Ordering::SeqCst) || !cell.begin_running() {
-            // Aborted services cancel their backlog; tickets cancelled by
-            // their callers are skipped here.
-            cell.cancel();
-            lock(&shared.stats).cancelled += 1;
-            let _ = reply.send(Err(ServiceError::Cancelled));
+            overrides,
+            peers,
+            members,
+        }) = pop_highest_priority(&shared.lanes)
+            .and_then(|leader| Flight::assemble(&shared, leader))
+        else {
             continue;
-        }
-        // Single-flight: claim same-key duplicates still queued behind this
-        // job; their tickets will resolve from this one run.
-        let duplicates = match (&key, policy) {
-            (Some(key), CachePolicy::UseOrFill) => claim_matching(&shared, |peer| {
-                peer.policy == CachePolicy::UseOrFill && peer.key.as_ref() == Some(key)
-            }),
-            _ => Vec::new(),
         };
-        // Fusion: claim up to `fusion_limit - 1` queued jobs of the same
-        // declaring family (same concrete type, same effective overrides) to
-        // merge into one run.
-        let peers = match job.fusion_family() {
-            Some(family) if shared.fusion_limit > 1 => {
-                let mut budget = shared.fusion_limit - 1;
-                claim_matching(&shared, |peer| {
-                    if budget == 0 {
-                        return false;
-                    }
-                    let compatible = peer.job.fusion_family() == Some(family)
-                        && peer.overrides == overrides
-                        && job.can_fuse_with(peer.job.as_ref());
-                    if compatible {
-                        budget -= 1;
-                    }
-                    compatible
-                })
-            }
-            _ => Vec::new(),
-        };
-        // Split the fusion peers into their job boxes (consumed by the group
-        // run) and the ticket wiring (resolved afterwards, in order).
-        let mut peer_jobs = Vec::with_capacity(peers.len());
-        let mut peer_tickets = Vec::with_capacity(peers.len());
-        for (peer, peer_wait) in peers {
-            peer_jobs.push(peer.job);
-            peer_tickets.push((peer.cell, peer.reply, peer.key, peer.policy, peer_wait));
-        }
         // Catch the session up with the mutation log, then sample the
         // version the results are stored under — both under the log lock,
         // so the sampled version never covers a batch this session has not
@@ -1896,8 +1975,7 @@ fn worker_loop<V, E>(
             mutations_applied = log.batches().len();
             shared.graph_version.load(Ordering::Acquire)
         };
-        // Captured before `run_group` consumes the job box; fusion peers
-        // share the leader's concrete type, so one sizer serves the flight.
+        // Captured before `run_group` consumes the job box.
         let sizer = job.outcome_sizer();
         if let Some(pool) = &shared.devices {
             session.install_daemons(daemons_from_backends(pool.checkout()));
@@ -1905,123 +1983,34 @@ fn worker_loop<V, E>(
         shared.running.fetch_add(1, Ordering::SeqCst);
         let started = Instant::now();
         let group = catch_unwind(AssertUnwindSafe(|| {
-            job.run_group(peer_jobs, &mut session, overrides)
-        }));
+            job.run_group(peers, &mut session, overrides)
+        }))
+        .ok();
         let run_wall = started.elapsed();
         shared.running.fetch_sub(1, Ordering::SeqCst);
-        match group {
-            Ok(group) => {
-                if let Some(pool) = &shared.devices {
-                    // Check the complement back in with its contexts live.
-                    pool.checkin(
-                        session
-                            .take_daemons()
-                            .into_iter()
-                            .flatten()
-                            .map(Daemon::into_backend),
-                    );
-                }
-                if group.fused {
-                    lock(&shared.stats).fused_runs += 1;
-                }
-                let mut results = group.results.into_iter();
-                let leader_result = results
-                    .next()
-                    .expect("a group run returns one result per member");
-                // Duplicates resolve from the leader's flight — results and
-                // session errors clone loss-free.
-                if !duplicates.is_empty() {
-                    lock(&shared.stats).coalesced_jobs += duplicates.len() as u64;
-                    for (duplicate, duplicate_wait) in duplicates {
-                        resolve_run(
-                            &shared,
-                            &duplicate.cell,
-                            duplicate.reply,
-                            None,
-                            duplicate.policy,
-                            duplicate_wait,
-                            None,
-                            version,
-                            sizer,
-                            leader_result.clone(),
-                        );
-                    }
-                }
-                // The leader alone carries the physical run's wall sample —
-                // the flight executed once, however many tickets it fills.
-                resolve_run(
-                    &shared,
-                    &cell,
-                    reply,
-                    key.as_ref(),
-                    policy,
-                    queue_wait,
-                    Some(run_wall),
-                    version,
-                    sizer,
-                    leader_result,
-                );
-                for (result, (peer_cell, peer_reply, peer_key, peer_policy, peer_wait)) in
-                    results.zip(peer_tickets)
-                {
-                    resolve_run(
-                        &shared,
-                        &peer_cell,
-                        peer_reply,
-                        peer_key.as_ref(),
-                        peer_policy,
-                        peer_wait,
-                        None,
-                        version,
-                        sizer,
-                        result,
-                    );
-                }
+        if let Some(pool) = &shared.devices {
+            // The complement goes back with its contexts live; one an
+            // unwound run consumed is replaced with fresh builds so the
+            // pool population stays intact.
+            let daemons = session.take_daemons();
+            if daemons.iter().map(Vec::len).sum::<usize>() == pool.complement_size() {
+                pool.checkin(daemons.into_iter().flatten().map(Daemon::into_backend));
+            } else {
+                drop(daemons);
+                pool.restock();
             }
-            Err(_panic) => {
-                // Every member of the flight — leader, fusion peers and
-                // coalesced duplicates — panicked together.
-                let mut victims = 1u64;
-                cell.finish();
-                let _ = reply.send(Err(ServiceError::JobPanicked));
-                for (peer_cell, peer_reply, _, _, _) in peer_tickets {
-                    victims += 1;
-                    peer_cell.finish();
-                    let _ = peer_reply.send(Err(ServiceError::JobPanicked));
-                }
-                for (duplicate, _) in duplicates {
-                    victims += 1;
-                    duplicate.cell.finish();
-                    let _ = duplicate.reply.send(Err(ServiceError::JobPanicked));
-                }
-                {
-                    let mut stats = lock(&shared.stats);
-                    stats.record_wait(queue_wait);
-                    stats.record_wall(run_wall);
-                    stats.panicked += victims;
-                }
-                if let Some(pool) = &shared.devices {
-                    // Contexts that survived the unwind go back warm; a
-                    // complement consumed mid-run is replaced with fresh
-                    // builds so the pool population stays intact.
-                    let daemons = session.take_daemons();
-                    let recovered: usize = daemons.iter().map(Vec::len).sum();
-                    if recovered == pool.complement_size() {
-                        pool.checkin(daemons.into_iter().flatten().map(Daemon::into_backend));
-                    } else {
-                        drop(daemons);
-                        pool.restock();
-                    }
-                }
-                // The unwound run consumed the deployment's daemons (their
-                // device contexts shut down as they dropped).  Replace the
-                // poisoned session so the service keeps serving; the fresh
-                // deployment is pre-mutation, so the whole log replays
-                // before the next job.
-                session = deploy();
-                strip_owned_devices(&mut session);
-                mutations_applied = 0;
-            }
+        }
+        let panicked = group.is_none();
+        land(&shared, members, group, run_wall, version, sizer);
+        if panicked {
+            // The unwound run consumed the deployment's daemons (their
+            // device contexts shut down as they dropped).  Replace the
+            // poisoned session so the service keeps serving; the fresh
+            // deployment is pre-mutation, so the whole log replays before
+            // the next job.
+            session = deploy();
+            strip_owned_devices(&mut session);
+            mutations_applied = 0;
         }
     }
     // `session` drops here: the worker's daemons disconnect with it.
@@ -2455,7 +2444,8 @@ mod tests {
         }
     }
 
-    /// An algorithm that panics in its first kernel call.
+    /// An algorithm that panics in its first kernel call.  It is keyed, so
+    /// queued copies coalesce into one flight.
     struct PanickingJob;
 
     impl GraphAlgorithm<f64, f64> for PanickingJob {
@@ -2479,6 +2469,9 @@ mod tests {
         }
         fn name(&self) -> &'static str {
             "panicking-job"
+        }
+        fn cache_key(&self) -> Option<String> {
+            Some(String::new())
         }
     }
 
@@ -2574,10 +2567,14 @@ mod tests {
         let graph = test_graph();
         let service = small_service(&graph, 2, 64, AdmissionPolicy::Block);
         let stop = Arc::new(AtomicBool::new(false));
+        // Submissions start only once every scraper has scraped: on a fast
+        // build the twelve jobs can otherwise finish before a scraper runs.
+        let scraping = Arc::new(std::sync::Barrier::new(4));
         let scrapers: Vec<_> = (0..2)
             .map(|_| {
                 let service = service.clone();
                 let stop = Arc::clone(&stop);
+                let scraping = Arc::clone(&scraping);
                 thread::spawn(move || {
                     let mut scrapes = 0u64;
                     while !stop.load(Ordering::Relaxed) {
@@ -2597,6 +2594,9 @@ mod tests {
                             assert!(snap.wait_p50 <= snap.wait_p99);
                         }
                         scrapes += 1;
+                        if scrapes == 1 {
+                            scraping.wait();
+                        }
                     }
                     scrapes
                 })
@@ -2605,7 +2605,9 @@ mod tests {
         let submitters: Vec<_> = (0..2u32)
             .map(|t| {
                 let service = service.clone();
+                let scraping = Arc::clone(&scraping);
                 thread::spawn(move || {
+                    scraping.wait();
                     for j in 0..6u32 {
                         let sources = vec![VertexId::from((t * 6 + j) % 50)];
                         let ticket = service
@@ -2885,6 +2887,40 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.panicked, 1);
         assert_eq!(stats.completed, 1);
+    }
+
+    #[test]
+    fn a_panicked_flight_records_one_queue_wait_per_ticket() {
+        let graph = test_graph();
+        let service = small_service(&graph, 1, 8, AdmissionPolicy::Block);
+        let gate = GateControl::default();
+        let busy = service
+            .submit(GatedSssp {
+                inner: Sssp { sources: vec![0] },
+                gate: gate.clone(),
+            })
+            .unwrap();
+        while busy.status() == JobStatus::Queued {
+            thread::yield_now();
+        }
+        // A keyed panicking job and two same-key duplicates queue behind the
+        // gated job, so they run as one flight.
+        let tickets: Vec<_> = (0..3)
+            .map(|_| service.submit(PanickingJob).unwrap())
+            .collect();
+        gate.release();
+        busy.wait().unwrap();
+        for ticket in tickets {
+            assert!(matches!(ticket.wait(), Err(ServiceError::JobPanicked)));
+        }
+        let stats = service.stats();
+        assert_eq!(stats.panicked, 3);
+        // One wait for the gated job, then one per panicked ticket; one wall
+        // per physical run.
+        assert_eq!(stats.recent_wait_samples().len(), 1 + 3);
+        assert_eq!(stats.recent_wall_samples().len(), 2);
+        // The duplicates were resolved from the leader's flight.
+        assert_eq!(stats.coalesced_jobs, 2);
     }
 
     #[test]
@@ -3506,6 +3542,9 @@ mod tests {
         fn name(&self) -> &'static str {
             "mini-multi"
         }
+        fn cache_key(&self) -> Option<String> {
+            Some(format!("{:?}", self.sources))
+        }
         fn fusion_family(&self) -> Option<&'static str> {
             Some("mini-multi")
         }
@@ -3557,26 +3596,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn queued_family_members_fuse_into_one_run() {
+    /// A one-worker `MiniMulti` service with the given fusion limit.
+    fn mini_service(fusion: usize) -> GraphService<Vec<f64>, f64> {
         let list = Rmat::new(8, 8.0).generate(11);
         let graph = Arc::new(PropertyGraph::from_edge_list(list, Vec::new()).unwrap());
         let parts = 2;
         let partitioning = GreedyVertexCutPartitioner::default()
             .partition(&graph, parts)
             .unwrap();
-        let build = |fusion: usize| {
-            GraphService::builder(Arc::clone(&graph))
-                .partitioned_by(partitioning.clone())
-                .devices(gpus_per_node(parts))
-                .max_iterations(200)
-                .worker_sessions(1)
-                .fusion_limit(fusion)
-                .build()
-                .unwrap()
-        };
-        let service = build(2);
-        let gate = GateControl::default();
+        GraphService::builder(graph)
+            .partitioned_by(partitioning)
+            .devices(gpus_per_node(parts))
+            .max_iterations(200)
+            .worker_sessions(1)
+            .fusion_limit(fusion)
+            .build()
+            .unwrap()
+    }
+
+    /// Holds `service`'s only worker on a gated job until the gate opens.
+    fn occupy(service: &GraphService<Vec<f64>, f64>, gate: &GateControl) -> JobTicket<Vec<f64>> {
         let busy = service
             .submit(GatedMini {
                 inner: MiniMulti { sources: vec![9] },
@@ -3586,6 +3625,73 @@ mod tests {
         while busy.status() == JobStatus::Queued {
             thread::yield_now();
         }
+        busy
+    }
+
+    fn assert_bit_identical(a: &[Vec<f64>], b: &[Vec<f64>]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.len(), y.len());
+            for (x, y) in x.iter().zip(y) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn one_sweep_assembles_duplicates_and_fusion_peers_into_one_flight() {
+        let service = mini_service(3);
+        let gate = GateControl::default();
+        let busy = occupy(&service, &gate);
+        // A leader, its same-key duplicate, a fusion peer, and a family
+        // member whose iteration cap keeps it out of the flight.
+        let own_cap = JobOptions::new().with_max_iterations(150);
+        let jobs = [
+            (vec![0, 3], JobOptions::new()),
+            (vec![0, 3], JobOptions::new()),
+            (vec![5], JobOptions::new()),
+            (vec![7], own_cap),
+        ];
+        let tickets: Vec<_> = jobs
+            .iter()
+            .map(|(sources, options)| {
+                let job = MiniMulti {
+                    sources: sources.clone(),
+                };
+                service.submit_with(job, *options).unwrap()
+            })
+            .collect();
+        gate.release();
+        busy.wait().unwrap();
+        let outcomes: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+        let stats = service.stats();
+        assert_eq!(stats.coalesced_jobs, 1);
+        assert_eq!(stats.fused_runs, 1);
+        assert_eq!(stats.completed, 5);
+        // One wall sample each: the gated job, the assembled flight and the
+        // incompatible job's own flight.
+        assert_eq!(stats.recent_wall_samples().len(), 3);
+        let solo = mini_service(0);
+        for ((sources, options), outcome) in jobs.iter().zip(&outcomes) {
+            let alone = solo
+                .submit_with(
+                    MiniMulti {
+                        sources: sources.clone(),
+                    },
+                    options.with_cache(CachePolicy::Bypass),
+                )
+                .unwrap()
+                .wait()
+                .unwrap();
+            assert_bit_identical(&outcome.values, &alone.values);
+        }
+    }
+
+    #[test]
+    fn queued_family_members_fuse_into_one_run() {
+        let service = mini_service(2);
+        let gate = GateControl::default();
+        let busy = occupy(&service, &gate);
         let first = service
             .submit(MiniMulti {
                 sources: vec![0, 3],
@@ -3600,7 +3706,7 @@ mod tests {
         assert_eq!(fused_first.values[0].len(), 2);
         assert_eq!(fused_second.values[0].len(), 1);
         // Fused members are bit-identical to the same jobs run alone.
-        let solo = build(0);
+        let solo = mini_service(0);
         let solo_first = solo
             .submit(MiniMulti {
                 sources: vec![0, 3],

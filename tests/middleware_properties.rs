@@ -283,17 +283,20 @@ fn check_sync_cache_against_oracle(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Whatever mix of job counts, priorities, worker-pool sizes and
-    /// mid-stream cancellations the service sees, its books balance: every
-    /// ticket resolves after a draining shutdown, and the counters add up —
-    /// `submitted == completed + cancelled` (no job is lost, duplicated or
-    /// left queued).
+    /// Whatever mix of job counts, priorities, worker-pool sizes, fusion
+    /// limits, key collisions and mid-stream cancellations the service sees,
+    /// its books balance: every ticket resolves after a draining shutdown,
+    /// and the counters add up — `submitted == completed + cancelled` (no
+    /// job is lost, duplicated or left queued), one queue wait per completed
+    /// job, at most one wall sample per completed job.
     #[test]
     fn service_accounting_balances(
         num_jobs in 1usize..10,
         workers in 1usize..4,
         seed in 0u64..1_000,
         cancel_mask in 0u32..256,
+        fusion_limit in 0usize..4,
+        key_modulus in 1usize..5,
     ) {
         use std::sync::Arc;
 
@@ -304,19 +307,24 @@ proptest! {
             .partition(&graph, 2)
             .unwrap();
         // Native-only service: the scheduler machinery is identical, without
-        // paying device deployments 12 times over.
+        // paying device deployments 12 times over.  No result cache, so a
+        // repeated key coalesces (or fuses) in the queue instead of hitting
+        // at submit time.
         let service = GraphService::builder(Arc::clone(&graph))
             .partitioned_by(partitioning)
             .max_iterations(50)
             .worker_sessions(workers)
+            .fusion_limit(fusion_limit)
+            .cache_capacity(0)
             .build()
             .unwrap();
         let priorities = [JobPriority::High, JobPriority::Normal, JobPriority::Low];
         let tickets: Vec<(bool, JobTicket<Vec<f64>>)> = (0..num_jobs)
             .map(|i| {
                 let options = JobOptions::new().with_priority(priorities[i % 3]);
+                let sources = vec![(i % key_modulus) as u32];
                 let ticket = service
-                    .submit_with(MultiSourceSssp::new(vec![i as u32]), options)
+                    .submit_with(MultiSourceSssp::new(sources), options)
                     .unwrap();
                 let try_cancel = cancel_mask & (1 << (i % 8)) != 0;
                 (try_cancel && ticket.cancel(), ticket)
@@ -349,6 +357,9 @@ proptest! {
         prop_assert_eq!(stats.queued, 0);
         prop_assert_eq!(stats.running, 0);
         prop_assert_eq!(stats.executed(), completed);
+        prop_assert_eq!(stats.recent_wait_samples().len() as u64, completed);
+        prop_assert!(stats.recent_wall_samples().len() as u64 <= completed);
+        prop_assert!(stats.coalesced_jobs <= completed);
     }
 
     /// Random interleavings of keyed submissions (with every cache policy),
