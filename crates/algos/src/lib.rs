@@ -29,4 +29,4 @@ pub use connected_components::ConnectedComponents;
 pub use kcore::{CoreState, KCore};
 pub use label_propagation::{LabelHistogram, LabelPropagation};
 pub use pagerank::{PageRank, RankValue};
-pub use sssp::{Distances, MultiSourceSssp};
+pub use sssp::{Distances, MultiSourceSssp, Relaxation};

@@ -4,13 +4,98 @@
 //! their SSSPs simultaneously to make it more compute-intensive" (§V-A,
 //! footnote 4).  The vertex attribute is therefore a vector of distances, one
 //! per source, and each relaxation processes every source at once.
+//!
+//! The message is a [`Relaxation`]: the candidate distances of one relaxed
+//! edge, held inline for up to [`Relaxation::INLINE`] sources, so the
+//! paper's 4-source runs generate and merge every message without touching
+//! the heap.  Only fused runs above that width spill to a `Vec`.
 
 use gxplug_engine::template::{AddressedMessage, GraphAlgorithm};
 use gxplug_graph::mutate::MutationScope;
 use gxplug_graph::types::{Triplet, VertexId};
+use std::ops::{Deref, DerefMut};
 
 /// Vertex attribute of SSSP-BF: one tentative distance per source.
 pub type Distances = Vec<f64>;
+
+/// The message of SSSP-BF: one candidate distance per source column.
+///
+/// Widths up to [`Relaxation::INLINE`] live in the value itself, so a
+/// message is plain data with no allocation to make or free; wider rows
+/// (fused runs over more sources) spill to a `Vec`.  Which representation
+/// holds a row is invisible to the algorithm: both dereference to the same
+/// `[f64]` columns.  The inline width is 4, the paper's source count,
+/// rather than 8: the per-target merge slots hold one `Option<Relaxation>`
+/// per local vertex, and 4 keeps that slot at 40 bytes.
+#[derive(Debug, Clone)]
+pub struct Relaxation {
+    row: Row,
+}
+
+#[derive(Debug, Clone)]
+enum Row {
+    /// At most [`Relaxation::INLINE`] columns; `cols[width..]` is unused.
+    Inline {
+        width: u8,
+        cols: [f64; Relaxation::INLINE],
+    },
+    Spilled(Vec<f64>),
+}
+
+impl Relaxation {
+    /// The widest row held without a heap allocation.
+    pub const INLINE: usize = 4;
+
+    /// A row holding `columns`, inline when they fit.
+    fn from_columns(columns: impl ExactSizeIterator<Item = f64>) -> Self {
+        let width = columns.len();
+        let row = if width <= Self::INLINE {
+            let mut cols = [0.0; Self::INLINE];
+            for (col, value) in cols.iter_mut().zip(columns) {
+                *col = value;
+            }
+            Row::Inline {
+                width: width as u8,
+                cols,
+            }
+        } else {
+            Row::Spilled(columns.collect())
+        };
+        Self { row }
+    }
+
+    /// Drops every column from `width` on (no-op if already narrower).
+    fn truncate(&mut self, width: usize) {
+        match &mut self.row {
+            Row::Inline { width: live, .. } => {
+                if width < usize::from(*live) {
+                    *live = width as u8;
+                }
+            }
+            Row::Spilled(cols) => cols.truncate(width),
+        }
+    }
+}
+
+impl Deref for Relaxation {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        match &self.row {
+            Row::Inline { width, cols } => &cols[..usize::from(*width)],
+            Row::Spilled(cols) => cols,
+        }
+    }
+}
+
+impl DerefMut for Relaxation {
+    fn deref_mut(&mut self) -> &mut [f64] {
+        match &mut self.row {
+            Row::Inline { width, cols } => &mut cols[..usize::from(*width)],
+            Row::Spilled(cols) => cols,
+        }
+    }
+}
 
 /// Multi-source Bellman-Ford on the GX-Plug algorithm template.
 #[derive(Debug, Clone)]
@@ -45,7 +130,7 @@ impl MultiSourceSssp {
 }
 
 impl GraphAlgorithm<Distances, f64> for MultiSourceSssp {
-    type Msg = Distances;
+    type Msg = Relaxation;
 
     fn init_vertex(&self, v: VertexId, _out_degree: usize) -> Distances {
         self.sources
@@ -58,26 +143,23 @@ impl GraphAlgorithm<Distances, f64> for MultiSourceSssp {
         &self,
         triplet: &Triplet<Distances, f64>,
         _iteration: usize,
-        out: &mut Vec<AddressedMessage<Distances>>,
+        out: &mut Vec<AddressedMessage<Relaxation>>,
     ) {
         // Relax the edge for every source whose distance at the source vertex
         // is finite; skip the message entirely if nothing can be relaxed.
         if triplet.src_attr.iter().all(|d| d.is_infinite()) {
             return;
         }
-        let candidate: Distances = triplet
-            .src_attr
-            .iter()
-            .map(|d| d + triplet.edge_attr)
-            .collect();
+        let candidate =
+            Relaxation::from_columns(triplet.src_attr.iter().map(|d| d + triplet.edge_attr));
         out.push(AddressedMessage::new(triplet.dst, candidate));
     }
 
-    /// Folds `min` into the owned left operand, reusing its allocation.  The
-    /// result has the shorter operand's length, as a column-wise `zip` would.
-    fn msg_merge(&self, mut a: Distances, b: Distances) -> Distances {
+    /// Folds `min` into the owned left operand in place.  The result has the
+    /// shorter operand's width, as a column-wise `zip` would.
+    fn msg_merge(&self, mut a: Relaxation, b: Relaxation) -> Relaxation {
         a.truncate(b.len());
-        for (x, y) in a.iter_mut().zip(&b) {
+        for (x, y) in a.iter_mut().zip(b.iter()) {
             *x = x.min(*y);
         }
         a
@@ -87,18 +169,22 @@ impl GraphAlgorithm<Distances, f64> for MultiSourceSssp {
         &self,
         _vertex: VertexId,
         current: &Distances,
-        message: &Distances,
+        message: &Relaxation,
         _iteration: usize,
     ) -> Option<Distances> {
         // Most merged messages improve nothing: answer those before
         // allocating the next distance vector.
-        if !current.iter().zip(message).any(|(cur, new)| new < cur) {
+        if !current
+            .iter()
+            .zip(message.iter())
+            .any(|(cur, new)| new < cur)
+        {
             return None;
         }
         Some(
             current
                 .iter()
-                .zip(message)
+                .zip(message.iter())
                 .map(|(cur, new)| if new < cur { *new } else { *cur })
                 .collect(),
         )
@@ -254,11 +340,14 @@ mod tests {
 
     #[test]
     fn in_place_merge_and_early_apply_match_the_collecting_forms() {
-        // The collecting forms the in-place ones replaced.
-        fn zip_merge(a: &Distances, b: &Distances) -> Distances {
+        // The `Vec` zip forms the inline message replaced.
+        fn zip_gen(src: &[f64], edge: f64) -> Option<Distances> {
+            (!src.iter().all(|d| d.is_infinite())).then(|| src.iter().map(|d| d + edge).collect())
+        }
+        fn zip_merge(a: &[f64], b: &[f64]) -> Distances {
             a.iter().zip(b).map(|(x, y)| x.min(*y)).collect()
         }
-        fn zip_apply(current: &Distances, message: &Distances) -> Option<Distances> {
+        fn zip_apply(current: &[f64], message: &[f64]) -> Option<Distances> {
             let mut improved = false;
             let next: Distances = current
                 .iter()
@@ -274,30 +363,58 @@ mod tests {
                 .collect();
             improved.then_some(next)
         }
-        let bits = |v: &Distances| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
         let inf = f64::INFINITY;
+        // Widths 0 through 6: inline rows and spilled ones.
         let vectors: Vec<Distances> = vec![
             vec![],
             vec![0.0],
+            vec![-0.0, 5.0],
+            vec![-inf, 0.5, 7.0],
             vec![inf, inf, inf, inf],
             vec![1.0, inf, -inf, 3.5],
-            vec![2.0, 4.0, inf, 3.5],
-            vec![-inf, 0.5, 7.0],
-            vec![1.0, inf, -inf, 3.5, 9.0, inf],
+            vec![2.0, 4.0, inf, 0.0],
+            vec![0.0, 2.5, inf, 1.0, -inf],
+            vec![1.0, inf, -inf, 3.5, 9.0, -0.0],
         ];
+        let relaxation = |v: &Distances| Relaxation::from_columns(v.iter().copied());
         let algorithm = MultiSourceSssp::paper_default();
         for a in &vectors {
+            let triplet = Triplet::new(0, 9, a.clone(), Vec::new(), 1.25);
+            let generated = algorithm.msg_gen(&triplet, 0);
+            assert_eq!(
+                generated.first().map(|m| bits(&m.payload)),
+                zip_gen(a, 1.25).as_deref().map(bits),
+                "gen {a:?}"
+            );
             for b in &vectors {
-                let merged = algorithm.msg_merge(a.clone(), b.clone());
-                assert_eq!(bits(&merged), bits(&zip_merge(a, b)), "merge {a:?} {b:?}");
-                let applied = algorithm.msg_apply(0, a, b, 0);
+                let merged = algorithm.msg_merge(relaxation(a), relaxation(b));
+                let want = zip_merge(a, b);
+                assert_eq!(bits(&merged), bits(&want), "merge {a:?} {b:?}");
+                // A merged row may stay spilled below the inline width; the
+                // next merge must not care which variant holds it.
+                for c in &vectors {
+                    let chained = algorithm.msg_merge(merged.clone(), relaxation(c));
+                    assert_eq!(bits(&chained), bits(&zip_merge(&want, c)));
+                }
+                let applied = algorithm.msg_apply(0, a, &relaxation(b), 0);
                 assert_eq!(
-                    applied.as_ref().map(bits),
-                    zip_apply(a, b).as_ref().map(bits),
+                    applied.as_deref().map(bits),
+                    zip_apply(a, b).as_deref().map(bits),
                     "apply {a:?} {b:?}"
                 );
             }
         }
+        // An operand wider than a `u8` width still truncates by its true
+        // width.
+        let wide = vec![0.5; 300];
+        let merged = algorithm.msg_merge(relaxation(&vectors[5]), relaxation(&wide));
+        assert_eq!(bits(&merged), bits(&zip_merge(&vectors[5], &wide)));
+        // The per-target merge slots hold one `Option<Relaxation>` per local
+        // vertex; the inline width is chosen to keep that slot at 40 bytes.
+        assert!(std::mem::size_of::<Option<Relaxation>>() <= 40);
+        assert!(matches!(relaxation(&vectors[5]).row, Row::Inline { .. }));
+        assert!(matches!(relaxation(&vectors[7]).row, Row::Spilled(_)));
     }
 
     #[test]

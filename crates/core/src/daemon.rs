@@ -154,8 +154,9 @@ where
 /// through [`GraphAlgorithm::msg_gen_into`] straight into `out` (or a
 /// pooled per-chunk slot on multi-lane backends), so for flat message types
 /// it allocates nothing beyond `out`'s amortised growth (and, on multi-lane
-/// backends, one staging pool per share).  Message types that own heap data
-/// (multi-source SSSP's distance vectors) still allocate their payloads.
+/// backends, one staging pool per share).  Multi-source SSSP's messages are
+/// flat too: its `Relaxation` rows hold up to four distances inline, so
+/// only fused runs over more sources allocate their payloads.
 ///
 /// # Errors
 /// A block the backend rejects (e.g. [`AccelError::OutOfMemory`] for a

@@ -556,8 +556,8 @@ pub struct Session<'g, V, E> {
     /// Built on the first run, reset (not rebuilt) on every further run.
     cluster: Option<Cluster<V, E>>,
     /// One pooled triplet arena per node, installed into the run's agents
-    /// and recovered afterwards: a reused session refills the same warm
-    /// buffers run after run instead of re-growing fresh ones.
+    /// and recovered (and released) afterwards: a reused session refills the
+    /// same warm buffers run after run instead of re-growing fresh ones.
     triplet_pool: Vec<Arc<TripletBuffer<V, E>>>,
     /// Mutation batches accepted before the cluster was first built; replayed
     /// in log order right after [`Cluster::build`], so a lazily-deployed
@@ -843,9 +843,16 @@ where
             }
         };
         // Recover the deployment (daemons, warm buffers) before surfacing
-        // any error, so a failed run does not poison the session.
+        // any error, so a failed run does not poison the session.  The
+        // arenas keep their slots across a run's supersteps but are released
+        // between runs: an idle session pins no attribute heap.
         self.daemons = daemons;
         self.triplet_pool = pool;
+        for buffer in &mut self.triplet_pool {
+            if let Some(buffer) = Arc::get_mut(buffer) {
+                buffer.release();
+            }
+        }
         // An aborted run leaves partially-updated vertex values behind —
         // nothing an incremental recompute may continue from.
         self.warm = None;

@@ -578,16 +578,26 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
     /// loads, no hashing.  Returns `None` if either endpoint is missing
     /// locally (which would indicate a broken partitioning).
     pub fn triplet(&self, id: EdgeId) -> Option<Triplet<V, E>> {
+        let t = self.triplet_ref(id)?;
+        Some(Triplet::new(
+            t.src,
+            t.dst,
+            t.src_attr.clone(),
+            t.dst_attr.clone(),
+            t.edge_attr.clone(),
+        ))
+    }
+
+    /// [`NodeState::triplet`] borrowed from the tables, cloning nothing.
+    fn triplet_ref(&self, id: EdgeId) -> Option<Triplet<&V, &E>> {
         let edge = self.edge_table.get(id)?;
         let (src_local, dst_local) = self.edge_endpoint_locals(id)?;
-        let src_attr = self.vertex_table.row_at(src_local).attr.clone();
-        let dst_attr = self.vertex_table.row_at(dst_local).attr.clone();
         Some(Triplet::new(
             edge.src,
             edge.dst,
-            src_attr,
-            dst_attr,
-            edge.attr.clone(),
+            &self.vertex_table.row_at(src_local).attr,
+            &self.vertex_table.row_at(dst_local).attr,
+            &edge.attr,
         ))
     }
 
@@ -599,14 +609,16 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
     /// Materialises triplets for the given local edge ids into a reusable
     /// [`TripletBuffer`], returning the filled view.  This is the zero-copy
     /// entry to the middleware hot path: attributes are cloned exactly once
-    /// (the table join), the buffer's allocation is reused across iterations,
-    /// and everything downstream borrows slices of it.
+    /// (the table join), straight from the tables into the buffer's retained
+    /// slots, so neither the buffer nor a heap-owning attribute allocates
+    /// once warm; everything downstream borrows slices of it.  Like
+    /// [`NodeState::triplet`], an edge with a missing endpoint is skipped.
     pub fn fill_triplets<'b>(
         &self,
         edge_ids: &[EdgeId],
         buffer: &'b mut TripletBuffer<V, E>,
     ) -> &'b [Triplet<V, E>] {
-        buffer.refill(edge_ids.iter().filter_map(|&id| self.triplet(id)))
+        buffer.refill_in_place(edge_ids.iter().filter_map(|&id| self.triplet_ref(id)))
     }
 
     /// Materialises the triplets of all currently active edges.
@@ -663,6 +675,10 @@ mod tests {
     }
 
     fn setup() -> (PropertyGraph<u32, f64>, Partitioning) {
+        setup_with(0u32)
+    }
+
+    fn setup_with<V: Clone>(default: V) -> (PropertyGraph<V, f64>, Partitioning) {
         let list: EdgeList<f64> = [
             (0u32, 1u32, 1.0),
             (1, 2, 1.0),
@@ -673,7 +689,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let graph = PropertyGraph::from_edge_list(list, 0u32).unwrap();
+        let graph = PropertyGraph::from_edge_list(list, default).unwrap();
         let partitioning = HashEdgePartitioner::new(1).partition(&graph, 2).unwrap();
         (graph, partitioning)
     }
@@ -781,6 +797,63 @@ mod tests {
         let stats = buffer.stats();
         assert_eq!(stats.fills, 2);
         assert!(stats.reallocations <= 1);
+    }
+
+    /// Vertex values that own heap data: one column vector per vertex.
+    struct Columns;
+
+    impl GraphAlgorithm<Vec<f64>, f64> for Columns {
+        type Msg = f64;
+        fn init_vertex(&self, v: VertexId, _out_degree: usize) -> Vec<f64> {
+            vec![v as f64; 4]
+        }
+        fn msg_gen_into(
+            &self,
+            triplet: &Triplet<Vec<f64>, f64>,
+            _iteration: usize,
+            out: &mut Vec<AddressedMessage<f64>>,
+        ) {
+            out.push(AddressedMessage::new(triplet.dst, triplet.src_attr[0]));
+        }
+        fn msg_merge(&self, a: f64, b: f64) -> f64 {
+            a.min(b)
+        }
+        fn msg_apply(&self, _v: VertexId, _c: &Vec<f64>, _m: &f64, _i: usize) -> Option<Vec<f64>> {
+            None
+        }
+        fn name(&self) -> &'static str {
+            "columns"
+        }
+    }
+
+    #[test]
+    fn in_place_refills_of_heap_attributes_match_triplets_for() {
+        let (graph, partitioning) = setup_with(Vec::<f64>::new());
+        let mut node = NodeState::build(0, &graph, &partitioning, &Columns);
+        let all = node.active_edge_ids();
+        let some: Vec<EdgeId> = all.iter().copied().step_by(2).collect();
+        assert!(some.len() < all.len());
+        let mut buffer = TripletBuffer::new();
+        // Full, then shrunk, then grown again, with the values changing
+        // between fills (and one vertex changing width): every fill equals a
+        // fresh owned materialisation of the same ids.
+        for (round, ids) in [&all, &some, &all, &some, &all].into_iter().enumerate() {
+            let vertices: Vec<VertexId> = node.vertex_table().ids().collect();
+            for (i, &v) in vertices.iter().enumerate() {
+                let width = if i == 0 { 2 + round } else { 4 };
+                node.update_vertex(v, vec![(round * 100 + i) as f64; width]);
+            }
+            let view = node.fill_triplets(ids, &mut buffer);
+            assert_eq!(view, node.triplets_for(ids).as_slice(), "round {round}");
+        }
+        // A released arena rebuilds the same view without regrowing.
+        let warm = buffer.stats().reallocations;
+        for _ in 0..3 {
+            buffer.release();
+            let view = node.fill_triplets(&all, &mut buffer);
+            assert_eq!(view, node.triplets_for(&all).as_slice());
+        }
+        assert_eq!(buffer.stats().reallocations, warm);
     }
 
     #[test]

@@ -83,6 +83,7 @@ pub mod prelude {
     };
     pub use gxplug_algos::{
         ConnectedComponents, KCore, LabelPropagation, MultiSourceSssp, PageRank, RankValue,
+        Relaxation,
     };
     pub use gxplug_baselines::{GunrockLike, LuxLike};
     pub use gxplug_core::{

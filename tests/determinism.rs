@@ -857,7 +857,7 @@ impl GatedMulti {
 }
 
 impl GraphAlgorithm<Vec<f64>, f64> for GatedMulti {
-    type Msg = Vec<f64>;
+    type Msg = Relaxation;
     fn init_vertex(&self, v: VertexId, d: usize) -> Vec<f64> {
         GraphAlgorithm::init_vertex(&self.inner, v, d)
     }
@@ -865,7 +865,7 @@ impl GraphAlgorithm<Vec<f64>, f64> for GatedMulti {
         &self,
         t: &Triplet<Vec<f64>, f64>,
         i: usize,
-        out: &mut Vec<AddressedMessage<Vec<f64>>>,
+        out: &mut Vec<AddressedMessage<Relaxation>>,
     ) {
         let (flag, condvar) = &*self.gate;
         let mut open = flag.lock().unwrap();
@@ -875,10 +875,10 @@ impl GraphAlgorithm<Vec<f64>, f64> for GatedMulti {
         drop(open);
         GraphAlgorithm::msg_gen_into(&self.inner, t, i, out)
     }
-    fn msg_merge(&self, a: Vec<f64>, b: Vec<f64>) -> Vec<f64> {
+    fn msg_merge(&self, a: Relaxation, b: Relaxation) -> Relaxation {
         GraphAlgorithm::msg_merge(&self.inner, a, b)
     }
-    fn msg_apply(&self, v: VertexId, c: &Vec<f64>, m: &Vec<f64>, i: usize) -> Option<Vec<f64>> {
+    fn msg_apply(&self, v: VertexId, c: &Vec<f64>, m: &Relaxation, i: usize) -> Option<Vec<f64>> {
         GraphAlgorithm::msg_apply(&self.inner, v, c, m, i)
     }
     fn initial_active(&self, n: usize) -> Option<Vec<VertexId>> {

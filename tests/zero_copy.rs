@@ -18,7 +18,9 @@
 //! * a counting global allocator proves the *message* path is
 //!   allocation-free too: `MSGGen` appends into the daemon's pooled message
 //!   buffer, so a warm agent's superstep allocates a constant handful of
-//!   times, not once per triplet.
+//!   times, not once per triplet — for `Copy` PageRank values and for
+//!   multi-source SSSP's heap-owning distance vectors alike (the arena
+//!   refills their slots in place; the messages are inline rows).
 
 use gx_plug::engine::node::NodeState;
 use gx_plug::ipc::key::KeyGenerator;
@@ -237,17 +239,23 @@ fn reused_sessions_reach_zero_arena_reallocations_at_steady_state() {
     }
 }
 
-#[test]
-fn warm_agent_supersteps_allocate_far_less_than_once_per_triplet() {
-    let _guard = serialize_test();
-    let rank = RankValue {
-        rank: 1.0,
-        out_degree: 0,
-    };
-    let graph = PropertyGraph::from_edge_list(Rmat::new(11, 8.0).generate(5), rank).unwrap();
-    let partitioning = HashEdgePartitioner::new(0).partition(&graph, 1).unwrap();
-    let algorithm = PageRank::new(10);
-    let mut node = NodeState::build(0, &graph, &partitioning, &algorithm);
+/// Runs one warm superstep of `algorithm` on a single-node deployment of
+/// `graph` (two daemons) and returns `(allocations, triplets)` of that
+/// superstep.  `prepare` sets the node's values and frontier before each
+/// superstep, so the warm-up supersteps see exactly the measured workload
+/// and size every pooled buffer for it: the triplet arena, the per-daemon
+/// message buffers, the dense merge slots, the sync cache.
+fn warm_superstep<V, A>(
+    graph: &PropertyGraph<V, f64>,
+    algorithm: &A,
+    prepare: impl Fn(&mut NodeState<V, f64>),
+) -> (u64, u64)
+where
+    V: Clone + PartialEq + Send + Sync,
+    A: GraphAlgorithm<V, f64>,
+{
+    let partitioning = HashEdgePartitioner::new(0).partition(graph, 1).unwrap();
+    let mut node = NodeState::build(0, graph, &partitioning, algorithm);
     let keys = KeyGenerator::new(2);
     let daemons = vec![
         Daemon::new("gpu", gpu_v100("gpu"), keys.key_for(0, 0)),
@@ -261,22 +269,29 @@ fn warm_agent_supersteps_allocate_far_less_than_once_per_triplet() {
         node.num_vertices(),
     );
     agent.connect();
-
-    // Warm-up supersteps size every pooled buffer: the triplet arena, the
-    // per-daemon message buffers, the dense merge slots, the sync cache.
     for iteration in 0..2 {
-        node.activate_all();
+        prepare(&mut node);
         agent
-            .process_iteration(&mut node, &algorithm, iteration)
+            .process_iteration(&mut node, algorithm, iteration)
             .unwrap();
     }
-
-    node.activate_all();
+    prepare(&mut node);
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let output = agent.process_iteration(&mut node, &algorithm, 2).unwrap();
+    let output = agent.process_iteration(&mut node, algorithm, 2).unwrap();
     let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    (allocations, output.triplets_processed as u64)
+}
 
-    let triplets = output.triplets_processed as u64;
+#[test]
+fn warm_agent_supersteps_allocate_far_less_than_once_per_triplet() {
+    let _guard = serialize_test();
+    let rank = RankValue {
+        rank: 1.0,
+        out_degree: 0,
+    };
+    let graph = PropertyGraph::from_edge_list(Rmat::new(11, 8.0).generate(5), rank).unwrap();
+    let (allocations, triplets) =
+        warm_superstep(&graph, &PageRank::new(10), NodeState::activate_all);
     assert!(triplets >= 10_000, "only {triplets} triplets on the node");
     // One allocation per triplet would mean `MSGGen` returns a fresh `Vec`
     // per edge; what remains is per-superstep bookkeeping (the merged output
@@ -284,5 +299,29 @@ fn warm_agent_supersteps_allocate_far_less_than_once_per_triplet() {
     assert!(
         allocations < triplets / 64,
         "{allocations} allocations for {triplets} triplets in one warm superstep"
+    );
+}
+
+#[test]
+fn warm_multi_source_sssp_supersteps_allocate_far_less_than_once_per_triplet() {
+    let _guard = serialize_test();
+    let graph = PropertyGraph::from_edge_list(Rmat::new(11, 8.0).generate(5), Vec::new()).unwrap();
+    // Every vertex holds four distances, one of them infinite, so every
+    // triplet relaxes and sends a 4-column message.
+    let (allocations, triplets) =
+        warm_superstep(&graph, &MultiSourceSssp::paper_default(), |node| {
+            let vertices: Vec<VertexId> = node.vertex_table().ids().collect();
+            for v in vertices {
+                let d = v as f64;
+                node.update_vertex(v, vec![d, d + 0.5, f64::INFINITY, 2.0 * d]);
+            }
+            node.activate_all();
+        });
+    assert!(triplets >= 10_000, "only {triplets} triplets on the node");
+    // A `Vec<f64>` value costs two allocations per triplet if the arena
+    // clones fresh attributes, and a `Vec<f64>` message one more.
+    assert!(
+        allocations < triplets / 64,
+        "{allocations} allocations for {triplets} SSSP triplets in one warm superstep"
     );
 }
