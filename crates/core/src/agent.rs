@@ -23,18 +23,18 @@
 //! messages land in pooled per-daemon buffers that are cleared — never
 //! reallocated — between iterations.
 //!
-//! Two agent front-ends share this logic through [`AgentCore`]: the serial
-//! [`Agent`] here, which owns its daemons and drives them on the calling
-//! thread, and the threaded
-//! [`ThreadedAgent`](crate::runtime::ThreadedAgent), which does the same for
-//! small shares and dispatches large ones to daemon worker threads so its
-//! daemons genuinely compute concurrently.
+//! [`Agent`] is the one per-node implementation of all this.  Its
+//! [`Agent::process_iteration`] computes every share on the calling thread;
+//! the threaded runtime's [`ThreadedAgent`](crate::runtime::ThreadedAgent)
+//! runs the very same iteration with a lane per daemon attached, so a share
+//! that crosses the run's fan-out floor is lent to its daemon's worker and
+//! computed concurrently with the shares the agent kept.
 
 use crate::config::{MiddlewareConfig, PipelineMode};
 use crate::daemon::{execute_share, Daemon};
 use crate::metrics::AgentStats;
 use crate::pipeline::block_size::PipelineCoefficients;
-use crate::runtime::RuntimeError;
+use crate::runtime::{DaemonLanes, RuntimeError, ShareLoan, ShareResult};
 use crate::sync_cache::VertexCache;
 use gxplug_accel::SimDuration;
 use gxplug_engine::cluster::NodeComputeOutput;
@@ -44,9 +44,12 @@ use gxplug_engine::template::{AddressedMessage, GraphAlgorithm};
 use gxplug_graph::dense::{DenseSlots, FrontierSet};
 use gxplug_graph::types::PartitionId;
 use gxplug_graph::view::TripletBuffer;
+use std::any::Any;
 use std::marker::PhantomData;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::thread;
 
 /// Fallback batch size for the unpipelined ("5-step") workflow, so that even
 /// without the pipeline a daemon never receives a batch beyond its device
@@ -106,6 +109,8 @@ fn gather_endpoints<V, E>(
 /// metadata the timing attribution needs.
 #[derive(Debug, Clone)]
 pub(crate) struct ShareRun {
+    /// Index of the daemon that ran the share.
+    pub daemon: usize,
     /// Coefficients of the daemon that ran the share.
     pub coefficients: PipelineCoefficients,
     /// Number of triplets in the share.
@@ -116,25 +121,22 @@ pub(crate) struct ShareRun {
     pub blocks: usize,
 }
 
-/// The reusable buffers of one agent's zero-copy hot path, grouped so both
-/// agent front-ends pool the same state:
+/// The reusable buffers of one agent's zero-copy hot path:
 ///
 /// * `triplets` — the iteration's materialised triplet arena.  Behind an
-///   `Arc` so the threaded runtime can hand borrowed share views to daemon
-///   worker threads without copying (the `Arc` is uniquely held again by the
-///   time the next iteration refills it).  The session re-installs the same
-///   arena run after run, so a reused session stops growing it entirely.
+///   `Arc` so a share lent to a daemon's lane reads it without copying (the
+///   `Arc` is uniquely held again once every loan is home).  The session
+///   re-installs the same arena run after run, so a reused session stops
+///   growing it entirely.
 /// * `msg_bufs` — one message buffer per daemon, drained into the merge each
 ///   iteration and refilled in place the next.
-/// * `shares` / `dispatched` / `share_runs` — the per-iteration planning
-///   vectors, cleared rather than reallocated.
+/// * `shares` / `share_runs` — the per-iteration planning vectors, cleared
+///   rather than reallocated.
 #[derive(Debug)]
 pub(crate) struct AgentScratch<V, E, M> {
     pub triplets: Arc<TripletBuffer<V, E>>,
     pub msg_bufs: Vec<Vec<AddressedMessage<M>>>,
     pub shares: Vec<Range<usize>>,
-    /// `(daemon index, share_runs slot)` of every share dispatched to a worker.
-    pub dispatched: Vec<(usize, usize)>,
     pub share_runs: Vec<ShareRun>,
     /// Pooled dense slots for the per-target `MSGMerge`, keyed by the node's
     /// dense local ids — the hash-free sibling of the triplet arena; an epoch
@@ -151,7 +153,6 @@ impl<V, E, M> AgentScratch<V, E, M> {
             triplets: Arc::new(TripletBuffer::new()),
             msg_bufs: (0..num_daemons).map(|_| Vec::new()).collect(),
             shares: Vec::with_capacity(num_daemons),
-            dispatched: Vec::with_capacity(num_daemons),
             share_runs: Vec::with_capacity(num_daemons),
             merge: DenseSlots::new(),
             overflow: Vec::new(),
@@ -169,11 +170,8 @@ impl<V, E, M> AgentScratch<V, E, M> {
 }
 
 /// The middleware bookkeeping of one distributed node: configuration, cache,
-/// statistics and the per-iteration phases that do *not* involve a device.
-///
-/// Both agent front-ends delegate here, so serial and threaded execution
-/// share one implementation of the download, merge, upload and timing logic —
-/// which is what makes their results bit-identical.
+/// statistics and the per-iteration phases that do *not* involve a device —
+/// the download, upload and timing logic of an [`Agent`].
 #[derive(Debug)]
 pub(crate) struct AgentCore<V> {
     node_id: PartitionId,
@@ -329,12 +327,11 @@ where
         )
     }
 
-    /// The upload and timing-attribution phases, shared by the serial and
-    /// threaded paths.  `merged` is the iteration's per-target `MSGMerge`
-    /// output (see [`dense_merge`]) — both paths drain their per-daemon
-    /// buffers in daemon order (then block, then triplet) into the merge,
-    /// which keeps the per-target combine order, and therefore the results,
-    /// identical.
+    /// The upload and timing-attribution phases.  `merged` is the
+    /// iteration's per-target `MSGMerge` output (see [`dense_merge`]), with
+    /// the per-daemon buffers drained in daemon order (then block, then
+    /// triplet) wherever each share ran — which keeps the per-target combine
+    /// order, and therefore the results, identical.
     pub(crate) fn finish_iteration<M>(
         &mut self,
         plan: &IterationPlan,
@@ -458,8 +455,46 @@ where
     Merged { messages, remote }
 }
 
-/// The agent of one distributed node, driving its daemons serially on the
-/// calling thread.
+/// A daemon slot is empty only while its share is on loan.
+const HOME: &str = "every daemon is home between iterations";
+
+/// The first failure among one iteration's shares, in daemon order.  A
+/// kernel's panic outranks any device error, as in
+/// [`settle`](gxplug_engine::fanout::settle).
+#[derive(Default)]
+struct FirstFailure {
+    panic: Option<(usize, Box<dyn Any + Send>)>,
+    error: Option<(usize, RuntimeError)>,
+}
+
+impl FirstFailure {
+    /// Records how daemon `daemon`'s share went; returns its block count if
+    /// it succeeded.
+    fn note(&mut self, daemon: usize, outcome: thread::Result<ShareResult>) -> Option<usize> {
+        fn keep_first<T>(slot: &mut Option<(usize, T)>, daemon: usize, failure: T) {
+            if slot.as_ref().is_none_or(|(first, _)| daemon < *first) {
+                *slot = Some((daemon, failure));
+            }
+        }
+        match outcome {
+            Ok(Ok(blocks)) => return Some(blocks),
+            Ok(Err(error)) => keep_first(&mut self.error, daemon, error),
+            Err(payload) => keep_first(&mut self.panic, daemon, payload),
+        }
+        None
+    }
+
+    /// Re-raises the first panic, else returns the first error.
+    fn into_result(self) -> Result<(), RuntimeError> {
+        if let Some((_, payload)) = self.panic {
+            resume_unwind(payload);
+        }
+        self.error.map_or(Ok(()), |(_, error)| Err(error))
+    }
+}
+
+/// The agent of one distributed node, bridging the upper system and the
+/// node's daemons.
 ///
 /// `V` and `E` are the graph's vertex and edge attribute types; `M` is the
 /// message type of the algorithm this agent serves for the current run
@@ -468,9 +503,15 @@ where
 #[derive(Debug)]
 pub struct Agent<V, E, M> {
     core: AgentCore<V>,
-    daemons: Vec<Daemon>,
+    /// The daemons, in daemon order.  A slot is empty only while its daemon
+    /// is lent to its lane for one share, within one iteration.
+    daemons: Vec<Option<Daemon>>,
     /// Capacity factors of the daemons, captured once (they are static).
     capacities: Vec<f64>,
+    /// The daemon with the largest capacity factor.  It takes the largest
+    /// share of every iteration and is never lent: the agent's thread would
+    /// otherwise only wait for the others, so it computes that share.
+    resident: usize,
     scratch: AgentScratch<V, E, M>,
 }
 
@@ -494,11 +535,19 @@ where
     ) -> Self {
         assert!(!daemons.is_empty(), "an agent needs at least one daemon");
         let capacities: Vec<f64> = daemons.iter().map(Daemon::capacity_factor).collect();
+        let resident = (1..capacities.len()).fold(0, |best, index| {
+            if capacities[index] > capacities[best] {
+                index
+            } else {
+                best
+            }
+        });
         let scratch = AgentScratch::new(daemons.len());
         Self {
             core: AgentCore::new(node_id, profile, config, local_vertices),
-            daemons,
+            daemons: daemons.into_iter().map(Some).collect(),
             capacities,
+            resident,
             scratch,
         }
     }
@@ -508,9 +557,9 @@ where
         self.core.node_id()
     }
 
-    /// The daemons attached to this agent.
-    pub fn daemons(&self) -> &[Daemon] {
-        &self.daemons
+    /// The daemons attached to this agent, in daemon order.
+    pub fn daemons(&self) -> impl Iterator<Item = &Daemon> {
+        self.daemons.iter().flatten()
     }
 
     /// Number of attached daemons.
@@ -551,7 +600,7 @@ where
     /// time, which the runner reports as setup cost.
     pub fn connect(&mut self) -> SimDuration {
         let mut total = SimDuration::ZERO;
-        for daemon in &mut self.daemons {
+        for daemon in self.daemons.iter_mut().flatten() {
             total += daemon.start();
         }
         self.core.record_init_time(total);
@@ -560,7 +609,7 @@ where
 
     /// `disconnect()`: shuts every daemon down.
     pub fn disconnect(&mut self) {
-        for daemon in &mut self.daemons {
+        for daemon in self.daemons.iter_mut().flatten() {
             daemon.shutdown();
         }
     }
@@ -568,12 +617,12 @@ where
     /// Releases the daemons without shutting them down, so a session can keep
     /// their device contexts alive for the next run.
     pub fn into_daemons(self) -> Vec<Daemon> {
-        self.daemons
+        self.daemons.into_iter().flatten().collect()
     }
 
-    /// Executes one middleware iteration for this agent's node and returns
-    /// the merged messages plus the timing attribution the cluster driver
-    /// expects.
+    /// Executes one middleware iteration for this agent's node, computing
+    /// every daemon's share on the calling thread, and returns the merged
+    /// messages plus the timing attribution the cluster driver expects.
     ///
     /// # Errors
     /// [`RuntimeError::Kernel`] if a device rejects a block (e.g. a mis-sized
@@ -588,6 +637,30 @@ where
     where
         A: GraphAlgorithm<V, E, Msg = M>,
     {
+        self.iterate(node, algorithm, iteration, None)
+    }
+
+    /// One middleware iteration.  Without `lanes` every share is computed on
+    /// the calling thread.  With them, a share of at least the lanes' floor
+    /// on any daemon but the resident one is lent to its daemon's lane first
+    /// — the daemon by value, with a handle on the triplet arena and its
+    /// message buffer — and the shares kept home are computed while the lent
+    /// ones run.  The kept shares stop at the first failure, as a serial run
+    /// does; every loan is home before the first panic in daemon order is
+    /// re-raised or the first error in daemon order returned.
+    pub(crate) fn iterate<'scope, 'env, A>(
+        &mut self,
+        node: &mut NodeState<V, E>,
+        algorithm: &'env A,
+        iteration: usize,
+        mut lanes: Option<&mut DaemonLanes<'scope, 'env, V, E, M>>,
+    ) -> Result<NodeComputeOutput<V, M>, RuntimeError>
+    where
+        A: GraphAlgorithm<V, E, Msg = M>,
+        V: 'scope,
+        E: 'scope,
+        M: 'scope,
+    {
         let plan = match self.core.begin_iteration(node, iteration) {
             Some(plan) => plan,
             None => return Ok(NodeComputeOutput::idle()),
@@ -597,33 +670,81 @@ where
         let buffer = Arc::get_mut(&mut self.scratch.triplets)
             .expect("no triplet share views outstanding between iterations");
         node.fill_triplets(self.core.active_edge_ids(), buffer);
-        let triplets = self.scratch.triplets.as_slice();
-        split_by_capacity_into(triplets.len(), &self.capacities, &mut self.scratch.shares);
-        self.scratch.share_runs.clear();
-        for buf in &mut self.scratch.msg_bufs {
+        let scratch = &mut self.scratch;
+        split_by_capacity_into(
+            scratch.triplets.len(),
+            &self.capacities,
+            &mut scratch.shares,
+        );
+        scratch.share_runs.clear();
+        for buf in &mut scratch.msg_bufs {
             buf.clear();
         }
-        for (daemon_index, range) in self.scratch.shares.iter().enumerate() {
+        for (daemon_index, range) in scratch.shares.iter().enumerate() {
             if range.is_empty() {
                 continue;
             }
-            let share = &triplets[range.clone()];
-            let daemon = &mut self.daemons[daemon_index];
+            let daemon = self.daemons[daemon_index].as_ref().expect(HOME);
             let coefficients = daemon.coefficients(self.core.profile());
             let block_size = self.core.block_size_for(
                 &coefficients,
-                share.len(),
+                range.len(),
                 daemon.backend().memory_capacity_items(),
             );
-            let out = &mut self.scratch.msg_bufs[daemon_index];
-            let blocks = execute_share(daemon, algorithm, share, block_size, iteration, out)?;
-            self.scratch.share_runs.push(ShareRun {
+            scratch.share_runs.push(ShareRun {
+                daemon: daemon_index,
                 coefficients,
-                share_len: share.len(),
+                share_len: range.len(),
                 block_size,
-                blocks,
+                blocks: 0,
             });
+            let lend_to = lanes
+                .as_deref_mut()
+                .filter(|lanes| daemon_index != self.resident && range.len() >= lanes.floor);
+            if let Some(lanes) = lend_to {
+                let loan = ShareLoan {
+                    daemon: self.daemons[daemon_index].take().expect(HOME),
+                    triplets: Arc::clone(&scratch.triplets),
+                    range: range.clone(),
+                    block_size,
+                    out: std::mem::take(&mut scratch.msg_bufs[daemon_index]),
+                };
+                lanes.lend(daemon_index, loan, algorithm, iteration);
+            }
         }
+        // The shares kept home, in daemon order, while the lent ones run;
+        // then every loan back, in daemon order.
+        let mut failure = FirstFailure::default();
+        let triplets = scratch.triplets.as_slice();
+        for run in &mut scratch.share_runs {
+            // A lent daemon's slot is empty until its loan comes home.
+            let Some(daemon) = self.daemons[run.daemon].as_mut() else {
+                continue;
+            };
+            let share = &triplets[scratch.shares[run.daemon].clone()];
+            let out = &mut scratch.msg_bufs[run.daemon];
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                execute_share(daemon, algorithm, share, run.block_size, iteration, out)
+            }));
+            match failure.note(run.daemon, outcome) {
+                Some(blocks) => run.blocks = blocks,
+                None => break,
+            }
+        }
+        if let Some(lanes) = lanes {
+            for run in &mut scratch.share_runs {
+                if self.daemons[run.daemon].is_some() {
+                    continue;
+                }
+                let (loan, outcome) = lanes.take_back(run.daemon);
+                self.daemons[run.daemon] = Some(loan.daemon);
+                scratch.msg_bufs[run.daemon] = loan.out;
+                if let Some(blocks) = failure.note(run.daemon, outcome) {
+                    run.blocks = blocks;
+                }
+            }
+        }
+        failure.into_result()?;
 
         // ---- merge phase (MSGMerge, into pooled dense slots) ----------------
         let AgentScratch {
@@ -777,9 +898,9 @@ mod tests {
         assert!(first > SimDuration::ZERO);
         let second = agent.connect();
         assert!(second.is_zero());
-        assert!(agent.daemons().iter().all(Daemon::is_started));
+        assert!(agent.daemons().all(Daemon::is_started));
         agent.disconnect();
-        assert!(agent.daemons().iter().all(|d| !d.is_started()));
+        assert!(agent.daemons().all(|d| !d.is_started()));
     }
 
     #[test]

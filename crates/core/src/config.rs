@@ -3,13 +3,13 @@
 //! Every optimisation the paper studies can be toggled independently so the
 //! evaluation harness can reproduce the ablations of §V (pipeline on/off/optimal,
 //! caching on/off, skipping on/off, balancing on/off).  On top of the paper's
-//! knobs, [`MiddlewareConfig::execution`] selects how the runtime schedules
-//! the work on the host: [`ExecutionMode::Threaded`] (the default) threads in
-//! proportion to the work — supersteps and daemon shares below the fan-out
-//! floor run on the calling thread, larger ones on parked node workers and
-//! daemon worker threads spawned once per run;
-//! [`ExecutionMode::Serial`] runs everything on the calling thread.
-//! Results are identical in both modes.
+//! knobs, [`MiddlewareConfig::execution`] sets the run's fan-out floor:
+//! under [`ExecutionMode::Threaded`] (the default) supersteps and daemon
+//! shares below the floor run on the calling thread and larger ones are lent
+//! to parked per-run lanes, spawned once per run;
+//! [`ExecutionMode::Serial`] is the same run with a floor no work reaches,
+//! so everything stays on the calling thread.  Results are identical in both
+//! modes.
 
 use serde::{Deserialize, Serialize};
 

@@ -22,8 +22,7 @@
 use crate::pipeline::block_size::PipelineCoefficients;
 use crate::runtime::RuntimeError;
 use gxplug_accel::{
-    AccelError, AcceleratorBackend, ChunkSpec, CostModel, DeviceKind, KernelTiming, SimBackend,
-    SimDuration,
+    AccelError, AcceleratorBackend, ChunkSpec, DeviceKind, KernelTiming, SimBackend, SimDuration,
 };
 use gxplug_engine::profile::RuntimeProfile;
 use gxplug_engine::template::{AddressedMessage, GraphAlgorithm};
@@ -33,87 +32,16 @@ use gxplug_ipc::key::IpcKey;
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 
-/// Immutable description of a daemon: everything an agent needs to plan work
-/// for it — splitting shares by capacity, choosing block sizes, attributing
-/// pipeline time — without touching the daemon itself.
-///
-/// This is what makes the threaded runtime possible: while the [`Daemon`]
-/// lives on its worker thread, the agent keeps a `DaemonInfo` snapshot and
-/// plans against it, sending only the actual kernel work across the thread
-/// boundary.
-#[derive(Debug, Clone)]
-pub struct DaemonInfo {
-    name: String,
-    kind: DeviceKind,
-    key: IpcKey,
-    capacity_factor: f64,
-    cost: CostModel,
-}
-
-impl DaemonInfo {
-    /// Snapshots the metadata of `daemon`.
-    pub fn of(daemon: &Daemon) -> Self {
-        Self {
-            name: daemon.name.clone(),
-            kind: daemon.kind(),
-            key: daemon.key(),
-            capacity_factor: daemon.capacity_factor(),
-            cost: *daemon.backend().cost_model(),
-        }
-    }
-
-    /// Daemon name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The wrapped backend's device kind.
-    pub fn kind(&self) -> DeviceKind {
-        self.kind
-    }
-
-    /// The IPC key of the daemon's shared memory space.
-    pub fn key(&self) -> IpcKey {
-        self.key
-    }
-
-    /// The device's computation capacity factor `1/c_j`.
-    pub fn capacity_factor(&self) -> f64 {
-        self.capacity_factor
-    }
-
-    /// The device's memory capacity in items, if bounded.
-    pub fn memory_capacity_items(&self) -> Option<usize> {
-        self.cost.memory_capacity_items
-    }
-
-    /// Derives the Lemma-1 pipeline coefficients of this daemon when driven
-    /// by an upper system with the given runtime profile.
-    pub fn coefficients(&self, profile: &RuntimeProfile) -> PipelineCoefficients {
-        coefficients_for(&self.cost, profile)
-    }
-}
-
-/// The Lemma-1 coefficients of a device cost model under a runtime profile:
-/// `k1`/`k3` come from the upper system's per-item transfer costs, `k2` and
-/// `a` from the device.
-fn coefficients_for(cost: &CostModel, profile: &RuntimeProfile) -> PipelineCoefficients {
-    PipelineCoefficients::new(
-        profile.per_item_download.as_millis().max(1e-9),
-        cost.per_item_cost().as_millis().max(1e-9),
-        profile.per_item_upload.as_millis().max(1e-9),
-        cost.call.as_millis().max(0.0),
-    )
-}
-
 /// What one `MSGGen` kernel launch produces: the generated messages plus the
 /// device timing attribution.
 pub type GenOutput<M> = (Vec<AddressedMessage<M>>, KernelTiming);
 
 /// `MSGMerge` as a pure function: combines messages addressed to the same
 /// vertex, preserving first-seen target order for determinism.  The merge is
-/// memory-bound host work, so it does not need a device; both the serial
-/// [`Agent`](crate::Agent) and the threaded runtime call this directly.
+/// memory-bound host work, so it does not need a device.  The
+/// [`Agent`](crate::Agent) merges through its pooled dense slots instead;
+/// this hash-based form serves [`Daemon::merge_messages`] and callers that
+/// merge a standalone message stream.
 ///
 /// Takes any message iterator so callers can drain their pooled per-daemon
 /// buffers straight into the merge without concatenating them first.
@@ -149,14 +77,14 @@ where
 /// into [`TripletBlockRef`] views of `block_size`, appending the generated
 /// messages (in block order) to the caller's reusable `out` buffer.  Returns
 /// the number of blocks launched.  This is the unit of work an agent hands to
-/// a daemon — on the calling thread in serial mode, on the daemon's worker
-/// thread in threaded mode — and it copies no triplet.  The kernel appends
-/// through [`GraphAlgorithm::msg_gen_into`] straight into `out` (or a
-/// pooled per-chunk slot on multi-lane backends), so for flat message types
-/// it allocates nothing beyond `out`'s amortised growth (and, on multi-lane
-/// backends, one staging pool per share).  Multi-source SSSP's messages are
-/// flat too: its `Relaxation` rows hold up to four distances inline, so
-/// only fused runs over more sources allocate their payloads.
+/// a daemon — on the agent's own thread, or on the daemon's lane when the
+/// share crosses the run's fan-out floor — and it copies no triplet.  The
+/// kernel appends through [`GraphAlgorithm::msg_gen_into`] straight into
+/// `out` (or a pooled per-chunk slot on multi-lane backends), so for flat
+/// message types it allocates nothing beyond `out`'s amortised growth (and,
+/// on multi-lane backends, one staging pool per share).  Multi-source SSSP's
+/// messages are flat too: its `Relaxation` rows hold up to four distances
+/// inline, so only fused runs over more sources allocate their payloads.
 ///
 /// # Errors
 /// A block the backend rejects (e.g. [`AccelError::OutOfMemory`] for a
@@ -345,16 +273,17 @@ impl Daemon {
         std::mem::replace(&mut self.backend, placeholder)
     }
 
-    /// Snapshots the planning metadata of this daemon (see [`DaemonInfo`]).
-    pub fn info(&self) -> DaemonInfo {
-        DaemonInfo::of(self)
-    }
-
-    /// Derives the Lemma-1 pipeline coefficients of this agent–daemon pair
-    /// (no snapshot is built: this sits in the serial agent's per-iteration
-    /// loop).
+    /// Derives the Lemma-1 pipeline coefficients of this agent–daemon pair:
+    /// `k1`/`k3` come from the upper system's per-item transfer costs, `k2`
+    /// and `a` from the device.
     pub fn coefficients(&self, profile: &RuntimeProfile) -> PipelineCoefficients {
-        coefficients_for(self.backend.cost_model(), profile)
+        let cost = self.backend.cost_model();
+        PipelineCoefficients::new(
+            profile.per_item_download.as_millis().max(1e-9),
+            cost.per_item_cost().as_millis().max(1e-9),
+            profile.per_item_upload.as_millis().max(1e-9),
+            cost.call.as_millis().max(0.0),
+        )
     }
 
     /// `MSGGen` over one borrowed triplet block: runs the kernel on the

@@ -33,31 +33,32 @@
 //! work pays for the hand-off.  A thread hand-off costs two queue hops
 //! whatever it carries, so, like a kernel launch in the §III-A pipeline
 //! model, it has to be amortised: one floor on the active-edge count
-//! ([`gxplug_engine::fanout`]) decides per superstep and per share.
+//! ([`gxplug_engine::fanout`]) decides per superstep and per share, and
+//! whatever crosses it is lent *by value* to a parked per-run lane — one
+//! mechanism for nodes and daemons alike:
 //!
 //! * a superstep below the floor runs its nodes in node order on the calling
-//!   thread; a larger one lends each node, with its agent's state, *by
-//!   value* to that node's parked worker and takes it back at the BSP
-//!   barrier ([`runtime::ThreadedNodes`]).  The workers are spawned once per
-//!   run, at the first superstep that needs them, and sleep in between;
+//!   thread; a larger one lends each node, with its agent, to that node's
+//!   lane and takes it back at the BSP barrier ([`runtime::ThreadedNodes`]);
 //! * an agent computes a daemon's share in place while it is below the
-//!   floor; the first share that crosses it moves the daemon onto its own
-//!   worker thread for the rest of the run ([`runtime::DaemonHandle`]: spawn
-//!   / submit / join, panic-safe shutdown), so the daemons of a node compute
-//!   large shares concurrently and device contexts stay alive across
-//!   iterations (runtime isolation, §IV-C) ([`runtime::ThreadedAgent`]);
-//! * a run whose supersteps all stay small therefore creates no thread and
+//!   floor; a share that crosses it is lent, with the daemon, to that
+//!   daemon's lane and comes home when the agent collects the shares, so the
+//!   daemons of a node compute large shares concurrently
+//!   ([`runtime::ThreadedAgent`]).  The daemon with the largest capacity is
+//!   never lent: it computes its share on the agent's thread;
+//! * lane workers are spawned once per run, at the first loan, and sleep in
+//!   between, so a run whose supersteps all stay small creates no thread and
 //!   crosses no queue.
 //!
-//! The [`config::ExecutionMode`] switch in [`MiddlewareConfig`] selects
-//! between this threaded runtime and a serial one running the identical
-//! logic on the calling thread.  Where a share or a node was computed never
-//! shows in the result: every daemon fills its own buffer and the buffers
-//! are merged in daemon order, every node's output lands in that node's slot
-//! and the slots are read in node order — so the two modes produce
-//! **bit-identical** results (the `determinism` integration test runs
-//! PageRank and SSSP both ways, on both sides of the floor, and compares
-//! exactly).
+//! There is one [`Agent`] and one run path.  The [`config::ExecutionMode`]
+//! switch in [`MiddlewareConfig`] only sets the floor: a serial run is the
+//! same run with a floor of `usize::MAX`, so nothing is ever lent.  Where a
+//! share or a node was computed never shows in the result: every daemon
+//! fills its own buffer and the buffers are merged in daemon order, every
+//! node's output lands in that node's slot and the slots are read in node
+//! order — so the two modes produce **bit-identical** results (the
+//! `determinism` integration test runs PageRank and SSSP both ways, on both
+//! sides of the floor, and compares exactly).
 //!
 //! [`session`] ties everything together: a [`SessionBuilder`] validates and
 //! deploys the cluster once (typed [`SessionError`]s instead of panics), and
@@ -97,10 +98,10 @@ pub use balance::{
     BalanceError, CapacityPlan, PartitionPlan,
 };
 pub use config::{ExecutionMode, MiddlewareConfig, PipelineMode};
-pub use daemon::{merge_addressed, ChunkStaging, Daemon, DaemonInfo, DaemonStats};
+pub use daemon::{merge_addressed, ChunkStaging, Daemon, DaemonStats};
 pub use metrics::AgentStats;
 pub use pipeline::{BlockSizeChoice, LemmaCase, PipelineCoefficients};
-pub use runtime::{DaemonHandle, DaemonJob, RuntimeError, ThreadedAgent, ThreadedNodes};
+pub use runtime::{RuntimeError, ThreadedAgent, ThreadedNodes};
 pub use service::{
     AdmissionPolicy, CachePolicy, GraphService, JobOptions, JobPriority, JobStatus, JobTicket,
     ServiceBuilder, ServiceError, ServiceStats, StatsSnapshot,

@@ -1,53 +1,46 @@
-//! The threaded daemon–agent runtime.
+//! The threaded runtime: one agent, one worker mechanism.
 //!
 //! The paper's daemons "work as independent processes" (§IV-C); this module
 //! gives the reproduction real concurrency instead of a single-threaded
 //! simulation of it — **in proportion to the work**.  Handing work to another
 //! thread costs two queue hops whatever its size, so, like a kernel launch in
 //! the §III-A pipeline model, it is only worth it when the work amortises it.
-//! One floor on the active-edge count
-//! ([`fanout`](gxplug_engine::fanout)) decides, superstep by superstep and
-//! share by share:
+//! One floor on the active-edge count, fixed per run by its
+//! [`ExecutionMode`](crate::ExecutionMode)
+//! ([`floor_for`](gxplug_engine::fanout::floor_for)), decides superstep by
+//! superstep and share by share, and whatever crosses it is lent *by value*
+//! to a parked [`Lane`] on the run's scope:
 //!
 //! * [`ThreadedNodes`] is the cluster-level
 //!   [`ComputePhase`](gxplug_engine::cluster::ComputePhase).  A superstep
 //!   whose nodes hold fewer active edges than the floor runs them in node
 //!   order on the calling thread.  A larger one lends every node but the
-//!   last — its `NodeState` and its agent's state, *by value*, because the
-//!   nodes are only borrowed for one `compute` call — to that node's parked
-//!   worker, computes the last node itself, and takes everything back in node
-//!   order at the BSP barrier.  The workers are spawned once, at the first
-//!   superstep that crosses the floor, on the scope
-//!   [`ThreadedAgent::spawn`] receives; between supersteps they sleep on
-//!   their job queues.
-//! * [`ThreadedAgent`] plans an iteration exactly like the serial
-//!   [`Agent`](crate::Agent) (same download/cache/merge/upload/timing code
-//!   via `AgentCore`).  Its daemons start out on the agent's own thread and a
-//!   share below the floor is computed right there with `execute_share`.  The
-//!   first share that crosses the floor moves its daemon onto a worker thread
-//!   ([`DaemonHandle`]) for the rest of the run, so the daemons of a node
-//!   compute large shares concurrently — the overlap the §III pipeline
-//!   shuffle is designed around.  The daemon with the largest capacity factor
-//!   never leaves: the agent's thread would otherwise only wait, so it
-//!   computes the largest share itself.
-//! * [`DaemonHandle`] runs one [`Daemon`] on its own OS worker thread (runtime
-//!   isolation: the device context stays alive across iterations).  Work is
-//!   submitted as jobs over the `Send + Sync` queue of `gxplug-ipc`;
-//!   [`DaemonHandle::join`] recovers the daemon — or the panic payload if a
-//!   kernel panicked.
+//!   last — its `NodeState` and its agent with the agent's daemon lanes — to
+//!   that node's lane, computes the last node itself, and takes everything
+//!   back in node order at the BSP barrier.
+//! * [`ThreadedAgent`] is an [`Agent`] plus those lanes, and its iteration is
+//!   the agent's own.  A share of at least the floor on any daemon but the
+//!   resident (largest-capacity) one is lent to that daemon's lane — the
+//!   daemon itself, a handle on the iteration's triplet arena with the
+//!   share's range, and the daemon's message buffer — while the agent
+//!   computes the shares it kept, and comes home at collection, in daemon
+//!   order.  A later share below the floor runs on the agent's thread again.
 //!
-//! A run whose supersteps all stay below the floor therefore creates no
-//! thread and crosses no queue; [`ThreadedAgent::threads_spawned`] counts
-//! what a run did create.
+//! [`ExecutionMode::Serial`](crate::ExecutionMode::Serial) is this runtime
+//! with a floor of `usize::MAX`: nothing is ever lent, so a serial run spawns
+//! no thread, by construction.  Neither does a threaded run whose supersteps
+//! all stay below the floor; [`ThreadedAgent::threads_spawned`] counts what a
+//! run did create.  A lane spawns its worker at its first loan, and the
+//! worker sleeps on its job queue between loans.
 //!
-//! Zero-copy dispatch: a share job does not move an owned `Vec<Triplet>` to
-//! the worker.  The iteration's triplets live in one reusable
+//! Zero-copy dispatch: a lent share does not carry an owned `Vec<Triplet>`.
+//! The iteration's triplets live in one reusable
 //! [`TripletBuffer`](gxplug_graph::view::TripletBuffer) behind an `Arc`; the
-//! job carries a cheap `Arc` handle plus an index range and reads its share
-//! *in place*.  Generated messages travel back in the daemon's pooled reply
-//! buffer, which the agent re-issues (cleared, never reallocated) on the next
-//! iteration.  By collection time the `Arc` is uniquely held again, so the
-//! next refill needs no new allocation either.
+//! loan carries a cheap `Arc` handle plus an index range and reads its share
+//! *in place*.  Generated messages come back in the daemon's pooled buffer,
+//! which the agent re-issues (cleared, never reallocated) on the next
+//! iteration.  Once every loan is home the `Arc` is uniquely held again, so
+//! the next refill needs no new allocation either.
 //!
 //! Determinism: where a share or a node is computed never shows in the
 //! result.  Every daemon writes its own message buffer and the buffers are
@@ -56,41 +49,45 @@
 //! bit-identical to a serial one, whichever side of the floor its supersteps
 //! fall on (covered by the `determinism` integration test).
 //!
+//! Failures come home too.  A kernel that panics on a lane does not take its
+//! loan with it: the unwind is caught, the daemon or node returns with the
+//! payload, and only once every loan is back is the first panic in daemon
+//! (node) order re-raised, with the kernel's own payload
+//! ([`settle`](gxplug_engine::fanout::settle)).  A device error is returned
+//! as the first [`RuntimeError`] in that order, as a serial run reports it.
+//!
 //! Worker threads are *scoped* (`std::thread::scope`), which is what lets
 //! jobs borrow the algorithm without `'static` bounds or reference counting;
 //! the scope guarantees every worker is joined before the borrowed data goes
 //! away.
 
-use crate::agent::{dense_merge, split_by_capacity_into, AgentCore, AgentScratch, ShareRun};
+use crate::agent::Agent;
 use crate::config::MiddlewareConfig;
-use crate::daemon::{execute_share, Daemon, DaemonInfo, DaemonStats};
+use crate::daemon::{execute_share, Daemon};
 use crate::metrics::AgentStats;
 use gxplug_accel::{AccelError, SimDuration};
 use gxplug_engine::cluster::{ComputePhase, NodeComputeOutput};
-use gxplug_engine::fanout::{fan_out, settle, worth_fanning_out, Lane};
+use gxplug_engine::fanout::{fan_out, floor_for, settle, Lane, Returned};
 use gxplug_engine::node::NodeState;
 use gxplug_engine::profile::RuntimeProfile;
 use gxplug_engine::template::{AddressedMessage, GraphAlgorithm};
 use gxplug_graph::types::PartitionId;
 use gxplug_graph::view::TripletBuffer;
-use gxplug_ipc::queue::{sync_queue, QueueSender};
 use std::fmt;
-use std::panic::resume_unwind;
-use std::sync::{mpsc, Arc};
-use std::thread::{Scope, ScopedJoinHandle};
+use std::ops::Range;
+use std::sync::Arc;
+use std::thread::Scope;
 
 /// A superstep's result for one node.
 type NodeResult<V, M> = Result<NodeComputeOutput<V, M>, RuntimeError>;
 
-/// Errors surfaced by the threaded runtime.
+/// What computing one daemon's share produced: the number of blocks
+/// launched, or the device error that stopped it.
+pub(crate) type ShareResult = Result<usize, RuntimeError>;
+
+/// Errors surfaced by the middleware runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeError {
-    /// The daemon's worker thread is no longer accepting work (it panicked or
-    /// was shut down).
-    DaemonStopped {
-        /// Name of the unavailable daemon.
-        name: String,
-    },
     /// A device kernel rejected its block (e.g. the block exceeded device
     /// memory).  The error aborts the run with a typed failure instead of
     /// panicking the process.
@@ -105,9 +102,6 @@ pub enum RuntimeError {
 impl fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RuntimeError::DaemonStopped { name } => {
-                write!(f, "daemon '{name}' has stopped and no longer accepts work")
-            }
             RuntimeError::Kernel { daemon, error } => {
                 write!(f, "daemon '{daemon}' kernel failed: {error}")
             }
@@ -117,220 +111,81 @@ impl fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
-/// A unit of work executed on a daemon's worker thread.
-pub type DaemonJob<'env> = Box<dyn FnOnce(&mut Daemon) + Send + 'env>;
-
-/// A [`Daemon`] running on its own OS worker thread.
-///
-/// The worker owns the daemon for the duration of the enclosing
-/// [`std::thread::scope`]; the handle keeps a [`DaemonInfo`] snapshot so
-/// agents can plan (capacity split, block sizing, timing) without crossing
-/// the thread boundary.  Lifecycle:
-///
-/// 1. [`DaemonHandle::spawn`] moves the daemon onto a new worker thread;
-/// 2. [`DaemonHandle::submit`] enqueues fire-and-forget jobs,
-///    [`DaemonHandle::call`] runs a job and blocks for its result;
-/// 3. [`DaemonHandle::join`] closes the job queue, joins the worker and
-///    returns the daemon (or the panic payload of a job that panicked).
-///
-/// Panic safety: a panicking job unwinds its worker thread, which drops the
-/// job queue receiver.  Pending [`DaemonHandle::call`]s then observe the
-/// disconnect and return [`RuntimeError::DaemonStopped`] instead of hanging,
-/// and [`DaemonHandle::join`] yields `Err(payload)` so the panic can be
-/// propagated with [`std::panic::resume_unwind`].
+/// One daemon's share of an iteration, lent to the daemon's lane: the daemon
+/// itself, a handle on the iteration's triplet arena with the share's range
+/// and block size, and the daemon's pooled message buffer.  All of it comes
+/// back with the share's result.
 #[derive(Debug)]
-pub struct DaemonHandle<'scope, 'env> {
-    info: DaemonInfo,
-    jobs: QueueSender<DaemonJob<'env>>,
-    worker: ScopedJoinHandle<'scope, Daemon>,
+pub(crate) struct ShareLoan<V, E, M> {
+    pub(crate) daemon: Daemon,
+    pub(crate) triplets: Arc<TripletBuffer<V, E>>,
+    pub(crate) range: Range<usize>,
+    pub(crate) block_size: usize,
+    pub(crate) out: Vec<AddressedMessage<M>>,
 }
 
-impl<'scope, 'env> DaemonHandle<'scope, 'env> {
-    /// Moves `daemon` onto a new worker thread spawned on `scope`.
-    pub fn spawn(scope: &'scope Scope<'scope, 'env>, daemon: Daemon) -> Self {
-        let info = daemon.info();
-        let (jobs, job_rx) = sync_queue::<DaemonJob<'env>>();
-        let worker = scope.spawn(move || {
-            let mut daemon = daemon;
-            // The loop ends when every sender is dropped (normal shutdown) —
-            // or by unwinding out of a panicking job, in which case `job_rx`
-            // is dropped mid-loop and waiting callers observe the disconnect.
-            while let Ok(job) = job_rx.recv() {
-                job(&mut daemon);
-            }
-            daemon
-        });
-        Self { info, jobs, worker }
-    }
-
-    /// The planning metadata snapshot of the daemon.
-    pub fn info(&self) -> &DaemonInfo {
-        &self.info
-    }
-
-    /// Enqueues a job without waiting for it.
-    pub fn submit(&self, job: impl FnOnce(&mut Daemon) + Send + 'env) -> Result<(), RuntimeError> {
-        self.jobs
-            .send(Box::new(job))
-            .map_err(|_| RuntimeError::DaemonStopped {
-                name: self.info.name().to_string(),
-            })
-    }
-
-    /// Runs `f` on the daemon thread and blocks until its result arrives.
-    pub fn call<R, F>(&self, f: F) -> Result<R, RuntimeError>
-    where
-        R: Send + 'env,
-        F: FnOnce(&mut Daemon) -> R + Send + 'env,
-    {
-        let (reply_tx, reply_rx) = mpsc::channel::<R>();
-        self.submit(move |daemon| {
-            let _ = reply_tx.send(f(daemon));
-        })?;
-        reply_rx.recv().map_err(|_| RuntimeError::DaemonStopped {
-            name: self.info.name().to_string(),
-        })
-    }
-
-    /// Cumulative statistics of the daemon (a blocking round-trip).
-    pub fn stats(&self) -> Result<DaemonStats, RuntimeError> {
-        self.call(|daemon| daemon.stats())
-    }
-
-    /// Closes the job queue and joins the worker, returning the daemon, or
-    /// the panic payload of the job that killed the worker.
-    pub fn join(self) -> std::thread::Result<Daemon> {
-        let DaemonHandle { jobs, worker, .. } = self;
-        drop(jobs);
-        worker.join()
-    }
-}
-
-/// What a share job sends back: the daemon's pooled message buffer (always
-/// returned, so its capacity survives failed iterations) plus the number of
-/// blocks launched or the error that aborted the share.
-type ShareReply<M> = (Vec<AddressedMessage<M>>, Result<usize, RuntimeError>);
-
-/// The reusable per-daemon reply channel pair of a [`ThreadedAgent`].
-type ReplyChannel<M> = (mpsc::Sender<ShareReply<M>>, mpsc::Receiver<ShareReply<M>>);
-
-/// Guarantees a share job *always* replies, even if it unwinds: the reply
-/// channels are long-lived (the agent keeps a sender for the next
-/// iteration), so a dead worker would otherwise leave the agent blocked on
-/// `recv` forever.  A panicking job drops the guard, which reports
-/// [`RuntimeError::DaemonStopped`]; the agent turns that into the documented
-/// "daemon died while computing its share" panic, and the worker's own panic
-/// payload resurfaces at join.
-struct ReplyGuard<M> {
-    tx: Option<mpsc::Sender<ShareReply<M>>>,
-    daemon: String,
-}
-
-impl<M> ReplyGuard<M> {
-    fn new(tx: mpsc::Sender<ShareReply<M>>, daemon: String) -> Self {
-        Self {
-            tx: Some(tx),
-            daemon,
-        }
-    }
-
-    fn reply(mut self, reply: ShareReply<M>) {
-        if let Some(tx) = self.tx.take() {
-            let _ = tx.send(reply);
-        }
-    }
-}
-
-impl<M> Drop for ReplyGuard<M> {
-    fn drop(&mut self) {
-        if let Some(tx) = self.tx.take() {
-            let _ = tx.send((
-                Vec::new(),
-                Err(RuntimeError::DaemonStopped {
-                    name: std::mem::take(&mut self.daemon),
-                }),
-            ));
-        }
-    }
-}
-
-/// Where one of an agent's daemons currently lives.
+/// One lane per daemon of an agent, on the run's scope, and the run's
+/// fan-out floor: a share of at least `floor` triplets on a daemon other
+/// than the resident one is lent to its lane.
 #[derive(Debug)]
-enum DaemonSeat<'scope, 'env, M> {
-    /// On the agent's own thread, where every daemon starts: shares run in
-    /// place.
-    Home(Daemon),
-    /// On its own worker thread, since the first share that crossed the
-    /// fan-out floor: shares travel there as jobs and report on the seat's
-    /// long-lived reply channel.
-    Away {
-        handle: DaemonHandle<'scope, 'env>,
-        replies: ReplyChannel<M>,
-    },
-    /// Transient while [`DaemonSeat::send_away`] moves the daemon; permanent
-    /// once the daemon's worker died and its panic was re-raised (a kernel
-    /// panic takes the daemon with it).
-    Vacant,
-}
-
-impl<'scope, 'env, M> DaemonSeat<'scope, 'env, M> {
-    /// Moves a daemon that is still home onto its own worker thread; returns
-    /// whether a thread was spawned.
-    fn send_away(&mut self, scope: &'scope Scope<'scope, 'env>) -> bool {
-        match std::mem::replace(self, DaemonSeat::Vacant) {
-            DaemonSeat::Home(daemon) => {
-                *self = DaemonSeat::Away {
-                    handle: DaemonHandle::spawn(scope, daemon),
-                    replies: mpsc::channel(),
-                };
-                true
-            }
-            seat => {
-                *self = seat;
-                false
-            }
-        }
-    }
-
-    /// Runs `f` on the daemon wherever it lives — in place when it is home, a
-    /// blocking round-trip to its worker otherwise.
-    fn with_daemon<R, F>(&mut self, f: F) -> Result<R, RuntimeError>
-    where
-        R: Send + 'env,
-        F: FnOnce(&mut Daemon) -> R + Send + 'env,
-    {
-        match self {
-            DaemonSeat::Home(daemon) => Ok(f(daemon)),
-            DaemonSeat::Away { handle, .. } => handle.call(f),
-            DaemonSeat::Vacant => Err(RuntimeError::DaemonStopped {
-                name: "a daemon lost to a kernel panic".to_string(),
-            }),
-        }
-    }
-}
-
-/// Everything of a [`ThreadedAgent`] that computes: boxed so it can be lent,
-/// together with its node's `NodeState`, to a parked node worker for one
-/// superstep and taken back with the output.
-#[derive(Debug)]
-struct AgentState<'scope, 'env, V, E, M> {
+pub(crate) struct DaemonLanes<'scope, 'env, V, E, M> {
     scope: &'scope Scope<'scope, 'env>,
-    core: AgentCore<V>,
-    seats: Vec<DaemonSeat<'scope, 'env, M>>,
-    /// Planning snapshots of the daemons, in seat order.
-    infos: Vec<DaemonInfo>,
-    /// Capacity factors of the daemons, captured once (they are static).
-    capacities: Vec<f64>,
-    /// The daemon with the largest capacity factor.  It takes the largest
-    /// share of every iteration, and it never leaves: the agent's thread
-    /// would otherwise only wait for the others, so it computes that share.
-    resident: usize,
-    scratch: AgentScratch<V, E, M>,
-    /// Daemon worker threads spawned so far.
-    daemon_workers: usize,
+    /// Fewest triplets a share is lent for (`usize::MAX` in a serial run).
+    pub(crate) floor: usize,
+    lanes: Vec<Lane<'scope, ShareLoan<V, E, M>, ShareResult>>,
 }
 
-impl<'env, V, E, M> AgentState<'_, 'env, V, E, M>
+impl<'scope, 'env, V, E, M> DaemonLanes<'scope, 'env, V, E, M> {
+    fn spawns(&self) -> usize {
+        self.lanes.iter().map(Lane::spawns).sum()
+    }
+}
+
+impl<'scope, 'env, V, E, M> DaemonLanes<'scope, 'env, V, E, M>
+where
+    V: Send + Sync + 'scope,
+    E: Send + Sync + 'scope,
+    M: Send + 'scope,
+{
+    /// Lends `loan` to the lane of daemon `daemon`, which computes the share
+    /// with `execute_share` while the agent goes on.
+    pub(crate) fn lend<A>(
+        &mut self,
+        daemon: usize,
+        loan: ShareLoan<V, E, M>,
+        algorithm: &'env A,
+        iteration: usize,
+    ) where
+        A: GraphAlgorithm<V, E, Msg = M>,
+    {
+        self.lanes[daemon].lend(self.scope, loan, move |loan: &mut ShareLoan<V, E, M>| {
+            execute_share(
+                &mut loan.daemon,
+                algorithm,
+                loan.triplets.share(loan.range.clone()),
+                loan.block_size,
+                iteration,
+                &mut loan.out,
+            )
+        });
+    }
+
+    /// Blocks until daemon `daemon`'s loan is home, with its share's result
+    /// or the panic that interrupted it.
+    pub(crate) fn take_back(&mut self, daemon: usize) -> Returned<ShareLoan<V, E, M>, ShareResult> {
+        self.lanes[daemon].take_back()
+    }
+}
+
+/// An agent with the lanes its daemons are lent on: what [`ThreadedNodes`]
+/// lends a node's worker, together with the node, for one superstep.
+#[derive(Debug)]
+struct Bridge<'scope, 'env, V, E, M> {
+    agent: Agent<V, E, M>,
+    daemons: DaemonLanes<'scope, 'env, V, E, M>,
+}
+
+impl<'env, V, E, M> Bridge<'_, 'env, V, E, M>
 where
     V: Clone + PartialEq + Send + Sync + 'env,
     E: Clone + Send + Sync + 'env,
@@ -345,182 +200,28 @@ where
     where
         A: GraphAlgorithm<V, E, Msg = M>,
     {
-        let plan = match self.core.begin_iteration(node, iteration) {
-            Some(plan) => plan,
-            None => return Ok(NodeComputeOutput::idle()),
-        };
-
-        // ---- compute phase: small shares in place, large ones dispatched ---
-        let buffer = Arc::get_mut(&mut self.scratch.triplets)
-            .expect("no triplet share views outstanding between iterations");
-        node.fill_triplets(self.core.active_edge_ids(), buffer);
-        let d = self.scratch.triplets.len();
-        split_by_capacity_into(d, &self.capacities, &mut self.scratch.shares);
-        self.scratch.share_runs.clear();
-        self.scratch.dispatched.clear();
-        let mut first_error: Option<RuntimeError> = None;
-        for daemon_index in 0..self.scratch.shares.len() {
-            let range = self.scratch.shares[daemon_index].clone();
-            if range.is_empty() {
-                continue;
-            }
-            let info = &self.infos[daemon_index];
-            let coefficients = info.coefficients(self.core.profile());
-            let share_len = range.len();
-            let block_size =
-                self.core
-                    .block_size_for(&coefficients, share_len, info.memory_capacity_items());
-            if daemon_index != self.resident
-                && worth_fanning_out(share_len)
-                && self.seats[daemon_index].send_away(self.scope)
-            {
-                self.daemon_workers += 1;
-            }
-            let executed = match &mut self.seats[daemon_index] {
-                DaemonSeat::Home(daemon) => {
-                    let out = &mut self.scratch.msg_bufs[daemon_index];
-                    out.clear();
-                    let share = &self.scratch.triplets.as_slice()[range];
-                    execute_share(daemon, algorithm, share, block_size, iteration, out)
-                }
-                DaemonSeat::Away { handle, replies } => {
-                    let view = Arc::clone(&self.scratch.triplets);
-                    let mut out = std::mem::take(&mut self.scratch.msg_bufs[daemon_index]);
-                    let reply_tx = replies.0.clone();
-                    let submitted = handle.submit(move |daemon| {
-                        let guard = ReplyGuard::new(reply_tx, daemon.name().to_string());
-                        out.clear();
-                        let result = execute_share(
-                            daemon,
-                            algorithm,
-                            view.share(range),
-                            block_size,
-                            iteration,
-                            &mut out,
-                        );
-                        // Release the share view BEFORE replying: the agent
-                        // treats the reply as "this share is done" and may
-                        // refill the triplet arena for the next iteration
-                        // immediately, which requires the arena to be
-                        // uniquely held again.
-                        drop(view);
-                        guard.reply((out, result));
-                    });
-                    // The block count arrives with the reply.
-                    submitted.map(|()| {
-                        let slot = self.scratch.share_runs.len();
-                        self.scratch.dispatched.push((daemon_index, slot));
-                        0
-                    })
-                }
-                DaemonSeat::Vacant => Err(RuntimeError::DaemonStopped {
-                    name: self.infos[daemon_index].name().to_string(),
-                }),
-            };
-            match executed {
-                Ok(blocks) => self.scratch.share_runs.push(ShareRun {
-                    coefficients,
-                    share_len,
-                    block_size,
-                    blocks,
-                }),
-                Err(error) => {
-                    // A kernel rejected its block, or a worker is gone: stop
-                    // handing out shares, but still collect what is already
-                    // in flight below.
-                    first_error = Some(error);
-                    break;
-                }
-            }
-        }
-        // Collect in daemon-index order.  Every dispatched share is collected
-        // even when one of them fails, so the buffer pool and the triplet
-        // arena come back; and an error collected here belongs to a lower
-        // daemon index than the one that stopped the loop above, so the run
-        // reports the same first error a serial agent would.
-        let mut collected_error: Option<RuntimeError> = None;
-        for position in 0..self.scratch.dispatched.len() {
-            let (daemon_index, slot) = self.scratch.dispatched[position];
-            let DaemonSeat::Away { replies, .. } = &self.seats[daemon_index] else {
-                unreachable!("only daemons on a worker are dispatched to");
-            };
-            match replies.1.recv() {
-                // A DaemonStopped reply from inside a job is the ReplyGuard
-                // reporting that the job unwound.
-                Ok((_, Err(RuntimeError::DaemonStopped { .. }))) | Err(_) => {
-                    self.reraise_worker_panic(daemon_index)
-                }
-                Ok((out, result)) => {
-                    // The pooled buffer always comes back, so its capacity
-                    // survives even a failed iteration.
-                    self.scratch.msg_bufs[daemon_index] = out;
-                    match result {
-                        Ok(blocks) => self.scratch.share_runs[slot].blocks = blocks,
-                        Err(error) => {
-                            collected_error.get_or_insert(error);
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(error) = collected_error.or(first_error) {
-            for buf in &mut self.scratch.msg_bufs {
-                buf.clear();
-            }
-            return Err(error);
-        }
-
-        // ---- merge phase (MSGMerge, into pooled dense slots) ----------------
-        let AgentScratch {
-            msg_bufs,
-            merge,
-            overflow,
-            ..
-        } = &mut self.scratch;
-        let raw = msg_bufs.iter_mut().flat_map(|buf| buf.drain(..));
-        let merged = dense_merge(node, algorithm, raw, merge, overflow);
-        Ok(self
-            .core
-            .finish_iteration(&plan, merged, &self.scratch.share_runs))
+        self.agent
+            .iterate(node, algorithm, iteration, Some(&mut self.daemons))
     }
 }
 
-impl<V, E, M> AgentState<'_, '_, V, E, M> {
-    /// A daemon worker died under its share — a kernel panicked.  Joins the
-    /// worker and re-raises the kernel's own panic, so the run sees the same
-    /// payload it would have seen had the share been computed in place.
-    fn reraise_worker_panic(&mut self, daemon_index: usize) -> ! {
-        let seat = std::mem::replace(&mut self.seats[daemon_index], DaemonSeat::Vacant);
-        if let DaemonSeat::Away { handle, .. } = seat {
-            if let Err(payload) = handle.join() {
-                resume_unwind(payload);
-            }
-        }
-        panic!(
-            "daemon '{}' died while computing its share",
-            self.infos[daemon_index].name()
-        )
-    }
-}
+/// A [`ThreadedAgent`]'s bridge is away only while [`ThreadedNodes`] has
+/// lent it out, within one superstep.
+const HOME: &str = "the agent is home between supersteps";
 
-/// What travels to a parked node worker for one superstep.
-type NodeLoan<'scope, 'env, V, E, M> = (NodeState<V, E>, Box<AgentState<'scope, 'env, V, E, M>>);
+/// What travels to a node's lane for one superstep.
+type NodeLoan<'scope, 'env, V, E, M> = (NodeState<V, E>, Box<Bridge<'scope, 'env, V, E, M>>);
 
-/// The threaded front-end of an agent: same planning and bookkeeping as the
-/// serial [`Agent`](crate::Agent), with threads added in proportion to the
-/// work — a worker per daemon once that daemon's share crosses the fan-out
-/// floor, and a parked node worker that [`ThreadedNodes`] lends the node to
-/// in supersteps that cross it.  Until then everything runs on the calling
-/// thread and the agent owns no thread at all.
-///
-/// Like the serial agent it is generic over the message type `M` of the
-/// algorithm it serves, which lets it pool the per-daemon reply buffers and
-/// reply channels across iterations.
+/// The threaded front of an [`Agent`]: the agent plus its lanes — one per
+/// daemon, and the node's own, which [`ThreadedNodes`] lends the node to in
+/// supersteps that cross the fan-out floor.  Until the work calls for them
+/// everything runs on the calling thread and the agent owns no thread at
+/// all; in a serial run it never does.
 #[derive(Debug)]
 pub struct ThreadedAgent<'scope, 'env, V, E, M> {
     /// `None` only while [`ThreadedNodes`] has lent it out for one superstep.
-    state: Option<Box<AgentState<'scope, 'env, V, E, M>>>,
-    /// This node's parked worker.
+    bridge: Option<Box<Bridge<'scope, 'env, V, E, M>>>,
+    /// This node's lane.
     lane: Lane<'scope, NodeLoan<'scope, 'env, V, E, M>, NodeResult<V, M>>,
 }
 
@@ -530,10 +231,10 @@ where
     E: Clone + Send + Sync + 'env,
     M: Clone + Send + Sync + 'env,
 {
-    /// Creates the agent for distributed node `node_id`.  No thread is
-    /// spawned yet: the daemons' workers and the node's own worker are
-    /// spawned on `scope` — which must enclose the whole run — the first
-    /// time the work calls for them.
+    /// Creates the agent for distributed node `node_id`, with the fan-out
+    /// floor of `config.execution`.  No thread is spawned yet: the lanes
+    /// spawn their workers on `scope` — which must enclose the whole run —
+    /// the first time the work calls for them.
     pub fn spawn(
         scope: &'scope Scope<'scope, 'env>,
         node_id: PartitionId,
@@ -542,142 +243,106 @@ where
         config: MiddlewareConfig,
         local_vertices: usize,
     ) -> Self {
-        assert!(!daemons.is_empty(), "an agent needs at least one daemon");
-        let infos: Vec<DaemonInfo> = daemons.iter().map(Daemon::info).collect();
-        let capacities: Vec<f64> = infos.iter().map(DaemonInfo::capacity_factor).collect();
-        let resident = (1..capacities.len()).fold(0, |best, index| {
-            if capacities[index] > capacities[best] {
-                index
-            } else {
-                best
-            }
-        });
-        let scratch = AgentScratch::new(daemons.len());
-        let state = AgentState {
+        let lanes = DaemonLanes {
             scope,
-            core: AgentCore::new(node_id, profile, config, local_vertices),
-            seats: daemons.into_iter().map(DaemonSeat::Home).collect(),
-            infos,
-            capacities,
-            resident,
-            scratch,
-            daemon_workers: 0,
+            floor: floor_for(config.execution),
+            lanes: daemons.iter().map(|_| Lane::default()).collect(),
         };
+        let agent = Agent::new(node_id, daemons, profile, config, local_vertices);
         Self {
-            state: Some(Box::new(state)),
+            bridge: Some(Box::new(Bridge {
+                agent,
+                daemons: lanes,
+            })),
             lane: Lane::default(),
         }
     }
 
-    fn state(&self) -> &AgentState<'scope, 'env, V, E, M> {
-        self.state
-            .as_deref()
-            .expect("the agent's state is home between supersteps")
+    fn bridge(&self) -> &Bridge<'scope, 'env, V, E, M> {
+        self.bridge.as_deref().expect(HOME)
     }
 
-    fn state_mut(&mut self) -> &mut AgentState<'scope, 'env, V, E, M> {
-        self.state
-            .as_deref_mut()
-            .expect("the agent's state is home between supersteps")
+    fn bridge_mut(&mut self) -> &mut Bridge<'scope, 'env, V, E, M> {
+        self.bridge.as_deref_mut().expect(HOME)
+    }
+
+    fn agent_mut(&mut self) -> &mut Agent<V, E, M> {
+        &mut self.bridge_mut().agent
     }
 
     /// The distributed node this agent serves.
     pub fn node_id(&self) -> PartitionId {
-        self.state().core.node_id()
+        self.bridge().agent.node_id()
     }
 
     /// Number of attached daemons.
     pub fn num_daemons(&self) -> usize {
-        self.state().seats.len()
-    }
-
-    /// Planning metadata of the attached daemons.
-    pub fn daemon_infos(&self) -> Vec<&DaemonInfo> {
-        self.state().infos.iter().collect()
+        self.bridge().agent.num_daemons()
     }
 
     /// Total computation capacity factor of the attached daemons.
     pub fn capacity_factor(&self) -> f64 {
-        self.state().capacities.iter().sum()
+        self.bridge().agent.capacity_factor()
     }
 
     /// The middleware configuration in force.
     pub fn config(&self) -> &MiddlewareConfig {
-        self.state().core.config()
+        self.bridge().agent.config()
     }
 
     /// Accumulated statistics.
     pub fn stats(&self) -> AgentStats {
-        self.state().core.stats()
+        self.bridge().agent.stats()
     }
 
-    /// OS threads this agent has spawned so far: one per daemon whose share
-    /// has crossed the fan-out floor, plus the node's own parked worker once
-    /// [`ThreadedNodes`] has lent the node out.  Zero for a run whose
-    /// supersteps all stayed below the floor; never more than one per worker,
-    /// however many supersteps crossed it.
+    /// OS threads this agent has spawned so far: one per daemon lane that
+    /// has been lent a share, plus the node's own once [`ThreadedNodes`] has
+    /// lent the node out.  Zero for a run whose supersteps all stayed below
+    /// the floor, and for every serial run; never more than one per lane,
+    /// however many supersteps crossed the floor.
     pub fn threads_spawned(&self) -> usize {
-        self.lane.spawns() + self.state().daemon_workers
+        self.lane.spawns() + self.bridge().daemons.spawns()
     }
 
     /// Installs a pooled triplet arena (e.g. the session's, so a reused
     /// session keeps one warm buffer per node across runs).
     pub fn install_triplet_buffer(&mut self, buffer: Arc<TripletBuffer<V, E>>) {
-        self.state_mut().scratch.install_triplets(buffer);
+        self.agent_mut().install_triplet_buffer(buffer);
     }
 
     /// Takes the triplet arena back (returning a fresh empty one to the
     /// agent), so the session can pool it for the next run.
     pub fn take_triplet_buffer(&mut self) -> Arc<TripletBuffer<V, E>> {
-        self.state_mut()
-            .scratch
-            .install_triplets(Arc::new(TripletBuffer::new()))
+        self.agent_mut().take_triplet_buffer()
     }
 
-    /// `connect()`: initialises every daemon's device context, once per run
-    /// (runtime isolation).  Returns the summed initialisation time.
-    ///
-    /// # Panics
-    /// Panics if a daemon that already lives on a worker thread has died.
+    /// `connect()`: starts every daemon (device initialisation happens here,
+    /// once per run — runtime isolation).  Returns the summed initialisation
+    /// time.
     pub fn connect(&mut self) -> SimDuration {
-        let state = self.state_mut();
-        let mut total = SimDuration::ZERO;
-        for seat in &mut state.seats {
-            total += seat
-                .with_daemon(|daemon| daemon.start())
-                .unwrap_or_else(|error| panic!("{error} (during connect)"));
-        }
-        state.core.record_init_time(total);
-        total
+        self.agent_mut().connect()
     }
 
-    /// `disconnect()`: shuts every daemon down (device contexts torn down
-    /// wherever the daemon lives; workers stay alive until [`Self::join`]).
+    /// `disconnect()`: shuts every daemon down.
     pub fn disconnect(&mut self) {
-        for seat in &mut self.state_mut().seats {
-            let _ = seat.with_daemon(|daemon| daemon.shutdown());
-        }
+        self.agent_mut().disconnect();
     }
 
     /// Executes one middleware iteration for this agent's node on the calling
-    /// thread: plans the download and the capacity shares, computes every
-    /// share below the fan-out floor (and the resident daemon's, whatever its
-    /// size) in place, dispatches the others — a borrowed view into the
-    /// iteration's triplet buffer — to their daemons' worker threads, then
-    /// collects the results in daemon order and finishes the
-    /// merge/upload/timing phases.
+    /// thread, exactly as [`Agent::process_iteration`] does, except that a
+    /// share of at least the fan-out floor on any daemon but the resident one
+    /// is lent to that daemon's lane and computed there, concurrently with
+    /// the shares the agent kept.
     ///
     /// # Errors
-    /// [`RuntimeError::Kernel`] if a device rejects a block, or
-    /// [`RuntimeError::DaemonStopped`] if a worker is gone at dispatch time —
-    /// the first error in daemon order, as the serial agent reports it.
-    /// Every dispatched share is still collected before the error is
-    /// returned, so the pooled buffers stay consistent.
+    /// [`RuntimeError::Kernel`] if a device rejects a block: the first error
+    /// in daemon order, as [`Agent::process_iteration`] reports it.  Every
+    /// lent share is home before the error is returned, so the pooled
+    /// buffers stay consistent.
     ///
     /// # Panics
     /// Panics if a kernel panics, with the kernel's own payload wherever the
-    /// share ran: a dispatched share's dead worker is joined and its panic
-    /// re-raised here.  The panic takes that daemon with it.
+    /// share ran — once every lent share is home.
     pub fn process_iteration<A>(
         &mut self,
         node: &mut NodeState<V, E>,
@@ -687,47 +352,35 @@ where
     where
         A: GraphAlgorithm<V, E, Msg = M>,
     {
-        self.state_mut()
+        self.bridge_mut()
             .process_iteration(node, algorithm, iteration)
     }
 
-    /// Stops the agent's workers and returns the daemons (minus any that a
-    /// kernel panic already took down).  Re-raises the panic of any daemon
-    /// worker that died from a panicking job.
+    /// Stops the agent's lanes (the run's scope joins their workers) and
+    /// returns the daemons, every one of which is home between supersteps.
     pub fn join(self) -> Vec<Daemon> {
-        let ThreadedAgent { state, lane } = self;
+        let ThreadedAgent { bridge, lane } = self;
         drop(lane);
-        let state = state.expect("the agent's state is home between supersteps");
-        state
-            .seats
-            .into_iter()
-            .filter_map(|seat| match seat {
-                DaemonSeat::Home(daemon) => Some(daemon),
-                DaemonSeat::Away { handle, .. } => match handle.join() {
-                    Ok(daemon) => Some(daemon),
-                    Err(payload) => resume_unwind(payload),
-                },
-                DaemonSeat::Vacant => None,
-            })
-            .collect()
+        bridge.expect(HOME).agent.into_daemons()
     }
 }
 
 /// Cluster-level compute phase driving one [`ThreadedAgent`] per distributed
 /// node, with threading proportional to the superstep's work.
 ///
-/// A superstep whose nodes hold fewer active edges than the fan-out floor
-/// runs them in node order on the calling thread.  A larger one lends every
-/// node but the last — `NodeState` and agent state, by value — to that node's
-/// parked worker (spawned once per run, at the first such superstep), runs
-/// the last node itself, and takes everything back at the BSP barrier.
+/// A superstep whose nodes hold fewer active edges than the run's fan-out
+/// floor runs them in node order on the calling thread.  A larger one lends
+/// every node but the last — `NodeState` and agent with its daemon lanes, by
+/// value — to that node's lane (whose worker is spawned once per run, at the
+/// first such superstep), runs the last node itself, and takes everything
+/// back at the BSP barrier.
 ///
 /// Each node's output lands in that node's slot and the slots are read in
-/// node order, so the global synchronisation sees the same message order as
-/// with the serial driver whichever way a superstep ran.  A per-node error
-/// (e.g. a rejected kernel block) aborts the superstep with the first error
-/// in node order; a per-node panic is re-raised only after every node and
-/// agent state is back where it was lent from.
+/// node order, so the global synchronisation sees the same message order
+/// whichever way a superstep ran.  A per-node error (e.g. a rejected kernel
+/// block) aborts the superstep with the first error in node order; a
+/// per-node panic is re-raised only after every node and agent is back where
+/// it was lent from.
 pub struct ThreadedNodes<'agents, 'scope, 'env, V, E, A>
 where
     A: GraphAlgorithm<V, E>,
@@ -761,36 +414,30 @@ where
         let algorithm = self.algorithm;
         let agents = &mut *self.agents;
         let active_edges: usize = nodes.iter().map(NodeState::active_edge_count).sum();
-        if nodes.len() < 2 || !worth_fanning_out(active_edges) {
+        if nodes.len() < 2 || active_edges < agents[0].bridge().daemons.floor {
             return nodes
                 .iter_mut()
                 .zip(agents.iter_mut())
                 .map(|(node, agent)| agent.process_iteration(node, algorithm, iteration))
                 .collect();
         }
-        let scope = agents[0].state().scope;
+        let scope = agents[0].bridge().daemons.scope;
         let lent: Vec<NodeLoan<'scope, 'env, V, E, A::Msg>> = nodes
             .iter_mut()
             .zip(agents.iter_mut())
-            .map(|(node, agent)| {
-                let state = agent
-                    .state
-                    .take()
-                    .expect("the agent's state is home between supersteps");
-                (std::mem::take(node), state)
-            })
+            .map(|(node, agent)| (std::mem::take(node), agent.bridge.take().expect(HOME)))
             .collect();
         let returned = fan_out(
             scope,
             agents.iter_mut().map(|agent| &mut agent.lane),
             lent,
-            move |(node, state): &mut NodeLoan<'scope, 'env, V, E, A::Msg>| {
-                state.process_iteration(node, algorithm, iteration)
+            move |(node, bridge): &mut NodeLoan<'scope, 'env, V, E, A::Msg>| {
+                bridge.process_iteration(node, algorithm, iteration)
             },
         );
-        settle(returned, |index, (node, state)| {
+        settle(returned, |index, (node, bridge)| {
             nodes[index] = node;
-            agents[index].state = Some(state);
+            agents[index].bridge = Some(bridge);
         })
         .into_iter()
         .collect()
@@ -800,11 +447,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ExecutionMode;
     use gxplug_accel::presets;
     use gxplug_ipc::key::KeyGenerator;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::collections::HashSet;
     use std::thread;
-    use std::time::Duration;
 
     fn daemon(index: usize) -> Daemon {
         let key = KeyGenerator::new(9).key_for(0, index);
@@ -813,134 +460,6 @@ mod tests {
             presets::cpu_xeon_20c(format!("c{index}")),
             key,
         )
-    }
-
-    #[test]
-    fn spawn_submit_join_lifecycle() {
-        let counter = AtomicUsize::new(0);
-        let returned = thread::scope(|scope| {
-            let handle = DaemonHandle::spawn(scope, daemon(0));
-            assert_eq!(handle.info().name(), "d0");
-            for _ in 0..10 {
-                handle
-                    .submit(|_daemon| {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                    })
-                    .unwrap();
-            }
-            let started = handle.call(|daemon| daemon.start()).unwrap();
-            assert!(started > SimDuration::ZERO);
-            handle.join().expect("no job panicked")
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 10);
-        assert!(returned.is_started());
-    }
-
-    #[test]
-    fn jobs_run_on_a_different_thread_and_borrow_locals() {
-        let main_thread = thread::current().id();
-        // Declared outside the scope, borrowed by jobs inside it — the scoped
-        // runtime needs no 'static bounds.
-        let data = [1u64, 2, 3];
-        let mut observed = Vec::new();
-        thread::scope(|scope| {
-            let handle = DaemonHandle::spawn(scope, daemon(0));
-            let worker_thread = handle.call(|_d| thread::current().id()).unwrap();
-            assert_ne!(worker_thread, main_thread);
-            let sum = handle.call(|_d| data.iter().sum::<u64>()).unwrap();
-            observed.push(sum);
-            handle.join().unwrap();
-        });
-        assert_eq!(observed, vec![6]);
-    }
-
-    #[test]
-    fn panicking_job_surfaces_through_join_and_stops_the_worker() {
-        thread::scope(|scope| {
-            let handle = DaemonHandle::spawn(scope, daemon(0));
-            handle
-                .submit(|_daemon| panic!("kernel exploded"))
-                .expect("worker was alive at submit time");
-            // The worker dies; a blocking call must error, not hang.
-            let mut saw_stop = false;
-            for _ in 0..50 {
-                match handle.call(|d| d.stats()) {
-                    Err(RuntimeError::DaemonStopped { name }) => {
-                        assert_eq!(name, "d0");
-                        saw_stop = true;
-                        break;
-                    }
-                    Err(other) => panic!("unexpected error: {other}"),
-                    Ok(_) => thread::sleep(Duration::from_millis(5)),
-                }
-            }
-            assert!(saw_stop, "worker kept accepting work after a panic");
-            let payload = handle.join().expect_err("join must surface the panic");
-            let message = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .unwrap_or("<non-str payload>");
-            assert_eq!(message, "kernel exploded");
-        });
-    }
-
-    #[test]
-    fn kernel_errors_propagate_across_the_worker_boundary() {
-        use gxplug_engine::template::AddressedMessage;
-        use gxplug_graph::types::{Triplet, VertexId};
-
-        struct Echo;
-        impl GraphAlgorithm<f64, f64> for Echo {
-            type Msg = f64;
-            fn init_vertex(&self, _v: VertexId, _d: usize) -> f64 {
-                0.0
-            }
-            fn msg_gen_into(
-                &self,
-                t: &Triplet<f64, f64>,
-                _i: usize,
-                out: &mut Vec<AddressedMessage<f64>>,
-            ) {
-                out.push(AddressedMessage::new(t.dst, t.src_attr));
-            }
-            fn msg_merge(&self, a: f64, _b: f64) -> f64 {
-                a
-            }
-            fn msg_apply(&self, _v: VertexId, _c: &f64, m: &f64, _i: usize) -> Option<f64> {
-                Some(*m)
-            }
-            fn name(&self) -> &'static str {
-                "echo"
-            }
-        }
-
-        let key = KeyGenerator::new(9).key_for(1, 0);
-        let gpu = Daemon::new("g0", presets::gpu_v100("g0"), key);
-        thread::scope(|scope| {
-            let handle = DaemonHandle::spawn(scope, gpu);
-            let result = handle
-                .call(|daemon| {
-                    daemon.start();
-                    let triplets = vec![
-                        Triplet::new(0u32, 1u32, 0.0f64, 0.0f64, 1.0f64);
-                        presets::GPU_MEMORY_ITEMS + 1
-                    ];
-                    let mut out = Vec::new();
-                    execute_share(daemon, &Echo, &triplets, triplets.len(), 0, &mut out)
-                })
-                .expect("worker alive");
-            // The device error crossed the thread boundary as a typed value,
-            // not a panic: the worker is still serving jobs afterwards.
-            match result {
-                Err(RuntimeError::Kernel { daemon, error }) => {
-                    assert_eq!(daemon, "g0");
-                    assert!(matches!(error, AccelError::OutOfMemory { .. }));
-                }
-                other => panic!("expected a kernel error, got {other:?}"),
-            }
-            assert!(handle.stats().is_ok());
-            handle.join().expect("worker survived the kernel error");
-        });
     }
 
     #[test]
@@ -1175,15 +694,19 @@ mod tests {
             .collect()
     }
 
-    /// One run through [`ThreadedNodes`], the way the session drives it.
-    /// Returns the run's result, its final values, and how many threads each
-    /// agent spawned.
-    fn run_threaded(
+    /// One run through [`ThreadedNodes`], the way the session drives it, in
+    /// `mode`.  Returns the run's result, its final values, and how many
+    /// threads each agent spawned.
+    fn run_in<A>(
+        mode: ExecutionMode,
         graph: &PropertyGraph<f64, f64>,
         partitioning: &Partitioning,
-        algorithm: &Spread,
+        algorithm: &A,
         daemons: Vec<Vec<Daemon>>,
-    ) -> (Result<RunReport, RuntimeError>, Vec<f64>, Vec<usize>) {
+    ) -> (Result<RunReport, RuntimeError>, Vec<f64>, Vec<usize>)
+    where
+        A: GraphAlgorithm<f64, f64, Msg = f64>,
+    {
         let profile = RuntimeProfile::powergraph();
         let mut cluster = Cluster::build(
             graph,
@@ -1202,7 +725,7 @@ mod tests {
                         node,
                         node_daemons,
                         profile,
-                        MiddlewareConfig::default(),
+                        MiddlewareConfig::default().with_execution(mode),
                         cluster.node(node).num_vertices(),
                     )
                 })
@@ -1232,6 +755,26 @@ mod tests {
         (report, cluster.collect_values(), spawned)
     }
 
+    /// [`run_in`] with the default, threaded execution.
+    fn run_threaded(
+        graph: &PropertyGraph<f64, f64>,
+        partitioning: &Partitioning,
+        algorithm: &Spread,
+        daemons: Vec<Vec<Daemon>>,
+    ) -> (Result<RunReport, RuntimeError>, Vec<f64>, Vec<usize>) {
+        run_in(
+            ExecutionMode::Threaded,
+            graph,
+            partitioning,
+            algorithm,
+            daemons,
+        )
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn a_run_below_the_floor_spawns_no_thread_and_one_above_spawns_each_worker_once() {
         let algorithm = Spread::new(6, false);
@@ -1250,6 +793,102 @@ mod tests {
         // node worker and its second daemon's worker once each; node 1 is
         // the calling thread's own, so it only ever spawned the daemon
         // worker.  The resident daemons never left.
+        assert_eq!(spawned, vec![2, 1]);
+    }
+
+    #[test]
+    fn a_serial_run_spawns_nothing_and_matches_the_threaded_run_bit_for_bit() {
+        let algorithm = Spread::new(4, false);
+        let (graph, partitioning) = ring(LARGE.0, LARGE.1, None);
+        let (threaded, threaded_values, spawned) =
+            run_threaded(&graph, &partitioning, &algorithm, twin_daemons(None));
+        assert_eq!(spawned, vec![2, 1]);
+        let (serial, serial_values, spawned) = run_in(
+            ExecutionMode::Serial,
+            &graph,
+            &partitioning,
+            &algorithm,
+            twin_daemons(None),
+        );
+        // Every superstep and share is large, yet a serial run's floor is
+        // out of reach: not one thread.
+        assert_eq!(spawned, vec![0, 0]);
+        assert_eq!(serial.unwrap(), threaded.unwrap());
+        assert_eq!(bits(&serial_values), bits(&threaded_values));
+    }
+
+    /// Superstep 0 has every vertex active; from then on only the vertices
+    /// below `hot` take updates, so every later superstep is small.  The
+    /// kernel notes the thread of every triplet it sees, per superstep.
+    struct Cooling {
+        hot: VertexId,
+        rounds: usize,
+        threads: Mutex<Vec<HashSet<ThreadId>>>,
+    }
+
+    impl GraphAlgorithm<f64, f64> for Cooling {
+        type Msg = f64;
+        fn init_vertex(&self, v: VertexId, _d: usize) -> f64 {
+            v as f64
+        }
+        fn msg_gen_into(
+            &self,
+            t: &Triplet<f64, f64>,
+            i: usize,
+            out: &mut Vec<AddressedMessage<f64>>,
+        ) {
+            let mut threads = self.threads.lock().unwrap();
+            if threads.len() <= i {
+                threads.resize_with(i + 1, HashSet::new);
+            }
+            threads[i].insert(thread::current().id());
+            out.push(AddressedMessage::new(t.dst, t.src_attr + 1.0));
+        }
+        fn msg_merge(&self, a: f64, b: f64) -> f64 {
+            a.max(b)
+        }
+        fn msg_apply(&self, v: VertexId, _c: &f64, m: &f64, _i: usize) -> Option<f64> {
+            (v < self.hot).then_some(*m)
+        }
+        fn max_iterations(&self) -> usize {
+            self.rounds
+        }
+        fn name(&self) -> &'static str {
+            "cooling"
+        }
+    }
+
+    #[test]
+    fn a_lent_daemon_comes_home_and_computes_its_later_small_shares_in_place() {
+        let here = thread::current().id();
+        let algorithm = Cooling {
+            hot: 4,
+            rounds: 4,
+            threads: Mutex::new(Vec::new()),
+        };
+        let (graph, partitioning) = ring(LARGE.0, LARGE.1, None);
+        let (report, _, spawned) = run_in(
+            ExecutionMode::Threaded,
+            &graph,
+            &partitioning,
+            &algorithm,
+            twin_daemons(None),
+        );
+        assert_eq!(report.unwrap().num_iterations(), 4);
+        let threads = algorithm.threads.into_inner().unwrap();
+        assert_eq!(threads.len(), 4, "every superstep had work");
+        assert!(
+            threads[0].iter().any(|thread| *thread != here),
+            "superstep 0's second shares ran on their daemons' lanes"
+        );
+        for (superstep, seen) in threads.iter().enumerate().skip(1) {
+            assert_eq!(
+                seen,
+                &HashSet::from([here]),
+                "superstep {superstep}: every share below the floor ran on the agent's thread"
+            );
+        }
+        // Node 0's lane and one daemon lane per node, each spawned once.
         assert_eq!(spawned, vec![2, 1]);
     }
 
@@ -1302,7 +941,6 @@ mod tests {
             },
         );
         assert_eq!(threaded.unwrap(), serial);
-        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&threaded_values), bits(&cluster.collect_values()));
     }
 
@@ -1335,7 +973,6 @@ mod tests {
                     assert_eq!(daemon, &format!("node{}-daemon{}", reject.0, reject.1));
                     assert!(matches!(error, AccelError::OutOfMemory { .. }));
                 }
-                other => panic!("expected a kernel error, got {other:?}"),
             }
         }
     }

@@ -24,28 +24,27 @@
 //! host-side cluster construction).  The `determinism` integration test
 //! checks this exactly.
 //!
-//! [`MiddlewareConfig::execution`] still selects the runtime per run.  The
-//! default [`ExecutionMode::Threaded`] threads in proportion to the work: a
-//! superstep below the fan-out floor runs on the calling thread like a serial
-//! one, a larger one lends its nodes to parked per-run node workers
-//! ([`crate::runtime::ThreadedNodes`]), and a daemon moves to its own worker
-//! thread ([`crate::runtime::DaemonHandle`]) the first time its share of an
-//! iteration crosses the floor — so a run of small supersteps creates no
-//! thread at all.  [`ExecutionMode::Serial`] drives the same logic on the
-//! calling thread throughout.  The two modes produce bit-identical results,
-//! and [`Session::set_config`] can switch any middleware knob between runs
-//! on the same deployment (ablations without re-deploying).
+//! Every accelerated run takes one path: one `std::thread::scope` around the
+//! run and one [`ThreadedAgent`] per node, driven by [`ThreadedNodes`].
+//! [`MiddlewareConfig::execution`] only sets the run's fan-out floor.  Under
+//! the default [`Threaded`](crate::ExecutionMode::Threaded) mode a superstep
+//! below the floor runs on the calling thread, a larger one lends its nodes
+//! to parked per-run node lanes, and a daemon share that crosses the floor is
+//! lent to its daemon's lane for that iteration — so a run of small
+//! supersteps creates no thread at all.
+//! [`Serial`](crate::ExecutionMode::Serial) is the same run with a floor no
+//! work reaches.  The two modes produce bit-identical results, and
+//! [`Session::set_config`] can switch any middleware knob between runs on
+//! the same deployment (ablations without re-deploying).
 
-use crate::agent::Agent;
-use crate::config::{ExecutionMode, MiddlewareConfig};
+use crate::config::MiddlewareConfig;
 use crate::daemon::Daemon;
 use crate::metrics::AgentStats;
 use crate::runtime::{RuntimeError, ThreadedAgent, ThreadedNodes};
 use gxplug_accel::{AcceleratorBackend, BackendKind, DeviceKind, DeviceSpec, SimDuration};
-use gxplug_engine::cluster::{Cluster, ComputePhase, NodeComputeOutput, SyncPolicy};
+use gxplug_engine::cluster::{Cluster, SyncPolicy};
 use gxplug_engine::metrics::RunReport;
 use gxplug_engine::network::NetworkModel;
-use gxplug_engine::node::NodeState;
 use gxplug_engine::profile::RuntimeProfile;
 use gxplug_engine::template::GraphAlgorithm;
 use gxplug_graph::graph::PropertyGraph;
@@ -338,21 +337,23 @@ impl SessionSpec {
         let system = system_label(&self.profile, &specs);
         let daemons = daemons_for_deployment(&specs);
         Ok(Session {
-            graph,
-            partitioning,
-            profile: self.profile,
-            network: self.network,
+            deployment: Deployment {
+                graph,
+                partitioning,
+                profile: self.profile,
+                network: self.network,
+                cluster: None,
+                pending_mutations: Vec::new(),
+                scope: MutationScope::new(),
+                warm: None,
+            },
             config: self.config,
             dataset: self.dataset,
             max_iterations: self.max_iterations,
             system,
             specs,
             daemons,
-            cluster: None,
             triplet_pool: Vec::new(),
-            pending_mutations: Vec::new(),
-            scope: MutationScope::new(),
-            warm: None,
         })
     }
 }
@@ -521,44 +522,16 @@ where
     }
 }
 
-/// Everything a single run needs besides the cluster and the algorithm.
-struct RunContext<'a> {
-    profile: RuntimeProfile,
-    config: MiddlewareConfig,
-    dataset: &'a str,
-    system: &'a str,
-    max_iterations: usize,
-    sync_policy: SyncPolicy,
-}
-
-/// A deployed GX-Plug system: the partitioned graph distributed over a
-/// simulated cluster, with the configured daemons plugged into its nodes.
-///
-/// Built by [`SessionBuilder`].  [`Session::run`] submits one algorithm run
-/// through the middleware; [`Session::run_native`] runs the upper system
-/// without accelerators on the same deployment (apples-to-apples baseline).
-/// The deployment — cluster structure and daemon device contexts — is reused
-/// across runs: only the first run pays the setup cost.
-pub struct Session<'g, V, E> {
+/// What a session deploys and carries from run to run: the partitioned
+/// graph, the upper system's profile and network, and the cluster built from
+/// them, with the mutations and the warm state it has seen.
+struct Deployment<'g, V, E> {
     graph: &'g PropertyGraph<V, E>,
     partitioning: Partitioning,
     profile: RuntimeProfile,
     network: NetworkModel,
-    config: MiddlewareConfig,
-    dataset: String,
-    max_iterations: usize,
-    system: String,
-    /// The device specs the deployment was built from (backend overrides
-    /// applied), kept so the backend can be swapped between runs.
-    specs: Vec<Vec<DeviceSpec>>,
-    /// One daemon list per node; daemons stay connected between runs.
-    daemons: Vec<Vec<Daemon>>,
     /// Built on the first run, reset (not rebuilt) on every further run.
     cluster: Option<Cluster<V, E>>,
-    /// One pooled triplet arena per node, installed into the run's agents
-    /// and recovered (and released) afterwards: a reused session refills the
-    /// same warm buffers run after run instead of re-growing fresh ones.
-    triplet_pool: Vec<Arc<TripletBuffer<V, E>>>,
     /// Mutation batches accepted before the cluster was first built; replayed
     /// in log order right after [`Cluster::build`], so a lazily-deployed
     /// session catches up with the mutated graph.
@@ -570,6 +543,82 @@ pub struct Session<'g, V, E> {
     /// cluster, if any — the warm state an incremental recompute may
     /// continue from.
     warm: Option<WarmState>,
+}
+
+impl<V, E> Deployment<'_, V, E>
+where
+    V: Clone + PartialEq + Send + Sync,
+    E: Clone + Send + Sync,
+{
+    /// Builds the cluster on the first run, resets it on every further run —
+    /// or, after live mutations, re-seeds just the dirty frontier when
+    /// `algorithm` is warm-continuing and opts in.
+    fn prepare_cluster<A>(&mut self, algorithm: &A) -> &mut Cluster<V, E>
+    where
+        A: GraphAlgorithm<V, E>,
+    {
+        let built_now = self.cluster.is_none();
+        let cluster = self.cluster.get_or_insert_with(|| {
+            Cluster::build(
+                self.graph,
+                self.partitioning.clone(),
+                algorithm,
+                self.profile,
+                self.network,
+            )
+        });
+        let mutated = !self.scope.is_empty();
+        for delta in std::mem::take(&mut self.pending_mutations) {
+            cluster.apply_mutations(&delta);
+        }
+        if built_now && !mutated {
+            // A fresh build is already initialised for `algorithm`.
+            return cluster;
+        }
+        let seed = if mutated && algorithm.supports_incremental() {
+            self.warm
+                .as_ref()
+                .filter(|warm| {
+                    warm.converged
+                        && warm.name == algorithm.name()
+                        && warm.cache_key == algorithm.cache_key()
+                })
+                .and_then(|_| algorithm.rescope(&self.scope))
+        } else {
+            None
+        };
+        match seed {
+            Some(seed) => cluster.seed_incremental(algorithm, &seed, &self.scope.added_vertices),
+            None => cluster.reset_for(algorithm),
+        }
+        self.scope.clear();
+        cluster
+    }
+}
+
+/// A deployed GX-Plug system: the partitioned graph distributed over a
+/// simulated cluster, with the configured daemons plugged into its nodes.
+///
+/// Built by [`SessionBuilder`].  [`Session::run`] submits one algorithm run
+/// through the middleware; [`Session::run_native`] runs the upper system
+/// without accelerators on the same deployment (apples-to-apples baseline).
+/// The deployment — cluster structure and daemon device contexts — is reused
+/// across runs: only the first run pays the setup cost.
+pub struct Session<'g, V, E> {
+    deployment: Deployment<'g, V, E>,
+    config: MiddlewareConfig,
+    dataset: String,
+    max_iterations: usize,
+    system: String,
+    /// The device specs the deployment was built from (backend overrides
+    /// applied), kept so the backend can be swapped between runs.
+    specs: Vec<Vec<DeviceSpec>>,
+    /// One daemon list per node; daemons stay connected between runs.
+    daemons: Vec<Vec<Daemon>>,
+    /// One pooled triplet arena per node, installed into the run's agents
+    /// and recovered (and released) afterwards: a reused session refills the
+    /// same warm buffers run after run instead of re-growing fresh ones.
+    triplet_pool: Vec<Arc<TripletBuffer<V, E>>>,
 }
 
 /// Identity of the converged values left in a session's cluster by its most
@@ -585,9 +634,9 @@ impl<V, E> fmt::Debug for Session<'_, V, E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Session")
             .field("system", &self.system)
-            .field("nodes", &self.partitioning.num_parts())
+            .field("nodes", &self.deployment.partitioning.num_parts())
             .field("daemons", &self.daemons.iter().map(Vec::len).sum::<usize>())
-            .field("deployed", &self.cluster.is_some())
+            .field("deployed", &self.deployment.cluster.is_some())
             .finish()
     }
 }
@@ -605,12 +654,12 @@ where
 
     /// Number of distributed nodes in the deployment.
     pub fn num_nodes(&self) -> usize {
-        self.partitioning.num_parts()
+        self.deployment.partitioning.num_parts()
     }
 
     /// The partitioning the session was deployed with.
     pub fn partitioning(&self) -> &Partitioning {
-        &self.partitioning
+        &self.deployment.partitioning
     }
 
     /// The middleware configuration used for the next run.
@@ -685,10 +734,11 @@ where
     /// own converged values) or falls back to a full
     /// [`Cluster::reset_for`].
     pub fn apply_mutations(&mut self, delta: &Arc<ResolvedMutation<V, E>>) {
-        self.scope.absorb(delta);
-        match self.cluster.as_mut() {
+        let deployment = &mut self.deployment;
+        deployment.scope.absorb(delta);
+        match deployment.cluster.as_mut() {
             Some(cluster) => cluster.apply_mutations(delta),
-            None => self.pending_mutations.push(Arc::clone(delta)),
+            None => deployment.pending_mutations.push(Arc::clone(delta)),
         }
     }
 
@@ -699,64 +749,18 @@ where
     /// effect on results (an incremental recompute is bit-identical to the
     /// full one by contract).
     pub fn forget_warm_state(&mut self) {
-        self.warm = None;
-    }
-
-    /// Builds the cluster on the first run, resets it on every further run —
-    /// or, after live mutations, re-seeds just the dirty frontier when
-    /// `algorithm` is warm-continuing and opts in.
-    fn prepare_cluster<A>(&mut self, algorithm: &A)
-    where
-        A: GraphAlgorithm<V, E>,
-    {
-        let built_now = self.cluster.is_none();
-        if built_now {
-            self.cluster = Some(Cluster::build(
-                self.graph,
-                self.partitioning.clone(),
-                algorithm,
-                self.profile,
-                self.network,
-            ));
-        }
-        let cluster = self.cluster.as_mut().expect("built above");
-        let mutated = !self.scope.is_empty();
-        for delta in std::mem::take(&mut self.pending_mutations) {
-            cluster.apply_mutations(&delta);
-        }
-        if built_now && !mutated {
-            // A fresh build is already initialised for `algorithm`.
-            return;
-        }
-        let seed = if mutated && algorithm.supports_incremental() {
-            self.warm
-                .as_ref()
-                .filter(|warm| {
-                    warm.converged
-                        && warm.name == algorithm.name()
-                        && warm.cache_key == algorithm.cache_key()
-                })
-                .and_then(|_| algorithm.rescope(&self.scope))
-        } else {
-            None
-        };
-        match seed {
-            Some(seed) => cluster.seed_incremental(algorithm, &seed, &self.scope.added_vertices),
-            None => cluster.reset_for(algorithm),
-        }
-        self.scope.clear();
+        self.deployment.warm = None;
     }
 
     /// Takes the per-node triplet arenas out of the pool for a run,
     /// initialising them on the first accelerated run.
     fn take_triplet_pool(&mut self) -> Vec<Arc<TripletBuffer<V, E>>> {
         let pool = std::mem::take(&mut self.triplet_pool);
-        if pool.len() == self.partitioning.num_parts() {
+        let nodes = self.num_nodes();
+        if pool.len() == nodes {
             pool
         } else {
-            (0..self.partitioning.num_parts())
-                .map(|_| Arc::new(TripletBuffer::new()))
-                .collect()
+            (0..nodes).map(|_| Arc::new(TripletBuffer::new())).collect()
         }
     }
 
@@ -819,29 +823,74 @@ where
         if self.daemons.is_empty() {
             return Err(SessionError::NoDevices);
         }
-        self.prepare_cluster(algorithm);
-        let daemons = std::mem::take(&mut self.daemons);
         let pool = self.take_triplet_pool();
         let config = overrides.config.unwrap_or(self.config);
-        let context = RunContext {
-            profile: self.profile,
-            config,
-            dataset: &self.dataset,
-            system: &self.system,
-            max_iterations: overrides.max_iterations.unwrap_or(self.max_iterations),
-            sync_policy: if config.skipping {
-                SyncPolicy::SkipWhenLocal
-            } else {
-                SyncPolicy::AlwaysSync
-            },
+        let max_iterations = overrides.max_iterations.unwrap_or(self.max_iterations);
+        let sync_policy = if config.skipping {
+            SyncPolicy::SkipWhenLocal
+        } else {
+            SyncPolicy::AlwaysSync
         };
-        let cluster = self.cluster.as_mut().expect("cluster deployed above");
-        let (report, agent_stats, daemons, pool) = match context.config.execution {
-            ExecutionMode::Serial => run_agents_serial(cluster, algorithm, &context, daemons, pool),
-            ExecutionMode::Threaded => {
-                run_agents_threaded(cluster, algorithm, &context, daemons, pool)
-            }
-        };
+        let profile = self.deployment.profile;
+        let cluster = self.deployment.prepare_cluster(algorithm);
+        let daemons = std::mem::take(&mut self.daemons);
+        // One scope encloses the run: the agents' lanes spawn their workers
+        // on it if and when the work crosses the floor `config.execution`
+        // sets — never in a serial run.
+        let (report, agent_stats, daemons, pool) = thread::scope(|scope| {
+            let mut agents: Vec<ThreadedAgent<'_, '_, V, E, A::Msg>> = daemons
+                .into_iter()
+                .zip(pool)
+                .enumerate()
+                .map(|(node_id, (node_daemons, buffer))| {
+                    let mut agent = ThreadedAgent::spawn(
+                        scope,
+                        node_id,
+                        node_daemons,
+                        profile,
+                        config,
+                        cluster.node(node_id).num_vertices(),
+                    );
+                    agent.install_triplet_buffer(buffer);
+                    agent
+                })
+                .collect();
+
+            // connect(): device contexts are initialised in parallel across
+            // nodes, so the setup cost is the slowest node's initialisation —
+            // and zero when the session already connected them on an earlier
+            // run.
+            let setup = agents
+                .iter_mut()
+                .map(ThreadedAgent::connect)
+                .fold(SimDuration::ZERO, SimDuration::max);
+            let report = cluster.run_phased(
+                algorithm,
+                &self.dataset,
+                &self.system,
+                max_iterations,
+                sync_policy,
+                setup,
+                &mut ThreadedNodes {
+                    agents: &mut agents,
+                    algorithm,
+                },
+            );
+            let agent_stats: Vec<AgentStats> = agents.iter().map(ThreadedAgent::stats).collect();
+            // Stop the lanes WITHOUT disconnecting: the recovered daemons
+            // keep their device contexts alive for the session's next run.
+            // Every loan is home between supersteps, so the triplet arenas
+            // are uniquely held again.
+            let (daemons, pool): (Vec<Vec<Daemon>>, Vec<_>) = agents
+                .into_iter()
+                .map(|mut agent| {
+                    let buffer = agent.take_triplet_buffer();
+                    (agent.join(), buffer)
+                })
+                .unzip();
+            (report, agent_stats, daemons, pool)
+        });
+        let collected = report.map(|report| (report, cluster.collect_values()));
         // Recover the deployment (daemons, warm buffers) before surfacing
         // any error, so a failed run does not poison the session.  The
         // arenas keep their slots across a run's supersteps but are released
@@ -855,14 +904,13 @@ where
         }
         // An aborted run leaves partially-updated vertex values behind —
         // nothing an incremental recompute may continue from.
-        self.warm = None;
-        let report = report?;
-        self.warm = Some(WarmState {
+        self.deployment.warm = None;
+        let (report, values) = collected?;
+        self.deployment.warm = Some(WarmState {
             name: algorithm.name(),
             cache_key: algorithm.cache_key(),
             converged: report.converged,
         });
-        let values = cluster.collect_values();
         Ok(RunOutcome {
             report,
             agent_stats,
@@ -871,7 +919,7 @@ where
     }
 
     /// Runs `algorithm` natively (no accelerators) on the same deployed
-    /// cluster, using the configured [`ExecutionMode`].
+    /// cluster, using the configured [`ExecutionMode`](crate::ExecutionMode).
     pub fn run_native<A>(&mut self, algorithm: &A) -> RunOutcome<V>
     where
         A: GraphAlgorithm<V, E>,
@@ -886,20 +934,19 @@ where
     where
         A: GraphAlgorithm<V, E>,
     {
-        self.prepare_cluster(algorithm);
-        let cluster = self.cluster.as_mut().expect("cluster deployed above");
+        let cluster = self.deployment.prepare_cluster(algorithm);
         let report = cluster.run_native_mode(
             algorithm,
             &self.dataset,
             overrides.max_iterations.unwrap_or(self.max_iterations),
             overrides.config.unwrap_or(self.config).execution,
         );
-        self.warm = Some(WarmState {
+        let values = cluster.collect_values();
+        self.deployment.warm = Some(WarmState {
             name: algorithm.name(),
             cache_key: algorithm.cache_key(),
             converged: report.converged,
         });
-        let values = cluster.collect_values();
         RunOutcome {
             report,
             agent_stats: Vec::new(),
@@ -948,181 +995,6 @@ impl<V, E> Drop for Session<'_, V, E> {
     fn drop(&mut self) {
         self.close();
     }
-}
-
-/// The serial per-node compute phase: one [`Agent`] per node, driven on the
-/// calling thread, with kernel errors aborting the superstep.
-struct SerialAgents<'a, V, E, M, A> {
-    agents: &'a mut [Agent<V, E, M>],
-    algorithm: &'a A,
-}
-
-impl<V, E, M, A> ComputePhase<V, E, M> for SerialAgents<'_, V, E, M, A>
-where
-    V: Clone + PartialEq + Send + Sync,
-    E: Clone + Send + Sync,
-    M: Clone + Send + Sync,
-    A: GraphAlgorithm<V, E, Msg = M>,
-{
-    type Error = RuntimeError;
-
-    fn compute(
-        &mut self,
-        nodes: &mut [NodeState<V, E>],
-        iteration: usize,
-    ) -> Result<Vec<NodeComputeOutput<V, M>>, RuntimeError> {
-        nodes
-            .iter_mut()
-            .zip(self.agents.iter_mut())
-            .map(|(node, agent)| agent.process_iteration(node, self.algorithm, iteration))
-            .collect()
-    }
-}
-
-/// What either middleware path returns: the run result plus everything the
-/// session recovers for its next run (daemons with live device contexts,
-/// warm triplet arenas).
-type AgentsRunResult<V, E> = (
-    Result<RunReport, RuntimeError>,
-    Vec<AgentStats>,
-    Vec<Vec<Daemon>>,
-    Vec<Arc<TripletBuffer<V, E>>>,
-);
-
-/// The serial middleware path: agents own their daemons for the duration of
-/// the run and drive them on the calling thread.  Returns the daemons and
-/// the pooled triplet arenas so the session can keep both alive for the next
-/// run.
-fn run_agents_serial<V, E, A>(
-    cluster: &mut Cluster<V, E>,
-    algorithm: &A,
-    context: &RunContext<'_>,
-    daemons: Vec<Vec<Daemon>>,
-    pool: Vec<Arc<TripletBuffer<V, E>>>,
-) -> AgentsRunResult<V, E>
-where
-    V: Clone + PartialEq + Send + Sync,
-    E: Clone + Send + Sync,
-    A: GraphAlgorithm<V, E>,
-{
-    let mut agents: Vec<Agent<V, E, A::Msg>> = daemons
-        .into_iter()
-        .zip(pool)
-        .enumerate()
-        .map(|(node_id, (node_daemons, buffer))| {
-            let mut agent = Agent::new(
-                node_id,
-                node_daemons,
-                context.profile,
-                context.config,
-                cluster.node(node_id).num_vertices(),
-            );
-            agent.install_triplet_buffer(buffer);
-            agent
-        })
-        .collect();
-
-    // connect(): device contexts are initialised in parallel across nodes,
-    // so the setup cost is the slowest node's initialisation — and zero when
-    // the session already connected them on an earlier run.
-    let setup = agents
-        .iter_mut()
-        .map(Agent::connect)
-        .fold(SimDuration::ZERO, SimDuration::max);
-
-    let mut phase = SerialAgents {
-        agents: &mut agents,
-        algorithm,
-    };
-    let report = cluster.run_phased(
-        algorithm,
-        context.dataset,
-        context.system,
-        context.max_iterations,
-        context.sync_policy,
-        setup,
-        &mut phase,
-    );
-    let agent_stats = agents.iter().map(Agent::stats).collect();
-    // No disconnect: the daemons stay connected across session runs.
-    let (daemons, pool) = agents
-        .into_iter()
-        .map(|mut agent| {
-            let buffer = agent.take_triplet_buffer();
-            (agent.into_daemons(), buffer)
-        })
-        .unzip();
-    (report, agent_stats, daemons, pool)
-}
-
-/// The threaded middleware path: one scope around the whole run, on which the
-/// agents spawn their node and daemon workers if and when a superstep is
-/// large enough to pay for them.
-fn run_agents_threaded<V, E, A>(
-    cluster: &mut Cluster<V, E>,
-    algorithm: &A,
-    context: &RunContext<'_>,
-    daemons: Vec<Vec<Daemon>>,
-    pool: Vec<Arc<TripletBuffer<V, E>>>,
-) -> AgentsRunResult<V, E>
-where
-    V: Clone + PartialEq + Send + Sync,
-    E: Clone + Send + Sync,
-    A: GraphAlgorithm<V, E>,
-{
-    thread::scope(|scope| {
-        let mut agents: Vec<ThreadedAgent<'_, '_, V, E, A::Msg>> = daemons
-            .into_iter()
-            .zip(pool)
-            .enumerate()
-            .map(|(node_id, (node_daemons, buffer))| {
-                let mut agent = ThreadedAgent::spawn(
-                    scope,
-                    node_id,
-                    node_daemons,
-                    context.profile,
-                    context.config,
-                    cluster.node(node_id).num_vertices(),
-                );
-                agent.install_triplet_buffer(buffer);
-                agent
-            })
-            .collect();
-
-        let setup = agents
-            .iter_mut()
-            .map(ThreadedAgent::connect)
-            .fold(SimDuration::ZERO, SimDuration::max);
-
-        let mut phase = ThreadedNodes {
-            agents: &mut agents,
-            algorithm,
-        };
-        let report = cluster.run_phased(
-            algorithm,
-            context.dataset,
-            context.system,
-            context.max_iterations,
-            context.sync_policy,
-            setup,
-            &mut phase,
-        );
-        let agent_stats = agents.iter().map(ThreadedAgent::stats).collect();
-        // Stop whatever workers the run spawned (a daemon worker that
-        // panicked re-raises here) WITHOUT disconnecting: the recovered
-        // daemons keep their device contexts alive for the session's next
-        // run.  The triplet arenas are taken back first; by the end of the
-        // joins every outstanding share view has been dropped, so the arenas
-        // are uniquely held again.
-        let (daemons, pool) = agents
-            .into_iter()
-            .map(|mut agent| {
-                let buffer = agent.take_triplet_buffer();
-                (agent.join(), buffer)
-            })
-            .unzip();
-        (report, agent_stats, daemons, pool)
-    })
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! and refreshing a replica are then array loads in ascending local order,
 //! with no per-vertex heap list and no global → local lookup.
 
-use crate::fanout::{fan_out, settle, worth_fanning_out, Lane};
+use crate::fanout::{fan_out, floor_for, settle, Lane};
 use crate::metrics::{IterationMetrics, RunReport};
 use crate::network::NetworkModel;
 use crate::node::NodeState;
@@ -61,7 +61,9 @@ fn into_ok<T>(result: Result<T, Infallible>) -> T {
 /// host may overlap the nodes' work on OS threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum ExecutionMode {
-    /// Nodes compute one after another on the calling thread.
+    /// Nodes compute one after another on the calling thread: the threaded
+    /// path with a fan-out floor no superstep reaches
+    /// ([`floor_for`](crate::fanout::floor_for)), so it spawns nothing.
     Serial,
     /// Threading proportional to work ([`fanout`](crate::fanout)): a
     /// superstep whose active-edge count is below the fan-out floor runs its
@@ -125,9 +127,9 @@ where
 }
 
 /// [`ComputePhase`] adapter running a shared per-node function with
-/// work-proportional threading: supersteps below the fan-out floor run in
-/// node order on the calling thread, larger ones on parked per-run workers
-/// ([`fanout`](crate::fanout)) spawned on the scope given to
+/// work-proportional threading: supersteps below the run's fan-out floor run
+/// in node order on the calling thread, larger ones on parked per-run
+/// workers ([`fanout`](crate::fanout)) spawned on the scope given to
 /// [`ParallelNodes::new`].  Outputs are in node order either way.
 ///
 /// The function is shared (`Fn + Clone`) rather than mutable per node, which
@@ -136,17 +138,21 @@ where
 /// directly.
 pub struct ParallelNodes<'scope, 'env, V, E, M, F> {
     scope: &'scope Scope<'scope, 'env>,
+    /// Fewest active edges a superstep lends its nodes for.
+    floor: usize,
     f: F,
     /// One lane per node but the last, which the calling thread keeps.
     lanes: Vec<Lane<'scope, NodeState<V, E>, NodeComputeOutput<V, M>>>,
 }
 
 impl<'scope, 'env, V, E, M, F> ParallelNodes<'scope, 'env, V, E, M, F> {
-    /// A compute phase running `f` per node; any worker it needs is spawned
-    /// on `scope`, which must enclose the whole run.
-    pub fn new(scope: &'scope Scope<'scope, 'env>, f: F) -> Self {
+    /// A compute phase running `f` per node, fanning out the supersteps that
+    /// carry at least `floor` active edges; any worker it needs is spawned on
+    /// `scope`, which must enclose the whole run.
+    pub fn new(scope: &'scope Scope<'scope, 'env>, floor: usize, f: F) -> Self {
         Self {
             scope,
+            floor,
             f,
             lanes: Vec::new(),
         }
@@ -174,7 +180,7 @@ where
         iteration: usize,
     ) -> Result<Vec<NodeComputeOutput<V, M>>, Infallible> {
         let active_edges: usize = nodes.iter().map(NodeState::active_edge_count).sum();
-        if nodes.len() < 2 || !worth_fanning_out(active_edges) {
+        if nodes.len() < 2 || active_edges < self.floor {
             return Ok(nodes
                 .iter_mut()
                 .map(|node| (self.f)(node, iteration))
@@ -735,30 +741,20 @@ where
         let compute = |node: &mut NodeState<V, E>, iteration: usize| {
             native_node_compute(node, algorithm, &profile, iteration)
         };
-        into_ok(match mode {
-            ExecutionMode::Serial => self.run_phased(
+        // The scope encloses the run, so the phase's workers are spawned at
+        // most once and parked between supersteps — and never in a serial
+        // run, whose floor no superstep reaches.
+        into_ok(thread::scope(|scope| {
+            self.run_phased(
                 algorithm,
                 dataset,
                 &system,
                 max_iterations,
                 SyncPolicy::AlwaysSync,
                 SimDuration::ZERO,
-                &mut SerialNodes(compute),
-            ),
-            // The scope encloses the run, so the phase's workers are spawned
-            // at most once and parked between supersteps.
-            ExecutionMode::Threaded => thread::scope(|scope| {
-                self.run_phased(
-                    algorithm,
-                    dataset,
-                    &system,
-                    max_iterations,
-                    SyncPolicy::AlwaysSync,
-                    SimDuration::ZERO,
-                    &mut ParallelNodes::new(scope, compute),
-                )
-            }),
-        })
+                &mut ParallelNodes::new(scope, floor_for(mode), compute),
+            )
+        }))
     }
 
     /// Runs the iteration driver with a custom per-node compute phase.
@@ -1264,16 +1260,18 @@ mod tests {
             expected
                 .iterations
                 .iter()
-                .any(|i| worth_fanning_out(i.triplets_processed)),
+                .any(|i| i.triplets_processed >= floor_for(ExecutionMode::Threaded)),
             "the run must cross the fan-out floor"
         );
 
         let mut threaded = build();
         let profile = *threaded.profile();
         let (report, spawned) = thread::scope(|scope| {
-            let mut phase = ParallelNodes::new(scope, |node: &mut NodeState<f64, f64>, i| {
-                native_node_compute(node, &algorithm, &profile, i)
-            });
+            let floor = floor_for(ExecutionMode::Threaded);
+            let mut phase =
+                ParallelNodes::new(scope, floor, |node: &mut NodeState<f64, f64>, i| {
+                    native_node_compute(node, &algorithm, &profile, i)
+                });
             let report = into_ok(threaded.run_phased(
                 &algorithm,
                 "er",

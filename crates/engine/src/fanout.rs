@@ -6,12 +6,16 @@
 //! another thread has a fixed cost too — one queue hop to wake the worker and
 //! one to hear back, each a condition-variable wake-up — so the same rule
 //! applies to threads: a superstep (or a daemon's share of one) goes to a
-//! worker only when it carries enough active edges to pay for the hops
-//! ([`worth_fanning_out`]); anything smaller runs on the calling thread.
+//! worker only when it carries at least the run's floor of active edges
+//! ([`floor_for`]); anything smaller runs on the calling thread.  A serial
+//! run is the same run with a floor of `usize::MAX`: it never lends, so it
+//! never spawns.
 //!
-//! The workers are **parked, not spawned per superstep**.  A [`Lane`] starts
-//! its thread at its first loan, on a [`Scope`] that outlives the run, and
-//! the thread then sleeps on its job queue between supersteps.  A compute
+//! Nodes and daemons are lent through the one mechanism here, a [`Lane`] per
+//! node or daemon.  The workers are **parked, not spawned per superstep**.
+//! A [`Lane`] starts its thread at its first loan, on a [`Scope`] that
+//! outlives the run, and the thread then sleeps on its job queue between
+//! loans.  A compute
 //! phase only holds its nodes for the length of one `compute` call, so a lane
 //! cannot borrow them; instead the state is *lent by value*: it travels to
 //! the worker inside the job and comes back with the result, which needs no
@@ -25,6 +29,7 @@
 //! the caller to re-raise once every other lane has reported.  A caller can
 //! therefore never be left parked on a dead worker.
 
+use crate::cluster::ExecutionMode;
 use gxplug_ipc::queue::{sync_queue, QueueReceiver, QueueSender};
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -45,11 +50,21 @@ use std::thread::{self, Scope};
 /// 1.1–1.4x from 10 240: the floor is the power of two at break-even.
 const FAN_OUT_FLOOR: usize = 8_192;
 
+/// Fewest active edges a run in `mode` hands to another thread: the measured
+/// break-even when threading is on, and `usize::MAX` — never — for a serial
+/// run.  Keyed on the amount of work alone, never on what the work is.
+pub fn floor_for(mode: ExecutionMode) -> usize {
+    match mode {
+        ExecutionMode::Threaded => FAN_OUT_FLOOR,
+        ExecutionMode::Serial => usize::MAX,
+    }
+}
+
 /// Whether `active_edges` of superstep work pay for handing them to another
-/// thread.  Keyed on the amount of work alone — never on what the work is.
+/// thread in a threaded run.
 #[inline]
 pub fn worth_fanning_out(active_edges: usize) -> bool {
-    active_edges >= FAN_OUT_FLOOR
+    active_edges >= floor_for(ExecutionMode::Threaded)
 }
 
 /// What a lane hands back: the lent state, and what the job made of it (or
@@ -218,6 +233,12 @@ mod tests {
         assert!(!worth_fanning_out(FAN_OUT_FLOOR - 1));
         assert!(worth_fanning_out(FAN_OUT_FLOOR));
         assert!(worth_fanning_out(usize::MAX));
+    }
+
+    #[test]
+    fn a_serial_run_is_a_floor_no_work_reaches() {
+        assert_eq!(floor_for(ExecutionMode::Threaded), FAN_OUT_FLOOR);
+        assert_eq!(floor_for(ExecutionMode::Serial), usize::MAX);
     }
 
     #[test]
