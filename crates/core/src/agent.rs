@@ -14,24 +14,35 @@
 //! 5. attributes simulated time to the whole exchange using the pipeline
 //!    model of §III-A.
 //!
-//! The triplet path is **zero-copy at steady state**: the iteration's
-//! triplets are materialised once into a reusable
-//! [`TripletBuffer`](gxplug_graph::view::TripletBuffer) (owned by the agent,
-//! pooled by the session across runs), [`split_by_capacity`] carves the
-//! buffer into *index ranges* rather than owned share vectors, and the
-//! daemons consume borrowed `&[Triplet]` block views in place.  Generated
-//! messages land in pooled per-daemon buffers that are cleared — never
-//! reallocated — between iterations.
+//! The triplet path is **block-streamed and zero-copy at steady state**.
+//! [`split_by_capacity`] carves the iteration's active edge ids into one
+//! *index range* per daemon, and every share the agent computes itself runs
+//! one pipeline block at a time: the block's triplets are materialised into
+//! the agent's one reusable
+//! [`TripletBuffer`](gxplug_graph::view::TripletBuffer) (the *block buffer*,
+//! pooled by the session across runs), the daemon launches `MSGGen` over it
+//! in place, and the block's messages are folded into the per-target
+//! `MSGMerge` before the next block is filled.  So the agent holds one block
+//! of triplets and one block of messages, whatever the iteration's size: the
+//! block decomposition the pipeline model of §III-A prices is the one the
+//! agent executes, while the overlap of download, compute and upload stays
+//! modelled.  Every buffer is refilled in place — never reallocated — once
+//! warm.
 //!
 //! [`Agent`] is the one per-node implementation of all this.  Its
 //! [`Agent::process_iteration`] computes every share on the calling thread;
 //! the threaded runtime's [`ThreadedAgent`](crate::runtime::ThreadedAgent)
 //! runs the very same iteration with a lane per daemon attached, so a share
 //! that crosses the run's fan-out floor is lent to its daemon's worker and
-//! computed concurrently with the shares the agent kept.
+//! computed concurrently with the shares the agent kept.  A lent share is
+//! filled whole — its own range only — into a buffer that travels with the
+//! loan.  Its messages, and those of every share after it in daemon order,
+//! wait until the loan is home and are folded then, so every target combines
+//! its messages in daemon, then block, then triplet order wherever each
+//! share ran.
 
 use crate::config::{MiddlewareConfig, PipelineMode};
-use crate::daemon::{execute_share, Daemon};
+use crate::daemon::{launch_block, ChunkStaging, Daemon};
 use crate::metrics::AgentStats;
 use crate::pipeline::block_size::PipelineCoefficients;
 use crate::runtime::{DaemonLanes, RuntimeError, ShareLoan, ShareResult};
@@ -44,6 +55,7 @@ use gxplug_engine::template::{AddressedMessage, GraphAlgorithm};
 use gxplug_graph::dense::{DenseSlots, FrontierSet};
 use gxplug_graph::types::PartitionId;
 use gxplug_graph::view::TripletBuffer;
+use gxplug_ipc::blocks::TripletBlockRef;
 use std::any::Any;
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -121,51 +133,48 @@ pub(crate) struct ShareRun {
     pub blocks: usize,
 }
 
-/// The reusable buffers of one agent's zero-copy hot path:
+/// The reusable buffers of one agent's block-streamed hot path:
 ///
-/// * `triplets` — the iteration's materialised triplet arena.  Behind an
-///   `Arc` so a share lent to a daemon's lane reads it without copying (the
-///   `Arc` is uniquely held again once every loan is home).  The session
-///   re-installs the same arena run after run, so a reused session stops
-///   growing it entirely.
-/// * `msg_bufs` — one message buffer per daemon, drained into the merge each
-///   iteration and refilled in place the next.
+/// * `block` — the block buffer: one pipeline block of triplets at a time,
+///   refilled in place for every block of every share the agent computes
+///   itself.  The session re-installs the same buffer run after run.
+/// * `block_msgs` — the messages of the block in flight, emptied into
+///   `merge` (or `held`) before the next block is filled.
+/// * `loaned` — per daemon, the buffer a lent share's triplets are filled
+///   into and travel in; it comes home with the loan and stays empty for a
+///   daemon that is never lent.
+/// * `held` — per daemon, the messages that wait for a loan to come home: a
+///   lent share's own, and those of every share after it in daemon order.
 /// * `shares` / `share_runs` — the per-iteration planning vectors, cleared
 ///   rather than reallocated.
+/// * `merge` — the per-target `MSGMerge`.
+///
+/// None of them is reallocated once warm.
 #[derive(Debug)]
 pub(crate) struct AgentScratch<V, E, M> {
-    pub triplets: Arc<TripletBuffer<V, E>>,
-    pub msg_bufs: Vec<Vec<AddressedMessage<M>>>,
+    pub block: TripletBuffer<V, E>,
+    pub block_msgs: Vec<AddressedMessage<M>>,
+    pub loaned: Vec<TripletBuffer<V, E>>,
+    pub held: Vec<Vec<AddressedMessage<M>>>,
     pub shares: Vec<Range<usize>>,
     pub share_runs: Vec<ShareRun>,
-    /// Pooled dense slots for the per-target `MSGMerge`, keyed by the node's
-    /// dense local ids — the hash-free sibling of the triplet arena; an epoch
-    /// bump resets it each iteration.
-    pub merge: DenseSlots<M>,
-    /// Messages whose target has no local replica (never produced by a sound
-    /// partitioning) — appended verbatim after the dense drain.
-    pub overflow: Vec<AddressedMessage<M>>,
+    pub merge: DenseMerge<M>,
 }
 
 impl<V, E, M> AgentScratch<V, E, M> {
     pub(crate) fn new(num_daemons: usize) -> Self {
         Self {
-            triplets: Arc::new(TripletBuffer::new()),
-            msg_bufs: (0..num_daemons).map(|_| Vec::new()).collect(),
+            block: TripletBuffer::new(),
+            block_msgs: Vec::new(),
+            loaned: (0..num_daemons).map(|_| TripletBuffer::new()).collect(),
+            held: (0..num_daemons).map(|_| Vec::new()).collect(),
             shares: Vec::with_capacity(num_daemons),
             share_runs: Vec::with_capacity(num_daemons),
-            merge: DenseSlots::new(),
-            overflow: Vec::new(),
+            merge: DenseMerge {
+                slots: DenseSlots::new(),
+                overflow: Vec::new(),
+            },
         }
-    }
-
-    /// Swaps in a pooled triplet arena (e.g. the session's, reused across
-    /// runs), returning the previous one.
-    pub(crate) fn install_triplets(
-        &mut self,
-        triplets: Arc<TripletBuffer<V, E>>,
-    ) -> Arc<TripletBuffer<V, E>> {
-        std::mem::replace(&mut self.triplets, triplets)
     }
 }
 
@@ -328,10 +337,10 @@ where
     }
 
     /// The upload and timing-attribution phases.  `merged` is the
-    /// iteration's per-target `MSGMerge` output (see [`dense_merge`]), with
-    /// the per-daemon buffers drained in daemon order (then block, then
-    /// triplet) wherever each share ran — which keeps the per-target combine
-    /// order, and therefore the results, identical.
+    /// iteration's per-target `MSGMerge` output (see [`DenseMerge`]), folded
+    /// in daemon order (then block, then triplet) wherever each share ran —
+    /// which keeps the per-target combine order, and therefore the results,
+    /// identical.
     pub(crate) fn finish_iteration<M>(
         &mut self,
         plan: &IterationPlan,
@@ -400,7 +409,7 @@ where
     }
 }
 
-/// The output of [`dense_merge`].
+/// The output of [`DenseMerge::drain`].
 #[derive(Debug)]
 pub(crate) struct Merged<M> {
     /// One message per target, in first-seen order, then the overflow.
@@ -409,50 +418,73 @@ pub(crate) struct Merged<M> {
     pub remote: usize,
 }
 
-/// The per-target `MSGMerge` of one iteration's raw daemon output, through
-/// the agent's pooled dense slots.
-///
-/// `raw` must yield messages ordered by daemon index (then block, then
-/// triplet); targets are resolved to the node's dense local ids, combined in
-/// arrival order (`msg_merge(existing, incoming)`), and drained in first-seen
-/// order.  Targets without a local replica (never produced by a sound
-/// partitioning) pass through `overflow`, appended verbatim — the cluster's
-/// synchronisation folds them with the same left-to-right combine order
-/// either way — and count as remote.  Zero steady-state allocation beyond
-/// the returned vector.
-pub(crate) fn dense_merge<V, E, A>(
-    node: &NodeState<V, E>,
-    algorithm: &A,
-    raw: impl IntoIterator<Item = AddressedMessage<A::Msg>>,
-    slots: &mut DenseSlots<A::Msg>,
-    overflow: &mut Vec<AddressedMessage<A::Msg>>,
-) -> Merged<A::Msg>
-where
-    A: GraphAlgorithm<V, E>,
-{
-    slots.ensure_capacity(node.num_vertices());
-    slots.begin();
-    overflow.clear();
-    for message in raw {
-        match node.vertex_table().local_of(message.target) {
-            Some(local) => slots.merge(local, message.payload, |existing, payload| {
-                algorithm.msg_merge(existing, payload)
-            }),
-            None => overflow.push(message),
+/// The per-target `MSGMerge` of one iteration, through pooled dense slots
+/// keyed by the node's dense local ids — the hash-free sibling of the block
+/// buffer.  [`DenseMerge::begin`] resets it, [`DenseMerge::fold`] combines
+/// each block's messages as they come, and [`DenseMerge::drain`] hands the
+/// result over; zero steady-state allocation beyond the drained vector.
+#[derive(Debug)]
+pub(crate) struct DenseMerge<M> {
+    slots: DenseSlots<M>,
+    /// Messages whose target has no local replica (never produced by a sound
+    /// partitioning) — appended verbatim after the dense drain.
+    overflow: Vec<AddressedMessage<M>>,
+}
+
+impl<M> DenseMerge<M> {
+    /// Starts an iteration over a node of `num_vertices` local vertices (an
+    /// epoch bump, not a clear).
+    fn begin(&mut self, num_vertices: usize) {
+        self.slots.ensure_capacity(num_vertices);
+        self.slots.begin();
+        self.overflow.clear();
+    }
+
+    /// Folds `messages` in: targets are resolved to the node's dense local
+    /// ids and combined in arrival order (`msg_merge(existing, incoming)`).
+    /// Callers fold in daemon, then block, then triplet order, so the
+    /// per-target combine order — and with it every result — does not depend
+    /// on where or in how many blocks a share ran.  Targets without a local
+    /// replica pass through to the overflow: the cluster's synchronisation
+    /// folds them with the same left-to-right combine order either way.
+    fn fold<V, E, A>(
+        &mut self,
+        node: &NodeState<V, E>,
+        algorithm: &A,
+        messages: impl IntoIterator<Item = AddressedMessage<M>>,
+    ) where
+        A: GraphAlgorithm<V, E, Msg = M>,
+    {
+        let table = node.vertex_table();
+        for message in messages {
+            match table.local_of(message.target) {
+                Some(local) => self
+                    .slots
+                    .merge(local, message.payload, |existing, payload| {
+                        algorithm.msg_merge(existing, payload)
+                    }),
+                None => self.overflow.push(message),
+            }
         }
     }
-    let table = node.vertex_table();
-    let mut messages = Vec::with_capacity(slots.len() + overflow.len());
-    let mut remote = overflow.len();
-    for i in 0..slots.len() {
-        let local = slots.touched_at(i);
-        if let Some(payload) = slots.take(local) {
-            remote += usize::from(!table.row_at(local).is_master);
-            messages.push(AddressedMessage::new(table.global_of(local), payload));
+
+    /// Drains the merged messages in first-seen target order, then the
+    /// overflow, which counts as remote.
+    fn drain<V, E>(&mut self, node: &NodeState<V, E>) -> Merged<M> {
+        let table = node.vertex_table();
+        let slots = &mut self.slots;
+        let mut messages = Vec::with_capacity(slots.len() + self.overflow.len());
+        let mut remote = self.overflow.len();
+        for i in 0..slots.len() {
+            let local = slots.touched_at(i);
+            if let Some(payload) = slots.take(local) {
+                remote += usize::from(!table.row_at(local).is_master);
+                messages.push(AddressedMessage::new(table.global_of(local), payload));
+            }
         }
+        messages.append(&mut self.overflow);
+        Merged { messages, remote }
     }
-    messages.append(overflow);
-    Merged { messages, remote }
 }
 
 /// A daemon slot is empty only while its share is on loan.
@@ -582,17 +614,23 @@ where
         self.core.stats()
     }
 
-    /// Installs a pooled triplet arena (e.g. the session's, so a reused
-    /// session keeps one warm buffer per node across runs).
+    /// Installs a pooled block buffer (e.g. the session's, so a reused
+    /// session keeps one warm buffer per node across runs).  A buffer still
+    /// shared elsewhere cannot be refilled in place; the agent starts from an
+    /// empty one instead.
     pub fn install_triplet_buffer(&mut self, buffer: Arc<TripletBuffer<V, E>>) {
-        self.scratch.install_triplets(buffer);
+        self.scratch.block = Arc::into_inner(buffer).unwrap_or_else(TripletBuffer::new);
     }
 
-    /// Takes the triplet arena back (returning a fresh empty one to the
-    /// agent), so the session can pool it for the next run.
+    /// Takes the block buffer back (leaving a fresh empty one to the agent),
+    /// so the session can pool it for the next run.  Between iterations it
+    /// holds the last block the agent computed itself: never more than one
+    /// block's triplets.
     pub fn take_triplet_buffer(&mut self) -> Arc<TripletBuffer<V, E>> {
-        self.scratch
-            .install_triplets(Arc::new(TripletBuffer::new()))
+        Arc::new(std::mem::replace(
+            &mut self.scratch.block,
+            TripletBuffer::new(),
+        ))
     }
 
     /// `connect()`: starts every daemon (device initialisation happens here,
@@ -643,10 +681,12 @@ where
     /// One middleware iteration.  Without `lanes` every share is computed on
     /// the calling thread.  With them, a share of at least the lanes' floor
     /// on any daemon but the resident one is lent to its daemon's lane first
-    /// — the daemon by value, with a handle on the triplet arena and its
-    /// message buffer — and the shares kept home are computed while the lent
-    /// ones run.  The kept shares stop at the first failure, as a serial run
-    /// does; every loan is home before the first panic in daemon order is
+    /// — the daemon by value, with its share's triplets and its message
+    /// buffer — and the shares kept home are computed while the lent ones
+    /// run, one block at a time: fill, launch, fold.  A kept share after a
+    /// lent one in daemon order holds its messages until the loan is home.
+    /// The kept shares stop at the first failure, as a serial run does;
+    /// every loan is home before the first panic in daemon order is
     /// re-raised or the first error in daemon order returned.
     pub(crate) fn iterate<'scope, 'env, A>(
         &mut self,
@@ -665,21 +705,21 @@ where
             Some(plan) => plan,
             None => return Ok(NodeComputeOutput::idle()),
         };
-
-        // ---- compute phase (MSGGen over borrowed capacity shares) -----------
-        let buffer = Arc::get_mut(&mut self.scratch.triplets)
-            .expect("no triplet share views outstanding between iterations");
-        node.fill_triplets(self.core.active_edge_ids(), buffer);
+        let node = &*node;
+        // Every active edge has both endpoints on the node, so the plan's
+        // edge count is the iteration's triplet count (each block's fill
+        // checks it in debug builds).
+        let edge_ids = self.core.active_edge_ids();
         let scratch = &mut self.scratch;
-        split_by_capacity_into(
-            scratch.triplets.len(),
-            &self.capacities,
-            &mut scratch.shares,
-        );
+        split_by_capacity_into(plan.d, &self.capacities, &mut scratch.shares);
         scratch.share_runs.clear();
-        for buf in &mut scratch.msg_bufs {
-            buf.clear();
+        scratch.block_msgs.clear();
+        for held in &mut scratch.held {
+            held.clear();
         }
+        scratch.merge.begin(node.num_vertices());
+
+        // ---- plan every share; lend those that cross the floor --------------
         for (daemon_index, range) in scratch.shares.iter().enumerate() {
             if range.is_empty() {
                 continue;
@@ -702,35 +742,62 @@ where
                 .as_deref_mut()
                 .filter(|lanes| daemon_index != self.resident && range.len() >= lanes.floor);
             if let Some(lanes) = lend_to {
+                let mut triplets =
+                    std::mem::replace(&mut scratch.loaned[daemon_index], TripletBuffer::new());
+                node.fill_triplets(&edge_ids[range.clone()], &mut triplets);
+                debug_assert_eq!(
+                    triplets.len(),
+                    range.len(),
+                    "an active edge lost an endpoint"
+                );
                 let loan = ShareLoan {
                     daemon: self.daemons[daemon_index].take().expect(HOME),
-                    triplets: Arc::clone(&scratch.triplets),
-                    range: range.clone(),
+                    triplets,
                     block_size,
-                    out: std::mem::take(&mut scratch.msg_bufs[daemon_index]),
+                    out: std::mem::take(&mut scratch.held[daemon_index]),
                 };
                 lanes.lend(daemon_index, loan, algorithm, iteration);
             }
         }
-        // The shares kept home, in daemon order, while the lent ones run;
-        // then every loan back, in daemon order.
+
+        // ---- MSGGen + MSGMerge of the kept shares, block by block -----------
         let mut failure = FirstFailure::default();
-        let triplets = scratch.triplets.as_slice();
+        let mut hold = false;
         for run in &mut scratch.share_runs {
-            // A lent daemon's slot is empty until its loan comes home.
+            // A lent daemon's slot is empty until its loan comes home, and
+            // every later share holds its messages until then.
             let Some(daemon) = self.daemons[run.daemon].as_mut() else {
+                hold = true;
                 continue;
             };
-            let share = &triplets[scratch.shares[run.daemon].clone()];
-            let out = &mut scratch.msg_bufs[run.daemon];
+            let ids = &edge_ids[scratch.shares[run.daemon].clone()];
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                execute_share(daemon, algorithm, share, run.block_size, iteration, out)
+                let mut staging = ChunkStaging::for_daemon(daemon);
+                let out = &mut scratch.block_msgs;
+                for (index, block_ids) in ids.chunks(run.block_size).enumerate() {
+                    let triplets = node.fill_triplets(block_ids, &mut scratch.block);
+                    debug_assert_eq!(
+                        triplets.len(),
+                        block_ids.len(),
+                        "an active edge lost an endpoint"
+                    );
+                    let block = TripletBlockRef { index, triplets };
+                    launch_block(daemon, algorithm, block, iteration, &mut staging, out)?;
+                    if hold {
+                        scratch.held[run.daemon].append(out);
+                    } else {
+                        scratch.merge.fold(node, algorithm, out.drain(..));
+                    }
+                }
+                Ok(ids.len().div_ceil(run.block_size))
             }));
             match failure.note(run.daemon, outcome) {
                 Some(blocks) => run.blocks = blocks,
                 None => break,
             }
         }
+
+        // ---- every loan back, in daemon order --------------------------------
         if let Some(lanes) = lanes {
             for run in &mut scratch.share_runs {
                 if self.daemons[run.daemon].is_some() {
@@ -738,7 +805,8 @@ where
                 }
                 let (loan, outcome) = lanes.take_back(run.daemon);
                 self.daemons[run.daemon] = Some(loan.daemon);
-                scratch.msg_bufs[run.daemon] = loan.out;
+                scratch.loaned[run.daemon] = loan.triplets;
+                scratch.held[run.daemon] = loan.out;
                 if let Some(blocks) = failure.note(run.daemon, outcome) {
                     run.blocks = blocks;
                 }
@@ -746,15 +814,11 @@ where
         }
         failure.into_result()?;
 
-        // ---- merge phase (MSGMerge, into pooled dense slots) ----------------
-        let AgentScratch {
-            msg_bufs,
-            merge,
-            overflow,
-            ..
-        } = &mut self.scratch;
-        let raw = msg_bufs.iter_mut().flat_map(|buf| buf.drain(..));
-        let merged = dense_merge(node, algorithm, raw, merge, overflow);
+        // What waited for a loan, in daemon order: nothing when none was lent.
+        for held in &mut scratch.held {
+            scratch.merge.fold(node, algorithm, held.drain(..));
+        }
+        let merged = scratch.merge.drain(node);
         Ok(self
             .core
             .finish_iteration(&plan, merged, &self.scratch.share_runs))
@@ -828,6 +892,7 @@ fn choose_block_size(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::daemon::execute_share;
     use gxplug_accel::presets;
     use gxplug_engine::network::NetworkModel;
     use gxplug_engine::template::AddressedMessage;
@@ -997,26 +1062,35 @@ mod tests {
 
     #[test]
     fn steady_state_iterations_reuse_the_triplet_arena() {
-        let mut agent = agent(MiddlewareConfig::default());
+        // Blocks of 8: the GPU's share of the 128 edges takes many of them.
+        let config = MiddlewareConfig::default().with_pipeline(PipelineMode::FixedBlockSize(8));
+        let mut agent = agent(config);
         agent.connect();
         let mut node = test_node();
-        // Warm-up iteration discovers the peak workload.
+        // Warm-up iteration discovers the largest block.
         node.activate_all();
         agent.process_iteration(&mut node, &Relax, 0).unwrap();
-        let warm = agent.scratch.triplets.stats();
-        // Steady state: the same workload refills in place.
+        let warm = agent.scratch.block.stats();
+        // Steady state: the same workload refills the block buffer in place.
         for iteration in 1..5 {
             node.activate_all();
             agent
                 .process_iteration(&mut node, &Relax, iteration)
                 .unwrap();
         }
-        let steady = agent.scratch.triplets.stats();
-        assert_eq!(steady.fills, warm.fills + 4);
+        let steady = agent.scratch.block.stats();
+        let stats = agent.stats();
+        assert!(stats.kernel_launches > 5 * 2, "several blocks per share");
+        assert_eq!(
+            steady.fills, stats.kernel_launches,
+            "one fill per block launched"
+        );
         assert_eq!(
             steady.reallocations, warm.reallocations,
-            "steady-state refills must not grow the arena"
+            "steady-state refills must not grow the block buffer"
         );
+        let largest_block = agent.scratch.share_runs.iter().map(|run| run.block_size);
+        assert!(agent.scratch.block.len() <= largest_block.max().unwrap());
     }
 
     #[test]

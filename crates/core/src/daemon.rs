@@ -76,15 +76,16 @@ where
 /// Runs `MSGGen` over one *borrowed* capacity share of triplets, chunked
 /// into [`TripletBlockRef`] views of `block_size`, appending the generated
 /// messages (in block order) to the caller's reusable `out` buffer.  Returns
-/// the number of blocks launched.  This is the unit of work an agent hands to
-/// a daemon — on the agent's own thread, or on the daemon's lane when the
-/// share crosses the run's fan-out floor — and it copies no triplet.  The
-/// kernel appends through [`GraphAlgorithm::msg_gen_into`] straight into
-/// `out` (or a pooled per-chunk slot on multi-lane backends), so for flat
-/// message types it allocates nothing beyond `out`'s amortised growth (and,
-/// on multi-lane backends, one staging pool per share).  Multi-source SSSP's
-/// messages are flat too: its `Relaxation` rows hold up to four distances
-/// inline, so only fused runs over more sources allocate their payloads.
+/// the number of blocks launched.  This is the unit of work a share lent to
+/// its daemon's lane runs there (the agent computes the shares it keeps one
+/// block at a time instead, filling each block just before its launch), and
+/// it copies no triplet.  The kernel appends through
+/// [`GraphAlgorithm::msg_gen_into`] straight into `out` (or a pooled
+/// per-chunk slot on multi-lane backends), so for flat message types it
+/// allocates nothing beyond `out`'s amortised growth (and, on multi-lane
+/// backends, one staging pool per share).  Multi-source SSSP's messages are
+/// flat too: its `Relaxation` rows hold up to four distances inline, so only
+/// fused runs over more sources allocate their payloads.
 ///
 /// # Errors
 /// A block the backend rejects (e.g. [`AccelError::OutOfMemory`] for a
@@ -110,15 +111,38 @@ where
     let mut staging = ChunkStaging::for_daemon(daemon);
     let mut blocks = 0usize;
     for block in triplet_block_views(share, block_size) {
-        daemon
-            .execute_gen_staged(algorithm, block, iteration, &mut staging, out)
-            .map_err(|error| RuntimeError::Kernel {
-                daemon: daemon.name().to_string(),
-                error,
-            })?;
+        launch_block(daemon, algorithm, block, iteration, &mut staging, out)?;
         blocks += 1;
     }
     Ok(blocks)
+}
+
+/// One `MSGGen` launch of `block` on `daemon` through
+/// [`Daemon::execute_gen_staged`], appending the block's messages to `out`.
+///
+/// # Errors
+/// A block the backend rejects, as [`RuntimeError::Kernel`] naming the
+/// daemon.
+pub(crate) fn launch_block<V, E, A>(
+    daemon: &mut Daemon,
+    algorithm: &A,
+    block: TripletBlockRef<'_, V, E>,
+    iteration: usize,
+    staging: &mut ChunkStaging<A::Msg>,
+    out: &mut Vec<AddressedMessage<A::Msg>>,
+) -> Result<(), RuntimeError>
+where
+    V: Sync,
+    E: Sync,
+    A: GraphAlgorithm<V, E>,
+{
+    daemon
+        .execute_gen_staged(algorithm, block, iteration, staging, out)
+        .map(drop)
+        .map_err(|error| RuntimeError::Kernel {
+            daemon: daemon.name().to_string(),
+            error,
+        })
 }
 
 /// Pooled per-chunk output staging for `MSGGen` launches on multi-lane
@@ -333,8 +357,8 @@ impl Daemon {
     }
 
     /// [`Daemon::execute_gen_into`] with caller-pooled chunk staging: the
-    /// variant [`execute_share`] drives, reusing one [`ChunkStaging`] across
-    /// every block launch of a share.
+    /// variant the agent and [`execute_share`] drive, reusing one
+    /// [`ChunkStaging`] across every block launch of a share.
     pub fn execute_gen_staged<V, E, A>(
         &mut self,
         algorithm: &A,

@@ -21,10 +21,10 @@
 //! * [`ThreadedAgent`] is an [`Agent`] plus those lanes, and its iteration is
 //!   the agent's own.  A share of at least the floor on any daemon but the
 //!   resident (largest-capacity) one is lent to that daemon's lane — the
-//!   daemon itself, a handle on the iteration's triplet arena with the
-//!   share's range, and the daemon's message buffer — while the agent
-//!   computes the shares it kept, and comes home at collection, in daemon
-//!   order.  A later share below the floor runs on the agent's thread again.
+//!   daemon itself, a buffer holding the share's triplets, and the daemon's
+//!   message buffer — while the agent streams the shares it kept block by
+//!   block, and comes home at collection, in daemon order.  A later share
+//!   below the floor runs on the agent's thread again.
 //!
 //! [`ExecutionMode::Serial`](crate::ExecutionMode::Serial) is this runtime
 //! with a floor of `usize::MAX`: nothing is ever lent, so a serial run spawns
@@ -33,18 +33,18 @@
 //! run did create.  A lane spawns its worker at its first loan, and the
 //! worker sleeps on its job queue between loans.
 //!
-//! Zero-copy dispatch: a lent share does not carry an owned `Vec<Triplet>`.
-//! The iteration's triplets live in one reusable
-//! [`TripletBuffer`](gxplug_graph::view::TripletBuffer) behind an `Arc`; the
-//! loan carries a cheap `Arc` handle plus an index range and reads its share
-//! *in place*.  Generated messages come back in the daemon's pooled buffer,
-//! which the agent re-issues (cleared, never reallocated) on the next
-//! iteration.  Once every loan is home the `Arc` is uniquely held again, so
-//! the next refill needs no new allocation either.
+//! Pooled dispatch: a lent share's triplets are filled, on the agent's
+//! thread, into a reusable
+//! [`TripletBuffer`](gxplug_graph::view::TripletBuffer) that belongs to that
+//! daemon and travels with the loan by value; the lane reads them in place.
+//! Generated messages come back in the daemon's pooled buffer.  Both come
+//! home with the daemon and are refilled in place (never reallocated, once
+//! warm) on its next loan.
 //!
 //! Determinism: where a share or a node is computed never shows in the
-//! result.  Every daemon writes its own message buffer and the buffers are
-//! merged in daemon-index order; every node's output lands in that node's
+//! result.  The agent folds messages into its merge in daemon-index order —
+//! a share kept home after a lent one holds its messages until the loan is
+//! back — and every node's output lands in that node's
 //! slot and the slots are read in node order.  A threaded run is therefore
 //! bit-identical to a serial one, whichever side of the floor its supersteps
 //! fall on (covered by the `determinism` integration test).
@@ -74,7 +74,6 @@ use gxplug_engine::template::{AddressedMessage, GraphAlgorithm};
 use gxplug_graph::types::PartitionId;
 use gxplug_graph::view::TripletBuffer;
 use std::fmt;
-use std::ops::Range;
 use std::sync::Arc;
 use std::thread::Scope;
 
@@ -112,14 +111,13 @@ impl fmt::Display for RuntimeError {
 impl std::error::Error for RuntimeError {}
 
 /// One daemon's share of an iteration, lent to the daemon's lane: the daemon
-/// itself, a handle on the iteration's triplet arena with the share's range
-/// and block size, and the daemon's pooled message buffer.  All of it comes
-/// back with the share's result.
+/// itself, the share's triplets (filled on the agent's thread, and only
+/// them) with its block size, and the daemon's pooled message buffer.  All
+/// of it comes back with the share's result.
 #[derive(Debug)]
 pub(crate) struct ShareLoan<V, E, M> {
     pub(crate) daemon: Daemon,
-    pub(crate) triplets: Arc<TripletBuffer<V, E>>,
-    pub(crate) range: Range<usize>,
+    pub(crate) triplets: TripletBuffer<V, E>,
     pub(crate) block_size: usize,
     pub(crate) out: Vec<AddressedMessage<M>>,
 }
@@ -136,7 +134,18 @@ pub(crate) struct DaemonLanes<'scope, 'env, V, E, M> {
 }
 
 impl<'scope, 'env, V, E, M> DaemonLanes<'scope, 'env, V, E, M> {
-    fn spawns(&self) -> usize {
+    /// One parked lane for each of `daemons` daemons on `scope`, none of
+    /// which spawns a worker before its first loan.
+    pub(crate) fn new(scope: &'scope Scope<'scope, 'env>, floor: usize, daemons: usize) -> Self {
+        Self {
+            scope,
+            floor,
+            lanes: (0..daemons).map(|_| Lane::default()).collect(),
+        }
+    }
+
+    /// Workers spawned so far: at most one per lane.
+    pub(crate) fn spawns(&self) -> usize {
         self.lanes.iter().map(Lane::spawns).sum()
     }
 }
@@ -162,7 +171,7 @@ where
             execute_share(
                 &mut loan.daemon,
                 algorithm,
-                loan.triplets.share(loan.range.clone()),
+                loan.triplets.as_slice(),
                 loan.block_size,
                 iteration,
                 &mut loan.out,
@@ -243,11 +252,7 @@ where
         config: MiddlewareConfig,
         local_vertices: usize,
     ) -> Self {
-        let lanes = DaemonLanes {
-            scope,
-            floor: floor_for(config.execution),
-            lanes: daemons.iter().map(|_| Lane::default()).collect(),
-        };
+        let lanes = DaemonLanes::new(scope, floor_for(config.execution), daemons.len());
         let agent = Agent::new(node_id, daemons, profile, config, local_vertices);
         Self {
             bridge: Some(Box::new(Bridge {
@@ -304,13 +309,14 @@ where
         self.lane.spawns() + self.bridge().daemons.spawns()
     }
 
-    /// Installs a pooled triplet arena (e.g. the session's, so a reused
-    /// session keeps one warm buffer per node across runs).
+    /// Installs a pooled block buffer (e.g. the session's, so a reused
+    /// session keeps one warm buffer per node across runs); see
+    /// [`Agent::install_triplet_buffer`].
     pub fn install_triplet_buffer(&mut self, buffer: Arc<TripletBuffer<V, E>>) {
         self.agent_mut().install_triplet_buffer(buffer);
     }
 
-    /// Takes the triplet arena back (returning a fresh empty one to the
+    /// Takes the block buffer back (leaving a fresh empty one to the
     /// agent), so the session can pool it for the next run.
     pub fn take_triplet_buffer(&mut self) -> Arc<TripletBuffer<V, E>> {
         self.agent_mut().take_triplet_buffer()
@@ -447,7 +453,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ExecutionMode;
+    use crate::config::{ExecutionMode, PipelineMode};
     use gxplug_accel::presets;
     use gxplug_ipc::key::KeyGenerator;
     use std::collections::HashSet;
@@ -1009,6 +1015,211 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every vertex sends its id along every out-edge, and a target's merged
+    /// message lists its senders in combine order, so any change in the
+    /// per-target fold order shows in the messages — and, through
+    /// `msg_apply`'s order-sensitive hash, in the values.  An armed instance
+    /// panics on the edge whose attribute is negative.
+    struct Senders {
+        armed: bool,
+    }
+
+    impl GraphAlgorithm<f64, f64> for Senders {
+        type Msg = Vec<VertexId>;
+        fn init_vertex(&self, v: VertexId, _d: usize) -> f64 {
+            v as f64
+        }
+        fn msg_gen_into(
+            &self,
+            t: &Triplet<f64, f64>,
+            _i: usize,
+            out: &mut Vec<AddressedMessage<Vec<VertexId>>>,
+        ) {
+            if self.armed && t.edge_attr < 0.0 {
+                panic!("user kernel exploded");
+            }
+            out.push(AddressedMessage::new(t.dst, vec![t.src]));
+        }
+        fn msg_merge(&self, mut a: Vec<VertexId>, b: Vec<VertexId>) -> Vec<VertexId> {
+            a.extend(b);
+            a
+        }
+        fn msg_apply(&self, _v: VertexId, c: &f64, m: &Vec<VertexId>, _i: usize) -> Option<f64> {
+            Some(
+                m.iter()
+                    .fold(*c, |h, &s| (h * 31.0 + f64::from(s)) % 1_000_003.0),
+            )
+        }
+        fn always_active(&self) -> bool {
+            true
+        }
+        fn max_iterations(&self) -> usize {
+            3
+        }
+        fn name(&self) -> &'static str {
+            "senders"
+        }
+    }
+
+    /// `ring(64, 16)` on one node: 1 024 edges, of which the CPU daemon's
+    /// capacity share is the first ≈ 28 (sources 0 and 1).  Their targets
+    /// also hear from sources in the GPU's share, so a fold that let the GPU
+    /// go first would reorder them.
+    fn one_node_ring(marked: Option<usize>) -> (PropertyGraph<f64, f64>, Partitioning) {
+        let (graph, _) = ring(64, 16, marked);
+        let partitioning =
+            Partitioning::from_edge_assignment(&graph, 1, vec![0; graph.num_edges()]).unwrap();
+        (graph, partitioning)
+    }
+
+    /// Daemons `[cpu, gpu]`: daemon 0 is the non-resident one.  `reject`
+    /// marks the daemons whose device rejects every block.
+    fn cpu_then_gpu(reject: [bool; 2]) -> Vec<Daemon> {
+        let keys = KeyGenerator::new(11);
+        [presets::cpu_xeon_20c("cpu"), presets::gpu_v100("gpu")]
+            .into_iter()
+            .enumerate()
+            .map(|(index, spec)| {
+                let backend = spec.build();
+                let backend: Box<dyn AcceleratorBackend> = if reject[index] {
+                    Box::new(Rejecting(backend))
+                } else {
+                    backend
+                };
+                Daemon::new(format!("daemon{index}"), backend, keys.key_for(0, index))
+            })
+            .collect()
+    }
+
+    /// One agent over [`cpu_then_gpu`] on `node`, with blocks of 8
+    /// triplets: several per share, on both daemons.
+    fn cpu_gpu_agent(
+        node: &NodeState<f64, f64>,
+        reject: [bool; 2],
+    ) -> Agent<f64, f64, Vec<VertexId>> {
+        let mut agent = Agent::new(
+            0,
+            cpu_then_gpu(reject),
+            RuntimeProfile::powergraph(),
+            MiddlewareConfig::default().with_pipeline(PipelineMode::FixedBlockSize(8)),
+            node.num_vertices(),
+        );
+        agent.connect();
+        agent
+    }
+
+    /// One superstep of `algorithm` on a fresh [`one_node_ring`], with the
+    /// CPU daemon's share lent (lanes with a floor of 1) or, without lanes,
+    /// everything inline as a `Serial` run computes it.  Returns the
+    /// outcome, whether every daemon was home afterwards and the workers
+    /// spawned.
+    fn one_superstep(
+        algorithm: &Senders,
+        marked: Option<usize>,
+        reject: [bool; 2],
+        lent: bool,
+    ) -> (thread::Result<NodeResult<f64, Vec<VertexId>>>, bool, usize) {
+        let (graph, partitioning) = one_node_ring(marked);
+        let mut node = NodeState::build(0, &graph, &partitioning, algorithm);
+        let mut agent = cpu_gpu_agent(&node, reject);
+        thread::scope(|scope| {
+            let mut lanes = DaemonLanes::new(scope, 1, 2);
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                agent.iterate(&mut node, algorithm, 0, lent.then_some(&mut lanes))
+            }));
+            (outcome, agent.daemons().count() == 2, lanes.spawns())
+        })
+    }
+
+    #[test]
+    fn a_share_kept_home_after_a_lent_one_folds_at_collection_bit_for_bit() {
+        let algorithm = Senders { armed: false };
+        let (graph, partitioning) = one_node_ring(None);
+        let run = |lent: bool| {
+            let mut cluster = Cluster::build(
+                &graph,
+                partitioning.clone(),
+                &algorithm,
+                RuntimeProfile::powergraph(),
+                NetworkModel::datacenter(),
+            );
+            let mut agent = cpu_gpu_agent(cluster.node(0), [false; 2]);
+            let mut messages = Vec::new();
+            let (report, spawned) = thread::scope(|scope| {
+                let mut lanes = DaemonLanes::new(scope, 1, 2);
+                let report = cluster.run_custom(
+                    &algorithm,
+                    "ring",
+                    "test",
+                    usize::MAX,
+                    SyncPolicy::AlwaysSync,
+                    SimDuration::ZERO,
+                    |node, iteration| {
+                        let lanes = lent.then_some(&mut lanes);
+                        let output = agent.iterate(node, &algorithm, iteration, lanes).unwrap();
+                        messages.push(output.messages.clone());
+                        output
+                    },
+                );
+                (report, lanes.spawns())
+            });
+            (
+                report,
+                bits(&cluster.collect_values()),
+                messages,
+                agent.stats(),
+                spawned,
+            )
+        };
+        let (serial, serial_values, serial_messages, serial_stats, spawned) = run(false);
+        assert_eq!(spawned, 0);
+        let (lent, lent_values, lent_messages, lent_stats, spawned) = run(true);
+        assert_eq!(spawned, 1, "the CPU daemon's share went to its lane");
+        assert_eq!(lent_messages.len(), 3);
+        // Target 5 hears from sources 0..=4 and 53..=63: the CPU's share
+        // (sources 0 and 1) folds first even though the GPU's blocks ran
+        // first on the clock.
+        let to_5 = lent_messages[0].iter().find(|m| m.target == 5).unwrap();
+        assert_eq!(to_5.payload[..3], [0, 1, 2]);
+        assert_eq!(lent_messages, serial_messages);
+        assert_eq!(lent_values, serial_values);
+        assert_eq!(lent_stats, serial_stats);
+        assert_eq!(lent, serial);
+    }
+
+    #[test]
+    fn failures_in_a_streamed_share_stay_first_in_daemon_order_with_every_loan_home() {
+        let algorithm = Senders { armed: false };
+        let name = |result: thread::Result<Result<_, RuntimeError>>| match result {
+            Ok(Err(RuntimeError::Kernel { daemon, .. })) => daemon,
+            Ok(Ok(_)) => panic!("the rejecting device must fail the superstep"),
+            Err(_) => panic!("a device error is not a panic"),
+        };
+        for lent in [false, true] {
+            // The streamed GPU share fails: its error, loan home or not.
+            let (result, home, spawned) = one_superstep(&algorithm, None, [false, true], lent);
+            assert_eq!(name(result), "daemon1");
+            assert!(home);
+            assert_eq!(spawned, usize::from(lent));
+            // Both fail: the GPU fails first on the clock when the CPU's
+            // share is lent, yet the CPU's error is first in daemon order.
+            let (result, home, _) = one_superstep(&algorithm, None, [true, true], lent);
+            assert_eq!(name(result), "daemon0");
+            assert!(home);
+        }
+        // The streamed GPU share's kernel panics on the last edge: the
+        // kernel's own payload arrives once the lent CPU share is home.
+        let armed = Senders { armed: true };
+        let (result, home, spawned) = one_superstep(&armed, Some(1_023), [false; 2], true);
+        let payload = result.expect_err("the kernel panic aborts the superstep");
+        assert_eq!(
+            payload.downcast_ref::<&str>().copied(),
+            Some("user kernel exploded")
+        );
+        assert!(home, "every loan is home before the panic is re-raised");
+        assert_eq!(spawned, 1);
     }
 
     #[test]

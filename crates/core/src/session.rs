@@ -615,9 +615,10 @@ pub struct Session<'g, V, E> {
     specs: Vec<Vec<DeviceSpec>>,
     /// One daemon list per node; daemons stay connected between runs.
     daemons: Vec<Vec<Daemon>>,
-    /// One pooled triplet arena per node, installed into the run's agents
-    /// and recovered (and released) afterwards: a reused session refills the
-    /// same warm buffers run after run instead of re-growing fresh ones.
+    /// One pooled block buffer per node (one pipeline block of triplets),
+    /// installed into the run's agents and recovered (and released)
+    /// afterwards: a reused session refills the same warm buffers run after
+    /// run instead of re-growing fresh ones.
     triplet_pool: Vec<Arc<TripletBuffer<V, E>>>,
 }
 
@@ -752,7 +753,7 @@ where
         self.deployment.warm = None;
     }
 
-    /// Takes the per-node triplet arenas out of the pool for a run,
+    /// Takes the per-node block buffers out of the pool for a run,
     /// initialising them on the first accelerated run.
     fn take_triplet_pool(&mut self) -> Vec<Arc<TripletBuffer<V, E>>> {
         let pool = std::mem::take(&mut self.triplet_pool);
@@ -764,7 +765,7 @@ where
         }
     }
 
-    /// Usage statistics of the pooled per-node triplet arenas (empty before
+    /// Usage statistics of the pooled per-node block buffers (empty before
     /// the first accelerated run).  At steady state — a reused session
     /// re-running workloads it has seen — `reallocations` stops growing: the
     /// hot path refills the warm buffers without touching the allocator.
@@ -879,8 +880,6 @@ where
             let agent_stats: Vec<AgentStats> = agents.iter().map(ThreadedAgent::stats).collect();
             // Stop the lanes WITHOUT disconnecting: the recovered daemons
             // keep their device contexts alive for the session's next run.
-            // Every loan is home between supersteps, so the triplet arenas
-            // are uniquely held again.
             let (daemons, pool): (Vec<Vec<Daemon>>, Vec<_>) = agents
                 .into_iter()
                 .map(|mut agent| {
@@ -893,8 +892,8 @@ where
         let collected = report.map(|report| (report, cluster.collect_values()));
         // Recover the deployment (daemons, warm buffers) before surfacing
         // any error, so a failed run does not poison the session.  The
-        // arenas keep their slots across a run's supersteps but are released
-        // between runs: an idle session pins no attribute heap.
+        // block buffers keep their slots across a run's supersteps but are
+        // released between runs: an idle session pins no attribute heap.
         self.daemons = daemons;
         self.triplet_pool = pool;
         for buffer in &mut self.triplet_pool {

@@ -3,11 +3,10 @@
 //! The middleware's dominant cost is moving edge triplets between the upper
 //! system and the daemons, so the steady-state hot path must not allocate or
 //! copy per iteration.  A [`TripletBuffer`] is a reusable arena the agent
-//! refills once per iteration: the triplets are *materialised* into it
-//! exactly once (the join of the edge and vertex tables), and every
-//! downstream consumer — capacity shares, pipeline blocks, kernel launches —
-//! works on borrowed `&[Triplet]` views of this buffer instead of owned
-//! copies.
+//! refills once per pipeline block: the block's triplets are *materialised*
+//! into it exactly once (the join of the edge and vertex tables), and the
+//! kernel launch reads them through a borrowed `&[Triplet]` view of this
+//! buffer instead of owned copies.
 //!
 //! A refill overwrites the slots the buffer already holds, attribute by
 //! attribute through `clone_from`, and constructs new slots only past them.
@@ -20,12 +19,11 @@
 //! benches can assert the zero-copy property instead of trusting it.
 
 use crate::types::Triplet;
-use std::ops::Range;
 
 /// Counters describing how a [`TripletBuffer`] has been used.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ViewStats {
-    /// Number of refills (one per non-idle iteration).
+    /// Number of refills (one per pipeline block the agent fills).
     pub fills: u64,
     /// Total triplets materialised across all refills.
     pub triplets_built: u64,
@@ -119,11 +117,6 @@ impl<V, E> TripletBuffer<V, E> {
         &self.slots[..self.live]
     }
 
-    /// A borrowed sub-view (a capacity share) of the buffer.
-    pub fn share(&self, range: Range<usize>) -> &[Triplet<V, E>] {
-        &self.as_slice()[range]
-    }
-
     /// Number of triplets currently held.
     pub fn len(&self) -> usize {
         self.live
@@ -189,7 +182,6 @@ mod tests {
         buffer.refill_in_place(borrowed(&small));
         assert_eq!(buffer.len(), 2);
         assert_eq!(buffer.as_slice(), small.as_slice());
-        assert_eq!(buffer.share(0..2), small.as_slice());
         // Grow past the retained slots: overwritten ones and pushed ones
         // both equal a fresh owned materialisation, widths included.
         let large = rows(9, 5, 30.0);
@@ -260,15 +252,5 @@ mod tests {
         let mut buffer = TripletBuffer::with_capacity(64);
         buffer.refill_in_place(borrowed(&flat(64)));
         assert_eq!(buffer.stats().reallocations, 0);
-    }
-
-    #[test]
-    fn shares_are_borrowed_subranges() {
-        let mut buffer = TripletBuffer::new();
-        buffer.refill_in_place(borrowed(&flat(10)));
-        let share = buffer.share(3..7);
-        assert_eq!(share.len(), 4);
-        assert_eq!(share[0].src, 3);
-        assert_eq!(buffer.share(0..0).len(), 0);
     }
 }

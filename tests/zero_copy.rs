@@ -16,11 +16,14 @@
 //!   reallocations — warm-up discovers the peak, steady state refills in
 //!   place;
 //! * a counting global allocator proves the *message* path is
-//!   allocation-free too: `MSGGen` appends into the daemon's pooled message
-//!   buffer, so a warm agent's superstep allocates a constant handful of
-//!   times, not once per triplet — for `Copy` PageRank values and for
-//!   multi-source SSSP's heap-owning distance vectors alike (the arena
-//!   refills their slots in place; the messages are inline rows).
+//!   allocation-free too: `MSGGen` appends into the agent's pooled block
+//!   message buffer, so a warm agent's superstep allocates a constant
+//!   handful of times, not once per triplet — for `Copy` PageRank values
+//!   and for multi-source SSSP's heap-owning distance vectors alike (the
+//!   block buffer refills its slots in place; the messages are inline rows);
+//! * the agent's buffer after a warm superstep proves the *working set*: the
+//!   superstep is streamed one pipeline block at a time, so the buffer holds
+//!   one block of triplets, not the superstep's.
 
 use gx_plug::engine::node::NodeState;
 use gx_plug::ipc::key::KeyGenerator;
@@ -215,7 +218,7 @@ fn reused_sessions_reach_zero_arena_reallocations_at_steady_state() {
     let graph = counting_graph();
     let mut session = deploy(&graph, ExecutionMode::Threaded);
 
-    // Warm-up: the first run grows each node's arena to its peak workload.
+    // Warm-up: the first run grows each node's arena to its largest block.
     session.run(&Relax).unwrap();
     let warm = session.triplet_buffer_stats();
     assert!(!warm.is_empty());
@@ -239,17 +242,29 @@ fn reused_sessions_reach_zero_arena_reallocations_at_steady_state() {
     }
 }
 
+/// What [`warm_superstep`] measured.
+struct WarmSuperstep {
+    /// Heap allocations of the measured superstep.
+    allocations: u64,
+    /// Triplets it processed.
+    triplets: u64,
+    /// Triplets left in the agent's block buffer afterwards.
+    buffered: usize,
+    /// The block sizes of one superstep's shares, summed: a bound on the
+    /// largest block.
+    block_sizes: f64,
+}
+
 /// Runs one warm superstep of `algorithm` on a single-node deployment of
-/// `graph` (two daemons) and returns `(allocations, triplets)` of that
-/// superstep.  `prepare` sets the node's values and frontier before each
-/// superstep, so the warm-up supersteps see exactly the measured workload
-/// and size every pooled buffer for it: the triplet arena, the per-daemon
-/// message buffers, the dense merge slots, the sync cache.
+/// `graph` (two daemons) and measures it.  `prepare` sets the node's values
+/// and frontier before each superstep, so the warm-up supersteps see exactly
+/// the measured workload and size every pooled buffer for it: the block
+/// buffer, the block message buffer, the dense merge slots, the sync cache.
 fn warm_superstep<V, A>(
     graph: &PropertyGraph<V, f64>,
     algorithm: &A,
     prepare: impl Fn(&mut NodeState<V, f64>),
-) -> (u64, u64)
+) -> WarmSuperstep
 where
     V: Clone + PartialEq + Send + Sync,
     A: GraphAlgorithm<V, f64>,
@@ -279,7 +294,12 @@ where
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     let output = agent.process_iteration(&mut node, algorithm, 2).unwrap();
     let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
-    (allocations, output.triplets_processed as u64)
+    WarmSuperstep {
+        allocations,
+        triplets: output.triplets_processed as u64,
+        buffered: agent.take_triplet_buffer().len(),
+        block_sizes: agent.stats().mean_block_size(),
+    }
 }
 
 #[test]
@@ -290,8 +310,12 @@ fn warm_agent_supersteps_allocate_far_less_than_once_per_triplet() {
         out_degree: 0,
     };
     let graph = PropertyGraph::from_edge_list(Rmat::new(11, 8.0).generate(5), rank).unwrap();
-    let (allocations, triplets) =
-        warm_superstep(&graph, &PageRank::new(10), NodeState::activate_all);
+    let WarmSuperstep {
+        allocations,
+        triplets,
+        buffered,
+        block_sizes,
+    } = warm_superstep(&graph, &PageRank::new(10), NodeState::activate_all);
     assert!(triplets >= 10_000, "only {triplets} triplets on the node");
     // One allocation per triplet would mean `MSGGen` returns a fresh `Vec`
     // per edge; what remains is per-superstep bookkeeping (the merged output
@@ -299,6 +323,12 @@ fn warm_agent_supersteps_allocate_far_less_than_once_per_triplet() {
     assert!(
         allocations < triplets / 64,
         "{allocations} allocations for {triplets} triplets in one warm superstep"
+    );
+    // The superstep streamed its shares block by block: the agent's buffer
+    // holds the last block it filled, never the superstep's triplets.
+    assert!(
+        buffered as f64 <= block_sizes && (buffered as u64) < triplets / 4,
+        "{buffered} triplets buffered of {triplets} (blocks of at most {block_sizes})"
     );
 }
 
@@ -308,15 +338,18 @@ fn warm_multi_source_sssp_supersteps_allocate_far_less_than_once_per_triplet() {
     let graph = PropertyGraph::from_edge_list(Rmat::new(11, 8.0).generate(5), Vec::new()).unwrap();
     // Every vertex holds four distances, one of them infinite, so every
     // triplet relaxes and sends a 4-column message.
-    let (allocations, triplets) =
-        warm_superstep(&graph, &MultiSourceSssp::paper_default(), |node| {
-            let vertices: Vec<VertexId> = node.vertex_table().ids().collect();
-            for v in vertices {
-                let d = v as f64;
-                node.update_vertex(v, vec![d, d + 0.5, f64::INFINITY, 2.0 * d]);
-            }
-            node.activate_all();
-        });
+    let WarmSuperstep {
+        allocations,
+        triplets,
+        ..
+    } = warm_superstep(&graph, &MultiSourceSssp::paper_default(), |node| {
+        let vertices: Vec<VertexId> = node.vertex_table().ids().collect();
+        for v in vertices {
+            let d = v as f64;
+            node.update_vertex(v, vec![d, d + 0.5, f64::INFINITY, 2.0 * d]);
+        }
+        node.activate_all();
+    });
     assert!(triplets >= 10_000, "only {triplets} triplets on the node");
     // A `Vec<f64>` value costs two allocations per triplet if the arena
     // clones fresh attributes, and a `Vec<f64>` message one more.
