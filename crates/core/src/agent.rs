@@ -16,11 +16,10 @@
 //!
 //! The triplet path is **block-streamed and zero-copy at steady state**.
 //! [`split_by_capacity`] carves the iteration's active edge ids into one
-//! *index range* per daemon, and every share the agent computes itself runs
-//! one pipeline block at a time: the block's triplets are materialised into
-//! the agent's one reusable
-//! [`TripletBuffer`](gxplug_graph::view::TripletBuffer) (the *block buffer*,
-//! pooled by the session across runs), the daemon launches `MSGGen` over it
+//! *index range* per daemon, and every share runs one pipeline block at a
+//! time: the block's triplets are materialised into the agent's one reusable
+//! [`TripletBuffer`] (the *block buffer*, pooled by the session across
+//! runs), the daemon launches `MSGGen` over it
 //! in place, and the block's messages are folded into the per-target
 //! `MSGMerge` before the next block is filled.  So the agent holds one block
 //! of triplets and one block of messages, whatever the iteration's size: the
@@ -29,23 +28,21 @@
 //! modelled.  Every buffer is refilled in place — never reallocated — once
 //! warm.
 //!
-//! [`Agent`] is the one per-node implementation of all this.  Its
-//! [`Agent::process_iteration`] computes every share on the calling thread;
-//! the threaded runtime's [`ThreadedAgent`](crate::runtime::ThreadedAgent)
-//! runs the very same iteration with a lane per daemon attached, so a share
-//! that crosses the run's fan-out floor is lent to its daemon's worker and
-//! computed concurrently with the shares the agent kept.  A lent share is
-//! filled whole — its own range only — into a buffer that travels with the
-//! loan.  Its messages, and those of every share after it in daemon order,
-//! wait until the loan is home and are folded then, so every target combines
-//! its messages in daemon, then block, then triplet order wherever each
-//! share ran.
+//! [`Agent`] is the one per-node implementation of all this, and
+//! [`Agent::process_iteration`] its one iteration body: every share runs in
+//! daemon order on whichever thread computes the node — the caller's, or the
+//! node's lane when the threaded runtime's
+//! [`ThreadedNodes`](crate::runtime::ThreadedNodes) fans the superstep out —
+//! so every target combines its messages in daemon, then block, then triplet
+//! order.  The daemons of a node are priced as concurrent by the pipeline
+//! model (the node's compute time is the longest share's), not run
+//! concurrently on the host.
 
 use crate::config::{MiddlewareConfig, PipelineMode};
 use crate::daemon::{launch_block, ChunkStaging, Daemon};
 use crate::metrics::AgentStats;
 use crate::pipeline::block_size::PipelineCoefficients;
-use crate::runtime::{DaemonLanes, RuntimeError, ShareLoan, ShareResult};
+use crate::runtime::RuntimeError;
 use crate::sync_cache::VertexCache;
 use gxplug_accel::SimDuration;
 use gxplug_engine::cluster::NodeComputeOutput;
@@ -56,12 +53,9 @@ use gxplug_graph::dense::{DenseSlots, FrontierSet};
 use gxplug_graph::types::PartitionId;
 use gxplug_graph::view::TripletBuffer;
 use gxplug_ipc::blocks::TripletBlockRef;
-use std::any::Any;
 use std::marker::PhantomData;
 use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread;
 
 /// Fallback batch size for the unpipelined ("5-step") workflow, so that even
 /// without the pipeline a daemon never receives a batch beyond its device
@@ -121,8 +115,6 @@ fn gather_endpoints<V, E>(
 /// metadata the timing attribution needs.
 #[derive(Debug, Clone)]
 pub(crate) struct ShareRun {
-    /// Index of the daemon that ran the share.
-    pub daemon: usize,
     /// Coefficients of the daemon that ran the share.
     pub coefficients: PipelineCoefficients,
     /// Number of triplets in the share.
@@ -136,15 +128,10 @@ pub(crate) struct ShareRun {
 /// The reusable buffers of one agent's block-streamed hot path:
 ///
 /// * `block` — the block buffer: one pipeline block of triplets at a time,
-///   refilled in place for every block of every share the agent computes
-///   itself.  The session re-installs the same buffer run after run.
+///   refilled in place for every block of every share.  The session
+///   re-installs the same buffer run after run.
 /// * `block_msgs` — the messages of the block in flight, emptied into
-///   `merge` (or `held`) before the next block is filled.
-/// * `loaned` — per daemon, the buffer a lent share's triplets are filled
-///   into and travel in; it comes home with the loan and stays empty for a
-///   daemon that is never lent.
-/// * `held` — per daemon, the messages that wait for a loan to come home: a
-///   lent share's own, and those of every share after it in daemon order.
+///   `merge` before the next block is filled.
 /// * `shares` / `share_runs` — the per-iteration planning vectors, cleared
 ///   rather than reallocated.
 /// * `merge` — the per-target `MSGMerge`.
@@ -154,8 +141,6 @@ pub(crate) struct ShareRun {
 pub(crate) struct AgentScratch<V, E, M> {
     pub block: TripletBuffer<V, E>,
     pub block_msgs: Vec<AddressedMessage<M>>,
-    pub loaned: Vec<TripletBuffer<V, E>>,
-    pub held: Vec<Vec<AddressedMessage<M>>>,
     pub shares: Vec<Range<usize>>,
     pub share_runs: Vec<ShareRun>,
     pub merge: DenseMerge<M>,
@@ -166,8 +151,6 @@ impl<V, E, M> AgentScratch<V, E, M> {
         Self {
             block: TripletBuffer::new(),
             block_msgs: Vec::new(),
-            loaned: (0..num_daemons).map(|_| TripletBuffer::new()).collect(),
-            held: (0..num_daemons).map(|_| Vec::new()).collect(),
             shares: Vec::with_capacity(num_daemons),
             share_runs: Vec::with_capacity(num_daemons),
             merge: DenseMerge {
@@ -338,9 +321,7 @@ where
 
     /// The upload and timing-attribution phases.  `merged` is the
     /// iteration's per-target `MSGMerge` output (see [`DenseMerge`]), folded
-    /// in daemon order (then block, then triplet) wherever each share ran —
-    /// which keeps the per-target combine order, and therefore the results,
-    /// identical.
+    /// in daemon, then block, then triplet order.
     pub(crate) fn finish_iteration<M>(
         &mut self,
         plan: &IterationPlan,
@@ -444,7 +425,7 @@ impl<M> DenseMerge<M> {
     /// ids and combined in arrival order (`msg_merge(existing, incoming)`).
     /// Callers fold in daemon, then block, then triplet order, so the
     /// per-target combine order — and with it every result — does not depend
-    /// on where or in how many blocks a share ran.  Targets without a local
+    /// on how many blocks a share ran in.  Targets without a local
     /// replica pass through to the overflow: the cluster's synchronisation
     /// folds them with the same left-to-right combine order either way.
     fn fold<V, E, A>(
@@ -487,44 +468,6 @@ impl<M> DenseMerge<M> {
     }
 }
 
-/// A daemon slot is empty only while its share is on loan.
-const HOME: &str = "every daemon is home between iterations";
-
-/// The first failure among one iteration's shares, in daemon order.  A
-/// kernel's panic outranks any device error, as in
-/// [`settle`](gxplug_engine::fanout::settle).
-#[derive(Default)]
-struct FirstFailure {
-    panic: Option<(usize, Box<dyn Any + Send>)>,
-    error: Option<(usize, RuntimeError)>,
-}
-
-impl FirstFailure {
-    /// Records how daemon `daemon`'s share went; returns its block count if
-    /// it succeeded.
-    fn note(&mut self, daemon: usize, outcome: thread::Result<ShareResult>) -> Option<usize> {
-        fn keep_first<T>(slot: &mut Option<(usize, T)>, daemon: usize, failure: T) {
-            if slot.as_ref().is_none_or(|(first, _)| daemon < *first) {
-                *slot = Some((daemon, failure));
-            }
-        }
-        match outcome {
-            Ok(Ok(blocks)) => return Some(blocks),
-            Ok(Err(error)) => keep_first(&mut self.error, daemon, error),
-            Err(payload) => keep_first(&mut self.panic, daemon, payload),
-        }
-        None
-    }
-
-    /// Re-raises the first panic, else returns the first error.
-    fn into_result(self) -> Result<(), RuntimeError> {
-        if let Some((_, payload)) = self.panic {
-            resume_unwind(payload);
-        }
-        self.error.map_or(Ok(()), |(_, error)| Err(error))
-    }
-}
-
 /// The agent of one distributed node, bridging the upper system and the
 /// node's daemons.
 ///
@@ -535,15 +478,10 @@ impl FirstFailure {
 #[derive(Debug)]
 pub struct Agent<V, E, M> {
     core: AgentCore<V>,
-    /// The daemons, in daemon order.  A slot is empty only while its daemon
-    /// is lent to its lane for one share, within one iteration.
-    daemons: Vec<Option<Daemon>>,
+    /// The daemons, in daemon order.
+    daemons: Vec<Daemon>,
     /// Capacity factors of the daemons, captured once (they are static).
     capacities: Vec<f64>,
-    /// The daemon with the largest capacity factor.  It takes the largest
-    /// share of every iteration and is never lent: the agent's thread would
-    /// otherwise only wait for the others, so it computes that share.
-    resident: usize,
     scratch: AgentScratch<V, E, M>,
 }
 
@@ -567,20 +505,11 @@ where
     ) -> Self {
         assert!(!daemons.is_empty(), "an agent needs at least one daemon");
         let capacities: Vec<f64> = daemons.iter().map(Daemon::capacity_factor).collect();
-        let resident = (1..capacities.len()).fold(0, |best, index| {
-            if capacities[index] > capacities[best] {
-                index
-            } else {
-                best
-            }
-        });
-        let scratch = AgentScratch::new(daemons.len());
         Self {
             core: AgentCore::new(node_id, profile, config, local_vertices),
-            daemons: daemons.into_iter().map(Some).collect(),
+            scratch: AgentScratch::new(daemons.len()),
+            daemons,
             capacities,
-            resident,
-            scratch,
         }
     }
 
@@ -591,7 +520,7 @@ where
 
     /// The daemons attached to this agent, in daemon order.
     pub fn daemons(&self) -> impl Iterator<Item = &Daemon> {
-        self.daemons.iter().flatten()
+        self.daemons.iter()
     }
 
     /// Number of attached daemons.
@@ -624,8 +553,8 @@ where
 
     /// Takes the block buffer back (leaving a fresh empty one to the agent),
     /// so the session can pool it for the next run.  Between iterations it
-    /// holds the last block the agent computed itself: never more than one
-    /// block's triplets.
+    /// holds the last block the agent computed: never more than one block's
+    /// triplets.
     pub fn take_triplet_buffer(&mut self) -> Arc<TripletBuffer<V, E>> {
         Arc::new(std::mem::replace(
             &mut self.scratch.block,
@@ -638,7 +567,7 @@ where
     /// time, which the runner reports as setup cost.
     pub fn connect(&mut self) -> SimDuration {
         let mut total = SimDuration::ZERO;
-        for daemon in self.daemons.iter_mut().flatten() {
+        for daemon in self.daemons.iter_mut() {
             total += daemon.start();
         }
         self.core.record_init_time(total);
@@ -647,7 +576,7 @@ where
 
     /// `disconnect()`: shuts every daemon down.
     pub fn disconnect(&mut self) {
-        for daemon in self.daemons.iter_mut().flatten() {
+        for daemon in self.daemons.iter_mut() {
             daemon.shutdown();
         }
     }
@@ -655,17 +584,19 @@ where
     /// Releases the daemons without shutting them down, so a session can keep
     /// their device contexts alive for the next run.
     pub fn into_daemons(self) -> Vec<Daemon> {
-        self.daemons.into_iter().flatten().collect()
+        self.daemons
     }
 
-    /// Executes one middleware iteration for this agent's node, computing
-    /// every daemon's share on the calling thread, and returns the merged
-    /// messages plus the timing attribution the cluster driver expects.
+    /// Executes one middleware iteration for this agent's node on the
+    /// calling thread and returns the merged messages plus the timing
+    /// attribution the cluster driver expects.  Every daemon's share runs in
+    /// daemon order, one pipeline block at a time: fill the block buffer,
+    /// launch `MSGGen`, fold the block's messages into the `MSGMerge`.
     ///
     /// # Errors
     /// [`RuntimeError::Kernel`] if a device rejects a block (e.g. a mis-sized
-    /// block exceeding device memory); the error aborts the run instead of
-    /// the process.
+    /// block exceeding device memory): the first in daemon order, which stops
+    /// the iteration and aborts the run instead of the process.
     pub fn process_iteration<A>(
         &mut self,
         node: &mut NodeState<V, E>,
@@ -674,32 +605,6 @@ where
     ) -> Result<NodeComputeOutput<V, M>, RuntimeError>
     where
         A: GraphAlgorithm<V, E, Msg = M>,
-    {
-        self.iterate(node, algorithm, iteration, None)
-    }
-
-    /// One middleware iteration.  Without `lanes` every share is computed on
-    /// the calling thread.  With them, a share of at least the lanes' floor
-    /// on any daemon but the resident one is lent to its daemon's lane first
-    /// — the daemon by value, with its share's triplets and its message
-    /// buffer — and the shares kept home are computed while the lent ones
-    /// run, one block at a time: fill, launch, fold.  A kept share after a
-    /// lent one in daemon order holds its messages until the loan is home.
-    /// The kept shares stop at the first failure, as a serial run does;
-    /// every loan is home before the first panic in daemon order is
-    /// re-raised or the first error in daemon order returned.
-    pub(crate) fn iterate<'scope, 'env, A>(
-        &mut self,
-        node: &mut NodeState<V, E>,
-        algorithm: &'env A,
-        iteration: usize,
-        mut lanes: Option<&mut DaemonLanes<'scope, 'env, V, E, M>>,
-    ) -> Result<NodeComputeOutput<V, M>, RuntimeError>
-    where
-        A: GraphAlgorithm<V, E, Msg = M>,
-        V: 'scope,
-        E: 'scope,
-        M: 'scope,
     {
         let plan = match self.core.begin_iteration(node, iteration) {
             Some(plan) => plan,
@@ -714,114 +619,43 @@ where
         split_by_capacity_into(plan.d, &self.capacities, &mut scratch.shares);
         scratch.share_runs.clear();
         scratch.block_msgs.clear();
-        for held in &mut scratch.held {
-            held.clear();
-        }
         scratch.merge.begin(node.num_vertices());
 
-        // ---- plan every share; lend those that cross the floor --------------
-        for (daemon_index, range) in scratch.shares.iter().enumerate() {
+        for (daemon, range) in self.daemons.iter_mut().zip(&scratch.shares) {
             if range.is_empty() {
                 continue;
             }
-            let daemon = self.daemons[daemon_index].as_ref().expect(HOME);
             let coefficients = daemon.coefficients(self.core.profile());
             let block_size = self.core.block_size_for(
                 &coefficients,
                 range.len(),
                 daemon.backend().memory_capacity_items(),
             );
+            let ids = &edge_ids[range.clone()];
+            let mut staging = ChunkStaging::for_daemon(daemon);
+            for (index, block_ids) in ids.chunks(block_size).enumerate() {
+                let triplets = node.fill_triplets(block_ids, &mut scratch.block);
+                debug_assert_eq!(
+                    triplets.len(),
+                    block_ids.len(),
+                    "an active edge lost an endpoint"
+                );
+                let block = TripletBlockRef { index, triplets };
+                let out = &mut scratch.block_msgs;
+                launch_block(daemon, algorithm, block, iteration, &mut staging, out)?;
+                scratch.merge.fold(node, algorithm, out.drain(..));
+            }
             scratch.share_runs.push(ShareRun {
-                daemon: daemon_index,
                 coefficients,
                 share_len: range.len(),
                 block_size,
-                blocks: 0,
+                blocks: ids.len().div_ceil(block_size),
             });
-            let lend_to = lanes
-                .as_deref_mut()
-                .filter(|lanes| daemon_index != self.resident && range.len() >= lanes.floor);
-            if let Some(lanes) = lend_to {
-                let mut triplets =
-                    std::mem::replace(&mut scratch.loaned[daemon_index], TripletBuffer::new());
-                node.fill_triplets(&edge_ids[range.clone()], &mut triplets);
-                debug_assert_eq!(
-                    triplets.len(),
-                    range.len(),
-                    "an active edge lost an endpoint"
-                );
-                let loan = ShareLoan {
-                    daemon: self.daemons[daemon_index].take().expect(HOME),
-                    triplets,
-                    block_size,
-                    out: std::mem::take(&mut scratch.held[daemon_index]),
-                };
-                lanes.lend(daemon_index, loan, algorithm, iteration);
-            }
-        }
-
-        // ---- MSGGen + MSGMerge of the kept shares, block by block -----------
-        let mut failure = FirstFailure::default();
-        let mut hold = false;
-        for run in &mut scratch.share_runs {
-            // A lent daemon's slot is empty until its loan comes home, and
-            // every later share holds its messages until then.
-            let Some(daemon) = self.daemons[run.daemon].as_mut() else {
-                hold = true;
-                continue;
-            };
-            let ids = &edge_ids[scratch.shares[run.daemon].clone()];
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let mut staging = ChunkStaging::for_daemon(daemon);
-                let out = &mut scratch.block_msgs;
-                for (index, block_ids) in ids.chunks(run.block_size).enumerate() {
-                    let triplets = node.fill_triplets(block_ids, &mut scratch.block);
-                    debug_assert_eq!(
-                        triplets.len(),
-                        block_ids.len(),
-                        "an active edge lost an endpoint"
-                    );
-                    let block = TripletBlockRef { index, triplets };
-                    launch_block(daemon, algorithm, block, iteration, &mut staging, out)?;
-                    if hold {
-                        scratch.held[run.daemon].append(out);
-                    } else {
-                        scratch.merge.fold(node, algorithm, out.drain(..));
-                    }
-                }
-                Ok(ids.len().div_ceil(run.block_size))
-            }));
-            match failure.note(run.daemon, outcome) {
-                Some(blocks) => run.blocks = blocks,
-                None => break,
-            }
-        }
-
-        // ---- every loan back, in daemon order --------------------------------
-        if let Some(lanes) = lanes {
-            for run in &mut scratch.share_runs {
-                if self.daemons[run.daemon].is_some() {
-                    continue;
-                }
-                let (loan, outcome) = lanes.take_back(run.daemon);
-                self.daemons[run.daemon] = Some(loan.daemon);
-                scratch.loaned[run.daemon] = loan.triplets;
-                scratch.held[run.daemon] = loan.out;
-                if let Some(blocks) = failure.note(run.daemon, outcome) {
-                    run.blocks = blocks;
-                }
-            }
-        }
-        failure.into_result()?;
-
-        // What waited for a loan, in daemon order: nothing when none was lent.
-        for held in &mut scratch.held {
-            scratch.merge.fold(node, algorithm, held.drain(..));
         }
         let merged = scratch.merge.drain(node);
         Ok(self
             .core
-            .finish_iteration(&plan, merged, &self.scratch.share_runs))
+            .finish_iteration(&plan, merged, &scratch.share_runs))
     }
 }
 
@@ -892,7 +726,6 @@ fn choose_block_size(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::daemon::execute_share;
     use gxplug_accel::presets;
     use gxplug_engine::network::NetworkModel;
     use gxplug_engine::template::AddressedMessage;
@@ -1096,16 +929,21 @@ mod tests {
     #[test]
     fn oversized_fixed_blocks_surface_as_kernel_errors_not_panics() {
         // A fixed block size beyond the device capacity is clamped by the
-        // planner; to exercise the propagation we call the share executor
-        // directly with a mis-sized block.
+        // planner; to exercise the propagation we launch a mis-sized block
+        // directly.
         let keys = KeyGenerator::new(2);
         let mut daemon = Daemon::new("g", presets::gpu_v100("g"), keys.key_for(0, 0));
         daemon.start();
         let triplets: Vec<Triplet<f64, f64>> = (0..presets::GPU_MEMORY_ITEMS as u32 + 1)
             .map(|i| Triplet::new(i, i + 1, 0.0, 0.0, 1.0))
             .collect();
+        let block = TripletBlockRef {
+            index: 0,
+            triplets: &triplets,
+        };
+        let mut staging = ChunkStaging::for_daemon(&daemon);
         let mut out = Vec::new();
-        let result = execute_share(&mut daemon, &Relax, &triplets, triplets.len(), 0, &mut out);
+        let result = launch_block(&mut daemon, &Relax, block, 0, &mut staging, &mut out);
         match result {
             Err(RuntimeError::Kernel { daemon, .. }) => assert_eq!(daemon, "g"),
             other => panic!("expected a kernel error, got {other:?}"),

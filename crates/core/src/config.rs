@@ -4,9 +4,9 @@
 //! evaluation harness can reproduce the ablations of §V (pipeline on/off/optimal,
 //! caching on/off, skipping on/off, balancing on/off).  On top of the paper's
 //! knobs, [`MiddlewareConfig::execution`] sets the run's fan-out floor:
-//! under [`ExecutionMode::Threaded`] (the default) supersteps and daemon
-//! shares below the floor run on the calling thread and larger ones are lent
-//! to parked per-run lanes, spawned once per run;
+//! under [`ExecutionMode::Threaded`] (the default) supersteps below the
+//! floor run on the calling thread and larger ones lend their nodes to
+//! parked per-run lanes, spawned once per run;
 //! [`ExecutionMode::Serial`] is the same run with a floor no work reaches,
 //! so everything stays on the calling thread.  Results are identical in both
 //! modes.

@@ -26,8 +26,8 @@ use gxplug_accel::{
 };
 use gxplug_engine::profile::RuntimeProfile;
 use gxplug_engine::template::{AddressedMessage, GraphAlgorithm};
-use gxplug_graph::types::{Triplet, VertexId};
-use gxplug_ipc::blocks::{triplet_block_views, TripletBlockRef};
+use gxplug_graph::types::VertexId;
+use gxplug_ipc::blocks::TripletBlockRef;
 use gxplug_ipc::key::IpcKey;
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
@@ -73,56 +73,18 @@ where
         .collect()
 }
 
-/// Runs `MSGGen` over one *borrowed* capacity share of triplets, chunked
-/// into [`TripletBlockRef`] views of `block_size`, appending the generated
-/// messages (in block order) to the caller's reusable `out` buffer.  Returns
-/// the number of blocks launched.  This is the unit of work a share lent to
-/// its daemon's lane runs there (the agent computes the shares it keeps one
-/// block at a time instead, filling each block just before its launch), and
-/// it copies no triplet.  The kernel appends through
-/// [`GraphAlgorithm::msg_gen_into`] straight into `out` (or a pooled
-/// per-chunk slot on multi-lane backends), so for flat message types it
-/// allocates nothing beyond `out`'s amortised growth (and, on multi-lane
-/// backends, one staging pool per share).  Multi-source SSSP's messages are
-/// flat too: its `Relaxation` rows hold up to four distances inline, so only
-/// fused runs over more sources allocate their payloads.
+/// One `MSGGen` launch of `block` on `daemon` through
+/// [`Daemon::execute_gen_staged`], appending the block's messages to `out`:
+/// the unit of work the agent runs for every pipeline block it fills.  The
+/// kernel appends through [`GraphAlgorithm::msg_gen_into`] straight into
+/// `out` (or a pooled per-chunk slot on multi-lane backends), so for flat
+/// message types it allocates nothing beyond `out`'s amortised growth.
 ///
 /// # Errors
 /// A block the backend rejects (e.g. [`AccelError::OutOfMemory`] for a
-/// mis-sized block) is returned as [`RuntimeError::Kernel`] instead of
-/// aborting the process; the agent propagates it up through
-/// `process_iteration` so the run fails with a typed error.
-pub fn execute_share<V, E, A>(
-    daemon: &mut Daemon,
-    algorithm: &A,
-    share: &[Triplet<V, E>],
-    block_size: usize,
-    iteration: usize,
-    out: &mut Vec<AddressedMessage<A::Msg>>,
-) -> Result<usize, RuntimeError>
-where
-    V: Sync,
-    E: Sync,
-    A: GraphAlgorithm<V, E>,
-{
-    // One staging pool for the whole share: the per-chunk slots are drained
-    // (capacity retained) after every block launch, so multi-lane backends
-    // pay at most one slot allocation per share, not one per block.
-    let mut staging = ChunkStaging::for_daemon(daemon);
-    let mut blocks = 0usize;
-    for block in triplet_block_views(share, block_size) {
-        launch_block(daemon, algorithm, block, iteration, &mut staging, out)?;
-        blocks += 1;
-    }
-    Ok(blocks)
-}
-
-/// One `MSGGen` launch of `block` on `daemon` through
-/// [`Daemon::execute_gen_staged`], appending the block's messages to `out`.
-///
-/// # Errors
-/// A block the backend rejects, as [`RuntimeError::Kernel`] naming the
-/// daemon.
+/// mis-sized block), as [`RuntimeError::Kernel`] naming the daemon, instead
+/// of aborting the process; the agent returns it from `process_iteration` so
+/// the run fails with a typed error.
 pub(crate) fn launch_block<V, E, A>(
     daemon: &mut Daemon,
     algorithm: &A,
@@ -335,7 +297,7 @@ impl Daemon {
     /// block view.
     ///
     /// On a single-lane backend (e.g.
-    /// [`SimBackend`](gxplug_accel::SimBackend)) the kernel appends straight
+    /// [`SimBackend`]) the kernel appends straight
     /// into `out`, allocating nothing per launch.  On a multi-lane backend
     /// each chunk writes its own staging slot and the slots drain into `out`
     /// in chunk order, so the message stream — and everything merged from it —
@@ -357,8 +319,8 @@ impl Daemon {
     }
 
     /// [`Daemon::execute_gen_into`] with caller-pooled chunk staging: the
-    /// variant the agent and [`execute_share`] drive, reusing one
-    /// [`ChunkStaging`] across every block launch of a share.
+    /// variant the agent drives, reusing one [`ChunkStaging`] across every
+    /// block launch of a share.
     pub fn execute_gen_staged<V, E, A>(
         &mut self,
         algorithm: &A,

@@ -5,13 +5,13 @@
 //! GX-Plug plugs accelerators (GPUs, multi-core CPUs) into heterogeneous
 //! distributed graph systems through a *daemon–agent framework*:
 //!
-//! * a [`Daemon`](daemon::Daemon) wraps one pluggable accelerator backend
+//! * a [`Daemon`] wraps one pluggable accelerator backend
 //!   (any [`AcceleratorBackend`](gxplug_accel::AcceleratorBackend)
 //!   implementation — cost-model sim or real host-parallel execution),
 //!   holds an instance of the `MSGGen`/`MSGMerge`/`MSGApply` algorithm
 //!   template and keeps the device context alive across iterations (runtime
 //!   isolation);
-//! * an [`Agent`](agent::Agent) lives in a distributed node, bridges the upper
+//! * an [`Agent`] lives in a distributed node, bridges the upper
 //!   system and its daemons, and owns the data-exchange optimisations.
 //!
 //! The three optimisation families of §III are implemented here:
@@ -32,20 +32,19 @@
 //! structure of the paper rather than simulating it — but only where the
 //! work pays for the hand-off.  A thread hand-off costs two queue hops
 //! whatever it carries, so, like a kernel launch in the §III-A pipeline
-//! model, it has to be amortised: one floor on the active-edge count
-//! ([`gxplug_engine::fanout`]) decides per superstep and per share, and
-//! whatever crosses it is lent *by value* to a parked per-run lane — one
-//! mechanism for nodes and daemons alike:
+//! model, it has to be amortised: one floor on a superstep's active-edge
+//! count ([`gxplug_engine::fanout`]) decides, and the nodes of a superstep
+//! that crosses it are lent *by value* to parked per-run lanes, one per
+//! node:
 //!
 //! * a superstep below the floor runs its nodes in node order on the calling
-//!   thread; a larger one lends each node, with its agent, to that node's
-//!   lane and takes it back at the BSP barrier ([`runtime::ThreadedNodes`]);
-//! * an agent computes a daemon's share in place while it is below the
-//!   floor; a share that crosses it is lent, with the daemon, to that
-//!   daemon's lane and comes home when the agent collects the shares, so the
-//!   daemons of a node compute large shares concurrently
-//!   ([`runtime::ThreadedAgent`]).  The daemon with the largest capacity is
-//!   never lent: it computes its share on the agent's thread;
+//!   thread; a larger one lends each node but the last, with its agent, to
+//!   that node's lane and takes it back at the BSP barrier
+//!   ([`runtime::ThreadedNodes`], [`runtime::ThreadedAgent`]);
+//! * every daemon share of a node runs, block by block and in daemon order,
+//!   on whichever thread computes the node.  The cost model prices a node's
+//!   daemons as concurrent — the node's compute time is its longest share's
+//!   — so where the shares run on the host changes no simulated number;
 //! * lane workers are spawned once per run, at the first loan, and sleep in
 //!   between, so a run whose supersteps all stay small creates no thread and
 //!   crosses no queue.
@@ -53,10 +52,10 @@
 //! There is one [`Agent`] and one run path.  The [`config::ExecutionMode`]
 //! switch in [`MiddlewareConfig`] only sets the floor: a serial run is the
 //! same run with a floor of `usize::MAX`, so nothing is ever lent.  Where a
-//! share or a node was computed never shows in the result: every daemon
-//! fills its own buffer and the buffers are merged in daemon order, every
-//! node's output lands in that node's slot and the slots are read in node
-//! order — so the two modes produce **bit-identical** results (the
+//! node was computed never shows in the result: each agent folds its
+//! daemons' messages in daemon order, every node's output lands in that
+//! node's slot and the slots are read in node order — so the two modes
+//! produce **bit-identical** results (the
 //! `determinism` integration test runs PageRank and SSSP both ways, on both
 //! sides of the floor, and compares exactly).
 //!

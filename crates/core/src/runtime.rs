@@ -1,30 +1,26 @@
-//! The threaded runtime: one agent, one worker mechanism.
+//! The threaded runtime: one agent, one lane per node.
 //!
 //! The paper's daemons "work as independent processes" (§IV-C); this module
 //! gives the reproduction real concurrency instead of a single-threaded
 //! simulation of it — **in proportion to the work**.  Handing work to another
 //! thread costs two queue hops whatever its size, so, like a kernel launch in
 //! the §III-A pipeline model, it is only worth it when the work amortises it.
-//! One floor on the active-edge count, fixed per run by its
+//! One floor on a superstep's active-edge count, fixed per run by its
 //! [`ExecutionMode`](crate::ExecutionMode)
-//! ([`floor_for`](gxplug_engine::fanout::floor_for)), decides superstep by
-//! superstep and share by share, and whatever crosses it is lent *by value*
-//! to a parked [`Lane`] on the run's scope:
+//! ([`floor_for`]), decides superstep by
+//! superstep:
 //!
 //! * [`ThreadedNodes`] is the cluster-level
-//!   [`ComputePhase`](gxplug_engine::cluster::ComputePhase).  A superstep
+//!   [`ComputePhase`].  A superstep
 //!   whose nodes hold fewer active edges than the floor runs them in node
 //!   order on the calling thread.  A larger one lends every node but the
-//!   last — its `NodeState` and its agent with the agent's daemon lanes — to
-//!   that node's lane, computes the last node itself, and takes everything
-//!   back in node order at the BSP barrier.
-//! * [`ThreadedAgent`] is an [`Agent`] plus those lanes, and its iteration is
-//!   the agent's own.  A share of at least the floor on any daemon but the
-//!   resident (largest-capacity) one is lent to that daemon's lane — the
-//!   daemon itself, a buffer holding the share's triplets, and the daemon's
-//!   message buffer — while the agent streams the shares it kept block by
-//!   block, and comes home at collection, in daemon order.  A later share
-//!   below the floor runs on the agent's thread again.
+//!   last — its `NodeState` and its agent, *by value* — to that node's parked
+//!   [`Lane`], computes the last node itself, and takes everything back in
+//!   node order at the BSP barrier.
+//! * [`ThreadedAgent`] is an [`Agent`] plus that lane, the run's scope and
+//!   the floor.  Its iteration is the agent's own
+//!   [`Agent::process_iteration`]: every daemon share of the node runs, block
+//!   by block, on whichever thread computes the node.
 //!
 //! [`ExecutionMode::Serial`](crate::ExecutionMode::Serial) is this runtime
 //! with a floor of `usize::MAX`: nothing is ever lent, so a serial run spawns
@@ -33,28 +29,19 @@
 //! run did create.  A lane spawns its worker at its first loan, and the
 //! worker sleeps on its job queue between loans.
 //!
-//! Pooled dispatch: a lent share's triplets are filled, on the agent's
-//! thread, into a reusable
-//! [`TripletBuffer`](gxplug_graph::view::TripletBuffer) that belongs to that
-//! daemon and travels with the loan by value; the lane reads them in place.
-//! Generated messages come back in the daemon's pooled buffer.  Both come
-//! home with the daemon and are refilled in place (never reallocated, once
-//! warm) on its next loan.
-//!
-//! Determinism: where a share or a node is computed never shows in the
-//! result.  The agent folds messages into its merge in daemon-index order —
-//! a share kept home after a lent one holds its messages until the loan is
-//! back — and every node's output lands in that node's
-//! slot and the slots are read in node order.  A threaded run is therefore
-//! bit-identical to a serial one, whichever side of the floor its supersteps
-//! fall on (covered by the `determinism` integration test).
+//! Determinism: where a node is computed never shows in the result.  Every
+//! node's output lands in that node's slot and the slots are read in node
+//! order, and within a node the agent folds messages in daemon, block and
+//! triplet order.  A threaded run is therefore bit-identical to a serial one,
+//! whichever side of the floor its supersteps fall on (covered by the
+//! `determinism` integration test).
 //!
 //! Failures come home too.  A kernel that panics on a lane does not take its
-//! loan with it: the unwind is caught, the daemon or node returns with the
-//! payload, and only once every loan is back is the first panic in daemon
-//! (node) order re-raised, with the kernel's own payload
-//! ([`settle`](gxplug_engine::fanout::settle)).  A device error is returned
-//! as the first [`RuntimeError`] in that order, as a serial run reports it.
+//! loan with it: the unwind is caught, the node and agent return with the
+//! payload, and only once every loan is back is the first panic in node order
+//! re-raised, with the kernel's own payload
+//! ([`settle`]).  A device error is returned
+//! as the first [`RuntimeError`] in node order, as a serial run reports it.
 //!
 //! Worker threads are *scoped* (`std::thread::scope`), which is what lets
 //! jobs borrow the algorithm without `'static` bounds or reference counting;
@@ -63,14 +50,14 @@
 
 use crate::agent::Agent;
 use crate::config::MiddlewareConfig;
-use crate::daemon::{execute_share, Daemon};
+use crate::daemon::Daemon;
 use crate::metrics::AgentStats;
 use gxplug_accel::{AccelError, SimDuration};
 use gxplug_engine::cluster::{ComputePhase, NodeComputeOutput};
-use gxplug_engine::fanout::{fan_out, floor_for, settle, Lane, Returned};
+use gxplug_engine::fanout::{fan_out, floor_for, settle, Lane};
 use gxplug_engine::node::NodeState;
 use gxplug_engine::profile::RuntimeProfile;
-use gxplug_engine::template::{AddressedMessage, GraphAlgorithm};
+use gxplug_engine::template::GraphAlgorithm;
 use gxplug_graph::types::PartitionId;
 use gxplug_graph::view::TripletBuffer;
 use std::fmt;
@@ -79,10 +66,6 @@ use std::thread::Scope;
 
 /// A superstep's result for one node.
 type NodeResult<V, M> = Result<NodeComputeOutput<V, M>, RuntimeError>;
-
-/// What computing one daemon's share produced: the number of blocks
-/// launched, or the device error that stopped it.
-pub(crate) type ShareResult = Result<usize, RuntimeError>;
 
 /// Errors surfaced by the middleware runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,128 +93,29 @@ impl fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
-/// One daemon's share of an iteration, lent to the daemon's lane: the daemon
-/// itself, the share's triplets (filled on the agent's thread, and only
-/// them) with its block size, and the daemon's pooled message buffer.  All
-/// of it comes back with the share's result.
-#[derive(Debug)]
-pub(crate) struct ShareLoan<V, E, M> {
-    pub(crate) daemon: Daemon,
-    pub(crate) triplets: TripletBuffer<V, E>,
-    pub(crate) block_size: usize,
-    pub(crate) out: Vec<AddressedMessage<M>>,
-}
-
-/// One lane per daemon of an agent, on the run's scope, and the run's
-/// fan-out floor: a share of at least `floor` triplets on a daemon other
-/// than the resident one is lent to its lane.
-#[derive(Debug)]
-pub(crate) struct DaemonLanes<'scope, 'env, V, E, M> {
-    scope: &'scope Scope<'scope, 'env>,
-    /// Fewest triplets a share is lent for (`usize::MAX` in a serial run).
-    pub(crate) floor: usize,
-    lanes: Vec<Lane<'scope, ShareLoan<V, E, M>, ShareResult>>,
-}
-
-impl<'scope, 'env, V, E, M> DaemonLanes<'scope, 'env, V, E, M> {
-    /// One parked lane for each of `daemons` daemons on `scope`, none of
-    /// which spawns a worker before its first loan.
-    pub(crate) fn new(scope: &'scope Scope<'scope, 'env>, floor: usize, daemons: usize) -> Self {
-        Self {
-            scope,
-            floor,
-            lanes: (0..daemons).map(|_| Lane::default()).collect(),
-        }
-    }
-
-    /// Workers spawned so far: at most one per lane.
-    pub(crate) fn spawns(&self) -> usize {
-        self.lanes.iter().map(Lane::spawns).sum()
-    }
-}
-
-impl<'scope, 'env, V, E, M> DaemonLanes<'scope, 'env, V, E, M>
-where
-    V: Send + Sync + 'scope,
-    E: Send + Sync + 'scope,
-    M: Send + 'scope,
-{
-    /// Lends `loan` to the lane of daemon `daemon`, which computes the share
-    /// with `execute_share` while the agent goes on.
-    pub(crate) fn lend<A>(
-        &mut self,
-        daemon: usize,
-        loan: ShareLoan<V, E, M>,
-        algorithm: &'env A,
-        iteration: usize,
-    ) where
-        A: GraphAlgorithm<V, E, Msg = M>,
-    {
-        self.lanes[daemon].lend(self.scope, loan, move |loan: &mut ShareLoan<V, E, M>| {
-            execute_share(
-                &mut loan.daemon,
-                algorithm,
-                loan.triplets.as_slice(),
-                loan.block_size,
-                iteration,
-                &mut loan.out,
-            )
-        });
-    }
-
-    /// Blocks until daemon `daemon`'s loan is home, with its share's result
-    /// or the panic that interrupted it.
-    pub(crate) fn take_back(&mut self, daemon: usize) -> Returned<ShareLoan<V, E, M>, ShareResult> {
-        self.lanes[daemon].take_back()
-    }
-}
-
-/// An agent with the lanes its daemons are lent on: what [`ThreadedNodes`]
-/// lends a node's worker, together with the node, for one superstep.
-#[derive(Debug)]
-struct Bridge<'scope, 'env, V, E, M> {
-    agent: Agent<V, E, M>,
-    daemons: DaemonLanes<'scope, 'env, V, E, M>,
-}
-
-impl<'env, V, E, M> Bridge<'_, 'env, V, E, M>
-where
-    V: Clone + PartialEq + Send + Sync + 'env,
-    E: Clone + Send + Sync + 'env,
-    M: Clone + Send + Sync + 'env,
-{
-    fn process_iteration<A>(
-        &mut self,
-        node: &mut NodeState<V, E>,
-        algorithm: &'env A,
-        iteration: usize,
-    ) -> NodeResult<V, M>
-    where
-        A: GraphAlgorithm<V, E, Msg = M>,
-    {
-        self.agent
-            .iterate(node, algorithm, iteration, Some(&mut self.daemons))
-    }
-}
-
-/// A [`ThreadedAgent`]'s bridge is away only while [`ThreadedNodes`] has
-/// lent it out, within one superstep.
+/// A [`ThreadedAgent`]'s agent is away only while [`ThreadedNodes`] has lent
+/// it out, within one superstep.
 const HOME: &str = "the agent is home between supersteps";
 
 /// What travels to a node's lane for one superstep.
-type NodeLoan<'scope, 'env, V, E, M> = (NodeState<V, E>, Box<Bridge<'scope, 'env, V, E, M>>);
+type NodeLoan<V, E, M> = (NodeState<V, E>, Agent<V, E, M>);
 
-/// The threaded front of an [`Agent`]: the agent plus its lanes — one per
-/// daemon, and the node's own, which [`ThreadedNodes`] lends the node to in
-/// supersteps that cross the fan-out floor.  Until the work calls for them
-/// everything runs on the calling thread and the agent owns no thread at
-/// all; in a serial run it never does.
+/// The threaded front of an [`Agent`]: the agent plus its node's lane, which
+/// [`ThreadedNodes`] lends the node and agent to in supersteps that cross the
+/// run's fan-out floor.  Until the work calls for it everything runs on the
+/// calling thread and the agent owns no thread at all; in a serial run it
+/// never does.
 #[derive(Debug)]
 pub struct ThreadedAgent<'scope, 'env, V, E, M> {
     /// `None` only while [`ThreadedNodes`] has lent it out for one superstep.
-    bridge: Option<Box<Bridge<'scope, 'env, V, E, M>>>,
+    agent: Option<Agent<V, E, M>>,
     /// This node's lane.
-    lane: Lane<'scope, NodeLoan<'scope, 'env, V, E, M>, NodeResult<V, M>>,
+    lane: Lane<'scope, NodeLoan<V, E, M>, NodeResult<V, M>>,
+    /// The run's scope, which the lane spawns its worker on.
+    scope: &'scope Scope<'scope, 'env>,
+    /// Fewest active edges a superstep lends its nodes for (`usize::MAX` in
+    /// a serial run).
+    floor: usize,
 }
 
 impl<'scope, 'env, V, E, M> ThreadedAgent<'scope, 'env, V, E, M>
@@ -241,9 +125,9 @@ where
     M: Clone + Send + Sync + 'env,
 {
     /// Creates the agent for distributed node `node_id`, with the fan-out
-    /// floor of `config.execution`.  No thread is spawned yet: the lanes
-    /// spawn their workers on `scope` — which must enclose the whole run —
-    /// the first time the work calls for them.
+    /// floor of `config.execution`.  No thread is spawned yet: the lane
+    /// spawns its worker on `scope` — which must enclose the whole run — the
+    /// first time the work calls for it.
     pub fn spawn(
         scope: &'scope Scope<'scope, 'env>,
         node_id: PartitionId,
@@ -252,61 +136,60 @@ where
         config: MiddlewareConfig,
         local_vertices: usize,
     ) -> Self {
-        let lanes = DaemonLanes::new(scope, floor_for(config.execution), daemons.len());
-        let agent = Agent::new(node_id, daemons, profile, config, local_vertices);
         Self {
-            bridge: Some(Box::new(Bridge {
-                agent,
-                daemons: lanes,
-            })),
+            agent: Some(Agent::new(
+                node_id,
+                daemons,
+                profile,
+                config,
+                local_vertices,
+            )),
             lane: Lane::default(),
+            scope,
+            floor: floor_for(config.execution),
         }
     }
 
-    fn bridge(&self) -> &Bridge<'scope, 'env, V, E, M> {
-        self.bridge.as_deref().expect(HOME)
-    }
-
-    fn bridge_mut(&mut self) -> &mut Bridge<'scope, 'env, V, E, M> {
-        self.bridge.as_deref_mut().expect(HOME)
+    fn agent(&self) -> &Agent<V, E, M> {
+        self.agent.as_ref().expect(HOME)
     }
 
     fn agent_mut(&mut self) -> &mut Agent<V, E, M> {
-        &mut self.bridge_mut().agent
+        self.agent.as_mut().expect(HOME)
     }
 
     /// The distributed node this agent serves.
     pub fn node_id(&self) -> PartitionId {
-        self.bridge().agent.node_id()
+        self.agent().node_id()
     }
 
     /// Number of attached daemons.
     pub fn num_daemons(&self) -> usize {
-        self.bridge().agent.num_daemons()
+        self.agent().num_daemons()
     }
 
     /// Total computation capacity factor of the attached daemons.
     pub fn capacity_factor(&self) -> f64 {
-        self.bridge().agent.capacity_factor()
+        self.agent().capacity_factor()
     }
 
     /// The middleware configuration in force.
     pub fn config(&self) -> &MiddlewareConfig {
-        self.bridge().agent.config()
+        self.agent().config()
     }
 
     /// Accumulated statistics.
     pub fn stats(&self) -> AgentStats {
-        self.bridge().agent.stats()
+        self.agent().stats()
     }
 
-    /// OS threads this agent has spawned so far: one per daemon lane that
-    /// has been lent a share, plus the node's own once [`ThreadedNodes`] has
-    /// lent the node out.  Zero for a run whose supersteps all stayed below
-    /// the floor, and for every serial run; never more than one per lane,
-    /// however many supersteps crossed the floor.
+    /// OS threads this agent has spawned so far: its node's lane worker once
+    /// [`ThreadedNodes`] has lent the node out, else none.  Zero for a run
+    /// whose supersteps all stayed below the floor, for every serial run and
+    /// for the last node, which the calling thread computes; never more than
+    /// one, however many supersteps crossed the floor.
     pub fn threads_spawned(&self) -> usize {
-        self.lane.spawns() + self.bridge().daemons.spawns()
+        self.lane.spawns()
     }
 
     /// Installs a pooled block buffer (e.g. the session's, so a reused
@@ -335,20 +218,11 @@ where
     }
 
     /// Executes one middleware iteration for this agent's node on the calling
-    /// thread, exactly as [`Agent::process_iteration`] does, except that a
-    /// share of at least the fan-out floor on any daemon but the resident one
-    /// is lent to that daemon's lane and computed there, concurrently with
-    /// the shares the agent kept.
+    /// thread: [`Agent::process_iteration`].
     ///
     /// # Errors
     /// [`RuntimeError::Kernel`] if a device rejects a block: the first error
-    /// in daemon order, as [`Agent::process_iteration`] reports it.  Every
-    /// lent share is home before the error is returned, so the pooled
-    /// buffers stay consistent.
-    ///
-    /// # Panics
-    /// Panics if a kernel panics, with the kernel's own payload wherever the
-    /// share ran — once every lent share is home.
+    /// in daemon order.
     pub fn process_iteration<A>(
         &mut self,
         node: &mut NodeState<V, E>,
@@ -358,16 +232,16 @@ where
     where
         A: GraphAlgorithm<V, E, Msg = M>,
     {
-        self.bridge_mut()
+        self.agent_mut()
             .process_iteration(node, algorithm, iteration)
     }
 
-    /// Stops the agent's lanes (the run's scope joins their workers) and
-    /// returns the daemons, every one of which is home between supersteps.
+    /// Stops the agent's lane (the run's scope joins its worker) and returns
+    /// the daemons; the agent is home between supersteps.
     pub fn join(self) -> Vec<Daemon> {
-        let ThreadedAgent { bridge, lane } = self;
+        let ThreadedAgent { agent, lane, .. } = self;
         drop(lane);
-        bridge.expect(HOME).agent.into_daemons()
+        agent.expect(HOME).into_daemons()
     }
 }
 
@@ -376,10 +250,10 @@ where
 ///
 /// A superstep whose nodes hold fewer active edges than the run's fan-out
 /// floor runs them in node order on the calling thread.  A larger one lends
-/// every node but the last — `NodeState` and agent with its daemon lanes, by
-/// value — to that node's lane (whose worker is spawned once per run, at the
-/// first such superstep), runs the last node itself, and takes everything
-/// back at the BSP barrier.
+/// every node but the last — `NodeState` and agent, by value — to that
+/// node's lane (whose worker is spawned once per run, at the first such
+/// superstep), runs the last node itself, and takes everything back at the
+/// BSP barrier.
 ///
 /// Each node's output lands in that node's slot and the slots are read in
 /// node order, so the global synchronisation sees the same message order
@@ -420,30 +294,30 @@ where
         let algorithm = self.algorithm;
         let agents = &mut *self.agents;
         let active_edges: usize = nodes.iter().map(NodeState::active_edge_count).sum();
-        if nodes.len() < 2 || active_edges < agents[0].bridge().daemons.floor {
+        if nodes.len() < 2 || active_edges < agents[0].floor {
             return nodes
                 .iter_mut()
                 .zip(agents.iter_mut())
                 .map(|(node, agent)| agent.process_iteration(node, algorithm, iteration))
                 .collect();
         }
-        let scope = agents[0].bridge().daemons.scope;
-        let lent: Vec<NodeLoan<'scope, 'env, V, E, A::Msg>> = nodes
+        let scope = agents[0].scope;
+        let lent: Vec<NodeLoan<V, E, A::Msg>> = nodes
             .iter_mut()
             .zip(agents.iter_mut())
-            .map(|(node, agent)| (std::mem::take(node), agent.bridge.take().expect(HOME)))
+            .map(|(node, agent)| (std::mem::take(node), agent.agent.take().expect(HOME)))
             .collect();
         let returned = fan_out(
             scope,
             agents.iter_mut().map(|agent| &mut agent.lane),
             lent,
-            move |(node, bridge): &mut NodeLoan<'scope, 'env, V, E, A::Msg>| {
-                bridge.process_iteration(node, algorithm, iteration)
+            move |(node, agent): &mut NodeLoan<V, E, A::Msg>| {
+                agent.process_iteration(node, algorithm, iteration)
             },
         );
-        settle(returned, |index, (node, bridge)| {
+        settle(returned, |index, (node, agent)| {
             nodes[index] = node;
-            agents[index].bridge = Some(bridge);
+            agents[index].agent = Some(agent);
         })
         .into_iter()
         .collect()
@@ -470,7 +344,6 @@ mod tests {
 
     #[test]
     fn panicking_kernel_job_panics_the_agent_instead_of_hanging() {
-        use gxplug_engine::template::AddressedMessage;
         use gxplug_graph::edge_list::EdgeList;
         use gxplug_graph::graph::PropertyGraph;
         use gxplug_graph::partition::{HashEdgePartitioner, Partitioner};
@@ -533,6 +406,7 @@ mod tests {
     use gxplug_engine::cluster::{Cluster, SyncPolicy};
     use gxplug_engine::metrics::RunReport;
     use gxplug_engine::network::NetworkModel;
+    use gxplug_engine::template::AddressedMessage;
     use gxplug_graph::edge_list::EdgeList;
     use gxplug_graph::graph::PropertyGraph;
     use gxplug_graph::partition::Partitioning;
@@ -671,14 +545,14 @@ mod tests {
         (graph, partitioning)
     }
 
-    /// 256 edges: every superstep and every share stays below the floor.
+    /// 256 edges: every superstep stays below the floor.
     const SMALL: (u32, u32) = (64, 4);
     /// 81 920 edges, 40 960 per node, two equal shares of 20 480 per node:
-    /// every superstep and every share crosses the floor.
+    /// every superstep — and every share on its own — crosses the floor.
     const LARGE: (u32, u32) = (4_096, 20);
 
-    /// Two equal daemons per node, so the second daemon of a node takes half
-    /// of the node's triplets (the first one is the resident).
+    /// Two equal daemons per node, so each daemon of a node takes half of
+    /// the node's triplets.
     fn twin_daemons(reject: Option<(usize, usize)>) -> Vec<Vec<Daemon>> {
         let keys = KeyGenerator::new(9);
         (0..2)
@@ -796,10 +670,9 @@ mod tests {
             run_threaded(&graph, &partitioning, &algorithm, twin_daemons(None));
         assert_eq!(report.unwrap().num_iterations(), 6);
         // Six supersteps crossed the floor, yet node 0 spawned its parked
-        // node worker and its second daemon's worker once each; node 1 is
-        // the calling thread's own, so it only ever spawned the daemon
-        // worker.  The resident daemons never left.
-        assert_eq!(spawned, vec![2, 1]);
+        // node worker once; node 1 is the calling thread's own.  Every
+        // daemon share ran on its node's thread, however large.
+        assert_eq!(spawned, vec![1, 0]);
     }
 
     #[test]
@@ -808,7 +681,7 @@ mod tests {
         let (graph, partitioning) = ring(LARGE.0, LARGE.1, None);
         let (threaded, threaded_values, spawned) =
             run_threaded(&graph, &partitioning, &algorithm, twin_daemons(None));
-        assert_eq!(spawned, vec![2, 1]);
+        assert_eq!(spawned, vec![1, 0]);
         let (serial, serial_values, spawned) = run_in(
             ExecutionMode::Serial,
             &graph,
@@ -825,11 +698,14 @@ mod tests {
 
     /// Superstep 0 has every vertex active; from then on only the vertices
     /// below `hot` take updates, so every later superstep is small.  The
-    /// kernel notes the thread of every triplet it sees, per superstep.
+    /// kernel notes, per superstep, the node of every triplet it sees (from
+    /// its source: [`ring`] puts the lower half of the sources on node 0)
+    /// and the thread it saw it on.
     struct Cooling {
         hot: VertexId,
         rounds: usize,
-        threads: Mutex<Vec<HashSet<ThreadId>>>,
+        node_1_from: VertexId,
+        threads: Mutex<Vec<HashSet<(usize, ThreadId)>>>,
     }
 
     impl GraphAlgorithm<f64, f64> for Cooling {
@@ -847,7 +723,8 @@ mod tests {
             if threads.len() <= i {
                 threads.resize_with(i + 1, HashSet::new);
             }
-            threads[i].insert(thread::current().id());
+            let node = usize::from(t.src >= self.node_1_from);
+            threads[i].insert((node, thread::current().id()));
             out.push(AddressedMessage::new(t.dst, t.src_attr + 1.0));
         }
         fn msg_merge(&self, a: f64, b: f64) -> f64 {
@@ -865,11 +742,12 @@ mod tests {
     }
 
     #[test]
-    fn a_lent_daemon_comes_home_and_computes_its_later_small_shares_in_place() {
+    fn a_fanned_out_superstep_computes_each_node_on_one_thread() {
         let here = thread::current().id();
         let algorithm = Cooling {
             hot: 4,
             rounds: 4,
+            node_1_from: LARGE.0 / 2,
             threads: Mutex::new(Vec::new()),
         };
         let (graph, partitioning) = ring(LARGE.0, LARGE.1, None);
@@ -883,19 +761,23 @@ mod tests {
         assert_eq!(report.unwrap().num_iterations(), 4);
         let threads = algorithm.threads.into_inner().unwrap();
         assert_eq!(threads.len(), 4, "every superstep had work");
-        assert!(
-            threads[0].iter().any(|thread| *thread != here),
-            "superstep 0's second shares ran on their daemons' lanes"
-        );
+        // Superstep 0 crosses the floor, and so does each node's second
+        // daemon share on its own: still, node 0's triplets all ran on its
+        // lane and node 1's all on the calling thread — two threads in all.
+        let lane = threads[0]
+            .iter()
+            .find(|(node, _)| *node == 0)
+            .map(|(_, thread)| *thread)
+            .unwrap();
+        assert_ne!(lane, here);
+        assert_eq!(threads[0], HashSet::from([(0, lane), (1, here)]));
         for (superstep, seen) in threads.iter().enumerate().skip(1) {
-            assert_eq!(
-                seen,
-                &HashSet::from([here]),
-                "superstep {superstep}: every share below the floor ran on the agent's thread"
+            assert!(
+                seen.iter().all(|(_, thread)| *thread == here),
+                "superstep {superstep}: below the floor, every node ran on the calling thread"
             );
         }
-        // Node 0's lane and one daemon lane per node, each spawned once.
-        assert_eq!(spawned, vec![2, 1]);
+        assert_eq!(spawned, vec![1, 0]);
     }
 
     #[test]
@@ -906,7 +788,7 @@ mod tests {
         let (graph, partitioning) = ring(LARGE.0, LARGE.1, None);
         let (threaded, threaded_values, spawned) =
             run_threaded(&graph, &partitioning, &algorithm, twin_daemons(None));
-        assert_eq!(spawned, vec![2, 1]);
+        assert_eq!(spawned, vec![1, 0]);
 
         let profile = RuntimeProfile::powergraph();
         let mut cluster = Cluster::build(
@@ -953,9 +835,9 @@ mod tests {
     #[test]
     fn kernel_errors_are_the_same_typed_error_inline_and_fanned_out() {
         let algorithm = Spread::new(3, false);
-        // (node, daemon) of the rejecting device: a resident daemon (always
-        // computed in place, on a lent node in the large run) and a second
-        // daemon (dispatched to its worker in the large run).
+        // (node, daemon) of the rejecting device: either daemon of the node
+        // that is lent to its lane in the large run, and a daemon of the node
+        // the calling thread computes.
         for reject in [(0, 0), (0, 1), (1, 1)] {
             let mut errors = Vec::new();
             for (scale, fanned_out) in [(SMALL, false), (LARGE, true)] {
@@ -986,13 +868,16 @@ mod tests {
     #[test]
     fn kernel_panics_propagate_unchanged_inline_and_fanned_out_and_never_hang() {
         let here = thread::current().id();
-        // The armed edge sits first on node 0 (resident share, lent node),
-        // last on node 0 (dispatched share, lent node) or last on node 1
-        // (dispatched share, the calling thread's own node).
+        // The armed edge sits first on node 0 (first share, lent node), last
+        // on node 0 (second share, lent node) or last on node 1 (second
+        // share, the calling thread's own node).  Every share runs on its
+        // node's thread, so the kernel panics off the calling thread iff the
+        // superstep fanned out and the edge is on node 0.
         for position in [0.0, 0.5, 1.0] {
             for (scale, fanned_out) in [(SMALL, false), (LARGE, true)] {
                 let edges = (scale.0 * scale.1) as usize;
                 let marked = ((edges as f64 * position) as usize).saturating_sub(1);
+                let on_node_0 = marked < edges / 2;
                 let (graph, partitioning) = ring(scale.0, scale.1, Some(marked));
                 let algorithm = Spread::new(3, true);
                 let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -1010,8 +895,8 @@ mod tests {
                 let exploded_on = algorithm.exploded_on.lock().unwrap().expect("it exploded");
                 assert_eq!(
                     exploded_on != here,
-                    fanned_out,
-                    "edge {marked} of {edges} exploded on the wrong side of the floor"
+                    fanned_out && on_node_0,
+                    "edge {marked} of {edges} exploded on the wrong thread"
                 );
             }
         }
@@ -1074,8 +959,8 @@ mod tests {
         (graph, partitioning)
     }
 
-    /// Daemons `[cpu, gpu]`: daemon 0 is the non-resident one.  `reject`
-    /// marks the daemons whose device rejects every block.
+    /// Daemons `[cpu, gpu]`: the small CPU share runs first, then the GPU's.
+    /// `reject` marks the daemons whose device rejects every block.
     fn cpu_then_gpu(reject: [bool; 2]) -> Vec<Daemon> {
         let keys = KeyGenerator::new(11);
         [presets::cpu_xeon_20c("cpu"), presets::gpu_v100("gpu")]
@@ -1110,116 +995,87 @@ mod tests {
         agent
     }
 
-    /// One superstep of `algorithm` on a fresh [`one_node_ring`], with the
-    /// CPU daemon's share lent (lanes with a floor of 1) or, without lanes,
-    /// everything inline as a `Serial` run computes it.  Returns the
-    /// outcome, whether every daemon was home afterwards and the workers
-    /// spawned.
+    /// One superstep of `algorithm` on a fresh [`one_node_ring`], every
+    /// share inline.
     fn one_superstep(
         algorithm: &Senders,
         marked: Option<usize>,
         reject: [bool; 2],
-        lent: bool,
-    ) -> (thread::Result<NodeResult<f64, Vec<VertexId>>>, bool, usize) {
+    ) -> thread::Result<NodeResult<f64, Vec<VertexId>>> {
         let (graph, partitioning) = one_node_ring(marked);
         let mut node = NodeState::build(0, &graph, &partitioning, algorithm);
         let mut agent = cpu_gpu_agent(&node, reject);
-        thread::scope(|scope| {
-            let mut lanes = DaemonLanes::new(scope, 1, 2);
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                agent.iterate(&mut node, algorithm, 0, lent.then_some(&mut lanes))
-            }));
-            (outcome, agent.daemons().count() == 2, lanes.spawns())
-        })
+        std::panic::catch_unwind(AssertUnwindSafe(|| {
+            agent.process_iteration(&mut node, algorithm, 0)
+        }))
     }
 
     #[test]
-    fn a_share_kept_home_after_a_lent_one_folds_at_collection_bit_for_bit() {
+    fn shares_fold_in_daemon_order_then_block_by_block() {
         let algorithm = Senders { armed: false };
         let (graph, partitioning) = one_node_ring(None);
-        let run = |lent: bool| {
-            let mut cluster = Cluster::build(
-                &graph,
-                partitioning.clone(),
-                &algorithm,
-                RuntimeProfile::powergraph(),
-                NetworkModel::datacenter(),
-            );
-            let mut agent = cpu_gpu_agent(cluster.node(0), [false; 2]);
-            let mut messages = Vec::new();
-            let (report, spawned) = thread::scope(|scope| {
-                let mut lanes = DaemonLanes::new(scope, 1, 2);
-                let report = cluster.run_custom(
-                    &algorithm,
-                    "ring",
-                    "test",
-                    usize::MAX,
-                    SyncPolicy::AlwaysSync,
-                    SimDuration::ZERO,
-                    |node, iteration| {
-                        let lanes = lent.then_some(&mut lanes);
-                        let output = agent.iterate(node, &algorithm, iteration, lanes).unwrap();
-                        messages.push(output.messages.clone());
-                        output
-                    },
-                );
-                (report, lanes.spawns())
-            });
-            (
-                report,
-                bits(&cluster.collect_values()),
-                messages,
-                agent.stats(),
-                spawned,
-            )
-        };
-        let (serial, serial_values, serial_messages, serial_stats, spawned) = run(false);
-        assert_eq!(spawned, 0);
-        let (lent, lent_values, lent_messages, lent_stats, spawned) = run(true);
-        assert_eq!(spawned, 1, "the CPU daemon's share went to its lane");
-        assert_eq!(lent_messages.len(), 3);
+        let mut cluster = Cluster::build(
+            &graph,
+            partitioning,
+            &algorithm,
+            RuntimeProfile::powergraph(),
+            NetworkModel::datacenter(),
+        );
+        let mut agent = cpu_gpu_agent(cluster.node(0), [false; 2]);
+        let mut messages = Vec::new();
+        let report = cluster.run_custom(
+            &algorithm,
+            "ring",
+            "test",
+            usize::MAX,
+            SyncPolicy::AlwaysSync,
+            SimDuration::ZERO,
+            |node, iteration| {
+                let output = agent
+                    .process_iteration(node, &algorithm, iteration)
+                    .unwrap();
+                messages.push(output.messages.clone());
+                output
+            },
+        );
+        assert_eq!(report.num_iterations(), 3);
+        assert_eq!(messages.len(), 3);
         // Target 5 hears from sources 0..=4 and 53..=63: the CPU's share
-        // (sources 0 and 1) folds first even though the GPU's blocks ran
-        // first on the clock.
-        let to_5 = lent_messages[0].iter().find(|m| m.target == 5).unwrap();
-        assert_eq!(to_5.payload[..3], [0, 1, 2]);
-        assert_eq!(lent_messages, serial_messages);
-        assert_eq!(lent_values, serial_values);
-        assert_eq!(lent_stats, serial_stats);
-        assert_eq!(lent, serial);
+        // (sources 0 and 1) folds first, then the GPU's blocks in order.
+        let to_5 = messages[0].iter().find(|m| m.target == 5).unwrap();
+        assert_eq!(
+            to_5.payload,
+            [0, 1, 2, 3, 4, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63]
+        );
     }
 
     #[test]
-    fn failures_in_a_streamed_share_stay_first_in_daemon_order_with_every_loan_home() {
+    fn failures_in_a_streamed_share_stay_first_in_daemon_order() {
         let algorithm = Senders { armed: false };
         let name = |result: thread::Result<Result<_, RuntimeError>>| match result {
             Ok(Err(RuntimeError::Kernel { daemon, .. })) => daemon,
             Ok(Ok(_)) => panic!("the rejecting device must fail the superstep"),
             Err(_) => panic!("a device error is not a panic"),
         };
-        for lent in [false, true] {
-            // The streamed GPU share fails: its error, loan home or not.
-            let (result, home, spawned) = one_superstep(&algorithm, None, [false, true], lent);
-            assert_eq!(name(result), "daemon1");
-            assert!(home);
-            assert_eq!(spawned, usize::from(lent));
-            // Both fail: the GPU fails first on the clock when the CPU's
-            // share is lent, yet the CPU's error is first in daemon order.
-            let (result, home, _) = one_superstep(&algorithm, None, [true, true], lent);
-            assert_eq!(name(result), "daemon0");
-            assert!(home);
-        }
+        // The streamed GPU share fails: its error.
+        assert_eq!(
+            name(one_superstep(&algorithm, None, [false, true])),
+            "daemon1"
+        );
+        // Both fail: the CPU's error is first in daemon order.
+        assert_eq!(
+            name(one_superstep(&algorithm, None, [true, true])),
+            "daemon0"
+        );
         // The streamed GPU share's kernel panics on the last edge: the
-        // kernel's own payload arrives once the lent CPU share is home.
+        // kernel's own payload arrives.
         let armed = Senders { armed: true };
-        let (result, home, spawned) = one_superstep(&armed, Some(1_023), [false; 2], true);
-        let payload = result.expect_err("the kernel panic aborts the superstep");
+        let payload = one_superstep(&armed, Some(1_023), [false; 2])
+            .expect_err("the kernel panic aborts the superstep");
         assert_eq!(
             payload.downcast_ref::<&str>().copied(),
             Some("user kernel exploded")
         );
-        assert!(home, "every loan is home before the panic is re-raised");
-        assert_eq!(spawned, 1);
     }
 
     #[test]

@@ -2035,7 +2035,7 @@ fn pop_highest_priority<V, E>(
 ///
 /// The graph is shared (`Arc`) rather than borrowed because the worker
 /// sessions live on scheduler threads that outlive the builder's scope.  An
-/// existing [`SessionBuilder`] converts via
+/// existing [`SessionBuilder`](crate::SessionBuilder) converts via
 /// [`SessionBuilder::into_spec`](crate::SessionBuilder::into_spec) +
 /// [`ServiceBuilder::from_spec`].
 #[derive(Debug)]

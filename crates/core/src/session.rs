@@ -28,10 +28,10 @@
 //! run and one [`ThreadedAgent`] per node, driven by [`ThreadedNodes`].
 //! [`MiddlewareConfig::execution`] only sets the run's fan-out floor.  Under
 //! the default [`Threaded`](crate::ExecutionMode::Threaded) mode a superstep
-//! below the floor runs on the calling thread, a larger one lends its nodes
-//! to parked per-run node lanes, and a daemon share that crosses the floor is
-//! lent to its daemon's lane for that iteration — so a run of small
-//! supersteps creates no thread at all.
+//! below the floor runs on the calling thread and a larger one lends its
+//! nodes to parked per-run node lanes, every daemon share of a node running
+//! on the node's thread — so a run of small supersteps creates no thread at
+//! all.
 //! [`Serial`](crate::ExecutionMode::Serial) is the same run with a floor no
 //! work reaches.  The two modes produce bit-identical results, and
 //! [`Session::set_config`] can switch any middleware knob between runs on
@@ -327,7 +327,7 @@ impl SessionSpec {
         E: Clone + Send + Sync,
     {
         self.validate()?;
-        let partitioning = self.partitioning.expect("validated above");
+        let partitioning = self.partitioning.ok_or(SessionError::MissingPartitioning)?;
         let mut specs = self.devices;
         if let Some(backend) = self.backend {
             for spec in specs.iter_mut().flatten() {

@@ -63,7 +63,7 @@ fn into_ok<T>(result: Result<T, Infallible>) -> T {
 pub enum ExecutionMode {
     /// Nodes compute one after another on the calling thread: the threaded
     /// path with a fan-out floor no superstep reaches
-    /// ([`floor_for`](crate::fanout::floor_for)), so it spawns nothing.
+    /// ([`floor_for`]), so it spawns nothing.
     Serial,
     /// Threading proportional to work ([`fanout`](crate::fanout)): a
     /// superstep whose active-edge count is below the fan-out floor runs its

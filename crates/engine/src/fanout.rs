@@ -5,14 +5,14 @@
 //! of a kernel launch is amortised by the work in the block.  Handing work to
 //! another thread has a fixed cost too — one queue hop to wake the worker and
 //! one to hear back, each a condition-variable wake-up — so the same rule
-//! applies to threads: a superstep (or a daemon's share of one) goes to a
-//! worker only when it carries at least the run's floor of active edges
-//! ([`floor_for`]); anything smaller runs on the calling thread.  A serial
+//! applies to threads: a superstep goes to workers only when it carries at
+//! least the run's floor of active edges ([`floor_for`]); anything smaller
+//! runs on the calling thread.  A serial
 //! run is the same run with a floor of `usize::MAX`: it never lends, so it
 //! never spawns.
 //!
-//! Nodes and daemons are lent through the one mechanism here, a [`Lane`] per
-//! node or daemon.  The workers are **parked, not spawned per superstep**.
+//! Nodes are lent through the one mechanism here, a [`Lane`] per node.  The
+//! workers are **parked, not spawned per superstep**.
 //! A [`Lane`] starts its thread at its first loan, on a [`Scope`] that
 //! outlives the run, and the thread then sleeps on its job queue between
 //! loans.  A compute

@@ -5,7 +5,7 @@
 //! structures: the middleware's job is packaging and synchronising them, not
 //! providing a full graph database.  The vertex table assigns each global id
 //! a **dense local id** (its insertion index) through a
-//! [`LocalIdMap`](crate::dense::LocalIdMap), so the superstep hot path can
+//! [`LocalIdMap`], so the superstep hot path can
 //! address rows with plain array loads instead of hash probes; the paper's
 //! vertex-edge mapping table is realised as a per-node CSR over those local
 //! ids (see `gxplug-engine`'s `NodeState`).

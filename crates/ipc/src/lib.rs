@@ -8,10 +8,10 @@
 //! * [`key`] — IPC keys, the `ftok`-style key generator and the `splitmix64`
 //!   mix it is built on;
 //! * [`queue`] — the `Send + Sync` Mutex/Condvar-backed MPMC queue the
-//!   daemon worker threads, the service lanes and the server's connection
+//!   node lane workers, the service lanes and the server's connection
 //!   hand-off are built on, with blocking, deadline and non-blocking receive
 //!   flavours and peer-disconnect detection;
-//! * [`oneshot`] — the exactly-once result slot job tickets park on;
+//! * [`oneshot`](mod@oneshot) — the exactly-once result slot job tickets park on;
 //! * [`blocks`] — the borrowed [`TripletBlockRef`] views of the zero-copy
 //!   pipeline;
 //! * [`wire`] — the versioned, length-prefixed binary frame format the

@@ -1,14 +1,14 @@
-//! The cross-thread message queue under the daemon runtime, the job service and
-//! the socket front end.
+//! The cross-thread message queue under the threaded runtime, the job service
+//! and the socket front end.
 //!
-//! Daemons run on their own OS threads (§IV-C: agents and daemons "work as
-//! independent processes"), so the primitives connecting them must be
-//! `Send + Sync` and block efficiently.  [`sync_queue`] creates a multi-producer,
+//! Large supersteps run their nodes on parked OS threads (§IV-C: agents and
+//! daemons "work as independent processes"), so the primitives connecting
+//! them must be `Send + Sync` and block efficiently.  [`sync_queue`] creates a multi-producer,
 //! multi-consumer FIFO built from `std::sync::Mutex` + `Condvar` — no
 //! external dependencies, no spinning:
 //!
 //! * both endpoints are cloneable, so any number of producer and consumer
-//!   threads can share one queue (the agent fan-out / daemon worker pattern);
+//!   threads can share one queue (the node fan-out / service worker pattern);
 //! * receivers block on a condition variable and are woken per message;
 //! * [`QueueReceiver::recv_timeout`] provides real deadline semantics
 //!   (re-arming the wait after spurious wake-ups);

@@ -17,7 +17,7 @@
 //! - [`ws`] — RFC 6455 frames plus the SHA-1/base64 pair the handshake
 //!   needs.
 //! - [`model`] — what a wire job spec *means*: the algorithm registry, the
-//!   stock [`ServeVertex`](model::ServeVertex) deployment, and the wire →
+//!   stock [`ServeVertex`] deployment, and the wire →
 //!   core option mapping.
 //! - [`metrics`] — Prometheus text exposition of the service snapshot and
 //!   per-tenant counters.
