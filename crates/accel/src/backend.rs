@@ -485,9 +485,8 @@ struct PoolQueue {
 
 /// The persistent worker threads of a [`HostParallelBackend`]: spawned once
 /// (lazily, at the first multi-chunk launch) and fed launches through a
-/// shared job queue, so a workload of many small launches — a fused
-/// multi-job run, a deep pipeline — pays thread-spawn cost once instead of
-/// per launch.
+/// shared job queue, so a workload of many small launches — a deep
+/// pipeline — pays thread-spawn cost once instead of per launch.
 struct WorkerPool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,

@@ -23,9 +23,8 @@ pub enum DeviceKind {
 }
 
 impl DeviceKind {
-    /// Allocation preference rank used by the registry's deterministic
-    /// `take_any` ordering: GPUs first (the paper's primary accelerators),
-    /// then FPGAs, then CPUs.  Lower rank is preferred.
+    /// Allocation preference rank: GPUs first (the paper's primary
+    /// accelerators), then FPGAs, then CPUs.  Lower rank is preferred.
     pub fn preference_rank(self) -> u8 {
         match self {
             DeviceKind::Gpu => 0,
@@ -57,7 +56,7 @@ pub enum AccelError {
         /// Device that rejected the batch.
         device: String,
     },
-    /// No device of the requested kind is available in the registry.
+    /// No device of the requested kind is available.
     NoDeviceAvailable {
         /// Requested kind.
         kind: DeviceKind,
@@ -76,7 +75,7 @@ impl fmt::Display for AccelError {
                 "out of device memory on {device}: batch of {requested} items exceeds capacity of {capacity}"
             ),
             AccelError::NoDeviceAvailable { kind } => {
-                write!(f, "no {kind} device available in the registry")
+                write!(f, "no {kind} device available")
             }
         }
     }

@@ -16,9 +16,7 @@
 //! * [`device`] — shared device vocabulary (kinds, errors, kernel timing);
 //! * [`backend`] — the [`AcceleratorBackend`] trait, [`DeviceSpec`]
 //!   descriptors and the shipped backends;
-//! * [`presets`] — calibrated V100-class GPU / Xeon-class CPU / FPGA presets;
-//! * [`registry`] — the shared device pool used for daemon allocation and
-//!   mix-and-match configurations.
+//! * [`presets`] — calibrated V100-class GPU / Xeon-class CPU / FPGA presets.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -27,7 +25,6 @@ pub mod backend;
 pub mod cost;
 pub mod device;
 pub mod presets;
-pub mod registry;
 pub mod time;
 
 pub use backend::{
@@ -36,5 +33,4 @@ pub use backend::{
 };
 pub use cost::CostModel;
 pub use device::{AccelError, DeviceKind, KernelTiming, Result};
-pub use registry::DeviceRegistry;
 pub use time::{SimClock, SimDuration};

@@ -238,8 +238,5 @@ mod tests {
         let mut custom_rank = PageRank::new(10);
         custom_rank.initial_rank = 0.5;
         assert_ne!(base.cache_key(), custom_rank.cache_key());
-        // PageRank never declares a fusion family: runs with different
-        // parameters cannot share one sweep.
-        assert!(base.fusion_family().is_none());
     }
 }

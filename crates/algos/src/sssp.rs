@@ -8,7 +8,7 @@
 //! The message is a [`Relaxation`]: the candidate distances of one relaxed
 //! edge, held inline for up to [`Relaxation::INLINE`] sources, so the
 //! paper's 4-source runs generate and merge every message without touching
-//! the heap.  Only fused runs above that width spill to a `Vec`.
+//! the heap.  Only runs over more sources than that spill to a `Vec`.
 
 use gxplug_engine::template::{AddressedMessage, GraphAlgorithm};
 use gxplug_graph::mutate::MutationScope;
@@ -22,7 +22,7 @@ pub type Distances = Vec<f64>;
 ///
 /// Widths up to [`Relaxation::INLINE`] live in the value itself, so a
 /// message is plain data with no allocation to make or free; wider rows
-/// (fused runs over more sources) spill to a `Vec`.  Which representation
+/// (runs over more sources) spill to a `Vec`.  Which representation
 /// holds a row is invisible to the algorithm: both dereference to the same
 /// `[f64]` columns.  The inline width is 4, the paper's source count,
 /// rather than 8: the per-target merge slots hold one `Option<Relaxation>`
@@ -221,10 +221,6 @@ impl GraphAlgorithm<Distances, f64> for MultiSourceSssp {
         Some(key)
     }
 
-    fn fusion_family(&self) -> Option<&'static str> {
-        Some("sssp-bf-multi")
-    }
-
     /// Distances only ever tighten: relaxation applies a strict `<`, per-path
     /// sums are deterministic, and a converged distance vector is a valid
     /// upper bound to restart from.  After insert-only mutations, warm values
@@ -240,32 +236,6 @@ impl GraphAlgorithm<Distances, f64> for MultiSourceSssp {
     /// re-seed from the mutation's dirty frontier.
     fn rescope(&self, scope: &MutationScope) -> Option<Vec<VertexId>> {
         (!scope.has_removals && !scope.has_detaches).then(|| scope.dirty.clone())
-    }
-
-    /// Fusing SSSP jobs concatenates their source lists: one run relaxes
-    /// every member's sources simultaneously, and each member's distance
-    /// columns come back out of the fused vertex vectors.  Per-source
-    /// relaxation is independent (`min` per column, path sums unchanged), so
-    /// the converged distances are bit-identical to each member running
-    /// alone.
-    fn fuse(members: &[&Self]) -> Option<Self> {
-        if members.is_empty() {
-            return None;
-        }
-        Some(Self::new(
-            members
-                .iter()
-                .flat_map(|member| member.sources.iter().copied())
-                .collect(),
-        ))
-    }
-
-    fn extract_fused(members: &[&Self], index: usize, value: &Distances) -> Distances {
-        let offset: usize = members[..index]
-            .iter()
-            .map(|member| member.num_sources())
-            .sum();
-        value[offset..offset + members[index].num_sources()].to_vec()
     }
 
     /// Each vertex owns a distance vector (one `f64` per source), so a
@@ -452,82 +422,5 @@ mod tests {
             7 * std::mem::size_of::<f64>()
         );
         assert_eq!(MultiSourceSssp::value_bytes(&Distances::new()), 0);
-    }
-
-    #[test]
-    fn fuse_concatenates_sources_in_member_order() {
-        let leader = MultiSourceSssp::new(vec![4, 5]);
-        let peer = MultiSourceSssp::new(vec![9]);
-        let fused = MultiSourceSssp::fuse(&[&leader, &peer]).unwrap();
-        assert_eq!(fused.sources(), &[4, 5, 9]);
-        assert_eq!(fused.fusion_family(), leader.fusion_family());
-        assert!(MultiSourceSssp::fuse(&[]).is_none());
-    }
-
-    #[test]
-    fn extract_fused_slices_each_members_columns() {
-        let a = MultiSourceSssp::new(vec![0, 1]);
-        let b = MultiSourceSssp::new(vec![2]);
-        let c = MultiSourceSssp::new(vec![3, 4, 5]);
-        let members = [&a, &b, &c];
-        let fused_value = vec![10.0, 11.0, 20.0, 30.0, 31.0, 32.0];
-        assert_eq!(
-            MultiSourceSssp::extract_fused(&members, 0, &fused_value),
-            vec![10.0, 11.0]
-        );
-        assert_eq!(
-            MultiSourceSssp::extract_fused(&members, 1, &fused_value),
-            vec![20.0]
-        );
-        assert_eq!(
-            MultiSourceSssp::extract_fused(&members, 2, &fused_value),
-            vec![30.0, 31.0, 32.0]
-        );
-    }
-
-    #[test]
-    fn fused_run_matches_members_run_alone() {
-        let list = GridRoad::new(10, 10, 0.05).generate(7);
-        let graph = PropertyGraph::from_edge_list(list, Vec::new()).unwrap();
-        let members = [
-            MultiSourceSssp::new(vec![0, 13]),
-            MultiSourceSssp::new(vec![42]),
-            MultiSourceSssp::new(vec![7, 88]),
-        ];
-        let member_refs: Vec<&MultiSourceSssp> = members.iter().collect();
-        let fused = MultiSourceSssp::fuse(&member_refs).unwrap();
-
-        let run = |algorithm: &MultiSourceSssp| {
-            let partitioning = GreedyVertexCutPartitioner::default()
-                .partition(&graph, 2)
-                .unwrap();
-            let mut cluster = Cluster::build(
-                &graph,
-                partitioning,
-                algorithm,
-                RuntimeProfile::powergraph(),
-                NetworkModel::datacenter(),
-            );
-            let report = cluster.run_native(algorithm, "test", 1_000);
-            assert!(report.converged);
-            cluster.collect_values()
-        };
-
-        let fused_values = run(&fused);
-        for (index, member) in members.iter().enumerate() {
-            let solo_values = run(member);
-            for (v, (fused_value, solo_value)) in fused_values.iter().zip(&solo_values).enumerate()
-            {
-                let extracted = MultiSourceSssp::extract_fused(&member_refs, index, fused_value);
-                let identical = extracted
-                    .iter()
-                    .zip(solo_value)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(
-                    identical,
-                    "member {index} vertex {v}: fused {extracted:?} != solo {solo_value:?}"
-                );
-            }
-        }
     }
 }

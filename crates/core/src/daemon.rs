@@ -6,9 +6,10 @@
 //! context alive across iterations (runtime isolation, §IV-C) so that
 //! initialisation is paid once per daemon lifetime rather than once per call.
 //!
-//! The daemon executes the template's three APIs over blocks of data:
-//! `MSGGen` over triplet blocks on the backend, `MSGMerge` combining the
-//! resulting messages, and `MSGApply` over vertex blocks.
+//! The daemon executes the template's `MSGGen` over triplet blocks on the
+//! backend.  `MSGMerge` folds the generated messages into the agent's dense
+//! per-target slots, and `MSGApply` runs in the upper system's synchronize
+//! step.
 //!
 //! # Backend-independent determinism
 //!
@@ -22,7 +23,7 @@
 use crate::pipeline::block_size::PipelineCoefficients;
 use crate::runtime::RuntimeError;
 use gxplug_accel::{
-    AccelError, AcceleratorBackend, ChunkSpec, DeviceKind, KernelTiming, SimBackend, SimDuration,
+    AccelError, AcceleratorBackend, ChunkSpec, DeviceKind, KernelTiming, SimDuration,
 };
 use gxplug_engine::profile::RuntimeProfile;
 use gxplug_engine::template::{AddressedMessage, GraphAlgorithm};
@@ -40,8 +41,8 @@ pub type GenOutput<M> = (Vec<AddressedMessage<M>>, KernelTiming);
 /// vertex, preserving first-seen target order for determinism.  The merge is
 /// memory-bound host work, so it does not need a device.  The
 /// [`Agent`](crate::Agent) merges through its pooled dense slots instead;
-/// this hash-based form serves [`Daemon::merge_messages`] and callers that
-/// merge a standalone message stream.
+/// this hash-based form serves callers that merge a standalone message
+/// stream.
 ///
 /// Takes any message iterator so callers can drain their pooled per-daemon
 /// buffers straight into the merge without concatenating them first.
@@ -146,8 +147,6 @@ pub struct DaemonStats {
     pub triplets_processed: u64,
     /// Messages produced by `MSGGen` (before merging).
     pub messages_generated: u64,
-    /// Vertices updated by `MSGApply`.
-    pub vertices_applied: u64,
 }
 
 /// A computation daemon bound to one accelerator backend.
@@ -243,22 +242,6 @@ impl Daemon {
         }
     }
 
-    /// Unwraps the daemon back into its backend *without* tearing the device
-    /// context down — the check-in path of a shared device pool, where a
-    /// context initialised by one job must stay warm for the next.  The
-    /// inverse of wrapping a pooled backend via [`Daemon::new`].
-    pub fn into_backend(mut self) -> Box<dyn AcceleratorBackend> {
-        // Disarm the automatic teardown: `Drop` shuts down started daemons,
-        // and this context must survive the round trip through the pool.
-        self.started = false;
-        let placeholder: Box<dyn AcceleratorBackend> = Box::new(SimBackend::new(
-            String::new(),
-            self.backend.kind(),
-            *self.backend.cost_model(),
-        ));
-        std::mem::replace(&mut self.backend, placeholder)
-    }
-
     /// Derives the Lemma-1 pipeline coefficients of this agent–daemon pair:
     /// `k1`/`k3` come from the upper system's per-item transfer costs, `k2`
     /// and `a` from the device.
@@ -297,7 +280,7 @@ impl Daemon {
     /// block view.
     ///
     /// On a single-lane backend (e.g.
-    /// [`SimBackend`]) the kernel appends straight
+    /// [`SimBackend`](gxplug_accel::SimBackend)) the kernel appends straight
     /// into `out`, allocating nothing per launch.  On a multi-lane backend
     /// each chunk writes its own staging slot and the slots drain into `out`
     /// in chunk order, so the message stream — and everything merged from it —
@@ -372,54 +355,6 @@ impl Daemon {
         self.stats.messages_generated += (out.len() - before) as u64;
         Ok(timing)
     }
-
-    /// `MSGMerge`: combines messages addressed to the same vertex.  The merge
-    /// runs on the daemon's host side (it is memory-bound, not compute-bound)
-    /// and preserves first-seen target order for determinism.  Delegates to
-    /// the free function [`merge_addressed`].
-    pub fn merge_messages<V, E, A>(
-        &mut self,
-        algorithm: &A,
-        messages: Vec<AddressedMessage<A::Msg>>,
-    ) -> Vec<AddressedMessage<A::Msg>>
-    where
-        A: GraphAlgorithm<V, E>,
-    {
-        merge_addressed(algorithm, messages)
-    }
-
-    /// `MSGApply` over a batch of `(vertex, current value, merged message)`
-    /// entries: runs the apply kernel on the backend and returns the vertices
-    /// whose value changed (in input order), with the device timing.
-    pub fn execute_apply<V, E, A>(
-        &mut self,
-        algorithm: &A,
-        batch: &[(VertexId, V, A::Msg)],
-        iteration: usize,
-    ) -> Result<(Vec<(VertexId, V)>, KernelTiming), AccelError>
-    where
-        V: Clone + Send + Sync,
-        A: GraphAlgorithm<V, E>,
-    {
-        let lanes = self.backend.max_concurrency().max(1);
-        let slots: Vec<Mutex<Vec<(VertexId, V)>>> =
-            (0..lanes).map(|_| Mutex::new(Vec::new())).collect();
-        let timing = self.backend.launch(batch.len(), &|chunk: ChunkSpec| {
-            let mut slot = lock_slot(&slots[chunk.index]);
-            for (vertex, current, message) in &batch[chunk.range] {
-                if let Some(new_value) = algorithm.msg_apply(*vertex, current, message, iteration) {
-                    slot.push((*vertex, new_value));
-                }
-            }
-        })?;
-        self.stats.kernel_launches += 1;
-        let mut updated: Vec<(VertexId, V)> = Vec::new();
-        for slot in slots {
-            updated.append(&mut slot.into_inner().unwrap_or_else(PoisonError::into_inner));
-        }
-        self.stats.vertices_applied += updated.len() as u64;
-        Ok((updated, timing))
-    }
 }
 
 impl Drop for Daemon {
@@ -435,7 +370,7 @@ impl Drop for Daemon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gxplug_accel::{presets, BackendKind, DeviceSpec};
+    use gxplug_accel::{presets, BackendKind, DeviceSpec, SimBackend};
     use gxplug_engine::template::AddressedMessage;
     use gxplug_graph::types::Triplet;
     use gxplug_ipc::key::KeyGenerator;
@@ -545,8 +480,7 @@ mod tests {
 
     #[test]
     fn merge_keeps_the_minimum_per_target() {
-        let mut d = daemon();
-        let merged = d.merge_messages::<f64, f64, Relax>(
+        let merged = merge_addressed::<f64, f64, Relax, _>(
             &Relax,
             vec![
                 AddressedMessage::new(1, 2.0),
@@ -560,16 +494,6 @@ mod tests {
         assert_eq!(merged[0].payload, 1.0);
         assert_eq!(merged[1].target, 2);
         assert_eq!(merged[1].payload, 5.0);
-    }
-
-    #[test]
-    fn execute_apply_returns_only_changed_vertices() {
-        let mut d = daemon();
-        d.start();
-        let batch = vec![(1u32, f64::INFINITY, 2.0f64), (2, 1.0, 5.0), (3, 9.0, 4.0)];
-        let (updated, _timing) = d.execute_apply(&Relax, &batch, 0).unwrap();
-        assert_eq!(updated, vec![(1, 2.0), (3, 4.0)]);
-        assert_eq!(d.stats().vertices_applied, 2);
     }
 
     #[test]

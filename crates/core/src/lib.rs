@@ -73,8 +73,7 @@
 //! cancellation and deterministic shutdown.  In front of the lanes sits a
 //! keyed result cache (duplicate submissions resolve in microseconds without
 //! touching a worker) and behind them a coalescing pass: a worker claiming a
-//! job absorbs queued duplicates into its run and can fuse compatible jobs
-//! of one algorithm family into a single sweep — answers stay bit-identical
+//! job absorbs queued duplicates into its run — answers stay bit-identical
 //! to fresh runs either way.
 
 #![warn(missing_docs)]

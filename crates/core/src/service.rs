@@ -63,36 +63,24 @@
 //!   and [`GraphService::clear_cache`] drops them outright.  Per job,
 //!   [`CachePolicy`] opts out (`Bypass`) or forces a re-fill (`Refresh`).
 //! * **Flights** — a worker runs one *flight* per claim: the job it
-//!   dequeued (the leader) plus the queued jobs that can share its run,
-//!   claimed in one sweep per lane.  A same-key `UseOrFill` duplicate is
-//!   *coalesced* (single-flight): it takes the leader's result.  With
-//!   [`ServiceBuilder::fusion_limit`] set (off by default), up to
-//!   `fusion_limit - 1` queued jobs of the leader's
-//!   [`GraphAlgorithm::fusion_family`], concrete type and overrides are
-//!   *fused*: [`GraphAlgorithm::fuse`] merges them into one run whose
-//!   per-superstep work is shared, and [`GraphAlgorithm::extract_fused`]
-//!   carves each member's result back out.  A coalesced flight is a fusion
-//!   of identical members.  The flight runs once, then one loop resolves
-//!   every member — success, session error and panic alike — leader first,
-//!   so its cache fill lands before any duplicate's ticket wakes.  Each
-//!   member counts by outcome and records its own queue wait; the run
-//!   records one wall sample.
+//!   dequeued (the leader) plus every queued same-key `UseOrFill` duplicate
+//!   of it, claimed in one sweep per lane.  A duplicate is *coalesced*
+//!   (single-flight): it takes the leader's result.  The flight runs once,
+//!   then one loop resolves every member — success, session error and panic
+//!   alike — leader first; the leader's cache fill lands before any ticket
+//!   wakes.  Each member counts by outcome and records its own queue wait;
+//!   the run records one wall sample.
 //!
 //! Both serve answers bit-identical to a fresh run — the `determinism`
 //! integration test proves it for both execution modes.
 
 use crate::config::{MiddlewareConfig, PipelineMode};
-use crate::daemon::Daemon;
-use crate::session::{
-    daemons_from_backends, RunOutcome, RunOverrides, Session, SessionError, SessionSpec,
-};
-use gxplug_accel::{AcceleratorBackend, DeviceRegistry, DeviceSpec};
+use crate::session::{RunOutcome, RunOverrides, Session, SessionError, SessionSpec};
 use gxplug_engine::template::{DynAlgorithm, GraphAlgorithm, SharedAlgorithm};
 use gxplug_graph::graph::PropertyGraph;
 use gxplug_graph::mutate::{MutationBatch, MutationError, MutationLog, ResolvedMutation};
 use gxplug_ipc::oneshot::{oneshot, resolved, OneshotReceiver, OneshotSender};
 use gxplug_ipc::queue::{sync_queue, QueueReceiver, QueueRecvError, QueueSender};
-use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -360,33 +348,6 @@ impl JobCell {
 /// What a ticket resolves to.
 type JobResult<V> = Result<RunOutcome<V>, ServiceError>;
 
-/// What a group run returns: one result per member — the leader's first,
-/// then the peers' in their given order — plus whether a single fused run
-/// produced them (vs. the members running individually back to back).
-struct GroupOutcome<V> {
-    results: Vec<Result<RunOutcome<V>, SessionError>>,
-    fused: bool,
-}
-
-/// Runs `algorithm` on a worker session: accelerated when the deployment
-/// has devices, native otherwise.
-fn run_algorithm<V, E, A>(
-    session: &mut Session<'_, V, E>,
-    algorithm: &A,
-    overrides: RunOverrides,
-) -> Result<RunOutcome<V>, SessionError>
-where
-    V: Clone + PartialEq + Send + Sync,
-    E: Clone + Send + Sync,
-    A: GraphAlgorithm<V, E>,
-{
-    if session.has_devices() {
-        session.run_with(algorithm, overrides)
-    } else {
-        Ok(session.run_native_with(algorithm, overrides))
-    }
-}
-
 /// A job with its algorithm type erased, so heterogeneous jobs share the
 /// scheduler queue.  [`DynAlgorithm`] erases the *message* type behind a
 /// shared handle; this second layer erases the vertex-level run entirely, so
@@ -397,36 +358,19 @@ trait ErasedJob<V, E>: Send {
     /// for uncacheable algorithms.
     fn cache_token(&self) -> Option<String>;
 
-    /// See [`GraphAlgorithm::fusion_family`].
-    fn fusion_family(&self) -> Option<&'static str>;
-
-    /// Whether `other` is the same concrete algorithm type as this job, so
-    /// the two can be reclaimed from erasure and fused by
-    /// [`ErasedJob::run_group`].
-    fn can_fuse_with(&self, other: &dyn ErasedJob<V, E>) -> bool;
-
-    fn as_any(&self) -> &dyn Any;
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
-
     /// Sizes one of this job's outcomes for the result cache's byte budget
     /// ([`sized_outcome_bytes`] instantiated at the concrete algorithm
     /// type).  A plain `fn` so the scheduler can size results after
-    /// [`ErasedJob::run_group`] consumed the job box.
+    /// [`ErasedJob::run`] consumed the job box.
     fn outcome_sizer(&self) -> fn(&RunOutcome<V>) -> usize;
 
-    /// Runs this job together with `peers` on a worker session.  With no
-    /// peers this is a plain run.  With peers — all of which passed
-    /// [`ErasedJob::can_fuse_with`] — the group is fused into one run when
-    /// the algorithm's [`GraphAlgorithm::fuse`] accepts it, and falls back
-    /// to individual runs (in order: this job first, then the peers)
-    /// otherwise.
-    fn run_group(
+    /// Runs this job on a worker session: accelerated when the deployment
+    /// has devices, native otherwise.
+    fn run(
         self: Box<Self>,
-        peers: Vec<Box<dyn ErasedJob<V, E>>>,
         session: &mut Session<'_, V, E>,
         overrides: RunOverrides,
-    ) -> GroupOutcome<V>;
+    ) -> Result<RunOutcome<V>, SessionError>;
 }
 
 struct AlgorithmJob<A>(A);
@@ -443,81 +387,19 @@ where
             .map(|params| format!("{}\u{1f}{params}", self.0.name()))
     }
 
-    fn fusion_family(&self) -> Option<&'static str> {
-        self.0.fusion_family()
-    }
-
-    fn can_fuse_with(&self, other: &dyn ErasedJob<V, E>) -> bool {
-        other.as_any().is::<AlgorithmJob<A>>()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-
     fn outcome_sizer(&self) -> fn(&RunOutcome<V>) -> usize {
         sized_outcome_bytes::<V, E, A>
     }
 
-    fn run_group(
+    fn run(
         self: Box<Self>,
-        peers: Vec<Box<dyn ErasedJob<V, E>>>,
         session: &mut Session<'_, V, E>,
         overrides: RunOverrides,
-    ) -> GroupOutcome<V> {
-        if peers.is_empty() {
-            return GroupOutcome {
-                results: vec![run_algorithm(session, &self.0, overrides)],
-                fused: false,
-            };
-        }
-        // Reclaim the concrete algorithms: the scheduler only groups peers
-        // that passed `can_fuse_with`, so these downcasts cannot fail.
-        let mut members: Vec<A> = Vec::with_capacity(peers.len() + 1);
-        members.push(self.0);
-        for peer in peers {
-            let peer = peer
-                .into_any()
-                .downcast::<AlgorithmJob<A>>()
-                .unwrap_or_else(|_| unreachable!("grouped peers share the leader's type"));
-            members.push(peer.0);
-        }
-        let member_refs: Vec<&A> = members.iter().collect();
-        if let Some(fused) = A::fuse(&member_refs) {
-            if let Ok(outcome) = run_algorithm(session, &fused, overrides) {
-                let results = (0..members.len())
-                    .map(|index| {
-                        let values = outcome
-                            .values
-                            .iter()
-                            .map(|value| A::extract_fused(&member_refs, index, value))
-                            .collect();
-                        Ok(RunOutcome {
-                            report: outcome.report.clone(),
-                            agent_stats: outcome.agent_stats.clone(),
-                            values,
-                        })
-                    })
-                    .collect();
-                return GroupOutcome {
-                    results,
-                    fused: true,
-                };
-            }
-            // A failed fused run falls through to individual runs so one
-            // member's error is not amplified to the whole group.
-        }
-        let results = members
-            .iter()
-            .map(|member| run_algorithm(session, member, overrides))
-            .collect();
-        GroupOutcome {
-            results,
-            fused: false,
+    ) -> Result<RunOutcome<V>, SessionError> {
+        if session.has_devices() {
+            session.run_with(&self.0, overrides)
+        } else {
+            Ok(session.run_native_with(&self.0, overrides))
         }
     }
 }
@@ -787,7 +669,6 @@ struct StatsInner {
     cache_hits: u64,
     cache_misses: u64,
     coalesced_jobs: u64,
-    fused_runs: u64,
     queue_wait_total: Duration,
     queue_wait_max: Duration,
     run_wall_total: Duration,
@@ -808,7 +689,6 @@ impl StatsInner {
             cache_hits: 0,
             cache_misses: 0,
             coalesced_jobs: 0,
-            fused_runs: 0,
             queue_wait_total: Duration::ZERO,
             queue_wait_max: Duration::ZERO,
             run_wall_total: Duration::ZERO,
@@ -820,7 +700,7 @@ impl StatsInner {
     }
 
     /// Counts one resolved job's queue wait.  Every member of a coalesced
-    /// or fused flight waited on its own, so this is recorded per job.
+    /// flight waited on its own, so this is recorded per job.
     fn record_wait(&mut self, queue_wait: Duration) {
         self.queue_wait_total += queue_wait;
         self.queue_wait_max = self.queue_wait_max.max(queue_wait);
@@ -830,8 +710,8 @@ impl StatsInner {
         self.recent_waits.push_back(queue_wait);
     }
 
-    /// Counts one *physical* run's wall time.  A coalesced or fused flight
-    /// executes once, so only its leader records this — the wall totals and
+    /// Counts one *physical* run's wall time.  A coalesced flight executes
+    /// once, so only its leader records this — the wall totals and
     /// percentiles measure worker occupancy, not per-job attribution.
     fn record_wall(&mut self, run_wall: Duration) {
         self.run_wall_total += run_wall;
@@ -863,7 +743,6 @@ impl StatsInner {
             cache_hits: self.cache_hits,
             cache_misses: self.cache_misses,
             coalesced_jobs: self.coalesced_jobs,
-            fused_runs: self.fused_runs,
             queued,
             running,
             worker_sessions,
@@ -909,8 +788,6 @@ pub struct ServiceStats {
     pub cache_misses: u64,
     /// Queued duplicate jobs resolved from another job's single flight.
     pub coalesced_jobs: u64,
-    /// Worker runs that executed a fused group instead of one job.
-    pub fused_runs: u64,
     /// Jobs currently waiting in the priority lanes.
     pub queued: usize,
     /// Jobs currently executing on worker sessions.
@@ -921,8 +798,8 @@ pub struct ServiceStats {
     pub queue_wait_total: Duration,
     /// Largest single queue wait.
     pub queue_wait_max: Duration,
-    /// Total wall time across *physical* runs: a coalesced or fused flight
-    /// executes once and counts once here, however many job tickets it
+    /// Total wall time across *physical* runs: a coalesced flight executes
+    /// once and counts once here, however many job tickets it
     /// resolved — this is worker occupancy, not per-job attribution.
     pub run_wall_total: Duration,
     /// Largest single physical-run wall time.
@@ -956,8 +833,7 @@ impl ServiceStats {
     }
 
     /// The retained per-physical-run wall samples, oldest first.  A
-    /// coalesced or fused flight contributes one sample, recorded by its
-    /// leader.
+    /// coalesced flight contributes one sample, recorded by its leader.
     pub fn recent_wall_samples(&self) -> &[Duration] {
         &self.recent_walls
     }
@@ -999,7 +875,6 @@ impl ServiceStats {
             cache_hits: self.cache_hits,
             cache_misses: self.cache_misses,
             coalesced_jobs: self.coalesced_jobs,
-            fused_runs: self.fused_runs,
             queued: self.queued,
             running: self.running,
             worker_sessions: self.worker_sessions,
@@ -1048,8 +923,6 @@ pub struct StatsSnapshot {
     pub cache_misses: u64,
     /// Queued duplicate jobs resolved from another job's single flight.
     pub coalesced_jobs: u64,
-    /// Worker runs that executed a fused group instead of one job.
-    pub fused_runs: u64,
     /// Jobs currently waiting in the priority lanes.
     pub queued: usize,
     /// Jobs currently executing on worker sessions.
@@ -1100,107 +973,6 @@ fn percentile(samples: impl Iterator<Item = Duration>, q: f64) -> Option<Duratio
     Some(sorted[index])
 }
 
-/// The shared device pool of a service in shared-registry mode: one
-/// [`DeviceRegistry`] holding a configured number of copies of the
-/// deployment's device complement.  Workers check a full complement out at
-/// job start and back in at job end, so a small device population serves a
-/// larger (bursty) worker pool.
-struct SharedDevices {
-    registry: DeviceRegistry,
-    /// The per-node device layout one checkout must assemble.
-    layout: Vec<Vec<DeviceSpec>>,
-    /// Serialises checkout attempts: one waiter assembles its complement at
-    /// a time, so two workers can never deadlock each holding half of the
-    /// last complement.
-    turn: Mutex<()>,
-    /// Signalled on check-in.
-    freed: Condvar,
-}
-
-impl SharedDevices {
-    /// Builds the pool with `sets` complements of `layout`.
-    fn new(layout: Vec<Vec<DeviceSpec>>, sets: usize) -> Self {
-        let registry = DeviceRegistry::new();
-        for _ in 0..sets {
-            for spec in layout.iter().flatten() {
-                registry.add(spec.build());
-            }
-        }
-        Self {
-            registry,
-            layout,
-            turn: Mutex::new(()),
-            freed: Condvar::new(),
-        }
-    }
-
-    /// Devices of one full complement.
-    fn complement_size(&self) -> usize {
-        self.layout.iter().map(Vec::len).sum()
-    }
-
-    /// Checks one full per-node complement out, blocking until available.
-    fn checkout(&self) -> Vec<Vec<Box<dyn AcceleratorBackend>>> {
-        let mut turn = lock(&self.turn);
-        loop {
-            match self.try_checkout() {
-                Some(complement) => return complement,
-                None => {
-                    turn = self
-                        .freed
-                        .wait(turn)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-        }
-    }
-
-    /// All-or-nothing grab of one complement: a partial grab is rolled back
-    /// before reporting failure, so waiting never starves the pool.
-    fn try_checkout(&self) -> Option<Vec<Vec<Box<dyn AcceleratorBackend>>>> {
-        let mut taken: Vec<Vec<Box<dyn AcceleratorBackend>>> =
-            Vec::with_capacity(self.layout.len());
-        for node in &self.layout {
-            let mut node_taken = Vec::with_capacity(node.len());
-            for spec in node {
-                match self.registry.take(spec.kind) {
-                    Ok(backend) => node_taken.push(backend),
-                    Err(_) => {
-                        for backend in taken.into_iter().flatten().chain(node_taken) {
-                            self.registry.release(backend);
-                        }
-                        return None;
-                    }
-                }
-            }
-            taken.push(node_taken);
-        }
-        Some(taken)
-    }
-
-    /// Returns devices to the pool and wakes waiting workers.  Contexts are
-    /// left live: the next checkout skips their initialisation cost.
-    fn checkin(&self, backends: impl IntoIterator<Item = Box<dyn AcceleratorBackend>>) {
-        for backend in backends {
-            self.registry.release(backend);
-        }
-        // Notify while holding `turn`: a checkout that just failed its
-        // try_checkout still holds the mutex until it parks in `freed.wait`,
-        // so acquiring it here orders this notification after that park —
-        // without it, a check-in landing in that window is lost and the
-        // waiter (holding a claimed job) can block forever.
-        let _turn = lock(&self.turn);
-        self.freed.notify_all();
-    }
-
-    /// Rebuilds one full complement from the specs and checks it in — the
-    /// panic path: the unwound run destroyed the checked-out devices, and
-    /// fresh ones keep the pool's population intact.
-    fn restock(&self) {
-        self.checkin(self.layout.iter().flatten().map(|spec| spec.build()));
-    }
-}
-
 /// State shared between the handles and the scheduler workers.
 struct ServiceShared<V, E> {
     /// The receiving side of the priority lanes (highest first).  Workers
@@ -1238,12 +1010,6 @@ struct ServiceShared<V, E> {
     /// not override them.
     default_config: MiddlewareConfig,
     default_max_iterations: usize,
-    /// Largest group size a worker may fuse into one run (`< 2` disables
-    /// fusion).
-    fusion_limit: usize,
-    /// `Some` in shared-registry mode: workers check device complements out
-    /// per job instead of owning one each.
-    devices: Option<SharedDevices>,
 }
 
 impl<V, E> ServiceShared<V, E> {
@@ -1591,7 +1357,6 @@ where
             cache_hits: stats.cache_hits,
             cache_misses: stats.cache_misses,
             coalesced_jobs: stats.coalesced_jobs,
-            fused_runs: stats.fused_runs,
             queued,
             running,
             worker_sessions: shared.worker_sessions,
@@ -1741,16 +1506,13 @@ fn claim<V, E>(
 }
 
 /// How a claimed job rides in its flight.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum Role {
     /// The job the worker popped; the flight's run is its run.
     Leader,
     /// A queued same-key `UseOrFill` duplicate of the leader: it takes the
     /// leader's result.
     Coalesced,
-    /// A queued fusion peer of the leader: it runs fused with the leader and
-    /// gets its own extracted result.
-    Fused,
 }
 
 /// The ticket side of one flight member.
@@ -1758,9 +1520,6 @@ struct Member<V> {
     role: Role,
     cell: Arc<JobCell>,
     reply: OneshotSender<JobResult<V>>,
-    /// The key this member's result fills: `None` for uncacheable jobs,
-    /// `Bypass` submissions and coalesced members (the leader fills theirs).
-    key: Option<Arc<JobKey>>,
     queue_wait: Duration,
 }
 
@@ -1769,129 +1528,79 @@ struct Flight<V, E> {
     /// The leader's job, consumed by the run.
     job: Box<dyn ErasedJob<V, E>>,
     overrides: RunOverrides,
-    /// The fused members' jobs, in member order.
-    peers: Vec<Box<dyn ErasedJob<V, E>>>,
-    /// The leader first, then the swept members in sweep order.
+    /// The key the run's result fills: the leader's, `None` for uncacheable
+    /// jobs and `Bypass` submissions.
+    key: Option<Arc<JobKey>>,
+    /// The leader first, then the coalesced duplicates in sweep order.
     members: Vec<Member<V>>,
 }
 
 impl<V, E> Flight<V, E> {
     /// Claims `leader` and assembles its flight in one sweep per lane
-    /// (highest first).  The sweep takes every queued same-key `UseOrFill`
-    /// duplicate of a keyed `UseOrFill` leader and, when the leader declares
-    /// a fusion family and `fusion_limit > 1`, up to `fusion_limit - 1`
-    /// peers of that family with the leader's overrides and concrete type.
-    /// A job passing both tests is a duplicate.  `None` if the leader was
+    /// (highest first): the sweep takes every queued same-key `UseOrFill`
+    /// duplicate of a keyed `UseOrFill` leader.  `None` if the leader was
     /// cancelled.
     fn assemble(shared: &ServiceShared<V, E>, leader: JobEnvelope<V, E>) -> Option<Self> {
         let (leader, queue_wait) = claim(shared, leader)?;
-        let duplicate_key = leader
-            .key
-            .clone()
-            .filter(|_| leader.policy == CachePolicy::UseOrFill);
-        let is_duplicate = |peer: &JobEnvelope<V, E>| {
-            duplicate_key.is_some()
-                && peer.policy == CachePolicy::UseOrFill
-                && peer.key == duplicate_key
-        };
-        let family = leader
-            .job
-            .fusion_family()
-            .filter(|_| shared.fusion_limit > 1);
-        let mut budget = shared.fusion_limit.saturating_sub(1);
-        let mut swept = Vec::new();
-        for lane in &shared.lanes {
-            swept.extend(lane.drain_matching(|peer| {
-                if is_duplicate(peer) {
-                    return true;
-                }
-                let fuses = budget > 0
-                    && family.is_some_and(|family| peer.job.fusion_family() == Some(family))
-                    && peer.overrides == leader.overrides
-                    && leader.job.can_fuse_with(peer.job.as_ref());
-                budget -= usize::from(fuses);
-                fuses
-            }));
-        }
         let mut flight = Flight {
             job: leader.job,
             overrides: leader.overrides,
-            peers: Vec::new(),
+            key: leader.key,
             members: vec![Member {
                 role: Role::Leader,
                 cell: leader.cell,
                 reply: leader.reply,
-                key: leader.key,
                 queue_wait,
             }],
         };
-        for envelope in swept {
-            let role = if is_duplicate(&envelope) {
-                Role::Coalesced
-            } else {
-                Role::Fused
-            };
-            let Some((envelope, queue_wait)) = claim(shared, envelope) else {
-                continue;
-            };
-            if role == Role::Fused {
-                flight.peers.push(envelope.job);
-            }
-            flight.members.push(Member {
-                role,
-                cell: envelope.cell,
-                reply: envelope.reply,
-                key: (role == Role::Fused).then_some(envelope.key).flatten(),
-                queue_wait,
+        let Some(duplicate_key) = flight
+            .key
+            .clone()
+            .filter(|_| leader.policy == CachePolicy::UseOrFill)
+        else {
+            return Some(flight);
+        };
+        for lane in &shared.lanes {
+            let swept = lane.drain_matching(|peer| {
+                peer.policy == CachePolicy::UseOrFill && peer.key.as_ref() == Some(&duplicate_key)
             });
+            for envelope in swept {
+                let Some((envelope, queue_wait)) = claim(shared, envelope) else {
+                    continue;
+                };
+                flight.members.push(Member {
+                    role: Role::Coalesced,
+                    cell: envelope.cell,
+                    reply: envelope.reply,
+                    queue_wait,
+                });
+            }
         }
         Some(flight)
     }
 }
 
-/// Resolves every member of a flight from its run's `group` (`None` when
-/// the run panicked).  The leader resolves first, so its cache fill lands
-/// before any duplicate's ticket wakes; it alone records the physical run's
-/// wall.  `sizer` is the leader's [`ErasedJob::outcome_sizer`]: fused
-/// members share its concrete type.
+/// Resolves every member of a flight from its run's `result` (`None` when
+/// the run panicked).  The result fills `key` before any ticket wakes; the
+/// leader resolves first and alone records the physical run's wall.
+/// `sizer` is the leader's [`ErasedJob::outcome_sizer`].
 fn land<V: Clone, E>(
     shared: &ServiceShared<V, E>,
-    members: Vec<Member<V>>,
-    group: Option<GroupOutcome<V>>,
+    mut members: Vec<Member<V>>,
+    key: Option<Arc<JobKey>>,
+    result: Option<Result<RunOutcome<V>, SessionError>>,
     run_wall: Duration,
     version: u64,
     sizer: fn(&RunOutcome<V>) -> usize,
 ) {
-    // A run returns one result per leader and fused member; any it did not
-    // return (a panic returns none) resolves with `missing`.
-    let (results, fused, missing) = match group {
-        Some(group) => (group.results, group.fused, ServiceError::Lost),
-        None => (Vec::new(), false, ServiceError::JobPanicked),
+    let result = match result {
+        Some(result) => result.map_err(ServiceError::Session),
+        None => Err(ServiceError::JobPanicked),
     };
-    let mut own = results
-        .into_iter()
-        .map(|result| result.map_err(ServiceError::Session));
-    let mut copies = members
-        .iter()
-        .filter(|member| member.role == Role::Coalesced)
-        .count();
-    let mut leader_result = None;
-    for member in members {
-        let result = match member.role {
-            Role::Coalesced => {
-                copies -= 1;
-                if copies == 0 {
-                    leader_result.take()
-                } else {
-                    leader_result.clone()
-                }
-            }
-            Role::Leader | Role::Fused => own.next(),
-        }
-        .unwrap_or_else(|| Err(missing.clone()));
-        if member.role == Role::Leader && copies > 0 {
-            leader_result = Some(result.clone());
-        }
+    if let (Ok(outcome), Some(key)) = (&result, key) {
+        lock(&shared.cache).store(key, outcome, version, sizer(outcome));
+    }
+    let resolve = |member: Member<V>, result: JobResult<V>| {
         member.cell.finish();
         {
             let mut stats = lock(&shared.stats);
@@ -1902,18 +1611,19 @@ fn land<V: Clone, E>(
                 Err(_) => stats.failed += 1,
             }
             match member.role {
-                Role::Leader => {
-                    stats.record_wall(run_wall);
-                    stats.fused_runs += u64::from(fused);
-                }
+                Role::Leader => stats.record_wall(run_wall),
                 Role::Coalesced => stats.coalesced_jobs += 1,
-                Role::Fused => {}
             }
         }
-        if let (Ok(outcome), Some(key)) = (&result, &member.key) {
-            lock(&shared.cache).store(Arc::clone(key), outcome, version, sizer(outcome));
-        }
         let _ = member.reply.send(result);
+    };
+    // Every member but the last gets a copy; the last takes the original.
+    let last = members.pop();
+    for member in members {
+        resolve(member, result.clone());
+    }
+    if let Some(member) = last {
+        resolve(member, result);
     }
 }
 
@@ -1931,15 +1641,7 @@ fn worker_loop<V, E>(
         spec.build_session(&graph)
             .expect("the spec was validated when the service was built")
     };
-    // In shared-registry mode the worker surrenders its own (never-started)
-    // device complement: devices are checked out of the shared pool per job.
-    let strip_owned_devices = |session: &mut Session<'_, V, E>| {
-        if shared.devices.is_some() {
-            drop(session.take_daemons());
-        }
-    };
     let mut session = deploy();
-    strip_owned_devices(&mut session);
     // How many mutation batches this worker's session has replayed.  A
     // redeployed (post-panic) session starts from zero and replays the whole
     // log before its next job.
@@ -1947,14 +1649,13 @@ fn worker_loop<V, E>(
     // One doorbell token per accepted job: when the doorbell reports
     // disconnected, the backlog is fully drained and the service is shutting
     // down.  Tokens are not bound to specific jobs — each wake-up claims the
-    // highest-priority envelope available.  Coalescing and fusion leave
-    // surplus tokens behind; a wake-up that finds no envelope just parks
-    // again.
+    // highest-priority envelope available.  Coalescing leaves surplus tokens
+    // behind; a wake-up that finds no envelope just parks again.
     while doorbell.recv().is_ok() {
         let Some(Flight {
             job,
             overrides,
-            peers,
+            key,
             members,
         }) = pop_highest_priority(&shared.lanes)
             .and_then(|leader| Flight::assemble(&shared, leader))
@@ -1975,33 +1676,15 @@ fn worker_loop<V, E>(
             mutations_applied = log.batches().len();
             shared.graph_version.load(Ordering::Acquire)
         };
-        // Captured before `run_group` consumes the job box.
+        // Captured before `run` consumes the job box.
         let sizer = job.outcome_sizer();
-        if let Some(pool) = &shared.devices {
-            session.install_daemons(daemons_from_backends(pool.checkout()));
-        }
         shared.running.fetch_add(1, Ordering::SeqCst);
         let started = Instant::now();
-        let group = catch_unwind(AssertUnwindSafe(|| {
-            job.run_group(peers, &mut session, overrides)
-        }))
-        .ok();
+        let result = catch_unwind(AssertUnwindSafe(|| job.run(&mut session, overrides))).ok();
         let run_wall = started.elapsed();
         shared.running.fetch_sub(1, Ordering::SeqCst);
-        if let Some(pool) = &shared.devices {
-            // The complement goes back with its contexts live; one an
-            // unwound run consumed is replaced with fresh builds so the
-            // pool population stays intact.
-            let daemons = session.take_daemons();
-            if daemons.iter().map(Vec::len).sum::<usize>() == pool.complement_size() {
-                pool.checkin(daemons.into_iter().flatten().map(Daemon::into_backend));
-            } else {
-                drop(daemons);
-                pool.restock();
-            }
-        }
-        let panicked = group.is_none();
-        land(&shared, members, group, run_wall, version, sizer);
+        let panicked = result.is_none();
+        land(&shared, members, key, result, run_wall, version, sizer);
         if panicked {
             // The unwound run consumed the deployment's daemons (their
             // device contexts shut down as they dropped).  Replace the
@@ -2009,7 +1692,6 @@ fn worker_loop<V, E>(
             // deployment is pre-mutation, so the whole log replays before
             // the next job.
             session = deploy();
-            strip_owned_devices(&mut session);
             mutations_applied = 0;
         }
     }
@@ -2047,8 +1729,6 @@ pub struct ServiceBuilder<V, E> {
     admission: AdmissionPolicy,
     cache_capacity: usize,
     cache_bytes: usize,
-    fusion_limit: usize,
-    shared_device_sets: usize,
 }
 
 /// Default queue depth of a [`ServiceBuilder`].
@@ -2082,8 +1762,6 @@ where
             admission: AdmissionPolicy::default(),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             cache_bytes: DEFAULT_CACHE_BYTES,
-            fusion_limit: 0,
-            shared_device_sets: 0,
         }
     }
 
@@ -2184,29 +1862,6 @@ where
         self
     }
 
-    /// Largest number of queued jobs a worker may merge into one fused run
-    /// (algorithms opting in via [`GraphAlgorithm::fuse`]).  Default `0`
-    /// (off); values below 2 disable fusion.
-    ///
-    /// Fusion preserves per-member *values* bit-identically, but the
-    /// members share one run report (the fused run's), so leave this off
-    /// when callers compare reports against solo runs.
-    pub fn fusion_limit(mut self, fusion_limit: usize) -> Self {
-        self.fusion_limit = fusion_limit;
-        self
-    }
-
-    /// Shares `sets` copies of the deployment's device complement across
-    /// all workers through one [`DeviceRegistry`]: each job checks a full
-    /// complement out at start and back in (contexts still live) at end, so
-    /// a small device population serves a larger worker pool.  Default `0`
-    /// (off: every worker owns its own devices).  Ignored for native-only
-    /// deployments.
-    pub fn shared_devices(mut self, sets: usize) -> Self {
-        self.shared_device_sets = sets;
-        self
-    }
-
     /// Validates the deployment description, deploys the worker sessions and
     /// starts the scheduler threads.
     ///
@@ -2216,17 +1871,6 @@ where
     /// cannot be built from a deployment a session could not be built from.
     pub fn build(self) -> Result<GraphService<V, E>, SessionError> {
         self.spec.validate()?;
-        let devices = (self.shared_device_sets > 0 && !self.spec.devices.is_empty()).then(|| {
-            // The pool's layout honours the builder's backend override the
-            // same way the worker sessions do.
-            let mut layout = self.spec.devices.clone();
-            if let Some(backend) = self.spec.backend {
-                for spec in layout.iter_mut().flatten() {
-                    spec.backend = backend;
-                }
-            }
-            SharedDevices::new(layout, self.shared_device_sets)
-        });
         let (lane_txs, lane_rxs): (Vec<_>, Vec<_>) = (0..LANES).map(|_| sync_queue()).unzip();
         let lane_rxs: [QueueReceiver<JobEnvelope<V, E>>; LANES] = lane_rxs
             .try_into()
@@ -2257,8 +1901,6 @@ where
             )),
             default_config: self.spec.config,
             default_max_iterations: self.spec.max_iterations,
-            fusion_limit: self.fusion_limit,
-            devices,
         });
         let workers: Vec<JoinHandle<()>> = (0..self.worker_sessions)
             .map(|index| {
@@ -3403,87 +3045,8 @@ mod tests {
         assert_eq!(service.cached_results(), 1);
     }
 
-    #[test]
-    fn shared_devices_checkout_never_loses_a_wakeup() {
-        // Regression test for a lost-wakeup race: a check-in landing between
-        // a waiter's failed `try_checkout` and its park on the `freed`
-        // condvar must still wake it — `checkin` takes the `turn` mutex
-        // before notifying for exactly that window.  One complement, many
-        // threads churning checkouts: a lost notification deadlocks the run
-        // (the test then trips the watchdog instead of hanging the suite).
-        let pool = Arc::new(SharedDevices::new(gpus_per_node(2), 1));
-        let done = Arc::new(AtomicUsize::new(0));
-        let churners: Vec<_> = (0..8)
-            .map(|_| {
-                let pool = Arc::clone(&pool);
-                let done = Arc::clone(&done);
-                thread::spawn(move || {
-                    for _ in 0..100 {
-                        let complement = pool.checkout();
-                        pool.checkin(complement.into_iter().flatten());
-                    }
-                    done.fetch_add(1, Ordering::SeqCst);
-                })
-            })
-            .collect();
-        let deadline = Instant::now() + Duration::from_secs(60);
-        while done.load(Ordering::SeqCst) < 8 {
-            assert!(
-                Instant::now() < deadline,
-                "shared-device checkout deadlocked: a check-in wakeup was lost"
-            );
-            thread::yield_now();
-        }
-        for churner in churners {
-            churner.join().unwrap();
-        }
-        // Every complement made it back: a full checkout still succeeds.
-        let complement = pool.checkout();
-        assert_eq!(
-            complement.iter().map(Vec::len).sum::<usize>(),
-            pool.complement_size()
-        );
-        pool.checkin(complement.into_iter().flatten());
-    }
-
-    #[test]
-    fn shared_device_pool_survives_jobs_and_panics() {
-        let graph = test_graph();
-        let parts = 2;
-        let partitioning = GreedyVertexCutPartitioner::default()
-            .partition(&graph, parts)
-            .unwrap();
-        let service = GraphService::builder(Arc::clone(&graph))
-            .partitioned_by(partitioning)
-            .devices(gpus_per_node(parts))
-            .max_iterations(200)
-            .worker_sessions(2)
-            .shared_devices(1)
-            .build()
-            .unwrap();
-        // More jobs than device sets: workers must round-trip devices
-        // through the pool between jobs.
-        let tickets: Vec<_> = (0..4u32)
-            .map(|i| service.submit(Sssp { sources: vec![i] }).unwrap())
-            .collect();
-        for ticket in tickets {
-            assert!(ticket.wait().unwrap().report.converged);
-        }
-        // A panicking job must not leak its checked-out devices.
-        assert!(matches!(
-            service.submit(PanickingJob).unwrap().wait(),
-            Err(ServiceError::JobPanicked)
-        ));
-        let after = service
-            .submit(Sssp { sources: vec![0] })
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert!(after.report.converged);
-    }
-
-    /// Minimal multi-column SSSP (vertex = one distance per source) used to
-    /// exercise cross-job fusion inside the service unit tests.
+    /// Minimal multi-column SSSP (vertex = one distance per source): a job
+    /// whose vertex values own heap data, for the flight test.
     #[derive(Clone)]
     struct MiniMulti {
         sources: Vec<VertexId>,
@@ -3545,24 +3108,9 @@ mod tests {
         fn cache_key(&self) -> Option<String> {
             Some(format!("{:?}", self.sources))
         }
-        fn fusion_family(&self) -> Option<&'static str> {
-            Some("mini-multi")
-        }
-        fn fuse(members: &[&Self]) -> Option<Self> {
-            Some(Self {
-                sources: members
-                    .iter()
-                    .flat_map(|m| m.sources.iter().copied())
-                    .collect(),
-            })
-        }
-        fn extract_fused(members: &[&Self], index: usize, value: &Vec<f64>) -> Vec<f64> {
-            let offset: usize = members[..index].iter().map(|m| m.sources.len()).sum();
-            value[offset..offset + members[index].sources.len()].to_vec()
-        }
     }
 
-    /// A gated `MiniMulti` so the fusion test can hold the worker busy.
+    /// A gated `MiniMulti` so the flight test can hold the worker busy.
     struct GatedMini {
         inner: MiniMulti,
         gate: GateControl,
@@ -3596,8 +3144,8 @@ mod tests {
         }
     }
 
-    /// A one-worker `MiniMulti` service with the given fusion limit.
-    fn mini_service(fusion: usize) -> GraphService<Vec<f64>, f64> {
+    /// A one-worker `MiniMulti` service.
+    fn mini_service() -> GraphService<Vec<f64>, f64> {
         let list = Rmat::new(8, 8.0).generate(11);
         let graph = Arc::new(PropertyGraph::from_edge_list(list, Vec::new()).unwrap());
         let parts = 2;
@@ -3609,7 +3157,6 @@ mod tests {
             .devices(gpus_per_node(parts))
             .max_iterations(200)
             .worker_sessions(1)
-            .fusion_limit(fusion)
             .build()
             .unwrap()
     }
@@ -3639,12 +3186,12 @@ mod tests {
     }
 
     #[test]
-    fn one_sweep_assembles_duplicates_and_fusion_peers_into_one_flight() {
-        let service = mini_service(3);
+    fn one_sweep_coalesces_duplicates_and_leaves_other_jobs_their_own_flights() {
+        let service = mini_service();
         let gate = GateControl::default();
         let busy = occupy(&service, &gate);
-        // A leader, its same-key duplicate, a fusion peer, and a family
-        // member whose iteration cap keeps it out of the flight.
+        // A leader, its same-key duplicate, a job with other sources, and a
+        // job whose iteration cap gives it another key.
         let own_cap = JobOptions::new().with_max_iterations(150);
         let jobs = [
             (vec![0, 3], JobOptions::new()),
@@ -3666,12 +3213,11 @@ mod tests {
         let outcomes: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
         let stats = service.stats();
         assert_eq!(stats.coalesced_jobs, 1);
-        assert_eq!(stats.fused_runs, 1);
         assert_eq!(stats.completed, 5);
-        // One wall sample each: the gated job, the assembled flight and the
-        // incompatible job's own flight.
-        assert_eq!(stats.recent_wall_samples().len(), 3);
-        let solo = mini_service(0);
+        // One wall sample each: the gated job, the leader's flight (with its
+        // duplicate) and the two other jobs' own flights.
+        assert_eq!(stats.recent_wall_samples().len(), 4);
+        let solo = mini_service();
         for ((sources, options), outcome) in jobs.iter().zip(&outcomes) {
             let alone = solo
                 .submit_with(
@@ -3684,46 +3230,6 @@ mod tests {
                 .wait()
                 .unwrap();
             assert_bit_identical(&outcome.values, &alone.values);
-        }
-    }
-
-    #[test]
-    fn queued_family_members_fuse_into_one_run() {
-        let service = mini_service(2);
-        let gate = GateControl::default();
-        let busy = occupy(&service, &gate);
-        let first = service
-            .submit(MiniMulti {
-                sources: vec![0, 3],
-            })
-            .unwrap();
-        let second = service.submit(MiniMulti { sources: vec![5] }).unwrap();
-        gate.release();
-        busy.wait().unwrap();
-        let fused_first = first.wait().unwrap();
-        let fused_second = second.wait().unwrap();
-        assert_eq!(service.stats().fused_runs, 1);
-        assert_eq!(fused_first.values[0].len(), 2);
-        assert_eq!(fused_second.values[0].len(), 1);
-        // Fused members are bit-identical to the same jobs run alone.
-        let solo = mini_service(0);
-        let solo_first = solo
-            .submit(MiniMulti {
-                sources: vec![0, 3],
-            })
-            .unwrap();
-        let solo_second = solo.submit(MiniMulti { sources: vec![5] }).unwrap();
-        for (fused, alone) in [
-            (&fused_first, &solo_first.wait().unwrap()),
-            (&fused_second, &solo_second.wait().unwrap()),
-        ] {
-            assert_eq!(solo.stats().fused_runs, 0);
-            for (a, b) in fused.values.iter().zip(&alone.values) {
-                assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
         }
     }
 }

@@ -41,7 +41,7 @@ use crate::config::MiddlewareConfig;
 use crate::daemon::Daemon;
 use crate::metrics::AgentStats;
 use crate::runtime::{RuntimeError, ThreadedAgent, ThreadedNodes};
-use gxplug_accel::{AcceleratorBackend, BackendKind, DeviceKind, DeviceSpec, SimDuration};
+use gxplug_accel::{BackendKind, DeviceKind, DeviceSpec, SimDuration};
 use gxplug_engine::cluster::{Cluster, SyncPolicy};
 use gxplug_engine::metrics::RunReport;
 use gxplug_engine::network::NetworkModel;
@@ -204,35 +204,6 @@ fn daemons_for_deployment(specs: &[Vec<DeviceSpec>]) -> Vec<Vec<Daemon>> {
         .iter()
         .enumerate()
         .map(|(node_id, node_specs)| daemons_for_node(&key_generator, node_id, node_specs))
-        .collect()
-}
-
-/// Builds the per-node daemon lists of a deployment around already-live
-/// backends — the shared-registry path of the job service, where device
-/// contexts are checked out of a pool per job instead of being built per
-/// worker.  Names and IPC keys are identical to [`daemons_for_deployment`],
-/// so a run on pooled devices is indistinguishable from a run on
-/// worker-owned ones.
-pub(crate) fn daemons_from_backends(
-    backends: Vec<Vec<Box<dyn AcceleratorBackend>>>,
-) -> Vec<Vec<Daemon>> {
-    let key_generator = KeyGenerator::new(SESSION_KEY_SEED);
-    backends
-        .into_iter()
-        .enumerate()
-        .map(|(node_id, node_backends)| {
-            node_backends
-                .into_iter()
-                .enumerate()
-                .map(|(daemon_index, backend)| {
-                    Daemon::new(
-                        format!("node{node_id}-daemon{daemon_index}"),
-                        backend,
-                        key_generator.key_for(node_id, daemon_index),
-                    )
-                })
-                .collect()
-        })
         .collect()
 }
 
@@ -966,23 +937,6 @@ impl<V, E> Session<'_, V, E> {
         for daemon in self.daemons.iter_mut().flatten() {
             daemon.shutdown();
         }
-    }
-
-    /// Plugs a deployment's daemon lists into the session, replacing whatever
-    /// it currently holds.  The shared-registry path of the job service uses
-    /// this together with [`Session::take_daemons`] to check devices out of a
-    /// pool at job start and back in at job end.
-    pub(crate) fn install_daemons(&mut self, daemons: Vec<Vec<Daemon>>) {
-        self.daemons = daemons;
-    }
-
-    /// Takes the deployment's daemon lists out of the session, leaving it
-    /// device-less ([`Session::has_devices`] reads `false`).  A run that
-    /// panicked mid-flight leaves an empty list behind — its daemons were
-    /// consumed by the run and destroyed in the unwind — so callers must
-    /// check what comes back before returning devices to a shared pool.
-    pub(crate) fn take_daemons(&mut self) -> Vec<Vec<Daemon>> {
-        std::mem::take(&mut self.daemons)
     }
 }
 

@@ -183,48 +183,6 @@ pub trait GraphAlgorithm<V, E>: Send + Sync {
         None
     }
 
-    /// Family label for cross-job fusion.
-    ///
-    /// Instances sharing a family (and the same effective run parameters) may
-    /// be merged by a fusion-enabled scheduler into one run via
-    /// [`GraphAlgorithm::fuse`], amortising per-superstep work across jobs.
-    /// `None` (the default) means the algorithm never participates in fusion.
-    fn fusion_family(&self) -> Option<&'static str> {
-        None
-    }
-
-    /// Fuses `members` (all reporting the same [`fusion_family`]) into one
-    /// algorithm whose single run computes every member's answer, or `None`
-    /// when these particular members cannot be fused.
-    ///
-    /// The contract pairs with [`GraphAlgorithm::extract_fused`]: for every
-    /// member `i` and every vertex, extracting member `i`'s value from the
-    /// fused run's vertex value must be bit-identical to the value a solo run
-    /// of that member would have produced.
-    ///
-    /// [`fusion_family`]: GraphAlgorithm::fusion_family
-    fn fuse(members: &[&Self]) -> Option<Self>
-    where
-        Self: Sized,
-    {
-        let _ = members;
-        None
-    }
-
-    /// Extracts member `index`'s per-vertex value from a fused run's vertex
-    /// value.  `members` is the same slice that was passed to
-    /// [`GraphAlgorithm::fuse`].
-    ///
-    /// The default panics; algorithms implementing `fuse` must implement
-    /// this too.
-    fn extract_fused(members: &[&Self], index: usize, value: &V) -> V
-    where
-        Self: Sized,
-    {
-        let _ = (members, index, value);
-        unimplemented!("extract_fused must be implemented alongside fuse")
-    }
-
     /// Returns `true` if the algorithm can continue from a previous
     /// converged run after live graph mutations, re-seeding only the dirty
     /// frontier instead of re-initialising every vertex.
@@ -259,9 +217,9 @@ pub trait GraphAlgorithm<V, E>: Send + Sync {
     /// small structs).  Algorithms whose vertex values own heap data — like
     /// multi-source SSSP's per-vertex distance vector — should override it
     /// so a byte-budgeted cache tracks resident memory instead of only the
-    /// values' inline headers.  Like [`GraphAlgorithm::fuse`], this is a
-    /// `Self: Sized` hook: it does not survive [`SharedAlgorithm`] erasure,
-    /// which falls back to the shallow default.
+    /// values' inline headers.  This is a `Self: Sized` hook: it does not
+    /// survive [`SharedAlgorithm`] erasure, which falls back to the shallow
+    /// default.
     fn value_bytes(value: &V) -> usize
     where
         Self: Sized,
@@ -317,8 +275,6 @@ pub trait DynAlgorithm<V, E, M>: Send + Sync {
     fn operational_intensity(&self) -> f64;
     /// See [`GraphAlgorithm::cache_key`].
     fn cache_key(&self) -> Option<String>;
-    /// See [`GraphAlgorithm::fusion_family`].
-    fn fusion_family(&self) -> Option<&'static str>;
     /// See [`GraphAlgorithm::supports_incremental`].
     fn supports_incremental(&self) -> bool;
     /// See [`GraphAlgorithm::rescope`].
@@ -382,10 +338,6 @@ where
 
     fn cache_key(&self) -> Option<String> {
         GraphAlgorithm::cache_key(self)
-    }
-
-    fn fusion_family(&self) -> Option<&'static str> {
-        GraphAlgorithm::fusion_family(self)
     }
 
     fn supports_incremental(&self) -> bool {
@@ -502,16 +454,6 @@ where
         self.inner.cache_key()
     }
 
-    /// Erased handles never fuse: [`GraphAlgorithm::fuse`] and
-    /// [`GraphAlgorithm::extract_fused`] are static (`Self: Sized`) hooks
-    /// that cannot cross the erasure boundary, so advertising the inner
-    /// family here would only make a scheduler gather candidates it can
-    /// never merge.  Result caching still works through the delegated
-    /// [`cache_key`](GraphAlgorithm::cache_key).
-    fn fusion_family(&self) -> Option<&'static str> {
-        None
-    }
-
     fn supports_incremental(&self) -> bool {
         self.inner.supports_incremental()
     }
@@ -607,9 +549,6 @@ mod tests {
         fn cache_key(&self) -> Option<String> {
             Some("v=1".into())
         }
-        fn fusion_family(&self) -> Option<&'static str> {
-            Some("max-prop")
-        }
     }
 
     #[test]
@@ -670,21 +609,15 @@ mod tests {
     }
 
     #[test]
-    fn cache_and_fusion_hooks_default_to_opted_out() {
-        // Algorithms that don't opt in are uncacheable and unfusable.
+    fn the_cache_hook_defaults_to_opted_out() {
+        // Algorithms that don't opt in are uncacheable.
         assert_eq!(GraphAlgorithm::cache_key(&MinProp), None);
-        assert_eq!(GraphAlgorithm::fusion_family(&MinProp), None);
-        assert!(<MinProp as GraphAlgorithm<f64, f64>>::fuse(&[&MinProp]).is_none());
     }
 
     #[test]
-    fn cache_keys_survive_erasure_but_fusion_does_not() {
+    fn cache_keys_survive_erasure() {
+        // The cache key delegates through the erased handle unchanged.
         let shared = SharedAlgorithm::new(MaxProp);
-        // The cache key delegates through the erased handle unchanged...
         assert_eq!(GraphAlgorithm::cache_key(&shared), Some("v=1".into()));
-        assert_eq!(GraphAlgorithm::fusion_family(&MaxProp), Some("max-prop"));
-        // ...but the fusion family is withheld: the static fuse/extract
-        // hooks cannot cross the erasure boundary.
-        assert_eq!(GraphAlgorithm::fusion_family(&shared), None);
     }
 }

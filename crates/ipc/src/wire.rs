@@ -43,7 +43,7 @@ pub const WIRE_MAGIC: [u8; 2] = *b"GX";
 /// The wire version this build speaks.  Decoders reject every other version:
 /// the format is young enough that cross-version tolerance would only hide
 /// bugs.
-pub const WIRE_VERSION: u16 = 1;
+pub const WIRE_VERSION: u16 = 2;
 
 /// Size of the fixed frame header (magic + version + kind + payload length).
 pub const HEADER_LEN: usize = 9;
@@ -356,8 +356,6 @@ pub struct StatsFrame {
     pub cache_misses: u64,
     /// Queued duplicates resolved from another job's flight.
     pub coalesced_jobs: u64,
-    /// Worker runs that executed a fused group.
-    pub fused_runs: u64,
     /// Jobs currently waiting in the lanes.
     pub queued: u32,
     /// Jobs currently executing.
@@ -721,7 +719,6 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             payload.put_u64(stats.cache_hits);
             payload.put_u64(stats.cache_misses);
             payload.put_u64(stats.coalesced_jobs);
-            payload.put_u64(stats.fused_runs);
             payload.put_u32(stats.queued);
             payload.put_u32(stats.running);
             payload.put_u32(stats.worker_sessions);
@@ -982,7 +979,6 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, WireError> {
             cache_hits: r.take_u64()?,
             cache_misses: r.take_u64()?,
             coalesced_jobs: r.take_u64()?,
-            fused_runs: r.take_u64()?,
             queued: r.take_u32()?,
             running: r.take_u32()?,
             worker_sessions: r.take_u32()?,

@@ -124,7 +124,7 @@ proptest! {
         job_present in any::<bool>(),
         code in 0u32..6,
         in_flight in 0u32..1_000,
-        counters in prop::collection::vec(any::<u64>(), 9),
+        counters in prop::collection::vec(any::<u64>(), 8),
         gauges in prop::collection::vec(0u32..10_000, 3),
         p50 in 0u64..1_000_000,
         p50_present in any::<bool>(),
@@ -154,7 +154,6 @@ proptest! {
             cache_hits: counters[5],
             cache_misses: counters[6],
             coalesced_jobs: counters[7],
-            fused_runs: counters[8],
             queued: gauges[0],
             running: gauges[1],
             worker_sessions: gauges[2],
@@ -228,6 +227,28 @@ proptest! {
             None => prop_assert!(code > 4),
         }
     }
+}
+
+/// The stats frame's byte length is pinned together with the wire version:
+/// adding or removing a `StatsFrame` field changes the length, and this test
+/// then fails until `WIRE_VERSION` is bumped and both pins move with it, so
+/// an old client never misparses a new frame.
+#[test]
+fn stats_frame_length_is_pinned_to_the_wire_version() {
+    let frame = Frame::Stats(StatsFrame {
+        wait_p50_us: Some(1),
+        wait_p99_us: Some(2),
+        wall_p50_us: Some(3),
+        wall_p99_us: Some(4),
+        ..StatsFrame::default()
+    });
+    // A 9-byte header, then 8 u64 counters, 3 u32 gauges, 4 u64 durations
+    // and 4 present percentiles (a tag byte plus a u64 each).
+    assert_eq!(
+        encode(&frame).len(),
+        9 + 8 * 8 + 3 * 4 + 4 * 8 + 4 * (1 + 8)
+    );
+    assert_eq!(WIRE_VERSION, 2);
 }
 
 #[test]

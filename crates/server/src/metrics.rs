@@ -35,7 +35,7 @@ pub fn render(
 ) -> String {
     let mut out = String::with_capacity(4096);
 
-    let counters: [(&str, &str, u64); 9] = [
+    let counters: [(&str, &str, u64); 8] = [
         (
             "jobs_submitted",
             "Jobs accepted into the queue",
@@ -75,11 +75,6 @@ pub fn render(
             "coalesced_jobs",
             "Duplicate jobs resolved from another job's flight",
             snapshot.coalesced_jobs,
-        ),
-        (
-            "fused_runs",
-            "Worker runs that executed a fused group",
-            snapshot.fused_runs,
         ),
     ];
     for (name, help, value) in counters {
@@ -260,7 +255,6 @@ mod tests {
             cache_hits: 3,
             cache_misses: 5,
             coalesced_jobs: 0,
-            fused_runs: 0,
             queued: 1,
             running: 1,
             worker_sessions: 2,

@@ -311,7 +311,6 @@ fn stats_frame(snapshot: &StatsSnapshot) -> StatsFrame {
         cache_hits: snapshot.cache_hits,
         cache_misses: snapshot.cache_misses,
         coalesced_jobs: snapshot.coalesced_jobs,
-        fused_runs: snapshot.fused_runs,
         queued: snapshot.queued as u32,
         running: snapshot.running as u32,
         worker_sessions: snapshot.worker_sessions as u32,

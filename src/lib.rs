@@ -78,8 +78,8 @@ pub use gxplug_server as server;
 pub mod prelude {
     pub use gxplug_accel::presets::{cpu_xeon_20c, fpga, gpu_v100, node_devices};
     pub use gxplug_accel::{
-        AcceleratorBackend, BackendKind, DeviceKind, DeviceRegistry, DeviceSpec,
-        HostParallelBackend, SimBackend, SimClock, SimDuration,
+        AcceleratorBackend, BackendKind, DeviceKind, DeviceSpec, HostParallelBackend, SimBackend,
+        SimClock, SimDuration,
     };
     pub use gxplug_algos::{
         ConnectedComponents, KCore, LabelPropagation, MultiSourceSssp, PageRank, RankValue,

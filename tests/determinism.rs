@@ -321,64 +321,6 @@ fn host_parallel_backend_is_bit_identical_to_sim_backend() {
     }
 }
 
-#[test]
-fn registry_take_and_return_is_consistent_under_concurrency() {
-    // Hammer one shared pool from several threads: every take must hand out
-    // a distinct device and every release must put it back, so the pool
-    // always converges to its full population with no device lost or
-    // duplicated.
-    let count = 8usize;
-    let registry = DeviceRegistry::with_devices(
-        (0..count)
-            .map(|i| {
-                if i % 2 == 0 {
-                    gpu_v100(format!("g{i}"))
-                } else {
-                    cpu_xeon_20c(format!("c{i}"))
-                }
-            })
-            .collect(),
-    );
-    let full_capacity = registry.idle_capacity();
-    std::thread::scope(|scope| {
-        for worker in 0..4 {
-            let registry = registry.clone();
-            scope.spawn(move || {
-                for round in 0..200 {
-                    let device = if (worker + round) % 3 == 0 {
-                        registry.take(DeviceKind::Gpu).ok()
-                    } else {
-                        registry.take_any()
-                    };
-                    if let Some(mut device) = device {
-                        // Touch the context so round-tripped devices carry
-                        // real state, then hand it back.
-                        device.initialize();
-                        registry.release(device);
-                    }
-                }
-            });
-        }
-    });
-    assert_eq!(registry.available(), count);
-    assert_eq!(registry.available_of(DeviceKind::Gpu), count / 2);
-    assert!((registry.idle_capacity() - full_capacity).abs() < 1e-9);
-    // No device was lost or duplicated.
-    let mut names: Vec<String> = registry.specs().into_iter().map(|s| s.name).collect();
-    names.sort();
-    let mut expected: Vec<String> = (0..count)
-        .map(|i| {
-            if i % 2 == 0 {
-                format!("g{i}")
-            } else {
-                format!("c{i}")
-            }
-        })
-        .collect();
-    expected.sort();
-    assert_eq!(names, expected);
-}
-
 /// Strips the amortised deployment cost from agent statistics so a reused
 /// session's run can be compared exactly against a fresh one-shot run.
 fn without_init_time(stats: &[gx_plug::core::AgentStats]) -> Vec<gx_plug::core::AgentStats> {
@@ -597,7 +539,7 @@ fn concurrent_service_sssp_is_bit_identical_to_serial_sessions() {
     }
 }
 
-/// Builds a small service over the given graph for the cache/fusion tests.
+/// Builds a small service over the given graph for the cache tests.
 fn cache_service(
     graph: &std::sync::Arc<PropertyGraph<Vec<f64>, f64>>,
     mode: ExecutionMode,
@@ -830,118 +772,6 @@ fn tight_byte_budget_evicts_rather_than_serving_stale_results() {
     service.invalidate_cache();
     let after = service.submit(algo_a).unwrap().wait().unwrap();
     assert_eq!(sssp_bits(&after.values), sssp_bits(&fresh_a.values));
-}
-
-/// `MultiSourceSssp` behind a start gate, so the fusion test can hold the
-/// single worker busy while compatible jobs pile up in the queue.  The
-/// fusion hooks delegate to the real algorithm's source concatenation.
-#[derive(Clone)]
-struct GatedMulti {
-    inner: MultiSourceSssp,
-    gate: std::sync::Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
-}
-
-impl GatedMulti {
-    fn new(inner: MultiSourceSssp) -> Self {
-        Self {
-            inner,
-            gate: std::sync::Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new())),
-        }
-    }
-
-    fn release(&self) {
-        let (flag, condvar) = &*self.gate;
-        *flag.lock().unwrap() = true;
-        condvar.notify_all();
-    }
-}
-
-impl GraphAlgorithm<Vec<f64>, f64> for GatedMulti {
-    type Msg = Relaxation;
-    fn init_vertex(&self, v: VertexId, d: usize) -> Vec<f64> {
-        GraphAlgorithm::init_vertex(&self.inner, v, d)
-    }
-    fn msg_gen_into(
-        &self,
-        t: &Triplet<Vec<f64>, f64>,
-        i: usize,
-        out: &mut Vec<AddressedMessage<Relaxation>>,
-    ) {
-        let (flag, condvar) = &*self.gate;
-        let mut open = flag.lock().unwrap();
-        while !*open {
-            open = condvar.wait(open).unwrap();
-        }
-        drop(open);
-        GraphAlgorithm::msg_gen_into(&self.inner, t, i, out)
-    }
-    fn msg_merge(&self, a: Relaxation, b: Relaxation) -> Relaxation {
-        GraphAlgorithm::msg_merge(&self.inner, a, b)
-    }
-    fn msg_apply(&self, v: VertexId, c: &Vec<f64>, m: &Relaxation, i: usize) -> Option<Vec<f64>> {
-        GraphAlgorithm::msg_apply(&self.inner, v, c, m, i)
-    }
-    fn initial_active(&self, n: usize) -> Option<Vec<VertexId>> {
-        GraphAlgorithm::initial_active(&self.inner, n)
-    }
-    fn name(&self) -> &'static str {
-        "gated-multi"
-    }
-}
-
-#[test]
-fn fused_jobs_are_bit_identical_to_fresh_serial_sessions() {
-    // Three SSSP jobs with distinct frontiers fuse into one sweep; each
-    // member's extracted distance columns must match a fresh single-tenant
-    // session running that member alone — in both execution modes.
-    let list = Rmat::new(10, 8.0).generate(59);
-    let graph = std::sync::Arc::new(PropertyGraph::from_edge_list(list, Vec::new()).unwrap());
-    let partitioning = GreedyVertexCutPartitioner::default()
-        .partition(&graph, 2)
-        .unwrap();
-    let members = [
-        MultiSourceSssp::new(vec![0, 1]),
-        MultiSourceSssp::new(vec![2]),
-        MultiSourceSssp::new(vec![3, 4, 5]),
-    ];
-    for mode in [ExecutionMode::Serial, ExecutionMode::Threaded] {
-        let config = MiddlewareConfig::default().with_execution(mode);
-        let service = cache_service(&graph, mode, |builder| builder.fusion_limit(3));
-        // Hold the worker busy so all three members are queued together.
-        let blocker = GatedMulti::new(MultiSourceSssp::new(vec![60]));
-        let busy = service.submit(blocker.clone()).unwrap();
-        while busy.status() == JobStatus::Queued {
-            std::thread::yield_now();
-        }
-        let tickets: Vec<_> = members
-            .iter()
-            .map(|member| service.submit(member.clone()).unwrap())
-            .collect();
-        blocker.release();
-        busy.wait().unwrap();
-        let outcomes: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
-        assert_eq!(service.stats().fused_runs, 1, "in {mode:?}");
-        assert_eq!(service.stats().coalesced_jobs, 0);
-        for (member, outcome) in members.iter().zip(&outcomes) {
-            let reference = SessionBuilder::new(&graph)
-                .partitioned_by(partitioning.clone())
-                .devices(mixed_devices(2))
-                .config(config)
-                .dataset("rmat")
-                .max_iterations(100)
-                .build()
-                .unwrap()
-                .run(member)
-                .unwrap();
-            assert!(outcome.report.converged);
-            assert_eq!(
-                sssp_bits(&outcome.values),
-                sssp_bits(&reference.values),
-                "fused member with sources {:?} diverged in {mode:?}",
-                member.sources()
-            );
-        }
-    }
 }
 
 /// `[hits, misses, evictions, downloaded_entities]` summed over every agent.

@@ -283,19 +283,18 @@ fn check_sync_cache_against_oracle(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Whatever mix of job counts, priorities, worker-pool sizes, fusion
-    /// limits, key collisions and mid-stream cancellations the service sees,
-    /// its books balance: every ticket resolves after a draining shutdown,
-    /// and the counters add up — `submitted == completed + cancelled` (no
-    /// job is lost, duplicated or left queued), one queue wait per completed
-    /// job, at most one wall sample per completed job.
+    /// Whatever mix of job counts, priorities, worker-pool sizes, key
+    /// collisions and mid-stream cancellations the service sees, its books
+    /// balance: every ticket resolves after a draining shutdown, and the
+    /// counters add up — `submitted == completed + cancelled` (no job is
+    /// lost, duplicated or left queued), one queue wait per completed job,
+    /// at most one wall sample per completed job.
     #[test]
     fn service_accounting_balances(
         num_jobs in 1usize..10,
         workers in 1usize..4,
         seed in 0u64..1_000,
         cancel_mask in 0u32..256,
-        fusion_limit in 0usize..4,
         key_modulus in 1usize..5,
     ) {
         use std::sync::Arc;
@@ -308,13 +307,12 @@ proptest! {
             .unwrap();
         // Native-only service: the scheduler machinery is identical, without
         // paying device deployments 12 times over.  No result cache, so a
-        // repeated key coalesces (or fuses) in the queue instead of hitting
+        // repeated key coalesces in the queue instead of hitting
         // at submit time.
         let service = GraphService::builder(Arc::clone(&graph))
             .partitioned_by(partitioning)
             .max_iterations(50)
             .worker_sessions(workers)
-            .fusion_limit(fusion_limit)
             .cache_capacity(0)
             .build()
             .unwrap();
