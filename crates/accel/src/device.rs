@@ -22,18 +22,6 @@ pub enum DeviceKind {
     Fpga,
 }
 
-impl DeviceKind {
-    /// Allocation preference rank: GPUs first (the paper's primary
-    /// accelerators), then FPGAs, then CPUs.  Lower rank is preferred.
-    pub fn preference_rank(self) -> u8 {
-        match self {
-            DeviceKind::Gpu => 0,
-            DeviceKind::Fpga => 1,
-            DeviceKind::Cpu => 2,
-        }
-    }
-}
-
 impl fmt::Display for DeviceKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -56,11 +44,6 @@ pub enum AccelError {
         /// Device that rejected the batch.
         device: String,
     },
-    /// No device of the requested kind is available.
-    NoDeviceAvailable {
-        /// Requested kind.
-        kind: DeviceKind,
-    },
 }
 
 impl fmt::Display for AccelError {
@@ -74,9 +57,6 @@ impl fmt::Display for AccelError {
                 f,
                 "out of device memory on {device}: batch of {requested} items exceeds capacity of {capacity}"
             ),
-            AccelError::NoDeviceAvailable { kind } => {
-                write!(f, "no {kind} device available")
-            }
         }
     }
 }
@@ -112,12 +92,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_preference_prefers_gpus() {
-        assert!(DeviceKind::Gpu.preference_rank() < DeviceKind::Fpga.preference_rank());
-        assert!(DeviceKind::Fpga.preference_rank() < DeviceKind::Cpu.preference_rank());
-    }
-
-    #[test]
     fn errors_render_their_context() {
         let oom = AccelError::OutOfMemory {
             requested: 11,
@@ -125,10 +99,6 @@ mod tests {
             device: "g0".to_string(),
         };
         assert!(oom.to_string().contains("out of device memory on g0"));
-        let missing = AccelError::NoDeviceAvailable {
-            kind: DeviceKind::Fpga,
-        };
-        assert!(missing.to_string().contains("FPGA"));
     }
 
     #[test]

@@ -19,6 +19,8 @@
 #![warn(rust_2018_idioms)]
 
 pub mod connected_components;
+#[cfg(test)]
+mod destination_contract;
 pub mod kcore;
 pub mod label_propagation;
 pub mod pagerank;

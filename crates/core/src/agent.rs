@@ -4,8 +4,10 @@
 //! bridge for upper systems and daemons."  For every iteration the agent
 //!
 //! 1. determines the node's active workload (edges whose source changed),
-//! 2. downloads the vertex data the daemons will need — consulting its LRU
-//!    cache first when synchronization caching is enabled,
+//! 2. downloads the vertex data the daemons will need — both endpoints of
+//!    every active edge for a kernel that reads destination attributes, only
+//!    the sources for a forward one — consulting its LRU cache first when
+//!    synchronization caching is enabled,
 //! 3. packages edge triplets into blocks (using the block size prescribed by
 //!    Lemma 1 when the pipeline runs in optimal mode) and feeds them to its
 //!    daemons, splitting work across daemons by their capacity factors,
@@ -26,7 +28,9 @@
 //! block decomposition the pipeline model of §III-A prices is the one the
 //! agent executes, while the overlap of download, compute and upload stays
 //! modelled.  Every buffer is refilled in place — never reallocated — once
-//! warm.
+//! warm.  A forward kernel's blocks are filled sources-only
+//! ([`NodeState::fill_triplet_sources`]): its `dst_attr` is never read, so
+//! a retained slot's is not copied.
 //!
 //! [`Agent`] is the one per-node implementation of all this, and
 //! [`Agent::process_iteration`] its one iteration body: every share runs in
@@ -88,16 +92,19 @@ struct PlanScratch {
     active_edge_ids: Vec<usize>,
     /// The download working set of a partially active iteration.
     needed: FrontierSet,
-    /// The working set of an all-active iteration — every endpoint of every
-    /// local edge — gathered on the run's first such iteration and reused:
-    /// the node's structure does not change within a run.
-    all_endpoints: Option<FrontierSet>,
+    /// The working set of an all-active iteration — the needed endpoints of
+    /// every local edge — gathered on the run's first such iteration and
+    /// reused: the node's structure does not change within a run.  Tagged
+    /// with the `sources_only` it was gathered for.
+    all_endpoints: Option<(bool, FrontierSet)>,
 }
 
-/// Inserts the probe rank of both endpoints of every edge in `edge_ids`.
+/// Inserts the probe rank of the source of every edge in `edge_ids`, and of
+/// its destination too unless `sources_only`.
 fn gather_endpoints<V, E>(
     node: &NodeState<V, E>,
     edge_ids: impl Iterator<Item = usize>,
+    sources_only: bool,
     into: &mut FrontierSet,
 ) {
     let rank = node.probe_rank();
@@ -106,7 +113,9 @@ fn gather_endpoints<V, E>(
     for edge_id in edge_ids {
         if let Some((src, dst)) = node.edge_endpoint_locals(edge_id) {
             into.insert(rank[src as usize]);
-            into.insert(rank[dst as usize]);
+            if !sources_only {
+                into.insert(rank[dst as usize]);
+            }
         }
     }
 }
@@ -233,8 +242,10 @@ where
 
     /// The download phase: determines the active workload and moves the
     /// needed vertex data (and, once, the edge topology) into the shared
-    /// memory space, consulting the cache when enabled.  Returns `None` when
-    /// the node is idle.
+    /// memory space, consulting the cache when enabled.  The needed vertices
+    /// are the sources of the active edges, plus their destinations unless
+    /// `sources_only` (the kernel never reads a destination attribute).
+    /// Returns `None` when the node is idle.
     ///
     /// The planning vectors (active edge ids, the download working set) are
     /// pooled in [`PlanScratch`]: steady-state iterations refill them in
@@ -244,6 +255,7 @@ where
         &mut self,
         node: &mut NodeState<V, E>,
         iteration: usize,
+        sources_only: bool,
     ) -> Option<IterationPlan> {
         node.active_edge_ids_into(&mut self.plan.active_edge_ids);
         let d = self.plan.active_edge_ids.len();
@@ -252,19 +264,24 @@ where
         }
         self.stats.iterations += 1;
 
-        // The download working set: every endpoint of an active edge, deduped
-        // through a dense bitset over the node's probe ranks — no hashing on
-        // the hot path.  An all-active iteration needs the same set every
-        // time, so it is gathered once.
+        // The download working set: every needed endpoint of an active
+        // edge, deduped through a dense bitset over the node's probe ranks —
+        // no hashing on the hot path.  An all-active iteration needs the same
+        // set every time, so it is gathered once.
         let plan = &mut self.plan;
         let needed: &FrontierSet = if d == node.num_edges() {
-            plan.all_endpoints.get_or_insert_with(|| {
-                let mut all = FrontierSet::default();
-                gather_endpoints(node, 0..d, &mut all);
-                all
-            })
+            let all = match &mut plan.all_endpoints {
+                Some((gathered_for, all)) if *gathered_for == sources_only => all,
+                slot => {
+                    let mut all = FrontierSet::default();
+                    gather_endpoints(node, 0..d, sources_only, &mut all);
+                    &mut slot.insert((sources_only, all)).1
+                }
+            };
+            &*all
         } else {
-            gather_endpoints(node, plan.active_edge_ids.iter().copied(), &mut plan.needed);
+            let ids = plan.active_edge_ids.iter().copied();
+            gather_endpoints(node, ids, sources_only, &mut plan.needed);
             &plan.needed
         };
         let vertex_downloads = match &mut self.cache {
@@ -590,7 +607,8 @@ where
     /// Executes one middleware iteration for this agent's node on the
     /// calling thread and returns the merged messages plus the timing
     /// attribution the cluster driver expects.  Every daemon's share runs in
-    /// daemon order, one pipeline block at a time: fill the block buffer,
+    /// daemon order, one pipeline block at a time: fill the block buffer
+    /// (sources-only for a kernel that never reads destination attributes),
     /// launch `MSGGen`, fold the block's messages into the `MSGMerge`.
     ///
     /// # Errors
@@ -606,7 +624,8 @@ where
     where
         A: GraphAlgorithm<V, E, Msg = M>,
     {
-        let plan = match self.core.begin_iteration(node, iteration) {
+        let sources_only = !algorithm.reads_destination_attribute();
+        let plan = match self.core.begin_iteration(node, iteration, sources_only) {
             Some(plan) => plan,
             None => return Ok(NodeComputeOutput::idle()),
         };
@@ -634,7 +653,11 @@ where
             let ids = &edge_ids[range.clone()];
             let mut staging = ChunkStaging::for_daemon(daemon);
             for (index, block_ids) in ids.chunks(block_size).enumerate() {
-                let triplets = node.fill_triplets(block_ids, &mut scratch.block);
+                let triplets = if sources_only {
+                    node.fill_triplet_sources(block_ids, &mut scratch.block)
+                } else {
+                    node.fill_triplets(block_ids, &mut scratch.block)
+                };
                 debug_assert_eq!(
                     triplets.len(),
                     block_ids.len(),
@@ -847,6 +870,65 @@ mod tests {
         assert!(cached.stats().downloads_avoided > 0);
         assert_eq!(uncached.stats().downloads_avoided, 0);
         assert!(cached.stats().downloaded_entities < uncached.stats().downloaded_entities);
+    }
+
+    /// [`Relax`], declared as reading destination attributes.
+    struct RelaxReadingDestinations;
+
+    impl GraphAlgorithm<f64, f64> for RelaxReadingDestinations {
+        type Msg = f64;
+        fn init_vertex(&self, v: VertexId, d: usize) -> f64 {
+            Relax.init_vertex(v, d)
+        }
+        fn msg_gen_into(
+            &self,
+            t: &Triplet<f64, f64>,
+            i: usize,
+            out: &mut Vec<AddressedMessage<f64>>,
+        ) {
+            Relax.msg_gen_into(t, i, out)
+        }
+        fn msg_merge(&self, a: f64, b: f64) -> f64 {
+            Relax.msg_merge(a, b)
+        }
+        fn msg_apply(&self, v: VertexId, cur: &f64, msg: &f64, i: usize) -> Option<f64> {
+            Relax.msg_apply(v, cur, msg, i)
+        }
+        fn reads_destination_attribute(&self) -> bool {
+            true
+        }
+        fn name(&self) -> &'static str {
+            "relax-reading-destinations"
+        }
+    }
+
+    #[test]
+    fn forward_kernels_download_only_the_sources_of_active_edges() {
+        // Only vertex 0 is active: its edges reach 1 and 7.  A forward kernel
+        // downloads vertex 0 alone, one reading destinations all three; both
+        // register the 128 edges once and send the same messages.
+        let downloads = |reads_destination: bool| {
+            let mut agent = agent(MiddlewareConfig::default().with_caching(false));
+            agent.connect();
+            let mut node = test_node();
+            let output = if reads_destination {
+                agent.process_iteration(&mut node, &RelaxReadingDestinations, 0)
+            } else {
+                agent.process_iteration(&mut node, &Relax, 0)
+            };
+            let messages: Vec<(VertexId, f64)> = output
+                .unwrap()
+                .messages
+                .iter()
+                .map(|m| (m.target, m.payload))
+                .collect();
+            (agent.stats().downloaded_entities, messages)
+        };
+        let (forward, forward_messages) = downloads(false);
+        let (reading, reading_messages) = downloads(true);
+        assert_eq!(forward, 1 + 128);
+        assert_eq!(reading, 3 + 128);
+        assert_eq!(forward_messages, reading_messages);
     }
 
     #[test]

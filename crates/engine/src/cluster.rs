@@ -16,6 +16,12 @@
 //! table, laid out as a flat array plus one CSR per node.  Applying a message
 //! and refreshing a replica are then array loads in ascending local order,
 //! with no per-vertex heap list and no global → local lookup.
+//!
+//! The table also records each mirror's *role*: a mirror that holds at least
+//! one local out-edge of its vertex is a *source* mirror, because a forward
+//! kernel (one that never reads the destination attribute) reads the value
+//! there.  For such kernels the refresh stops at the source mirrors — GraphX's
+//! routing tables likewise ship a vertex only to the partitions that read it.
 
 use crate::fanout::{fan_out, floor_for, settle, Lane};
 use crate::metrics::{IterationMetrics, RunReport};
@@ -272,16 +278,18 @@ const NO_OWNER: (u32, u32) = (u32::MAX, u32::MAX);
 /// The cluster's routing table over dense local ids: where each vertex's
 /// master row lives, and where each master row's mirrors live.
 ///
-/// Derived from the node vertex tables and their `is_master` flags alone (no
-/// graph walk), so it is rebuilt in O(Σ locals) whenever they change.
+/// Derived from the node vertex tables, their `is_master` flags and the
+/// nodes' local out-degrees alone (no graph walk), so it is rebuilt in
+/// O(Σ locals) whenever they change.
 #[derive(Debug, Clone)]
 struct SyncRoutes {
     /// Indexed by global id: `(master node, local id on the master)`.
     owner: Vec<(u32, u32)>,
     /// Per node, a CSR over its locals: `mirrors[offsets[l]..offsets[l + 1]]`
     /// lists `(node, local id there)` for every non-master replica of the
-    /// vertex at local `l` (empty unless `l` is a master row), ascending by
-    /// node.
+    /// vertex at local `l` (empty unless `l` is a master row).  The source
+    /// mirrors — those holding a local out-edge of the vertex — come first,
+    /// up to `sources_end[l]`; each part is ascending by node.
     nodes: Vec<MirrorCsr>,
 }
 
@@ -289,6 +297,8 @@ struct SyncRoutes {
 #[derive(Debug, Clone)]
 struct MirrorCsr {
     offsets: Vec<u32>,
+    /// Per local, where its source-mirror prefix of `mirrors` ends.
+    sources_end: Vec<u32>,
     mirrors: Vec<(u32, u32)>,
 }
 
@@ -302,14 +312,20 @@ impl SyncRoutes {
                 }
             }
         }
-        // Every mirror row as `(master local, (node, local))`, grouped by
-        // master node, in node order then local order.
-        let mut found: Vec<Vec<(u32, (u32, u32))>> = vec![Vec::new(); nodes.len()];
+        // Every mirror row as `(master local, (node, local), is source)`,
+        // grouped by master node, in node order then local order.
+        type Found = (u32, (u32, u32), bool);
+        let mut found: Vec<Vec<Found>> = vec![Vec::new(); nodes.len()];
         for (node_id, node) in nodes.iter().enumerate() {
             for (local, row) in node.vertex_table().rows().enumerate() {
                 let (master, master_local) = owner[row.id as usize];
                 if !row.is_master && master != NO_OWNER.0 {
-                    found[master as usize].push((master_local, (node_id as u32, local as u32)));
+                    let source = node.local_out_degree(local as u32) > 0;
+                    found[master as usize].push((
+                        master_local,
+                        (node_id as u32, local as u32),
+                        source,
+                    ));
                 }
             }
         }
@@ -317,22 +333,39 @@ impl SyncRoutes {
             .into_iter()
             .zip(nodes)
             .map(|(found, node)| {
-                // Counting sort by master local: stable, so each list keeps
-                // node order.
-                let mut offsets = vec![0u32; node.num_vertices() + 1];
-                for &(local, _) in &found {
+                // Counting sort by master local, sources before the rest:
+                // stable, so each part of a list keeps node order.
+                let locals = node.num_vertices();
+                let mut offsets = vec![0u32; locals + 1];
+                let mut sources = vec![0u32; locals];
+                for &(local, _, source) in &found {
                     offsets[local as usize + 1] += 1;
+                    sources[local as usize] += u32::from(source);
                 }
                 for i in 1..offsets.len() {
                     offsets[i] += offsets[i - 1];
                 }
-                let mut cursor = offsets.clone();
-                let mut mirrors = vec![(0, 0); found.len()];
-                for (local, mirror) in found {
-                    mirrors[cursor[local as usize] as usize] = mirror;
-                    cursor[local as usize] += 1;
+                let mut sources_end = sources;
+                for (end, &start) in sources_end.iter_mut().zip(&offsets) {
+                    *end += start;
                 }
-                MirrorCsr { offsets, mirrors }
+                let mut source_cursor = offsets.clone();
+                let mut other_cursor = sources_end.clone();
+                let mut mirrors = vec![(0, 0); found.len()];
+                for (local, mirror, source) in found {
+                    let cursor = if source {
+                        &mut source_cursor[local as usize]
+                    } else {
+                        &mut other_cursor[local as usize]
+                    };
+                    mirrors[*cursor as usize] = mirror;
+                    *cursor += 1;
+                }
+                MirrorCsr {
+                    offsets,
+                    sources_end,
+                    mirrors,
+                }
             })
             .collect();
         Self { owner, nodes: csrs }
@@ -340,24 +373,28 @@ impl SyncRoutes {
 }
 
 impl MirrorCsr {
-    /// The mirrors of the master row at `local`.
+    /// The mirrors of the master row at `local`: only its source mirrors if
+    /// `sources_only`, every mirror otherwise.
     #[inline]
-    fn of(&self, local: u32) -> &[(u32, u32)] {
+    fn of(&self, local: u32, sources_only: bool) -> &[(u32, u32)] {
         let local = local as usize;
-        &self.mirrors[self.offsets[local] as usize..self.offsets[local + 1] as usize]
+        let end = if sources_only {
+            self.sources_end[local]
+        } else {
+            self.offsets[local + 1]
+        };
+        &self.mirrors[self.offsets[local] as usize..end as usize]
     }
 }
 
-/// Clears `out_local[src]` / `in_local[dst]` for every placed `(part, edge)`
-/// whose part is not that endpoint's master part.
-fn record_edge_placement<'a, E: 'a>(
-    out_local: &mut [bool],
+/// Clears `in_local[dst]` for every placed `(part, edge)` whose part is not
+/// its destination's master part.
+fn record_in_edge_placement<'a, E: 'a>(
     in_local: &mut [bool],
     partitioning: &Partitioning,
     placed: impl IntoIterator<Item = (PartitionId, &'a Edge<E>)>,
 ) {
     for (part, edge) in placed {
-        out_local[edge.src as usize] &= part == partitioning.master_of(edge.src);
         in_local[edge.dst as usize] &= part == partitioning.master_of(edge.dst);
     }
 }
@@ -380,8 +417,6 @@ pub struct Cluster<V, E> {
     partitioning: Arc<Partitioning>,
     /// Master and mirror rows of every vertex, in dense local ids.
     routes: SyncRoutes,
-    /// For every vertex, whether all of its out-edges lie on its master part.
-    out_local: Vec<bool>,
     /// For every vertex, whether all of its in-edges lie on its master part.
     in_local: Vec<bool>,
     profile: RuntimeProfile,
@@ -411,10 +446,8 @@ where
             .map(|id| NodeState::build(id, graph, &partitioning, algorithm))
             .collect();
         let routes = SyncRoutes::build(&nodes, num_vertices);
-        let mut out_local = vec![true; num_vertices];
         let mut in_local = vec![true; num_vertices];
-        record_edge_placement(
-            &mut out_local,
+        record_in_edge_placement(
             &mut in_local,
             &partitioning,
             graph
@@ -427,7 +460,6 @@ where
             nodes,
             partitioning: Arc::new(partitioning),
             routes,
-            out_local,
             in_local,
             profile,
             network,
@@ -464,7 +496,11 @@ where
     /// of their master's *current* value, so warm state survives for
     /// incremental recompute — and per-vertex out-degrees absorb the batch's
     /// degree deltas on every node holding the vertex.  The routing table is
-    /// rebuilt from the grown vertex tables (O(Σ locals)); the edge-locality
+    /// rebuilt from the grown vertex tables (O(Σ locals)), mirror roles
+    /// included.  An added edge lands where its source is the master, so no
+    /// mirror gains a local out-edge here: a mirror a forward kernel left
+    /// stale (it refreshes source mirrors only) stays destination-only, and
+    /// every source mirror still equals its master.  The in-edge locality
     /// flags are narrowed incrementally for insert-only batches and
     /// recomputed exactly after removals, so the synchronisation-skipping
     /// decision matches a cluster rebuilt from the mutated graph bit for bit.
@@ -504,6 +540,11 @@ where
         let mut add_edges: Vec<Vec<Edge<E>>> = vec![Vec::new(); num_parts];
         for (i, edge) in delta.added_edges.iter().enumerate() {
             let part = self.partitioning.part_of_edge(base + i);
+            debug_assert_eq!(
+                part,
+                self.partitioning.master_of(edge.src),
+                "an added edge must land on its source's master part"
+            );
             add_edges[part].push(edge.clone());
         }
         // Global out-degree deltas of the batch, keyed ascending.
@@ -588,13 +629,11 @@ where
                 &delta.detached,
             );
         }
-        // Edge-locality flags: inserts can only narrow them; a removal can
+        // In-edge locality flags: inserts can only narrow them; a removal can
         // widen one, so removals recompute them from the node edge tables.
         if delta.has_removals() {
-            self.out_local = vec![true; self.num_vertices];
             self.in_local = vec![true; self.num_vertices];
-            record_edge_placement(
-                &mut self.out_local,
+            record_in_edge_placement(
                 &mut self.in_local,
                 &self.partitioning,
                 self.nodes.iter().enumerate().flat_map(|(part, node)| {
@@ -605,10 +644,8 @@ where
                 }),
             );
         } else {
-            self.out_local.resize(self.num_vertices, true);
             self.in_local.resize(self.num_vertices, true);
-            record_edge_placement(
-                &mut self.out_local,
+            record_in_edge_placement(
                 &mut self.in_local,
                 &self.partitioning,
                 delta
@@ -888,7 +925,10 @@ where
 
     /// Routes messages to master vertices, applies them, refreshes replicas
     /// and recomputes the active frontier — owner-computes over the routing
-    /// table's dense local ids.
+    /// table's dense local ids.  A kernel that reads destination attributes
+    /// gets every mirror of a changed master refreshed and activated; a
+    /// forward kernel only its source mirrors (see [`SyncRoutes`]), and
+    /// `replica_updates` counts what was refreshed.
     ///
     /// Messages are merged per target into `scratch`'s global-id slots,
     /// consuming the outputs in node order, so each target's combine order
@@ -913,7 +953,6 @@ where
         let Self {
             nodes,
             routes,
-            out_local,
             in_local,
             profile,
             network,
@@ -961,18 +1000,24 @@ where
         let changed_vertices: usize = changed.iter().map(FrontierSet::len).sum();
         // 3. Decide whether the global synchronisation can be skipped: every
         //    changed vertex must have all of its out-edges on its master node
-        //    and no message may have crossed a node boundary.
-        let needs_in_edges_local = algorithm.reads_destination_attribute();
+        //    (no source mirror) and no message may have crossed a node
+        //    boundary.
+        let reads_destination = algorithm.reads_destination_attribute();
         let skipped = policy == SyncPolicy::SkipWhenLocal
             && remote_messages == 0
-            && changed.iter().zip(nodes.iter()).all(|(set, node)| {
+            && changed.iter().enumerate().all(|(master, set)| {
+                let node = &nodes[master];
                 set.iter().all(|local| {
                     let v = node.vertex_table().global_of(local) as usize;
-                    out_local[v] && (!needs_in_edges_local || in_local[v])
+                    routes.nodes[master].of(local, true).is_empty()
+                        && (!reads_destination || in_local[v])
                 })
             });
         // 4. Refresh the mirrors of changed vertices (unless skipped) and
-        //    build the next active frontier.
+        //    build the next active frontier.  A forward kernel reads a
+        //    replica only as the source of a local edge, so only the source
+        //    mirrors are refreshed and activated for it; a mirror without a
+        //    local out-edge has nothing to compute either way.
         let mut replica_updates = 0usize;
         for node in nodes.iter_mut() {
             node.clear_active();
@@ -984,7 +1029,7 @@ where
                 if skipped {
                     continue;
                 }
-                for &(part, replica_local) in mirrors.of(local) {
+                for &(part, replica_local) in mirrors.of(local, !reads_destination) {
                     let (replica, owner) = pair_mut(nodes, part as usize, master);
                     let row = replica.vertex_table_mut().row_at_mut(replica_local);
                     row.attr
@@ -1131,6 +1176,50 @@ mod tests {
     fn line_graph(n: u32) -> PropertyGraph<f64, f64> {
         let list: EdgeList<f64> = (0..n - 1).map(|v| (v, v + 1, 1.0)).collect();
         PropertyGraph::from_edge_list(list, f64::INFINITY).unwrap()
+    }
+
+    /// Per global id, the nodes of the vertex's source mirrors and of its
+    /// other mirrors, as the routing table lists them.
+    fn mirror_roles<V, E>(cluster: &Cluster<V, E>) -> Vec<(Vec<u32>, Vec<u32>)> {
+        let nodes = |list: &[(u32, u32)]| list.iter().map(|&(node, _)| node).collect();
+        cluster
+            .routes
+            .owner
+            .iter()
+            .map(|&(master, local)| {
+                let csr = &cluster.routes.nodes[master as usize];
+                let (all, sources) = (csr.of(local, false), csr.of(local, true));
+                (nodes(sources), nodes(&all[sources.len()..]))
+            })
+            .collect()
+    }
+
+    /// [`mirror_roles`] derived from the node edge tables instead: a mirror
+    /// is a source mirror exactly when its node holds an out-edge of it.
+    fn mirror_roles_from_edges<V, E>(cluster: &Cluster<V, E>) -> Vec<(Vec<u32>, Vec<u32>)> {
+        let mut roles = vec![(Vec::new(), Vec::new()); cluster.num_vertices];
+        for (part, node) in cluster.nodes.iter().enumerate() {
+            for row in node.vertex_table().rows().filter(|row| !row.is_master) {
+                let source = node.edge_table().edges().iter().any(|e| e.src == row.id);
+                let (sources, others) = &mut roles[row.id as usize];
+                if source { sources } else { others }.push(part as u32);
+            }
+        }
+        roles
+    }
+
+    /// Requires every source mirror row to equal its master row.
+    fn assert_source_mirrors_fresh(cluster: &Cluster<f64, f64>) {
+        for (v, &(master, local)) in cluster.routes.owner.iter().enumerate() {
+            let value = cluster.nodes[master as usize]
+                .vertex_table()
+                .row_at(local)
+                .attr;
+            for &(part, replica) in cluster.routes.nodes[master as usize].of(local, true) {
+                let row = cluster.nodes[part as usize].vertex_table().row_at(replica);
+                assert_eq!(row.attr.to_bits(), value.to_bits(), "vertex {v} on {part}");
+            }
+        }
     }
 
     #[test]
@@ -1403,6 +1492,10 @@ mod tests {
             let mut reference_partitioning = partitioning.clone();
             reference_partitioning.apply_mutations(delta);
             let mut rebuilt = build(&reference_graph, &reference_partitioning);
+            // Each master's source-mirror split matches the rebuilt one's,
+            // and both match the edge tables.
+            assert_eq!(mirror_roles(&mutated), mirror_roles(&rebuilt));
+            assert_eq!(mirror_roles(&rebuilt), mirror_roles_from_edges(&rebuilt));
             let profile = *rebuilt.profile();
             for policy in [SyncPolicy::AlwaysSync, SyncPolicy::SkipWhenLocal] {
                 let run = |cluster: &mut Cluster<f64, f64>| {
@@ -1453,6 +1546,7 @@ mod tests {
             .add_edge(10, 12, 3.0)
             .add_edge(u, w, 1.0);
         let delta = log.append(&batch).unwrap();
+        assert!(delta.has_removals());
 
         let values = compare(&MinDist { source: 0 }, &graph, &partitioning, &delta);
         assert_eq!(values.len(), 25);
@@ -1460,6 +1554,77 @@ mod tests {
         assert_eq!(values[12], 13.0);
         assert_eq!(values[24], 25.0);
         assert_eq!(compare(&MinLabel, &graph, &partitioning, &delta).len(), 25);
+
+        // The same batch without the removal and its bridge.
+        let endpoints: Vec<_> = graph.edges().iter().map(|e| (e.src, e.dst)).collect();
+        let mut log: MutationLog<f64, f64> = MutationLog::new(graph.num_vertices(), endpoints);
+        let batch = MutationBatch::new()
+            .add_vertex(f64::INFINITY)
+            .add_edge(23, 24, 1.0)
+            .add_edge(u, w, 1.0);
+        let delta = log.append(&batch).unwrap();
+        assert!(!delta.has_removals());
+        let values = compare(&MinDist { source: 0 }, &graph, &partitioning, &delta);
+        assert_eq!(values[24], 24.0);
+        assert_eq!(compare(&MinLabel, &graph, &partitioning, &delta).len(), 25);
+    }
+
+    #[test]
+    fn a_destination_only_mirror_left_stale_stays_unread_through_an_insert_only_batch() {
+        use gxplug_graph::mutate::{MutationBatch, MutationLog};
+        let graph = line_graph(24);
+        let algorithm = MinDist { source: 0 };
+        let partitioning = HashEdgePartitioner::new(3).partition(&graph, 3).unwrap();
+        let mut warm = Cluster::build(
+            &graph,
+            partitioning.clone(),
+            &algorithm,
+            RuntimeProfile::powergraph(),
+            NetworkModel::datacenter(),
+        );
+        warm.run_native(&algorithm, "line", 100);
+        assert_source_mirrors_fresh(&warm);
+        // A vertex whose destination-only mirror the forward run left stale:
+        // its master moved from infinity to a distance, the mirror did not.
+        let roles = mirror_roles(&warm);
+        let (w, part) = (1..23u32)
+            .find_map(|w| roles[w as usize].1.first().map(|&part| (w, part)))
+            .expect("some vertex has a destination-only mirror");
+        let stale =
+            |cluster: &Cluster<f64, f64>| *cluster.node(part as usize).vertex_value(w).unwrap();
+        assert_eq!(stale(&warm), f64::INFINITY);
+
+        // Insert-only: give w a new out-edge, a shortcut to the far end of
+        // the line.  It lands on w's master part, so the stale mirror stays
+        // destination-only, and every source mirror still equals its master.
+        let endpoints: Vec<_> = graph.edges().iter().map(|e| (e.src, e.dst)).collect();
+        let mut log: MutationLog<f64, f64> = MutationLog::new(graph.num_vertices(), endpoints);
+        let batch = MutationBatch::new().add_edge(w, 23, 1.0);
+        let delta = log.append(&batch).unwrap();
+        warm.apply_mutations(&delta);
+        assert_source_mirrors_fresh(&warm);
+        assert!(mirror_roles(&warm)[w as usize].1.contains(&part));
+        assert_eq!(stale(&warm), f64::INFINITY);
+
+        // The incremental rerun is bit-identical to a rebuilt cluster's run.
+        warm.seed_incremental(&algorithm, delta.dirty_vertices(), &[]);
+        warm.run_native(&algorithm, "line", 100);
+        assert_source_mirrors_fresh(&warm);
+        let mut reference_graph = graph.clone();
+        reference_graph.apply_mutations(&delta);
+        let mut reference_partitioning = partitioning;
+        reference_partitioning.apply_mutations(&delta);
+        let mut rebuilt = Cluster::build(
+            &reference_graph,
+            reference_partitioning,
+            &algorithm,
+            RuntimeProfile::powergraph(),
+            NetworkModel::datacenter(),
+        );
+        rebuilt.run_native(&algorithm, "line", 100);
+        let bits = |values: Vec<f64>| values.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(warm.collect_values()), bits(rebuilt.collect_values()));
+        assert_eq!(warm.collect_values()[23], (w + 1) as f64);
     }
 
     #[test]

@@ -453,6 +453,14 @@ impl<V, E> NodeState<V, E> {
         (src != NO_LOCAL && dst != NO_LOCAL).then_some((src, dst))
     }
 
+    /// Number of out-edges of the vertex at dense local id `local` that are
+    /// stored on this node: non-zero exactly when this replica is a *source*
+    /// of some local edge, i.e. when a forward kernel reads its value here.
+    #[inline]
+    pub(crate) fn local_out_degree(&self, local: u32) -> usize {
+        self.csr.degree(local)
+    }
+
     /// Number of currently active local vertices.
     pub fn active_count(&self) -> usize {
         self.active.len()
@@ -619,6 +627,21 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
         buffer: &'b mut TripletBuffer<V, E>,
     ) -> &'b [Triplet<V, E>] {
         buffer.refill_in_place(edge_ids.iter().filter_map(|&id| self.triplet_ref(id)))
+    }
+
+    /// [`NodeState::fill_triplets`] for a kernel that never reads the
+    /// destination attribute
+    /// ([`GraphAlgorithm::reads_destination_attribute`] is `false`): a slot
+    /// the buffer retains keeps the `dst_attr` it last held, so only the
+    /// source and edge attributes are copied
+    /// ([`TripletBuffer::refill_sources_in_place`]).  Sources, destinations,
+    /// source and edge attributes equal [`NodeState::fill_triplets`]'s.
+    pub fn fill_triplet_sources<'b>(
+        &self,
+        edge_ids: &[EdgeId],
+        buffer: &'b mut TripletBuffer<V, E>,
+    ) -> &'b [Triplet<V, E>] {
+        buffer.refill_sources_in_place(edge_ids.iter().filter_map(|&id| self.triplet_ref(id)))
     }
 
     /// Materialises the triplets of all currently active edges.

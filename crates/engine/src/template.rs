@@ -145,12 +145,28 @@ pub trait GraphAlgorithm<V, E>: Send + Sync {
 
     /// Returns `true` if `msg_gen_into` reads the *destination* vertex
     /// attribute (or addresses messages back to the source), as
-    /// connected-components style algorithms do.  Synchronization skipping
-    /// must then only trigger when a changed vertex's in-edges are
-    /// co-located with its master too, otherwise a stale replica could be
-    /// read on another node.  Forward-only
-    /// algorithms (SSSP, PageRank, LP) keep the default `false`, which matches
-    /// the paper's "updated vertex and its outer edges" condition exactly.
+    /// connected-components style algorithms do.  Forward-only algorithms
+    /// (SSSP, PageRank, LP) keep the default `false`.
+    ///
+    /// The declaration governs what a superstep moves:
+    ///
+    /// * `true`: the agent downloads both endpoints of every active edge,
+    ///   fills `dst_attr` into every triplet, and synchronisation refreshes
+    ///   and activates every mirror of a changed master.  Synchronization
+    ///   skipping then also requires a changed vertex's in-edges to be
+    ///   co-located with its master, otherwise a stale replica could be read
+    ///   on another node.
+    /// * `false`: the agent downloads only the sources of active edges, a
+    ///   triplet's `dst_attr` may hold **any** value of `V` (a stale
+    ///   replica, or whatever a reused buffer slot held before), and only the
+    ///   mirrors holding a local out-edge of a changed master are refreshed
+    ///   and activated.  Skipping keeps the paper's "updated vertex and its
+    ///   outer edges" condition exactly.
+    ///
+    /// A `false` kernel's messages must therefore not depend on `dst_attr`
+    /// at all; `gxplug-algos` checks that for every shipped forward kernel
+    /// by generating its messages again over poisoned destination
+    /// attributes.
     fn reads_destination_attribute(&self) -> bool {
         false
     }

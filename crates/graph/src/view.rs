@@ -12,7 +12,10 @@
 //! attribute through `clone_from`, and constructs new slots only past them.
 //! Heap-owning attributes (multi-source SSSP's distance vectors) therefore
 //! reuse their allocations superstep after superstep, just as flat ones do;
-//! only the live prefix is visible.  [`TripletBuffer::release`] drops the
+//! only the live prefix is visible.  A kernel that never reads the
+//! destination attribute is filled through
+//! [`TripletBuffer::refill_sources_in_place`], which skips that clone on
+//! every retained slot.  [`TripletBuffer::release`] drops the
 //! retained slots (keeping the outer capacity), so an idle arena pins no
 //! attribute heap between runs.  After warm-up refills stop touching the
 //! allocator entirely; [`ViewStats`] makes that observable so tests and
@@ -74,6 +77,30 @@ impl<V, E> TripletBuffer<V, E> {
         V: Clone + 'a,
         E: Clone + 'a,
     {
+        self.refill(triplets, true)
+    }
+
+    /// [`TripletBuffer::refill_in_place`] for a kernel that never reads the
+    /// destination attribute: a retained slot keeps whatever `dst_attr` it
+    /// last held, so only the source and edge attributes are copied.  A slot
+    /// pushed past the retained ones still clones its `dst_attr`, so every
+    /// slot holds *some* value of `V`, just not necessarily the destination's.
+    pub fn refill_sources_in_place<'a, I>(&mut self, triplets: I) -> &[Triplet<V, E>]
+    where
+        I: IntoIterator<Item = Triplet<&'a V, &'a E>>,
+        V: Clone + 'a,
+        E: Clone + 'a,
+    {
+        self.refill(triplets, false)
+    }
+
+    /// The one refill loop behind both public refills.
+    fn refill<'a, I>(&mut self, triplets: I, with_destination: bool) -> &[Triplet<V, E>]
+    where
+        I: IntoIterator<Item = Triplet<&'a V, &'a E>>,
+        V: Clone + 'a,
+        E: Clone + 'a,
+    {
         let capacity_before = self.slots.capacity();
         let mut live = 0;
         for triplet in triplets {
@@ -82,7 +109,9 @@ impl<V, E> TripletBuffer<V, E> {
                     slot.src = triplet.src;
                     slot.dst = triplet.dst;
                     slot.src_attr.clone_from(triplet.src_attr);
-                    slot.dst_attr.clone_from(triplet.dst_attr);
+                    if with_destination {
+                        slot.dst_attr.clone_from(triplet.dst_attr);
+                    }
                     slot.edge_attr.clone_from(triplet.edge_attr);
                 }
                 None => self.slots.push(Triplet::new(
@@ -245,6 +274,27 @@ mod tests {
             assert_eq!(buffer.as_slice(), full.as_slice());
         }
         assert_eq!(buffer.stats().reallocations, warm);
+    }
+
+    #[test]
+    fn sources_only_refills_leave_retained_destination_attributes_alone() {
+        let mut buffer = TripletBuffer::new();
+        let first = rows(3, 2, 0.0);
+        buffer.refill_in_place(borrowed(&first));
+        let next = rows(5, 2, 50.0);
+        let view = buffer.refill_sources_in_place(borrowed(&next));
+        assert_eq!(view.len(), 5);
+        for (i, (got, want)) in view.iter().zip(&next).enumerate() {
+            assert_eq!((got.src, got.dst), (want.src, want.dst));
+            assert_eq!(got.src_attr, want.src_attr);
+            assert_eq!(got.edge_attr, want.edge_attr);
+            // Retained slots keep the previous fill's destination; pushed
+            // ones clone the new one.
+            let dst = if i < first.len() { &first[i] } else { want };
+            assert_eq!(got.dst_attr, dst.dst_attr, "slot {i}");
+        }
+        assert_eq!(buffer.stats().fills, 2);
+        assert_eq!(buffer.stats().triplets_built, 8);
     }
 
     #[test]
