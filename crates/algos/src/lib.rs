@@ -20,6 +20,8 @@
 
 pub mod connected_components;
 #[cfg(test)]
+mod derived_via_contract;
+#[cfg(test)]
 mod destination_contract;
 pub mod kcore;
 pub mod label_propagation;

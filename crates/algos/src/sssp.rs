@@ -167,27 +167,38 @@ impl GraphAlgorithm<Distances, f64> for MultiSourceSssp {
 
     fn msg_apply(
         &self,
-        _vertex: VertexId,
+        vertex: VertexId,
         current: &Distances,
         message: &Relaxation,
-        _iteration: usize,
+        iteration: usize,
     ) -> Option<Distances> {
+        let mut next = current.clone();
+        self.msg_apply_in_place(vertex, &mut next, message, iteration)
+            .then_some(next)
+    }
+
+    /// Tightens `value` column by column without allocating.  An improved
+    /// row keeps `min(value.len(), message.len())` columns, as a
+    /// column-wise `zip` would; a row nothing improves is left untouched.
+    fn msg_apply_in_place(
+        &self,
+        _vertex: VertexId,
+        value: &mut Distances,
+        message: &Relaxation,
+        _iteration: usize,
+    ) -> bool {
         // Most merged messages improve nothing: answer those before
-        // allocating the next distance vector.
-        if !current
-            .iter()
-            .zip(message.iter())
-            .any(|(cur, new)| new < cur)
-        {
-            return None;
+        // touching the row.
+        if !value.iter().zip(message.iter()).any(|(cur, new)| new < cur) {
+            return false;
         }
-        Some(
-            current
-                .iter()
-                .zip(message.iter())
-                .map(|(cur, new)| if new < cur { *new } else { *cur })
-                .collect(),
-        )
+        value.truncate(message.len());
+        for (cur, new) in value.iter_mut().zip(message.iter()) {
+            if new < cur {
+                *cur = *new;
+            }
+        }
+        true
     }
 
     fn initial_active(&self, num_vertices: usize) -> Option<Vec<VertexId>> {
@@ -223,19 +234,31 @@ impl GraphAlgorithm<Distances, f64> for MultiSourceSssp {
 
     /// Distances only ever tighten: relaxation applies a strict `<`, per-path
     /// sums are deterministic, and a converged distance vector is a valid
-    /// upper bound to restart from.  After insert-only mutations, warm values
-    /// plus the dirty frontier therefore converge to the bit-identical fixed
-    /// point a from-scratch run reaches.
+    /// upper bound to restart from.  After inserts, warm values plus the
+    /// dirty frontier therefore converge to the bit-identical fixed point a
+    /// from-scratch run reaches; after removals, so do they once the engine
+    /// has re-initialised what [`derived_via`](GraphAlgorithm::derived_via)
+    /// marks as possibly derived through a removed edge.
     fn supports_incremental(&self) -> bool {
         true
     }
 
-    /// Edge removals or vertex detaches can *lengthen* shortest paths, which
-    /// monotone relaxation from warm (now possibly too-small) distances can
-    /// never undo — those batches force a cold re-run.  Insert-only batches
-    /// re-seed from the mutation's dirty frontier.
+    /// Seeds every batch from its dirty frontier.  Edge removals can
+    /// *lengthen* shortest paths; the engine's trim re-initialises the
+    /// distances they may have shortened, so removals stay incremental.
+    /// Vertex detaches still force a cold re-run.
     fn rescope(&self, scope: &MutationScope) -> Option<Vec<VertexId>> {
-        (!scope.has_removals && !scope.has_detaches).then(|| scope.dirty.clone())
+        (!scope.has_detaches).then(|| scope.dirty.clone())
+    }
+
+    /// `true` when some finite column of `dst` is exactly `src + edge` — the
+    /// same `f64` addition [`msg_gen_into`](GraphAlgorithm::msg_gen_into)
+    /// performs, so a distance this edge produced always matches, and one it
+    /// did not produce can match only by tying with it.
+    fn derived_via(&self, src: &Distances, edge: &f64, dst: &Distances) -> bool {
+        src.iter()
+            .zip(dst)
+            .any(|(s, d)| d.is_finite() && *d == s + edge)
     }
 
     /// Each vertex owns a distance vector (one `f64` per source), so a
@@ -385,6 +408,87 @@ mod tests {
         assert!(std::mem::size_of::<Option<Relaxation>>() <= 40);
         assert!(matches!(relaxation(&vectors[5]).row, Row::Inline { .. }));
         assert!(matches!(relaxation(&vectors[7]).row, Row::Spilled(_)));
+    }
+
+    #[test]
+    fn in_place_apply_matches_msg_apply_bit_for_bit() {
+        let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        let inf = f64::INFINITY;
+        // Widths 1 and 4 keep the message inline, 6 spills it.
+        for width in [1usize, 4, 6] {
+            let algorithm = MultiSourceSssp::new((0..width as VertexId).collect());
+            let row = |seed: usize| -> Distances {
+                (0..width)
+                    .map(|c| match (seed + c) % 4 {
+                        0 => inf,
+                        1 => -0.0,
+                        k => (seed * 3 + k) as f64 * 0.75,
+                    })
+                    .collect()
+            };
+            for a in 0..6 {
+                for b in 0..6 {
+                    // Full-width messages, and one column narrower.
+                    for message_width in [width, width - 1] {
+                        let current = row(a);
+                        let message =
+                            Relaxation::from_columns(row(b).into_iter().take(message_width));
+                        let applied = algorithm.msg_apply(7, &current, &message, 3);
+                        let mut value = current.clone();
+                        let changed = algorithm.msg_apply_in_place(7, &mut value, &message, 3);
+                        assert_eq!(changed, applied.is_some(), "{current:?} {message:?}");
+                        let want = applied.unwrap_or_else(|| current.clone());
+                        assert_eq!(bits(&value), bits(&want), "{current:?} {message:?}");
+                        if changed {
+                            assert_eq!(value.len(), width.min(message_width));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn warm_runs_update_improved_rows_in_place() {
+        use gxplug_graph::mutate::{MutationBatch, MutationLog};
+        let list = Rmat::new(9, 5.0).generate(21);
+        let graph: PropertyGraph<Distances, f64> =
+            PropertyGraph::from_edge_list(list, Vec::new()).unwrap();
+        let algorithm = MultiSourceSssp::paper_default();
+        let partitioning = GreedyVertexCutPartitioner::default()
+            .partition(&graph, 2)
+            .unwrap();
+        let mut cluster = Cluster::build(
+            &graph,
+            partitioning.clone(),
+            &algorithm,
+            RuntimeProfile::powergraph(),
+            NetworkModel::datacenter(),
+        );
+        assert!(cluster.run_native(&algorithm, "rmat", 1_000).converged);
+        // The farthest reachable vertex gets a near-free shortcut from
+        // source 0, which the warm run must apply to its master row.
+        let values = cluster.collect_values();
+        let target = (0..graph.num_vertices())
+            .filter(|&v| values[v][0].is_finite())
+            .max_by(|&a, &b| values[a][0].total_cmp(&values[b][0]))
+            .unwrap() as VertexId;
+        let mut log = MutationLog::new(
+            graph.num_vertices(),
+            graph.edges().iter().map(|e| (e.src, e.dst)),
+        );
+        let delta = log
+            .append(&MutationBatch::new().add_edge(0, target, 0.125))
+            .unwrap();
+        cluster.apply_mutations(&delta);
+        let master = cluster.node(partitioning.master_of(target));
+        let before = master.vertex_value(target).unwrap().as_ptr();
+        cluster.seed_incremental(&algorithm, delta.dirty_vertices(), &[]);
+        assert!(cluster.run_native(&algorithm, "rmat", 1_000).converged);
+        let master = cluster.node(partitioning.master_of(target));
+        let after = master.vertex_value(target).unwrap();
+        assert_eq!(after[0], 0.125);
+        assert_eq!(after.as_ptr(), before, "the improved row was reallocated");
     }
 
     #[test]

@@ -419,6 +419,10 @@ pub struct Cluster<V, E> {
     routes: SyncRoutes,
     /// For every vertex, whether all of its in-edges lie on its master part.
     in_local: Vec<bool>,
+    /// `(src, dst, attr)` of every edge removed since the last
+    /// [`Cluster::reset_for`] or [`Cluster::seed_incremental`]: what the
+    /// next incremental seed trims from the warm values.
+    removed: Vec<(VertexId, VertexId, E)>,
     profile: RuntimeProfile,
     network: NetworkModel,
     num_vertices: usize,
@@ -461,6 +465,7 @@ where
             partitioning: Arc::new(partitioning),
             routes,
             in_local,
+            removed: Vec::new(),
             profile,
             network,
             num_vertices,
@@ -483,31 +488,38 @@ where
         for node in &mut self.nodes {
             node.reset_for(algorithm, num_vertices);
         }
+        self.removed.clear();
     }
 
     /// Applies one resolved mutation batch in place, touching only the
     /// shards the batch reaches.
     ///
-    /// The cluster's own copy of the partitioning is extended (new vertices
-    /// master like isolated ones, new edges land on their source's master
-    /// part), each touched node compacts/appends its edge table and rebuilds
-    /// its local CSR, new replicas are upserted — new vertices with their
-    /// op-supplied attribute, new replicas of existing vertices with a copy
-    /// of their master's *current* value, so warm state survives for
-    /// incremental recompute — and per-vertex out-degrees absorb the batch's
-    /// degree deltas on every node holding the vertex.  The routing table is
-    /// rebuilt from the grown vertex tables (O(Σ locals)), mirror roles
-    /// included.  An added edge lands where its source is the master, so no
-    /// mirror gains a local out-edge here: a mirror a forward kernel left
-    /// stale (it refreshes source mirrors only) stays destination-only, and
-    /// every source mirror still equals its master.  The in-edge locality
-    /// flags are narrowed incrementally for insert-only batches and
-    /// recomputed exactly after removals, so the synchronisation-skipping
-    /// decision matches a cluster rebuilt from the mutated graph bit for bit.
+    /// The cluster's own copy of the partitioning absorbs the batch (new
+    /// vertices master like isolated ones, new edges land on their source's
+    /// master part, and a mirror that loses its last local edge retires),
+    /// each touched node compacts/appends its edge table, drops the rows of
+    /// its retired mirrors and rebuilds its local CSR, new replicas are
+    /// upserted — new vertices with their op-supplied attribute, new
+    /// replicas of existing vertices with a copy of their master's *current*
+    /// value, so warm state survives for incremental recompute — and
+    /// per-vertex out-degrees absorb the batch's degree deltas on every node
+    /// holding the vertex.  The retired mirrors are the removed edges'
+    /// endpoints that their part no longer lists, so the deployment stays
+    /// the size of the graph however long the mutation history.  Each
+    /// removed edge is recorded with its attribute for the next
+    /// [`Cluster::seed_incremental`].  The routing table is rebuilt from the
+    /// updated vertex tables (O(Σ locals)), mirror roles included.  An added
+    /// edge lands where its source is the master, so no mirror gains a local
+    /// out-edge here: a mirror a forward kernel left stale (it refreshes
+    /// source mirrors only) stays destination-only, and every source mirror
+    /// still equals its master.  The in-edge locality flags are narrowed
+    /// incrementally for insert-only batches and recomputed exactly after
+    /// removals, so the synchronisation-skipping decision matches a cluster
+    /// rebuilt from the mutated graph bit for bit.
     ///
     /// Batches must apply in log order, exactly once; afterwards the cluster
     /// is structurally identical to one built from the mutated graph with
-    /// the same extended partitioning (local id assignment may differ, which
+    /// the same updated partitioning (local id assignment may differ, which
     /// no observable result depends on).
     ///
     /// # Panics
@@ -523,7 +535,10 @@ where
         // partitioning (part edge lists are ascending and position-aligned
         // with the node edge tables).
         let mut remove_positions: Vec<Vec<usize>> = vec![Vec::new(); num_parts];
-        for &(edge_id, _, _) in &delta.removed_edges {
+        // Per node, the removed edges' endpoints: the mirrors the batch may
+        // retire.
+        let mut dropped: Vec<Vec<VertexId>> = vec![Vec::new(); num_parts];
+        for &(edge_id, src, dst) in &delta.removed_edges {
             let part = self.partitioning.part_of_edge(edge_id);
             let position = self
                 .partitioning
@@ -532,8 +547,18 @@ where
                 .binary_search(&edge_id)
                 .expect("partitioning must list every assigned edge");
             remove_positions[part].push(position);
+            dropped[part].extend([src, dst]);
+            let attr = &self.nodes[part].edge_table().edges()[position].attr;
+            self.removed.push((src, dst, attr.clone()));
         }
         Arc::make_mut(&mut self.partitioning).apply_mutations(delta);
+        // It retired those its part no longer lists.
+        for (part, list) in dropped.iter_mut().enumerate() {
+            let listed = &self.partitioning.part(part).vertices;
+            list.retain(|v| listed.binary_search(v).is_err());
+            list.sort_unstable();
+            list.dedup();
+        }
         // Added edges per part, aligned with the ids the partitioning just
         // assigned (base + i for the i-th added edge).
         let base = delta.prior_num_edges - delta.removed_edges.len();
@@ -624,6 +649,7 @@ where
             node.apply_mutations(
                 &remove_positions[part],
                 &add_edges[part],
+                &dropped[part],
                 std::mem::take(&mut upserts[part]),
                 &degree_adjust,
                 &delta.detached,
@@ -664,13 +690,80 @@ where
     /// and the active frontier is replaced everywhere by `seed` — the dirty
     /// vertices of the mutations applied since the warm run.  The algorithm
     /// must have declared the seed sound via its `rescope` hook.
+    ///
+    /// Edges removed since the warm run are trimmed first (KickStarter's
+    /// trimmed approximation).  The heads of removed edges whose relaxation
+    /// may have produced their warm value
+    /// ([`GraphAlgorithm::derived_via`]) are *tainted*, and so is everything
+    /// reached from a tainted vertex over such tight edges of the mutated
+    /// graph.  Tainted vertices are re-initialised and every source of a
+    /// local edge into one joins the seed; every other vertex keeps its warm
+    /// value, which is still a path sum of the mutated graph.  The test
+    /// reads master values only: a forward run leaves destination-only
+    /// mirrors stale.
     pub fn seed_incremental<A>(&mut self, algorithm: &A, seed: &[VertexId], reinit: &[VertexId])
     where
         A: GraphAlgorithm<V, E> + ?Sized,
     {
-        for node in &mut self.nodes {
-            node.seed_incremental(algorithm, seed, reinit);
+        let removed = std::mem::take(&mut self.removed);
+        if removed.is_empty() {
+            for node in &mut self.nodes {
+                node.seed_incremental(algorithm, seed, reinit);
+            }
+            return;
         }
+        let tainted = self.taint(algorithm, &removed);
+        let mut reinit = reinit.to_vec();
+        reinit.extend((0..self.num_vertices as VertexId).filter(|&v| tainted[v as usize]));
+        let mut seed = seed.to_vec();
+        for node in &self.nodes {
+            seed.extend(
+                (node.edge_table().edges().iter())
+                    .filter(|edge| tainted[edge.dst as usize])
+                    .map(|edge| edge.src),
+            );
+        }
+        seed.sort_unstable();
+        seed.dedup();
+        for node in &mut self.nodes {
+            node.seed_incremental(algorithm, &seed, &reinit);
+        }
+    }
+
+    /// The vertices `removed` may have invalidated (see
+    /// [`Cluster::seed_incremental`]), as a flag per global id.
+    fn taint<A>(&self, algorithm: &A, removed: &[(VertexId, VertexId, E)]) -> Vec<bool>
+    where
+        A: GraphAlgorithm<V, E> + ?Sized,
+    {
+        let master = |v: VertexId| {
+            let (node, local) = self.routes.owner[v as usize];
+            &self.nodes[node as usize].vertex_table().row_at(local).attr
+        };
+        let mut tainted = vec![false; self.num_vertices];
+        let mut pending = Vec::new();
+        for (src, dst, attr) in removed {
+            if !tainted[*dst as usize] && algorithm.derived_via(master(*src), attr, master(*dst)) {
+                tainted[*dst as usize] = true;
+                pending.push(*dst);
+            }
+        }
+        while let Some(v) = pending.pop() {
+            let value = master(v);
+            // The out-edges of `v` live on its master and its source mirrors.
+            let (node, local) = self.routes.owner[v as usize];
+            let mirrors = self.routes.nodes[node as usize].of(local, true);
+            for &(node, local) in std::iter::once(&(node, local)).chain(mirrors) {
+                for edge in self.nodes[node as usize].local_out_edges(local) {
+                    let w = edge.dst;
+                    if !tainted[w as usize] && algorithm.derived_via(value, &edge.attr, master(w)) {
+                        tainted[w as usize] = true;
+                        pending.push(w);
+                    }
+                }
+            }
+        }
+        tainted
     }
 
     /// Number of distributed nodes.
@@ -988,13 +1081,9 @@ where
             let (master, local) = routes.owner[target as usize];
             let row = nodes[master as usize].vertex_table_mut().row_at_mut(local);
             applies += 1;
-            match algorithm.msg_apply(target, &row.attr, &message, iteration) {
-                Some(new_value) if new_value != row.attr => {
-                    row.attr = new_value;
-                    row.dirty = true;
-                    changed[master as usize].insert(local);
-                }
-                _ => {}
+            if algorithm.msg_apply_in_place(target, &mut row.attr, &message, iteration) {
+                row.dirty = true;
+                changed[master as usize].insert(local);
             }
         }
         let changed_vertices: usize = changed.iter().map(FrontierSet::len).sum();
@@ -1496,6 +1585,15 @@ mod tests {
             // and both match the edge tables.
             assert_eq!(mirror_roles(&mutated), mirror_roles(&rebuilt));
             assert_eq!(mirror_roles(&rebuilt), mirror_roles_from_edges(&rebuilt));
+            // Replica for replica: a retired mirror's row is gone.
+            let rows = |cluster: &Cluster<f64, f64>| -> Vec<usize> {
+                cluster
+                    .nodes()
+                    .iter()
+                    .map(NodeState::num_vertices)
+                    .collect()
+            };
+            assert_eq!(rows(&mutated), rows(&rebuilt));
             let profile = *rebuilt.profile();
             for policy in [SyncPolicy::AlwaysSync, SyncPolicy::SkipWhenLocal] {
                 let run = |cluster: &mut Cluster<f64, f64>| {
@@ -1554,6 +1652,48 @@ mod tests {
         assert_eq!(values[12], 13.0);
         assert_eq!(values[24], 25.0);
         assert_eq!(compare(&MinLabel, &graph, &partitioning, &delta).len(), 25);
+
+        // A removal that orphans a mirror: the only edge on some part that
+        // touches a vertex not mastered there.  The replica retires with it.
+        let (edge, orphan, part) = (graph.edges().iter().enumerate())
+            .flat_map(|(id, edge)| [(id, edge.src), (id, edge.dst)])
+            .find_map(|(id, v)| {
+                let part = partitioning.part_of_edge(id);
+                let touching = (partitioning.part(part).edges.iter())
+                    .filter(|&&e| [graph.edge(e).src, graph.edge(e).dst].contains(&v))
+                    .count();
+                (partitioning.master_of(v) != part && touching == 1).then_some((id, v, part))
+            })
+            .expect("some mirror hangs on a single edge");
+        let endpoints: Vec<_> = graph.edges().iter().map(|e| (e.src, e.dst)).collect();
+        let mut log: MutationLog<f64, f64> = MutationLog::new(graph.num_vertices(), endpoints);
+        let delta = log
+            .append(&MutationBatch::new().remove_edge(edge).add_edge(u, w, 1.0))
+            .unwrap();
+        let mut retiring = partitioning.clone();
+        retiring.apply_mutations(&delta);
+        assert!(retiring.part(part).vertices.binary_search(&orphan).is_err());
+        compare(&MinDist { source: 0 }, &graph, &partitioning, &delta);
+        compare(&MinLabel, &graph, &partitioning, &delta);
+        // The warm cluster drops the row, and its trimmed refresh matches a
+        // cold run.
+        let algorithm = MinDist { source: 0 };
+        let mut warm = Cluster::build(
+            &graph,
+            partitioning.clone(),
+            &algorithm,
+            RuntimeProfile::powergraph(),
+            NetworkModel::datacenter(),
+        );
+        warm.run_native(&algorithm, "line", 100);
+        warm.apply_mutations(&delta);
+        assert!(!warm.node(part).vertex_table().contains(orphan));
+        let mut cold = warm.clone();
+        warm.seed_incremental(&algorithm, delta.dirty_vertices(), &[]);
+        warm.run_native(&algorithm, "line", 100);
+        cold.reset_for(&algorithm);
+        cold.run_native(&algorithm, "line", 100);
+        assert_eq!(warm.collect_values(), cold.collect_values());
 
         // The same batch without the removal and its bridge.
         let endpoints: Vec<_> = graph.edges().iter().map(|e| (e.src, e.dst)).collect();

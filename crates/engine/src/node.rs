@@ -272,14 +272,17 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
     /// Applies one node's share of a mutation batch in place: local edges at
     /// `remove_positions` (ascending local ids) compact out, `add_edges`
     /// append at the end (keeping the table aligned, position for position,
-    /// with the partitioning's global edge-id list), `upserts` grow the
+    /// with the partitioning's global edge-id list), the rows of `dropped`
+    /// (ascending global ids: retired mirrors, which no local edge touches
+    /// any more) go and the surviving locals compact, `upserts` grow the
     /// vertex table with new dense local ids `(id, attr, is_master,
     /// out_degree)`, `degree_adjust` folds global out-degree deltas into the
     /// locally held vertices, and `detached` resets attributes in place.
     /// The per-node CSR (orphan bucket included), the endpoint local-id maps
     /// and the frontier capacities are rebuilt to match — O(this shard), the
     /// untouched shards of the cluster pay nothing — and new locals are
-    /// merged into the probe and global-id orders.
+    /// merged into the probe and global-id orders (rebuilt in full when rows
+    /// were dropped).
     ///
     /// The frontier itself is cleared: the caller re-seeds it through
     /// [`NodeState::reset_for`] or [`NodeState::seed_incremental`] before
@@ -288,10 +291,26 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
         &mut self,
         remove_positions: &[usize],
         add_edges: &[Edge<E>],
+        dropped: &[VertexId],
         upserts: Vec<(VertexId, V, bool, u32)>,
         degree_adjust: &[(VertexId, i64)],
         detached: &[(VertexId, V)],
     ) {
+        if !dropped.is_empty() {
+            let keep: Vec<bool> = (self.vertex_table.ids())
+                .map(|v| dropped.binary_search(&v).is_err())
+                .collect();
+            // `retain` visits each element once, in order.
+            let (mut degrees, mut rows) = (keep.iter(), keep.iter());
+            self.out_degrees.retain(|_| degrees.next() == Some(&true));
+            self.vertex_table.retain(|_| rows.next() == Some(&true));
+            self.probe_order.clear();
+            self.probe_rank.clear();
+            self.global_rank.clear();
+            // `activate_all` fills a frontier's whole capacity, which must
+            // not outgrow the compacted locals.
+            self.active = FrontierSet::new(self.vertex_table.len());
+        }
         for &(v, delta) in degree_adjust {
             if let Some(local) = self.vertex_table.local_of(v) {
                 let degree = &mut self.out_degrees[local as usize];
@@ -451,6 +470,13 @@ impl<V, E> NodeState<V, E> {
         let src = *self.edge_src_local.get(id)?;
         let dst = *self.edge_dst_local.get(id)?;
         (src != NO_LOCAL && dst != NO_LOCAL).then_some((src, dst))
+    }
+
+    /// The out-edges stored on this node of the vertex at dense local id
+    /// `local`.
+    pub(crate) fn local_out_edges(&self, local: u32) -> impl Iterator<Item = &Edge<E>> + '_ {
+        let edges = self.edge_table.edges();
+        self.csr.edge_ids(local).iter().map(move |&id| &edges[id])
     }
 
     /// Number of out-edges of the vertex at dense local id `local` that are
@@ -913,10 +939,32 @@ mod tests {
             .collect();
         assert!(!upserts.is_empty(), "node 0 misses some vertex");
         upserts.extend((64u32..67).map(|v| (v, v, true, 0)));
+        let mut mirrors: Vec<VertexId> = upserts.iter().map(|u| u.0).filter(|&v| v < 64).collect();
         let before = node.num_vertices();
-        node.apply_mutations(&[], &[], upserts, &[], &[]);
+        node.apply_mutations(&[], &[], &[], upserts, &[], &[]);
         assert!(node.num_vertices() > before);
         check(&node);
+        // Retire the new mirrors again (no local edge touches them): the
+        // locals compact and both orders are rebuilt over the survivors.
+        mirrors.sort_unstable();
+        let degrees: Vec<_> = (0u32..67).map(|v| node.out_degree_of(v)).collect();
+        let grown = node.num_vertices();
+        node.apply_mutations(&[], &[], &mirrors, Vec::new(), &[], &[]);
+        assert_eq!(node.num_vertices(), grown - mirrors.len());
+        check(&node);
+        for v in 0u32..67 {
+            let want = if mirrors.contains(&v) {
+                None
+            } else {
+                degrees[v as usize]
+            };
+            assert_eq!(node.out_degree_of(v), want, "vertex {v}");
+        }
+        for (id, edge) in node.edge_table().edges().iter().enumerate() {
+            let (src, dst) = node.edge_endpoint_locals(id).unwrap();
+            let global = |local| node.vertex_table().global_of(local);
+            assert_eq!((global(src), global(dst)), (edge.src, edge.dst));
+        }
     }
 
     #[test]

@@ -123,6 +123,35 @@ pub trait GraphAlgorithm<V, E>: Send + Sync {
         iteration: usize,
     ) -> Option<V>;
 
+    /// `MSGApply()` in place: applies a merged message to `value`, the
+    /// current attribute of `vertex`, and returns `true` if the attribute
+    /// changed (which re-activates the vertex).  The synchronisation phase
+    /// calls only this hook.
+    ///
+    /// The default calls [`msg_apply`](GraphAlgorithm::msg_apply) and assigns
+    /// its result when it differs from `value`.  Algorithms whose values own
+    /// heap data override it to update the value without allocating; the
+    /// override must leave `value` bit-identical to what `msg_apply` would
+    /// have returned, and unchanged whenever it returns `false`.
+    fn msg_apply_in_place(
+        &self,
+        vertex: VertexId,
+        value: &mut V,
+        message: &Self::Msg,
+        iteration: usize,
+    ) -> bool
+    where
+        V: PartialEq,
+    {
+        match self.msg_apply(vertex, value, message, iteration) {
+            Some(next) if next != *value => {
+                *value = next;
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Vertices that are active before the first iteration.  `None` (the
     /// default) means every vertex starts active.
     fn initial_active(&self, _num_vertices: usize) -> Option<Vec<VertexId>> {
@@ -200,17 +229,21 @@ pub trait GraphAlgorithm<V, E>: Send + Sync {
     }
 
     /// Returns `true` if the algorithm can continue from a previous
-    /// converged run after live graph mutations, re-seeding only the dirty
-    /// frontier instead of re-initialising every vertex.
+    /// converged run after live graph mutations, re-seeding only what the
+    /// mutations invalidate instead of re-initialising every vertex.
     ///
-    /// Opting in asserts a monotonicity contract: starting every vertex from
-    /// its previously converged value and activating only the vertices a
-    /// mutation batch touched must reach the *bit-identical* fixed point a
-    /// from-scratch run over the mutated graph reaches.  Frontier algorithms
-    /// with idempotent, order-independent applies (SSSP-style relaxation)
-    /// satisfy this for insert-only batches; fixed-point algorithms whose
-    /// every value depends on every other (PageRank) do not and keep the
-    /// default `false`.
+    /// Opting in asserts a monotonicity contract for selective kernels
+    /// (values only ever tighten, by a strict-improvement apply over positive
+    /// edge weights): starting every vertex from its previously converged
+    /// value, activating the vertices a mutation batch touched, and — for
+    /// batches that remove edges — re-initialising every vertex whose value
+    /// may have come through a removed edge (see
+    /// [`derived_via`](GraphAlgorithm::derived_via)) and activating its
+    /// in-neighbours, must reach the *bit-identical* fixed point a
+    /// from-scratch run over the mutated graph reaches.  SSSP-style
+    /// relaxation satisfies this; fixed-point algorithms whose every value
+    /// depends on every other (PageRank) do not and keep the default
+    /// `false`.
     fn supports_incremental(&self) -> bool {
         false
     }
@@ -220,10 +253,28 @@ pub trait GraphAlgorithm<V, E>: Send + Sync {
     /// when these particular mutations force a full re-run (the engine then
     /// falls back to a cold reset).  Only consulted when
     /// [`supports_incremental`](GraphAlgorithm::supports_incremental) is
-    /// `true`.
+    /// `true`.  A seed returned for a batch with removals is completed by
+    /// the engine's trim: the vertices removed edges invalidate are
+    /// re-initialised and their in-neighbours join the seed.
     fn rescope(&self, scope: &MutationScope) -> Option<Vec<VertexId>> {
         let _ = scope;
         None
+    }
+
+    /// Whether `dst`'s current value may have been produced by relaxing an
+    /// edge with attribute `edge` from a source holding `src` — the test an
+    /// incremental recompute uses to find the vertices an edge removal
+    /// invalidates, and the vertices reached from them over such "tight"
+    /// edges.
+    ///
+    /// The default, `true`, is conservative: every head of a removed edge
+    /// and everything reachable from it is re-initialised.  That stays
+    /// correct for any selective, monotone kernel and is only slower.  An
+    /// override may answer `false` only when `dst`'s value provably did not
+    /// come through this edge.
+    fn derived_via(&self, src: &V, edge: &E, dst: &V) -> bool {
+        let _ = (src, edge, dst);
+        true
     }
 
     /// Heap bytes owned by one vertex value *beyond* `size_of::<V>()`,
@@ -277,6 +328,16 @@ pub trait DynAlgorithm<V, E, M>: Send + Sync {
     fn msg_merge(&self, a: M, b: M) -> M;
     /// See [`GraphAlgorithm::msg_apply`].
     fn msg_apply(&self, vertex: VertexId, current: &V, message: &M, iteration: usize) -> Option<V>;
+    /// See [`GraphAlgorithm::msg_apply_in_place`].
+    fn msg_apply_in_place(
+        &self,
+        vertex: VertexId,
+        value: &mut V,
+        message: &M,
+        iteration: usize,
+    ) -> bool
+    where
+        V: PartialEq;
     /// See [`GraphAlgorithm::initial_active`].
     fn initial_active(&self, num_vertices: usize) -> Option<Vec<VertexId>>;
     /// See [`GraphAlgorithm::max_iterations`].
@@ -295,6 +356,8 @@ pub trait DynAlgorithm<V, E, M>: Send + Sync {
     fn supports_incremental(&self) -> bool;
     /// See [`GraphAlgorithm::rescope`].
     fn rescope(&self, scope: &MutationScope) -> Option<Vec<VertexId>>;
+    /// See [`GraphAlgorithm::derived_via`].
+    fn derived_via(&self, src: &V, edge: &E, dst: &V) -> bool;
 }
 
 impl<V, E, A> DynAlgorithm<V, E, A::Msg> for A
@@ -326,6 +389,19 @@ where
         iteration: usize,
     ) -> Option<V> {
         GraphAlgorithm::msg_apply(self, vertex, current, message, iteration)
+    }
+
+    fn msg_apply_in_place(
+        &self,
+        vertex: VertexId,
+        value: &mut V,
+        message: &A::Msg,
+        iteration: usize,
+    ) -> bool
+    where
+        V: PartialEq,
+    {
+        GraphAlgorithm::msg_apply_in_place(self, vertex, value, message, iteration)
     }
 
     fn initial_active(&self, num_vertices: usize) -> Option<Vec<VertexId>> {
@@ -362,6 +438,10 @@ where
 
     fn rescope(&self, scope: &MutationScope) -> Option<Vec<VertexId>> {
         GraphAlgorithm::rescope(self, scope)
+    }
+
+    fn derived_via(&self, src: &V, edge: &E, dst: &V) -> bool {
+        GraphAlgorithm::derived_via(self, src, edge, dst)
     }
 }
 
@@ -442,6 +522,20 @@ where
         self.inner.msg_apply(vertex, current, message, iteration)
     }
 
+    fn msg_apply_in_place(
+        &self,
+        vertex: VertexId,
+        value: &mut V,
+        message: &M,
+        iteration: usize,
+    ) -> bool
+    where
+        V: PartialEq,
+    {
+        self.inner
+            .msg_apply_in_place(vertex, value, message, iteration)
+    }
+
     fn initial_active(&self, num_vertices: usize) -> Option<Vec<VertexId>> {
         self.inner.initial_active(num_vertices)
     }
@@ -476,6 +570,10 @@ where
 
     fn rescope(&self, scope: &MutationScope) -> Option<Vec<VertexId>> {
         self.inner.rescope(scope)
+    }
+
+    fn derived_via(&self, src: &V, edge: &E, dst: &V) -> bool {
+        self.inner.derived_via(src, edge, dst)
     }
 }
 
@@ -527,6 +625,9 @@ mod tests {
         }
         fn msg_apply(&self, _v: VertexId, cur: &f64, msg: &f64, _i: usize) -> Option<f64> {
             (msg < cur).then_some(*msg)
+        }
+        fn derived_via(&self, src: &f64, edge: &f64, dst: &f64) -> bool {
+            *dst == src + edge
         }
         fn name(&self) -> &'static str {
             "min-prop"
@@ -597,6 +698,21 @@ mod tests {
             GraphAlgorithm::msg_apply(&shared, 1, &5.0, &2.0, 0),
             Some(2.0)
         );
+        // In place: an improvement assigns and reports a change, anything
+        // else leaves the value alone.
+        let mut value = 5.0;
+        assert!(GraphAlgorithm::msg_apply_in_place(
+            &shared, 1, &mut value, &2.0, 0
+        ));
+        assert_eq!(value, 2.0);
+        assert!(!GraphAlgorithm::msg_apply_in_place(
+            &shared, 1, &mut value, &7.0, 0
+        ));
+        assert_eq!(value, 2.0);
+        assert!(GraphAlgorithm::derived_via(&shared, &1.0, &2.0, &3.0));
+        assert!(!GraphAlgorithm::derived_via(&shared, &1.0, &2.0, &4.0));
+        // The default is the conservative answer.
+        assert!(GraphAlgorithm::derived_via(&MaxProp, &1.0, &2.0, &4.0));
         assert_eq!(GraphAlgorithm::name(&shared), "min-prop");
         assert_eq!(
             GraphAlgorithm::max_iterations(&shared),

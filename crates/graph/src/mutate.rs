@@ -7,8 +7,8 @@
 //! appended to a [`MutationLog`], which assigns each batch a monotonically
 //! increasing graph version.  Resolved deltas are what every layer applies:
 //! the master [`PropertyGraph`](crate::PropertyGraph) compacts its edge table
-//! in place, a `Partitioning` extends its assignment, and per-node state
-//! absorbs only the touched shards.  The log is replayable: a fresh
+//! in place, a `Partitioning` updates its assignment (retiring the replicas a
+//! removal orphans), and per-node state absorbs only the touched shards.  The log is replayable: a fresh
 //! deployment catches up by applying the resolved batches in order, and two
 //! replicas that applied the same log bit-identically agree.
 //!
@@ -230,8 +230,11 @@ impl<V, E> ResolvedMutation<V, E> {
         &self.dirty
     }
 
-    /// Whether the batch removes any edges (removals force a full recompute
-    /// for monotone algorithms whose warm state could overshoot).
+    /// Whether the batch removes any edges.  A removal can lengthen what a
+    /// monotone algorithm's warm values hold, so an incremental recompute
+    /// first re-initialises the values the removed edges may have produced
+    /// (the engine's trimmed refresh) instead of continuing from all of
+    /// them.
     pub fn has_removals(&self) -> bool {
         !self.removed_edges.is_empty()
     }

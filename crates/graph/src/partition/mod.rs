@@ -36,8 +36,11 @@ use std::collections::HashMap;
 pub struct PartInfo {
     /// Global ids of the edges assigned to this part.
     pub edges: Vec<EdgeId>,
-    /// Global ids of all vertices replicated on this part (every endpoint of a
-    /// local edge, plus isolated vertices mastered here).
+    /// Global ids of all vertices replicated on this part, ascending: every
+    /// endpoint of a local edge, plus every vertex mastered here (an
+    /// isolated vertex, or one whose local edges were all removed).  This
+    /// holds after [`Partitioning::apply_mutations`] too, which retires a
+    /// non-master replica with its last local edge.
     pub vertices: Vec<VertexId>,
     /// Global ids of the vertices whose *master* copy lives on this part.
     pub masters: Vec<VertexId>,
@@ -50,6 +53,10 @@ pub struct Partitioning {
     edge_assignment: Vec<PartitionId>,
     master_of: Vec<PartitionId>,
     parts: Vec<PartInfo>,
+    /// Per part, aligned with its `vertices`: how many local edges touch
+    /// each replica (a self-loop counts twice).  A non-master replica whose
+    /// count reaches 0 is retired.
+    incidence: Vec<Vec<u32>>,
 }
 
 impl Partitioning {
@@ -87,14 +94,16 @@ impl Partitioning {
             *incidence[edge.dst as usize].entry(part).or_insert(0) += 1;
         }
         let mut master_of = vec![0 as PartitionId; graph.num_vertices()];
-        let mut replicas: Vec<Vec<VertexId>> = vec![Vec::new(); num_parts];
+        // Vertices are visited in id order, so every part's replica list is
+        // built ascending.
+        let mut replicas: Vec<Vec<(VertexId, u32)>> = vec![Vec::new(); num_parts];
         for v in 0..graph.num_vertices() {
             let counts = &incidence[v];
             if counts.is_empty() {
                 // Isolated vertex: master it deterministically.
                 let part = v % num_parts;
                 master_of[v] = part;
-                replicas[part].push(v as VertexId);
+                replicas[part].push((v as VertexId, 0));
                 parts[part].masters.push(v as VertexId);
                 continue;
             }
@@ -108,20 +117,22 @@ impl Partitioning {
             }
             master_of[v] = best_part;
             parts[best_part].masters.push(v as VertexId);
-            for &part in counts.keys() {
-                replicas[part].push(v as VertexId);
+            for (&part, &count) in counts {
+                replicas[part].push((v as VertexId, count as u32));
             }
         }
-        for (part, mut verts) in replicas.into_iter().enumerate() {
-            verts.sort_unstable();
-            parts[part].vertices = verts;
-            parts[part].masters.sort_unstable();
+        let mut incidence = Vec::with_capacity(num_parts);
+        for (part, replicas) in parts.iter_mut().zip(replicas) {
+            let (vertices, counts) = replicas.into_iter().unzip();
+            part.vertices = vertices;
+            incidence.push(counts);
         }
         Ok(Self {
             num_vertices: graph.num_vertices(),
             edge_assignment,
             master_of,
             parts,
+            incidence,
         })
     }
 
@@ -185,16 +196,18 @@ impl Partitioning {
         max as f64 / mean
     }
 
-    /// Extends the partitioning in place with one resolved mutation batch.
+    /// Updates the partitioning in place with one resolved mutation batch.
     ///
     /// New vertices are mastered like isolated ones (`v % num_parts`); a new
     /// edge lands on the master part of its source, replicating its
     /// endpoints there if needed.  Removed edges compact the edge id space
     /// exactly as [`PropertyGraph::apply_mutations`] does, and every part's
-    /// edge list stays in ascending (global) id order.  Replicas are never
-    /// retired — a vertex that loses its last edge on a part keeps its
-    /// replica there, which keeps the mapping a strict extension of the
-    /// pre-mutation placement.
+    /// edge list stays in ascending (global) id order.  A replica that loses
+    /// its last local edge is retired unless its part is the vertex's
+    /// master, so [`PartInfo::vertices`] keeps listing exactly the endpoints
+    /// of the part's edges plus its masters, and the replication factor
+    /// follows the graph instead of the mutation history.  Masters never
+    /// move.
     ///
     /// # Panics
     /// Panics if `delta` was resolved against a different shape than this
@@ -216,9 +229,39 @@ impl Partitioning {
             // New ids are the largest, so pushing keeps these lists sorted.
             self.parts[part].masters.push(v);
             self.parts[part].vertices.push(v);
+            self.incidence[part].push(0);
             self.num_vertices += 1;
         }
         if !delta.removed_edges.is_empty() {
+            let mut orphaned = vec![false; num_parts];
+            for &(edge_id, src, dst) in &delta.removed_edges {
+                let part = self.edge_assignment[edge_id];
+                for v in [src, dst] {
+                    let position = self.parts[part]
+                        .vertices
+                        .binary_search(&v)
+                        .expect("an edge's part replicates its endpoints");
+                    let count = &mut self.incidence[part][position];
+                    *count -= 1;
+                    orphaned[part] |= *count == 0 && self.master_of[v as usize] != part;
+                }
+            }
+            for part in (0..num_parts).filter(|&part| orphaned[part]) {
+                // Compact the replica list and its counts in step.
+                let (vertices, counts) =
+                    (&mut self.parts[part].vertices, &mut self.incidence[part]);
+                let mut kept = 0;
+                for i in 0..vertices.len() {
+                    let v = vertices[i];
+                    if counts[i] > 0 || self.master_of[v as usize] == part {
+                        vertices[kept] = v;
+                        counts[kept] = counts[i];
+                        kept += 1;
+                    }
+                }
+                vertices.truncate(kept);
+                counts.truncate(kept);
+            }
             let removed: Vec<EdgeId> = delta.removed_edges.iter().map(|&(id, _, _)| id).collect();
             let mut cut = removed.iter().copied().peekable();
             let mut id = 0usize;
@@ -244,9 +287,14 @@ impl Partitioning {
             self.edge_assignment.push(part);
             self.parts[part].edges.push(new_id);
             for v in [edge.src, edge.dst] {
-                let vertices = &mut self.parts[part].vertices;
-                if let Err(pos) = vertices.binary_search(&v) {
-                    vertices.insert(pos, v);
+                let (vertices, counts) =
+                    (&mut self.parts[part].vertices, &mut self.incidence[part]);
+                match vertices.binary_search(&v) {
+                    Ok(position) => counts[position] += 1,
+                    Err(position) => {
+                        vertices.insert(position, v);
+                        counts.insert(position, 1);
+                    }
                 }
             }
         }

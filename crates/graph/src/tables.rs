@@ -91,6 +91,17 @@ impl<V> VertexTable<V> {
         }
     }
 
+    /// Drops every row `keep` rejects.  The survivors keep their relative
+    /// order and take the dense local ids `0..len` again, so every local id
+    /// held outside the table is invalidated.
+    pub fn retain(&mut self, mut keep: impl FnMut(&VertexRow<V>) -> bool) {
+        self.rows.retain(|row| keep(row));
+        self.index = LocalIdMap::with_capacity(self.rows.len());
+        for row in &self.rows {
+            self.index.insert(row.id);
+        }
+    }
+
     /// The dense local id of `id`, if the vertex is stored locally.
     #[inline]
     pub fn local_of(&self, id: VertexId) -> Option<u32> {
@@ -313,6 +324,20 @@ mod tests {
         assert_eq!(t.len(), 4);
         assert_eq!(t.get(3).unwrap().attr, 9.0);
         assert!(t.get(10).is_none());
+    }
+
+    #[test]
+    fn retained_rows_take_dense_local_ids_again() {
+        let mut t = VertexTable::new();
+        for (id, attr) in [(9, 1.0), (4, 2.0), (6, 3.0), (2, 4.0)] {
+            t.upsert(id, attr, id == 4);
+        }
+        t.retain(|row| row.id != 4 && row.id != 2);
+        assert_eq!(t.len(), 2);
+        assert_eq!((t.local_of(9), t.local_of(6)), (Some(0), Some(1)));
+        assert_eq!((t.local_of(4), t.local_of(2)), (None, None));
+        assert_eq!(t.row_at(1).attr, 3.0);
+        assert_eq!(t.global_of(1), 6);
     }
 
     #[test]

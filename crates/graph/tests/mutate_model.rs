@@ -5,11 +5,16 @@
 //! mutated graph must be **identical** to a graph built from scratch from the
 //! reference's edge list — edge table, both CSR indices and vertex
 //! attributes — which is exactly the invariant the deployed in-place data
-//! path (per-node CSR absorption, local-id growth) is built on.
+//! path (per-node CSR absorption, local-id growth) is built on.  A
+//! [`Partitioning`] absorbs the same deltas and must keep listing, per part,
+//! exactly the endpoints of its edges plus its masters: a replica retires
+//! with its last local edge.
 
 use gxplug_graph::mutate::{MutationBatch, MutationLog};
+use gxplug_graph::partition::{HashEdgePartitioner, Partitioner, Partitioning};
 use gxplug_graph::{EdgeList, PropertyGraph};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// One generated op: `(code, a, b)` interpreted against the evolving shape.
 type RawOp = (u8, u32, u32);
@@ -123,11 +128,37 @@ fn interpret_batch(
     true
 }
 
+/// Every part lists exactly the endpoints of its edges plus the vertices it
+/// masters, every vertex has one master, and the edge lists cover the graph.
+fn check_replicas(graph: &PropertyGraph<f64, f64>, partitioning: &Partitioning) {
+    prop_assert_eq!(partitioning.num_vertices(), graph.num_vertices());
+    let mut covered = 0;
+    for (part, info) in partitioning.parts().iter().enumerate() {
+        let mut want: BTreeSet<u32> = info.masters.iter().copied().collect();
+        for &edge in &info.edges {
+            prop_assert_eq!(partitioning.part_of_edge(edge), part);
+            let edge = graph.edge(edge);
+            want.extend([edge.src, edge.dst]);
+        }
+        covered += info.edges.len();
+        let listed: Vec<u32> = want.into_iter().collect();
+        prop_assert_eq!(&info.vertices, &listed, "part {}", part);
+        for &v in &info.masters {
+            prop_assert_eq!(partitioning.master_of(v), part);
+        }
+    }
+    prop_assert_eq!(covered, graph.num_edges());
+    let masters: usize = partitioning.parts().iter().map(|p| p.masters.len()).sum();
+    prop_assert_eq!(masters, graph.num_vertices());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// Replaying a random mutation log in place keeps the graph identical to
-    /// a from-scratch build of the reference model after every batch.
+    /// a from-scratch build of the reference model after every batch, and
+    /// keeps a partitioning's replicas exactly those its edges and masters
+    /// need.
     #[test]
     fn mutation_log_replay_matches_from_scratch_reference(
         num_vertices in 2usize..16,
@@ -149,6 +180,10 @@ proptest! {
             ));
         }
         let mut graph = reference.build_from_scratch();
+        let mut partitioning = HashEdgePartitioner::new(u64::from(num_vertices as u32))
+            .partition(&graph, 3)
+            .unwrap();
+        check_replicas(&graph, &partitioning);
         let mut log = MutationLog::new(
             graph.num_vertices(),
             graph.edges().iter().map(|e| (e.src, e.dst)),
@@ -163,6 +198,8 @@ proptest! {
             applied += 1;
             prop_assert_eq!(delta.version, applied);
             graph.apply_mutations(&delta);
+            partitioning.apply_mutations(&delta);
+            check_replicas(&graph, &partitioning);
 
             // The in-place graph, the log's shadow shape and the from-scratch
             // rebuild all agree exactly.

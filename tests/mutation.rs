@@ -20,7 +20,10 @@
 //! service's first job must be replayed into the worker's freshly built
 //! cluster before it runs.  A fourth pins that the incremental path is
 //! *taken*: counted in triplets, not wall time, a refresh after a small
-//! insert-only batch does at most half the work of a full rerun.
+//! insert-only batch does at most half the work of a full rerun, and one
+//! after a batch that retires edges (the trimmed refresh) at most a quarter.
+//! A fifth pins that retiring edges retires the replicas they orphan, so
+//! the replication factor does not drift under churn.
 
 use gx_plug::prelude::*;
 use std::sync::Arc;
@@ -231,6 +234,61 @@ fn mutated_service_sssp_incremental_recompute_matches_rebuilt_service() {
         assert!(incremental.values[new_vertex as usize]
             .iter()
             .any(|d| d.is_finite()));
+
+        // The runs over sources {1, 3} replaced the warm state: one more
+        // insert and a run make the paper's sources warm again.
+        let rewarm = service
+            .apply_mutations(&MutationBatch::new().add_edge(5, 6, 1.5))
+            .unwrap();
+        let warm = service.submit(algorithm.clone()).unwrap().wait().unwrap();
+        let (warm_graph, warm_partitioning) = rebuild(&mutated_graph, &extended, &rewarm);
+        // Then a batch retires tight edges — ones some converged distance
+        // came through — and adds others: the trimmed refresh re-derives
+        // what they carried, through the erased `SharedAlgorithm` the
+        // service runs, and still lands on the rebuild's bits.
+        // The farthest heads carry the least downstream, so the trim stays
+        // smaller than a cold run.
+        let farthest = |d: &Vec<f64>| {
+            d.iter()
+                .copied()
+                .filter(|x| x.is_finite())
+                .fold(0.0, f64::max)
+        };
+        let mut tight: Vec<usize> = (warm_graph.edges().iter().enumerate())
+            .filter(|(_, e)| {
+                let (src, dst) = (&warm.values[e.src as usize], &warm.values[e.dst as usize]);
+                src.iter()
+                    .zip(dst)
+                    .any(|(s, d)| d.is_finite() && *d == s + e.attr)
+            })
+            .map(|(id, _)| id)
+            .collect();
+        tight.sort_by(|&a, &b| {
+            let head = |id: usize| farthest(&warm.values[warm_graph.edge(id).dst as usize]);
+            head(b).total_cmp(&head(a)).then(a.cmp(&b))
+        });
+        tight.truncate(12);
+        assert_eq!(tight.len(), 12);
+        let retire = tight
+            .iter()
+            .fold(MutationBatch::new(), |batch, &edge| batch.remove_edge(edge))
+            .add_edge(3, 11, 2.5)
+            .add_edge(new_vertex, 1, 0.75);
+        let retired = service.apply_mutations(&retire).unwrap();
+        let trimmed = service.submit(algorithm.clone()).unwrap().wait().unwrap();
+        assert!(trimmed.report.converged);
+        let (retired_graph, retiring) = rebuild(&warm_graph, &warm_partitioning, &retired);
+        let fresh = service_over(&retired_graph, &retiring, mode);
+        let reference = fresh.submit(algorithm.clone()).unwrap().wait().unwrap();
+        assert_eq!(
+            sssp_bits(&trimmed.values),
+            sssp_bits(&reference.values),
+            "trimmed refresh diverged from rebuild in {mode:?}"
+        );
+        assert!(
+            trimmed.report.total_triplets() < reference.report.total_triplets(),
+            "the removal batch was not refreshed incrementally in {mode:?}"
+        );
     }
 }
 
@@ -336,6 +394,192 @@ fn insert_only_refresh_does_at_most_half_the_work_of_a_full_rerun() {
             2 * warm <= cold,
             "refresh processed {warm} triplets, full rerun {cold}, in {mode:?}: \
              the incremental path was not taken"
+        );
+    }
+}
+
+/// `count` edges at scrambled but fixed endpoints, keyed by `salt`, with the
+/// weights the benchmark's churn uses.
+fn scrambled_inserts(
+    mut batch: MutationBatch<Vec<f64>, f64>,
+    num_vertices: usize,
+    count: usize,
+    salt: u64,
+) -> MutationBatch<Vec<f64>, f64> {
+    let n = num_vertices as u64;
+    for i in 0..count {
+        let x = gx_plug::ipc::key::splitmix64(salt.wrapping_mul(1_000_003) + i as u64);
+        let (src, dst) = ((x % n) as VertexId, ((x >> 32) % n) as VertexId);
+        batch = batch.add_edge(src, dst, 0.5 + (i % 7) as f64);
+    }
+    batch
+}
+
+#[test]
+fn removal_refresh_does_at_most_a_quarter_of_the_work_of_a_full_rerun() {
+    let list = Rmat::new(12, 8.0).generate(42);
+    let graph = PropertyGraph::from_edge_list(list, Vec::new()).unwrap();
+    let partitioning = GreedyVertexCutPartitioner::default()
+        .partition(&graph, 2)
+        .unwrap();
+    // Seven insert-only batches of 0.1 % of the edges, then one that retires
+    // everything they inserted and inserts a fresh 0.1 %: the shape of the
+    // benchmark's churn.
+    let per_batch = graph.num_edges() / 1_000;
+    let mut log = MutationLog::new(
+        graph.num_vertices(),
+        graph.edges().iter().map(|e| (e.src, e.dst)),
+    );
+    let mut deltas = Vec::new();
+    for salt in 0..7 {
+        let batch = scrambled_inserts(MutationBatch::new(), graph.num_vertices(), per_batch, salt);
+        deltas.push(log.append(&batch).unwrap());
+    }
+    let retire = (graph.num_edges()..log.num_edges())
+        .fold(MutationBatch::new(), |batch, edge| batch.remove_edge(edge));
+    let retire = scrambled_inserts(retire, graph.num_vertices(), per_batch, 7);
+    let last = log.append(&retire).unwrap();
+    assert_eq!(last.removed_edges.len(), 7 * per_batch);
+    let algorithm = MultiSourceSssp::paper_default();
+    let bits = |values: &[Vec<f64>]| -> Vec<Vec<u64>> {
+        values
+            .iter()
+            .map(|d| d.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    };
+
+    for mode in [ExecutionMode::Serial, ExecutionMode::Threaded] {
+        let deploy = || {
+            SessionBuilder::new(&graph)
+                .partitioned_by(partitioning.clone())
+                .devices(mixed_devices(partitioning.num_parts()))
+                .config(MiddlewareConfig::default().with_execution(mode))
+                .dataset("rmat")
+                .max_iterations(100)
+                .build()
+                .unwrap()
+        };
+        let (mut incremental, mut full) = (deploy(), deploy());
+        assert!(incremental.run(&algorithm).unwrap().report.converged);
+        for delta in &deltas {
+            incremental.apply_mutations(delta);
+            assert!(incremental.run(&algorithm).unwrap().report.converged);
+            full.apply_mutations(delta);
+        }
+        incremental.apply_mutations(&last);
+        full.apply_mutations(&last);
+        full.forget_warm_state();
+        let refresh = incremental.run(&algorithm).unwrap();
+        let rerun = full.run(&algorithm).unwrap();
+
+        assert_eq!(
+            bits(&refresh.values),
+            bits(&rerun.values),
+            "trimmed refresh diverged from the full rerun in {mode:?}"
+        );
+        let (warm, cold) = (
+            refresh.report.total_triplets(),
+            rerun.report.total_triplets(),
+        );
+        assert!(
+            4 * warm <= cold,
+            "refresh processed {warm} triplets, full rerun {cold}, in {mode:?}: \
+             the removal was not trimmed"
+        );
+    }
+}
+
+#[test]
+fn replication_factor_stays_flat_under_churn() {
+    // The benchmark's churn on rmat-10 over 4 nodes: every round inserts
+    // 0.1 % of the edges, every 8th also retires what the rounds since the
+    // last retirement inserted, so the graph keeps its size.  Replicas the
+    // retirements orphan must go with them.
+    const ROUNDS: u64 = 1_000;
+    const RETIRE_EVERY: u64 = 8;
+    let list = Rmat::new(10, 8.0).generate(5);
+    let graph = PropertyGraph::from_edge_list(list, Vec::new()).unwrap();
+    let partitioning = GreedyVertexCutPartitioner::default()
+        .partition(&graph, 4)
+        .unwrap();
+    let start = partitioning.replication_factor();
+    let per_batch = graph.num_edges() / 1_000;
+    let algorithm = MultiSourceSssp::paper_default();
+    let build = |graph: &PropertyGraph<Vec<f64>, f64>, partitioning: &Partitioning| {
+        Cluster::build(
+            graph,
+            partitioning.clone(),
+            &algorithm,
+            RuntimeProfile::powergraph(),
+            NetworkModel::datacenter(),
+        )
+    };
+    let bits = |values: Vec<Vec<f64>>| -> Vec<Vec<u64>> {
+        values
+            .into_iter()
+            .map(|d| d.into_iter().map(f64::to_bits).collect())
+            .collect()
+    };
+
+    for mode in [ExecutionMode::Serial, ExecutionMode::Threaded] {
+        let mut log = MutationLog::new(
+            graph.num_vertices(),
+            graph.edges().iter().map(|e| (e.src, e.dst)),
+        );
+        let (mut mutated, mut churned) = (graph.clone(), partitioning.clone());
+        let mut cluster = build(&graph, &partitioning);
+        assert!(
+            cluster
+                .run_native_mode(&algorithm, "rmat", 1_000, mode)
+                .converged
+        );
+        let mut scope = MutationScope::new();
+        let mut inserted = 0;
+        for round in 1..=ROUNDS {
+            let mut batch = MutationBatch::new();
+            let retire = round % RETIRE_EVERY == 0;
+            if retire {
+                for edge in log.num_edges() - inserted..log.num_edges() {
+                    batch = batch.remove_edge(edge);
+                }
+                inserted = 0;
+            }
+            let batch = scrambled_inserts(batch, graph.num_vertices(), per_batch, round);
+            inserted += per_batch;
+            let delta = log.append(&batch).unwrap();
+            mutated.apply_mutations(&delta);
+            churned.apply_mutations(&delta);
+            cluster.apply_mutations(&delta);
+            scope.absorb(&delta);
+            if retire {
+                // Refresh from the warm values after every retirement.
+                let seed = GraphAlgorithm::rescope(&algorithm, &scope).expect("no detaches");
+                cluster.seed_incremental(&algorithm, &seed, &scope.added_vertices);
+                scope.clear();
+                assert!(
+                    cluster
+                        .run_native_mode(&algorithm, "rmat", 1_000, mode)
+                        .converged
+                );
+            }
+        }
+        assert_eq!(mutated.num_edges(), graph.num_edges() + inserted);
+        let factor = churned.replication_factor();
+        assert!(
+            (factor - start).abs() <= 0.05,
+            "replication factor drifted from {start:.3} to {factor:.3} in {mode:?}"
+        );
+        // The deployment holds exactly the replicas the partitioning lists.
+        let rows: usize = cluster.nodes().iter().map(|node| node.num_vertices()).sum();
+        assert_eq!(rows as f64 / graph.num_vertices() as f64, factor);
+        assert_eq!(cluster.partitioning(), &churned);
+        // And the last refresh (round 1 000 retires) is a rebuild's answer,
+        // bit for bit.
+        let mut rebuilt = build(&mutated, &churned);
+        rebuilt.run_native_mode(&algorithm, "rmat", 1_000, mode);
+        assert_eq!(
+            bits(cluster.collect_values()),
+            bits(rebuilt.collect_values())
         );
     }
 }
