@@ -101,8 +101,8 @@ pub use metrics::AgentStats;
 pub use pipeline::{BlockSizeChoice, LemmaCase, PipelineCoefficients};
 pub use runtime::{RuntimeError, ThreadedAgent, ThreadedNodes};
 pub use service::{
-    AdmissionPolicy, CachePolicy, GraphService, JobOptions, JobPriority, JobStatus, JobTicket,
-    ServiceBuilder, ServiceError, ServiceStats, StatsSnapshot,
+    CachePolicy, GraphService, JobOptions, JobPriority, JobStatus, JobTicket, ServiceBuilder,
+    ServiceError, ServiceStats, StatsSnapshot,
 };
 pub use session::{
     system_label, RunOutcome, RunOverrides, Session, SessionBuilder, SessionError, SessionSpec,

@@ -17,9 +17,9 @@
 //!   with [`JobTicket::cancel`].  The handle is cheap to clone and `Send +
 //!   Sync`, so any number of threads submit concurrently.
 //! * **Typed backpressure** — the queue is bounded (`queue_depth`).
-//!   [`GraphService::try_submit`] never blocks and reports
-//!   [`ServiceError::QueueFull`]; `submit` follows the configured
-//!   [`AdmissionPolicy`] (block for space, or behave like `try_submit`).
+//!   [`GraphService::submit`] parks the caller until a slot frees up;
+//!   [`GraphService::try_submit`] never parks and reports
+//!   [`ServiceError::QueueFull`] instead.
 //! * **Priority lanes** — [`GraphService::submit_with`] takes
 //!   [`JobOptions`]: a [`JobPriority`] lane plus per-job
 //!   [`RunOverrides`]-style knobs (`max_iterations`, `config_override`)
@@ -73,6 +73,18 @@
 //!
 //! Both serve answers bit-identical to a fresh run — the `determinism`
 //! integration test proves it for both execution modes.
+//!
+//! # Locks
+//!
+//! The backlog — the three lanes, the `open`/`abort` flags and the count
+//! of parked submitters — is one `Mutex<Backlog>` with two condvars: `work`
+//! wakes workers, `space` wakes submitters parked on a full queue.  A submit takes it once (admit and
+//! push), a worker once per flight (pop the leader, sweep its duplicates).
+//! The lock order is `backlog → stats`: a submit counts `submitted` before
+//! the push, so no snapshot shows more executed jobs than submitted ones.
+//! `cache`, `mutations` and `stopped` are never taken while `backlog` is
+//! held, and no job is dropped under it (a job may own the last service
+//! handle, whose drop stops the service).
 
 use crate::config::{MiddlewareConfig, PipelineMode};
 use crate::session::{RunOutcome, RunOverrides, Session, SessionError, SessionSpec};
@@ -80,11 +92,11 @@ use gxplug_engine::template::{DynAlgorithm, GraphAlgorithm, SharedAlgorithm};
 use gxplug_graph::graph::PropertyGraph;
 use gxplug_graph::mutate::{MutationBatch, MutationError, MutationLog, ResolvedMutation};
 use gxplug_ipc::oneshot::{oneshot, resolved, OneshotReceiver, OneshotSender};
-use gxplug_ipc::queue::{sync_queue, QueueReceiver, QueueRecvError, QueueSender};
+use gxplug_ipc::queue::QueueRecvError;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
@@ -205,23 +217,11 @@ impl JobOptions {
     }
 }
 
-/// What [`GraphService::submit`] does when the queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionPolicy {
-    /// Block the submitting thread until a slot frees up (or the service
-    /// shuts down).  [`GraphService::try_submit`] still never blocks.
-    #[default]
-    Block,
-    /// Reject immediately with [`ServiceError::QueueFull`] — `submit`
-    /// behaves exactly like `try_submit`.
-    Reject,
-}
-
 /// Errors of the job-service API.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
     /// The bounded queue is at `queue_depth` and the call does not block
-    /// (either [`GraphService::try_submit`] or [`AdmissionPolicy::Reject`]).
+    /// ([`GraphService::try_submit`]).
     QueueFull,
     /// The service has been shut down; no further jobs are accepted.
     ShutDown,
@@ -341,6 +341,14 @@ impl JobCell {
             STATE_RUNNING => JobStatus::Running,
             STATE_CANCELLED => JobStatus::Cancelled,
             _ => JobStatus::Finished,
+        }
+    }
+
+    /// What a ticket whose result slot is gone resolves to.
+    fn unresolved(&self) -> ServiceError {
+        match self.status() {
+            JobStatus::Cancelled => ServiceError::Cancelled,
+            _ => ServiceError::Lost,
         }
     }
 }
@@ -515,10 +523,7 @@ impl<V: Clone> ResultCache<V> {
     /// [`ErasedJob::outcome_sizer`]); outcomes larger than the whole byte
     /// budget are not stored.
     fn store(&mut self, key: Arc<JobKey>, outcome: &RunOutcome<V>, version: u64, bytes: usize) {
-        if self.capacity == 0 {
-            return;
-        }
-        if bytes > self.byte_budget {
+        if self.capacity == 0 || bytes > self.byte_budget {
             return;
         }
         let position = self.entries.iter().position(|entry| entry.key == key);
@@ -607,10 +612,7 @@ impl<V> JobTicket<V> {
     pub fn wait(self) -> JobResult<V> {
         match self.reply.recv() {
             Ok(result) => result,
-            Err(_) => match self.cell.status() {
-                JobStatus::Cancelled => Err(ServiceError::Cancelled),
-                _ => Err(ServiceError::Lost),
-            },
+            Err(_) => Err(self.cell.unresolved()),
         }
     }
 
@@ -630,10 +632,7 @@ impl<V> JobTicket<V> {
         match self.reply.recv_deadline(deadline) {
             Ok(result) => Some(result),
             Err(QueueRecvError::Timeout) | Err(QueueRecvError::Empty) => None,
-            Err(QueueRecvError::Disconnected) => Some(match self.cell.status() {
-                JobStatus::Cancelled => Err(ServiceError::Cancelled),
-                _ => Err(ServiceError::Lost),
-            }),
+            Err(QueueRecvError::Disconnected) => Some(Err(self.cell.unresolved())),
         }
     }
 
@@ -644,19 +643,31 @@ impl<V> JobTicket<V> {
         match self.reply.try_recv() {
             Ok(result) => Some(result),
             Err(QueueRecvError::Empty) => None,
-            Err(_) => Some(match self.cell.status() {
-                JobStatus::Cancelled => Err(ServiceError::Cancelled),
-                _ => Err(ServiceError::Lost),
-            }),
+            Err(_) => Some(Err(self.cell.unresolved())),
         }
     }
 }
 
-/// Admission bookkeeping: how many jobs are queued (not yet claimed by a
-/// worker) and whether submissions are still accepted.
-struct Gate {
-    queued: usize,
+/// Every queued job, by lane, and whether jobs are still accepted.  A job
+/// leaves its lane when a worker claims it, which frees its queue slot.
+struct Backlog<V, E> {
+    /// The priority lanes, highest first; FIFO within each.
+    lanes: [VecDeque<JobEnvelope<V, E>>; LANES],
+    /// Whether submissions are still accepted.
     open: bool,
+    /// Set by [`GraphService::abort`]: workers cancel queued jobs instead of
+    /// running them.
+    abort: bool,
+    /// Submitters parked on a full queue: a claim signals `space` only
+    /// when one is.
+    parked: usize,
+}
+
+impl<V, E> Backlog<V, E> {
+    /// Jobs queued and not yet claimed by a worker.
+    fn queued(&self) -> usize {
+        self.lanes.iter().map(VecDeque::len).sum()
+    }
 }
 
 /// Internal counters behind [`ServiceStats`].
@@ -859,38 +870,6 @@ impl ServiceStats {
     pub fn cache_hit_percentile(&self, q: f64) -> Option<Duration> {
         percentile(self.recent_hits.iter().copied(), q)
     }
-
-    /// Condenses this (already consistent) stats report into the compact
-    /// [`StatsSnapshot`] form, pre-computing the standard percentiles.  When
-    /// the sample vectors themselves are not needed, prefer
-    /// [`GraphService::stats_snapshot`], which builds the snapshot without
-    /// cloning them at all.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            submitted: self.submitted,
-            completed: self.completed,
-            failed: self.failed,
-            cancelled: self.cancelled,
-            panicked: self.panicked,
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
-            coalesced_jobs: self.coalesced_jobs,
-            queued: self.queued,
-            running: self.running,
-            worker_sessions: self.worker_sessions,
-            queue_wait_total: self.queue_wait_total,
-            queue_wait_max: self.queue_wait_max,
-            run_wall_total: self.run_wall_total,
-            run_wall_max: self.run_wall_max,
-            wait_p50: self.queue_wait_percentile(0.50),
-            wait_p90: self.queue_wait_percentile(0.90),
-            wait_p99: self.queue_wait_percentile(0.99),
-            wall_p50: self.run_wall_percentile(0.50),
-            wall_p90: self.run_wall_percentile(0.90),
-            wall_p99: self.run_wall_percentile(0.99),
-            hit_p50: self.cache_hit_percentile(0.50),
-        }
-    }
 }
 
 /// A compact, lock-consistent point-in-time view of a service's counters
@@ -975,19 +954,13 @@ fn percentile(samples: impl Iterator<Item = Duration>, q: f64) -> Option<Duratio
 
 /// State shared between the handles and the scheduler workers.
 struct ServiceShared<V, E> {
-    /// The receiving side of the priority lanes (highest first).  Workers
-    /// poll these with `try_recv`; blocking happens on the doorbell.
-    lanes: [QueueReceiver<JobEnvelope<V, E>>; LANES],
-    gate: Mutex<Gate>,
-    /// Signalled whenever a queue slot frees up (and on shutdown), waking
-    /// blocked submitters.
+    backlog: Mutex<Backlog<V, E>>,
+    /// Wakes parked workers: one per push, all on shutdown.
+    work: Condvar,
+    /// Wakes submitters parked on a full queue: as slots free, and on shutdown.
     space: Condvar,
     queue_depth: usize,
-    policy: AdmissionPolicy,
     worker_sessions: usize,
-    /// Set by [`GraphService::abort`]: workers cancel queued jobs instead of
-    /// running them.
-    abort: AtomicBool,
     running: AtomicUsize,
     next_id: AtomicU64,
     stats: Mutex<StatsInner>,
@@ -1012,26 +985,9 @@ struct ServiceShared<V, E> {
     default_max_iterations: usize,
 }
 
-impl<V, E> ServiceShared<V, E> {
-    /// Frees one admission slot and wakes a blocked submitter.
-    fn release_slot(&self) {
-        lock(&self.gate).queued -= 1;
-        self.space.notify_one();
-    }
-}
-
-/// The sending side of the lanes plus the doorbell.  Dropping it (on
-/// shutdown) is what ends the worker loops once the backlog drains.
-struct SubmitSide<V, E> {
-    lanes: [QueueSender<JobEnvelope<V, E>>; LANES],
-    doorbell: QueueSender<()>,
-}
-
 /// The shared owner every [`GraphService`] clone points at.
 struct ServiceInner<V, E> {
     shared: Arc<ServiceShared<V, E>>,
-    /// `None` once the service is shut down.
-    submit: Mutex<Option<SubmitSide<V, E>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     /// Thread ids of the scheduler workers, fixed at build time: `stop`
     /// consults it to recognise re-entrant teardown from inside a job.
@@ -1052,16 +1008,15 @@ impl<V, E> ServiceInner<V, E> {
     /// joined, which forfeits the stronger "all workers torn down before
     /// return" guarantee only for that re-entrant caller.
     fn stop(&self, abort: bool) {
-        if abort {
-            self.shared.abort.store(true, Ordering::SeqCst);
+        {
+            let mut backlog = lock(&self.shared.backlog);
+            backlog.open = false;
+            backlog.abort |= abort;
         }
-        lock(&self.shared.gate).open = false;
-        // Blocked submitters must observe the closed gate.
+        // Parked submitters must observe the close; parked workers drain the
+        // backlog and then exit.
         self.shared.space.notify_all();
-        // Dropping the doorbell sender lets every worker drain the remaining
-        // tokens (one per accepted job) and then observe the disconnect.
-        let side = lock(&self.submit).take();
-        drop(side);
+        self.shared.work.notify_all();
         let current = thread::current().id();
         let workers = std::mem::take(&mut *lock(&self.workers));
         if workers.is_empty() {
@@ -1084,7 +1039,7 @@ impl<V, E> ServiceInner<V, E> {
             if worker.thread().id() == current {
                 // Re-entrant stop from inside a job on this very worker:
                 // joining our own thread would deadlock.  Detach it — the
-                // loop is already doomed (doorbell dropped) and exits after
+                // loop is already doomed (admission closed) and exits after
                 // the drain.
                 drop(worker);
             } else {
@@ -1127,7 +1082,7 @@ impl<V, E> fmt::Debug for GraphService<V, E> {
         f.debug_struct("GraphService")
             .field("worker_sessions", &shared.worker_sessions)
             .field("queue_depth", &shared.queue_depth)
-            .field("queued", &lock(&shared.gate).queued)
+            .field("queued", &lock(&shared.backlog).queued())
             .field("running", &shared.running.load(Ordering::Relaxed))
             .finish()
     }
@@ -1144,12 +1099,12 @@ where
         ServiceBuilder::new(graph)
     }
 
-    /// Submits a job at normal priority, honouring the configured
-    /// [`AdmissionPolicy`] when the queue is full.
+    /// Submits a job at normal priority, parking the caller while the queue
+    /// is full.
     ///
     /// # Errors
-    /// [`ServiceError::QueueFull`] (under [`AdmissionPolicy::Reject`]) or
-    /// [`ServiceError::ShutDown`].
+    /// [`ServiceError::ShutDown`], also when the service shuts down while
+    /// the caller is parked.
     pub fn submit<A>(&self, algorithm: A) -> Result<JobTicket<V>, ServiceError>
     where
         A: GraphAlgorithm<V, E> + 'static,
@@ -1170,12 +1125,11 @@ where
     where
         A: GraphAlgorithm<V, E> + 'static,
     {
-        let blocking = self.inner.shared.policy == AdmissionPolicy::Block;
-        self.enqueue(Box::new(AlgorithmJob(algorithm)), options, blocking)
+        self.enqueue(Box::new(AlgorithmJob(algorithm)), options, true)
     }
 
     /// Non-blocking submission: returns [`ServiceError::QueueFull`] instead
-    /// of ever waiting for a slot, regardless of the admission policy.
+    /// of ever waiting for a slot.
     ///
     /// # Errors
     /// [`ServiceError::QueueFull`] or [`ServiceError::ShutDown`].
@@ -1253,7 +1207,7 @@ where
                     Some(outcome) => {
                         // A hit still honours shutdown: a closed service
                         // serves nothing, not even cached answers.
-                        if !lock(&shared.gate).open {
+                        if !lock(&shared.backlog).open {
                             return Err(ServiceError::ShutDown);
                         }
                         let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
@@ -1261,7 +1215,7 @@ where
                         cell.finish();
                         lock(&shared.stats).record_hit(looked_up.elapsed());
                         // The ticket resolves through an already-fired slot:
-                        // no queue slot, no doorbell, no worker.
+                        // no queue slot, no worker.
                         return Ok(JobTicket {
                             id,
                             cell,
@@ -1272,66 +1226,47 @@ where
                 }
             }
         }
-        // Admission: claim a queue slot (or fail with typed backpressure).
-        {
-            let mut gate = lock(&shared.gate);
-            loop {
-                if !gate.open {
-                    return Err(ServiceError::ShutDown);
-                }
-                if gate.queued < shared.queue_depth {
-                    gate.queued += 1;
-                    break;
-                }
-                if !blocking {
-                    return Err(ServiceError::QueueFull);
-                }
-                gate = shared
-                    .space
-                    .wait(gate)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-        let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
         let cell = Arc::new(JobCell::new());
-        let (reply_tx, reply_rx) = oneshot();
-        let envelope = JobEnvelope {
+        let (reply, ticket_reply) = oneshot();
+        // Admission and push under one acquisition: a concurrent shutdown
+        // either sees this job (and drains it) or this call sees the close.
+        let mut backlog = lock(&shared.backlog);
+        loop {
+            if !backlog.open {
+                return Err(ServiceError::ShutDown);
+            }
+            if backlog.queued() < shared.queue_depth {
+                break;
+            }
+            if !blocking {
+                return Err(ServiceError::QueueFull);
+            }
+            backlog.parked += 1;
+            backlog = shared
+                .space
+                .wait(backlog)
+                .unwrap_or_else(PoisonError::into_inner);
+            backlog.parked -= 1;
+        }
+        // Counted before the push: a worker can claim and finish the job the
+        // moment it is queued, and a stats snapshot must never show more
+        // executed jobs than submitted ones.
+        lock(&shared.stats).submitted += 1;
+        backlog.lanes[options.priority.lane()].push_back(JobEnvelope {
             cell: Arc::clone(&cell),
-            reply: reply_tx,
+            reply,
             submitted: Instant::now(),
             overrides: options.overrides(),
             key,
             policy: options.cache,
             job,
-        };
-        // Enqueue under the submit lock so a concurrent shutdown either sees
-        // this envelope (and drains it) or this call sees the shutdown.
-        {
-            let submit = lock(&self.inner.submit);
-            let Some(side) = submit.as_ref() else {
-                drop(submit);
-                shared.release_slot();
-                return Err(ServiceError::ShutDown);
-            };
-            // Count the submission *before* the doorbell rings: a worker can
-            // claim and finish the job the moment it is enqueued, and a
-            // stats snapshot must never show more executed jobs than
-            // submitted ones.
-            lock(&shared.stats).submitted += 1;
-            // The lane receivers live in `shared`, which outlives the
-            // workers, so these sends cannot fail while the side exists.
-            if side.lanes[options.priority.lane()].send(envelope).is_err() {
-                lock(&shared.stats).submitted -= 1;
-                drop(submit);
-                shared.release_slot();
-                return Err(ServiceError::ShutDown);
-            }
-            let _ = side.doorbell.send(());
-        }
+        });
+        drop(backlog);
+        shared.work.notify_one();
         Ok(JobTicket {
-            id,
+            id: shared.next_id.fetch_add(1, Ordering::Relaxed),
             cell,
-            reply: reply_rx,
+            reply: ticket_reply,
         })
     }
 
@@ -1345,7 +1280,7 @@ where
     /// (`executed() <= submitted`, always).
     pub fn stats(&self) -> ServiceStats {
         let shared = &self.inner.shared;
-        let queued = lock(&shared.gate).queued;
+        let queued = lock(&shared.backlog).queued();
         let running = shared.running.load(Ordering::Relaxed);
         let stats = lock(&shared.stats);
         ServiceStats {
@@ -1378,7 +1313,7 @@ where
     /// [`GraphService::stats`].
     pub fn stats_snapshot(&self) -> StatsSnapshot {
         let shared = &self.inner.shared;
-        let queued = lock(&shared.gate).queued;
+        let queued = lock(&shared.backlog).queued();
         let running = shared.running.load(Ordering::Relaxed);
         lock(&shared.stats).snapshot(queued, running, shared.worker_sessions)
     }
@@ -1467,7 +1402,7 @@ where
 
     /// Whether the service still accepts submissions.
     pub fn is_open(&self) -> bool {
-        lock(&self.inner.shared.gate).open
+        lock(&self.inner.shared.backlog).open
     }
 
     /// Shuts the service down, **draining** the queue: submissions are
@@ -1487,37 +1422,48 @@ where
     }
 }
 
-/// Claims one dequeued envelope: frees its admission slot, measures its
-/// queue wait and marks it running.  An envelope its caller cancelled (or
-/// that an abort voids) resolves [`ServiceError::Cancelled`] here instead.
-fn claim<V, E>(
-    shared: &ServiceShared<V, E>,
-    envelope: JobEnvelope<V, E>,
-) -> Option<(JobEnvelope<V, E>, Duration)> {
-    shared.release_slot();
-    let queue_wait = envelope.submitted.elapsed();
-    if shared.abort.load(Ordering::SeqCst) || !envelope.cell.begin_running() {
-        envelope.cell.cancel();
-        lock(&shared.stats).cancelled += 1;
-        let _ = envelope.reply.send(Err(ServiceError::Cancelled));
-        return None;
+impl<V, E> ServiceShared<V, E> {
+    /// Parks until a job is queued, then takes the oldest job of the highest
+    /// non-empty lane — and, when it is a keyed `UseOrFill` job, every queued
+    /// same-key `UseOrFill` duplicate, lanes highest first, FIFO within each
+    /// — in one acquisition.  Returns them leader first, with the abort
+    /// flag; `None` once the service is closed and the backlog has drained.
+    fn take_flight(&self) -> Option<(Vec<JobEnvelope<V, E>>, bool)> {
+        let mut backlog = lock(&self.backlog);
+        let leader = loop {
+            if let Some(leader) = backlog.lanes.iter_mut().find_map(VecDeque::pop_front) {
+                break leader;
+            }
+            if !backlog.open {
+                return None;
+            }
+            backlog = self
+                .work
+                .wait(backlog)
+                .unwrap_or_else(PoisonError::into_inner);
+        };
+        let coalescing = leader.policy == CachePolicy::UseOrFill;
+        let sweep = leader.key.clone().filter(|_| coalescing);
+        let mut taken = vec![leader];
+        if let Some(key) = sweep {
+            for lane in &mut backlog.lanes {
+                let (swept, kept): (VecDeque<_>, VecDeque<_>) =
+                    std::mem::take(lane).into_iter().partition(|peer| {
+                        peer.policy == CachePolicy::UseOrFill && peer.key.as_ref() == Some(&key)
+                    });
+                *lane = kept;
+                taken.extend(swept);
+            }
+        }
+        if backlog.parked > 0 {
+            self.space.notify_all();
+        }
+        Some((taken, backlog.abort))
     }
-    Some((envelope, queue_wait))
-}
-
-/// How a claimed job rides in its flight.
-#[derive(Clone, Copy)]
-enum Role {
-    /// The job the worker popped; the flight's run is its run.
-    Leader,
-    /// A queued same-key `UseOrFill` duplicate of the leader: it takes the
-    /// leader's result.
-    Coalesced,
 }
 
 /// The ticket side of one flight member.
 struct Member<V> {
-    role: Role,
     cell: Arc<JobCell>,
     reply: OneshotSender<JobResult<V>>,
     queue_wait: Duration,
@@ -1531,52 +1477,47 @@ struct Flight<V, E> {
     /// The key the run's result fills: the leader's, `None` for uncacheable
     /// jobs and `Bypass` submissions.
     key: Option<Arc<JobKey>>,
-    /// The leader first, then the coalesced duplicates in sweep order.
+    /// The leader first, then the coalesced duplicates in sweep order: each
+    /// takes the leader's result.
     members: Vec<Member<V>>,
 }
 
 impl<V, E> Flight<V, E> {
-    /// Claims `leader` and assembles its flight in one sweep per lane
-    /// (highest first): the sweep takes every queued same-key `UseOrFill`
-    /// duplicate of a keyed `UseOrFill` leader.  `None` if the leader was
-    /// cancelled.
-    fn assemble(shared: &ServiceShared<V, E>, leader: JobEnvelope<V, E>) -> Option<Self> {
-        let (leader, queue_wait) = claim(shared, leader)?;
-        let mut flight = Flight {
-            job: leader.job,
-            overrides: leader.overrides,
-            key: leader.key,
-            members: vec![Member {
-                role: Role::Leader,
-                cell: leader.cell,
-                reply: leader.reply,
-                queue_wait,
-            }],
-        };
-        let Some(duplicate_key) = flight
-            .key
-            .clone()
-            .filter(|_| leader.policy == CachePolicy::UseOrFill)
-        else {
-            return Some(flight);
-        };
-        for lane in &shared.lanes {
-            let swept = lane.drain_matching(|peer| {
-                peer.policy == CachePolicy::UseOrFill && peer.key.as_ref() == Some(&duplicate_key)
-            });
-            for envelope in swept {
-                let Some((envelope, queue_wait)) = claim(shared, envelope) else {
-                    continue;
-                };
-                flight.members.push(Member {
-                    role: Role::Coalesced,
-                    cell: envelope.cell,
-                    reply: envelope.reply,
-                    queue_wait,
-                });
+    /// Claims the jobs [`ServiceShared::take_flight`] took — measures each
+    /// one's queue wait and marks it running, or resolves it
+    /// [`ServiceError::Cancelled`] if its caller cancelled it or an abort
+    /// voids it — and assembles their flight: the first claimed job leads,
+    /// the rest are its duplicates.  `None` if every job was cancelled.
+    fn assemble(
+        shared: &ServiceShared<V, E>,
+        taken: Vec<JobEnvelope<V, E>>,
+        abort: bool,
+    ) -> Option<Self> {
+        let mut claimed = taken.into_iter().filter_map(|envelope| {
+            let queue_wait = envelope.submitted.elapsed();
+            if abort || !envelope.cell.begin_running() {
+                envelope.cell.cancel();
+                lock(&shared.stats).cancelled += 1;
+                let _ = envelope.reply.send(Err(ServiceError::Cancelled));
+                return None;
             }
-        }
-        Some(flight)
+            let member = Member {
+                cell: envelope.cell,
+                reply: envelope.reply,
+                queue_wait,
+            };
+            Some((envelope.job, envelope.overrides, envelope.key, member))
+        });
+        let (job, overrides, key, leader) = claimed.next()?;
+        let members = std::iter::once(leader)
+            .chain(claimed.map(|(.., member)| member))
+            .collect();
+        Some(Flight {
+            job,
+            overrides,
+            key,
+            members,
+        })
     }
 }
 
@@ -1586,7 +1527,7 @@ impl<V, E> Flight<V, E> {
 /// `sizer` is the leader's [`ErasedJob::outcome_sizer`].
 fn land<V: Clone, E>(
     shared: &ServiceShared<V, E>,
-    mut members: Vec<Member<V>>,
+    members: Vec<Member<V>>,
     key: Option<Arc<JobKey>>,
     result: Option<Result<RunOutcome<V>, SessionError>>,
     run_wall: Duration,
@@ -1600,7 +1541,7 @@ fn land<V: Clone, E>(
     if let (Ok(outcome), Some(key)) = (&result, key) {
         lock(&shared.cache).store(key, outcome, version, sizer(outcome));
     }
-    let resolve = |member: Member<V>, result: JobResult<V>| {
+    let resolve = |member: Member<V>, leader: bool, result: JobResult<V>| {
         member.cell.finish();
         {
             let mut stats = lock(&shared.stats);
@@ -1610,20 +1551,22 @@ fn land<V: Clone, E>(
                 Err(ServiceError::JobPanicked) => stats.panicked += 1,
                 Err(_) => stats.failed += 1,
             }
-            match member.role {
-                Role::Leader => stats.record_wall(run_wall),
-                Role::Coalesced => stats.coalesced_jobs += 1,
+            if leader {
+                stats.record_wall(run_wall);
+            } else {
+                stats.coalesced_jobs += 1;
             }
         }
         let _ = member.reply.send(result);
     };
     // Every member but the last gets a copy; the last takes the original.
-    let last = members.pop();
-    for member in members {
-        resolve(member, result.clone());
+    let mut members = members.into_iter().enumerate();
+    let last = members.next_back();
+    for (index, member) in members {
+        resolve(member, index == 0, result.clone());
     }
-    if let Some(member) = last {
-        resolve(member, result);
+    if let Some((index, member)) = last {
+        resolve(member, index == 0, result);
     }
 }
 
@@ -1632,7 +1575,6 @@ fn worker_loop<V, E>(
     graph: Arc<PropertyGraph<V, E>>,
     spec: SessionSpec,
     shared: Arc<ServiceShared<V, E>>,
-    doorbell: QueueReceiver<()>,
 ) where
     V: Clone + PartialEq + Send + Sync + 'static,
     E: Clone + Send + Sync + 'static,
@@ -1646,19 +1588,13 @@ fn worker_loop<V, E>(
     // redeployed (post-panic) session starts from zero and replays the whole
     // log before its next job.
     let mut mutations_applied = 0usize;
-    // One doorbell token per accepted job: when the doorbell reports
-    // disconnected, the backlog is fully drained and the service is shutting
-    // down.  Tokens are not bound to specific jobs — each wake-up claims the
-    // highest-priority envelope available.  Coalescing leaves surplus tokens
-    // behind; a wake-up that finds no envelope just parks again.
-    while doorbell.recv().is_ok() {
+    while let Some((taken, abort)) = shared.take_flight() {
         let Some(Flight {
             job,
             overrides,
             key,
             members,
-        }) = pop_highest_priority(&shared.lanes)
-            .and_then(|leader| Flight::assemble(&shared, leader))
+        }) = Flight::assemble(&shared, taken, abort)
         else {
             continue;
         };
@@ -1698,22 +1634,9 @@ fn worker_loop<V, E>(
     // `session` drops here: the worker's daemons disconnect with it.
 }
 
-/// Claims the highest-priority queued envelope, if any.
-fn pop_highest_priority<V, E>(
-    lanes: &[QueueReceiver<JobEnvelope<V, E>>; LANES],
-) -> Option<JobEnvelope<V, E>> {
-    for lane in lanes {
-        match lane.try_recv() {
-            Ok(envelope) => return Some(envelope),
-            Err(_) => continue,
-        }
-    }
-    None
-}
-
 /// Fluent description of a [`GraphService`]: a deployment spec (the same
 /// knobs as [`SessionBuilder`](crate::SessionBuilder)) plus the service's
-/// own knobs — pool size, queue depth, admission policy.
+/// own knobs — pool size, queue depth and the result cache's bounds.
 ///
 /// The graph is shared (`Arc`) rather than borrowed because the worker
 /// sessions live on scheduler threads that outlive the builder's scope.  An
@@ -1726,7 +1649,6 @@ pub struct ServiceBuilder<V, E> {
     spec: SessionSpec,
     worker_sessions: usize,
     queue_depth: usize,
-    admission: AdmissionPolicy,
     cache_capacity: usize,
     cache_bytes: usize,
 }
@@ -1745,8 +1667,8 @@ where
     V: Clone + PartialEq + Send + Sync + 'static,
     E: Clone + Send + Sync + 'static,
 {
-    /// Starts describing a service over `graph` with one worker session, a
-    /// queue depth of [`DEFAULT_QUEUE_DEPTH`] and [`AdmissionPolicy::Block`].
+    /// Starts describing a service over `graph` with one worker session and
+    /// a queue depth of [`DEFAULT_QUEUE_DEPTH`].
     pub fn new(graph: Arc<PropertyGraph<V, E>>) -> Self {
         Self::from_spec(graph, SessionSpec::default())
     }
@@ -1759,7 +1681,6 @@ where
             spec,
             worker_sessions: 1,
             queue_depth: DEFAULT_QUEUE_DEPTH,
-            admission: AdmissionPolicy::default(),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             cache_bytes: DEFAULT_CACHE_BYTES,
         }
@@ -1823,17 +1744,10 @@ where
     }
 
     /// Capacity of the bounded job queue (≥ 1; default
-    /// [`DEFAULT_QUEUE_DEPTH`]).  Submissions beyond it hit the
-    /// [`AdmissionPolicy`].
+    /// [`DEFAULT_QUEUE_DEPTH`]).  Beyond it [`GraphService::submit`] parks
+    /// and [`GraphService::try_submit`] reports [`ServiceError::QueueFull`].
     pub fn queue_depth(mut self, queue_depth: usize) -> Self {
         self.queue_depth = queue_depth.max(1);
-        self
-    }
-
-    /// What [`GraphService::submit`] does when the queue is full (default:
-    /// [`AdmissionPolicy::Block`]).
-    pub fn admission(mut self, admission: AdmissionPolicy) -> Self {
-        self.admission = admission;
         self
     }
 
@@ -1871,25 +1785,17 @@ where
     /// cannot be built from a deployment a session could not be built from.
     pub fn build(self) -> Result<GraphService<V, E>, SessionError> {
         self.spec.validate()?;
-        let (lane_txs, lane_rxs): (Vec<_>, Vec<_>) = (0..LANES).map(|_| sync_queue()).unzip();
-        let lane_rxs: [QueueReceiver<JobEnvelope<V, E>>; LANES] = lane_rxs
-            .try_into()
-            .unwrap_or_else(|_| unreachable!("exactly {LANES} lanes are created"));
-        let lane_txs: [QueueSender<JobEnvelope<V, E>>; LANES] = lane_txs
-            .try_into()
-            .unwrap_or_else(|_| unreachable!("exactly {LANES} lanes are created"));
-        let (doorbell_tx, doorbell_rx) = sync_queue::<()>();
         let shared = Arc::new(ServiceShared {
-            lanes: lane_rxs,
-            gate: Mutex::new(Gate {
-                queued: 0,
+            backlog: Mutex::new(Backlog {
+                lanes: Default::default(),
                 open: true,
+                abort: false,
+                parked: 0,
             }),
+            work: Condvar::new(),
             space: Condvar::new(),
             queue_depth: self.queue_depth,
-            policy: self.admission,
             worker_sessions: self.worker_sessions,
-            abort: AtomicBool::new(false),
             running: AtomicUsize::new(0),
             next_id: AtomicU64::new(0),
             stats: Mutex::new(StatsInner::new()),
@@ -1907,22 +1813,16 @@ where
                 let graph = Arc::clone(&self.graph);
                 let spec = self.spec.clone();
                 let shared = Arc::clone(&shared);
-                let doorbell = doorbell_rx.clone();
                 thread::Builder::new()
                     .name(format!("gxplug-service-{index}"))
-                    .spawn(move || worker_loop(graph, spec, shared, doorbell))
+                    .spawn(move || worker_loop(graph, spec, shared))
                     .expect("spawning a scheduler worker thread")
             })
             .collect();
-        drop(doorbell_rx);
         let worker_ids = workers.iter().map(|worker| worker.thread().id()).collect();
         Ok(GraphService {
             inner: Arc::new(ServiceInner {
                 shared,
-                submit: Mutex::new(Some(SubmitSide {
-                    lanes: lane_txs,
-                    doorbell: doorbell_tx,
-                })),
                 workers: Mutex::new(workers),
                 worker_ids,
                 stopped: Mutex::new(false),
@@ -1941,8 +1841,9 @@ mod tests {
     use gxplug_graph::generators::{Generator, Rmat};
     use gxplug_graph::partition::{GreedyVertexCutPartitioner, Partitioner};
     use gxplug_graph::types::{Triplet, VertexId};
+    use std::sync::atomic::AtomicBool;
     use std::sync::Once;
-    use std::thread;
+    use std::thread::{self, JoinHandle};
 
     /// Single-source SSSP over f64 vertices (the module's workhorse job).
     #[derive(Clone)]
@@ -2132,7 +2033,6 @@ mod tests {
         graph: &Arc<PropertyGraph<f64, f64>>,
         workers: usize,
         queue_depth: usize,
-        admission: AdmissionPolicy,
     ) -> GraphService<f64, f64> {
         let parts = 2;
         let partitioning = GreedyVertexCutPartitioner::default()
@@ -2145,7 +2045,6 @@ mod tests {
             .max_iterations(200)
             .worker_sessions(workers)
             .queue_depth(queue_depth)
-            .admission(admission)
             .build()
             .unwrap()
     }
@@ -2159,7 +2058,7 @@ mod tests {
     #[test]
     fn submit_and_wait_roundtrip() {
         let graph = test_graph();
-        let service = small_service(&graph, 1, 16, AdmissionPolicy::Block);
+        let service = small_service(&graph, 1, 16);
         let ticket = service.submit(Sssp { sources: vec![0] }).unwrap();
         let outcome = ticket.wait().unwrap();
         assert!(outcome.report.converged);
@@ -2176,7 +2075,7 @@ mod tests {
     #[test]
     fn concurrent_submitters_share_the_pool() {
         let graph = test_graph();
-        let service = small_service(&graph, 2, 64, AdmissionPolicy::Block);
+        let service = small_service(&graph, 2, 64);
         let submitters: Vec<_> = (0..4u32)
             .map(|t| {
                 let service = service.clone();
@@ -2207,7 +2106,7 @@ mod tests {
         // never observe more executed jobs than submitted ones — the
         // counters all come from one stats-lock acquisition.
         let graph = test_graph();
-        let service = small_service(&graph, 2, 64, AdmissionPolicy::Block);
+        let service = small_service(&graph, 2, 64);
         let stop = Arc::new(AtomicBool::new(false));
         // Submissions start only once every scraper has scraped: on a fast
         // build the twelve jobs can otherwise finish before a scraper runs.
@@ -2275,10 +2174,8 @@ mod tests {
         assert_eq!(snap.executed(), 12);
         assert_eq!(snap.queued, 0);
         assert_eq!(snap.running, 0);
-        // The snapshot agrees with the heavyweight report, which also
-        // derives it.
+        // The snapshot's percentiles agree with the heavyweight report's.
         let stats = service.stats();
-        assert_eq!(stats.snapshot(), snap);
         assert_eq!(snap.wait_p50, stats.queue_wait_percentile(0.5));
         assert_eq!(snap.wall_p99, stats.run_wall_percentile(0.99));
     }
@@ -2286,7 +2183,7 @@ mod tests {
     #[test]
     fn wait_deadline_polls_then_delivers() {
         let graph = test_graph();
-        let service = small_service(&graph, 1, 16, AdmissionPolicy::Block);
+        let service = small_service(&graph, 1, 16);
         let gate = GateControl::default();
         let ticket = service
             .submit(GatedSssp {
@@ -2316,7 +2213,7 @@ mod tests {
     #[test]
     fn try_submit_reports_queue_full() {
         let graph = test_graph();
-        let service = small_service(&graph, 1, 1, AdmissionPolicy::Reject);
+        let service = small_service(&graph, 1, 1);
         let gate = GateControl::default();
         // Occupy the only worker...
         let busy = service
@@ -2332,13 +2229,9 @@ mod tests {
         }
         // ...fill the single queue slot...
         let queued = service.submit(Sssp { sources: vec![1] }).unwrap();
-        // ...and observe typed backpressure on both submission flavours.
+        // ...and observe typed backpressure.
         assert_eq!(
             service.try_submit(Sssp { sources: vec![2] }).unwrap_err(),
-            ServiceError::QueueFull
-        );
-        assert_eq!(
-            service.submit(Sssp { sources: vec![2] }).unwrap_err(),
             ServiceError::QueueFull
         );
         gate.release();
@@ -2346,10 +2239,163 @@ mod tests {
         assert!(queued.wait().unwrap().report.converged);
     }
 
+    /// Holds `service`'s only worker on a job gated by `gate`.
+    fn hold_worker(service: &GraphService<f64, f64>, gate: &GateControl) -> JobTicket<f64> {
+        let busy = service
+            .submit(GatedSssp {
+                inner: Sssp { sources: vec![0] },
+                gate: gate.clone(),
+            })
+            .unwrap();
+        while busy.status() == JobStatus::Queued {
+            thread::yield_now();
+        }
+        busy
+    }
+
+    /// Submits an SSSP job from a new thread and waits for the submitter to
+    /// park on the full queue; the flag says whether it did.
+    fn park_submitter(
+        service: &GraphService<f64, f64>,
+        source: u32,
+    ) -> (JoinHandle<Result<JobTicket<f64>, ServiceError>>, bool) {
+        let parked_now = || lock(&service.inner.shared.backlog).parked;
+        let parked_before = parked_now();
+        let submitter = {
+            let service = service.clone();
+            thread::spawn(move || {
+                service.submit(Sssp {
+                    sources: vec![source],
+                })
+            })
+        };
+        let parked = eventually(|| parked_now() > parked_before);
+        (submitter, parked)
+    }
+
+    /// Polls `done` for up to 30 s; whether it came true.
+    fn eventually(done: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !done() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
+    #[test]
+    fn a_parked_submitter_is_admitted_when_the_job_ahead_is_claimed() {
+        let graph = test_graph();
+        let service = small_service(&graph, 1, 1);
+        let gate = GateControl::default();
+        let busy = hold_worker(&service, &gate);
+        // A gated job takes the only slot; the next submitter parks.
+        let ahead_gate = GateControl::default();
+        let ahead = service
+            .submit(GatedSssp {
+                inner: Sssp { sources: vec![1] },
+                gate: ahead_gate.clone(),
+            })
+            .unwrap();
+        let (submitter, parked) = park_submitter(&service, 2);
+        // The worker finishes the busy job and claims the one ahead, which
+        // frees the slot while that job is still running.
+        gate.release();
+        let admitted = eventually(|| submitter.is_finished());
+        let ahead_running = ahead.status() == JobStatus::Running;
+        ahead_gate.release();
+        assert!(parked, "submit returned on a full queue");
+        assert!(admitted, "the claim did not admit the parked submitter");
+        assert!(ahead_running, "the slot freed only when the job finished");
+        let ticket = submitter.join().unwrap().unwrap();
+        assert!(ticket.wait().unwrap().report.converged);
+        assert!(busy.wait().is_ok());
+        assert!(ahead.wait().is_ok());
+        assert_eq!(service.stats().submitted, 3);
+    }
+
+    #[test]
+    fn a_flight_sweep_admits_every_submitter_its_slots_free() {
+        let graph = test_graph();
+        let service = small_service(&graph, 1, 2);
+        let gate = GateControl::default();
+        let busy = hold_worker(&service, &gate);
+        // A gated keyed leader and its duplicate fill the queue; two
+        // submitters park behind them.
+        let leader_gate = GateControl::default();
+        let leader = service
+            .submit(KeyedSssp {
+                gate: Some(leader_gate.clone()),
+                ..KeyedSssp::new(vec![3])
+            })
+            .unwrap();
+        let duplicate = service.submit(KeyedSssp::new(vec![3])).unwrap();
+        let parked: Vec<_> = (4..6).map(|s| park_submitter(&service, s)).collect();
+        // One claim takes the leader and sweeps its duplicate: both slots
+        // free while the flight is still running.
+        gate.release();
+        let admitted = eventually(|| parked.iter().all(|(s, _)| s.is_finished()));
+        let leader_running = leader.status() == JobStatus::Running;
+        leader_gate.release();
+        assert!(parked.iter().all(|(_, parked)| *parked));
+        assert!(admitted, "the sweep did not admit both parked submitters");
+        assert!(leader_running);
+        for (submitter, _) in parked {
+            assert!(submitter.join().unwrap().unwrap().wait().is_ok());
+        }
+        assert!(busy.wait().is_ok());
+        assert!(leader.wait().is_ok());
+        assert!(duplicate.wait().is_ok());
+        assert_eq!(service.stats().coalesced_jobs, 1);
+    }
+
+    #[test]
+    fn shutdown_and_abort_wake_parked_submitters() {
+        let graph = test_graph();
+        for abort in [false, true] {
+            let service = small_service(&graph, 1, 1);
+            let gate = GateControl::default();
+            let busy = hold_worker(&service, &gate);
+            let queued = service.submit(Sssp { sources: vec![1] }).unwrap();
+            let (submitter, parked) = park_submitter(&service, 2);
+            let stopper = {
+                let service = service.clone();
+                thread::spawn(move || {
+                    if abort {
+                        service.abort();
+                    } else {
+                        service.shutdown();
+                    }
+                })
+            };
+            // The close wakes the submitter while the worker is still held,
+            // so no slot has freed.
+            let woken = eventually(|| submitter.is_finished());
+            gate.release();
+            stopper.join().unwrap();
+            assert!(parked, "submit returned on a full queue");
+            assert!(woken, "stopping left the submitter parked");
+            assert_eq!(
+                submitter.join().unwrap().unwrap_err(),
+                ServiceError::ShutDown
+            );
+            assert!(busy.wait().is_ok());
+            let queued = queued.wait();
+            if abort {
+                assert!(matches!(queued, Err(ServiceError::Cancelled)));
+            } else {
+                assert!(queued.is_ok());
+            }
+            assert_eq!(service.stats().submitted, 2);
+        }
+    }
+
     #[test]
     fn cancel_skips_a_queued_job() {
         let graph = test_graph();
-        let service = small_service(&graph, 1, 8, AdmissionPolicy::Block);
+        let service = small_service(&graph, 1, 8);
         let gate = GateControl::default();
         let busy = service
             .submit(GatedSssp {
@@ -2376,7 +2422,7 @@ mod tests {
     #[test]
     fn high_priority_jobs_jump_the_queue() {
         let graph = test_graph();
-        let service = small_service(&graph, 1, 8, AdmissionPolicy::Block);
+        let service = small_service(&graph, 1, 8);
         let gate = GateControl::default();
         let log = Arc::new(Mutex::new(Vec::new()));
         let busy = service
@@ -2412,7 +2458,7 @@ mod tests {
     #[test]
     fn per_job_overrides_do_not_leak_between_jobs() {
         let graph = test_graph();
-        let service = small_service(&graph, 1, 8, AdmissionPolicy::Block);
+        let service = small_service(&graph, 1, 8);
         // A one-iteration budget cannot converge this SSSP...
         let capped = service
             .submit_with(
@@ -2458,7 +2504,7 @@ mod tests {
     #[test]
     fn shutdown_drains_the_backlog() {
         let graph = test_graph();
-        let service = small_service(&graph, 1, 32, AdmissionPolicy::Block);
+        let service = small_service(&graph, 1, 32);
         let tickets: Vec<_> = (0..6u32)
             .map(|i| service.submit(Sssp { sources: vec![i] }).unwrap())
             .collect();
@@ -2479,7 +2525,7 @@ mod tests {
     #[test]
     fn abort_cancels_the_backlog() {
         let graph = test_graph();
-        let service = small_service(&graph, 1, 32, AdmissionPolicy::Block);
+        let service = small_service(&graph, 1, 32);
         let gate = GateControl::default();
         let busy = service
             .submit(GatedSssp {
@@ -2516,7 +2562,7 @@ mod tests {
     #[test]
     fn panicking_job_resolves_its_ticket_and_the_service_recovers() {
         let graph = test_graph();
-        let service = small_service(&graph, 1, 8, AdmissionPolicy::Block);
+        let service = small_service(&graph, 1, 8);
         let panicked = service.submit(PanickingJob).unwrap().wait();
         assert!(matches!(panicked, Err(ServiceError::JobPanicked)));
         // The worker redeployed: the next job runs normally.
@@ -2534,7 +2580,7 @@ mod tests {
     #[test]
     fn a_panicked_flight_records_one_queue_wait_per_ticket() {
         let graph = test_graph();
-        let service = small_service(&graph, 1, 8, AdmissionPolicy::Block);
+        let service = small_service(&graph, 1, 8);
         let gate = GateControl::default();
         let busy = service
             .submit(GatedSssp {
@@ -2570,7 +2616,7 @@ mod tests {
         // Two different algorithm types with the same message type in one
         // queue: Sssp and GatedSssp behind `dyn DynAlgorithm<f64, f64, f64>`.
         let graph = test_graph();
-        let service = small_service(&graph, 1, 8, AdmissionPolicy::Block);
+        let service = small_service(&graph, 1, 8);
         let jobs: Vec<Arc<dyn DynAlgorithm<f64, f64, f64>>> = vec![
             Arc::new(Sssp { sources: vec![0] }),
             Arc::new(LoggedSssp::new(9, Arc::new(Mutex::new(Vec::new())))),
@@ -2672,7 +2718,7 @@ mod tests {
         // (joining your own thread deadlocks forever) — and the ticket must
         // still resolve.
         let graph = test_graph();
-        let service = small_service(&graph, 1, 8, AdmissionPolicy::Block);
+        let service = small_service(&graph, 1, 8);
         let ticket = service
             .submit(HandleOwner {
                 inner: Sssp { sources: vec![0] },
@@ -2689,7 +2735,7 @@ mod tests {
         // must return only once the backlog has drained — the loser waits
         // for the joiner instead of returning early.
         let graph = test_graph();
-        let service = small_service(&graph, 1, 32, AdmissionPolicy::Block);
+        let service = small_service(&graph, 1, 32);
         let gate = GateControl::default();
         let busy = service
             .submit(GatedSssp {
@@ -2728,7 +2774,7 @@ mod tests {
     fn dropping_the_last_handle_drains_and_joins() {
         let graph = test_graph();
         let tickets: Vec<_> = {
-            let service = small_service(&graph, 2, 16, AdmissionPolicy::Block);
+            let service = small_service(&graph, 2, 16);
             (0..4u32)
                 .map(|i| service.submit(Sssp { sources: vec![i] }).unwrap())
                 .collect()
@@ -2744,12 +2790,15 @@ mod tests {
     #[derive(Clone)]
     struct KeyedSssp {
         inner: Sssp,
+        /// When set, the run blocks on it like [`GatedSssp`]'s.
+        gate: Option<GateControl>,
     }
 
     impl KeyedSssp {
         fn new(sources: Vec<VertexId>) -> Self {
             Self {
                 inner: Sssp { sources },
+                gate: None,
             }
         }
     }
@@ -2765,6 +2814,9 @@ mod tests {
             i: usize,
             out: &mut Vec<AddressedMessage<f64>>,
         ) {
+            if let Some(gate) = &self.gate {
+                gate.wait_open();
+            }
             GraphAlgorithm::msg_gen_into(&self.inner, t, i, out)
         }
         fn msg_merge(&self, a: f64, b: f64) -> f64 {
@@ -2787,7 +2839,7 @@ mod tests {
     #[test]
     fn cache_hit_serves_the_identical_outcome_without_rerunning() {
         let graph = test_graph();
-        let service = small_service(&graph, 1, 8, AdmissionPolicy::Block);
+        let service = small_service(&graph, 1, 8);
         let fill = service
             .submit(KeyedSssp::new(vec![0]))
             .unwrap()
@@ -2817,7 +2869,7 @@ mod tests {
     #[test]
     fn bypass_skips_the_cache_and_refresh_overwrites_it() {
         let graph = test_graph();
-        let service = small_service(&graph, 1, 8, AdmissionPolicy::Block);
+        let service = small_service(&graph, 1, 8);
         // Bypass on an empty cache: no lookup, no store.
         service
             .submit_with(
@@ -2860,7 +2912,7 @@ mod tests {
     #[test]
     fn invalidation_and_clearing_force_fresh_runs() {
         let graph = test_graph();
-        let service = small_service(&graph, 1, 8, AdmissionPolicy::Block);
+        let service = small_service(&graph, 1, 8);
         service
             .submit(KeyedSssp::new(vec![0]))
             .unwrap()
@@ -2888,7 +2940,7 @@ mod tests {
     #[test]
     fn a_mutation_makes_the_duplicate_submit_a_cache_miss() {
         let graph = test_graph();
-        let service = small_service(&graph, 1, 8, AdmissionPolicy::Block);
+        let service = small_service(&graph, 1, 8);
         let before = service
             .submit(KeyedSssp::new(vec![0]))
             .unwrap()
@@ -3010,7 +3062,7 @@ mod tests {
     #[test]
     fn queued_duplicates_coalesce_into_a_single_run() {
         let graph = test_graph();
-        let service = small_service(&graph, 1, 16, AdmissionPolicy::Block);
+        let service = small_service(&graph, 1, 16);
         let gate = GateControl::default();
         let busy = service
             .submit(GatedSssp {

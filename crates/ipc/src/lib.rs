@@ -8,9 +8,9 @@
 //! * [`key`] — IPC keys, the `ftok`-style key generator and the `splitmix64`
 //!   mix it is built on;
 //! * [`queue`] — the `Send + Sync` Mutex/Condvar-backed MPMC queue the
-//!   node lane workers, the service lanes and the server's connection
-//!   hand-off are built on, with blocking, deadline and non-blocking receive
-//!   flavours and peer-disconnect detection;
+//!   node lane workers and the server's connection hand-off are built on,
+//!   with blocking, deadline and non-blocking receive flavours and
+//!   peer-disconnect detection;
 //! * [`oneshot`](mod@oneshot) — the exactly-once result slot job tickets park on;
 //! * [`blocks`] — the borrowed [`TripletBlockRef`] views of the zero-copy
 //!   pipeline;

@@ -1,5 +1,5 @@
-//! The cross-thread message queue under the threaded runtime, the job service
-//! and the socket front end.
+//! The cross-thread message queue under the threaded runtime and the socket
+//! front end.
 //!
 //! Large supersteps run their nodes on parked OS threads (§IV-C: agents and
 //! daemons "work as independent processes"), so the primitives connecting
@@ -8,13 +8,12 @@
 //! external dependencies, no spinning:
 //!
 //! * both endpoints are cloneable, so any number of producer and consumer
-//!   threads can share one queue (the node fan-out / service worker pattern);
+//!   threads can share one queue (the server's connection hand-off pattern);
 //! * receivers block on a condition variable and are woken per message;
 //! * [`QueueReceiver::recv_timeout`] provides real deadline semantics
 //!   (re-arming the wait after spurious wake-ups);
 //! * [`QueueReceiver::try_recv`] and the `len`/`is_empty` accessors on both
-//!   endpoints support non-blocking polling — the job-service scheduler
-//!   drains its priority lanes this way;
+//!   endpoints support non-blocking polling;
 //! * disconnection is tracked by endpoint counts: sends fail once every
 //!   receiver is gone, receives fail once every sender is gone *and* the
 //!   queue has drained.
@@ -255,32 +254,6 @@ impl<T> QueueReceiver<T> {
     /// Returns `true` if no message is queued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Removes and returns every queued message matching `predicate`, in
-    /// queue order, preserving the FIFO order of the messages left behind.
-    ///
-    /// The whole sweep happens under one lock acquisition, so no concurrent
-    /// consumer can observe (or steal) a matching message mid-drain — this
-    /// is the single-flight primitive of the job-service scheduler: a worker
-    /// that claimed a job drains the duplicates queued behind it atomically.
-    /// Messages sent after the call returns are unaffected.
-    pub fn drain_matching<F>(&self, mut predicate: F) -> Vec<T>
-    where
-        F: FnMut(&T) -> bool,
-    {
-        let mut state = self.shared.lock();
-        let mut drained = Vec::new();
-        let mut kept = VecDeque::with_capacity(state.items.len());
-        for item in state.items.drain(..) {
-            if predicate(&item) {
-                drained.push(item);
-            } else {
-                kept.push_back(item);
-            }
-        }
-        state.items = kept;
-        drained
     }
 }
 
@@ -548,9 +521,8 @@ mod tests {
 
     #[test]
     fn try_recv_polls_without_blocking() {
-        // The scheduler workers of the job service poll lanes in priority
-        // order; `try_recv` must distinguish "nothing pending right now"
-        // from "this lane will never produce again".
+        // `try_recv` must distinguish "nothing pending right now" from
+        // "this queue will never produce again".
         let (tx, rx) = sync_queue();
         assert_eq!(rx.try_recv(), Err(QueueRecvError::Empty));
         tx.send(1).unwrap();
@@ -634,54 +606,6 @@ mod tests {
             .flat_map(|c| c.join().unwrap())
             .collect();
         all.extend(poller.join().unwrap());
-        all.sort_unstable();
-        assert_eq!(all, (0..2_000).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn drain_matching_removes_matches_and_keeps_fifo_order() {
-        let (tx, rx) = sync_queue();
-        for i in 0..10u32 {
-            tx.send(i).unwrap();
-        }
-        let evens = rx.drain_matching(|v| v % 2 == 0);
-        assert_eq!(evens, vec![0, 2, 4, 6, 8]);
-        // The survivors keep their relative order and are still receivable.
-        let rest: Vec<u32> = (0..5).map(|_| rx.try_recv().unwrap()).collect();
-        assert_eq!(rest, vec![1, 3, 5, 7, 9]);
-        assert_eq!(rx.try_recv(), Err(QueueRecvError::Empty));
-        // An empty sweep is a no-op.
-        assert!(rx.drain_matching(|_: &u32| true).is_empty());
-    }
-
-    #[test]
-    fn drain_matching_is_atomic_against_concurrent_consumers() {
-        // Matching messages must go to the drainer or a consumer, never
-        // both, and every message must surface exactly once.
-        let (tx, rx) = sync_queue::<u32>();
-        for i in 0..2_000u32 {
-            tx.send(i).unwrap();
-        }
-        drop(tx);
-        let consumers: Vec<_> = (0..2)
-            .map(|_| {
-                let rx = rx.clone();
-                thread::spawn(move || {
-                    let mut seen = Vec::new();
-                    while let Ok(v) = rx.recv() {
-                        seen.push(v);
-                    }
-                    seen
-                })
-            })
-            .collect();
-        let drained = rx.drain_matching(|v| v % 3 == 0);
-        drop(rx);
-        let mut all: Vec<u32> = consumers
-            .into_iter()
-            .flat_map(|c| c.join().unwrap())
-            .collect();
-        all.extend(drained);
         all.sort_unstable();
         assert_eq!(all, (0..2_000).collect::<Vec<_>>());
     }

@@ -396,7 +396,7 @@ pub enum ServerError {
         /// The tenant's in-flight limit.
         limit: u32,
     },
-    /// The service queue is full and its admission policy rejects.
+    /// The service queue is full and the submission does not wait for a slot.
     QueueFull,
     /// The service is shutting down.
     ShutDown,

@@ -337,8 +337,8 @@ pub fn standard_registry() -> AlgorithmRegistry<ServeVertex, f64> {
 /// Builds the stock serving deployment [`standard_registry`] expects: an
 /// RMAT power-law graph of `2^scale` vertices, greedily vertex-cut over two
 /// nodes with one simulated V100 each, pooled worker sessions and a bounded
-/// queue with rejecting admission (the server must get `QueueFull` back, not
-/// park its handler threads).
+/// queue.  The server submits through `try_submit_with`, so a full queue
+/// answers `QueueFull` instead of parking a handler thread.
 ///
 /// The same helper backs `gxplug-serve`, the serving example and the e2e
 /// tests, so "direct" and "over the socket" runs are guaranteed to target
@@ -350,7 +350,6 @@ pub fn standard_service(
     queue_depth: usize,
 ) -> GraphService<ServeVertex, f64> {
     use gxplug_accel::presets::gpu_v100;
-    use gxplug_core::AdmissionPolicy;
     use gxplug_engine::RuntimeProfile;
     use gxplug_graph::generators::{Generator, Rmat};
     use gxplug_graph::partition::{GreedyVertexCutPartitioner, Partitioner};
@@ -374,7 +373,6 @@ pub fn standard_service(
         .max_iterations(200)
         .worker_sessions(worker_sessions)
         .queue_depth(queue_depth)
-        .admission(AdmissionPolicy::Reject)
         .build()
         .expect("a valid deployment")
 }

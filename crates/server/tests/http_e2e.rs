@@ -7,16 +7,19 @@
 //! auth, over-quota 429s that leave other tenants untouched, cancellation,
 //! the Prometheus exposition, and the WebSocket state stream.
 
-use gxplug_core::{CachePolicy, JobOptions};
+use gxplug_core::{CachePolicy, JobOptions, JobStatus};
+use gxplug_engine::template::{AddressedMessage, GraphAlgorithm};
+use gxplug_graph::types::{Triplet, VertexId};
 use gxplug_ipc::wire::{
     self, Frame, JobSpec, JobState, ServerError, WireJobOptions, WireMutationOp,
 };
 use gxplug_server::{
-    metrics, standard_registry, standard_service, ws, ServeRank, ServeReach, Server, ServerConfig,
-    Tenant, TenantQuota, TenantRegistry,
+    metrics, standard_registry, standard_service, ws, ServeRank, ServeReach, ServeVertex, Server,
+    ServerConfig, Tenant, TenantQuota, TenantRegistry,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Boots a server over the stock deployment.
@@ -242,13 +245,94 @@ fn socket_results_are_bit_identical_to_direct_submission() {
     server.shutdown();
 }
 
+/// A gate the test holds closed while a [`HeldRank`] occupies the worker.
+#[derive(Clone, Default)]
+struct Gate(Arc<(Mutex<bool>, Condvar)>);
+
+impl Gate {
+    fn open(&self) {
+        let (open, signal) = &*self.0;
+        *open.lock().unwrap() = true;
+        signal.notify_all();
+    }
+
+    fn wait_open(&self) {
+        let (open, signal) = &*self.0;
+        let mut open = open.lock().unwrap();
+        while !*open {
+            open = signal.wait(open).unwrap();
+        }
+    }
+}
+
+/// PageRank that blocks on a [`Gate`] before generating its first message,
+/// submitted in-process so the one worker is busy for as long as the test
+/// needs — however fast the build runs a real job.
+struct HeldRank {
+    inner: ServeRank,
+    gate: Gate,
+}
+
+impl GraphAlgorithm<ServeVertex, f64> for HeldRank {
+    type Msg = f64;
+    fn init_vertex(&self, v: VertexId, out_degree: usize) -> ServeVertex {
+        self.inner.init_vertex(v, out_degree)
+    }
+    fn msg_gen_into(
+        &self,
+        t: &Triplet<ServeVertex, f64>,
+        i: usize,
+        out: &mut Vec<AddressedMessage<f64>>,
+    ) {
+        self.gate.wait_open();
+        self.inner.msg_gen_into(t, i, out)
+    }
+    fn msg_merge(&self, a: f64, b: f64) -> f64 {
+        self.inner.msg_merge(a, b)
+    }
+    fn msg_apply(
+        &self,
+        v: VertexId,
+        current: &ServeVertex,
+        sum: &f64,
+        i: usize,
+    ) -> Option<ServeVertex> {
+        self.inner.msg_apply(v, current, sum, i)
+    }
+    fn max_iterations(&self) -> usize {
+        self.inner.max_iterations()
+    }
+    fn always_active(&self) -> bool {
+        self.inner.always_active()
+    }
+    fn name(&self) -> &'static str {
+        "held-pagerank"
+    }
+}
+
 #[test]
 fn over_quota_tenants_get_429_without_disturbing_others() {
-    // One worker, so a long-running job keeps the queue occupied.
+    // One worker, held by a gated in-process job, so the queue stays
+    // occupied: a real job over a rmat-7 graph can finish within one round
+    // trip on an optimised build, and burns's first job with it.
     let server = boot(7, 3, 1);
     let addr = server.local_addr();
+    let gate = Gate::default();
+    let held = server
+        .service()
+        .submit(HeldRank {
+            inner: ServeRank {
+                damping: 0.85,
+                iterations: 20,
+            },
+            gate: gate.clone(),
+        })
+        .expect("the holding job is accepted");
+    while held.status() == JobStatus::Queued {
+        std::thread::yield_now();
+    }
 
-    // acme holds the worker with a long PageRank...
+    // acme queues a long PageRank behind it...
     let long = JobSpec::new("pagerank").with_u64("iterations", 120);
     let a1 = submit(addr, "tok-a", long.clone(), bypass()).expect("acme accepted");
 
@@ -303,14 +387,15 @@ fn over_quota_tenants_get_429_without_disturbing_others() {
     );
     let (frame, _) = wire::decode(&body).expect("cancel response is a frame");
     assert!(status == 200, "cancel answered {status} with {frame:?}");
-    // ... and late polls of the cancelled job are a stored 409.
+    // ... and, once the worker is free to skip it, late polls of the
+    // cancelled job are a stored 409.
+    gate.open();
     let (status, frame) = poll_until_terminal(addr, "tok-b", b1);
     match frame {
         Frame::Error {
             error: ServerError::Cancelled,
             ..
         } => assert_eq!(status, 409),
-        Frame::Result(_) => {} // raced to completion before the cancel won
         other => panic!("unexpected terminal frame {other:?}"),
     }
 
@@ -332,7 +417,8 @@ fn over_quota_tenants_get_429_without_disturbing_others() {
     assert!(total("gxplug_jobs_submitted_total") >= 3.0);
     assert!(total("gxplug_tenant_jobs_rejected_total") >= 1.0);
 
-    // Drain the acme jobs so shutdown has nothing in flight.
+    // Drain the jobs so shutdown has nothing in flight.
+    assert!(held.wait().is_ok());
     for job in [a1, a2] {
         let (_, frame) = poll_until_terminal(addr, "tok-a", job);
         assert!(matches!(frame, Frame::Result(_)), "{frame:?}");

@@ -168,7 +168,6 @@ fn main() {
         .max_iterations(200)
         .worker_sessions(2)
         .queue_depth(32)
-        .admission(AdmissionPolicy::Block)
         .build()
         .expect("a valid deployment");
     println!(

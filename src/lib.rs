@@ -87,9 +87,9 @@ pub mod prelude {
     };
     pub use gxplug_baselines::{GunrockLike, LuxLike};
     pub use gxplug_core::{
-        balance_capacities, balance_partitioning, split_by_capacity, AdmissionPolicy, Agent,
-        CachePolicy, Daemon, ExecutionMode, GraphService, JobOptions, JobPriority, JobStatus,
-        JobTicket, MiddlewareConfig, PipelineCoefficients, PipelineMode, RunOutcome, RunOverrides,
+        balance_capacities, balance_partitioning, split_by_capacity, Agent, CachePolicy, Daemon,
+        ExecutionMode, GraphService, JobOptions, JobPriority, JobStatus, JobTicket,
+        MiddlewareConfig, PipelineCoefficients, PipelineMode, RunOutcome, RunOverrides,
         RuntimeError, ServiceBuilder, ServiceError, ServiceStats, Session, SessionBuilder,
         SessionError, SessionSpec,
     };
