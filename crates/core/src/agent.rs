@@ -49,11 +49,11 @@ use crate::pipeline::block_size::PipelineCoefficients;
 use crate::runtime::RuntimeError;
 use crate::sync_cache::VertexCache;
 use gxplug_accel::SimDuration;
-use gxplug_engine::cluster::NodeComputeOutput;
+use gxplug_engine::cluster::{DenseMerge, Merged, NodeComputeOutput};
 use gxplug_engine::node::NodeState;
 use gxplug_engine::profile::RuntimeProfile;
 use gxplug_engine::template::{AddressedMessage, GraphAlgorithm};
-use gxplug_graph::dense::{DenseSlots, FrontierSet};
+use gxplug_graph::dense::FrontierSet;
 use gxplug_graph::types::PartitionId;
 use gxplug_graph::view::TripletBuffer;
 use gxplug_ipc::blocks::TripletBlockRef;
@@ -111,11 +111,10 @@ fn gather_endpoints<V, E>(
     into.ensure_capacity(node.num_vertices());
     into.clear();
     for edge_id in edge_ids {
-        if let Some((src, dst)) = node.edge_endpoint_locals(edge_id) {
-            into.insert(rank[src as usize]);
-            if !sources_only {
-                into.insert(rank[dst as usize]);
-            }
+        let (src, dst) = node.edge_endpoint_locals(edge_id);
+        into.insert(rank[src as usize]);
+        if !sources_only {
+            into.insert(rank[dst as usize]);
         }
     }
 }
@@ -162,10 +161,7 @@ impl<V, E, M> AgentScratch<V, E, M> {
             block_msgs: Vec::new(),
             shares: Vec::with_capacity(num_daemons),
             share_runs: Vec::with_capacity(num_daemons),
-            merge: DenseMerge {
-                slots: DenseSlots::new(),
-                overflow: Vec::new(),
-            },
+            merge: DenseMerge::default(),
         }
     }
 }
@@ -407,84 +403,6 @@ where
     }
 }
 
-/// The output of [`DenseMerge::drain`].
-#[derive(Debug)]
-pub(crate) struct Merged<M> {
-    /// One message per target, in first-seen order, then the overflow.
-    pub messages: Vec<AddressedMessage<M>>,
-    /// How many of `messages` target a vertex not mastered on this node.
-    pub remote: usize,
-}
-
-/// The per-target `MSGMerge` of one iteration, through pooled dense slots
-/// keyed by the node's dense local ids — the hash-free sibling of the block
-/// buffer.  [`DenseMerge::begin`] resets it, [`DenseMerge::fold`] combines
-/// each block's messages as they come, and [`DenseMerge::drain`] hands the
-/// result over; zero steady-state allocation beyond the drained vector.
-#[derive(Debug)]
-pub(crate) struct DenseMerge<M> {
-    slots: DenseSlots<M>,
-    /// Messages whose target has no local replica (never produced by a sound
-    /// partitioning) — appended verbatim after the dense drain.
-    overflow: Vec<AddressedMessage<M>>,
-}
-
-impl<M> DenseMerge<M> {
-    /// Starts an iteration over a node of `num_vertices` local vertices (an
-    /// epoch bump, not a clear).
-    fn begin(&mut self, num_vertices: usize) {
-        self.slots.ensure_capacity(num_vertices);
-        self.slots.begin();
-        self.overflow.clear();
-    }
-
-    /// Folds `messages` in: targets are resolved to the node's dense local
-    /// ids and combined in arrival order (`msg_merge(existing, incoming)`).
-    /// Callers fold in daemon, then block, then triplet order, so the
-    /// per-target combine order — and with it every result — does not depend
-    /// on how many blocks a share ran in.  Targets without a local
-    /// replica pass through to the overflow: the cluster's synchronisation
-    /// folds them with the same left-to-right combine order either way.
-    fn fold<V, E, A>(
-        &mut self,
-        node: &NodeState<V, E>,
-        algorithm: &A,
-        messages: impl IntoIterator<Item = AddressedMessage<M>>,
-    ) where
-        A: GraphAlgorithm<V, E, Msg = M>,
-    {
-        let table = node.vertex_table();
-        for message in messages {
-            match table.local_of(message.target) {
-                Some(local) => self
-                    .slots
-                    .merge(local, message.payload, |existing, payload| {
-                        algorithm.msg_merge(existing, payload)
-                    }),
-                None => self.overflow.push(message),
-            }
-        }
-    }
-
-    /// Drains the merged messages in first-seen target order, then the
-    /// overflow, which counts as remote.
-    fn drain<V, E>(&mut self, node: &NodeState<V, E>) -> Merged<M> {
-        let table = node.vertex_table();
-        let slots = &mut self.slots;
-        let mut messages = Vec::with_capacity(slots.len() + self.overflow.len());
-        let mut remote = self.overflow.len();
-        for i in 0..slots.len() {
-            let local = slots.touched_at(i);
-            if let Some(payload) = slots.take(local) {
-                remote += usize::from(!table.row_at(local).is_master);
-                messages.push(AddressedMessage::new(table.global_of(local), payload));
-            }
-        }
-        messages.append(&mut self.overflow);
-        Merged { messages, remote }
-    }
-}
-
 /// The agent of one distributed node, bridging the upper system and the
 /// node's daemons.
 ///
@@ -630,9 +548,8 @@ where
             None => return Ok(NodeComputeOutput::idle()),
         };
         let node = &*node;
-        // Every active edge has both endpoints on the node, so the plan's
-        // edge count is the iteration's triplet count (each block's fill
-        // checks it in debug builds).
+        // Every local edge has both endpoints on the node, so each block's
+        // fill yields one triplet per id.
         let edge_ids = self.core.active_edge_ids();
         let scratch = &mut self.scratch;
         split_by_capacity_into(plan.d, &self.capacities, &mut scratch.shares);
@@ -658,11 +575,6 @@ where
                 } else {
                     node.fill_triplets(block_ids, &mut scratch.block)
                 };
-                debug_assert_eq!(
-                    triplets.len(),
-                    block_ids.len(),
-                    "an active edge lost an endpoint"
-                );
                 let block = TripletBlockRef { index, triplets };
                 let out = &mut scratch.block_msgs;
                 launch_block(daemon, algorithm, block, iteration, &mut staging, out)?;

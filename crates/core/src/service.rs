@@ -1784,7 +1784,7 @@ where
     /// [`SessionBuilder::build`](crate::SessionBuilder::build) — a service
     /// cannot be built from a deployment a session could not be built from.
     pub fn build(self) -> Result<GraphService<V, E>, SessionError> {
-        self.spec.validate()?;
+        self.spec.validate_for(&self.graph)?;
         let shared = Arc::new(ServiceShared {
             backlog: Mutex::new(Backlog {
                 lanes: Default::default(),

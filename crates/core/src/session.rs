@@ -80,6 +80,14 @@ pub enum SessionError {
     /// The builder was never given a partitioning
     /// ([`SessionBuilder::partitioned_by`]).
     MissingPartitioning,
+    /// The partitioning was made for another graph: its vertex or edge
+    /// count differs from the deployed graph's.
+    PartitioningMismatch {
+        /// `(vertices, edges)` of the deployed graph.
+        graph: (usize, usize),
+        /// `(vertices, edges)` the partitioning covers.
+        partitioning: (usize, usize),
+    },
     /// `devices_per_node` does not have exactly one device list per
     /// partition of the deployed graph.
     DeviceCountMismatch {
@@ -113,6 +121,14 @@ impl fmt::Display for SessionError {
                     "the session needs a partitioning (SessionBuilder::partitioned_by)"
                 )
             }
+            SessionError::PartitioningMismatch {
+                graph,
+                partitioning,
+            } => write!(
+                f,
+                "the partitioning covers {} vertices and {} edges but the graph has {} and {}",
+                partitioning.0, partitioning.1, graph.0, graph.1
+            ),
             SessionError::DeviceCountMismatch {
                 partitions,
                 device_lists,
@@ -270,13 +286,35 @@ impl SessionSpec {
         Ok(())
     }
 
+    /// [`SessionSpec::validate`], plus
+    /// [`SessionError::PartitioningMismatch`] unless the partitioning covers
+    /// exactly `graph`'s vertices and edges.
+    pub(crate) fn validate_for<V, E>(
+        &self,
+        graph: &PropertyGraph<V, E>,
+    ) -> Result<(), SessionError> {
+        self.validate()?;
+        let sizes = (graph.num_vertices(), graph.num_edges());
+        match &self.partitioning {
+            Some(p) if (p.num_vertices(), p.num_edges()) != sizes => {
+                Err(SessionError::PartitioningMismatch {
+                    graph: sizes,
+                    partitioning: (p.num_vertices(), p.num_edges()),
+                })
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Deploys a fresh [`Session`] of this shape against `graph`.
     ///
     /// Every call produces an independent deployment (its own daemons,
     /// cluster and pooled buffers); a job service calls this once per worker.
     ///
     /// # Errors
-    /// See [`SessionSpec::validate`].
+    /// See [`SessionSpec::validate`]; also
+    /// [`SessionError::PartitioningMismatch`] if the partitioning's vertex
+    /// or edge count differs from `graph`'s.
     pub fn build_session<'g, V, E>(
         &self,
         graph: &'g PropertyGraph<V, E>,
@@ -297,7 +335,7 @@ impl SessionSpec {
         V: Clone + PartialEq + Send + Sync,
         E: Clone + Send + Sync,
     {
-        self.validate()?;
+        self.validate_for(graph)?;
         let partitioning = self.partitioning.ok_or(SessionError::MissingPartitioning)?;
         let mut specs = self.devices;
         if let Some(backend) = self.backend {
@@ -485,6 +523,8 @@ where
     ///
     /// # Errors
     /// [`SessionError::MissingPartitioning`] without a partitioning;
+    /// [`SessionError::PartitioningMismatch`] if the partitioning's vertex or
+    /// edge count differs from the graph's;
     /// [`SessionError::DeviceCountMismatch`] if the number of device lists
     /// does not match the partition count; [`SessionError::EmptyDeviceList`]
     /// if some node of an accelerated deployment has no device.
@@ -1183,6 +1223,31 @@ mod tests {
             result.err().map(|e| e.to_string()),
             Some(SessionError::MissingPartitioning.to_string())
         );
+    }
+
+    #[test]
+    fn a_partitioning_of_another_graph_is_a_typed_error() {
+        let graph = Arc::new(test_graph());
+        // Fewer vertices, then as many vertices but fewer edges.
+        for list in [
+            Rmat::new(10, 8.0).generate(11),
+            Rmat::new(11, 4.0).generate(11),
+        ] {
+            let other = PropertyGraph::from_edge_list(list, f64::INFINITY).unwrap();
+            let expected = SessionError::PartitioningMismatch {
+                graph: (graph.num_vertices(), graph.num_edges()),
+                partitioning: (other.num_vertices(), other.num_edges()),
+            };
+            let session = SessionBuilder::new(&*graph)
+                .partitioned_by(partitioned(&other, 2))
+                .devices(gpus_per_node(2, 1))
+                .build();
+            assert_eq!(session.err(), Some(expected.clone()));
+            let service = crate::service::GraphService::builder(Arc::clone(&graph))
+                .partitioned_by(partitioned(&other, 2))
+                .build();
+            assert_eq!(service.err(), Some(expected));
+        }
     }
 
     #[test]

@@ -272,9 +272,6 @@ impl<M> SyncScratch<M> {
     }
 }
 
-/// [`SyncRoutes::owner`] of a vertex no node masters (a broken partitioning).
-const NO_OWNER: (u32, u32) = (u32::MAX, u32::MAX);
-
 /// The cluster's routing table over dense local ids: where each vertex's
 /// master row lives, and where each master row's mirrors live.
 ///
@@ -304,14 +301,17 @@ struct MirrorCsr {
 
 impl SyncRoutes {
     fn build<V, E>(nodes: &[NodeState<V, E>], num_vertices: usize) -> Self {
-        let mut owner = vec![NO_OWNER; num_vertices];
+        let mut owner = vec![(0, 0); num_vertices];
+        let mut masters = 0;
         for (node_id, node) in nodes.iter().enumerate() {
             for (local, row) in node.vertex_table().rows().enumerate() {
                 if row.is_master {
                     owner[row.id as usize] = (node_id as u32, local as u32);
+                    masters += 1;
                 }
             }
         }
+        assert_eq!(masters, num_vertices, "every vertex needs one master row");
         // Every mirror row as `(master local, (node, local), is source)`,
         // grouped by master node, in node order then local order.
         type Found = (u32, (u32, u32), bool);
@@ -319,7 +319,7 @@ impl SyncRoutes {
         for (node_id, node) in nodes.iter().enumerate() {
             for (local, row) in node.vertex_table().rows().enumerate() {
                 let (master, master_local) = owner[row.id as usize];
-                if !row.is_master && master != NO_OWNER.0 {
+                if !row.is_master {
                     let source = node.local_out_degree(local as u32) > 0;
                     found[master as usize].push((
                         master_local,
@@ -399,6 +399,23 @@ fn record_in_edge_placement<'a, E: 'a>(
     }
 }
 
+/// For every vertex, whether all of its in-edges lie on its master part, read
+/// from the node edge tables.
+fn in_edge_locality<V, E>(
+    nodes: &[NodeState<V, E>],
+    partitioning: &Partitioning,
+    num_vertices: usize,
+) -> Vec<bool> {
+    let mut in_local = vec![true; num_vertices];
+    record_in_edge_placement(
+        &mut in_local,
+        partitioning,
+        (nodes.iter().enumerate())
+            .flat_map(|(part, node)| node.edge_table().edges().iter().map(move |e| (part, e))),
+    );
+    in_local
+}
+
 /// Outcome of the synchronisation phase of one iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 struct SyncOutcome {
@@ -433,8 +450,19 @@ where
     V: Clone + PartialEq + Send + Sync,
     E: Clone + Send + Sync,
 {
-    /// Builds a cluster from a graph, a partitioning, and the algorithm whose
-    /// `init_vertex` seeds the vertex tables.
+    /// Builds a cluster from a graph, a partitioning of it, and the algorithm
+    /// whose `init_vertex` seeds the vertex tables: one
+    /// [`NodeState::build`] per part, then the routing table and the in-edge
+    /// locality flags, read from the nodes exactly as
+    /// [`Cluster::apply_mutations`] re-reads them.
+    ///
+    /// # Panics
+    /// Panics if `partitioning` does not partition `graph`: with "an
+    /// endpoint of a local edge is not a local vertex" when some part's edge
+    /// has an endpoint the part does not list, and with "every vertex needs
+    /// one master row" when some vertex has none.  A session or service
+    /// rejects a partitioning whose counts differ from the graph's with a
+    /// typed error before it gets here.
     pub fn build<A>(
         graph: &PropertyGraph<V, E>,
         partitioning: Partitioning,
@@ -450,16 +478,7 @@ where
             .map(|id| NodeState::build(id, graph, &partitioning, algorithm))
             .collect();
         let routes = SyncRoutes::build(&nodes, num_vertices);
-        let mut in_local = vec![true; num_vertices];
-        record_in_edge_placement(
-            &mut in_local,
-            &partitioning,
-            graph
-                .edges()
-                .iter()
-                .enumerate()
-                .map(|(edge_id, edge)| (partitioning.part_of_edge(edge_id), edge)),
-        );
+        let in_local = in_edge_locality(&nodes, &partitioning, num_vertices);
         Self {
             nodes,
             partitioning: Arc::new(partitioning),
@@ -648,7 +667,7 @@ where
         for (part, node) in self.nodes.iter_mut().enumerate() {
             node.apply_mutations(
                 &remove_positions[part],
-                &add_edges[part],
+                std::mem::take(&mut add_edges[part]),
                 &dropped[part],
                 std::mem::take(&mut upserts[part]),
                 &degree_adjust,
@@ -658,17 +677,7 @@ where
         // In-edge locality flags: inserts can only narrow them; a removal can
         // widen one, so removals recompute them from the node edge tables.
         if delta.has_removals() {
-            self.in_local = vec![true; self.num_vertices];
-            record_in_edge_placement(
-                &mut self.in_local,
-                &self.partitioning,
-                self.nodes.iter().enumerate().flat_map(|(part, node)| {
-                    node.edge_table()
-                        .edges()
-                        .iter()
-                        .map(move |edge| (part, edge))
-                }),
-            );
+            self.in_local = in_edge_locality(&self.nodes, &self.partitioning, self.num_vertices);
         } else {
             self.in_local.resize(self.num_vertices, true);
             record_in_edge_placement(
@@ -796,11 +805,6 @@ where
         &self.nodes[id]
     }
 
-    /// Mutable access to a node.
-    pub fn node_mut(&mut self, id: PartitionId) -> &mut NodeState<V, E> {
-        &mut self.nodes[id]
-    }
-
     /// Iterates immutably over all nodes.
     pub fn nodes(&self) -> &[NodeState<V, E>] {
         &self.nodes
@@ -811,30 +815,13 @@ where
         self.nodes.iter().map(|n| n.active_count()).sum()
     }
 
-    /// Total number of edges whose source vertex is active across the cluster
-    /// — the data volume `D` the workload balancer reasons about.
-    pub fn total_active_edges(&self) -> usize {
-        self.nodes.iter().map(|n| n.active_edge_count()).sum()
-    }
-
-    /// Collects the converged vertex values from the master copies.
-    ///
-    /// # Panics
-    /// Panics if some vertex has no master copy (which would indicate a
-    /// broken partitioning).
+    /// Collects the converged vertex values from the master copies, in
+    /// global id order.  Every vertex has one: [`Cluster::build`] checks it.
     pub fn collect_values(&self) -> Vec<V> {
-        self.routes
-            .owner
-            .iter()
-            .enumerate()
-            .map(|(v, &(node, local))| {
-                self.nodes
-                    .get(node as usize)
-                    .unwrap_or_else(|| panic!("vertex {v} has no master copy"))
-                    .vertex_table()
-                    .row_at(local)
-                    .attr
-                    .clone()
+        (self.routes.owner.iter())
+            .map(|&(node, local)| {
+                let table = self.nodes[node as usize].vertex_table();
+                table.row_at(local).attr.clone()
             })
             .collect()
     }
@@ -1148,9 +1135,96 @@ where
     }
 }
 
+/// The output of [`DenseMerge::drain`].
+#[derive(Debug)]
+pub struct Merged<M> {
+    /// One message per target, in first-seen order, then the overflow.
+    pub messages: Vec<AddressedMessage<M>>,
+    /// How many of `messages` target a vertex not mastered on this node.
+    pub remote: usize,
+}
+
+/// One node's per-target `MSGMerge` of one iteration, through pooled dense
+/// slots keyed by the node's dense local ids: [`DenseMerge::begin`] resets
+/// it, [`DenseMerge::fold`] combines messages as they come, and
+/// [`DenseMerge::drain`] hands the result over, allocating nothing at steady
+/// state beyond the drained vector.  The native compute phase and the
+/// middleware's agents both merge through it.
+#[derive(Debug)]
+pub struct DenseMerge<M> {
+    slots: DenseSlots<M>,
+    /// Messages whose target has no local replica (a kernel may address any
+    /// vertex), appended verbatim after the dense drain.
+    overflow: Vec<AddressedMessage<M>>,
+}
+
+impl<M> Default for DenseMerge<M> {
+    fn default() -> Self {
+        Self {
+            slots: DenseSlots::new(),
+            overflow: Vec::new(),
+        }
+    }
+}
+
+impl<M> DenseMerge<M> {
+    /// Starts an iteration over a node of `num_vertices` local vertices (an
+    /// epoch bump, not a clear).
+    pub fn begin(&mut self, num_vertices: usize) {
+        self.slots.ensure_capacity(num_vertices);
+        self.slots.begin();
+        self.overflow.clear();
+    }
+
+    /// Folds `messages` in: targets are resolved to the node's dense local
+    /// ids and combined in arrival order (`msg_merge(existing, incoming)`),
+    /// so the per-target combine order is the order callers fold in.
+    /// Targets without a local replica pass through to the overflow: the
+    /// cluster's synchronisation folds them with the same left-to-right
+    /// combine order either way.
+    pub fn fold<V, E, A>(
+        &mut self,
+        node: &NodeState<V, E>,
+        algorithm: &A,
+        messages: impl IntoIterator<Item = AddressedMessage<M>>,
+    ) where
+        A: GraphAlgorithm<V, E, Msg = M>,
+    {
+        let table = node.vertex_table();
+        for message in messages {
+            match table.local_of(message.target) {
+                Some(local) => self
+                    .slots
+                    .merge(local, message.payload, |existing, payload| {
+                        algorithm.msg_merge(existing, payload)
+                    }),
+                None => self.overflow.push(message),
+            }
+        }
+    }
+
+    /// Drains the merged messages in first-seen target order, then the
+    /// overflow, which counts as remote.
+    pub fn drain<V, E>(&mut self, node: &NodeState<V, E>) -> Merged<M> {
+        let table = node.vertex_table();
+        let slots = &mut self.slots;
+        let mut messages = Vec::with_capacity(slots.len() + self.overflow.len());
+        let mut remote = self.overflow.len();
+        for i in 0..slots.len() {
+            let local = slots.touched_at(i);
+            if let Some(payload) = slots.take(local) {
+                remote += usize::from(!table.row_at(local).is_master);
+                messages.push(AddressedMessage::new(table.global_of(local), payload));
+            }
+        }
+        messages.append(&mut self.overflow);
+        Merged { messages, remote }
+    }
+}
+
 /// The native (non-accelerated) compute phase of one node: `MSGGen` over the
-/// active triplets and `MSGMerge` per target, all at the upper system's own
-/// per-edge cost.
+/// active triplets and `MSGMerge` per target ([`DenseMerge`]), all at the
+/// upper system's own per-edge cost.
 pub fn native_node_compute<V, E, A>(
     node: &mut NodeState<V, E>,
     algorithm: &A,
@@ -1163,46 +1237,22 @@ where
     A: GraphAlgorithm<V, E>,
 {
     let triplets = node.active_triplets();
-    // Merge per target into dense slots keyed by local id; targets without a
-    // local replica (never produced by a sound partitioning) fall through to
-    // the overflow list.  Merging is commutative only in arrival order, which
-    // is the triplet order either way; the output order is per-vertex
-    // independent downstream, so first-seen drain order is safe.
-    let mut merged: DenseSlots<A::Msg> = DenseSlots::with_capacity(node.num_vertices());
-    merged.begin();
-    let mut overflow: Vec<AddressedMessage<A::Msg>> = Vec::new();
+    let mut merge = DenseMerge::default();
+    merge.begin(node.num_vertices());
     // One scratch sink for every triplet: drained after each kernel call, so
     // its capacity is reused and the loop allocates only when it grows.
-    let mut generated: Vec<AddressedMessage<A::Msg>> = Vec::new();
+    let mut generated = Vec::new();
     for triplet in &triplets {
         algorithm.msg_gen_into(triplet, iteration, &mut generated);
-        for message in generated.drain(..) {
-            match node.vertex_table().local_of(message.target) {
-                Some(local) => merged.merge(local, message.payload, |existing, payload| {
-                    algorithm.msg_merge(existing, payload)
-                }),
-                None => overflow.push(message),
-            }
-        }
+        merge.fold(node, algorithm, generated.drain(..));
     }
-    let mut messages: Vec<AddressedMessage<A::Msg>> = Vec::with_capacity(merged.len());
-    for i in 0..merged.len() {
-        let local = merged.touched_at(i);
-        if let Some(payload) = merged.take(local) {
-            messages.push(AddressedMessage::new(
-                node.vertex_table().global_of(local),
-                payload,
-            ));
-        }
-    }
-    messages.extend(overflow);
     let compute_time =
         profile.native_compute_cost(triplets.len(), 0, algorithm.operational_intensity());
     NodeComputeOutput {
         compute_time,
         middleware_time: SimDuration::ZERO,
         triplets_processed: triplets.len(),
-        messages,
+        messages: merge.drain(node).messages,
         vertex_type: PhantomData,
     }
 }
@@ -1653,9 +1703,9 @@ mod tests {
         assert_eq!(values[24], 25.0);
         assert_eq!(compare(&MinLabel, &graph, &partitioning, &delta).len(), 25);
 
-        // A removal that orphans a mirror: the only edge on some part that
+        // A removal that strands a mirror: the only edge on some part that
         // touches a vertex not mastered there.  The replica retires with it.
-        let (edge, orphan, part) = (graph.edges().iter().enumerate())
+        let (edge, stranded, part) = (graph.edges().iter().enumerate())
             .flat_map(|(id, edge)| [(id, edge.src), (id, edge.dst)])
             .find_map(|(id, v)| {
                 let part = partitioning.part_of_edge(id);
@@ -1672,7 +1722,11 @@ mod tests {
             .unwrap();
         let mut retiring = partitioning.clone();
         retiring.apply_mutations(&delta);
-        assert!(retiring.part(part).vertices.binary_search(&orphan).is_err());
+        assert!(retiring
+            .part(part)
+            .vertices
+            .binary_search(&stranded)
+            .is_err());
         compare(&MinDist { source: 0 }, &graph, &partitioning, &delta);
         compare(&MinLabel, &graph, &partitioning, &delta);
         // The warm cluster drops the row, and its trimmed refresh matches a
@@ -1687,7 +1741,7 @@ mod tests {
         );
         warm.run_native(&algorithm, "line", 100);
         warm.apply_mutations(&delta);
-        assert!(!warm.node(part).vertex_table().contains(orphan));
+        assert!(!warm.node(part).vertex_table().contains(stranded));
         let mut cold = warm.clone();
         warm.seed_incremental(&algorithm, delta.dirty_vertices(), &[]);
         warm.run_native(&algorithm, "line", 100);
@@ -1834,5 +1888,26 @@ mod tests {
         assert_eq!(report.total_triplets(), 7);
         assert_eq!(report.system, "GraphX");
         assert_eq!(report.dataset, "line");
+    }
+
+    #[test]
+    #[should_panic(expected = "an endpoint of a local edge is not a local vertex")]
+    fn a_partitioning_of_a_same_sized_graph_with_other_edges_panics_at_build() {
+        let graph = |edges: [(u32, u32, f64); 2]| -> PropertyGraph<f64, f64> {
+            let list: EdgeList<f64> = edges.into_iter().collect();
+            PropertyGraph::from_edge_list(list, f64::INFINITY).unwrap()
+        };
+        let deployed = graph([(0, 1, 1.0), (2, 3, 1.0)]);
+        let other = graph([(0, 2, 1.0), (1, 3, 1.0)]);
+        // Part 0 lists vertices 0 and 2 only, yet is handed the deployed
+        // graph's edge 0 -> 1.
+        let partitioning = Partitioning::from_edge_assignment(&other, 2, vec![0, 1]).unwrap();
+        Cluster::build(
+            &deployed,
+            partitioning,
+            &MinDist { source: 0 },
+            RuntimeProfile::powergraph(),
+            NetworkModel::datacenter(),
+        );
     }
 }

@@ -7,11 +7,21 @@
 //! Both the native execution paths and the middleware's agents operate on this
 //! state.
 //!
+//! A node is built one way: [`NodeState::build`] starts from an empty node
+//! and applies the whole part as one all-inserts
+//! [`NodeState::apply_mutations`], the same step every later mutation batch
+//! takes — so a mutated node equals a rebuilt one by construction.  That
+//! step requires both endpoints of every local edge to be local vertices,
+//! which [`PartInfo::vertices`] guarantees for a partitioning of the graph
+//! the edges come from.
+//!
 //! The data path is hash-free at steady state: the vertex table assigns every
-//! global id a dense local id once at build time, edges carry their endpoints'
-//! local ids, the frontier is an epoch-stamped [`FrontierSet`] bitset, and
-//! active-edge enumeration walks contiguous CSR slices — every hot-path lookup
-//! is an array load, and every iteration order is ascending by construction.
+//! global id a dense local id once, edges carry their endpoints' local ids,
+//! the frontier is an epoch-stamped [`FrontierSet`] bitset, and active-edge
+//! enumeration walks contiguous CSR slices — every hot-path lookup is an
+//! array load, and every iteration order is ascending by construction.
+//!
+//! [`PartInfo::vertices`]: gxplug_graph::partition::PartInfo::vertices
 
 use crate::template::GraphAlgorithm;
 use gxplug_graph::csr::Csr;
@@ -22,10 +32,6 @@ use gxplug_graph::tables::{EdgeTable, VertexTable};
 use gxplug_graph::types::{Edge, EdgeId, PartitionId, Triplet, VertexId};
 use gxplug_graph::view::TripletBuffer;
 use gxplug_ipc::key::splitmix64;
-
-/// Sentinel local id for an edge endpoint that is not stored locally (which
-/// would indicate a broken partitioning — tolerated, never enumerated).
-const NO_LOCAL: u32 = u32::MAX;
 
 /// The middleware's synchronization-cache probe order of a vertex: probes
 /// decide LRU evictions, so a fixed total order (independent of how a working
@@ -82,17 +88,13 @@ pub struct NodeState<V, E> {
     id: PartitionId,
     vertex_table: VertexTable<V>,
     edge_table: EdgeTable<E>,
-    /// Out-edge CSR over dense local vertex ids.  Bucket `num_vertices` (one
-    /// past the last local id) collects edges whose source is not local, so
-    /// edge ids stay aligned with the edge table without ever enumerating
-    /// such edges.
+    /// Out-edge CSR over dense local vertex ids; its edge ids are the edge
+    /// table's.
     csr: Csr,
-    /// Per-edge source local id, `NO_LOCAL` if the source is not local.
+    /// Per-edge source local id.
     edge_src_local: Vec<u32>,
-    /// Per-edge destination local id, `NO_LOCAL` if not local.
+    /// Per-edge destination local id.
     edge_dst_local: Vec<u32>,
-    /// Number of edges in the orphan CSR bucket (0 for a sound partitioning).
-    orphan_edges: usize,
     /// The active frontier, over dense local vertex ids.
     active: FrontierSet,
     /// Reusable scratch marking the active *edges* of the current superstep,
@@ -112,22 +114,19 @@ pub struct NodeState<V, E> {
     global_rank: Vec<u32>,
 }
 
-/// An empty node: no vertices, no edges, nothing active.  It is what
-/// `std::mem::take` leaves in a cluster's node slot while the real state is
-/// lent by value to a parked worker for one superstep
-/// ([`fanout`](crate::fanout)).
+/// An empty node: no vertices, no edges, nothing active.  It is where
+/// [`NodeState::build`] starts, and what `std::mem::take` leaves in a
+/// cluster's node slot while the real state is lent by value to a parked
+/// worker for one superstep ([`fanout`](crate::fanout)).
 impl<V, E> Default for NodeState<V, E> {
     fn default() -> Self {
         Self {
             id: 0,
             vertex_table: VertexTable::new(),
             edge_table: EdgeTable::new(),
-            // One bucket: the orphan bucket that sits one past the last
-            // local id.
-            csr: Csr::from_edges(1, std::iter::empty()),
+            csr: Csr::from_edges(0, std::iter::empty()),
             edge_src_local: Vec::new(),
             edge_dst_local: Vec::new(),
-            orphan_edges: 0,
             active: FrontierSet::default(),
             active_edges: FrontierSet::default(),
             out_degrees: Vec::new(),
@@ -139,8 +138,16 @@ impl<V, E> Default for NodeState<V, E> {
 }
 
 impl<V: Clone, E: Clone> NodeState<V, E> {
-    /// Builds the node state for partition `id` of a partitioned graph,
-    /// initialising vertex attributes through the algorithm template.
+    /// Builds the node state for partition `id` of a partitioned graph: an
+    /// empty node, one all-inserts [`NodeState::apply_mutations`] that
+    /// upserts the part's vertices — each initialised through the algorithm
+    /// template once — and moves in the part's edges, then the frontier
+    /// `algorithm` starts from.
+    ///
+    /// # Panics
+    /// Panics with "an endpoint of a local edge is not a local vertex" if
+    /// some edge of the part has an endpoint the part does not list — a
+    /// partitioning of another graph.
     pub fn build<A>(
         id: PartitionId,
         graph: &PropertyGraph<V, E>,
@@ -151,89 +158,23 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
         A: GraphAlgorithm<V, E> + ?Sized,
     {
         let part = partitioning.part(id);
-        let mut vertex_table = VertexTable::with_capacity(part.vertices.len());
-        let mut out_degrees = Vec::with_capacity(part.vertices.len());
-        for &v in &part.vertices {
-            let degree = graph.out_degree(v);
-            let attr = algorithm.init_vertex(v, degree);
-            if vertex_table.upsert(v, attr, partitioning.master_of(v) == id) {
-                out_degrees.push(degree as u32);
-            }
-        }
-        // Isolated vertices mastered here may not appear in `vertices`.
-        for &v in &part.masters {
-            if !vertex_table.contains(v) {
+        let upserts = (part.vertices.iter())
+            .map(|&v| {
                 let degree = graph.out_degree(v);
                 let attr = algorithm.init_vertex(v, degree);
-                vertex_table.upsert(v, attr, true);
-                out_degrees.push(degree as u32);
-            }
-        }
-        let mut edge_table = EdgeTable::new();
-        for &edge_id in &part.edges {
-            edge_table.push(graph.edge(edge_id).clone());
-        }
-        let num_locals = vertex_table.len();
-        let orphan = num_locals as u32;
-        let edge_src_local: Vec<u32> = edge_table
-            .edges()
-            .iter()
-            .map(|e| vertex_table.local_of(e.src).unwrap_or(NO_LOCAL))
+                (v, attr, partitioning.master_of(v) == id, degree as u32)
+            })
             .collect();
-        let edge_dst_local: Vec<u32> = edge_table
-            .edges()
-            .iter()
-            .map(|e| vertex_table.local_of(e.dst).unwrap_or(NO_LOCAL))
+        let edges = (part.edges.iter())
+            .map(|&edge_id| graph.edge(edge_id).clone())
             .collect();
-        let csr = Csr::from_edges(
-            num_locals + 1,
-            edge_src_local
-                .iter()
-                .zip(edge_dst_local.iter())
-                .map(|(&src, &dst)| {
-                    (
-                        if src == NO_LOCAL { orphan } else { src },
-                        if dst == NO_LOCAL { orphan } else { dst },
-                    )
-                }),
-        );
-        let orphan_edges = csr.degree(orphan);
-        let mut active = FrontierSet::new(num_locals);
-        match algorithm.initial_active(graph.num_vertices()) {
-            Some(seed) => {
-                for v in seed {
-                    if let Some(local) = vertex_table.local_of(v) {
-                        active.insert(local);
-                    }
-                }
-            }
-            None => active.activate_all(),
-        }
-        let active_edges = FrontierSet::new(edge_table.len());
-        let mut probe_rank = Vec::new();
-        let probe_order = extend_rank(&mut probe_rank, num_locals, |local| {
-            probe_key(vertex_table.global_of(local))
-        })
-        .unwrap_or_default();
-        let mut global_rank = Vec::new();
-        extend_rank(&mut global_rank, num_locals, |local| {
-            vertex_table.global_of(local)
-        });
-        Self {
+        let mut node = Self {
             id,
-            vertex_table,
-            edge_table,
-            csr,
-            edge_src_local,
-            edge_dst_local,
-            orphan_edges,
-            active,
-            active_edges,
-            out_degrees,
-            probe_order,
-            probe_rank,
-            global_rank,
-        }
+            ..Self::default()
+        };
+        node.apply_mutations(&[], edges, &[], upserts, &[], &[]);
+        node.seed_frontier(algorithm, graph.num_vertices());
+        node
     }
 
     /// Re-seeds the vertex attributes and the active frontier for a fresh run
@@ -241,9 +182,9 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
     /// assignment, master flags) untouched.  `num_global_vertices` is the size
     /// of the global vertex space (the argument `initial_active` expects).
     ///
-    /// After a reset the node is indistinguishable from one freshly built for
-    /// the same algorithm — this is what lets a deployed session serve many
-    /// runs without rebuilding its cluster.
+    /// After a reset the node equals one freshly built for the same
+    /// algorithm — this is what lets a deployed session serve many runs
+    /// without rebuilding its cluster.
     pub fn reset_for<A>(&mut self, algorithm: &A, num_global_vertices: usize)
     where
         A: GraphAlgorithm<V, E> + ?Sized,
@@ -256,13 +197,20 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
             row.attr = attr;
             row.dirty = false;
         }
+        self.seed_frontier(algorithm, num_global_vertices);
+    }
+
+    /// Replaces the frontier with the one `algorithm` starts from: its
+    /// `initial_active` vertices held here, or every local.
+    fn seed_frontier<A>(&mut self, algorithm: &A, num_global_vertices: usize)
+    where
+        A: GraphAlgorithm<V, E> + ?Sized,
+    {
         match algorithm.initial_active(num_global_vertices) {
             Some(seed) => {
                 self.active.clear();
                 for v in seed {
-                    if let Some(local) = self.vertex_table.local_of(v) {
-                        self.active.insert(local);
-                    }
+                    self.activate(v);
                 }
             }
             None => self.active.activate_all(),
@@ -271,26 +219,29 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
 
     /// Applies one node's share of a mutation batch in place: local edges at
     /// `remove_positions` (ascending local ids) compact out, `add_edges`
-    /// append at the end (keeping the table aligned, position for position,
+    /// move in at the end (keeping the table aligned, position for position,
     /// with the partitioning's global edge-id list), the rows of `dropped`
     /// (ascending global ids: retired mirrors, which no local edge touches
     /// any more) go and the surviving locals compact, `upserts` grow the
     /// vertex table with new dense local ids `(id, attr, is_master,
     /// out_degree)`, `degree_adjust` folds global out-degree deltas into the
     /// locally held vertices, and `detached` resets attributes in place.
-    /// The per-node CSR (orphan bucket included), the endpoint local-id maps
-    /// and the frontier capacities are rebuilt to match — O(this shard), the
-    /// untouched shards of the cluster pay nothing — and new locals are
-    /// merged into the probe and global-id orders (rebuilt in full when rows
-    /// were dropped).
+    /// The per-node CSR, the endpoint local-id maps and the frontier
+    /// capacities are rebuilt to match — O(this shard), the untouched shards
+    /// of the cluster pay nothing — and new locals are merged into the probe
+    /// and global-id orders (rebuilt in full when rows were dropped).
     ///
     /// The frontier itself is cleared: the caller re-seeds it through
     /// [`NodeState::reset_for`] or [`NodeState::seed_incremental`] before
     /// the next run.
+    ///
+    /// # Panics
+    /// Panics if an endpoint of a local edge is not a local vertex after the
+    /// batch.
     pub fn apply_mutations(
         &mut self,
         remove_positions: &[usize],
-        add_edges: &[Edge<E>],
+        add_edges: Vec<Edge<E>>,
         dropped: &[VertexId],
         upserts: Vec<(VertexId, V, bool, u32)>,
         degree_adjust: &[(VertexId, i64)],
@@ -317,6 +268,8 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
                 *degree = (*degree as i64 + delta).max(0) as u32;
             }
         }
+        self.vertex_table.reserve(upserts.len());
+        self.out_degrees.reserve(upserts.len());
         for (v, attr, is_master, degree) in upserts {
             if self.vertex_table.upsert(v, attr, is_master) {
                 self.out_degrees.push(degree);
@@ -327,12 +280,8 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
                 row.attr = attr.clone();
             }
         }
-        if !remove_positions.is_empty() || !add_edges.is_empty() {
-            self.edge_table.remove_positions(remove_positions);
-            for edge in add_edges {
-                self.edge_table.push(edge.clone());
-            }
-        }
+        self.edge_table.remove_positions(remove_positions);
+        self.edge_table.append(add_edges);
         let num_locals = self.vertex_table.len();
         let table = &self.vertex_table;
         if let Some(order) = extend_rank(&mut self.probe_rank, num_locals, |local| {
@@ -343,32 +292,18 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
         extend_rank(&mut self.global_rank, num_locals, |local| {
             table.global_of(local)
         });
-        let orphan = num_locals as u32;
-        self.edge_src_local = self
-            .edge_table
-            .edges()
-            .iter()
-            .map(|e| self.vertex_table.local_of(e.src).unwrap_or(NO_LOCAL))
-            .collect();
-        self.edge_dst_local = self
-            .edge_table
-            .edges()
-            .iter()
-            .map(|e| self.vertex_table.local_of(e.dst).unwrap_or(NO_LOCAL))
-            .collect();
+        let local_of =
+            |v| (table.local_of(v)).expect("an endpoint of a local edge is not a local vertex");
+        let edges = self.edge_table.edges();
+        self.edge_src_local = edges.iter().map(|e| local_of(e.src)).collect();
+        self.edge_dst_local = edges.iter().map(|e| local_of(e.dst)).collect();
         self.csr = Csr::from_edges(
-            num_locals + 1,
+            num_locals,
             self.edge_src_local
                 .iter()
-                .zip(self.edge_dst_local.iter())
-                .map(|(&src, &dst)| {
-                    (
-                        if src == NO_LOCAL { orphan } else { src },
-                        if dst == NO_LOCAL { orphan } else { dst },
-                    )
-                }),
+                .copied()
+                .zip(self.edge_dst_local.iter().copied()),
         );
-        self.orphan_edges = self.csr.degree(orphan);
         self.active.ensure_capacity(num_locals);
         self.active.clear();
         self.active_edges.ensure_capacity(self.edge_table.len());
@@ -394,9 +329,7 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
         self.vertex_table.clear_dirty();
         self.active.clear();
         for &v in seed {
-            if let Some(local) = self.vertex_table.local_of(v) {
-                self.active.insert(local);
-            }
+            self.activate(v);
         }
     }
 }
@@ -463,13 +396,13 @@ impl<V, E> NodeState<V, E> {
         &self.global_rank
     }
 
-    /// The dense local ids `(src, dst)` of edge `id`'s endpoints, if both are
-    /// stored locally.
+    /// The dense local ids `(src, dst)` of local edge `id`'s endpoints.
+    ///
+    /// # Panics
+    /// Panics if `id` is not a local edge id.
     #[inline]
-    pub fn edge_endpoint_locals(&self, id: EdgeId) -> Option<(u32, u32)> {
-        let src = *self.edge_src_local.get(id)?;
-        let dst = *self.edge_dst_local.get(id)?;
-        (src != NO_LOCAL && dst != NO_LOCAL).then_some((src, dst))
+    pub fn edge_endpoint_locals(&self, id: EdgeId) -> (u32, u32) {
+        (self.edge_src_local[id], self.edge_dst_local[id])
     }
 
     /// The out-edges stored on this node of the vertex at dense local id
@@ -505,17 +438,6 @@ impl<V, E> NodeState<V, E> {
         self.active
             .iter()
             .map(move |local| self.vertex_table.global_of(local))
-    }
-
-    /// Replaces the active set (used by the cluster at the end of an
-    /// iteration); ids that are not local are ignored.
-    pub fn set_active(&mut self, active: impl IntoIterator<Item = VertexId>) {
-        self.active.clear();
-        for v in active {
-            if let Some(local) = self.vertex_table.local_of(v) {
-                self.active.insert(local);
-            }
-        }
     }
 
     /// Marks every local vertex active — the dense replacement for
@@ -573,7 +495,7 @@ impl<V, E> NodeState<V, E> {
     /// full `0..num_edges` range.
     pub fn active_edge_ids_into(&mut self, ids: &mut Vec<EdgeId>) {
         ids.clear();
-        if self.active.len() == self.num_vertices() && self.orphan_edges == 0 {
+        if self.active.len() == self.num_vertices() {
             ids.extend(0..self.edge_table.len());
             return;
         }
@@ -595,7 +517,7 @@ impl<V, E> NodeState<V, E> {
     /// Number of edges whose source is active (without materialising ids).
     pub fn active_edge_count(&self) -> usize {
         if self.active.len() == self.num_vertices() {
-            return self.num_edges() - self.orphan_edges;
+            return self.num_edges();
         }
         self.active.iter().map(|local| self.csr.degree(local)).sum()
     }
@@ -609,30 +531,32 @@ impl<V, E> NodeState<V, E> {
 impl<V: Clone, E: Clone> NodeState<V, E> {
     /// Materialises the triplet of local edge `id` by joining the edge and
     /// vertex tables through the precomputed endpoint local ids — two array
-    /// loads, no hashing.  Returns `None` if either endpoint is missing
-    /// locally (which would indicate a broken partitioning).
+    /// loads, no hashing.  Returns `None` if `id` is not a local edge id.
     pub fn triplet(&self, id: EdgeId) -> Option<Triplet<V, E>> {
-        let t = self.triplet_ref(id)?;
-        Some(Triplet::new(
-            t.src,
-            t.dst,
-            t.src_attr.clone(),
-            t.dst_attr.clone(),
-            t.edge_attr.clone(),
-        ))
+        (id < self.num_edges()).then(|| {
+            let t = self.triplet_ref(id);
+            Triplet::new(
+                t.src,
+                t.dst,
+                t.src_attr.clone(),
+                t.dst_attr.clone(),
+                t.edge_attr.clone(),
+            )
+        })
     }
 
     /// [`NodeState::triplet`] borrowed from the tables, cloning nothing.
-    fn triplet_ref(&self, id: EdgeId) -> Option<Triplet<&V, &E>> {
-        let edge = self.edge_table.get(id)?;
-        let (src_local, dst_local) = self.edge_endpoint_locals(id)?;
-        Some(Triplet::new(
+    #[inline]
+    fn triplet_ref(&self, id: EdgeId) -> Triplet<&V, &E> {
+        let edge = &self.edge_table.edges()[id];
+        let (src_local, dst_local) = self.edge_endpoint_locals(id);
+        Triplet::new(
             edge.src,
             edge.dst,
             &self.vertex_table.row_at(src_local).attr,
             &self.vertex_table.row_at(dst_local).attr,
             &edge.attr,
-        ))
+        )
     }
 
     /// Materialises triplets for the given local edge ids.
@@ -645,14 +569,16 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
     /// entry to the middleware hot path: attributes are cloned exactly once
     /// (the table join), straight from the tables into the buffer's retained
     /// slots, so neither the buffer nor a heap-owning attribute allocates
-    /// once warm; everything downstream borrows slices of it.  Like
-    /// [`NodeState::triplet`], an edge with a missing endpoint is skipped.
+    /// once warm; everything downstream borrows slices of it.
+    ///
+    /// # Panics
+    /// Panics if some id is not a local edge id.
     pub fn fill_triplets<'b>(
         &self,
         edge_ids: &[EdgeId],
         buffer: &'b mut TripletBuffer<V, E>,
     ) -> &'b [Triplet<V, E>] {
-        buffer.refill_in_place(edge_ids.iter().filter_map(|&id| self.triplet_ref(id)))
+        buffer.refill_in_place(edge_ids.iter().map(|&id| self.triplet_ref(id)))
     }
 
     /// [`NodeState::fill_triplets`] for a kernel that never reads the
@@ -667,7 +593,7 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
         edge_ids: &[EdgeId],
         buffer: &'b mut TripletBuffer<V, E>,
     ) -> &'b [Triplet<V, E>] {
-        buffer.refill_sources_in_place(edge_ids.iter().filter_map(|&id| self.triplet_ref(id)))
+        buffer.refill_sources_in_place(edge_ids.iter().map(|&id| self.triplet_ref(id)))
     }
 
     /// Materialises the triplets of all currently active edges.
@@ -941,7 +867,7 @@ mod tests {
         upserts.extend((64u32..67).map(|v| (v, v, true, 0)));
         let mut mirrors: Vec<VertexId> = upserts.iter().map(|u| u.0).filter(|&v| v < 64).collect();
         let before = node.num_vertices();
-        node.apply_mutations(&[], &[], &[], upserts, &[], &[]);
+        node.apply_mutations(&[], Vec::new(), &[], upserts, &[], &[]);
         assert!(node.num_vertices() > before);
         check(&node);
         // Retire the new mirrors again (no local edge touches them): the
@@ -949,7 +875,7 @@ mod tests {
         mirrors.sort_unstable();
         let degrees: Vec<_> = (0u32..67).map(|v| node.out_degree_of(v)).collect();
         let grown = node.num_vertices();
-        node.apply_mutations(&[], &[], &mirrors, Vec::new(), &[], &[]);
+        node.apply_mutations(&[], Vec::new(), &mirrors, Vec::new(), &[], &[]);
         assert_eq!(node.num_vertices(), grown - mirrors.len());
         check(&node);
         for v in 0u32..67 {
@@ -961,7 +887,7 @@ mod tests {
             assert_eq!(node.out_degree_of(v), want, "vertex {v}");
         }
         for (id, edge) in node.edge_table().edges().iter().enumerate() {
-            let (src, dst) = node.edge_endpoint_locals(id).unwrap();
+            let (src, dst) = node.edge_endpoint_locals(id);
             let global = |local| node.vertex_table().global_of(local);
             assert_eq!((global(src), global(dst)), (edge.src, edge.dst));
         }

@@ -54,6 +54,11 @@ impl LocalIdMap {
         }
     }
 
+    /// Reserves room for at least `additional` more local vertices.
+    pub fn reserve(&mut self, additional: usize) {
+        self.to_global.reserve(additional);
+    }
+
     /// Number of local vertices mapped.
     pub fn len(&self) -> usize {
         self.to_global.len()

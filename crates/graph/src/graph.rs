@@ -28,17 +28,7 @@ where
     /// Builds a graph from an edge list, assigning every vertex the same
     /// initial attribute.
     pub fn from_edge_list(edge_list: EdgeList<E>, default_vertex_attr: V) -> Result<Self> {
-        edge_list.validate()?;
-        let (num_vertices, edges) = edge_list.into_parts();
-        let pairs: Vec<(VertexId, VertexId)> = edges.iter().map(|e| (e.src, e.dst)).collect();
-        let out_csr = Csr::from_edges(num_vertices, pairs.iter().copied());
-        let in_csr = Csr::reversed_from_edges(num_vertices, pairs.iter().copied());
-        Ok(Self {
-            vertex_attrs: vec![default_vertex_attr; num_vertices],
-            edges,
-            out_csr,
-            in_csr,
-        })
+        Self::from_edge_list_with(edge_list, |_| default_vertex_attr.clone())
     }
 
     /// Builds a graph with per-vertex attributes computed from the vertex id.
@@ -106,11 +96,6 @@ impl<V, E> PropertyGraph<V, E> {
     /// All vertex attributes, indexed by vertex id.
     pub fn vertex_attrs(&self) -> &[V] {
         &self.vertex_attrs
-    }
-
-    /// Mutable view over all vertex attributes.
-    pub fn vertex_attrs_mut(&mut self) -> &mut [V] {
-        &mut self.vertex_attrs
     }
 
     /// Replaces all vertex attributes.

@@ -146,6 +146,11 @@ impl Partitioning {
         self.num_vertices
     }
 
+    /// Number of edges in the partitioned graph.
+    pub fn num_edges(&self) -> usize {
+        self.edge_assignment.len()
+    }
+
     /// Data for one part.
     pub fn part(&self, id: PartitionId) -> &PartInfo {
         &self.parts[id]

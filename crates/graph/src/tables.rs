@@ -69,6 +69,12 @@ impl<V> VertexTable<V> {
         self.rows.is_empty()
     }
 
+    /// Reserves room for at least `additional` more rows.
+    pub fn reserve(&mut self, additional: usize) {
+        self.rows.reserve(additional);
+        self.index.reserve(additional);
+    }
+
     /// Inserts or replaces a vertex row; returns `true` if the vertex was new.
     pub fn upsert(&mut self, id: VertexId, attr: V, is_master: bool) -> bool {
         match self.index.local(id) {
@@ -230,6 +236,16 @@ impl<E> EdgeTable<E> {
         self.edges.len() - 1
     }
 
+    /// Moves `edges` in at the end, in order (an empty table takes their
+    /// allocation over).
+    pub fn append(&mut self, mut edges: Vec<Edge<E>>) {
+        if self.edges.is_empty() {
+            self.edges = edges;
+        } else {
+            self.edges.append(&mut edges);
+        }
+    }
+
     /// Removes the edges at the given local positions (ascending), shifting
     /// the survivors down so local ids stay dense and relative order is
     /// preserved — the local mirror of the global edge-id compaction a
@@ -270,11 +286,6 @@ impl<E> EdgeTable<E> {
     /// All edges in local-id order.
     pub fn edges(&self) -> &[Edge<E>] {
         &self.edges
-    }
-
-    /// Mutable access to all edges.
-    pub fn edges_mut(&mut self) -> &mut [Edge<E>] {
-        &mut self.edges
     }
 }
 
