@@ -483,7 +483,7 @@ mod tests {
         cluster.apply_mutations(&delta);
         let master = cluster.node(partitioning.master_of(target));
         let before = master.vertex_value(target).unwrap().as_ptr();
-        cluster.seed_incremental(&algorithm, delta.dirty_vertices(), &[]);
+        cluster.seed_incremental(&algorithm, &delta.dirty_vertices(), &[]);
         assert!(cluster.run_native(&algorithm, "rmat", 1_000).converged);
         let master = cluster.node(partitioning.master_of(target));
         let after = master.vertex_value(target).unwrap();

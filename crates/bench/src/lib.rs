@@ -3,7 +3,9 @@
 //! Shared harness code for regenerating every table and figure of the paper's
 //! evaluation (§V).  Each figure has a dedicated binary under `src/bin/`
 //! (`table1`, `fig8`, `fig9`, …, `fig15`) that prints the same rows/series the
-//! paper reports; Criterion micro-benchmarks live under `benches/`.
+//! paper reports; `work` prints exact work counts of the benchmark's four
+//! workload shapes in miniature; Criterion micro-benchmarks live under
+//! `benches/`.
 //!
 //! All experiments run on the synthetic dataset analogues of
 //! [`gxplug_graph::datasets`] at a scale selected by the `GX_SCALE`

@@ -46,6 +46,16 @@
 //! session (daemons shut their device contexts down on drop) and redeploys
 //! a fresh one.
 //!
+//! # Redeploys
+//!
+//! A worker deploys its session from the service's [`SessionSpec`] and its
+//! pristine graph, both fixed for the worker's life, and replays the
+//! mutation log on top.  [`ServiceBuilder::build`] validates exactly that
+//! pair before it starts any worker, and deploying is a pure function of
+//! it, so the redeploy after a panicked job cannot fail: the worker
+//! `expect`s it.  A spawn the operating system refuses is the build's one
+//! other failure, reported as [`SessionError::WorkerSpawn`].
+//!
 //! # Result cache and flights
 //!
 //! Duplicate traffic — the common shape of a many-tenant service — is served
@@ -57,11 +67,20 @@
 //!   cap).  At submit time the key is checked against an LRU,
 //!   byte-budgeted cache ([`ServiceBuilder::cache_capacity`],
 //!   [`ServiceBuilder::cache_bytes`]); a hit resolves the [`JobTicket`]
-//!   through an already-fired oneshot slot in microseconds, without touching
-//!   a worker.  Entries are versioned: [`GraphService::invalidate_cache`]
-//!   bumps the service's graph version so stale results are never served,
-//!   and [`GraphService::clear_cache`] drops them outright.  Per job,
-//!   [`CachePolicy`] opts out (`Bypass`) or forces a re-fill (`Refresh`).
+//!   through an already-fired oneshot slot without touching a worker.
+//!   Nothing is copied: a run's outcome lives in one `Arc` that its
+//!   flight's tickets, its cache entry and every later hit share, so a hit
+//!   costs one refcount bump whatever the result's size.  Entries are
+//!   versioned: [`GraphService::invalidate_cache`] bumps the service's
+//!   graph version so stale results are never served, and
+//!   [`GraphService::clear_cache`] drops them outright.  A stale entry is
+//!   not freed by the lookup that finds it — that would put its frees on
+//!   the submitting caller's path — but stays, unserved, until its key
+//!   refills or the LRU and byte bounds evict it;
+//!   [`GraphService::cached_results`] counts it until then.  The entries a
+//!   fill replaces or evicts are freed on the worker, after every ticket of
+//!   the flight resolved.  Per job, [`CachePolicy`] opts out (`Bypass`) or
+//!   forces a re-fill (`Refresh`).
 //! * **Flights** — a worker runs one *flight* per claim: the job it
 //!   dequeued (the leader) plus every queued same-key `UseOrFill` duplicate
 //!   of it, claimed in one sweep per lane.  A duplicate is *coalesced*
@@ -353,8 +372,10 @@ impl JobCell {
     }
 }
 
-/// What a ticket resolves to.
-type JobResult<V> = Result<RunOutcome<V>, ServiceError>;
+/// What a ticket resolves to: the run's one shared outcome.  Every ticket
+/// of a flight, the cache entry it fills and every later hit hold the same
+/// allocation.
+type JobResult<V> = Result<Arc<RunOutcome<V>>, ServiceError>;
 
 /// A job with its algorithm type erased, so heterogeneous jobs share the
 /// scheduler queue.  [`DynAlgorithm`] erases the *message* type behind a
@@ -450,12 +471,15 @@ fn config_fingerprint(config: &MiddlewareConfig) -> String {
 /// One stored result.
 struct CacheEntry<V> {
     key: Arc<JobKey>,
-    /// The service graph version the result was computed under; entries
-    /// from older versions are purged on lookup, never served.
+    /// The service graph version the result was computed under; an entry
+    /// from an older version is never served, and stays until its key
+    /// refills or the bounds evict it.
     version: u64,
     /// Shallow size estimate charged against the byte budget.
     bytes: usize,
-    outcome: RunOutcome<V>,
+    /// Shared with the tickets of the flight that filled it and with every
+    /// hit since.
+    outcome: Arc<RunOutcome<V>>,
 }
 
 /// Shallow size estimate of a stored outcome: the vectors' element payloads
@@ -492,7 +516,7 @@ struct ResultCache<V> {
     bytes: usize,
 }
 
-impl<V: Clone> ResultCache<V> {
+impl<V> ResultCache<V> {
     fn new(capacity: usize, byte_budget: usize) -> Self {
         Self {
             entries: VecDeque::new(),
@@ -502,17 +526,18 @@ impl<V: Clone> ResultCache<V> {
         }
     }
 
-    /// Looks `key` up at `version`.  A hit refreshes the entry's LRU
-    /// position; an entry stored under an older version is purged, not
-    /// served.
-    fn lookup(&mut self, key: &JobKey, version: u64) -> Option<RunOutcome<V>> {
+    /// Looks `key` up at `version`: a hit shares the stored outcome (one
+    /// refcount bump) and refreshes the entry's LRU position.  An entry
+    /// stored under an older version is not served, and is left in place —
+    /// freeing it here would put its frees on the submitting caller's path,
+    /// under this cache's lock.
+    fn lookup(&mut self, key: &JobKey, version: u64) -> Option<Arc<RunOutcome<V>>> {
         let position = self.entries.iter().position(|entry| *entry.key == *key)?;
-        let entry = self.entries.remove(position)?;
-        if entry.version != version {
-            self.bytes -= entry.bytes;
+        if self.entries[position].version != version {
             return None;
         }
-        let outcome = entry.outcome.clone();
+        let entry = self.entries.remove(position)?;
+        let outcome = Arc::clone(&entry.outcome);
         self.entries.push_back(entry);
         Some(outcome)
     }
@@ -521,33 +546,45 @@ impl<V: Clone> ResultCache<V> {
     /// entry for the key and evicting from the cold end until both bounds
     /// hold.  `bytes` is the caller's size estimate (see
     /// [`ErasedJob::outcome_sizer`]); outcomes larger than the whole byte
-    /// budget are not stored.
-    fn store(&mut self, key: Arc<JobKey>, outcome: &RunOutcome<V>, version: u64, bytes: usize) {
+    /// budget are not stored.  Returns the replaced and evicted entries
+    /// unfreed, so the caller can drop them outside the lock.
+    fn store(
+        &mut self,
+        key: Arc<JobKey>,
+        outcome: Arc<RunOutcome<V>>,
+        version: u64,
+        bytes: usize,
+    ) -> Vec<CacheEntry<V>> {
+        let mut freed = Vec::new();
         if self.capacity == 0 || bytes > self.byte_budget {
-            return;
+            return freed;
         }
         let position = self.entries.iter().position(|entry| entry.key == key);
         if let Some(replaced) = position.and_then(|position| self.entries.remove(position)) {
             self.bytes -= replaced.bytes;
+            freed.push(replaced);
         }
         self.bytes += bytes;
         self.entries.push_back(CacheEntry {
             key,
             version,
             bytes,
-            outcome: outcome.clone(),
+            outcome,
         });
         while self.entries.len() > self.capacity || self.bytes > self.byte_budget {
             let Some(evicted) = self.entries.pop_front() else {
                 break;
             };
             self.bytes -= evicted.bytes;
+            freed.push(evicted);
         }
+        freed
     }
 
-    fn clear(&mut self) {
-        self.entries.clear();
+    /// Empties the cache, returning the entries unfreed.
+    fn clear(&mut self) -> VecDeque<CacheEntry<V>> {
         self.bytes = 0;
+        std::mem::take(&mut self.entries)
     }
 
     fn len(&self) -> usize {
@@ -1320,7 +1357,8 @@ where
 
     /// Invalidates every cached result by bumping the service's graph
     /// version: entries stored under earlier versions are never served again
-    /// (each is purged when a lookup next touches it).  Call this whenever
+    /// (each stays, unserved, until its key refills or the cache's bounds
+    /// evict it).  Call this whenever
     /// the graph data changes out from under the service —
     /// [`GraphService::apply_mutations`] rides on this same counter.
     pub fn invalidate_cache(&self) {
@@ -1381,11 +1419,13 @@ where
     /// Unlike [`GraphService::invalidate_cache`] this does not change what
     /// is *valid* — fills after the clear serve again.
     pub fn clear_cache(&self) {
-        lock(&self.inner.shared.cache).clear();
+        // Taken out under the lock, freed after it is released.
+        let cleared = lock(&self.inner.shared.cache).clear();
+        drop(cleared);
     }
 
-    /// Number of results currently held by the cache (stale entries not yet
-    /// purged included).
+    /// Number of results currently held by the cache, stale entries that
+    /// have not been refilled or evicted yet included.
     pub fn cached_results(&self) -> usize {
         lock(&self.inner.shared.cache).len()
     }
@@ -1522,10 +1562,13 @@ impl<V, E> Flight<V, E> {
 }
 
 /// Resolves every member of a flight from its run's `result` (`None` when
-/// the run panicked).  The result fills `key` before any ticket wakes; the
-/// leader resolves first and alone records the physical run's wall.
-/// `sizer` is the leader's [`ErasedJob::outcome_sizer`].
-fn land<V: Clone, E>(
+/// the run panicked).  The outcome is wrapped in one `Arc` that the cache
+/// entry and every member share.  The result fills `key` before any ticket
+/// wakes; the leader resolves first and alone records the physical run's
+/// wall.  The entries the fill replaced or evicted are freed last, after
+/// every ticket resolved.  `sizer` is the leader's
+/// [`ErasedJob::outcome_sizer`].
+fn land<V, E>(
     shared: &ServiceShared<V, E>,
     members: Vec<Member<V>>,
     key: Option<Arc<JobKey>>,
@@ -1534,13 +1577,17 @@ fn land<V: Clone, E>(
     version: u64,
     sizer: fn(&RunOutcome<V>) -> usize,
 ) {
-    let result = match result {
-        Some(result) => result.map_err(ServiceError::Session),
+    let result: JobResult<V> = match result {
+        Some(result) => result.map(Arc::new).map_err(ServiceError::Session),
         None => Err(ServiceError::JobPanicked),
     };
-    if let (Ok(outcome), Some(key)) = (&result, key) {
-        lock(&shared.cache).store(key, outcome, version, sizer(outcome));
-    }
+    let freed = match (&result, key) {
+        (Ok(outcome), Some(key)) => {
+            let bytes = sizer(outcome);
+            lock(&shared.cache).store(key, Arc::clone(outcome), version, bytes)
+        }
+        _ => Vec::new(),
+    };
     let resolve = |member: Member<V>, leader: bool, result: JobResult<V>| {
         member.cell.finish();
         {
@@ -1559,15 +1606,10 @@ fn land<V: Clone, E>(
         }
         let _ = member.reply.send(result);
     };
-    // Every member but the last gets a copy; the last takes the original.
-    let mut members = members.into_iter().enumerate();
-    let last = members.next_back();
-    for (index, member) in members {
+    for (index, member) in members.into_iter().enumerate() {
         resolve(member, index == 0, result.clone());
     }
-    if let Some((index, member)) = last {
-        resolve(member, index == 0, result);
-    }
+    drop(freed);
 }
 
 /// The scheduler loop of one worker session.
@@ -1579,6 +1621,8 @@ fn worker_loop<V, E>(
     V: Clone + PartialEq + Send + Sync + 'static,
     E: Clone + Send + Sync + 'static,
 {
+    // Cannot fail: `ServiceBuilder::build` validated the spec against this
+    // graph before starting any worker (see "Redeploys" in the module docs).
     let deploy = || {
         spec.build_session(&graph)
             .expect("the spec was validated when the service was built")
@@ -1808,27 +1852,38 @@ where
             default_config: self.spec.config,
             default_max_iterations: self.spec.max_iterations,
         });
-        let workers: Vec<JoinHandle<()>> = (0..self.worker_sessions)
-            .map(|index| {
-                let graph = Arc::clone(&self.graph);
-                let spec = self.spec.clone();
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("gxplug-service-{index}"))
-                    .spawn(move || worker_loop(graph, spec, shared))
-                    .expect("spawning a scheduler worker thread")
-            })
-            .collect();
+        let mut workers = Vec::with_capacity(self.worker_sessions);
+        let mut refused = None;
+        for index in 0..self.worker_sessions {
+            let graph = Arc::clone(&self.graph);
+            let spec = self.spec.clone();
+            let worker_shared = Arc::clone(&shared);
+            match thread::Builder::new()
+                .name(format!("gxplug-service-{index}"))
+                .spawn(move || worker_loop(graph, spec, worker_shared))
+            {
+                Ok(worker) => workers.push(worker),
+                Err(error) => {
+                    refused = Some(error.kind());
+                    break;
+                }
+            }
+        }
         let worker_ids = workers.iter().map(|worker| worker.thread().id()).collect();
-        Ok(GraphService {
-            inner: Arc::new(ServiceInner {
-                shared,
-                workers: Mutex::new(workers),
-                worker_ids,
-                stopped: Mutex::new(false),
-                stopped_signal: Condvar::new(),
-            }),
-        })
+        let inner = Arc::new(ServiceInner {
+            shared,
+            workers: Mutex::new(workers),
+            worker_ids,
+            stopped: Mutex::new(false),
+            stopped_signal: Condvar::new(),
+        });
+        if let Some(kind) = refused {
+            // Dropping the half-built service stops and joins the workers
+            // that did start.
+            drop(inner);
+            return Err(SessionError::WorkerSpawn(kind));
+        }
+        Ok(GraphService { inner })
     }
 }
 
@@ -3095,6 +3150,166 @@ mod tests {
         assert_eq!(stats.cache_hits, 0);
         // The coalesced run filled the cache once.
         assert_eq!(service.cached_results(), 1);
+    }
+
+    #[test]
+    fn a_hit_shares_the_allocation_its_fill_landed() {
+        let graph = test_graph();
+        let service = small_service(&graph, 1, 8);
+        let fill = service
+            .submit(KeyedSssp::new(vec![0]))
+            .unwrap()
+            .wait()
+            .unwrap();
+        let hits: Vec<_> = (0..3)
+            .map(|_| {
+                service
+                    .submit(KeyedSssp::new(vec![0]))
+                    .unwrap()
+                    .wait()
+                    .unwrap()
+            })
+            .collect();
+        for hit in &hits {
+            assert!(Arc::ptr_eq(hit, &fill));
+        }
+        assert_eq!(service.stats().cache_hits, 3);
+        // Joined workers hold nothing: the caller's handles and the cache
+        // entry are the outcome's only owners.
+        service.shutdown();
+        assert_eq!(Arc::strong_count(&fill), 1 + hits.len() + 1);
+    }
+
+    #[test]
+    fn coalesced_flight_members_share_one_outcome() {
+        let graph = test_graph();
+        let service = small_service(&graph, 1, 16);
+        let gate = GateControl::default();
+        let busy = service
+            .submit(GatedSssp {
+                inner: Sssp { sources: vec![7] },
+                gate: gate.clone(),
+            })
+            .unwrap();
+        while busy.status() == JobStatus::Queued {
+            thread::yield_now();
+        }
+        let duplicates: Vec<_> = (0..4)
+            .map(|_| service.submit(KeyedSssp::new(vec![0])).unwrap())
+            .collect();
+        gate.release();
+        busy.wait().unwrap();
+        let outcomes: Vec<Arc<RunOutcome<f64>>> = duplicates
+            .into_iter()
+            .map(|ticket| ticket.wait().unwrap())
+            .collect();
+        assert_eq!(service.stats().coalesced_jobs, 3);
+        for outcome in &outcomes[1..] {
+            assert!(Arc::ptr_eq(outcome, &outcomes[0]));
+        }
+        // The cache entry the flight filled is that same allocation.
+        let hit = service
+            .submit(KeyedSssp::new(vec![0]))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert!(Arc::ptr_eq(&hit, &outcomes[0]));
+    }
+
+    #[test]
+    fn a_stale_entry_stays_unserved_until_its_key_refills() {
+        let graph = test_graph();
+        let service = small_service(&graph, 1, 8);
+        let fill = service
+            .submit(KeyedSssp::new(vec![0]))
+            .unwrap()
+            .wait()
+            .unwrap();
+        service.invalidate_cache();
+        // The worker is held, so the refill waits in the queue while the
+        // test looks: the lookup that found the entry stale left it in
+        // place, counted.
+        let gate = GateControl::default();
+        let busy = service
+            .submit(GatedSssp {
+                inner: Sssp { sources: vec![7] },
+                gate: gate.clone(),
+            })
+            .unwrap();
+        let pending = service.submit(KeyedSssp::new(vec![0])).unwrap();
+        let held = service.cached_results();
+        gate.release();
+        assert_eq!(held, 1);
+        busy.wait().unwrap();
+        let refill = pending.wait().unwrap();
+        assert_eq!(service.stats().cache_hits, 0);
+        assert_eq!(service.stats().submitted, 3);
+        assert!(!Arc::ptr_eq(&fill, &refill));
+        // The refill replaced the stale entry rather than adding a second.
+        assert_eq!(service.cached_results(), 1);
+        let hit = service
+            .submit(KeyedSssp::new(vec![0]))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert!(Arc::ptr_eq(&hit, &refill));
+
+        // A stale entry nobody refills stays until the bounds evict it.
+        service.invalidate_cache();
+        service
+            .submit_with(
+                KeyedSssp::new(vec![1]),
+                JobOptions::new().with_cache(CachePolicy::Bypass),
+            )
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(service.cached_results(), 1);
+        service
+            .submit(KeyedSssp::new(vec![1]))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(service.cached_results(), 2);
+        assert_eq!(service.stats().cache_hits, 1);
+    }
+
+    #[test]
+    fn a_redeploy_after_a_panicked_job_replays_the_log_and_serves() {
+        let graph = test_graph();
+        let service = small_service(&graph, 1, 8);
+        let new_vertex = graph.num_vertices() as VertexId;
+        service
+            .apply_mutations(
+                &MutationBatch::new()
+                    .add_vertex(f64::INFINITY)
+                    .add_edge(0, new_vertex, 0.25),
+            )
+            .unwrap();
+        let before = service
+            .submit(Sssp { sources: vec![0] })
+            .unwrap()
+            .wait()
+            .unwrap();
+        for _ in 0..2 {
+            let panicked = service.submit(PanickingJob).unwrap().wait();
+            assert!(matches!(panicked, Err(ServiceError::JobPanicked)));
+            // The redeployed session starts from the pristine graph and
+            // replays the whole log before its next job.
+            let after = service
+                .submit(Sssp { sources: vec![0] })
+                .unwrap()
+                .wait()
+                .unwrap();
+            assert_eq!(after.values.len(), graph.num_vertices() + 1);
+            assert_eq!(after.values[new_vertex as usize], 0.25);
+            for (a, b) in after.values.iter().zip(&before.values) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+        let stats = service.stats();
+        assert_eq!(stats.panicked, 2);
+        assert_eq!(stats.completed, 3);
     }
 
     /// Minimal multi-column SSSP (vertex = one distance per source): a job

@@ -110,6 +110,11 @@ pub enum SessionError {
     /// rejected a block).  The session itself stays usable: the daemons were
     /// recovered, so a corrected configuration can be submitted next.
     Runtime(RuntimeError),
+    /// The operating system refused to start one of a
+    /// [`GraphService`](crate::GraphService)'s scheduler threads.  The
+    /// workers that did start were stopped and joined before the error
+    /// returned.
+    WorkerSpawn(std::io::ErrorKind),
 }
 
 impl fmt::Display for SessionError {
@@ -148,6 +153,9 @@ impl fmt::Display for SessionError {
                  SessionBuilder::devices or use Session::run_native"
             ),
             SessionError::Runtime(error) => write!(f, "the run aborted: {error}"),
+            SessionError::WorkerSpawn(kind) => {
+                write!(f, "a service worker thread could not be started: {kind}")
+            }
         }
     }
 }

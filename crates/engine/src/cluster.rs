@@ -1743,7 +1743,7 @@ mod tests {
         warm.apply_mutations(&delta);
         assert!(!warm.node(part).vertex_table().contains(stranded));
         let mut cold = warm.clone();
-        warm.seed_incremental(&algorithm, delta.dirty_vertices(), &[]);
+        warm.seed_incremental(&algorithm, &delta.dirty_vertices(), &[]);
         warm.run_native(&algorithm, "line", 100);
         cold.reset_for(&algorithm);
         cold.run_native(&algorithm, "line", 100);
@@ -1801,7 +1801,7 @@ mod tests {
         assert_eq!(stale(&warm), f64::INFINITY);
 
         // The incremental rerun is bit-identical to a rebuilt cluster's run.
-        warm.seed_incremental(&algorithm, delta.dirty_vertices(), &[]);
+        warm.seed_incremental(&algorithm, &delta.dirty_vertices(), &[]);
         warm.run_native(&algorithm, "line", 100);
         assert_source_mirrors_fresh(&warm);
         let mut reference_graph = graph.clone();
@@ -1851,7 +1851,7 @@ mod tests {
         reference_partitioning.apply_mutations(&delta);
 
         warm.apply_mutations(&delta);
-        warm.seed_incremental(&algorithm, delta.dirty_vertices(), &[16]);
+        warm.seed_incremental(&algorithm, &delta.dirty_vertices(), &[16]);
         warm.run_native(&algorithm, "line", 100);
 
         let mut rebuilt = Cluster::build(

@@ -188,6 +188,11 @@ impl<V, E> MutationBatch<V, E> {
 /// A validated, normalised mutation delta: every id resolved against the
 /// graph shape the batch applies to.  This is the unit the log stores and
 /// every layer (master graph, partitioning, per-node state) applies.
+///
+/// A log retains every batch for the life of its deployment, so a batch
+/// holds only what cannot be derived: the removed and added edges and the
+/// added and detached vertices.  The dirty frontier is recomputed from them
+/// on demand ([`ResolvedMutation::dirty_vertices`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResolvedMutation<V, E> {
     /// The graph version this batch *produces* (the pristine graph is
@@ -208,9 +213,6 @@ pub struct ResolvedMutation<V, E> {
     pub added_vertices: Vec<(VertexId, V)>,
     /// Detached vertices as `(id, reset attribute)`, in op order.
     pub detached: Vec<(VertexId, V)>,
-    /// Every vertex whose local state the batch touches (endpoints of added
-    /// and removed edges, added and detached vertices), sorted, deduplicated.
-    pub dirty: Vec<VertexId>,
 }
 
 impl<V, E> ResolvedMutation<V, E> {
@@ -224,10 +226,26 @@ impl<V, E> ResolvedMutation<V, E> {
         self.prior_num_edges - self.removed_edges.len() + self.added_edges.len()
     }
 
-    /// The vertices whose state this batch touches — the seed frontier for
-    /// incremental recompute.
-    pub fn dirty_vertices(&self) -> &[VertexId] {
-        &self.dirty
+    /// The vertices whose state this batch touches — the endpoints of the
+    /// removed and added edges and the added and detached vertices, sorted
+    /// and deduplicated.  This is the seed frontier for incremental
+    /// recompute; it is derived on each call, not stored.
+    pub fn dirty_vertices(&self) -> Vec<VertexId> {
+        let mut dirty: Vec<VertexId> = self
+            .removed_edges
+            .iter()
+            .flat_map(|&(_, src, dst)| [src, dst])
+            .chain(
+                self.added_edges
+                    .iter()
+                    .flat_map(|edge| [edge.src, edge.dst]),
+            )
+            .chain(self.added_vertices.iter().map(|&(v, _)| v))
+            .chain(self.detached.iter().map(|&(v, _)| v))
+            .collect();
+        dirty.sort_unstable();
+        dirty.dedup();
+        dirty
     }
 
     /// Whether the batch removes any edges.  A removal can lengthen what a
@@ -264,8 +282,9 @@ impl MutationScope {
 
     /// Folds one resolved batch into the scope.
     pub fn absorb<V, E>(&mut self, delta: &ResolvedMutation<V, E>) {
-        let mut merged = Vec::with_capacity(self.dirty.len() + delta.dirty.len());
-        let (mut a, mut b) = (self.dirty.iter().peekable(), delta.dirty.iter().peekable());
+        let dirty = delta.dirty_vertices();
+        let mut merged = Vec::with_capacity(self.dirty.len() + dirty.len());
+        let (mut a, mut b) = (self.dirty.iter().peekable(), dirty.iter().peekable());
         while let (Some(&&x), Some(&&y)) = (a.peek(), b.peek()) {
             match x.cmp(&y) {
                 std::cmp::Ordering::Less => {
@@ -443,15 +462,6 @@ impl<V: Clone, E: Clone> MutationLog<V, E> {
                 (id, src, dst)
             })
             .collect();
-        let mut dirty: Vec<VertexId> = removed_edges
-            .iter()
-            .flat_map(|&(_, src, dst)| [src, dst])
-            .chain(added_edges.iter().flat_map(|edge| [edge.src, edge.dst]))
-            .chain(added_vertices.iter().map(|&(v, _)| v))
-            .chain(detached.iter().map(|&(v, _)| v))
-            .collect();
-        dirty.sort_unstable();
-        dirty.dedup();
         let delta = Arc::new(ResolvedMutation {
             version: self.version() + 1,
             prior_num_vertices,
@@ -460,7 +470,6 @@ impl<V: Clone, E: Clone> MutationLog<V, E> {
             added_edges,
             added_vertices,
             detached,
-            dirty,
         });
         // Roll the shadow shape forward: compact removals (retain keeps
         // relative order, matching the documented id renumbering), append
@@ -509,7 +518,7 @@ mod tests {
         assert_eq!(delta.removed_edges, vec![(1, 0, 2)]);
         assert_eq!(delta.num_vertices(), 5);
         assert_eq!(delta.num_edges(), 4);
-        assert_eq!(delta.dirty_vertices(), &[0, 2, 3, 4]);
+        assert_eq!(delta.dirty_vertices(), [0, 2, 3, 4]);
         assert_eq!(log.version(), 1);
         assert_eq!(log.num_vertices(), 5);
         assert_eq!(log.num_edges(), 4);

@@ -456,7 +456,7 @@ fn assert_service_matches_serial<V, A, B>(
         .worker_sessions(2)
         .build()
         .unwrap();
-    let outcomes: Vec<(usize, RunOutcome<V>)> = std::thread::scope(|scope| {
+    let outcomes: Vec<(usize, Arc<RunOutcome<V>>)> = std::thread::scope(|scope| {
         let submitters: Vec<_> = (0..4usize)
             .map(|t| {
                 let service = service.clone();
@@ -668,7 +668,7 @@ fn concurrent_duplicates_resolve_single_flight_and_identical() {
         .run(&MultiSourceSssp::paper_default())
         .unwrap();
     let service = cache_service(&graph, ExecutionMode::Threaded, |builder| builder);
-    let outcomes: Vec<RunOutcome<Vec<f64>>> = std::thread::scope(|scope| {
+    let outcomes: Vec<std::sync::Arc<RunOutcome<Vec<f64>>>> = std::thread::scope(|scope| {
         let submitters: Vec<_> = (0..4)
             .map(|_| {
                 let service = service.clone();

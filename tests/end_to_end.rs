@@ -311,7 +311,7 @@ fn job_service_serves_mixed_tenants_against_the_reference() {
             (MultiSourceSssp::new(vec![i, i + 7]), priority)
         })
         .collect();
-    let outcomes: Vec<(MultiSourceSssp, RunOutcome<Vec<f64>>)> = std::thread::scope(|scope| {
+    let outcomes: Vec<(MultiSourceSssp, Arc<RunOutcome<Vec<f64>>>)> = std::thread::scope(|scope| {
         let submitters: Vec<_> = tenants
             .into_iter()
             .map(|(algorithm, priority)| {

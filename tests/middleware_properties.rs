@@ -361,15 +361,17 @@ proptest! {
     }
 
     /// Random interleavings of keyed submissions (with every cache policy),
-    /// invalidations and full clears: no matter how the cache is filled,
-    /// hit, evicted, invalidated or raced by in-flight runs, every ticket
-    /// resolves to the bit-exact answer for its key, and every submission is
-    /// accounted as exactly one hit or one queued job.
+    /// invalidations, full clears and mutation batches: no matter how the
+    /// cache is filled, hit, evicted, invalidated or raced by in-flight
+    /// runs, every ticket resolves to the bit-exact answer for its key over
+    /// a graph at least as new as the one it was submitted against — a
+    /// stale entry left in the cache is never served — and every
+    /// submission is accounted as exactly one hit or one queued job.
     #[test]
     fn cache_stays_exact_under_submit_invalidate_interleavings(
         seed in 0u64..1_000,
         workers in 1usize..3,
-        operations in prop::collection::vec((0u32..3, 0u8..8), 1..25),
+        operations in prop::collection::vec((0u32..3, 0u8..9), 1..25),
     ) {
         use std::sync::Arc;
 
@@ -407,7 +409,11 @@ proptest! {
 
         let service = build();
         let mut submissions = 0u64;
-        let tickets: Vec<(u32, JobTicket<Vec<f64>>)> = operations
+        // A mutation batch appends one isolated vertex: every answer keeps
+        // its rows and gains one unreachable row per batch, so the answer
+        // names the graph version it was computed over.
+        let mut batches = 0usize;
+        let tickets: Vec<(u32, usize, JobTicket<Vec<f64>>)> = operations
             .iter()
             .filter_map(|&(key, op)| {
                 let policy = match op {
@@ -418,8 +424,15 @@ proptest! {
                         service.invalidate_cache();
                         return None;
                     }
-                    _ => {
+                    7 => {
                         service.clear_cache();
+                        return None;
+                    }
+                    _ => {
+                        service
+                            .apply_mutations(&MutationBatch::new().add_vertex(Vec::new()))
+                            .unwrap();
+                        batches += 1;
                         return None;
                     }
                 };
@@ -430,16 +443,26 @@ proptest! {
                         JobOptions::new().with_cache(policy),
                     )
                     .unwrap();
-                Some((key, ticket))
+                Some((key, batches, ticket))
             })
             .collect();
         service.shutdown();
 
-        for (key, ticket) in tickets {
+        for (key, batches_at_submit, ticket) in tickets {
             let outcome = ticket.wait().unwrap();
-            for (v, (got, want)) in outcome.values.iter().zip(&reference[key as usize]).enumerate() {
+            let want = &reference[key as usize];
+            let added = outcome.values.len() - want.len();
+            prop_assert!(
+                (batches_at_submit..=batches).contains(&added),
+                "key {} answered over {} batches, submitted after {} of {}",
+                key, added, batches_at_submit, batches
+            );
+            for (v, (got, want)) in outcome.values.iter().zip(want).enumerate() {
                 let bits: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
                 prop_assert_eq!(&bits, want, "key {} vertex {} diverged", key, v);
+            }
+            for row in &outcome.values[want.len()..] {
+                prop_assert_eq!(row, &vec![f64::INFINITY]);
             }
         }
         let stats = service.stats();
@@ -448,5 +471,89 @@ proptest! {
         prop_assert_eq!(stats.failed, 0);
         prop_assert_eq!(stats.queued, 0);
         prop_assert!(service.cached_results() <= 2);
+    }
+
+    /// The cache's rules, one settled operation at a time against a model:
+    /// a `UseOrFill` submit hits only a key filled at the current graph
+    /// version, a stale entry stays (counted by `cached_results`, never
+    /// served) until its key refills or the LRU bound evicts it, and a hit
+    /// is the very allocation the fill landed.
+    #[test]
+    fn settled_cache_operations_follow_the_lru_model(
+        seed in 0u64..1_000,
+        operations in prop::collection::vec((0u32..3, 0u8..9), 1..30),
+    ) {
+        use std::collections::VecDeque;
+        use std::sync::Arc;
+
+        const CAPACITY: usize = 2;
+        let list = Rmat::new(6, 4.0).generate(seed);
+        let graph: Arc<PropertyGraph<Vec<f64>, f64>> =
+            Arc::new(PropertyGraph::from_edge_list(list, Vec::new()).unwrap());
+        let partitioning = GreedyVertexCutPartitioner::default()
+            .partition(&graph, 2)
+            .unwrap();
+        let service = GraphService::builder(Arc::clone(&graph))
+            .partitioned_by(partitioning)
+            .max_iterations(50)
+            .cache_capacity(CAPACITY)
+            .build()
+            .unwrap();
+        type Shared = Arc<RunOutcome<Vec<f64>>>;
+        // The model: `(key, version filled at, the filled outcome)`,
+        // coldest first, and the service's graph version.
+        let mut model: VecDeque<(u32, u64, Shared)> = VecDeque::new();
+        let mut version = 0u64;
+        let mut hits = 0u64;
+        for &(key, op) in &operations {
+            let policy = match op {
+                0..=3 => CachePolicy::UseOrFill,
+                4 => CachePolicy::Bypass,
+                5 => CachePolicy::Refresh,
+                6 => {
+                    service.invalidate_cache();
+                    version += 1;
+                    continue;
+                }
+                7 => {
+                    service.clear_cache();
+                    model.clear();
+                    continue;
+                }
+                _ => {
+                    service
+                        .apply_mutations(&MutationBatch::new().add_vertex(Vec::new()))
+                        .unwrap();
+                    version += 1;
+                    continue;
+                }
+            };
+            let outcome = service
+                .submit_with(MultiSourceSssp::new(vec![key]), JobOptions::new().with_cache(policy))
+                .unwrap()
+                .wait()
+                .unwrap();
+            let stored = model.iter().position(|entry| entry.0 == key);
+            match (policy, stored) {
+                (CachePolicy::UseOrFill, Some(at)) if model[at].1 == version => {
+                    let entry = model.remove(at).unwrap();
+                    prop_assert!(Arc::ptr_eq(&outcome, &entry.2), "a hit copied its fill");
+                    model.push_back(entry);
+                    hits += 1;
+                }
+                (CachePolicy::Bypass, _) => {}
+                (_, stored) => {
+                    if let Some(entry) = stored.and_then(|at| model.remove(at)) {
+                        prop_assert!(!Arc::ptr_eq(&outcome, &entry.2), "a stale entry was served");
+                    }
+                    model.push_back((key, version, Arc::clone(&outcome)));
+                    if model.len() > CAPACITY {
+                        model.pop_front();
+                    }
+                }
+            }
+            prop_assert_eq!(service.stats().cache_hits, hits);
+            prop_assert_eq!(service.cached_results(), model.len());
+        }
     }
 }

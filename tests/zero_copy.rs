@@ -23,14 +23,19 @@
 //!   block buffer refills its slots in place; the messages are inline rows);
 //! * the agent's buffer after a warm superstep proves the *working set*: the
 //!   superstep is streamed one pipeline block at a time, so the buffer holds
-//!   one block of triplets, not the superstep's.
+//!   one block of triplets, not the superstep's;
+//! * the same allocator, counting per thread, proves the *service* shares
+//!   results instead of copying them: a warm cache hit allocates the same
+//!   handful of times whatever the result's size, and a submit that finds
+//!   its key stale frees none of the stale result on the caller's thread.
 
 use gx_plug::engine::node::NodeState;
 use gx_plug::ipc::key::KeyGenerator;
 use gx_plug::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Serialises the tests of this binary: they count edge clones and heap
 /// allocations into process-global counters, and cargo runs `#[test]` fns on
@@ -44,26 +49,52 @@ struct CountingAllocator;
 /// that publishes no other data, hence `Relaxed` increments.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// This thread's allocations (including reallocations) and frees: what
+    /// a caller pays itself, whatever the service's worker threads do
+    /// meanwhile.  Const-initialised `Cell`s, so touching them from the
+    /// allocator neither allocates nor registers a destructor.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_FREES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_here(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+    // `try_with`: the slot is gone while a thread tears down.
+    let _ = counter.try_with(|count| count.set(count.get() + 1));
+}
+
+fn allocations_here() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
+}
+
+fn frees_here() -> u64 {
+    THREAD_FREES.with(Cell::get)
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter increment neither
-// allocates nor touches the memory being managed.
+// upholds the `GlobalAlloc` contract; the counter increments neither
+// allocate nor touch the memory being managed.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_here(&THREAD_ALLOCATIONS);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_here(&THREAD_ALLOCATIONS);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_here(&THREAD_ALLOCATIONS);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_here(&THREAD_FREES);
         System.dealloc(ptr, layout)
     }
 }
@@ -357,4 +388,88 @@ fn warm_multi_source_sssp_supersteps_allocate_far_less_than_once_per_triplet() {
         allocations < triplets / 64,
         "{allocations} allocations for {triplets} SSSP triplets in one warm superstep"
     );
+}
+
+/// A multi-source SSSP answer as the service hands it out.
+type SharedDistances = Arc<RunOutcome<Vec<f64>>>;
+
+/// A one-worker, native `Vec<f64>` service over rmat-`scale`, its cache
+/// filled once with `MultiSourceSssp::paper_default()`'s answer.
+fn filled_sssp_service(scale: u32) -> (GraphService<Vec<f64>, f64>, SharedDistances) {
+    let graph = Arc::new(
+        PropertyGraph::from_edge_list(Rmat::new(scale, 8.0).generate(5), Vec::new()).unwrap(),
+    );
+    let partitioning = GreedyVertexCutPartitioner::default()
+        .partition(&graph, 2)
+        .unwrap();
+    let service = GraphService::builder(graph)
+        .partitioned_by(partitioning)
+        .max_iterations(200)
+        .build()
+        .unwrap();
+    let fill = service
+        .submit(MultiSourceSssp::paper_default())
+        .unwrap()
+        .wait()
+        .unwrap();
+    (service, fill)
+}
+
+#[test]
+fn a_warm_cache_hit_allocates_a_constant_handful_whatever_the_result_size() {
+    let _guard = serialize_test();
+    let measured = [10, 12].map(|scale| {
+        let (service, fill) = filled_sssp_service(scale);
+        let algorithm = MultiSourceSssp::paper_default();
+        // The same hit history at both sizes, so the service's sample
+        // windows have grown alike before the measured hit.
+        for _ in 0..4 {
+            service.submit(algorithm.clone()).unwrap().wait().unwrap();
+        }
+        let before = allocations_here();
+        let hit = service.submit(algorithm).unwrap().wait().unwrap();
+        let allocations = allocations_here() - before;
+        assert!(Arc::ptr_eq(&hit, &fill), "the hit copied its fill");
+        (fill.values.len(), allocations)
+    });
+    let [(small_rows, small), (large_rows, large)] = measured;
+    assert_eq!((small_rows, large_rows), (1 << 10, 1 << 12));
+    // A deep copy of the outcome allocates once per `Vec<f64>` row; a
+    // shared one pays the job key's strings, the job box, the ticket and
+    // its resolved slot.
+    assert_eq!(
+        small, large,
+        "a warm hit allocated {small} times on {small_rows} rows, {large} on {large_rows}"
+    );
+    assert!(small < 32, "{small} allocations for one warm hit");
+}
+
+#[test]
+fn a_submit_on_a_stale_key_frees_nothing_of_the_stale_result() {
+    let _guard = serialize_test();
+    let (service, fill) = filled_sssp_service(10);
+    let rows = fill.values.len() as u64;
+    // The cache entry becomes the stale result's only holder.
+    drop(fill);
+    service
+        .apply_mutations(&MutationBatch::new().add_edge(0, 5, 0.5))
+        .unwrap();
+    let before = frees_here();
+    let ticket = service.submit(MultiSourceSssp::paper_default()).unwrap();
+    let frees = frees_here() - before;
+    // The lookup leaves the stale entry in place; the refill replaces it on
+    // the worker, after this ticket resolved.
+    assert!(
+        frees < rows / 64,
+        "{frees} frees on the submitting thread, the stale result has {rows} rows"
+    );
+    let refill = ticket.wait().unwrap();
+    assert_eq!(service.stats().cache_hits, 0);
+    assert_eq!(service.cached_results(), 1);
+    let hit = service
+        .submit(MultiSourceSssp::paper_default())
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert!(Arc::ptr_eq(&hit, &refill));
 }
