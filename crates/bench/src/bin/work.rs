@@ -1,9 +1,13 @@
 //! Work golden: exact counts of the four benchmark workload shapes.
 //!
 //! Runs `pr_dense`, `sssp_sparse`, `serve_mixed` and `mutate_live` in
-//! miniature — the in-repo generators, fixed seeds, serial execution, warm
-//! deployments — and prints one row of exact counts per shape for the warm
-//! jobs it measures:
+//! miniature — the in-repo generators, fixed seeds, warm deployments — and
+//! prints one row of exact counts per shape for the warm jobs it measures.
+//! Each shape is deployed like its benchmark workload: `serve_mixed` is the
+//! stock serving deployment (`gxplug_server::standard_service`, `ServeVertex`
+//! values, two nodes, the default execution mode) with one worker session
+//! and the benchmark's `ServeRank`/`ServeReach` keys; the others run
+//! serially.  Per row:
 //!
 //! * supersteps, Σ triplets, messages after `MSGMerge`, downloads, the sync
 //!   cache's hits, misses and evictions, remote messages and replica
@@ -11,7 +15,9 @@
 //! * heap allocations per warm job, counted by a counting global allocator
 //!   around the job's submit-to-result span (a service job's worker thread
 //!   included);
-//! * for the two service shapes, allocations per warm cache hit;
+//! * for the two service shapes, allocations per warm cache hit
+//!   (`serve_mixed` averages one hit on a `ServeRank` key and one on a
+//!   `ServeReach` key);
 //! * for `mutate_live`, the heap bytes each logged mutation batch retains
 //!   (the submitting thread's net allocation across `apply_mutations`: the
 //!   resolved batch plus the log's amortised growth).
@@ -20,10 +26,8 @@
 //! run to run and CI diffs it against `crates/bench/golden/work.txt`.  The
 //! allocation counts also include what the standard library allocates (the
 //! golden was made with rustc 1.95.0), so a toolchain update that moves them
-//! regenerates the golden, like any other change that moves a count.
-//! `--threaded` runs the same shapes under the threaded fan-out floor; its
-//! rows match the serial ones except where a superstep crosses the floor
-//! and spawns threads.
+//! regenerates the golden, like any other change that moves a count (CI
+//! pins the toolchain for that reason).
 //!
 //! ```text
 //! cargo run --release -p gxplug-bench --bin work
@@ -34,14 +38,14 @@ use gxplug_accel::{BackendKind, DeviceSpec};
 use gxplug_algos::{MultiSourceSssp, PageRank, RankValue};
 use gxplug_bench::print_table;
 use gxplug_core::{
-    AgentStats, CachePolicy, ExecutionMode, GraphService, JobOptions, MiddlewareConfig, RunOutcome,
-    SessionBuilder,
+    AgentStats, ExecutionMode, GraphService, MiddlewareConfig, RunOutcome, SessionBuilder,
 };
 use gxplug_engine::template::GraphAlgorithm;
 use gxplug_graph::generators::{Generator, GridRoad, Rmat};
 use gxplug_graph::mutate::MutationBatch;
 use gxplug_graph::partition::{GreedyVertexCutPartitioner, HashEdgePartitioner, Partitioner};
 use gxplug_graph::PropertyGraph;
+use gxplug_server::{standard_service, ServeRank, ServeReach};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -119,7 +123,10 @@ const SEED: u64 = 1;
 /// not change them): rmat log2 vertex counts and the road grid's side.
 const PR_LOG2: u32 = 10;
 const GRID_SIDE: usize = 32;
-const SERVE_LOG2: u32 = 9;
+const SERVE_LOG2: u32 = 10;
+/// The stock serving deployment's graph seed and queue depth.
+const SERVE_GRAPH_SEED: u64 = 42;
+const SERVE_QUEUE_DEPTH: usize = 64;
 const MUTATE_LOG2: u32 = 10;
 
 fn mixed_devices(nodes: usize) -> Vec<Vec<DeviceSpec>> {
@@ -145,7 +152,8 @@ struct Work {
     remote_messages: u64,
     replica_updates: u64,
     job_allocations: u64,
-    hit_allocations: Option<u64>,
+    /// `(allocations, hits)` over the measured cache hits.
+    hit_allocations: Option<(u64, u64)>,
     batch_bytes: Option<(u64, u64)>,
 }
 
@@ -194,7 +202,7 @@ impl Work {
             self.replica_updates.to_string(),
             per(self.job_allocations, self.jobs),
             self.hit_allocations
-                .map_or_else(|| "-".to_string(), |hit| hit.to_string()),
+                .map_or_else(|| "-".to_string(), |(total, hits)| per(total, hits)),
             self.batch_bytes
                 .map_or_else(|| "-".to_string(), |(bytes, batches)| per(bytes, batches)),
         ]
@@ -253,7 +261,7 @@ fn sssp_sparse(side: usize, config: MiddlewareConfig) -> Work {
     warm_session_run(&graph, &HashEdgePartitioner::default(), &algorithm, config)
 }
 
-/// A one-worker `Vec<f64>` service over rmat, deployed like the benchmark's.
+/// A one-worker `Vec<f64>` service over rmat, deployed like `mutate_live`'s.
 fn service(log2: u32, config: MiddlewareConfig) -> GraphService<Vec<f64>, f64> {
     let list = Rmat::new(log2, 8.0).generate(SEED);
     let graph = Arc::new(PropertyGraph::from_edge_list(list, Vec::new()).expect("rmat"));
@@ -271,13 +279,10 @@ fn service(log2: u32, config: MiddlewareConfig) -> GraphService<Vec<f64>, f64> {
 }
 
 /// Hits a filled key five times; the allocations of the last hit.
-fn hit_allocations(service: &GraphService<Vec<f64>, f64>, algorithm: &MultiSourceSssp) -> u64 {
-    let hit = || {
-        service
-            .submit(algorithm.clone())
-            .and_then(|ticket| ticket.wait())
-            .expect("a cache hit")
-    };
+fn hit_allocations<V, R>(service: &GraphService<V, f64>, hit: impl Fn() -> R) -> u64
+where
+    V: Clone + PartialEq + Send + Sync,
+{
     // Identical hit histories, so the service's sample windows have grown
     // alike before the measured hit.
     for _ in 0..4 {
@@ -289,26 +294,46 @@ fn hit_allocations(service: &GraphService<Vec<f64>, f64>, algorithm: &MultiSourc
     allocations
 }
 
-/// A hot keyed job and never-repeated cold ones on a warm service: the
-/// second cold job, and a hit on the hot key.
-fn serve_mixed(log2: u32, config: MiddlewareConfig) -> Work {
-    let service = service(log2, config);
-    let hot = MultiSourceSssp::new(vec![0, 1]);
-    let run = |algorithm: MultiSourceSssp, cache: CachePolicy| {
-        service
-            .submit_with(algorithm, JobOptions::new().with_cache(cache))
-            .and_then(|ticket| ticket.wait())
-            .expect("the job runs")
+/// The stock serving deployment with the benchmark's traffic classes: a
+/// never-repeated `ServeReach` source triple runs on the warm worker, and
+/// hot `ServeRank` and `ServeReach` keys hit the cache.
+fn serve_mixed(log2: u32) -> Work {
+    let service = standard_service(log2, SERVE_GRAPH_SEED, 1, SERVE_QUEUE_DEPTH);
+    let ask = |job: &Key| {
+        match job {
+            Key::Rank(damping) => service.submit(ServeRank {
+                damping: *damping,
+                iterations: 10,
+            }),
+            Key::Reach(sources) => service.submit(ServeReach {
+                sources: sources.clone(),
+            }),
+        }
+        .and_then(|ticket| ticket.wait())
+        .expect("the job runs")
     };
-    run(hot.clone(), CachePolicy::UseOrFill);
-    run(MultiSourceSssp::new(vec![2, 5]), CachePolicy::Bypass);
-    let (outcome, allocations) =
-        allocations(|| run(MultiSourceSssp::new(vec![3, 7]), CachePolicy::Bypass));
+    let top = (1u32 << log2) - 1;
+    let hot = [Key::Rank(0.5), Key::Reach(vec![top, 5])];
+    // The benchmark's set-up job, the hot keys' fills and one cold job run
+    // first, so the measured cold job finds every per-run buffer warm.
+    ask(&Key::Reach(vec![0]));
+    for key in &hot {
+        ask(key);
+    }
+    ask(&Key::Reach(vec![2, 5, 9]));
+    let (outcome, allocations) = allocations(|| ask(&Key::Reach(vec![3, 7, 11])));
     let mut work = Work::default();
     work.add(&outcome, allocations);
-    work.hit_allocations = Some(hit_allocations(&service, &hot));
+    let hits = hot.iter().map(|key| hit_allocations(&service, || ask(key)));
+    work.hit_allocations = Some((hits.sum(), hot.len() as u64));
     service.shutdown();
     work
+}
+
+/// A `serve_mixed` job: `ServeRank` by damping, `ServeReach` by sources.
+enum Key {
+    Rank(f64),
+    Reach(Vec<u32>),
 }
 
 /// Rounds of one mutation cycle: every `RETIRE_EVERY`-th batch removes the
@@ -361,24 +386,18 @@ fn mutate_live(log2: u32, config: MiddlewareConfig) -> Work {
         }
         ask();
     }
-    work.hit_allocations = Some(hit_allocations(&service, &algorithm));
+    work.hit_allocations = Some((hit_allocations(&service, ask), 1));
     work.batch_bytes = Some((retained, RETIRE_EVERY as u64));
     service.shutdown();
     work
 }
 
 fn main() {
-    let threaded = std::env::args().any(|arg| arg == "--threaded");
-    let mode = if threaded {
-        ExecutionMode::Threaded
-    } else {
-        ExecutionMode::Serial
-    };
-    let config = MiddlewareConfig::default().with_execution(mode);
+    let config = MiddlewareConfig::default().with_execution(ExecutionMode::Serial);
     let rows = vec![
         pr_dense(PR_LOG2, config).row("pr_dense"),
         sssp_sparse(GRID_SIDE, config).row("sssp_sparse"),
-        serve_mixed(SERVE_LOG2, config).row("serve_mixed"),
+        serve_mixed(SERVE_LOG2).row("serve_mixed"),
         mutate_live(MUTATE_LOG2, config).row("mutate_live"),
     ];
     print_table(

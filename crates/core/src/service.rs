@@ -77,9 +77,10 @@
 //!   not freed by the lookup that finds it — that would put its frees on
 //!   the submitting caller's path — but stays, unserved, until its key
 //!   refills or the LRU and byte bounds evict it;
-//!   [`GraphService::cached_results`] counts it until then.  The entries a
-//!   fill replaces or evicts are freed on the worker, after every ticket of
-//!   the flight resolved.  Per job, [`CachePolicy`] opts out (`Bypass`) or
+//!   [`GraphService::cached_results`] counts it until then.  A fill whose
+//!   run an invalidation or mutation overtook is stale on arrival and is
+//!   not stored.  The entries a fill replaces or evicts are freed on the
+//!   worker, after every ticket of the flight resolved.  Per job, [`CachePolicy`] opts out (`Bypass`) or
 //!   forces a re-fill (`Refresh`).
 //! * **Flights** — a worker runs one *flight* per claim: the job it
 //!   dequeued (the leader) plus every queued same-key `UseOrFill` duplicate
@@ -1582,7 +1583,10 @@ fn land<V, E>(
         None => Err(ServiceError::JobPanicked),
     };
     let freed = match (&result, key) {
-        (Ok(outcome), Some(key)) => {
+        // A fill the graph has already moved past (an invalidation or a
+        // mutation raced with the run) would never be served; storing it
+        // would only push colder, valid entries out.
+        (Ok(outcome), Some(key)) if version == shared.graph_version.load(Ordering::Acquire) => {
             let bytes = sizer(outcome);
             lock(&shared.cache).store(key, Arc::clone(outcome), version, bytes)
         }
@@ -1646,7 +1650,7 @@ fn worker_loop<V, E>(
         // version the results are stored under — both under the log lock,
         // so the sampled version never covers a batch this session has not
         // replayed.  Sampling *before* the run means an invalidation (or a
-        // mutation) racing with the run makes the fill stale (never served)
+        // mutation) racing with the run makes the fill stale (never stored)
         // rather than wrongly fresh.
         let version = {
             let log = lock(&shared.mutations);
@@ -3271,6 +3275,41 @@ mod tests {
             .wait()
             .unwrap();
         assert_eq!(service.cached_results(), 2);
+        assert_eq!(service.stats().cache_hits, 1);
+    }
+
+    #[test]
+    fn a_fill_that_lands_after_an_invalidation_is_not_stored() {
+        let graph = test_graph();
+        let service = small_service(&graph, 1, 8);
+        let gate = GateControl::default();
+        let racing = service
+            .submit(KeyedSssp {
+                inner: Sssp { sources: vec![0] },
+                gate: Some(gate.clone()),
+            })
+            .unwrap();
+        // `running` counts the job once its version is sampled.
+        while service.stats_snapshot().running == 0 {
+            thread::yield_now();
+        }
+        service.invalidate_cache();
+        gate.release();
+        racing.wait().unwrap();
+        assert_eq!(service.cached_results(), 0);
+        // The next ask runs again, and its fill is stored and served.
+        let refill = service
+            .submit(KeyedSssp::new(vec![0]))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(service.cached_results(), 1);
+        let hit = service
+            .submit(KeyedSssp::new(vec![0]))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert!(Arc::ptr_eq(&hit, &refill));
         assert_eq!(service.stats().cache_hits, 1);
     }
 

@@ -557,7 +557,7 @@ where
         // Per node, the removed edges' endpoints: the mirrors the batch may
         // retire.
         let mut dropped: Vec<Vec<VertexId>> = vec![Vec::new(); num_parts];
-        for &(edge_id, src, dst) in &delta.removed_edges {
+        for (edge_id, src, dst) in &delta.removed_edges {
             let part = self.partitioning.part_of_edge(edge_id);
             let position = self
                 .partitioning
@@ -594,7 +594,7 @@ where
         // Global out-degree deltas of the batch, keyed ascending.
         let mut deltas: std::collections::BTreeMap<VertexId, i64> =
             std::collections::BTreeMap::new();
-        for &(_, src, _) in &delta.removed_edges {
+        for (_, src, _) in &delta.removed_edges {
             *deltas.entry(src).or_insert(0) -= 1;
         }
         for edge in &delta.added_edges {

@@ -203,7 +203,7 @@ impl<V: Clone, E: Clone> PropertyGraph<V, E> {
             "mutation batch resolved against a different edge count"
         );
         if !delta.removed_edges.is_empty() {
-            let mut cut = delta.removed_edges.iter().map(|&(id, _, _)| id).peekable();
+            let mut cut = delta.removed_edges.iter().map(|(id, _, _)| id).peekable();
             let mut id = 0usize;
             self.edges.retain(|_| {
                 let keep = cut.peek() != Some(&id);

@@ -44,7 +44,8 @@ pub use dense::{DenseSlots, FrontierSet, LocalIdMap};
 pub use edge_list::EdgeList;
 pub use graph::PropertyGraph;
 pub use mutate::{
-    MutationBatch, MutationError, MutationLog, MutationOp, MutationScope, ResolvedMutation,
+    MutationBatch, MutationError, MutationLog, MutationOp, MutationScope, RemovedEdges,
+    ResolvedMutation,
 };
 pub use types::{Edge, EdgeId, GraphError, PartitionId, Result, Triplet, VertexId};
 pub use view::{TripletBuffer, ViewStats};

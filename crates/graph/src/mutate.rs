@@ -192,7 +192,8 @@ impl<V, E> MutationBatch<V, E> {
 /// A log retains every batch for the life of its deployment, so a batch
 /// holds only what cannot be derived: the removed and added edges and the
 /// added and detached vertices.  The dirty frontier is recomputed from them
-/// on demand ([`ResolvedMutation::dirty_vertices`]).
+/// on demand ([`ResolvedMutation::dirty_vertices`]), and the removed edges
+/// are byte-packed ([`RemovedEdges`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResolvedMutation<V, E> {
     /// The graph version this batch *produces* (the pristine graph is
@@ -204,7 +205,7 @@ pub struct ResolvedMutation<V, E> {
     pub prior_num_edges: usize,
     /// Removed edges as `(pre-batch edge id, src, dst)`, ascending by id.
     /// The endpoints ride along so degree deltas need no lookup.
-    pub removed_edges: Vec<(EdgeId, VertexId, VertexId)>,
+    pub removed_edges: RemovedEdges,
     /// Added edges in op order; the `i`-th takes post-compaction id
     /// `prior_num_edges - removed_edges.len() + i`.
     pub added_edges: Vec<Edge<E>>,
@@ -234,7 +235,7 @@ impl<V, E> ResolvedMutation<V, E> {
         let mut dirty: Vec<VertexId> = self
             .removed_edges
             .iter()
-            .flat_map(|&(_, src, dst)| [src, dst])
+            .flat_map(|(_, src, dst)| [src, dst])
             .chain(
                 self.added_edges
                     .iter()
@@ -255,6 +256,137 @@ impl<V, E> ResolvedMutation<V, E> {
     /// them.
     pub fn has_removals(&self) -> bool {
         !self.removed_edges.is_empty()
+    }
+}
+
+/// The edges one batch removes: `(pre-batch edge id, src, dst)` triples in
+/// strictly ascending id order.
+///
+/// A log keeps every batch for the life of its deployment, so the triples
+/// are packed into one byte stream instead of 16 bytes each: per edge, the
+/// number of ids it skips past the previous one (the first edge: its id),
+/// then the two endpoints, each as a LEB128 varint.  Retiring a run of consecutive edges between vertices
+/// below 16 384 costs five bytes an edge.  The encoding is canonical, so two
+/// sets are equal exactly when their triples are.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RemovedEdges {
+    bytes: Box<[u8]>,
+    len: usize,
+}
+
+impl RemovedEdges {
+    /// Number of removed edges.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no edge is removed.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The triples in ascending id order.
+    pub fn iter(&self) -> RemovedEdgesIter<'_> {
+        RemovedEdgesIter {
+            bytes: &self.bytes,
+            next_id: 0,
+            remaining: self.len,
+        }
+    }
+}
+
+impl FromIterator<(EdgeId, VertexId, VertexId)> for RemovedEdges {
+    /// Packs the triples.
+    ///
+    /// # Panics
+    /// If the ids are not strictly ascending.
+    fn from_iter<I: IntoIterator<Item = (EdgeId, VertexId, VertexId)>>(triples: I) -> Self {
+        fn push_varint(bytes: &mut Vec<u8>, mut value: usize) {
+            while value >= 0x80 {
+                bytes.push(value as u8 | 0x80);
+                value >>= 7;
+            }
+            bytes.push(value as u8);
+        }
+        let mut bytes = Vec::new();
+        let mut len = 0;
+        let mut previous: Option<EdgeId> = None;
+        for (id, src, dst) in triples {
+            let gap = match previous {
+                None => id,
+                Some(previous) => {
+                    assert!(id > previous, "removed edge ids must be strictly ascending");
+                    id - previous - 1
+                }
+            };
+            push_varint(&mut bytes, gap);
+            push_varint(&mut bytes, src as usize);
+            push_varint(&mut bytes, dst as usize);
+            previous = Some(id);
+            len += 1;
+        }
+        Self {
+            bytes: bytes.into_boxed_slice(),
+            len,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a RemovedEdges {
+    type Item = (EdgeId, VertexId, VertexId);
+    type IntoIter = RemovedEdgesIter<'a>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// Iterator over [`RemovedEdges`], decoding as it goes.
+#[derive(Debug, Clone)]
+pub struct RemovedEdgesIter<'a> {
+    bytes: &'a [u8],
+    next_id: EdgeId,
+    remaining: usize,
+}
+
+impl RemovedEdgesIter<'_> {
+    fn varint(&mut self) -> usize {
+        let mut value = 0;
+        let mut shift = 0;
+        loop {
+            let (&byte, rest) = self
+                .bytes
+                .split_first()
+                .expect("the stream holds every counted edge");
+            self.bytes = rest;
+            value |= usize::from(byte & 0x7f) << shift;
+            if byte < 0x80 {
+                return value;
+            }
+            shift += 7;
+        }
+    }
+}
+
+impl Iterator for RemovedEdgesIter<'_> {
+    type Item = (EdgeId, VertexId, VertexId);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let id = self.next_id + self.varint();
+        // Wraps only past the largest id, which no later triple can follow.
+        self.next_id = id.wrapping_add(1);
+        // Endpoints were encoded from `VertexId`s, so they fit back.
+        let src = self.varint() as VertexId;
+        let dst = self.varint() as VertexId;
+        Some((id, src, dst))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
     }
 }
 
@@ -455,7 +587,7 @@ impl<V: Clone, E: Clone> MutationLog<V, E> {
             }
         }
         removed.sort_unstable();
-        let removed_edges: Vec<(EdgeId, VertexId, VertexId)> = removed
+        let removed_edges: RemovedEdges = removed
             .iter()
             .map(|&id| {
                 let (src, dst) = self.edge_endpoints[id];
@@ -475,7 +607,7 @@ impl<V: Clone, E: Clone> MutationLog<V, E> {
         // relative order, matching the documented id renumbering), append
         // the additions.
         if !delta.removed_edges.is_empty() {
-            let mut cut = delta.removed_edges.iter().map(|&(id, _, _)| id).peekable();
+            let mut cut = delta.removed_edges.iter().map(|(id, _, _)| id).peekable();
             let mut id = 0usize;
             self.edge_endpoints.retain(|_| {
                 let keep = cut.peek() != Some(&id);
@@ -498,6 +630,35 @@ impl<V: Clone, E: Clone> MutationLog<V, E> {
 mod tests {
     use super::*;
 
+    #[test]
+    fn removed_edges_round_trip_through_their_packing() {
+        let triples = vec![
+            (0, 0, 1),
+            (1, 5, 5),
+            (127, 127, 128),
+            (128, 16_384, 0),
+            (1 << 40, VertexId::MAX, 3),
+            (usize::MAX, 2, VertexId::MAX),
+        ];
+        let removed: RemovedEdges = triples.iter().copied().collect();
+        assert_eq!(removed.len(), triples.len());
+        assert_eq!(removed.iter().collect::<Vec<_>>(), triples);
+        assert!(RemovedEdges::default().is_empty());
+        assert_eq!(RemovedEdges::default().iter().next(), None);
+    }
+
+    #[test]
+    fn a_contiguous_run_of_low_edges_packs_into_five_bytes_an_edge() {
+        let removed: RemovedEdges = (100..1_100).map(|id| (id, 200, 16_383)).collect();
+        assert_eq!(removed.bytes.len(), 1_000 * 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn removed_edges_reject_a_repeated_id() {
+        let _: RemovedEdges = [(3, 0, 1), (3, 1, 2)].into_iter().collect();
+    }
+
     fn diamond_log() -> MutationLog<f64, f64> {
         // 0 -> 1 -> 3, 0 -> 2 -> 3
         MutationLog::new(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
@@ -515,7 +676,10 @@ mod tests {
         assert_eq!(delta.prior_num_vertices, 4);
         assert_eq!(delta.prior_num_edges, 4);
         assert_eq!(delta.added_vertices, vec![(4, 0.5)]);
-        assert_eq!(delta.removed_edges, vec![(1, 0, 2)]);
+        assert_eq!(
+            delta.removed_edges.iter().collect::<Vec<_>>(),
+            vec![(1, 0, 2)]
+        );
         assert_eq!(delta.num_vertices(), 5);
         assert_eq!(delta.num_edges(), 4);
         assert_eq!(delta.dirty_vertices(), [0, 2, 3, 4]);
@@ -539,7 +703,10 @@ mod tests {
             })
         );
         let delta = log.append(&MutationBatch::new().remove_edge(1)).unwrap();
-        assert_eq!(delta.removed_edges, vec![(1, 1, 3)]);
+        assert_eq!(
+            delta.removed_edges.iter().collect::<Vec<_>>(),
+            vec![(1, 1, 3)]
+        );
         assert_eq!(log.num_edges(), 1);
     }
 

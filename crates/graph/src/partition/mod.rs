@@ -239,7 +239,7 @@ impl Partitioning {
         }
         if !delta.removed_edges.is_empty() {
             let mut orphaned = vec![false; num_parts];
-            for &(edge_id, src, dst) in &delta.removed_edges {
+            for (edge_id, src, dst) in &delta.removed_edges {
                 let part = self.edge_assignment[edge_id];
                 for v in [src, dst] {
                     let position = self.parts[part]
@@ -267,7 +267,7 @@ impl Partitioning {
                 vertices.truncate(kept);
                 counts.truncate(kept);
             }
-            let removed: Vec<EdgeId> = delta.removed_edges.iter().map(|&(id, _, _)| id).collect();
+            let removed: Vec<EdgeId> = delta.removed_edges.iter().map(|(id, _, _)| id).collect();
             let mut cut = removed.iter().copied().peekable();
             let mut id = 0usize;
             self.edge_assignment.retain(|_| {
