@@ -9,9 +9,10 @@
 //! and the benchmark's `ServeRank`/`ServeReach` keys; the others run
 //! serially.  Per row:
 //!
-//! * supersteps, Σ triplets, messages after `MSGMerge`, downloads, the sync
-//!   cache's hits, misses and evictions, remote messages and replica
-//!   updates (summed over the row's jobs);
+//! * supersteps, Σ triplets, kernel launches (one per pipeline block),
+//!   messages after `MSGMerge`, downloads, the sync cache's hits, misses
+//!   and evictions, remote messages and replica updates (summed over the
+//!   row's jobs);
 //! * heap allocations per warm job, counted by a counting global allocator
 //!   around the job's submit-to-result span (a service job's worker thread
 //!   included);
@@ -146,6 +147,7 @@ struct Work {
     jobs: u64,
     supersteps: u64,
     triplets: u64,
+    launches: u64,
     merged_messages: u64,
     downloads: u64,
     cache: [u64; 3],
@@ -168,6 +170,7 @@ impl Work {
         self.jobs += 1;
         self.supersteps += report.num_iterations() as u64;
         self.triplets += report.total_triplets() as u64;
+        self.launches += agents.kernel_launches;
         self.merged_messages += agents.uploaded_entities + agents.uploads_avoided;
         self.downloads += agents.downloaded_entities;
         self.cache[0] += agents.cache.hits;
@@ -193,6 +196,7 @@ impl Work {
             self.jobs.to_string(),
             self.supersteps.to_string(),
             self.triplets.to_string(),
+            self.launches.to_string(),
             self.merged_messages.to_string(),
             self.downloads.to_string(),
             self.cache[0].to_string(),
@@ -407,6 +411,7 @@ fn main() {
             "Jobs",
             "Supersteps",
             "Triplets",
+            "Launches",
             "Merged msgs",
             "Downloads",
             "Sync hits",
