@@ -4,16 +4,15 @@
 //! the middleware is supposed to work with *any* device that can execute the
 //! kernel ABI, not with one hard-coded cost model.  This module is that seam.
 //! [`AcceleratorBackend`] is the object-safe trait the daemon layer drives;
-//! [`DeviceSpec`] is the serializable descriptor a deployment is built from;
-//! and two backends ship behind the same ABI:
+//! [`DeviceSpec`] is the serializable descriptor a deployment is built from.
 //!
-//! * [`SimBackend`] — the cost-model device of the earlier PRs: kernels run
-//!   for real on the calling thread, time is attributed analytically, results
-//!   are bit-identical to the pre-trait middleware;
-//! * [`HostParallelBackend`] — the first backend where *wall-clock* time
-//!   improves: each kernel launch is split into contiguous chunks executed
-//!   across OS threads, with deterministic per-chunk output ordering so the
-//!   results stay bit-identical to [`SimBackend`].
+//! One host backend ships behind the ABI, and [`DeviceSpec::build`] is how
+//! it is made.  Kernels run for real on the host; the [`BackendKind`] only
+//! picks its thread count.  [`BackendKind::Sim`] is one thread: every launch
+//! is a single chunk on the calling thread.  [`BackendKind::HostParallel`]
+//! splits a large enough launch into contiguous chunks run on a pool of
+//! long-lived worker threads.  The ABI reports no time: simulated time is
+//! priced from the device's [`CostModel`] by whoever needs it.
 //!
 //! # The kernel ABI
 //!
@@ -24,11 +23,11 @@
 //! [`AcceleratorBackend::max_concurrency`] — and invokes the kernel once per
 //! chunk, possibly concurrently.  Callers that need ordered output collect
 //! per-chunk results and concatenate them in chunk-index order, which equals
-//! the serial item order by construction.  This is what makes backends
+//! the serial item order by construction.  This is what makes thread counts
 //! interchangeable without touching the determinism guarantees.
 
 use crate::cost::CostModel;
-use crate::device::{AccelError, DeviceKind, KernelTiming, Result};
+use crate::device::{AccelError, DeviceKind, Result};
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
@@ -55,13 +54,13 @@ pub struct ChunkSpec {
 /// backend invokes it from several threads at once (with distinct chunks).
 pub type ChunkKernel<'a> = dyn Fn(ChunkSpec) + Sync + 'a;
 
-/// Which backend implementation a [`DeviceSpec`] builds.
+/// How many host threads a [`DeviceSpec`]'s backend runs kernels on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum BackendKind {
-    /// The cost-model backend: kernels run on the calling thread, timing is
-    /// analytic ([`SimBackend`]).
+    /// One thread: every launch runs as a single chunk on the calling
+    /// thread.
     Sim,
-    /// Kernels execute for real across OS threads ([`HostParallelBackend`]).
+    /// Large launches are split across a pool of worker threads.
     HostParallel {
         /// Worker threads per launch; `None` picks the host's available
         /// parallelism (capped by the cost model's `lanes`).
@@ -80,6 +79,24 @@ impl BackendKind {
         match self {
             BackendKind::Sim => "sim",
             BackendKind::HostParallel { .. } => "host-parallel",
+        }
+    }
+
+    /// The effective thread count on a device `lanes` wide: one for
+    /// [`BackendKind::Sim`]; otherwise the requested (or available) count,
+    /// clamped to `1..=min(lanes, 64)` — a backend cannot be more parallel
+    /// than the device width it models.
+    fn threads(self, lanes: u32) -> usize {
+        match self {
+            BackendKind::Sim => 1,
+            BackendKind::HostParallel { threads } => {
+                let host = threads.unwrap_or_else(|| {
+                    std::thread::available_parallelism()
+                        .map(std::num::NonZeroUsize::get)
+                        .unwrap_or(1)
+                });
+                host.clamp(1, (lanes as usize).clamp(1, MAX_HOST_THREADS))
+            }
         }
     }
 }
@@ -103,7 +120,7 @@ pub struct DeviceSpec {
     /// Analytic cost model (also the planning model for capacity splits and
     /// block sizing, whichever backend executes the kernels).
     pub cost: CostModel,
-    /// Which backend implementation to build.
+    /// How many host threads the built backend runs kernels on.
     pub backend: BackendKind,
 }
 
@@ -136,33 +153,19 @@ impl DeviceSpec {
 
     /// Builds the live backend this spec describes.
     pub fn build(&self) -> Box<dyn AcceleratorBackend> {
-        match self.backend {
-            BackendKind::Sim => Box::new(SimBackend::new(self.name.clone(), self.kind, self.cost)),
-            BackendKind::HostParallel { threads } => Box::new(HostParallelBackend::new(
-                self.name.clone(),
-                self.kind,
-                self.cost,
-                threads,
-            )),
-        }
+        Box::new(HostBackend {
+            name: self.name.clone(),
+            cost: self.cost,
+            threads: self.backend.threads(self.cost.lanes),
+            initialized: false,
+            pool: None,
+        })
     }
 }
 
 impl From<DeviceSpec> for Box<dyn AcceleratorBackend> {
     fn from(spec: DeviceSpec) -> Self {
         spec.build()
-    }
-}
-
-impl From<SimBackend> for Box<dyn AcceleratorBackend> {
-    fn from(backend: SimBackend) -> Self {
-        Box::new(backend)
-    }
-}
-
-impl From<HostParallelBackend> for Box<dyn AcceleratorBackend> {
-    fn from(backend: HostParallelBackend) -> Self {
-        Box::new(backend)
     }
 }
 
@@ -179,34 +182,23 @@ impl From<HostParallelBackend> for Box<dyn AcceleratorBackend> {
 ///   `launch` returns.
 /// * A launch that exceeds the device memory capacity fails with
 ///   [`AccelError::OutOfMemory`] *without* invoking the kernel.
-/// * The first (successful) launch after construction or
-///   [`shutdown`](Self::shutdown) pays the cost model's initialisation time
-///   in its [`KernelTiming::init`]; later launches report zero init.
-/// * Reported timing comes from the device's [`CostModel`] for every
-///   backend, so simulated time attribution is backend-independent; real
-///   backends improve *wall-clock* time, which benchmarks measure directly.
+/// * A kernel panic unwinds out of `launch` on the launching thread.
+/// * [`initialize`](Self::initialize) pays the cost model's initialisation
+///   time once per device context; `launch` never initialises.
 pub trait AcceleratorBackend: Send + fmt::Debug {
     /// Device name (e.g. `"node0-gpu0"`).
     fn name(&self) -> &str;
 
-    /// Hardware flavour this backend represents.
-    fn kind(&self) -> DeviceKind;
-
     /// The analytic cost model used for planning and time attribution.
     fn cost_model(&self) -> &CostModel;
-
-    /// The serializable descriptor that would rebuild this backend.
-    fn spec(&self) -> DeviceSpec;
-
-    /// Whether the device context is currently initialised.
-    fn is_initialized(&self) -> bool;
 
     /// Initialises the device context if necessary and returns the time it
     /// took (zero when already initialised).  Daemons call this once per
     /// lifetime — runtime isolation, §IV-C.
     fn initialize(&mut self) -> SimDuration;
 
-    /// Tears down the device context (the next launch pays init again).
+    /// Tears down the device context (the next `initialize` pays again).
+    /// Idempotent.
     fn shutdown(&mut self);
 
     /// Upper bound on the number of chunks a launch is split into.  Callers
@@ -218,177 +210,12 @@ pub trait AcceleratorBackend: Send + fmt::Debug {
     ///
     /// # Errors
     /// [`AccelError::OutOfMemory`] when `items` exceeds the device memory.
-    fn launch(&mut self, items: usize, kernel: &ChunkKernel<'_>) -> Result<KernelTiming>;
-
-    /// Cumulative number of items processed (for utilisation metrics).
-    fn items_processed(&self) -> u64;
-
-    /// Cumulative number of kernel launches.
-    fn kernel_launches(&self) -> u64;
-
-    /// The computation capacity factor `1/c_j` (§III-C) of this device.
-    fn capacity_factor(&self) -> f64 {
-        self.cost_model().capacity_factor()
-    }
-
-    /// Estimated time of a kernel over `n` items, excluding pending
-    /// initialisation (used by block sizing and the workload balancer).
-    fn estimate_invocation(&self, n: usize) -> SimDuration {
-        self.cost_model().invocation_time(n)
-    }
-
-    /// Device memory capacity in items, if bounded.
-    fn memory_capacity_items(&self) -> Option<usize> {
-        self.cost_model().memory_capacity_items
-    }
+    fn launch(&mut self, items: usize, kernel: &ChunkKernel<'_>) -> Result<()>;
 }
 
-/// Fails with [`AccelError::OutOfMemory`] if a batch of `n` items exceeds
-/// the cost model's device memory.
-fn check_memory(cost: &CostModel, name: &str, n: usize) -> Result<()> {
-    if cost.exceeds_memory(n) {
-        return Err(AccelError::OutOfMemory {
-            requested: n,
-            capacity: cost.memory_capacity_items.unwrap_or(0),
-            device: name.to_string(),
-        });
-    }
-    Ok(())
-}
-
-/// Timing attribution shared by every backend: initialisation (if pending)
-/// plus `Tcall + Tcopy(n) + Tcomp(n)` from the cost model.
-fn cost_timing(cost: &CostModel, init: SimDuration, n: usize) -> KernelTiming {
-    KernelTiming {
-        init,
-        call: cost.call,
-        copy: cost.copy_time(n),
-        compute: cost.compute_time(n),
-    }
-}
-
-/// The cost-model backend: kernels execute for real on the calling thread
-/// (one chunk per launch), time is attributed through the analytic
-/// [`CostModel`] so every experiment's *shape* is host-independent.
-///
-/// This is the `Device` of the earlier PRs behind the trait; its behaviour —
-/// execution order, memory checks, stats, timing — is preserved
-/// bit-identically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SimBackend {
-    name: String,
-    kind: DeviceKind,
-    cost: CostModel,
-    initialized: bool,
-    /// Cumulative number of items processed (for utilisation metrics).
-    items_processed: u64,
-    /// Cumulative number of kernel launches.
-    kernel_launches: u64,
-}
-
-impl SimBackend {
-    /// Creates a new, uninitialised backend.
-    pub fn new(name: impl Into<String>, kind: DeviceKind, cost: CostModel) -> Self {
-        Self {
-            name: name.into(),
-            kind,
-            cost,
-            initialized: false,
-            items_processed: 0,
-            kernel_launches: 0,
-        }
-    }
-
-    /// Device name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Device kind.
-    pub fn kind(&self) -> DeviceKind {
-        self.kind
-    }
-
-    /// The device's cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
-    /// The computation capacity factor `1/c_j` (§III-C) of this device.
-    pub fn capacity_factor(&self) -> f64 {
-        self.cost.capacity_factor()
-    }
-
-    /// Initialises the device context if necessary; see
-    /// [`AcceleratorBackend::initialize`].
-    pub fn initialize(&mut self) -> SimDuration {
-        if self.initialized {
-            SimDuration::ZERO
-        } else {
-            self.initialized = true;
-            self.cost.init
-        }
-    }
-}
-
-impl AcceleratorBackend for SimBackend {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> DeviceKind {
-        self.kind
-    }
-
-    fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
-    fn spec(&self) -> DeviceSpec {
-        DeviceSpec::new(self.name.clone(), self.kind, self.cost)
-    }
-
-    fn is_initialized(&self) -> bool {
-        self.initialized
-    }
-
-    fn initialize(&mut self) -> SimDuration {
-        SimBackend::initialize(self)
-    }
-
-    fn shutdown(&mut self) {
-        self.initialized = false;
-    }
-
-    fn max_concurrency(&self) -> usize {
-        1
-    }
-
-    fn launch(&mut self, items: usize, kernel: &ChunkKernel<'_>) -> Result<KernelTiming> {
-        check_memory(&self.cost, &self.name, items)?;
-        let init = self.initialize();
-        kernel(ChunkSpec {
-            index: 0,
-            chunks: 1,
-            range: 0..items,
-        });
-        self.items_processed += items as u64;
-        self.kernel_launches += 1;
-        Ok(cost_timing(&self.cost, init, items))
-    }
-
-    fn items_processed(&self) -> u64 {
-        self.items_processed
-    }
-
-    fn kernel_launches(&self) -> u64 {
-        self.kernel_launches
-    }
-}
-
-/// Smallest chunk worth a thread of its own: below this, the spawn overhead
-/// dwarfs the kernel work and the launch degenerates to a single inline
-/// chunk.
+/// Smallest chunk worth a thread of its own: below this, the hand-off
+/// overhead dwarfs the kernel work and the launch degenerates to a single
+/// inline chunk.
 const MIN_ITEMS_PER_CHUNK: usize = 256;
 
 /// Hard cap on worker threads per launch, whatever the host reports.
@@ -410,7 +237,7 @@ struct LaunchState {
 struct LaunchProgress {
     remaining: usize,
     /// The first ferried kernel panic payload, re-raised on the launching
-    /// thread (matching the panic propagation of a scoped spawn).
+    /// thread (as an inline chunk's panic unwinds it).
     panic: Option<Box<dyn Any + Send>>,
 }
 
@@ -483,7 +310,7 @@ struct PoolQueue {
     open: bool,
 }
 
-/// The persistent worker threads of a [`HostParallelBackend`]: spawned once
+/// The persistent worker threads of a multi-threaded backend: spawned once
 /// (lazily, at the first multi-chunk launch) and fed launches through a
 /// shared job queue, so a workload of many small launches — a deep
 /// pipeline — pays thread-spawn cost once instead of per launch.
@@ -530,6 +357,14 @@ impl Drop for WorkerPool {
     }
 }
 
+impl fmt::Debug for WorkerPool {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WorkerPool")
+            .field("workers", &self.workers.len())
+            .finish()
+    }
+}
+
 /// The loop of one pool worker: pop a chunk, run it (panics caught and
 /// ferried to the launching thread), mark it done.
 fn pool_worker(shared: &PoolShared) {
@@ -563,124 +398,35 @@ fn pool_worker(shared: &PoolShared) {
     }
 }
 
-/// The lazily-created pool slot of a [`HostParallelBackend`].  Deliberately
-/// inert for the derived impls: clones start without a pool (each backend
-/// owns its own threads), equality ignores it, `Debug` shows only whether it
-/// is live.
-#[derive(Default)]
-struct PoolSlot(Option<WorkerPool>);
-
-impl Clone for PoolSlot {
-    fn clone(&self) -> Self {
-        PoolSlot(None)
-    }
-}
-
-impl PartialEq for PoolSlot {
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
-impl fmt::Debug for PoolSlot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("PoolSlot").field(&self.0.is_some()).finish()
-    }
-}
-
-/// The host-parallel backend: every kernel launch is split into contiguous
-/// chunks executed across a pool of long-lived OS threads (spawned at the
-/// first multi-chunk launch and reused until the backend drops, so a stream
-/// of small launches does not pay spawn cost per launch).  Kernels may
-/// borrow the iteration's data without `'static` bounds: a launch blocks
-/// until its last chunk completes, pinning the borrow.
-///
-/// Chunks are contiguous, disjoint and index-dense, so a caller that
-/// concatenates per-chunk output in chunk order reproduces the serial item
-/// order exactly — results are bit-identical to [`SimBackend`].  Simulated
-/// [`KernelTiming`] still comes from the cost model (time attribution is
-/// backend-independent); what this backend improves is real wall-clock time,
-/// which the benchmark measures directly (`accel.host_parallel_speedup`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct HostParallelBackend {
+/// The one host backend.  A launch too small to split, or on a one-thread
+/// backend, runs as a single chunk on the calling thread.  Otherwise it is
+/// split into contiguous chunks that a pool of long-lived OS threads runs
+/// (spawned at the first multi-chunk launch and reused until the backend
+/// drops).  Kernels may borrow the iteration's data without `'static`
+/// bounds: a launch blocks until its last chunk completes, pinning the
+/// borrow.
+#[derive(Debug)]
+struct HostBackend {
     name: String,
-    kind: DeviceKind,
     cost: CostModel,
     threads: usize,
-    configured_threads: Option<usize>,
     initialized: bool,
-    items_processed: u64,
-    kernel_launches: u64,
-    pool: PoolSlot,
+    pool: Option<WorkerPool>,
 }
 
-impl HostParallelBackend {
-    /// Creates the backend.  `threads = None` picks the host's available
-    /// parallelism; the effective count is clamped to
-    /// `1..=min(cost.lanes, 64)` — a backend cannot be more parallel than
-    /// the device width it models.
-    pub fn new(
-        name: impl Into<String>,
-        kind: DeviceKind,
-        cost: CostModel,
-        threads: Option<usize>,
-    ) -> Self {
-        let host = threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
-        let cap = (cost.lanes as usize).clamp(1, MAX_HOST_THREADS);
-        let effective = host.clamp(1, cap);
-        Self {
-            name: name.into(),
-            kind,
-            cost,
-            threads: effective,
-            configured_threads: threads,
-            initialized: false,
-            items_processed: 0,
-            kernel_launches: 0,
-            pool: PoolSlot(None),
-        }
-    }
-
-    /// The effective number of worker threads per launch.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl AcceleratorBackend for HostParallelBackend {
+impl AcceleratorBackend for HostBackend {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn kind(&self) -> DeviceKind {
-        self.kind
     }
 
     fn cost_model(&self) -> &CostModel {
         &self.cost
     }
 
-    fn spec(&self) -> DeviceSpec {
-        DeviceSpec::new(self.name.clone(), self.kind, self.cost).with_backend(
-            BackendKind::HostParallel {
-                threads: self.configured_threads,
-            },
-        )
-    }
-
-    fn is_initialized(&self) -> bool {
-        self.initialized
-    }
-
     fn initialize(&mut self) -> SimDuration {
-        if self.initialized {
+        if std::mem::replace(&mut self.initialized, true) {
             SimDuration::ZERO
         } else {
-            self.initialized = true;
             self.cost.init
         }
     }
@@ -693,9 +439,14 @@ impl AcceleratorBackend for HostParallelBackend {
         self.threads
     }
 
-    fn launch(&mut self, items: usize, kernel: &ChunkKernel<'_>) -> Result<KernelTiming> {
-        check_memory(&self.cost, &self.name, items)?;
-        let init = self.initialize();
+    fn launch(&mut self, items: usize, kernel: &ChunkKernel<'_>) -> Result<()> {
+        if self.cost.exceeds_memory(items) {
+            return Err(AccelError::OutOfMemory {
+                requested: items,
+                capacity: self.cost.memory_capacity_items.unwrap_or(0),
+                device: self.name.clone(),
+            });
+        }
         let chunks = self.threads.min(items.div_ceil(MIN_ITEMS_PER_CHUNK)).max(1);
         if chunks == 1 {
             kernel(ChunkSpec {
@@ -703,58 +454,47 @@ impl AcceleratorBackend for HostParallelBackend {
                 chunks: 1,
                 range: 0..items,
             });
-        } else {
-            let pool = self
-                .pool
-                .0
-                .get_or_insert_with(|| WorkerPool::new(self.threads, &self.name));
-            // Erase the kernel borrow's lifetime into a raw pointer.  The
-            // pool workers dereference it only between the dispatch below
-            // and the `launch_state.wait()` that follows, and `wait` does
-            // not return until every chunk completed — the borrow strictly
-            // outlives every dereference.
-            let kernel = KernelPtr(unsafe {
-                std::mem::transmute::<*const ChunkKernel<'_>, *const ChunkKernel<'static>>(
-                    kernel as *const ChunkKernel<'_>,
-                )
-            });
-            let launch_state = Arc::new(LaunchState::new(chunks));
-            // Contiguous even split: the first `rem` chunks take one extra
-            // item, so concatenating ranges in index order covers 0..items.
-            let base = items / chunks;
-            let rem = items % chunks;
-            let mut start = 0usize;
-            pool.dispatch((0..chunks).map(|index| {
-                let len = base + usize::from(index < rem);
-                let range = start..start + len;
-                start += len;
-                PoolJob {
-                    kernel,
-                    chunk: ChunkSpec {
-                        index,
-                        chunks,
-                        range,
-                    },
-                    launch: Arc::clone(&launch_state),
-                }
-            }));
-            if let Some(payload) = launch_state.wait() {
-                // A panicking kernel unwinds the launching thread, exactly
-                // as it did under the scoped-spawn implementation.
-                resume_unwind(payload);
-            }
+            return Ok(());
         }
-        self.items_processed += items as u64;
-        self.kernel_launches += 1;
-        Ok(cost_timing(&self.cost, init, items))
-    }
-
-    fn items_processed(&self) -> u64 {
-        self.items_processed
-    }
-
-    fn kernel_launches(&self) -> u64 {
-        self.kernel_launches
+        let pool = self
+            .pool
+            .get_or_insert_with(|| WorkerPool::new(self.threads, &self.name));
+        // SAFETY: erasing the kernel borrow's lifetime into a raw pointer
+        // only changes its type.  The pool workers dereference it only
+        // between the dispatch below and the `launch_state.wait()` that
+        // follows, and `wait` does not return until every chunk completed —
+        // the borrow strictly outlives every dereference.
+        let kernel = KernelPtr(unsafe {
+            std::mem::transmute::<*const ChunkKernel<'_>, *const ChunkKernel<'static>>(
+                kernel as *const ChunkKernel<'_>,
+            )
+        });
+        let launch_state = Arc::new(LaunchState::new(chunks));
+        // Contiguous even split: the first `rem` chunks take one extra item,
+        // so concatenating ranges in index order covers 0..items.
+        let base = items / chunks;
+        let rem = items % chunks;
+        let mut start = 0usize;
+        pool.dispatch((0..chunks).map(|index| {
+            let len = base + usize::from(index < rem);
+            let range = start..start + len;
+            start += len;
+            PoolJob {
+                kernel,
+                chunk: ChunkSpec {
+                    index,
+                    chunks,
+                    range,
+                },
+                launch: Arc::clone(&launch_state),
+            }
+        }));
+        if let Some(payload) = launch_state.wait() {
+            // A panicking kernel unwinds the launching thread, exactly as an
+            // inline chunk does.
+            resume_unwind(payload);
+        }
+        Ok(())
     }
 }
 
@@ -776,9 +516,17 @@ mod tests {
         }
     }
 
-    fn spec(backend: BackendKind) -> DeviceSpec {
-        DeviceSpec::new("test-dev", DeviceKind::Gpu, cost()).with_backend(backend)
+    fn build(backend: BackendKind) -> Box<dyn AcceleratorBackend> {
+        DeviceSpec::new("test-dev", DeviceKind::Gpu, cost())
+            .with_backend(backend)
+            .build()
     }
+
+    /// Both thread counts a backend is built with: one, and a pool of four.
+    const KINDS: [BackendKind; 2] = [
+        BackendKind::Sim,
+        BackendKind::HostParallel { threads: Some(4) },
+    ];
 
     /// Collects the chunk ranges a backend hands out for `items`.
     fn observed_chunks(backend: &mut dyn AcceleratorBackend, items: usize) -> Vec<ChunkSpec> {
@@ -806,14 +554,26 @@ mod tests {
         assert_eq!(next, items);
     }
 
+    /// Thread ids that ran one launch of four rendezvousing chunks.  The
+    /// barrier forces every pool worker to take exactly one chunk, so the
+    /// launch cannot complete unless four distinct workers run it.
+    fn pool_thread_ids(backend: &mut dyn AcceleratorBackend) -> HashSet<std::thread::ThreadId> {
+        let rendezvous = std::sync::Barrier::new(4);
+        let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
+        backend
+            .launch(4 * MIN_ITEMS_PER_CHUNK, &|_| {
+                rendezvous.wait();
+                seen.lock().unwrap().insert(std::thread::current().id());
+            })
+            .unwrap();
+        seen.into_inner().unwrap()
+    }
+
     #[test]
     fn both_backends_respect_the_chunk_contract() {
-        for kind in [
-            BackendKind::Sim,
-            BackendKind::HostParallel { threads: Some(4) },
-        ] {
-            let mut backend = spec(kind).build();
-            for items in [1usize, 255, 256, 1_000, 4_096] {
+        for kind in KINDS {
+            let mut backend = build(kind);
+            for items in [0usize, 1, 255, 256, 1_000, 4_096] {
                 let chunks = observed_chunks(backend.as_mut(), items);
                 assert_chunk_contract(&chunks, items, backend.max_concurrency());
             }
@@ -821,29 +581,23 @@ mod tests {
     }
 
     #[test]
-    fn first_launch_pays_init_later_launches_do_not() {
-        for kind in [BackendKind::Sim, BackendKind::host_parallel()] {
-            let mut backend = spec(kind).build();
-            assert!(!backend.is_initialized());
-            let first = backend.launch(100, &|_| {}).unwrap();
-            assert_eq!(first.init.as_millis(), 50.0);
-            let second = backend.launch(100, &|_| {}).unwrap();
-            assert!(second.init.is_zero());
+    fn initialize_pays_init_once_per_context() {
+        for kind in KINDS {
+            let mut backend = build(kind);
+            assert_eq!(backend.initialize().as_millis(), 50.0);
+            assert!(backend.initialize().is_zero());
+            backend.launch(100, &|_| {}).unwrap();
+            assert!(backend.initialize().is_zero());
             backend.shutdown();
-            let third = backend.launch(100, &|_| {}).unwrap();
-            assert_eq!(third.init.as_millis(), 50.0);
-            assert_eq!(backend.kernel_launches(), 3);
-            assert_eq!(backend.items_processed(), 300);
+            backend.shutdown();
+            assert_eq!(backend.initialize().as_millis(), 50.0);
         }
     }
 
     #[test]
     fn oversized_launches_fail_without_invoking_the_kernel() {
-        for kind in [
-            BackendKind::Sim,
-            BackendKind::HostParallel { threads: Some(2) },
-        ] {
-            let mut backend = spec(kind).build();
+        for kind in KINDS {
+            let mut backend = build(kind);
             let invoked = Mutex::new(false);
             let result = backend.launch(10_001, &|_| *invoked.lock().unwrap() = true);
             assert!(matches!(
@@ -855,107 +609,88 @@ mod tests {
                 })
             ));
             assert!(!*invoked.lock().unwrap());
-            assert_eq!(backend.kernel_launches(), 0);
         }
     }
 
     #[test]
-    fn timing_attribution_is_backend_independent() {
-        let mut sim = spec(BackendKind::Sim).build();
-        let mut par = spec(BackendKind::HostParallel { threads: Some(4) }).build();
-        let a = sim.launch(5_000, &|_| {}).unwrap();
-        let b = par.launch(5_000, &|_| {}).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn host_parallel_uses_multiple_threads_for_large_launches() {
-        let mut backend = HostParallelBackend::new("p", DeviceKind::Cpu, cost(), Some(4));
-        assert_eq!(backend.threads(), 4);
-        // Each chunk blocks on the barrier until all four are in flight, so
-        // the launch cannot complete unless four distinct workers run it.
-        let rendezvous = std::sync::Barrier::new(4);
-        let thread_ids: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-        backend
-            .launch(4 * MIN_ITEMS_PER_CHUNK, &|_| {
-                rendezvous.wait();
-                thread_ids
+        let mut backend = build(BackendKind::HostParallel { threads: Some(4) });
+        assert_eq!(backend.max_concurrency(), 4);
+        assert_eq!(pool_thread_ids(backend.as_mut()).len(), 4);
+        // Tiny launches stay inline: one chunk, the calling thread.
+        let chunks = observed_chunks(backend.as_mut(), MIN_ITEMS_PER_CHUNK / 2);
+        assert_eq!(chunks.len(), 1);
+        // One thread never splits, however large the launch.
+        let mut single = build(BackendKind::Sim);
+        assert_eq!(single.max_concurrency(), 1);
+        let caller = std::thread::current().id();
+        let ran_on = Mutex::new(Vec::new());
+        single
+            .launch(4 * MIN_ITEMS_PER_CHUNK, &|chunk| {
+                ran_on
                     .lock()
                     .unwrap()
-                    .insert(std::thread::current().id());
+                    .push((chunk, std::thread::current().id()));
             })
             .unwrap();
-        assert_eq!(thread_ids.lock().unwrap().len(), 4);
-        // Tiny launches stay inline: one chunk, the calling thread.
-        let chunks = observed_chunks(&mut backend, MIN_ITEMS_PER_CHUNK / 2);
-        assert_eq!(chunks.len(), 1);
+        let whole = ChunkSpec {
+            index: 0,
+            chunks: 1,
+            range: 0..4 * MIN_ITEMS_PER_CHUNK,
+        };
+        assert_eq!(ran_on.into_inner().unwrap(), vec![(whole, caller)]);
     }
 
     #[test]
     fn pool_threads_persist_across_launches() {
-        let mut backend = HostParallelBackend::new("p", DeviceKind::Cpu, cost(), Some(4));
-        let ids = |backend: &mut HostParallelBackend| {
-            // Rendezvous forces every worker to take exactly one chunk, so
-            // each launch observes the full, stable set of pool threads.
-            let rendezvous = std::sync::Barrier::new(4);
-            let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-            backend
-                .launch(4 * MIN_ITEMS_PER_CHUNK, &|_| {
-                    rendezvous.wait();
-                    seen.lock().unwrap().insert(std::thread::current().id());
-                })
-                .unwrap();
-            seen.into_inner().unwrap()
-        };
-        let first = ids(&mut backend);
-        let second = ids(&mut backend);
+        let mut backend = build(BackendKind::HostParallel { threads: Some(4) });
+        let first = pool_thread_ids(backend.as_mut());
+        let second = pool_thread_ids(backend.as_mut());
         assert_eq!(first.len(), 4);
         // Long-lived pool: later launches run on the same worker threads
         // instead of freshly spawned ones, and never on the caller's.
         assert_eq!(second, first);
         assert!(!first.contains(&std::thread::current().id()));
-        // Clones own their threads: the pool itself is not duplicated.
-        let mut cloned = backend.clone();
-        assert_eq!(cloned, backend);
-        let third = ids(&mut cloned);
-        assert!(third.is_disjoint(&first));
+        // Each backend owns its threads.
+        let mut other = build(BackendKind::HostParallel { threads: Some(4) });
+        assert!(pool_thread_ids(other.as_mut()).is_disjoint(&first));
     }
 
     #[test]
     fn kernel_panics_propagate_from_the_pool() {
-        let mut backend = HostParallelBackend::new("p", DeviceKind::Cpu, cost(), Some(4));
-        let unwound = catch_unwind(AssertUnwindSafe(|| {
-            let _ = backend.launch(4 * MIN_ITEMS_PER_CHUNK, &|chunk| {
-                assert!(chunk.index != 1, "kernel died");
-            });
-        }));
-        assert!(unwound.is_err());
-        // The pool survives a panicking kernel: the next launch completes.
-        backend.launch(4 * MIN_ITEMS_PER_CHUNK, &|_| {}).unwrap();
+        for kind in KINDS {
+            let mut backend = build(kind);
+            let unwound = catch_unwind(AssertUnwindSafe(|| {
+                let _ = backend.launch(4 * MIN_ITEMS_PER_CHUNK, &|chunk| {
+                    assert!(chunk.index + 1 != chunk.chunks, "kernel died");
+                });
+            }));
+            // The launching thread re-raises the kernel's own payload.
+            let payload = unwound.expect_err("the kernel panic unwinds the launch");
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            assert_eq!(message, Some("kernel died"));
+            // The backend survives a panicking kernel: the next launch
+            // completes.
+            backend.launch(4 * MIN_ITEMS_PER_CHUNK, &|_| {}).unwrap();
+        }
     }
 
     #[test]
     fn thread_count_is_clamped_to_the_device_width() {
         let narrow = CostModel { lanes: 2, ..cost() };
-        let backend = HostParallelBackend::new("n", DeviceKind::Cpu, narrow, Some(16));
-        assert_eq!(backend.threads(), 2);
-        let auto = HostParallelBackend::new("a", DeviceKind::Cpu, cost(), None);
-        assert!(auto.threads() >= 1);
-    }
-
-    #[test]
-    fn specs_round_trip_through_live_backends() {
-        for kind in [
-            BackendKind::Sim,
-            BackendKind::HostParallel { threads: Some(3) },
-        ] {
-            let spec = spec(kind);
-            let backend = spec.build();
-            assert_eq!(backend.spec(), spec);
-            assert_eq!(backend.name(), "test-dev");
-            assert_eq!(backend.kind(), DeviceKind::Gpu);
-            assert_eq!(backend.capacity_factor(), spec.capacity_factor());
-        }
+        let threads = |backend| {
+            DeviceSpec::new("n", DeviceKind::Cpu, narrow)
+                .with_backend(backend)
+                .build()
+                .max_concurrency()
+        };
+        assert_eq!(threads(BackendKind::HostParallel { threads: Some(16) }), 2);
+        assert_eq!(threads(BackendKind::HostParallel { threads: Some(0) }), 1);
+        assert_eq!(threads(BackendKind::Sim), 1);
+        assert!(build(BackendKind::host_parallel()).max_concurrency() >= 1);
     }
 
     #[test]

@@ -87,19 +87,6 @@ impl CostModel {
             None => false,
         }
     }
-
-    /// Returns a copy with a different memory capacity.
-    pub fn with_memory_capacity(mut self, items: Option<usize>) -> Self {
-        self.memory_capacity_items = items;
-        self
-    }
-
-    /// Returns a copy with the initialisation cost scaled by `factor`
-    /// (useful in tests and ablations).
-    pub fn with_init_scaled(mut self, factor: f64) -> Self {
-        self.init = self.init * factor;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -151,12 +138,10 @@ mod tests {
         let m = model();
         assert!(!m.exceeds_memory(1_000));
         assert!(m.exceeds_memory(1_001));
-        assert!(!m.with_memory_capacity(None).exceeds_memory(usize::MAX));
-    }
-
-    #[test]
-    fn init_scaling() {
-        let m = model().with_init_scaled(0.0);
-        assert!(m.init.is_zero());
+        let unbounded = CostModel {
+            memory_capacity_items: None,
+            ..m
+        };
+        assert!(!unbounded.exceeds_memory(usize::MAX));
     }
 }

@@ -1,12 +1,11 @@
-//! Shared device vocabulary: kinds, errors, kernel timing.
+//! Shared device vocabulary: kinds and errors.
 //!
 //! The *execution* side of a device lives behind the
 //! [`AcceleratorBackend`](crate::backend::AcceleratorBackend) trait in
 //! [`backend`](crate::backend); this module holds the types every backend
-//! (and every consumer of one) speaks: the hardware flavour, the error
-//! vocabulary and the timing attribution of a kernel launch.
+//! (and every consumer of one) speaks: the hardware flavour and the error
+//! vocabulary of a kernel launch.
 
-use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -66,27 +65,6 @@ impl std::error::Error for AccelError {}
 /// Result alias for accelerator operations.
 pub type Result<T> = std::result::Result<T, AccelError>;
 
-/// Timing breakdown of a single kernel execution.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct KernelTiming {
-    /// Device initialisation cost paid by this call (zero if the device was
-    /// already initialised — the benefit of runtime isolation, Fig. 13).
-    pub init: SimDuration,
-    /// Kernel launch / device call overhead (`Tcall`).
-    pub call: SimDuration,
-    /// Host/device transfer time (`Tcopy`).
-    pub copy: SimDuration,
-    /// Parallel compute time (`Tcomp`).
-    pub compute: SimDuration,
-}
-
-impl KernelTiming {
-    /// Total simulated time of the call.
-    pub fn total(&self) -> SimDuration {
-        self.init + self.call + self.copy + self.compute
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,16 +77,5 @@ mod tests {
             device: "g0".to_string(),
         };
         assert!(oom.to_string().contains("out of device memory on g0"));
-    }
-
-    #[test]
-    fn timing_totals_sum_all_phases() {
-        let timing = KernelTiming {
-            init: SimDuration::from_millis(1.0),
-            call: SimDuration::from_millis(2.0),
-            copy: SimDuration::from_millis(3.0),
-            compute: SimDuration::from_millis(4.0),
-        };
-        assert_eq!(timing.total().as_millis(), 10.0);
     }
 }

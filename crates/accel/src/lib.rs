@@ -5,17 +5,18 @@
 //! The paper plugs real GPUs and multi-core CPUs into distributed graph
 //! systems.  This crate provides the pluggable stand-in: the
 //! [`AcceleratorBackend`] trait is the kernel ABI a daemon drives, and
-//! interchangeable backends implement it — the cost-model [`SimBackend`]
-//! (kernels run for real on the host, time is attributed analytically so
-//! every experiment's *shape* is reproducible on any machine) and the
-//! [`HostParallelBackend`] (kernels execute across OS threads, improving
-//! real wall-clock time behind the same ABI).
+//! [`DeviceSpec::build`] makes its one host backend.  Kernels run for real on
+//! the host, on one thread ([`BackendKind::Sim`]) or split across a pool of
+//! worker threads ([`BackendKind::HostParallel`]), with bit-identical
+//! results.  A launch reports success or the kernel error, never time:
+//! simulated time is priced from each device's [`CostModel`], so every
+//! experiment's *shape* is reproducible on any machine.
 //!
-//! * [`time`] — simulated durations and clocks shared by all substrates;
+//! * [`time`] — simulated durations;
 //! * [`cost`] — the per-device cost model;
-//! * [`device`] — shared device vocabulary (kinds, errors, kernel timing);
+//! * [`device`] — shared device vocabulary (kinds, errors);
 //! * [`backend`] — the [`AcceleratorBackend`] trait, [`DeviceSpec`]
-//!   descriptors and the shipped backends;
+//!   descriptors and the host backend;
 //! * [`presets`] — calibrated V100-class GPU / Xeon-class CPU / FPGA presets.
 
 #![warn(missing_docs)]
@@ -27,10 +28,7 @@ pub mod device;
 pub mod presets;
 pub mod time;
 
-pub use backend::{
-    AcceleratorBackend, BackendKind, ChunkKernel, ChunkSpec, DeviceSpec, HostParallelBackend,
-    SimBackend,
-};
+pub use backend::{AcceleratorBackend, BackendKind, ChunkKernel, ChunkSpec, DeviceSpec};
 pub use cost::CostModel;
-pub use device::{AccelError, DeviceKind, KernelTiming, Result};
-pub use time::{SimClock, SimDuration};
+pub use device::{AccelError, DeviceKind, Result};
+pub use time::SimDuration;

@@ -1,12 +1,11 @@
 //! Simulated time.
 //!
 //! The paper's evaluation ran on a 6-node V100 cluster; this reproduction runs
-//! on whatever machine executes `cargo bench`.  To keep the *shape* of the
-//! results (who wins, by what factor, where crossovers fall) independent of
-//! the host, every substrate reports costs in **simulated milliseconds**
-//! derived from explicit analytic cost models, and the engine accumulates them
-//! on a [`SimClock`].  Real computation (shortest-path distances, PageRank
-//! values, …) still happens; only wall-clock attribution is modelled.
+//! on whatever machine runs it.  To keep the *shape* of the results (who
+//! wins, by what factor, where crossovers fall) independent of the host,
+//! costs are priced in **simulated milliseconds** from explicit analytic cost
+//! models.  Real computation (shortest-path distances, PageRank values, …)
+//! still happens; only wall-clock attribution is modelled.
 
 use serde::{Deserialize, Serialize};
 use std::iter::Sum;
@@ -102,42 +101,6 @@ impl Sum for SimDuration {
     }
 }
 
-/// A monotonically advancing simulated clock.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct SimClock {
-    now: SimDuration,
-}
-
-impl SimClock {
-    /// Creates a clock at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current simulated time since the clock was created.
-    pub fn now(&self) -> SimDuration {
-        self.now
-    }
-
-    /// Advances the clock by `d`.
-    pub fn advance(&mut self, d: SimDuration) {
-        self.now += d;
-    }
-
-    /// Advances the clock to `t` if `t` is later than the current time
-    /// (used when joining parallel timelines at a barrier).
-    pub fn advance_to(&mut self, t: SimDuration) {
-        if t > self.now {
-            self.now = t;
-        }
-    }
-
-    /// Resets the clock to zero.
-    pub fn reset(&mut self) {
-        self.now = SimDuration::ZERO;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,18 +127,5 @@ mod tests {
         assert_eq!(total.as_millis(), 18.0);
         assert_eq!(a.max(b), a);
         assert_eq!(a.min(b), b);
-    }
-
-    #[test]
-    fn clock_advances_monotonically() {
-        let mut clock = SimClock::new();
-        assert!(clock.now().is_zero());
-        clock.advance(SimDuration::from_millis(5.0));
-        clock.advance_to(SimDuration::from_millis(3.0)); // no-op, earlier
-        assert_eq!(clock.now().as_millis(), 5.0);
-        clock.advance_to(SimDuration::from_millis(9.0));
-        assert_eq!(clock.now().as_millis(), 9.0);
-        clock.reset();
-        assert!(clock.now().is_zero());
     }
 }

@@ -9,13 +9,13 @@
 
 use crate::sim_daemon;
 use gxplug_accel::{AccelError, AcceleratorBackend, DeviceSpec, SimDuration};
-use gxplug_core::Daemon;
+use gxplug_core::{merge_addressed, Daemon};
 use gxplug_engine::metrics::{IterationMetrics, RunReport};
 use gxplug_engine::template::GraphAlgorithm;
 use gxplug_graph::graph::PropertyGraph;
 use gxplug_graph::types::{Triplet, VertexId};
 use gxplug_ipc::blocks::TripletBlockRef;
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeSet;
 
 /// Host-side per-iteration overhead of the frontier manager (kernel fusion,
 /// frontier compaction) — deliberately small: Gunrock is a lean single-node
@@ -24,7 +24,8 @@ const FRONTIER_OVERHEAD: SimDuration = SimDuration::ZERO;
 
 /// A Gunrock-like single-GPU engine.
 ///
-/// Its one [`Daemon`] always simulates, whatever backend the spec selects.
+/// Its one [`Daemon`] always runs on one thread, whatever backend the spec
+/// selects.
 #[derive(Debug)]
 pub struct GunrockLike {
     daemon: Daemon,
@@ -44,6 +45,10 @@ impl GunrockLike {
     }
 
     /// Runs `algorithm` over `graph` entirely on the single device.
+    ///
+    /// The frontier is walked in ascending vertex order and messages merge
+    /// in first-seen order, so every run sums in the same order and the
+    /// values are bit-identical from run to run.
     ///
     /// Fails with [`AccelError::OutOfMemory`] if the graph's edge set does not
     /// fit in device memory (the whole graph must be resident).
@@ -75,7 +80,7 @@ impl GunrockLike {
         let mut values: Vec<V> = (0..graph.num_vertices() as VertexId)
             .map(|v| algorithm.init_vertex(v, graph.out_degree(v)))
             .collect();
-        let mut active: HashSet<VertexId> = match algorithm.initial_active(graph.num_vertices()) {
+        let mut active: BTreeSet<VertexId> = match algorithm.initial_active(graph.num_vertices()) {
             Some(seed) => seed.into_iter().collect(),
             None => (0..graph.num_vertices() as VertexId).collect(),
         };
@@ -119,34 +124,27 @@ impl GunrockLike {
                     )
                 })
                 .collect();
-            // The graph is already device-resident, so the only per-iteration
-            // costs are the kernel launch and the compute itself (no PCIe
-            // copies): model it explicitly instead of the full invocation.
             let block = TripletBlockRef {
                 index: 0,
                 triplets: &triplets,
             };
-            let (messages, timing) = self.daemon.execute_gen(algorithm, block, iteration)?;
-            let compute_time = timing.init + timing.call + timing.compute + FRONTIER_OVERHEAD;
+            let mut messages = Vec::new();
+            self.daemon
+                .execute_gen_into(algorithm, block, iteration, &mut messages)?;
+            // The graph is already device-resident, so the only per-iteration
+            // costs are the kernel launch and the compute itself (no PCIe
+            // copies).
+            let compute_time = cost.call + cost.compute_time(triplets.len()) + FRONTIER_OVERHEAD;
             // Merge and apply on the device (host cost negligible in Gunrock's
             // fused kernels; charge the apply at the device's per-item rate).
-            let mut merged: HashMap<VertexId, A::Msg> = HashMap::new();
-            for message in messages {
-                match merged.remove(&message.target) {
-                    Some(existing) => {
-                        let combined = algorithm.msg_merge(existing, message.payload);
-                        merged.insert(message.target, combined);
-                    }
-                    None => {
-                        merged.insert(message.target, message.payload);
-                    }
-                }
-            }
+            let merged = merge_addressed(algorithm, messages);
             let apply_time = cost.compute_time(merged.len());
-            let mut changed = HashSet::new();
-            for (target, message) in merged {
+            let mut changed = BTreeSet::new();
+            for message in merged {
+                let target = message.target;
                 let current = values[target as usize].clone();
-                if let Some(new_value) = algorithm.msg_apply(target, &current, &message, iteration)
+                if let Some(new_value) =
+                    algorithm.msg_apply(target, &current, &message.payload, iteration)
                 {
                     if new_value != current {
                         values[target as usize] = new_value;
@@ -184,7 +182,7 @@ mod tests {
     use super::*;
     use gxplug_accel::presets;
     use gxplug_algos::reference::multi_source_sssp_reference;
-    use gxplug_algos::MultiSourceSssp;
+    use gxplug_algos::{MultiSourceSssp, PageRank, RankValue};
     use gxplug_graph::generators::{Generator, Rmat};
 
     fn graph(scale: u32) -> PropertyGraph<Vec<f64>, f64> {
@@ -221,6 +219,28 @@ mod tests {
             engine.run(&g, &algorithm, "big", 10),
             Err(AccelError::OutOfMemory { .. })
         ));
+    }
+
+    #[test]
+    fn pagerank_is_bit_identical_from_run_to_run() {
+        let list = Rmat::new(10, 8.0).generate(1);
+        let rank = RankValue {
+            rank: 1.0,
+            out_degree: 0,
+        };
+        let g = PropertyGraph::from_edge_list(list, rank).unwrap();
+        let ranks = || {
+            let mut engine = GunrockLike::new(presets::gpu_v100("g0"));
+            let (_, values) = engine.run(&g, &PageRank::new(10), "rmat", 10).unwrap();
+            values
+                .iter()
+                .map(|value| value.rank.to_bits())
+                .collect::<Vec<_>>()
+        };
+        let first = ranks();
+        for _ in 0..4 {
+            assert_eq!(ranks(), first);
+        }
     }
 
     #[test]

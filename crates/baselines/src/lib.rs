@@ -26,9 +26,10 @@ use gxplug_core::Daemon;
 use gxplug_ipc::key::KeyGenerator;
 
 /// The daemon of device `index` on node `node_id`.  Baselines are
-/// comparators for the *shape* of the results, so they always execute on the
-/// cost-model [`SimBackend`](gxplug_accel::SimBackend), whatever backend the
-/// spec selects for the middleware.
+/// comparators for the *shape* of the results, so they always execute on one
+/// thread per device ([`BackendKind::Sim`]), whatever backend the spec
+/// selects for the middleware.  Each prices its own blocks from the device's
+/// cost model.
 fn sim_daemon(spec: DeviceSpec, node_id: usize, index: usize) -> Daemon {
     let key = KeyGenerator::default().key_for(node_id, index);
     Daemon::new(spec.name.clone(), spec.with_backend(BackendKind::Sim), key)

@@ -18,17 +18,15 @@
 
 use crate::sim_daemon;
 use gxplug_accel::{AccelError, DeviceSpec, SimDuration};
-use gxplug_core::Daemon;
+use gxplug_core::{merge_addressed, Daemon};
 use gxplug_engine::cluster::{Cluster, NodeComputeOutput, SyncPolicy};
 use gxplug_engine::metrics::RunReport;
 use gxplug_engine::network::NetworkModel;
 use gxplug_engine::profile::RuntimeProfile;
-use gxplug_engine::template::{AddressedMessage, GraphAlgorithm};
+use gxplug_engine::template::GraphAlgorithm;
 use gxplug_graph::graph::PropertyGraph;
 use gxplug_graph::partition::Partitioning;
-use gxplug_graph::types::VertexId;
 use gxplug_ipc::blocks::triplet_block_views;
-use std::collections::HashMap;
 use std::marker::PhantomData;
 
 /// Fraction by which Lux's hand-tuned kernels beat the generic daemon kernels
@@ -57,8 +55,8 @@ pub struct LuxLike {
 impl LuxLike {
     /// Creates the engine with the given device assignment (one spec list
     /// per distributed node) and interconnect.  Like the Gunrock baseline,
-    /// Lux always executes on the cost-model
-    /// [`SimBackend`](gxplug_accel::SimBackend).
+    /// Lux always executes on one thread per device
+    /// ([`BackendKind::Sim`](gxplug_accel::BackendKind::Sim)).
     pub fn new(devices_per_node: Vec<Vec<DeviceSpec>>, network: NetworkModel) -> Self {
         assert!(
             devices_per_node.iter().all(|d| !d.is_empty()),
@@ -88,7 +86,8 @@ impl LuxLike {
     ///
     /// Fails with [`AccelError::OutOfMemory`] if any node's partition does not
     /// fit in the aggregate memory of that node's devices (Lux keeps the whole
-    /// partition device-resident).
+    /// partition device-resident).  A node with any device of unbounded
+    /// memory holds every partition.
     pub fn run<V, E, A>(
         &mut self,
         graph: &PropertyGraph<V, E>,
@@ -110,16 +109,12 @@ impl LuxLike {
         // Residency check: a node's partition must fit in its devices.
         for (node_id, devices) in self.devices_per_node.iter().enumerate() {
             let partition_edges = partitioning.part(node_id).edges.len();
-            let capacity: usize = devices
+            // `None` (unbounded) if any device is.
+            let capacity: Option<usize> = devices
                 .iter()
-                .map(|d| {
-                    d.backend()
-                        .cost_model()
-                        .memory_capacity_items
-                        .unwrap_or(usize::MAX / 2)
-                })
+                .map(|d| d.backend().cost_model().memory_capacity_items)
                 .sum();
-            if partition_edges > capacity {
+            if let Some(capacity) = capacity.filter(|&capacity| partition_edges > capacity) {
                 return Err(AccelError::OutOfMemory {
                     requested: partition_edges,
                     capacity,
@@ -179,42 +174,27 @@ where
     // node's compute time.
     let per_device = triplets.len().div_ceil(devices.len());
     let mut compute_time = SimDuration::ZERO;
-    let mut raw_messages: Vec<AddressedMessage<A::Msg>> = Vec::new();
+    let mut raw_messages = Vec::new();
     for (device, block) in devices
         .iter_mut()
         .zip(triplet_block_views(&triplets, per_device))
     {
-        let (messages, timing) = device
-            .execute_gen(algorithm, block, iteration)
+        let cost = *device.backend().cost_model();
+        let items = block.len();
+        device
+            .execute_gen_into(algorithm, block, iteration, &mut raw_messages)
             .expect("residency was checked before the run");
         // No PCIe copies per iteration (data is resident); only launch and
         // compute, scaled by Lux's kernel efficiency edge.
-        let share_time = (timing.call + timing.compute) * KERNEL_EFFICIENCY_EDGE + timing.init;
+        let share_time = (cost.call + cost.compute_time(items)) * KERNEL_EFFICIENCY_EDGE;
         compute_time = compute_time.max(share_time);
-        raw_messages.extend(messages);
     }
-    // Local merge (MSGMerge equivalent) before the eager global exchange.
-    let mut merged: HashMap<VertexId, A::Msg> = HashMap::new();
-    for message in raw_messages {
-        match merged.remove(&message.target) {
-            Some(existing) => {
-                let combined = algorithm.msg_merge(existing, message.payload);
-                merged.insert(message.target, combined);
-            }
-            None => {
-                merged.insert(message.target, message.payload);
-            }
-        }
-    }
-    let messages = merged
-        .into_iter()
-        .map(|(target, payload)| AddressedMessage::new(target, payload))
-        .collect();
     NodeComputeOutput {
         compute_time,
         middleware_time: SimDuration::ZERO,
         triplets_processed: triplets.len(),
-        messages,
+        // Local merge (MSGMerge equivalent) before the eager global exchange.
+        messages: merge_addressed(algorithm, raw_messages),
         vertex_type: PhantomData,
     }
 }
@@ -290,6 +270,24 @@ mod tests {
             lux.run(&g, partitioning, &algorithm, "big", 10),
             Err(AccelError::OutOfMemory { .. })
         ));
+    }
+
+    #[test]
+    fn a_node_with_unbounded_devices_holds_any_partition() {
+        // Three unbounded CPUs on one node: their capacity is unbounded, not
+        // a sum that overflows.
+        let g = graph();
+        let algorithm = MultiSourceSssp::new(vec![0]);
+        let partitioning = GreedyVertexCutPartitioner::default()
+            .partition(&g, 1)
+            .unwrap();
+        let cpus = (0..3)
+            .map(|c| presets::cpu_xeon_20c(format!("lux-c{c}")))
+            .collect();
+        let mut lux = LuxLike::new(vec![cpus], NetworkModel::datacenter());
+        let (report, values) = lux.run(&g, partitioning, &algorithm, "rmat", 500).unwrap();
+        assert!(report.converged);
+        assert_eq!(values, multi_source_sssp_reference(&g, &[0]));
     }
 
     #[test]

@@ -44,16 +44,28 @@ fn main() {
         .collect();
     let keys = KeyGenerator::new(13);
 
+    let cost = presets::gpu_v100_cost();
+    let mut messages = Vec::new();
+    // Runs one iteration's blocks on `daemon` and adds their device time,
+    // priced from the cost model (`Tcall + Tcopy + Tcomp` per block), to
+    // `compute`.
+    let mut iterate = |daemon: &mut Daemon, iteration: usize, compute: &mut SimDuration| {
+        for block in triplet_block_views(&triplets, 4_096) {
+            let items = block.len();
+            daemon
+                .execute_gen_into(&algorithm, block, iteration, &mut messages)
+                .unwrap();
+            messages.clear();
+            *compute += cost.call + cost.copy_time(items) + cost.compute_time(items);
+        }
+    };
+
     // --- Daemon-agent solution: initialise once, compute 11 iterations. ---
     let mut daemon = Daemon::new("isolated", presets::gpu_v100("gpu"), keys.key_for(0, 0));
-    let mut daemon_init = daemon.start();
+    let daemon_init = daemon.start();
     let mut daemon_compute = SimDuration::ZERO;
     for iteration in 0..iterations {
-        for block in triplet_block_views(&triplets, 4_096) {
-            let (_messages, timing) = daemon.execute_gen(&algorithm, block, iteration).unwrap();
-            daemon_init += timing.init;
-            daemon_compute += timing.call + timing.copy + timing.compute;
-        }
+        iterate(&mut daemon, iteration, &mut daemon_compute);
     }
 
     // --- Raw call: the device context is torn down after every iteration. ---
@@ -62,11 +74,7 @@ fn main() {
     let mut raw_compute = SimDuration::ZERO;
     for iteration in 0..iterations {
         raw_init += raw.start();
-        for block in triplet_block_views(&triplets, 4_096) {
-            let (_messages, timing) = raw.execute_gen(&algorithm, block, iteration).unwrap();
-            raw_init += timing.init;
-            raw_compute += timing.call + timing.copy + timing.compute;
-        }
+        iterate(&mut raw, iteration, &mut raw_compute);
         raw.shutdown();
     }
 

@@ -299,18 +299,56 @@ pub fn run_gunrock_pagerank(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gxplug_core::{ExecutionMode, PipelineMode};
     use gxplug_graph::datasets;
 
     #[test]
     fn combos_run_end_to_end_at_tiny_scale() {
         let dataset = datasets::find("Wiki-topcats").unwrap();
-        for accel in [Accel::None, Accel::Cpu(1), Accel::Gpu(1)] {
-            let spec = ComboSpec::new(Algo::Sssp, Upper::PowerGraph, accel, dataset)
-                .with_scale(Scale::Tiny)
-                .with_nodes(2);
-            let report = run_combo(&spec);
-            assert!(report.num_iterations() > 0, "{accel:?}");
-            assert!(report.total_time().as_millis() > 0.0, "{accel:?}");
+        for (algo, upper) in [
+            (Algo::Sssp, Upper::PowerGraph),
+            (Algo::PageRank, Upper::GraphX),
+        ] {
+            for accel in [Accel::None, Accel::Cpu(1), Accel::Gpu(1)] {
+                let spec = ComboSpec::new(algo, upper, accel, dataset)
+                    .with_scale(Scale::Tiny)
+                    .with_nodes(2);
+                let report = run_combo(&spec);
+                assert!(report.num_iterations() > 0, "{algo:?} {accel:?}");
+                assert!(report.total_time().as_millis() > 0.0, "{algo:?} {accel:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_middleware_ablation_arm_does_the_same_work() {
+        // Each arm toggles one of the paper's middleware features off, all
+        // on the threaded execution mode; none may change what is computed.
+        let mode = ExecutionMode::Threaded;
+        let arms = [
+            MiddlewareConfig::optimized(),
+            MiddlewareConfig::optimized().with_pipeline(PipelineMode::Disabled),
+            MiddlewareConfig::optimized().with_caching(false),
+            MiddlewareConfig::optimized().with_skipping(false),
+            MiddlewareConfig::baseline(),
+        ];
+        let dataset = datasets::find("Orkut").unwrap();
+        let reports: Vec<RunReport> = arms
+            .into_iter()
+            .map(|config| {
+                run_combo(
+                    &ComboSpec::new(Algo::Sssp, Upper::PowerGraph, Accel::Gpu(1), dataset)
+                        .with_scale(Scale::Tiny)
+                        .with_nodes(2)
+                        .with_config(config.with_execution(mode)),
+                )
+            })
+            .collect();
+        for report in &reports {
+            assert!(report.converged);
+            assert_eq!(report.num_iterations(), reports[0].num_iterations());
+            assert_eq!(report.total_triplets(), reports[0].total_triplets());
+            assert!(report.total_time().as_millis() > 0.0);
         }
     }
 

@@ -7,24 +7,23 @@
 //! initialisation is paid once per daemon lifetime rather than once per call.
 //!
 //! The daemon executes the template's `MSGGen` over triplet blocks on the
-//! backend.  `MSGMerge` folds the generated messages into the agent's dense
+//! backend; a launch returns success or the kernel error, no time.
+//! `MSGMerge` folds the generated messages into the agent's dense
 //! per-target slots, and `MSGApply` runs in the upper system's synchronize
 //! step.
 //!
-//! # Backend-independent determinism
+//! # Thread-count-independent determinism
 //!
 //! A backend may execute a launch in parallel chunks
-//! ([`HostParallelBackend`](gxplug_accel::HostParallelBackend)); the daemon
-//! stages each chunk's output in its own slot and concatenates the slots in
-//! chunk-index order.  Chunks are contiguous and in order (the trait
-//! contract), so the concatenated stream equals the serial item order and
-//! every backend produces bit-identical message streams.
+//! ([`BackendKind::HostParallel`](gxplug_accel::BackendKind::HostParallel));
+//! the daemon stages each chunk's output in its own slot and concatenates
+//! the slots in chunk-index order.  Chunks are contiguous and in order (the
+//! trait contract), so the concatenated stream equals the serial item order
+//! and every thread count produces bit-identical message streams.
 
 use crate::pipeline::block_size::PipelineCoefficients;
 use crate::runtime::RuntimeError;
-use gxplug_accel::{
-    AccelError, AcceleratorBackend, ChunkSpec, DeviceKind, KernelTiming, SimDuration,
-};
+use gxplug_accel::{AccelError, AcceleratorBackend, ChunkSpec, SimDuration};
 use gxplug_engine::profile::RuntimeProfile;
 use gxplug_engine::template::{AddressedMessage, GraphAlgorithm};
 use gxplug_graph::types::VertexId;
@@ -32,10 +31,6 @@ use gxplug_ipc::blocks::TripletBlockRef;
 use gxplug_ipc::key::IpcKey;
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
-
-/// What one `MSGGen` kernel launch produces: the generated messages plus the
-/// device timing attribution.
-pub type GenOutput<M> = (Vec<AddressedMessage<M>>, KernelTiming);
 
 /// `MSGMerge` as a pure function: combines messages addressed to the same
 /// vertex, preserving first-seen target order for determinism.  The merge is
@@ -101,7 +96,6 @@ where
 {
     daemon
         .execute_gen_staged(algorithm, block, iteration, staging, out)
-        .map(drop)
         .map_err(|error| RuntimeError::Kernel {
             daemon: daemon.name().to_string(),
             error,
@@ -138,25 +132,12 @@ impl<M> ChunkStaging<M> {
     }
 }
 
-/// Cumulative per-daemon counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DaemonStats {
-    /// Kernel launches issued to the device.
-    pub kernel_launches: u64,
-    /// Triplets processed by `MSGGen`.
-    pub triplets_processed: u64,
-    /// Messages produced by `MSGGen` (before merging).
-    pub messages_generated: u64,
-}
-
 /// A computation daemon bound to one accelerator backend.
 #[derive(Debug)]
 pub struct Daemon {
     name: String,
     backend: Box<dyn AcceleratorBackend>,
     key: IpcKey,
-    started: bool,
-    stats: DaemonStats,
 }
 
 /// Locks a mutex, recovering from poisoning (a panicking kernel unwinds the
@@ -168,8 +149,8 @@ fn lock_slot<T>(slot: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 impl Daemon {
     /// Creates a daemon for an accelerator, addressed by the System-V-style
     /// `key`.  Accepts anything that converts into a boxed backend: a
-    /// [`DeviceSpec`](gxplug_accel::DeviceSpec) (built here), a concrete
-    /// backend, or an already-boxed one.
+    /// [`DeviceSpec`](gxplug_accel::DeviceSpec) (built here) or an
+    /// already-boxed backend.
     pub fn new(
         name: impl Into<String>,
         device: impl Into<Box<dyn AcceleratorBackend>>,
@@ -179,8 +160,6 @@ impl Daemon {
             name: name.into(),
             backend: device.into(),
             key,
-            started: false,
-            stats: DaemonStats::default(),
         }
     }
 
@@ -199,24 +178,9 @@ impl Daemon {
         self.backend.as_ref()
     }
 
-    /// The device kind (GPU / CPU / FPGA).
-    pub fn kind(&self) -> DeviceKind {
-        self.backend.kind()
-    }
-
     /// The device's computation capacity factor `1/c_j`.
     pub fn capacity_factor(&self) -> f64 {
-        self.backend.capacity_factor()
-    }
-
-    /// Whether [`Daemon::start`] has been called.
-    pub fn is_started(&self) -> bool {
-        self.started
-    }
-
-    /// Cumulative statistics.
-    pub fn stats(&self) -> DaemonStats {
-        self.stats
+        self.backend.cost_model().capacity_factor()
     }
 
     /// Starts the daemon: initialises the device context once.  Returns the
@@ -226,20 +190,14 @@ impl Daemon {
     /// this cost is paid exactly once per run; the naive "raw call"
     /// integration of Fig. 13 instead pays it on every iteration.
     pub fn start(&mut self) -> SimDuration {
-        self.started = true;
         self.backend.initialize()
     }
 
-    /// Stops the daemon and tears down the device context.  Idempotent: a
-    /// daemon that was never started (or is already shut down) is left
-    /// untouched, so a session can be closed any number of times — and the
-    /// automatic shutdown in [`Daemon`]'s `Drop` never double-tears a
-    /// context that an explicit `shutdown` already released.
+    /// Stops the daemon and tears down the device context (the next
+    /// [`Daemon::start`] pays initialisation again).  Idempotent, so a
+    /// session can be closed any number of times.
     pub fn shutdown(&mut self) {
-        if self.started {
-            self.started = false;
-            self.backend.shutdown();
-        }
+        self.backend.shutdown();
     }
 
     /// Derives the Lemma-1 pipeline coefficients of this agent–daemon pair:
@@ -255,43 +213,26 @@ impl Daemon {
         )
     }
 
-    /// `MSGGen` over one borrowed triplet block: runs the kernel on the
-    /// backend and returns the generated messages together with the device
-    /// timing.
-    pub fn execute_gen<V, E, A>(
-        &mut self,
-        algorithm: &A,
-        block: TripletBlockRef<'_, V, E>,
-        iteration: usize,
-    ) -> Result<GenOutput<A::Msg>, AccelError>
-    where
-        V: Sync,
-        E: Sync,
-        A: GraphAlgorithm<V, E>,
-    {
-        let mut messages: Vec<AddressedMessage<A::Msg>> = Vec::new();
-        let timing = self.execute_gen_into(algorithm, block, iteration, &mut messages)?;
-        Ok((messages, timing))
-    }
-
     /// `MSGGen` over one borrowed triplet block, appending the generated
-    /// messages to the caller's reusable `out` buffer — the zero-copy variant
-    /// of [`Daemon::execute_gen`]: the triplets are read in place from the
-    /// block view.
+    /// messages to the caller's reusable `out` buffer: the triplets are read
+    /// in place from the block view.
     ///
-    /// On a single-lane backend (e.g.
-    /// [`SimBackend`](gxplug_accel::SimBackend)) the kernel appends straight
-    /// into `out`, allocating nothing per launch.  On a multi-lane backend
-    /// each chunk writes its own staging slot and the slots drain into `out`
-    /// in chunk order, so the message stream — and everything merged from it —
-    /// is bit-identical whichever backend executes the launch.
+    /// On a one-thread backend ([`BackendKind::Sim`](gxplug_accel::BackendKind::Sim))
+    /// the kernel appends straight into `out`, allocating nothing per
+    /// launch.  On a multi-thread backend each chunk writes its own staging
+    /// slot and the slots drain into `out` in chunk order, so the message
+    /// stream — and everything merged from it — is bit-identical whatever
+    /// the thread count.
+    ///
+    /// # Errors
+    /// The launch's [`AccelError`] (e.g. a block over the device memory).
     pub fn execute_gen_into<V, E, A>(
         &mut self,
         algorithm: &A,
         block: TripletBlockRef<'_, V, E>,
         iteration: usize,
         out: &mut Vec<AddressedMessage<A::Msg>>,
-    ) -> Result<KernelTiming, AccelError>
+    ) -> Result<(), AccelError>
     where
         V: Sync,
         E: Sync,
@@ -304,6 +245,9 @@ impl Daemon {
     /// [`Daemon::execute_gen_into`] with caller-pooled chunk staging: the
     /// variant the agent drives, reusing one [`ChunkStaging`] across every
     /// block launch of a share.
+    ///
+    /// # Errors
+    /// The launch's [`AccelError`].
     pub fn execute_gen_staged<V, E, A>(
         &mut self,
         algorithm: &A,
@@ -311,16 +255,15 @@ impl Daemon {
         iteration: usize,
         staging: &mut ChunkStaging<A::Msg>,
         out: &mut Vec<AddressedMessage<A::Msg>>,
-    ) -> Result<KernelTiming, AccelError>
+    ) -> Result<(), AccelError>
     where
         V: Sync,
         E: Sync,
         A: GraphAlgorithm<V, E>,
     {
         let triplets = block.triplets;
-        let before = out.len();
         let lanes = self.backend.max_concurrency();
-        let timing = if lanes <= 1 {
+        if lanes <= 1 {
             // Single chunk on the calling thread: sink directly into `out`,
             // no staging.  The mutex is uncontended (locked once per launch).
             let sink = Mutex::new(&mut *out);
@@ -329,14 +272,14 @@ impl Daemon {
                 for triplet in &triplets[chunk.range] {
                     algorithm.msg_gen_into(triplet, iteration, &mut sink);
                 }
-            })?
+            })
         } else {
             // One staging slot per possible chunk; each chunk locks only its
             // own slot, so the locks never contend and the content per slot
             // is deterministic.
             staging.ensure(lanes);
             let slots = &staging.slots;
-            let timing = self.backend.launch(triplets.len(), &|chunk: ChunkSpec| {
+            self.backend.launch(triplets.len(), &|chunk: ChunkSpec| {
                 let mut slot = lock_slot(&slots[chunk.index]);
                 for triplet in &triplets[chunk.range] {
                     algorithm.msg_gen_into(triplet, iteration, &mut slot);
@@ -348,29 +291,15 @@ impl Daemon {
             for slot in slots {
                 out.append(&mut lock_slot(slot));
             }
-            timing
-        };
-        self.stats.kernel_launches += 1;
-        self.stats.triplets_processed += block.len() as u64;
-        self.stats.messages_generated += (out.len() - before) as u64;
-        Ok(timing)
-    }
-}
-
-impl Drop for Daemon {
-    /// A dropped daemon tears its device context down.  This is what lets a
-    /// pooled worker session be dropped (or lost to a panicking job) without
-    /// leaking live device contexts: the daemons go down with it, whether or
-    /// not [`Daemon::shutdown`] was called explicitly first.
-    fn drop(&mut self) {
-        self.shutdown();
+            Ok(())
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gxplug_accel::{presets, BackendKind, DeviceSpec, SimBackend};
+    use gxplug_accel::{presets, BackendKind, DeviceSpec};
     use gxplug_engine::template::AddressedMessage;
     use gxplug_graph::types::Triplet;
     use gxplug_ipc::key::KeyGenerator;
@@ -421,14 +350,12 @@ mod tests {
     #[test]
     fn start_pays_init_once() {
         let mut d = daemon();
-        assert!(!d.is_started());
         let first = d.start();
         assert!(first > SimDuration::ZERO);
-        assert!(d.is_started());
         let second = d.start();
         assert!(second.is_zero());
         d.shutdown();
-        assert!(!d.is_started());
+        d.shutdown();
         assert!(d.start() > SimDuration::ZERO);
     }
 
@@ -441,13 +368,15 @@ mod tests {
             index: 0,
             triplets: &triplets,
         };
-        let (messages, timing) = d.execute_gen(&Relax, block, 0).unwrap();
-        // The triplet with an infinite source produces nothing.
-        assert_eq!(messages.len(), 3);
-        assert!(timing.total() > SimDuration::ZERO);
-        assert!(timing.init.is_zero());
-        assert_eq!(d.stats().triplets_processed, 4);
-        assert_eq!(d.stats().messages_generated, 3);
+        let mut messages = vec![AddressedMessage::new(9, -1.0)];
+        d.execute_gen_into(&Relax, block, 0, &mut messages).unwrap();
+        // Appended after what the buffer held; the triplet with an infinite
+        // source produces nothing.
+        let produced: Vec<(VertexId, f64)> = messages
+            .iter()
+            .map(|message| (message.target, message.payload))
+            .collect();
+        assert_eq!(produced, [(9, -1.0), (1, 2.0), (2, 5.0), (1, 8.0)]);
     }
 
     #[test]
@@ -467,7 +396,9 @@ mod tests {
                 index: 0,
                 triplets: &triplets,
             };
-            d.execute_gen(&Relax, block, 0).unwrap().0
+            let mut messages = Vec::new();
+            d.execute_gen_into(&Relax, block, 0, &mut messages).unwrap();
+            messages
         };
         let sim = run(BackendKind::Sim);
         let parallel = run(BackendKind::HostParallel { threads: Some(4) });
@@ -515,13 +446,10 @@ mod tests {
         let keys = KeyGenerator::new(4);
         let spec: DeviceSpec = presets::gpu_v100("g");
         let from_spec = Daemon::new("a", spec.clone(), keys.key_for(0, 0));
-        let from_backend = Daemon::new(
-            "b",
-            SimBackend::new(spec.name.clone(), spec.kind, spec.cost),
-            keys.key_for(0, 1),
-        );
-        assert_eq!(from_spec.kind(), from_backend.kind());
+        let from_backend = Daemon::new("b", spec.build(), keys.key_for(0, 1));
+        assert_eq!(from_spec.backend().name(), from_backend.backend().name());
         assert_eq!(from_spec.capacity_factor(), from_backend.capacity_factor());
+        assert_eq!(from_spec.capacity_factor(), spec.capacity_factor());
     }
 
     #[test]
@@ -534,9 +462,11 @@ mod tests {
             index: 0,
             triplets: &oversized,
         };
+        let mut messages = Vec::new();
         assert!(matches!(
-            d.execute_gen(&Relax, block, 0),
+            d.execute_gen_into(&Relax, block, 0, &mut messages),
             Err(AccelError::OutOfMemory { .. })
         ));
+        assert!(messages.is_empty());
     }
 }

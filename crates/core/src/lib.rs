@@ -96,7 +96,7 @@ pub use balance::{
     BalanceError, CapacityPlan, PartitionPlan,
 };
 pub use config::{ExecutionMode, MiddlewareConfig, PipelineMode};
-pub use daemon::{merge_addressed, ChunkStaging, Daemon, DaemonStats};
+pub use daemon::{merge_addressed, ChunkStaging, Daemon};
 pub use metrics::AgentStats;
 pub use pipeline::{BlockSizeChoice, LemmaCase, PipelineCoefficients};
 pub use runtime::{RuntimeError, ThreadedAgent, ThreadedNodes};

@@ -402,7 +402,7 @@ mod tests {
 
     // ---- work-proportional threading -------------------------------------
 
-    use gxplug_accel::{AcceleratorBackend, ChunkKernel, CostModel, DeviceKind, KernelTiming};
+    use gxplug_accel::{AcceleratorBackend, ChunkKernel, CostModel};
     use gxplug_engine::cluster::{Cluster, SyncPolicy};
     use gxplug_engine::metrics::RunReport;
     use gxplug_engine::network::NetworkModel;
@@ -477,17 +477,8 @@ mod tests {
         fn name(&self) -> &str {
             self.0.name()
         }
-        fn kind(&self) -> DeviceKind {
-            self.0.kind()
-        }
         fn cost_model(&self) -> &CostModel {
             self.0.cost_model()
-        }
-        fn spec(&self) -> gxplug_accel::DeviceSpec {
-            self.0.spec()
-        }
-        fn is_initialized(&self) -> bool {
-            self.0.is_initialized()
         }
         fn initialize(&mut self) -> SimDuration {
             self.0.initialize()
@@ -498,22 +489,12 @@ mod tests {
         fn max_concurrency(&self) -> usize {
             self.0.max_concurrency()
         }
-        fn launch(
-            &mut self,
-            _items: usize,
-            _kernel: &ChunkKernel<'_>,
-        ) -> gxplug_accel::Result<KernelTiming> {
+        fn launch(&mut self, _items: usize, _kernel: &ChunkKernel<'_>) -> gxplug_accel::Result<()> {
             Err(AccelError::OutOfMemory {
                 requested: 1,
                 capacity: 0,
                 device: self.0.name().to_string(),
             })
-        }
-        fn items_processed(&self) -> u64 {
-            self.0.items_processed()
-        }
-        fn kernel_launches(&self) -> u64 {
-            self.0.kernel_launches()
         }
     }
 

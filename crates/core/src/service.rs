@@ -2363,7 +2363,10 @@ mod tests {
         // frees the slot while that job is still running.
         gate.release();
         let admitted = eventually(|| submitter.is_finished());
-        let ahead_running = ahead.status() == JobStatus::Running;
+        // The claim frees the slot before `Flight::assemble` marks the job
+        // running, so the submitter can return first; the gate still holds
+        // the job, so it is running, not finished.
+        let ahead_running = eventually(|| ahead.status() == JobStatus::Running);
         ahead_gate.release();
         assert!(parked, "submit returned on a full queue");
         assert!(admitted, "the claim did not admit the parked submitter");
@@ -2396,7 +2399,8 @@ mod tests {
         // free while the flight is still running.
         gate.release();
         let admitted = eventually(|| parked.iter().all(|(s, _)| s.is_finished()));
-        let leader_running = leader.status() == JobStatus::Running;
+        // As above: marked running just after the claim freed the slots.
+        let leader_running = eventually(|| leader.status() == JobStatus::Running);
         leader_gate.release();
         assert!(parked.iter().all(|(_, parked)| *parked));
         assert!(admitted, "the sweep did not admit both parked submitters");

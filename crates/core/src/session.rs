@@ -976,25 +976,16 @@ where
 impl<V, E> Session<'_, V, E> {
     /// Tears the deployment down: shuts every daemon's device context down.
     ///
-    /// Idempotent — closing twice (or dropping an explicitly closed session)
-    /// is a no-op, because [`Daemon::shutdown`] only tears down contexts
-    /// that are actually live.  A closed session is *not* poisoned: the next
+    /// Idempotent — closing twice is a no-op, because [`Daemon::shutdown`]
+    /// is.  A dropped session needs no close: its daemons drop their
+    /// backends, and with them any worker threads.  A closed session is
+    /// *not* poisoned: the next
     /// accelerated run reconnects the daemons and pays the device
     /// initialisation again, exactly like a fresh deployment.
     pub fn close(&mut self) {
         for daemon in self.daemons.iter_mut().flatten() {
             daemon.shutdown();
         }
-    }
-}
-
-impl<V, E> Drop for Session<'_, V, E> {
-    /// Dropping a session closes it.  Daemons additionally shut their own
-    /// contexts down when dropped, so even a session torn apart mid-run by a
-    /// panicking job (whose daemons never make it back into `self.daemons`)
-    /// cannot leak live device contexts.
-    fn drop(&mut self) {
-        self.close();
     }
 }
 

@@ -361,6 +361,51 @@ mod tests {
     }
 
     #[test]
+    fn every_partitioner_places_a_power_law_graph_at_four_and_eight_parts() {
+        use crate::generators::{Generator, Rmat};
+        let g: PropertyGraph<u32, f64> =
+            PropertyGraph::from_edge_list(Rmat::new(11, 8.0).generate(42), 0).unwrap();
+        for parts in [4usize, 8] {
+            let weights: Vec<f64> = (1..=parts).map(|w| w as f64).collect();
+            let placed = [
+                HashEdgePartitioner::new(1).partition(&g, parts),
+                RangePartitioner.partition(&g, parts),
+                GreedyVertexCutPartitioner::default().partition(&g, parts),
+                WeightedEdgePartitioner::new(weights)
+                    .unwrap()
+                    .partition(&g, parts),
+            ];
+            for partitioning in placed {
+                let partitioning = partitioning.unwrap();
+                assert_eq!(partitioning.num_parts(), parts);
+                // Every edge on exactly one part.
+                let mut edges: Vec<EdgeId> = partitioning
+                    .parts()
+                    .iter()
+                    .flat_map(|part| part.edges.iter().copied())
+                    .collect();
+                edges.sort_unstable();
+                assert!(edges.iter().copied().eq(0..g.num_edges() as EdgeId));
+                // Every vertex mastered once, on a part that replicates it.
+                let mut masters = 0;
+                for part in partitioning.parts() {
+                    masters += part.masters.len();
+                    for v in &part.masters {
+                        assert!(part.vertices.binary_search(v).is_ok());
+                    }
+                }
+                assert_eq!(masters, g.num_vertices());
+                // The quality metrics the workload balancer consumes.
+                let replication = partitioning.replication_factor();
+                assert!((1.0..=parts as f64).contains(&replication));
+                let balance = partitioning.edge_balance();
+                assert!((1.0..=parts as f64).contains(&balance));
+                assert!(partitioning.boundary_vertex_count() < g.num_vertices());
+            }
+        }
+    }
+
+    #[test]
     fn from_edge_assignment_builds_replicas_and_masters() {
         let g = small_graph();
         let assignment = vec![0, 0, 1, 1, 0, 1];

@@ -8,8 +8,8 @@
 //!
 //! * [`graph`] — graph storage, generators, partitioners, dataset catalogue;
 //! * [`accel`] — the pluggable accelerator substrate: the
-//!   `AcceleratorBackend` kernel ABI with interchangeable sim /
-//!   host-parallel backends behind `DeviceSpec` descriptors;
+//!   `AcceleratorBackend` kernel ABI and the one host backend (one thread
+//!   or a worker pool) behind `DeviceSpec` descriptors;
 //! * [`ipc`] — cross-thread queues, triplet blocks and the wire frame protocol;
 //! * [`engine`] — the simulated distributed upper systems (GraphX-like BSP,
 //!   PowerGraph-like GAS) and the cluster iteration driver;
@@ -77,10 +77,7 @@ pub use gxplug_server as server;
 /// Convenience re-exports covering the most common entry points.
 pub mod prelude {
     pub use gxplug_accel::presets::{cpu_xeon_20c, fpga, gpu_v100, node_devices};
-    pub use gxplug_accel::{
-        AcceleratorBackend, BackendKind, DeviceKind, DeviceSpec, HostParallelBackend, SimBackend,
-        SimClock, SimDuration,
-    };
+    pub use gxplug_accel::{AcceleratorBackend, BackendKind, DeviceKind, DeviceSpec, SimDuration};
     pub use gxplug_algos::{
         ConnectedComponents, KCore, LabelPropagation, MultiSourceSssp, PageRank, RankValue,
         Relaxation,
