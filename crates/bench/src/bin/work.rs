@@ -21,7 +21,9 @@
 //!   `ServeReach` key);
 //! * for `mutate_live`, the heap bytes each logged mutation batch retains
 //!   (the submitting thread's net allocation across `apply_mutations`: the
-//!   resolved batch plus the log's amortised growth).
+//!   resolved batch plus the log's amortised growth), and the allocations
+//!   of replaying a measured insert-only batch into a warm session deployed
+//!   like the service's worker (`Session::apply_mutations`, averaged).
 //!
 //! Every figure is a count, not a clock reading, so stdout is identical from
 //! run to run and CI diffs it against `crates/bench/golden/work.txt`.  The
@@ -44,7 +46,9 @@ use gxplug_core::{
 use gxplug_engine::template::GraphAlgorithm;
 use gxplug_graph::generators::{Generator, GridRoad, Rmat};
 use gxplug_graph::mutate::MutationBatch;
-use gxplug_graph::partition::{GreedyVertexCutPartitioner, HashEdgePartitioner, Partitioner};
+use gxplug_graph::partition::{
+    GreedyVertexCutPartitioner, HashEdgePartitioner, Partitioner, Partitioning,
+};
 use gxplug_graph::PropertyGraph;
 use gxplug_server::{standard_service, ServeRank, ServeReach};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -157,6 +161,8 @@ struct Work {
     /// `(allocations, hits)` over the measured cache hits.
     hit_allocations: Option<(u64, u64)>,
     batch_bytes: Option<(u64, u64)>,
+    /// `(allocations, batches)` over the measured insert-only replays.
+    replay_allocations: Option<(u64, u64)>,
 }
 
 impl Work {
@@ -209,6 +215,8 @@ impl Work {
                 .map_or_else(|| "-".to_string(), |(total, hits)| per(total, hits)),
             self.batch_bytes
                 .map_or_else(|| "-".to_string(), |(bytes, batches)| per(bytes, batches)),
+            self.replay_allocations
+                .map_or_else(|| "-".to_string(), |(total, batches)| per(total, batches)),
         ]
     }
 }
@@ -265,13 +273,19 @@ fn sssp_sparse(side: usize, config: MiddlewareConfig) -> Work {
     warm_session_run(&graph, &HashEdgePartitioner::default(), &algorithm, config)
 }
 
-/// A one-worker `Vec<f64>` service over rmat, deployed like `mutate_live`'s.
-fn service(log2: u32, config: MiddlewareConfig) -> GraphService<Vec<f64>, f64> {
+/// `mutate_live`'s `Vec<f64>` rmat graph and its partitioning.
+fn mutate_deployment(log2: u32) -> (Arc<PropertyGraph<Vec<f64>, f64>>, Partitioning) {
     let list = Rmat::new(log2, 8.0).generate(SEED);
     let graph = Arc::new(PropertyGraph::from_edge_list(list, Vec::new()).expect("rmat"));
     let partitioning = GreedyVertexCutPartitioner::default()
         .partition(&graph, NODES)
         .expect("rmat graphs partition");
+    (graph, partitioning)
+}
+
+/// A one-worker `Vec<f64>` service over rmat, deployed like `mutate_live`'s.
+fn service(log2: u32, config: MiddlewareConfig) -> GraphService<Vec<f64>, f64> {
+    let (graph, partitioning) = mutate_deployment(log2);
     GraphService::builder(graph)
         .partitioned_by(partitioning)
         .devices(mixed_devices(NODES))
@@ -346,7 +360,9 @@ const RETIRE_EVERY: usize = 8;
 
 /// Writes beside reads on a warm service: a warm-up cycle of rounds, then
 /// one measured cycle of incremental refreshes (the last round retires), and
-/// a hit on the refreshed key.
+/// a hit on the refreshed key.  Then a plain session deployed like the
+/// service's worker replays the same batches, each followed by the same
+/// refresh, and its replays of the measured insert-only batches are counted.
 fn mutate_live(log2: u32, config: MiddlewareConfig) -> Work {
     let service = service(log2, config);
     let algorithm = MultiSourceSssp::paper_default();
@@ -367,6 +383,7 @@ fn mutate_live(log2: u32, config: MiddlewareConfig) -> Work {
     let mut inserted = 0usize;
     let mut work = Work::default();
     let mut retained = 0u64;
+    let mut deltas = Vec::new();
     for round in 1..=2 * RETIRE_EVERY {
         let (_, edges) = service.graph_shape();
         let mut batch = MutationBatch::new();
@@ -382,17 +399,35 @@ fn mutate_live(log2: u32, config: MiddlewareConfig) -> Work {
         }
         inserted += batch_edges;
         let (applied, bytes) = retained_bytes(|| service.apply_mutations(&batch));
-        applied.expect("a valid batch");
-        let (outcome, allocations) = allocations(ask);
+        deltas.push(applied.expect("a valid batch"));
+        let (outcome, job) = allocations(ask);
         if round > RETIRE_EVERY {
             retained += u64::try_from(bytes).expect("a logged batch retains its bytes");
-            work.add(&outcome, allocations);
+            work.add(&outcome, job);
         }
         ask();
     }
     work.hit_allocations = Some((hit_allocations(&service, ask), 1));
     work.batch_bytes = Some((retained, RETIRE_EVERY as u64));
     service.shutdown();
+    let (graph, partitioning) = mutate_deployment(log2);
+    let mut replica = SessionBuilder::new(&graph)
+        .partitioned_by(partitioning)
+        .devices(mixed_devices(NODES))
+        .backend(BackendKind::Sim)
+        .config(config)
+        .build()
+        .expect("a valid deployment");
+    replica.run(&algorithm).expect("the cold run");
+    let mut replays = (0, 0);
+    for (round, delta) in (1..).zip(&deltas) {
+        let ((), allocations) = allocations(|| replica.apply_mutations(delta));
+        replica.run(&algorithm).expect("the refresh");
+        if round > RETIRE_EVERY && !delta.has_removals() {
+            replays = (replays.0 + allocations, replays.1 + 1);
+        }
+    }
+    work.replay_allocations = Some(replays);
     work
 }
 
@@ -422,6 +457,7 @@ fn main() {
             "Allocs/job",
             "Allocs/hit",
             "Bytes/batch",
+            "Replay allocs",
         ],
         &rows,
     );

@@ -196,19 +196,13 @@ impl PipelineCoefficients {
         // neighbours of both): consider the integer neighbours of the analytic
         // b as well as block sizes derived from the integer neighbours of
         // s = d / b, and keep whichever Equation 2 scores best.
-        let mut candidates = vec![
+        let s_opt = d_f / b_opt.max(1.0);
+        let candidates = [
             b_opt.floor().max(1.0) as usize,
             b_opt.ceil().max(1.0) as usize,
+            d.div_ceil(s_opt.floor().max(1.0) as usize),
+            d.div_ceil(s_opt.ceil().max(1.0) as usize),
         ];
-        let s_opt = d_f / b_opt.max(1.0);
-        for s in [
-            s_opt.floor().max(1.0) as usize,
-            s_opt.ceil().max(1.0) as usize,
-        ] {
-            if s >= 1 {
-                candidates.push(d.div_ceil(s));
-            }
-        }
         let mut best_b = candidates[0].min(d.max(1)).max(1);
         let mut best_t = self.estimate_total(d, best_b);
         for &b in &candidates[1..] {

@@ -10,8 +10,9 @@
 //! re-computes the active frontier.
 //!
 //! The synchronisation is *owner-computes over dense local ids*: one routing
-//! table, derived from the nodes' vertex tables at build and after every
-//! mutation batch, names each vertex's master row `(node, local id)` and,
+//! table, derived from the nodes' vertex tables at build (and after a batch
+//! that removes edges), extended in place by insert-only batches, names
+//! each vertex's master row `(node, local id)` and,
 //! per master row, the `(node, local id)` of every mirror — GraphX's routing
 //! table, laid out as a flat array plus one CSR per node.  Applying a message
 //! and refreshing a replica are then array loads in ascending local order,
@@ -276,8 +277,10 @@ impl<M> SyncScratch<M> {
 /// master row lives, and where each master row's mirrors live.
 ///
 /// Derived from the node vertex tables, their `is_master` flags and the
-/// nodes' local out-degrees alone (no graph walk), so it is rebuilt in
-/// O(Σ locals) whenever they change.
+/// nodes' local out-degrees alone (no graph walk): built in O(Σ locals)
+/// ([`SyncRoutes::build`]), rebuilt so after a batch that removes edges, and
+/// extended in place by the rows an insert-only batch adds
+/// ([`SyncRoutes::extend`]).
 #[derive(Debug, Clone)]
 struct SyncRoutes {
     /// Indexed by global id: `(master node, local id on the master)`.
@@ -370,9 +373,105 @@ impl SyncRoutes {
             .collect();
         Self { owner, nodes: csrs }
     }
+
+    /// Routes the rows an insert-only batch added — each node's locals from
+    /// `first_new[node]` on — without touching the rest: a new master row
+    /// takes its vertex's owner entry, and a new mirror row joins its
+    /// master's list among the non-source mirrors.  An insert never makes a
+    /// source mirror (an added edge lands on its source's master part), so
+    /// every list keeps its split, and each part stays in node order: the
+    /// list equals the one [`SyncRoutes::build`] derives.
+    fn extend<V, E>(
+        &mut self,
+        nodes: &[NodeState<V, E>],
+        first_new: &[usize],
+        num_vertices: usize,
+    ) {
+        self.owner.resize(num_vertices, (0, 0));
+        let new_rows =
+            (nodes.iter().zip(first_new).enumerate()).flat_map(|(id, (node, &first))| {
+                (first..node.num_vertices()).map(move |local| {
+                    let row = node.vertex_table().row_at(local as u32);
+                    (id as u32, local as u32, row.id, row.is_master)
+                })
+            });
+        for (node, local, v, _) in new_rows.clone().filter(|row| row.3) {
+            self.owner[v as usize] = (node, local);
+        }
+        // `(master node, master local, (node, local))`, ordered so each
+        // master's new mirrors come in node order.
+        let mut mirrors: Vec<(u32, u32, (u32, u32))> = new_rows
+            .filter(|row| !row.3)
+            .map(|(node, local, v, _)| {
+                debug_assert_eq!(
+                    nodes[node as usize].local_out_degree(local),
+                    0,
+                    "an insert made a source mirror"
+                );
+                let (master, master_local) = self.owner[v as usize];
+                (master, master_local, (node, local))
+            })
+            .collect();
+        mirrors.sort_unstable();
+        for (master, csr) in self.nodes.iter_mut().enumerate() {
+            let from = mirrors.partition_point(|m| (m.0 as usize) < master);
+            let to = mirrors.partition_point(|m| (m.0 as usize) <= master);
+            csr.append(nodes[master].num_vertices(), &mirrors[from..to]);
+        }
+    }
 }
 
 impl MirrorCsr {
+    /// Grows the table to `locals` rows (new ones with no mirrors) and adds
+    /// `added` — `(_, master local, mirror)`, ascending by master local then
+    /// node — as non-source mirrors, each part of a list kept in node order.
+    /// One backward pass shifts the lists above the lowest touched master up
+    /// to open room at their tails.
+    fn append(&mut self, locals: usize, added: &[(u32, u32, (u32, u32))]) {
+        let listed = self.mirrors.len();
+        self.offsets.resize(locals + 1, listed as u32);
+        self.sources_end.resize(locals, listed as u32);
+        if added.is_empty() {
+            return;
+        }
+        self.mirrors.resize(listed + added.len(), (0, 0));
+        // `pending` added mirrors belong to a master local at or below the
+        // current one; every list above it has moved up by that much.
+        let mut pending = added.len();
+        let mut moved_from = listed;
+        let mut upper = locals;
+        for group in added.chunk_by(|a, b| a.1 == b.1).rev() {
+            let local = group[0].1 as usize;
+            let (start, end) = (
+                self.offsets[local] as usize,
+                self.offsets[local + 1] as usize,
+            );
+            // The lists above this one move up past every added mirror at
+            // or below it ...
+            self.mirrors.copy_within(end..moved_from, end + pending);
+            for other in local + 1..upper {
+                self.offsets[other + 1] += pending as u32;
+                self.sources_end[other] += pending as u32;
+            }
+            // ... this one past those below it, taking its own at its tail.
+            pending -= group.len();
+            self.mirrors.copy_within(start..end, start + pending);
+            let mut tail = end + pending;
+            for &(_, _, mirror) in group {
+                self.mirrors[tail] = mirror;
+                tail += 1;
+            }
+            self.offsets[local + 1] = tail as u32;
+            self.sources_end[local] += pending as u32;
+            // Its non-source part back in node order (a list holds at most
+            // one mirror per node).
+            let others = self.sources_end[local] as usize;
+            self.mirrors[others..tail].sort_unstable_by_key(|&(node, _)| node);
+            moved_from = start;
+            upper = local;
+        }
+    }
+
     /// The mirrors of the master row at `local`: only its source mirrors if
     /// `sources_only`, every mirror otherwise.
     #[inline]
@@ -516,24 +615,36 @@ where
     /// The cluster's own copy of the partitioning absorbs the batch (new
     /// vertices master like isolated ones, new edges land on their source's
     /// master part, and a mirror that loses its last local edge retires),
-    /// each touched node compacts/appends its edge table, drops the rows of
-    /// its retired mirrors and rebuilds its local CSR, new replicas are
-    /// upserted — new vertices with their op-supplied attribute, new
-    /// replicas of existing vertices with a copy of their master's *current*
-    /// value, so warm state survives for incremental recompute — and
-    /// per-vertex out-degrees absorb the batch's degree deltas on every node
-    /// holding the vertex.  The retired mirrors are the removed edges'
-    /// endpoints that their part no longer lists, so the deployment stays
-    /// the size of the graph however long the mutation history.  Each
-    /// removed edge is recorded with its attribute for the next
-    /// [`Cluster::seed_incremental`].  The routing table is rebuilt from the
-    /// updated vertex tables (O(Σ locals)), mirror roles included.  An added
-    /// edge lands where its source is the master, so no mirror gains a local
-    /// out-edge here: a mirror a forward kernel left stale (it refreshes
-    /// source mirrors only) stays destination-only, and every source mirror
-    /// still equals its master.  The in-edge locality flags are narrowed
-    /// incrementally for insert-only batches and recomputed exactly after
-    /// removals, so the synchronisation-skipping decision matches a cluster
+    /// each node applies its share ([`NodeState::apply_mutations`]), new
+    /// replicas are upserted — new vertices with their op-supplied
+    /// attribute, new replicas of existing vertices with a copy of their
+    /// master's *current* value, so warm state survives for incremental
+    /// recompute — and per-vertex out-degrees absorb the batch's degree
+    /// deltas on every node holding the vertex.  The retired mirrors are the
+    /// removed edges' endpoints that their part no longer lists, so the
+    /// deployment stays the size of the graph however long the mutation
+    /// history.  Each removed edge is recorded with its attribute for the
+    /// next [`Cluster::seed_incremental`].  An added edge lands where its
+    /// source is the master, so no mirror gains a local out-edge here: a
+    /// mirror a forward kernel left stale (it refreshes source mirrors only)
+    /// stays destination-only, and every source mirror still equals its
+    /// master.
+    ///
+    /// What a batch costs depends on its kind:
+    /// * **insert-only**: O(batch) planning and lookups.  A node the batch
+    ///   does not reach only looks up its degree deltas; a reached node
+    ///   appends (see [`NodeState::apply_mutations`]: one shift of its CSR
+    ///   runs and orders, no rebuild).  The routing table is extended in
+    ///   place — new masters take their owner entry, new mirrors join their
+    ///   master's non-source list — and the in-edge locality flags are
+    ///   narrowed by the added edges;
+    /// * **with removals**: linear passes.  The partitioning compacts its
+    ///   edge lists in one merge, the touched nodes compact their edges and
+    ///   rows, and the routing table (mirror roles included) and the in-edge
+    ///   locality flags are re-derived from the nodes in O(Σ locals + Σ
+    ///   edges).
+    ///
+    /// Either way the synchronisation-skipping decision matches a cluster
     /// rebuilt from the mutated graph bit for bit.
     ///
     /// Batches must apply in log order, exactly once; afterwards the cluster
@@ -664,6 +775,7 @@ where
             }
         }
         // Apply each node's share.
+        let first_new: Vec<usize> = self.nodes.iter().map(NodeState::num_vertices).collect();
         for (part, node) in self.nodes.iter_mut().enumerate() {
             node.apply_mutations(
                 &remove_positions[part],
@@ -676,9 +788,14 @@ where
         }
         // In-edge locality flags: inserts can only narrow them; a removal can
         // widen one, so removals recompute them from the node edge tables.
+        // Likewise the routes: inserts add rows, removals compact the locals
+        // and can turn a source mirror into a destination-only one.
         if delta.has_removals() {
             self.in_local = in_edge_locality(&self.nodes, &self.partitioning, self.num_vertices);
+            self.routes = SyncRoutes::build(&self.nodes, self.num_vertices);
         } else {
+            self.routes
+                .extend(&self.nodes, &first_new, self.num_vertices);
             self.in_local.resize(self.num_vertices, true);
             record_in_edge_placement(
                 &mut self.in_local,
@@ -690,7 +807,6 @@ where
                     .map(|(i, edge)| (self.partitioning.part_of_edge(base + i), edge)),
             );
         }
-        self.routes = SyncRoutes::build(&self.nodes, self.num_vertices);
     }
 
     /// Seeds the cluster for an *incremental* recompute of `algorithm`: the
@@ -1761,6 +1877,187 @@ mod tests {
         let values = compare(&MinDist { source: 0 }, &graph, &partitioning, &delta);
         assert_eq!(values[24], 24.0);
         assert_eq!(compare(&MinLabel, &graph, &partitioning, &delta).len(), 25);
+    }
+
+    /// One node's structure in global ids: per vertex (ascending) its
+    /// master flag, out-degree and CSR run of local edge ids; per local edge
+    /// its endpoints as the endpoint-local arrays resolve them; the probe
+    /// order; and every vertex's global rank.
+    type NodeView = (
+        Vec<(VertexId, bool, Option<u32>, Vec<usize>)>,
+        Vec<(VertexId, VertexId)>,
+        Vec<VertexId>,
+        Vec<(VertexId, u32)>,
+    );
+
+    /// Every node's view, every vertex's owner `(node, vertex)`, every
+    /// vertex's mirror roles, and the in-edge locality flags.
+    type ClusterView = (
+        Vec<NodeView>,
+        Vec<(u32, VertexId)>,
+        Vec<(Vec<u32>, Vec<u32>)>,
+        Vec<bool>,
+    );
+
+    fn node_view<V, E>(node: &NodeState<V, E>) -> NodeView {
+        let table = node.vertex_table();
+        let mut rows: Vec<_> = (table.rows())
+            .map(|row| {
+                let run = node.out_edge_ids(row.id).to_vec();
+                assert!(
+                    run.windows(2).all(|w| w[0] < w[1]),
+                    "a CSR run out of order"
+                );
+                (row.id, row.is_master, node.out_degree_of(row.id), run)
+            })
+            .collect();
+        rows.sort_unstable_by_key(|row| row.0);
+        let endpoints = (0..node.num_edges())
+            .map(|id| {
+                let (src, dst) = node.edge_endpoint_locals(id);
+                let ends = (table.global_of(src), table.global_of(dst));
+                let edge = node.edge(id).unwrap();
+                assert_eq!(ends, (edge.src, edge.dst), "edge {id}");
+                ends
+            })
+            .collect();
+        let probe = (node.probe_order().iter())
+            .map(|&local| table.global_of(local))
+            .collect();
+        let mut ranks: Vec<_> = (node.global_rank().iter().enumerate())
+            .map(|(local, &rank)| (table.global_of(local as u32), rank))
+            .collect();
+        ranks.sort_unstable();
+        (rows, endpoints, probe, ranks)
+    }
+
+    /// The cluster's whole structure in global ids.
+    fn global_view<V, E>(cluster: &Cluster<V, E>) -> ClusterView {
+        let owners = (cluster.routes.owner.iter())
+            .map(|&(node, local)| {
+                (
+                    node,
+                    cluster.nodes[node as usize].vertex_table().global_of(local),
+                )
+            })
+            .collect();
+        (
+            cluster.nodes.iter().map(node_view).collect(),
+            owners,
+            mirror_roles(cluster),
+            cluster.in_local.clone(),
+        )
+    }
+
+    #[test]
+    fn many_insert_batches_then_a_retiring_one_leave_the_structure_of_a_rebuild() {
+        use gxplug_graph::generators::{Generator, Rmat};
+        use gxplug_graph::mutate::{MutationBatch, MutationLog};
+        use gxplug_graph::partition::RangePartitioner;
+        use gxplug_ipc::key::splitmix64;
+
+        let graph =
+            PropertyGraph::from_edge_list(Rmat::new(7, 4.0).generate(3), f64::INFINITY).unwrap();
+        let algorithm = MinDist { source: 0 };
+        let build = |graph: &PropertyGraph<f64, f64>, partitioning: &Partitioning| {
+            Cluster::build(
+                graph,
+                partitioning.clone(),
+                &algorithm,
+                RuntimeProfile::powergraph(),
+                NetworkModel::datacenter(),
+            )
+        };
+        let partitionings = [
+            HashEdgePartitioner::new(3).partition(&graph, 3).unwrap(),
+            RangePartitioner.partition(&graph, 3).unwrap(),
+            GreedyVertexCutPartitioner::default()
+                .partition(&graph, 4)
+                .unwrap(),
+        ];
+        for partitioning in partitionings {
+            let mut mutated = build(&graph, &partitioning);
+            mutated.run_native(&algorithm, "rmat", 100);
+            let (mut reference_graph, mut reference_partitioning) =
+                (graph.clone(), partitioning.clone());
+            let endpoints: Vec<_> = graph.edges().iter().map(|e| (e.src, e.dst)).collect();
+            let mut log: MutationLog<f64, f64> = MutationLog::new(graph.num_vertices(), endpoints);
+            let mut apply = |batch: &MutationBatch<f64, f64>, mutated: &mut Cluster<f64, f64>| {
+                let delta = log.append(batch).unwrap();
+                mutated.apply_mutations(&delta);
+                reference_graph.apply_mutations(&delta);
+                reference_partitioning.apply_mutations(&delta);
+                let rebuilt = build(&reference_graph, &reference_partitioning);
+                assert_eq!(global_view(mutated), global_view(&rebuilt));
+                delta
+            };
+            let mut rng = 7u64;
+            let mut next = |bound: usize| {
+                rng = splitmix64(rng);
+                (rng % bound as u64) as VertexId
+            };
+            let mut inserted = 0;
+            for round in 0..24 {
+                let (vertices, edges) =
+                    (mutated.num_vertices(), mutated.partitioning().num_edges());
+                let mut batch = MutationBatch::new();
+                // Every fourth batch grows the graph by a vertex that the
+                // batch's edges reach both ways.
+                let grown = round % 4 == 0;
+                if grown {
+                    batch = batch.add_vertex(f64::INFINITY);
+                }
+                let reach = vertices + usize::from(grown);
+                for i in 0..8 {
+                    batch = batch.add_edge(next(reach), next(reach), 1.0 + i as f64);
+                }
+                apply(&batch, &mut mutated);
+                assert_eq!(mutated.partitioning().num_edges(), edges + 8);
+                inserted += 8;
+            }
+            // A batch that reaches one node leaves every other node's CSR
+            // and rank buffers where they were.
+            let addresses = |cluster: &Cluster<f64, f64>| -> Vec<[*const u32; 3]> {
+                (cluster.nodes.iter())
+                    .map(|node| {
+                        let first = node.vertex_table().global_of(0);
+                        [
+                            node.out_edge_ids(first).as_ptr().cast(),
+                            node.probe_rank().as_ptr(),
+                            node.global_rank().as_ptr(),
+                        ]
+                    })
+                    .collect()
+            };
+            let (src, dst) = (next(mutated.num_vertices()), next(mutated.num_vertices()));
+            let reached = mutated.partitioning().master_of(src);
+            let before = addresses(&mutated);
+            apply(&MutationBatch::new().add_edge(src, dst, 2.0), &mut mutated);
+            inserted += 1;
+            let after = addresses(&mutated);
+            for node in (0..mutated.num_nodes()).filter(|&node| node != reached) {
+                assert_eq!(before[node], after[node], "node {node} was rebuilt");
+            }
+            // The retiring batch: every inserted edge goes, some edges come.
+            let edges = mutated.partitioning().num_edges();
+            let mut batch = MutationBatch::new();
+            for edge in edges - inserted..edges {
+                batch = batch.remove_edge(edge);
+            }
+            for _ in 0..8 {
+                let vertices = mutated.num_vertices();
+                batch = batch.add_edge(next(vertices), next(vertices), 1.5);
+            }
+            let delta = apply(&batch, &mut mutated);
+            assert!(delta.has_removals());
+            // And the mutated cluster still runs like the rebuilt one.
+            let mut rebuilt = build(&reference_graph, &reference_partitioning);
+            mutated.reset_for(&algorithm);
+            let report = mutated.run_native(&algorithm, "rmat", 100);
+            let reference = rebuilt.run_native(&algorithm, "rmat", 100);
+            assert_eq!(report.iterations, reference.iterations);
+            assert_eq!(mutated.collect_values(), rebuilt.collect_values());
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use gxplug_graph::csr::Csr;
 use gxplug_graph::dense::FrontierSet;
 use gxplug_graph::graph::PropertyGraph;
 use gxplug_graph::partition::Partitioning;
-use gxplug_graph::tables::{EdgeTable, VertexTable};
+use gxplug_graph::tables::{self, EdgeTable, VertexTable};
 use gxplug_graph::types::{Edge, EdgeId, PartitionId, Triplet, VertexId};
 use gxplug_graph::view::TripletBuffer;
 use gxplug_ipc::key::splitmix64;
@@ -43,44 +43,82 @@ fn probe_key(global: VertexId) -> (u64, VertexId) {
     (splitmix64(global as u64), global)
 }
 
-/// Extends `rank` — every local id's position among the node's locals
-/// sorted by a distinct `key` — to the locals `rank.len()..locals` appended
-/// since the last call, merging them in without re-sorting the old ones:
-/// O(locals + new·log new).  Returns the new sorted order (the inverse
-/// permutation), or `None` if no local was appended.
-fn extend_rank<K: Ord>(
+/// Merges the locals `order.len()..locals`, appended since the last call,
+/// into `order` — every local sorted by a distinct `key` — and updates
+/// `rank`, the inverse permutation.  Keys are computed for the new locals and
+/// for the old ones a binary search probes, never for every local: the new
+/// ones are sorted, each finds its place by bisection — all of them in
+/// lockstep, one halving step at a time, so their cache misses overlap
+/// instead of queueing — and one backward pass places them from the largest
+/// down, shifting the old entries above each placement up.  The ranks are
+/// rewritten from the lowest placement on.  Building an order is the
+/// all-new case.
+fn merge_new_locals<K: Ord>(
+    order: &mut Vec<u32>,
     rank: &mut Vec<u32>,
     locals: usize,
     key: impl Fn(u32) -> K,
-) -> Option<Vec<u32>> {
-    let old = rank.len();
+) {
+    let old = order.len();
     if locals <= old {
-        return None;
+        return;
     }
-    let mut previous = vec![0; old];
-    for (local, &position) in rank.iter().enumerate() {
-        previous[position as usize] = local as u32;
-    }
-    let mut fresh: Vec<(K, u32)> = (old as u32..locals as u32)
-        .map(|local| (key(local), local))
+    // `(key, local, old entries with a smaller key)`; locals fit in `u32`.
+    let mut fresh: Vec<(K, u32, u32)> = (old as u32..locals as u32)
+        .map(|local| (key(local), local, 0))
         .collect();
-    fresh.sort_unstable();
-    let mut order = Vec::with_capacity(locals);
-    let mut fresh = fresh.into_iter().peekable();
-    for local in previous {
-        let old_key = key(local);
-        while let Some((_, new)) = fresh.next_if(|(new_key, _)| *new_key < old_key) {
-            order.push(new);
+    fresh.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    if old > 0 {
+        // The standard branch-free bisection: every search halves the same
+        // window sizes, whatever it compares.
+        let mut size = old as u32;
+        while size > 1 {
+            let half = size / 2;
+            for (new_key, _, base) in &mut fresh {
+                if key(order[(*base + half) as usize]) < *new_key {
+                    *base += half;
+                }
+            }
+            size -= half;
         }
-        order.push(local);
+        for (new_key, _, base) in &mut fresh {
+            *base += u32::from(key(order[*base as usize]) < *new_key);
+        }
     }
-    order.extend(fresh.map(|(_, local)| local));
+    order.resize(locals, 0);
+    // The old entries not yet shifted are `order[..unplaced]`.
+    let mut unplaced = old;
+    for (index, &(_, local, below)) in fresh.iter().enumerate().rev() {
+        let below = below as usize;
+        let position = below + index;
+        if below < unplaced {
+            order.copy_within(below..unplaced, position + 1);
+        }
+        order[position] = local;
+        unplaced = below;
+    }
     rank.resize(locals, 0);
+    for (position, &local) in order.iter().enumerate().skip(unplaced) {
+        rank[local as usize] = position as u32;
+    }
+}
+
+/// Compacts `order` (locals in some key order) and its inverse `rank`
+/// through `remap` (old local → new local, [`DROPPED`] for a dropped row):
+/// the survivors keep their relative order, so no key is recomputed.
+fn compact_order(order: &mut Vec<u32>, rank: &mut Vec<u32>, remap: &[u32]) {
+    order.retain_mut(|local| {
+        *local = remap[*local as usize];
+        *local != DROPPED
+    });
+    rank.truncate(order.len());
     for (position, &local) in order.iter().enumerate() {
         rank[local as usize] = position as u32;
     }
-    Some(order)
 }
+
+/// [`compact_order`]'s mark for a dropped row.
+const DROPPED: u32 = u32::MAX;
 
 /// The state of one distributed node.
 #[derive(Debug, Clone)]
@@ -109,8 +147,10 @@ pub struct NodeState<V, E> {
     probe_order: Vec<u32>,
     /// Every local's position in `probe_order`, indexed by local id.
     probe_rank: Vec<u32>,
-    /// Every local's position among the locals sorted by global id: the
-    /// cache's recency tie-break.
+    /// Locals ascending by global id.
+    global_order: Vec<u32>,
+    /// Every local's position in `global_order`: the cache's recency
+    /// tie-break.
     global_rank: Vec<u32>,
 }
 
@@ -124,7 +164,7 @@ impl<V, E> Default for NodeState<V, E> {
             id: 0,
             vertex_table: VertexTable::new(),
             edge_table: EdgeTable::new(),
-            csr: Csr::from_edges(0, std::iter::empty()),
+            csr: Csr::default(),
             edge_src_local: Vec::new(),
             edge_dst_local: Vec::new(),
             active: FrontierSet::default(),
@@ -132,6 +172,7 @@ impl<V, E> Default for NodeState<V, E> {
             out_degrees: Vec::new(),
             probe_order: Vec::new(),
             probe_rank: Vec::new(),
+            global_order: Vec::new(),
             global_rank: Vec::new(),
         }
     }
@@ -226,10 +267,20 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
     /// vertex table with new dense local ids `(id, attr, is_master,
     /// out_degree)`, `degree_adjust` folds global out-degree deltas into the
     /// locally held vertices, and `detached` resets attributes in place.
-    /// The per-node CSR, the endpoint local-id maps and the frontier
-    /// capacities are rebuilt to match — O(this shard), the untouched shards
-    /// of the cluster pay nothing — and new locals are merged into the probe
-    /// and global-id orders (rebuilt in full when rows were dropped).
+    ///
+    /// What it costs depends on what the batch brings here:
+    /// * nothing but degree deltas and detaches (a node the batch does not
+    ///   reach): one lookup per delta, and no buffer moves;
+    /// * inserts only: the new edges' endpoint locals are appended and each
+    ///   new edge id goes to the tail of its source's CSR run
+    ///   ([`Csr::append_edges`]: one pass that shifts the runs above the
+    ///   lowest touched source); the new locals' keys are computed, sorted
+    ///   and placed into the probe and global-id orders by binary search,
+    ///   and the ranks are rewritten from the lowest placement on;
+    /// * removals: linear passes.  The edge arrays compact, dropped rows
+    ///   compact the locals and both orders through the retain mapping (no
+    ///   key is recomputed, nothing re-sorted), and the surviving edges are
+    ///   re-indexed through the same CSR append, from empty.
     ///
     /// The frontier itself is cleared: the caller re-seeds it through
     /// [`NodeState::reset_for`] or [`NodeState::seed_incremental`] before
@@ -247,26 +298,27 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
         degree_adjust: &[(VertexId, i64)],
         detached: &[(VertexId, V)],
     ) {
-        if !dropped.is_empty() {
-            let keep: Vec<bool> = (self.vertex_table.ids())
-                .map(|v| dropped.binary_search(&v).is_err())
-                .collect();
-            // `retain` visits each element once, in order.
-            let (mut degrees, mut rows) = (keep.iter(), keep.iter());
-            self.out_degrees.retain(|_| degrees.next() == Some(&true));
-            self.vertex_table.retain(|_| rows.next() == Some(&true));
-            self.probe_order.clear();
-            self.probe_rank.clear();
-            self.global_rank.clear();
-            // `activate_all` fills a frontier's whole capacity, which must
-            // not outgrow the compacted locals.
-            self.active = FrontierSet::new(self.vertex_table.len());
+        self.active.clear();
+        let removes = !remove_positions.is_empty() || !dropped.is_empty();
+        if removes {
+            self.edge_table.remove_positions(remove_positions);
+            tables::remove_positions(&mut self.edge_src_local, remove_positions);
+            tables::remove_positions(&mut self.edge_dst_local, remove_positions);
+            if !dropped.is_empty() {
+                self.drop_rows(dropped);
+            }
+            // The survivors are re-indexed below, with the added edges.
+            self.csr = Csr::default();
         }
         for &(v, delta) in degree_adjust {
             if let Some(local) = self.vertex_table.local_of(v) {
                 let degree = &mut self.out_degrees[local as usize];
                 *degree = (*degree as i64 + delta).max(0) as u32;
             }
+        }
+        if !removes && add_edges.is_empty() && upserts.is_empty() {
+            self.reset_detached(detached);
+            return;
         }
         self.vertex_table.reserve(upserts.len());
         self.out_degrees.reserve(upserts.len());
@@ -275,39 +327,83 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
                 self.out_degrees.push(degree);
             }
         }
+        self.reset_detached(detached);
+        let num_locals = self.vertex_table.len();
+        let table = &self.vertex_table;
+        merge_new_locals(
+            &mut self.probe_order,
+            &mut self.probe_rank,
+            num_locals,
+            |local| probe_key(table.global_of(local)),
+        );
+        merge_new_locals(
+            &mut self.global_order,
+            &mut self.global_rank,
+            num_locals,
+            |local| table.global_of(local),
+        );
+        let local_of =
+            |v| (table.local_of(v)).expect("an endpoint of a local edge is not a local vertex");
+        self.edge_src_local
+            .extend(add_edges.iter().map(|e| local_of(e.src)));
+        self.edge_dst_local
+            .extend(add_edges.iter().map(|e| local_of(e.dst)));
+        self.edge_table.append(add_edges);
+        let indexed = self.csr.num_edges();
+        self.csr.append_edges(
+            num_locals,
+            (self.edge_src_local[indexed..].iter().copied())
+                .zip(self.edge_dst_local[indexed..].iter().copied()),
+        );
+        self.active.ensure_capacity(num_locals);
+        self.active_edges.ensure_capacity(self.edge_table.len());
+    }
+
+    /// Resets the attributes of the `detached` vertices held here.
+    fn reset_detached(&mut self, detached: &[(VertexId, V)]) {
         for (v, attr) in detached {
             if let Some(row) = self.vertex_table.get_mut(*v) {
                 row.attr = attr.clone();
             }
         }
-        self.edge_table.remove_positions(remove_positions);
-        self.edge_table.append(add_edges);
-        let num_locals = self.vertex_table.len();
-        let table = &self.vertex_table;
-        if let Some(order) = extend_rank(&mut self.probe_rank, num_locals, |local| {
-            probe_key(table.global_of(local))
-        }) {
-            self.probe_order = order;
+    }
+
+    /// Drops the rows of `dropped` (ascending global ids, touched by no
+    /// local edge): the surviving locals compact in their order, and every
+    /// structure indexed by local id follows through one retain mapping.
+    /// The CSR is left for the caller to re-index.
+    fn drop_rows(&mut self, dropped: &[VertexId]) {
+        let mut remap = Vec::with_capacity(self.vertex_table.len());
+        let mut kept = 0;
+        for v in self.vertex_table.ids() {
+            if dropped.binary_search(&v).is_ok() {
+                remap.push(DROPPED);
+            } else {
+                remap.push(kept);
+                kept += 1;
+            }
         }
-        extend_rank(&mut self.global_rank, num_locals, |local| {
-            table.global_of(local)
-        });
-        let local_of =
-            |v| (table.local_of(v)).expect("an endpoint of a local edge is not a local vertex");
-        let edges = self.edge_table.edges();
-        self.edge_src_local = edges.iter().map(|e| local_of(e.src)).collect();
-        self.edge_dst_local = edges.iter().map(|e| local_of(e.dst)).collect();
-        self.csr = Csr::from_edges(
-            num_locals,
-            self.edge_src_local
-                .iter()
-                .copied()
-                .zip(self.edge_dst_local.iter().copied()),
-        );
-        self.active.ensure_capacity(num_locals);
-        self.active.clear();
-        self.active_edges.ensure_capacity(self.edge_table.len());
-        self.active_edges.clear();
+        // `retain` visits each element once, in order.
+        let (mut degrees, mut rows) = (remap.iter(), remap.iter());
+        self.out_degrees
+            .retain(|_| degrees.next() != Some(&DROPPED));
+        self.vertex_table.retain(|_| rows.next() != Some(&DROPPED));
+        for local in self
+            .edge_src_local
+            .iter_mut()
+            .chain(&mut self.edge_dst_local)
+        {
+            *local = remap[*local as usize];
+            assert_ne!(
+                *local, DROPPED,
+                "an endpoint of a local edge is not a local vertex"
+            );
+        }
+        compact_order(&mut self.probe_order, &mut self.probe_rank, &remap);
+        compact_order(&mut self.global_order, &mut self.global_rank, &remap);
+        // `activate_all` fills a frontier's whole capacity, which must not
+        // outgrow the compacted locals.
+        self.active = FrontierSet::new(self.vertex_table.len());
     }
 
     /// Seeds the node for an *incremental* recompute: vertices in `reinit`

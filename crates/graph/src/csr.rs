@@ -25,44 +25,155 @@ pub struct Csr {
     edge_ids: Vec<EdgeId>,
 }
 
+/// An index over no vertices and no edges.
+impl Default for Csr {
+    fn default() -> Self {
+        Self {
+            offsets: vec![0],
+            neighbors: Vec::new(),
+            edge_ids: Vec::new(),
+        }
+    }
+}
+
 impl Csr {
     /// Builds a CSR index from `(src, dst)` pairs of an edge table.
     ///
     /// `edges` yields `(source, destination)` in edge-table order; the edge id
-    /// recorded for the `i`-th yielded pair is `i`.
+    /// recorded for the `i`-th yielded pair is `i`.  This is
+    /// [`Csr::append_edges`] on an empty index.
     pub fn from_edges<I>(num_vertices: usize, edges: I) -> Self
     where
         I: IntoIterator<Item = (VertexId, VertexId)>,
         I::IntoIter: Clone,
     {
-        let iter = edges.into_iter();
-        // Counting pass.
-        let mut counts = vec![0usize; num_vertices + 1];
-        let mut num_edges = 0usize;
-        for (src, _) in iter.clone() {
-            counts[src as usize + 1] += 1;
-            num_edges += 1;
+        let mut csr = Self::default();
+        csr.append_edges(num_vertices, edges);
+        csr
+    }
+
+    /// Indexes the edges that follow the indexed ones in the edge table:
+    /// `added` yields their `(source, destination)` pairs in edge-table
+    /// order, so the `i`-th gets edge id `num_edges() + i`.  The index first
+    /// grows to `num_vertices` vertices (new ones with no edges yet).
+    ///
+    /// Each added edge goes to the tail of its source's run.  Its id is
+    /// larger than every indexed one, so each run stays ascending and the
+    /// result equals [`Csr::from_edges`] over the whole edge table.  The
+    /// runs above the lowest touched source move up to open the gaps:
+    /// O(`num_vertices` + moved entries), no rebuild.  Few added edges are
+    /// grouped by a comparison sort of their own keys (no per-vertex
+    /// buffer), and the runs move in blocks between touched sources; many
+    /// take a counting sort over every vertex — building an index is the
+    /// all-added case.
+    ///
+    /// # Panics
+    /// Panics if `num_vertices` is below [`Csr::num_vertices`], or if a
+    /// source is not below `num_vertices`.
+    pub fn append_edges<I>(&mut self, num_vertices: usize, added: I)
+    where
+        I: IntoIterator<Item = (VertexId, VertexId)>,
+        I::IntoIter: Clone,
+    {
+        assert!(
+            num_vertices >= self.num_vertices(),
+            "a CSR index never drops vertices"
+        );
+        let indexed = self.num_edges();
+        self.offsets.resize(num_vertices + 1, indexed);
+        let added = added.into_iter();
+        let count = added.clone().count();
+        if count == 0 {
+            return;
         }
-        // Prefix sum -> offsets.
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
+        self.neighbors.resize(indexed + count, 0);
+        self.edge_ids.resize(indexed + count, 0);
+        // A comparison sort costs about count·log2(count) steps, a counting
+        // sort one pass over every vertex.
+        if count * (count.ilog2() as usize + 1) < num_vertices {
+            let mut sorted: Vec<(VertexId, EdgeId, VertexId)> = (added.enumerate())
+                .map(|(i, (src, dst))| (src, indexed + i, dst))
+                .collect();
+            sorted.sort_unstable();
+            let groups = sorted.chunk_by(|a, b| a.0 == b.0);
+            self.open_run_tails(count, groups.clone().rev().map(|g| (g[0].0, g.len())));
+            for group in groups {
+                let tail = self.offsets[group[0].0 as usize + 1] - group.len();
+                for (slot, &(_, id, dst)) in (tail..).zip(group) {
+                    self.neighbors[slot] = dst;
+                    self.edge_ids[slot] = id;
+                }
+            }
+        } else {
+            let Self {
+                offsets,
+                neighbors,
+                edge_ids,
+            } = self;
+            // First `cursor[v]` counts the added edges whose source is below
+            // `v`: how far `v`'s run moves up.
+            let mut cursor = vec![0usize; num_vertices + 1];
+            for (src, _) in added.clone() {
+                cursor[src as usize + 1] += 1;
+            }
+            for v in 1..=num_vertices {
+                cursor[v] += cursor[v - 1];
+            }
+            if indexed > 0 {
+                for v in (0..num_vertices).rev() {
+                    let (start, end) = (offsets[v], offsets[v + 1]);
+                    if cursor[v] > 0 && start < end {
+                        neighbors.copy_within(start..end, start + cursor[v]);
+                        edge_ids.copy_within(start..end, start + cursor[v]);
+                    }
+                }
+            }
+            // Then where `v`'s added edges go: past its moved run.
+            for v in 0..num_vertices {
+                let shift = cursor[v];
+                cursor[v] = offsets[v + 1] + shift;
+                offsets[v] += shift;
+            }
+            offsets[num_vertices] += count;
+            for ((src, dst), id) in added.zip(indexed..) {
+                let slot = &mut cursor[src as usize];
+                neighbors[*slot] = dst;
+                edge_ids[*slot] = id;
+                *slot += 1;
+            }
         }
-        let offsets = counts.clone();
-        // Fill pass.
-        let mut cursor = offsets.clone();
-        let mut neighbors = vec![0 as VertexId; num_edges];
-        let mut edge_ids = vec![0 as EdgeId; num_edges];
-        for (edge_id, (src, dst)) in iter.enumerate() {
-            let slot = cursor[src as usize];
-            neighbors[slot] = dst;
-            edge_ids[slot] = edge_id;
-            cursor[src as usize] += 1;
+    }
+
+    /// Shifts the runs up so that every source in `groups` — `(source,
+    /// added edges)` pairs, sources descending, `count` edges in all — ends
+    /// with a gap of its added edges' size, and moves the offsets to match:
+    /// the runs between two touched sources move as one block.
+    /// The entry arrays must already hold `count` slots past the indexed
+    /// entries.  Runs below the lowest source do not move.
+    fn open_run_tails(&mut self, count: usize, groups: impl Iterator<Item = (VertexId, usize)>) {
+        // `pending` added edges have a source at or below the current one;
+        // everything above it has moved up by that much already.
+        let mut upper = self.offsets.len() - 1;
+        let mut pending = count;
+        let mut moved_from = self.offsets[upper];
+        for (src, added) in groups {
+            let src = src as usize;
+            let run_end = self.offsets[src + 1];
+            if run_end < moved_from {
+                let shifted = run_end..moved_from;
+                self.neighbors
+                    .copy_within(shifted.clone(), run_end + pending);
+                self.edge_ids.copy_within(shifted, run_end + pending);
+            }
+            for end in &mut self.offsets[src + 2..=upper] {
+                *end += pending;
+            }
+            self.offsets[src + 1] += pending;
+            pending -= added;
+            moved_from = run_end;
+            upper = src;
         }
-        Self {
-            offsets,
-            neighbors,
-            edge_ids,
-        }
+        debug_assert_eq!(pending, 0);
     }
 
     /// Builds the *reverse* CSR (in-neighbours) from the same edge table.
@@ -169,6 +280,48 @@ mod tests {
         assert_eq!(rev.neighbors(2), &[0, 1]);
         assert_eq!(rev.edge_ids(2), &[1, 2]);
         assert_eq!(rev.degree(3), 1);
+    }
+
+    #[test]
+    fn appending_in_batches_equals_indexing_at_once() {
+        let mut state = 7u64;
+        let mut below = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 33) % bound as u64) as VertexId
+        };
+        let mut edges = Vec::new();
+        let mut csr = Csr::default();
+        // Small batches take the comparison sort, the large ones (and the
+        // first, into an empty index) the counting sort.
+        for (batch, size) in [40, 1, 3, 2, 90, 1, 5, 0, 4, 200, 2]
+            .into_iter()
+            .enumerate()
+        {
+            let vertices = 30 + 10 * batch;
+            let added: Vec<_> = (0..size)
+                .map(|_| (below(vertices), below(vertices)))
+                .collect();
+            csr.append_edges(vertices, added.iter().copied());
+            edges.extend(added);
+            assert_eq!(
+                csr,
+                Csr::from_edges(vertices, edges.iter().copied()),
+                "batch {batch}"
+            );
+            for v in 0..vertices as VertexId {
+                let (ids, neighbors): (Vec<EdgeId>, Vec<VertexId>) = (edges.iter().enumerate())
+                    .filter(|(_, &(src, _))| src == v)
+                    .map(|(id, &(_, dst))| (id, dst))
+                    .unzip();
+                assert_eq!(
+                    (csr.edge_ids(v), csr.neighbors(v)),
+                    (&ids[..], &neighbors[..])
+                );
+            }
+        }
+        assert_eq!(csr.num_edges(), 348);
     }
 
     #[test]

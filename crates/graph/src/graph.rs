@@ -3,6 +3,7 @@
 use crate::csr::Csr;
 use crate::edge_list::EdgeList;
 use crate::mutate::ResolvedMutation;
+use crate::tables::remove_positions;
 use crate::types::{Edge, EdgeId, GraphError, Result, Triplet, VertexId};
 
 /// A directed property graph with per-vertex and per-edge attributes.
@@ -202,18 +203,8 @@ impl<V: Clone, E: Clone> PropertyGraph<V, E> {
             self.num_edges(),
             "mutation batch resolved against a different edge count"
         );
-        if !delta.removed_edges.is_empty() {
-            let mut cut = delta.removed_edges.iter().map(|(id, _, _)| id).peekable();
-            let mut id = 0usize;
-            self.edges.retain(|_| {
-                let keep = cut.peek() != Some(&id);
-                if !keep {
-                    cut.next();
-                }
-                id += 1;
-                keep
-            });
-        }
+        let removed: Vec<EdgeId> = delta.removed_edges.iter().map(|(id, _, _)| id).collect();
+        remove_positions(&mut self.edges, &removed);
         self.edges.extend(delta.added_edges.iter().cloned());
         self.vertex_attrs
             .extend(delta.added_vertices.iter().map(|(_, attr)| attr.clone()));

@@ -28,6 +28,7 @@ pub use weighted::WeightedEdgePartitioner;
 
 use crate::graph::PropertyGraph;
 use crate::mutate::ResolvedMutation;
+use crate::tables::remove_positions;
 use crate::types::{EdgeId, GraphError, PartitionId, Result, VertexId};
 use std::collections::HashMap;
 
@@ -268,40 +269,42 @@ impl Partitioning {
                 counts.truncate(kept);
             }
             let removed: Vec<EdgeId> = delta.removed_edges.iter().map(|(id, _, _)| id).collect();
-            let mut cut = removed.iter().copied().peekable();
-            let mut id = 0usize;
-            self.edge_assignment.retain(|_| {
-                let keep = cut.peek() != Some(&id);
-                if !keep {
-                    cut.next();
-                }
-                id += 1;
-                keep
-            });
+            remove_positions(&mut self.edge_assignment, &removed);
             for part in &mut self.parts {
-                part.edges.retain(|e| removed.binary_search(e).is_err());
-                for e in &mut part.edges {
-                    // Surviving ids shift down past the removals below them.
-                    *e -= removed.partition_point(|&r| r < *e);
+                // One merge of the part's ascending ids against the
+                // ascending removed ids: `below` counts the removals under
+                // the current id, which a survivor shifts down past.
+                let edges = &mut part.edges;
+                let (mut below, mut kept) = (0, 0);
+                for i in 0..edges.len() {
+                    let e = edges[i];
+                    while below < removed.len() && removed[below] < e {
+                        below += 1;
+                    }
+                    if removed.get(below) == Some(&e) {
+                        continue;
+                    }
+                    edges[kept] = e - below;
+                    kept += 1;
                 }
+                edges.truncate(kept);
             }
         }
+        // Each added edge lands on its source's master part.  Its endpoints'
+        // incidences are then merged into each part's replica list at once.
+        let mut touched = Vec::with_capacity(2 * delta.added_edges.len());
         for edge in &delta.added_edges {
             let part = self.master_of[edge.src as usize];
             let new_id = self.edge_assignment.len();
             self.edge_assignment.push(part);
             self.parts[part].edges.push(new_id);
-            for v in [edge.src, edge.dst] {
-                let (vertices, counts) =
-                    (&mut self.parts[part].vertices, &mut self.incidence[part]);
-                match vertices.binary_search(&v) {
-                    Ok(position) => counts[position] += 1,
-                    Err(position) => {
-                        vertices.insert(position, v);
-                        counts.insert(position, 1);
-                    }
-                }
-            }
+            touched.extend([(part, edge.src), (part, edge.dst)]);
+        }
+        touched.sort_unstable();
+        for group in touched.chunk_by(|a, b| a.0 == b.0) {
+            let part = group[0].0;
+            let (vertices, counts) = (&mut self.parts[part].vertices, &mut self.incidence[part]);
+            add_incidences(vertices, counts, group);
         }
     }
 
@@ -316,6 +319,47 @@ impl Partitioning {
             }
         }
         counts.iter().filter(|&&c| c > 1).count()
+    }
+}
+
+/// Adds one incidence per `(_, vertex)` of `added` (ascending by vertex,
+/// repeats allowed) to the ascending replica list `vertices` and its aligned
+/// `counts`, splicing in every vertex the list lacks: one forward walk finds
+/// where each distinct vertex goes, one backward pass shifts the entries up
+/// past the new ones below them.  Both stream through the list, whose
+/// cache lines a shift touches anyway.
+fn add_incidences(
+    vertices: &mut Vec<VertexId>,
+    counts: &mut Vec<u32>,
+    added: &[(PartitionId, VertexId)],
+) {
+    // `(vertex, incidences, position in the list, already listed)`.
+    let mut runs = Vec::with_capacity(added.len());
+    let mut at = 0;
+    for run in added.chunk_by(|a, b| a.1 == b.1) {
+        let v = run[0].1;
+        while at < vertices.len() && vertices[at] < v {
+            at += 1;
+        }
+        runs.push((v, run.len() as u32, at, vertices.get(at) == Some(&v)));
+    }
+    let mut shift = runs.iter().filter(|run| !run.3).count();
+    let mut unmoved = vertices.len();
+    vertices.resize(unmoved + shift, 0);
+    counts.resize(unmoved + shift, 0);
+    for &(v, incidences, at, listed) in runs.iter().rev() {
+        // The entries above `v` move up past every new vertex up to `v`.
+        let above = at + usize::from(listed);
+        vertices.copy_within(above..unmoved, above + shift);
+        counts.copy_within(above..unmoved, above + shift);
+        if listed {
+            counts[at] += incidences;
+        } else {
+            shift -= 1;
+            vertices[at + shift] = v;
+            counts[at + shift] = incidences;
+        }
+        unmoved = above;
     }
 }
 

@@ -249,33 +249,13 @@ impl<E> EdgeTable<E> {
     /// Removes the edges at the given local positions (ascending), shifting
     /// the survivors down so local ids stay dense and relative order is
     /// preserved — the local mirror of the global edge-id compaction a
-    /// mutation batch performs.
+    /// mutation batch performs ([`remove_positions`]).
     ///
     /// # Panics
     /// Panics if `positions` is not strictly ascending or names an index out
     /// of range.
     pub fn remove_positions(&mut self, positions: &[usize]) {
-        if positions.is_empty() {
-            return;
-        }
-        assert!(
-            positions.windows(2).all(|w| w[0] < w[1]),
-            "removal positions must be strictly ascending"
-        );
-        assert!(
-            *positions.last().unwrap() < self.edges.len(),
-            "removal position out of range"
-        );
-        let mut cut = positions.iter().copied().peekable();
-        let mut id = 0usize;
-        self.edges.retain(|_| {
-            let keep = cut.peek() != Some(&id);
-            if !keep {
-                cut.next();
-            }
-            id += 1;
-            keep
-        });
+        remove_positions(&mut self.edges, positions);
     }
 
     /// Returns the edge with local id `id`.
@@ -287,6 +267,36 @@ impl<E> EdgeTable<E> {
     pub fn edges(&self) -> &[Edge<E>] {
         &self.edges
     }
+}
+
+/// Removes the items at `positions` (strictly ascending indices) in one
+/// pass, shifting the survivors down in their relative order.
+///
+/// # Panics
+/// Panics if `positions` is not strictly ascending or names an index out of
+/// range.
+pub fn remove_positions<T>(items: &mut Vec<T>, positions: &[usize]) {
+    if positions.is_empty() {
+        return;
+    }
+    assert!(
+        positions.windows(2).all(|w| w[0] < w[1]),
+        "removal positions must be strictly ascending"
+    );
+    assert!(
+        *positions.last().unwrap() < items.len(),
+        "removal position out of range"
+    );
+    let mut cut = positions.iter().copied().peekable();
+    let mut index = 0usize;
+    items.retain(|_| {
+        let keep = cut.peek() != Some(&index);
+        if !keep {
+            cut.next();
+        }
+        index += 1;
+        keep
+    });
 }
 
 #[cfg(test)]
