@@ -31,9 +31,11 @@ use crate::node::NodeState;
 use crate::profile::RuntimeProfile;
 use crate::template::{AddressedMessage, GraphAlgorithm};
 use gxplug_accel::SimDuration;
+use gxplug_graph::csr::shift_run_starts;
 use gxplug_graph::dense::{DenseSlots, FrontierSet};
 use gxplug_graph::graph::PropertyGraph;
 use gxplug_graph::partition::Partitioning;
+use gxplug_graph::tables;
 use gxplug_graph::types::{Edge, PartitionId, VertexId};
 use serde::{Deserialize, Serialize};
 use std::convert::Infallible;
@@ -424,52 +426,25 @@ impl SyncRoutes {
 impl MirrorCsr {
     /// Grows the table to `locals` rows (new ones with no mirrors) and adds
     /// `added` — `(_, master local, mirror)`, ascending by master local then
-    /// node — as non-source mirrors, each part of a list kept in node order.
-    /// One backward pass shifts the lists above the lowest touched master up
-    /// to open room at their tails.
+    /// node — as non-source mirrors: each goes to its place by node in its
+    /// list's non-source part, all in one insertion pass, and the lists
+    /// above the lowest touched master shift their bounds to match.
     fn append(&mut self, locals: usize, added: &[(u32, u32, (u32, u32))]) {
-        let listed = self.mirrors.len();
-        self.offsets.resize(locals + 1, listed as u32);
-        self.sources_end.resize(locals, listed as u32);
-        if added.is_empty() {
-            return;
-        }
-        self.mirrors.resize(listed + added.len(), (0, 0));
-        // `pending` added mirrors belong to a master local at or below the
-        // current one; every list above it has moved up by that much.
-        let mut pending = added.len();
-        let mut moved_from = listed;
-        let mut upper = locals;
-        for group in added.chunk_by(|a, b| a.1 == b.1).rev() {
-            let local = group[0].1 as usize;
-            let (start, end) = (
-                self.offsets[local] as usize,
-                self.offsets[local + 1] as usize,
-            );
-            // The lists above this one move up past every added mirror at
-            // or below it ...
-            self.mirrors.copy_within(end..moved_from, end + pending);
-            for other in local + 1..upper {
-                self.offsets[other + 1] += pending as u32;
-                self.sources_end[other] += pending as u32;
-            }
-            // ... this one past those below it, taking its own at its tail.
-            pending -= group.len();
-            self.mirrors.copy_within(start..end, start + pending);
-            let mut tail = end + pending;
-            for &(_, _, mirror) in group {
-                self.mirrors[tail] = mirror;
-                tail += 1;
-            }
-            self.offsets[local + 1] = tail as u32;
-            self.sources_end[local] += pending as u32;
-            // Its non-source part back in node order (a list holds at most
-            // one mirror per node).
-            let others = self.sources_end[local] as usize;
-            self.mirrors[others..tail].sort_unstable_by_key(|&(node, _)| node);
-            moved_from = start;
-            upper = local;
-        }
+        let listed = self.mirrors.len() as u32;
+        self.offsets.resize(locals + 1, listed);
+        self.sources_end.resize(locals, listed);
+        let placed: Vec<(usize, (u32, u32))> = (added.iter())
+            .map(|&(_, local, mirror)| {
+                let others = self.sources_end[local as usize] as usize;
+                let end = self.offsets[local as usize + 1] as usize;
+                let by_node = self.mirrors[others..end].partition_point(|m| m.0 < mirror.0);
+                (others + by_node, mirror)
+            })
+            .collect();
+        tables::insert_at_positions(&mut self.mirrors, placed.into_iter());
+        let lists = added.iter().map(|&(_, local, _)| local as usize);
+        shift_run_starts(&mut self.offsets, lists.clone());
+        shift_run_starts(&mut self.sources_end, lists);
     }
 
     /// The mirrors of the master row at `local`: only its source mirrors if

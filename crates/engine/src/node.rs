@@ -47,12 +47,10 @@ fn probe_key(global: VertexId) -> (u64, VertexId) {
 /// into `order` — every local sorted by a distinct `key` — and updates
 /// `rank`, the inverse permutation.  Keys are computed for the new locals and
 /// for the old ones a binary search probes, never for every local: the new
-/// ones are sorted, each finds its place by bisection — all of them in
-/// lockstep, one halving step at a time, so their cache misses overlap
-/// instead of queueing — and one backward pass places them from the largest
-/// down, shifting the old entries above each placement up.  The ranks are
-/// rewritten from the lowest placement on.  Building an order is the
-/// all-new case.
+/// ones are sorted, each finds its place by bisection, and one backward pass
+/// inserts them all ([`tables::insert_at_positions`]).  The ranks are
+/// rewritten from the lowest insertion on.  Building an order is the all-new
+/// case.
 fn merge_new_locals<K: Ord>(
     order: &mut Vec<u32>,
     rank: &mut Vec<u32>,
@@ -63,42 +61,17 @@ fn merge_new_locals<K: Ord>(
     if locals <= old {
         return;
     }
-    // `(key, local, old entries with a smaller key)`; locals fit in `u32`.
-    let mut fresh: Vec<(K, u32, u32)> = (old as u32..locals as u32)
-        .map(|local| (key(local), local, 0))
+    let mut fresh: Vec<(K, u32)> = (old as u32..locals as u32)
+        .map(|local| (key(local), local))
         .collect();
     fresh.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    if old > 0 {
-        // The standard branch-free bisection: every search halves the same
-        // window sizes, whatever it compares.
-        let mut size = old as u32;
-        while size > 1 {
-            let half = size / 2;
-            for (new_key, _, base) in &mut fresh {
-                if key(order[(*base + half) as usize]) < *new_key {
-                    *base += half;
-                }
-            }
-            size -= half;
-        }
-        for (new_key, _, base) in &mut fresh {
-            *base += u32::from(key(order[*base as usize]) < *new_key);
-        }
-    }
-    order.resize(locals, 0);
-    // The old entries not yet shifted are `order[..unplaced]`.
-    let mut unplaced = old;
-    for (index, &(_, local, below)) in fresh.iter().enumerate().rev() {
-        let below = below as usize;
-        let position = below + index;
-        if below < unplaced {
-            order.copy_within(below..unplaced, position + 1);
-        }
-        order[position] = local;
-        unplaced = below;
-    }
+    let placed: Vec<(usize, u32)> = (fresh.into_iter())
+        .map(|(new_key, local)| (order.partition_point(|&l| key(l) < new_key), local))
+        .collect();
+    let lowest = placed[0].0;
+    tables::insert_at_positions(order, placed.into_iter());
     rank.resize(locals, 0);
-    for (position, &local) in order.iter().enumerate().skip(unplaced) {
+    for (position, &local) in order.iter().enumerate().skip(lowest) {
         rank[local as usize] = position as u32;
     }
 }

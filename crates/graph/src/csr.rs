@@ -5,7 +5,9 @@
 //! operation, and degree queries are O(1).  The same structure, built on the
 //! reversed edge set, provides in-neighbour access for pull-style kernels.
 
+use crate::tables::insert_at_positions;
 use crate::types::{EdgeId, VertexId};
+use std::ops::AddAssign;
 
 /// CSR adjacency index over an externally stored edge table.
 ///
@@ -40,16 +42,40 @@ impl Csr {
     /// Builds a CSR index from `(src, dst)` pairs of an edge table.
     ///
     /// `edges` yields `(source, destination)` in edge-table order; the edge id
-    /// recorded for the `i`-th yielded pair is `i`.  This is
-    /// [`Csr::append_edges`] on an empty index.
+    /// recorded for the `i`-th yielded pair is `i`.
     pub fn from_edges<I>(num_vertices: usize, edges: I) -> Self
     where
         I: IntoIterator<Item = (VertexId, VertexId)>,
         I::IntoIter: Clone,
     {
-        let mut csr = Self::default();
-        csr.append_edges(num_vertices, edges);
-        csr
+        let iter = edges.into_iter();
+        // Counting pass.
+        let mut counts = vec![0usize; num_vertices + 1];
+        let mut num_edges = 0usize;
+        for (src, _) in iter.clone() {
+            counts[src as usize + 1] += 1;
+            num_edges += 1;
+        }
+        // Prefix sum -> offsets.
+        for i in 1..counts.len() {
+            counts[i] += counts[i - 1];
+        }
+        let offsets = counts.clone();
+        // Fill pass.
+        let mut cursor = offsets.clone();
+        let mut neighbors = vec![0 as VertexId; num_edges];
+        let mut edge_ids = vec![0 as EdgeId; num_edges];
+        for (edge_id, (src, dst)) in iter.enumerate() {
+            let slot = cursor[src as usize];
+            neighbors[slot] = dst;
+            edge_ids[slot] = edge_id;
+            cursor[src as usize] += 1;
+        }
+        Self {
+            offsets,
+            neighbors,
+            edge_ids,
+        }
     }
 
     /// Indexes the edges that follow the indexed ones in the edge table:
@@ -57,15 +83,14 @@ impl Csr {
     /// order, so the `i`-th gets edge id `num_edges() + i`.  The index first
     /// grows to `num_vertices` vertices (new ones with no edges yet).
     ///
-    /// Each added edge goes to the tail of its source's run.  Its id is
-    /// larger than every indexed one, so each run stays ascending and the
-    /// result equals [`Csr::from_edges`] over the whole edge table.  The
-    /// runs above the lowest touched source move up to open the gaps:
-    /// O(`num_vertices` + moved entries), no rebuild.  Few added edges are
-    /// grouped by a comparison sort of their own keys (no per-vertex
-    /// buffer), and the runs move in blocks between touched sources; many
-    /// take a counting sort over every vertex — building an index is the
-    /// all-added case.
+    /// An empty index is built by [`Csr::from_edges`].  Otherwise the added
+    /// edges are sorted by source and each goes to the tail of its source's
+    /// run; its id is larger than every indexed one, so each run stays
+    /// ascending and the result equals [`Csr::from_edges`] over the whole
+    /// edge table.  The entries above the lowest touched source move up once
+    /// ([`insert_at_positions`]) and the offsets above it follow
+    /// ([`shift_run_starts`]): O(added·log added + `num_vertices` + moved
+    /// entries), no rebuild.
     ///
     /// # Panics
     /// Panics if `num_vertices` is below [`Csr::num_vertices`], or if a
@@ -80,100 +105,27 @@ impl Csr {
             "a CSR index never drops vertices"
         );
         let indexed = self.num_edges();
-        self.offsets.resize(num_vertices + 1, indexed);
-        let added = added.into_iter();
-        let count = added.clone().count();
-        if count == 0 {
+        if indexed == 0 {
+            *self = Self::from_edges(num_vertices, added);
             return;
         }
-        self.neighbors.resize(indexed + count, 0);
-        self.edge_ids.resize(indexed + count, 0);
-        // A comparison sort costs about count·log2(count) steps, a counting
-        // sort one pass over every vertex.
-        if count * (count.ilog2() as usize + 1) < num_vertices {
-            let mut sorted: Vec<(VertexId, EdgeId, VertexId)> = (added.enumerate())
-                .map(|(i, (src, dst))| (src, indexed + i, dst))
-                .collect();
-            sorted.sort_unstable();
-            let groups = sorted.chunk_by(|a, b| a.0 == b.0);
-            self.open_run_tails(count, groups.clone().rev().map(|g| (g[0].0, g.len())));
-            for group in groups {
-                let tail = self.offsets[group[0].0 as usize + 1] - group.len();
-                for (slot, &(_, id, dst)) in (tail..).zip(group) {
-                    self.neighbors[slot] = dst;
-                    self.edge_ids[slot] = id;
-                }
-            }
-        } else {
-            let Self {
-                offsets,
-                neighbors,
-                edge_ids,
-            } = self;
-            // First `cursor[v]` counts the added edges whose source is below
-            // `v`: how far `v`'s run moves up.
-            let mut cursor = vec![0usize; num_vertices + 1];
-            for (src, _) in added.clone() {
-                cursor[src as usize + 1] += 1;
-            }
-            for v in 1..=num_vertices {
-                cursor[v] += cursor[v - 1];
-            }
-            if indexed > 0 {
-                for v in (0..num_vertices).rev() {
-                    let (start, end) = (offsets[v], offsets[v + 1]);
-                    if cursor[v] > 0 && start < end {
-                        neighbors.copy_within(start..end, start + cursor[v]);
-                        edge_ids.copy_within(start..end, start + cursor[v]);
-                    }
-                }
-            }
-            // Then where `v`'s added edges go: past its moved run.
-            for v in 0..num_vertices {
-                let shift = cursor[v];
-                cursor[v] = offsets[v + 1] + shift;
-                offsets[v] += shift;
-            }
-            offsets[num_vertices] += count;
-            for ((src, dst), id) in added.zip(indexed..) {
-                let slot = &mut cursor[src as usize];
-                neighbors[*slot] = dst;
-                edge_ids[*slot] = id;
-                *slot += 1;
-            }
-        }
-    }
-
-    /// Shifts the runs up so that every source in `groups` — `(source,
-    /// added edges)` pairs, sources descending, `count` edges in all — ends
-    /// with a gap of its added edges' size, and moves the offsets to match:
-    /// the runs between two touched sources move as one block.
-    /// The entry arrays must already hold `count` slots past the indexed
-    /// entries.  Runs below the lowest source do not move.
-    fn open_run_tails(&mut self, count: usize, groups: impl Iterator<Item = (VertexId, usize)>) {
-        // `pending` added edges have a source at or below the current one;
-        // everything above it has moved up by that much already.
-        let mut upper = self.offsets.len() - 1;
-        let mut pending = count;
-        let mut moved_from = self.offsets[upper];
-        for (src, added) in groups {
-            let src = src as usize;
-            let run_end = self.offsets[src + 1];
-            if run_end < moved_from {
-                let shifted = run_end..moved_from;
-                self.neighbors
-                    .copy_within(shifted.clone(), run_end + pending);
-                self.edge_ids.copy_within(shifted, run_end + pending);
-            }
-            for end in &mut self.offsets[src + 2..=upper] {
-                *end += pending;
-            }
-            self.offsets[src + 1] += pending;
-            pending -= added;
-            moved_from = run_end;
-            upper = src;
-        }
-        debug_assert_eq!(pending, 0);
+        self.offsets.resize(num_vertices + 1, indexed);
+        let mut sorted: Vec<(VertexId, EdgeId, VertexId)> = (added.into_iter().enumerate())
+            .map(|(i, (src, dst))| (src, indexed + i, dst))
+            .collect();
+        sorted.sort_unstable();
+        let Self {
+            offsets,
+            neighbors,
+            edge_ids,
+        } = self;
+        let tail = |src: VertexId| offsets[src as usize + 1];
+        insert_at_positions(
+            neighbors,
+            sorted.iter().map(|&(src, _, dst)| (tail(src), dst)),
+        );
+        insert_at_positions(edge_ids, sorted.iter().map(|&(src, id, _)| (tail(src), id)));
+        shift_run_starts(offsets, sorted.iter().map(|&(src, _, _)| src as usize));
     }
 
     /// Builds the *reverse* CSR (in-neighbours) from the same edge table.
@@ -242,6 +194,33 @@ impl Csr {
     }
 }
 
+/// Moves the run boundaries of a flat array past the entries just inserted
+/// into it: run `r` spans `offsets[r]..offsets[r + 1]`, and `runs` names the
+/// run of every inserted entry, ascending.  Each run's start moves up by the
+/// entries inserted into the runs below it; the runs up to the lowest named
+/// one keep their start.  O(offsets above the lowest named run).
+///
+/// # Panics
+/// Panics if a shifted offset does not fit `O`.
+pub fn shift_run_starts<O>(offsets: &mut [O], runs: impl IntoIterator<Item = usize>)
+where
+    O: AddAssign + TryFrom<usize>,
+{
+    let mut runs = runs.into_iter().peekable();
+    let Some(&lowest) = runs.peek() else {
+        return;
+    };
+    let mut below = 0;
+    for (run, start) in offsets.iter_mut().enumerate().skip(lowest + 1) {
+        while runs.next_if(|&r| r < run).is_some() {
+            below += 1;
+        }
+        *start += O::try_from(below)
+            .ok()
+            .expect("a run offset overflows its type");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,8 +272,7 @@ mod tests {
         };
         let mut edges = Vec::new();
         let mut csr = Csr::default();
-        // Small batches take the comparison sort, the large ones (and the
-        // first, into an empty index) the counting sort.
+        // The first batch builds the index, the rest insert at run tails.
         for (batch, size) in [40, 1, 3, 2, 90, 1, 5, 0, 4, 200, 2]
             .into_iter()
             .enumerate()

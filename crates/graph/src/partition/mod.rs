@@ -28,7 +28,7 @@ pub use weighted::WeightedEdgePartitioner;
 
 use crate::graph::PropertyGraph;
 use crate::mutate::ResolvedMutation;
-use crate::tables::remove_positions;
+use crate::tables::{insert_at_positions, remove_positions};
 use crate::types::{EdgeId, GraphError, PartitionId, Result, VertexId};
 use std::collections::HashMap;
 
@@ -324,43 +324,28 @@ impl Partitioning {
 
 /// Adds one incidence per `(_, vertex)` of `added` (ascending by vertex,
 /// repeats allowed) to the ascending replica list `vertices` and its aligned
-/// `counts`, splicing in every vertex the list lacks: one forward walk finds
-/// where each distinct vertex goes, one backward pass shifts the entries up
-/// past the new ones below them.  Both stream through the list, whose
-/// cache lines a shift touches anyway.
+/// `counts`: a listed vertex counts its incidences, and every vertex the
+/// list lacks is inserted at its place, all in one pass
+/// ([`insert_at_positions`]).
 fn add_incidences(
     vertices: &mut Vec<VertexId>,
     counts: &mut Vec<u32>,
     added: &[(PartitionId, VertexId)],
 ) {
-    // `(vertex, incidences, position in the list, already listed)`.
-    let mut runs = Vec::with_capacity(added.len());
+    // `(position in the list, vertex, incidences)` of the unlisted vertices.
+    let mut unlisted = Vec::new();
     let mut at = 0;
     for run in added.chunk_by(|a, b| a.1 == b.1) {
         let v = run[0].1;
-        while at < vertices.len() && vertices[at] < v {
-            at += 1;
-        }
-        runs.push((v, run.len() as u32, at, vertices.get(at) == Some(&v)));
-    }
-    let mut shift = runs.iter().filter(|run| !run.3).count();
-    let mut unmoved = vertices.len();
-    vertices.resize(unmoved + shift, 0);
-    counts.resize(unmoved + shift, 0);
-    for &(v, incidences, at, listed) in runs.iter().rev() {
-        // The entries above `v` move up past every new vertex up to `v`.
-        let above = at + usize::from(listed);
-        vertices.copy_within(above..unmoved, above + shift);
-        counts.copy_within(above..unmoved, above + shift);
-        if listed {
-            counts[at] += incidences;
+        at += vertices[at..].partition_point(|&u| u < v);
+        if vertices.get(at) == Some(&v) {
+            counts[at] += run.len() as u32;
         } else {
-            shift -= 1;
-            vertices[at + shift] = v;
-            counts[at + shift] = incidences;
+            unlisted.push((at, v, run.len() as u32));
         }
-        unmoved = above;
     }
+    insert_at_positions(vertices, unlisted.iter().map(|&(at, v, _)| (at, v)));
+    insert_at_positions(counts, unlisted.iter().map(|&(at, _, n)| (at, n)));
 }
 
 /// A strategy that assigns every edge of a graph to one of `num_parts` parts.

@@ -299,6 +299,35 @@ pub fn remove_positions<T>(items: &mut Vec<T>, positions: &[usize]) {
     });
 }
 
+/// Inserts `inserted` — `(position, item)` pairs, positions ascending —
+/// into `items`: each item lands before the entry that was at its position
+/// (`items.len()` appends), and items given one position keep their order.
+/// One backward pass moves every old entry at most once, in blocks between
+/// the positions: the counterpart of [`remove_positions`].
+///
+/// # Panics
+/// Panics if the positions are not ascending or one is past the end.
+pub fn insert_at_positions<T: Copy + Default>(
+    items: &mut Vec<T>,
+    inserted: impl DoubleEndedIterator<Item = (usize, T)> + ExactSizeIterator,
+) {
+    let mut unmoved = items.len();
+    let mut shift = inserted.len();
+    items.resize(unmoved + shift, T::default());
+    for (position, item) in inserted.rev() {
+        assert!(
+            position <= unmoved,
+            "insert positions must be ascending and in range"
+        );
+        if position < unmoved {
+            items.copy_within(position..unmoved, position + shift);
+        }
+        shift -= 1;
+        items[position + shift] = item;
+        unmoved = position;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,6 +338,20 @@ mod tests {
             Edge::new(0, 2, 2.0),
             Edge::new(2, 1, 3.0),
         ])
+    }
+
+    #[test]
+    fn inserting_at_positions_undoes_removing_them() {
+        let mut items = vec![10, 20, 30];
+        insert_at_positions(
+            &mut items,
+            [(0, 5), (2, 25), (2, 26), (3, 40), (3, 41)].into_iter(),
+        );
+        assert_eq!(items, [5, 10, 20, 25, 26, 30, 40, 41]);
+        remove_positions(&mut items, &[0, 3, 4, 6, 7]);
+        assert_eq!(items, [10, 20, 30]);
+        insert_at_positions(&mut items, std::iter::empty());
+        assert_eq!(items, [10, 20, 30]);
     }
 
     #[test]
