@@ -59,12 +59,6 @@ impl CostModel {
         self.copy_per_item * n as f64
     }
 
-    /// Total time of one kernel invocation over `n` items, excluding
-    /// initialisation: `Tcall + Tcomp(n) + Tcopy(n)`.
-    pub fn invocation_time(&self, n: usize) -> SimDuration {
-        self.call + self.compute_time(n) + self.copy_time(n)
-    }
-
     /// Marginal per-item processing cost (the `k2`-style coefficient seen by
     /// the block-size analysis): compute plus copy per item.
     pub fn per_item_cost(&self) -> SimDuration {
@@ -119,11 +113,13 @@ mod tests {
 
     #[test]
     fn invocation_time_follows_tcall_plus_linear_terms() {
+        // One kernel invocation over a block: `Tcall + Tcomp(n) + Tcopy(n)`.
         let m = model();
-        let t = m.invocation_time(1_000);
+        let invocation = |n| m.call + m.compute_time(n) + m.copy_time(n);
         // call = 1 ms, compute = 1000 * 0.01 / 5 = 2 ms, copy = 1000 * 0.001 = 1 ms.
+        let t = invocation(1_000);
         assert!((t.as_millis() - 4.0).abs() < 1e-9, "{}", t.as_millis());
-        assert!(m.invocation_time(0).as_millis() >= m.call.as_millis());
+        assert_eq!(invocation(0), m.call);
     }
 
     #[test]

@@ -137,9 +137,9 @@ mod tests {
         // cheaper on the CPU; large batches amortise the launch and win on the
         // GPU.  This crossover is exactly why block-size selection (Lemma 1)
         // matters.
-        let gpu = gpu_v100_cost();
-        let cpu = cpu_xeon_20c_cost();
-        assert!(gpu.invocation_time(10) > cpu.invocation_time(10));
-        assert!(gpu.invocation_time(100_000) < cpu.invocation_time(100_000));
+        let invocation = |cost: CostModel, n| cost.call + cost.compute_time(n) + cost.copy_time(n);
+        let (gpu, cpu) = (gpu_v100_cost(), cpu_xeon_20c_cost());
+        assert!(invocation(gpu, 10) > invocation(cpu, 10));
+        assert!(invocation(gpu, 100_000) < invocation(cpu, 100_000));
     }
 }

@@ -11,8 +11,8 @@
 //!
 //! * supersteps, Σ triplets, kernel launches (one per pipeline block),
 //!   messages after `MSGMerge`, downloads, the sync cache's hits, misses
-//!   and evictions, remote messages and replica updates (summed over the
-//!   row's jobs);
+//!   and evictions, remote messages, replica updates and the supersteps
+//!   whose synchronisation was skipped (summed over the row's jobs);
 //! * heap allocations per warm job, counted by a counting global allocator
 //!   around the job's submit-to-result span (a service job's worker thread
 //!   included);
@@ -157,6 +157,7 @@ struct Work {
     cache: [u64; 3],
     remote_messages: u64,
     replica_updates: u64,
+    skipped_syncs: u64,
     job_allocations: u64,
     /// `(allocations, hits)` over the measured cache hits.
     hit_allocations: Option<(u64, u64)>,
@@ -186,6 +187,7 @@ impl Work {
             self.remote_messages += iteration.remote_messages as u64;
             self.replica_updates += iteration.replica_updates as u64;
         }
+        self.skipped_syncs += report.skipped_iterations() as u64;
         self.job_allocations += allocations;
     }
 
@@ -210,6 +212,7 @@ impl Work {
             self.cache[2].to_string(),
             self.remote_messages.to_string(),
             self.replica_updates.to_string(),
+            self.skipped_syncs.to_string(),
             per(self.job_allocations, self.jobs),
             self.hit_allocations
                 .map_or_else(|| "-".to_string(), |(total, hits)| per(total, hits)),
@@ -454,6 +457,7 @@ fn main() {
             "Sync evictions",
             "Remote msgs",
             "Replica upd",
+            "Skipped syncs",
             "Allocs/job",
             "Allocs/hit",
             "Bytes/batch",

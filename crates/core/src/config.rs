@@ -118,19 +118,6 @@ impl MiddlewareConfig {
         self.execution = execution;
         self
     }
-
-    /// Sets the cache capacity fraction.
-    ///
-    /// # Panics
-    /// Panics if the fraction is not in `(0, 1]`.
-    pub fn with_cache_capacity_fraction(mut self, fraction: f64) -> Self {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "cache capacity fraction must be in (0, 1], got {fraction}"
-        );
-        self.cache_capacity_fraction = fraction;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -166,17 +153,9 @@ mod tests {
     fn builder_methods_compose() {
         let config = MiddlewareConfig::baseline()
             .with_pipeline(PipelineMode::FixedBlockSize(512))
-            .with_skipping(true)
-            .with_cache_capacity_fraction(0.25);
+            .with_skipping(true);
         assert_eq!(config.pipeline, PipelineMode::FixedBlockSize(512));
         assert!(config.skipping);
-        assert_eq!(config.cache_capacity_fraction, 0.25);
-    }
-
-    #[test]
-    #[should_panic]
-    fn invalid_cache_fraction_is_rejected() {
-        let _ = MiddlewareConfig::default().with_cache_capacity_fraction(0.0);
     }
 
     #[test]

@@ -51,28 +51,6 @@ impl AgentStats {
         }
     }
 
-    /// Average number of blocks per iteration (0 when idle).
-    pub fn mean_block_count(&self) -> f64 {
-        if self.iterations == 0 {
-            0.0
-        } else {
-            self.block_count_sum as f64 / self.iterations as f64
-        }
-    }
-
-    /// Fraction of entity movement avoided by the inter-iteration
-    /// optimisations.
-    pub fn transfer_saving_ratio(&self) -> f64 {
-        let moved = self.downloaded_entities + self.uploaded_entities;
-        let avoided = self.downloads_avoided + self.uploads_avoided;
-        let total = moved + avoided;
-        if total == 0 {
-            0.0
-        } else {
-            avoided as f64 / total as f64
-        }
-    }
-
     /// Merges another agent's statistics into this one (for cluster-wide
     /// aggregation).
     pub fn merge(&mut self, other: &AgentStats) {
@@ -102,8 +80,6 @@ mod tests {
     fn averages_handle_idle_agents() {
         let stats = AgentStats::default();
         assert_eq!(stats.mean_block_size(), 0.0);
-        assert_eq!(stats.mean_block_count(), 0.0);
-        assert_eq!(stats.transfer_saving_ratio(), 0.0);
     }
 
     #[test]
@@ -115,19 +91,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(stats.mean_block_size(), 1_000.0);
-        assert_eq!(stats.mean_block_count(), 10.0);
-    }
-
-    #[test]
-    fn saving_ratio_counts_avoided_transfers() {
-        let stats = AgentStats {
-            downloaded_entities: 600,
-            uploaded_entities: 150,
-            downloads_avoided: 200,
-            uploads_avoided: 50,
-            ..Default::default()
-        };
-        assert!((stats.transfer_saving_ratio() - 0.25).abs() < 1e-12);
     }
 
     #[test]

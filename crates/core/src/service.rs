@@ -870,12 +870,6 @@ impl ServiceStats {
         self.completed + self.failed + self.panicked
     }
 
-    /// Mean queue wait over all executed jobs.
-    pub fn queue_wait_mean(&self) -> Option<Duration> {
-        let executed = self.executed();
-        (executed > 0).then(|| self.queue_wait_total / executed as u32)
-    }
-
     /// The retained per-job queue-wait samples, oldest first.
     pub fn recent_wait_samples(&self) -> &[Duration] {
         &self.recent_waits
@@ -896,11 +890,6 @@ impl ServiceStats {
     /// per physical run).
     pub fn run_wall_percentile(&self, q: f64) -> Option<Duration> {
         percentile(self.recent_walls.iter().copied(), q)
-    }
-
-    /// The retained cache-hit resolution latencies, oldest first.
-    pub fn cache_hit_samples(&self) -> &[Duration] {
-        &self.recent_hits
     }
 
     /// The `q`-quantile (`0.0..=1.0`) of the retained cache-hit resolution
@@ -2925,7 +2914,6 @@ mod tests {
         assert_eq!(stats.submitted, 1);
         assert_eq!(stats.completed, 1);
         assert_eq!(service.cached_results(), 1);
-        assert_eq!(stats.cache_hit_samples().len(), 1);
         assert!(stats.cache_hit_percentile(0.5).unwrap() < Duration::from_millis(50));
     }
 

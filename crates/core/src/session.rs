@@ -707,17 +707,6 @@ where
         self.config = config;
     }
 
-    /// Replaces the per-run iteration cap for subsequent runs.
-    pub fn set_max_iterations(&mut self, max_iterations: usize) {
-        self.max_iterations = max_iterations;
-    }
-
-    /// The device specs of the deployment (one list per node, backend
-    /// overrides applied).
-    pub fn device_specs(&self) -> &[Vec<DeviceSpec>] {
-        &self.specs
-    }
-
     /// Swaps the accelerator backend of every plugged device for subsequent
     /// runs on this deployment.
     ///

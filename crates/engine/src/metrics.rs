@@ -128,17 +128,6 @@ impl RunReport {
     pub fn skipped_iterations(&self) -> usize {
         self.iterations.iter().filter(|it| it.sync_skipped).count()
     }
-
-    /// Speed-up of this run relative to `baseline` (baseline time / this
-    /// time).
-    pub fn speedup_over(&self, baseline: &RunReport) -> f64 {
-        let own = self.total_time().as_millis();
-        if own == 0.0 {
-            f64::INFINITY
-        } else {
-            baseline.total_time().as_millis() / own
-        }
-    }
 }
 
 #[cfg(test)]
@@ -196,15 +185,5 @@ mod tests {
         assert!(ratio > 0.0 && ratio < 1.0);
         let empty = RunReport::default();
         assert_eq!(empty.middleware_ratio(), 0.0);
-    }
-
-    #[test]
-    fn speedup_compares_total_times() {
-        let fast = report();
-        let mut slow = report();
-        slow.setup = SimDuration::from_millis(1_000.0);
-        assert!(slow.total_time() > fast.total_time());
-        assert!(fast.speedup_over(&slow) > 1.0);
-        assert!(slow.speedup_over(&fast) < 1.0);
     }
 }

@@ -39,17 +39,6 @@ pub enum ComputationModel {
     Gas,
 }
 
-impl ComputationModel {
-    /// The API invocation order of this model, as the agent would issue
-    /// `requestX()` calls.
-    pub fn api_order(self) -> [&'static str; 3] {
-        match self {
-            ComputationModel::Bsp => ["MSGGen", "MSGMerge", "MSGApply"],
-            ComputationModel::Gas => ["MSGMerge", "MSGApply", "MSGGen"],
-        }
-    }
-}
-
 /// A message produced by `MSGGen` addressed to a destination vertex.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AddressedMessage<M> {
@@ -580,18 +569,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn api_orders_match_the_paper() {
-        assert_eq!(
-            ComputationModel::Bsp.api_order(),
-            ["MSGGen", "MSGMerge", "MSGApply"]
-        );
-        assert_eq!(
-            ComputationModel::Gas.api_order(),
-            ["MSGMerge", "MSGApply", "MSGGen"]
-        );
-    }
 
     #[test]
     fn addressed_message_construction() {

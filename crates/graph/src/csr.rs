@@ -176,14 +176,6 @@ impl Csr {
             .zip(self.edge_ids(v).iter().copied())
     }
 
-    /// Maximum out-degree over all vertices (0 for an empty graph).
-    pub fn max_degree(&self) -> usize {
-        (0..self.num_vertices())
-            .map(|v| self.degree(v as VertexId))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Average out-degree (0.0 for an empty graph).
     pub fn mean_degree(&self) -> f64 {
         if self.num_vertices() == 0 {
@@ -305,7 +297,6 @@ mod tests {
     #[test]
     fn degree_statistics() {
         let csr = triangle_plus_tail();
-        assert_eq!(csr.max_degree(), 2);
         assert!((csr.mean_degree() - 1.25).abs() < 1e-12);
     }
 
@@ -314,7 +305,6 @@ mod tests {
         let csr = Csr::from_edges(0, std::iter::empty());
         assert_eq!(csr.num_vertices(), 0);
         assert_eq!(csr.num_edges(), 0);
-        assert_eq!(csr.max_degree(), 0);
         assert_eq!(csr.mean_degree(), 0.0);
     }
 }

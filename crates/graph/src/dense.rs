@@ -116,7 +116,7 @@ impl LocalIdMap {
 /// touched word range — so a sparse frontier costs time proportional to the
 /// frontier's extent, not to the full id space, and the iteration order is
 /// deterministic (ascending) by construction rather than by sorting.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct FrontierSet {
     words: Vec<u64>,
     /// Epoch of each word's last write; a word is live iff its stamp matches
@@ -129,6 +129,13 @@ pub struct FrontierSet {
     /// when empty), bounding the iteration scan.
     min_word: usize,
     max_word: usize,
+}
+
+/// An empty set over no ids, as [`FrontierSet::new`]`(0)` makes it.
+impl Default for FrontierSet {
+    fn default() -> Self {
+        Self::new(0)
+    }
 }
 
 impl FrontierSet {
@@ -267,12 +274,19 @@ impl FrontierSet {
 /// first touch in a `touched` list, so draining in first-seen order needs no
 /// sort and reusing the scratch across iterations allocates nothing — the
 /// dense replacement for the per-iteration `HashMap<VertexId, Msg>` merges.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DenseSlots<T> {
     slots: Vec<Option<T>>,
     stamps: Vec<u64>,
     epoch: u64,
     touched: Vec<u32>,
+}
+
+/// An empty scratch, as [`DenseSlots::new`] makes it.
+impl<T> Default for DenseSlots<T> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<T> DenseSlots<T> {
@@ -479,6 +493,27 @@ mod tests {
     #[should_panic]
     fn frontier_rejects_out_of_range_inserts() {
         FrontierSet::new(10).insert(10);
+    }
+
+    #[test]
+    fn a_default_frontier_is_a_new_empty_one() {
+        // Epoch 1 and an empty scan range, not a zero epoch that a zero
+        // stamp would match.
+        assert_eq!(
+            format!("{:?}", FrontierSet::default()),
+            format!("{:?}", FrontierSet::new(0))
+        );
+    }
+
+    #[test]
+    fn a_default_dense_slots_merges_like_a_new_one() {
+        let mut slots: DenseSlots<u64> = DenseSlots::default();
+        slots.ensure_capacity(4);
+        slots.merge(1, 5, u64::min);
+        slots.merge(1, 3, u64::min);
+        assert_eq!(slots.touched(), &[1]);
+        assert_eq!(slots.get(1), Some(&3));
+        assert_eq!(slots.get(2), None);
     }
 
     #[test]

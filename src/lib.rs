@@ -18,8 +18,7 @@
 //!   balancing), the `Session` API and the `GraphService` concurrent job
 //!   service;
 //! * [`algos`] — SSSP-BF, PageRank, LP, CC and k-core on the algorithm
-//!   template;
-//! * [`baselines`] — the Gunrock-like and Lux-like comparator engines.
+//!   template.
 //!
 //! # Quickstart
 //!
@@ -67,7 +66,6 @@
 
 pub use gxplug_accel as accel;
 pub use gxplug_algos as algos;
-pub use gxplug_baselines as baselines;
 pub use gxplug_core as core;
 pub use gxplug_engine as engine;
 pub use gxplug_graph as graph;
@@ -82,7 +80,6 @@ pub mod prelude {
         ConnectedComponents, KCore, LabelPropagation, MultiSourceSssp, PageRank, RankValue,
         Relaxation,
     };
-    pub use gxplug_baselines::{GunrockLike, LuxLike};
     pub use gxplug_core::{
         balance_capacities, balance_partitioning, split_by_capacity, Agent, CachePolicy, Daemon,
         ExecutionMode, GraphService, JobOptions, JobPriority, JobStatus, JobTicket,

@@ -22,7 +22,7 @@ fn cpus(nodes: usize) -> Vec<Vec<DeviceSpec>> {
 }
 
 #[test]
-fn sssp_is_identical_across_native_cpu_gpu_and_baselines() {
+fn sssp_is_identical_across_native_cpu_and_gpu() {
     let graph: PropertyGraph<Vec<f64>, f64> =
         PropertyGraph::from_edge_list(orkut_like(5), Vec::new()).unwrap();
     let algorithm = MultiSourceSssp::paper_default();
@@ -65,17 +65,6 @@ fn sssp_is_identical_across_native_cpu_gpu_and_baselines() {
         check(label, &accelerated.values);
         assert!(accelerated.report.converged);
     }
-
-    // Baselines must agree as well.
-    let mut gunrock = GunrockLike::new(gpu_v100("gunrock"));
-    let (_, gunrock_values) = gunrock.run(&graph, &algorithm, "orkut-like", 500).unwrap();
-    check("gunrock", &gunrock_values);
-
-    let mut lux = LuxLike::new(gpus(nodes), NetworkModel::datacenter());
-    let (_, lux_values) = lux
-        .run(&graph, partitioning, &algorithm, "orkut-like", 500)
-        .unwrap();
-    check("lux", &lux_values);
 }
 
 #[test]
