@@ -37,12 +37,6 @@ impl KCore {
     pub fn new(k: usize) -> Self {
         Self { k, max_rounds: 200 }
     }
-
-    /// Overrides the round cap.
-    pub fn with_max_rounds(mut self, rounds: usize) -> Self {
-        self.max_rounds = rounds;
-        self
-    }
 }
 
 impl GraphAlgorithm<CoreState, f64> for KCore {

@@ -122,11 +122,6 @@ impl MultiSourceSssp {
     pub fn sources(&self) -> &[VertexId] {
         &self.sources
     }
-
-    /// Number of simultaneous sources.
-    pub fn num_sources(&self) -> usize {
-        self.sources.len()
-    }
 }
 
 impl GraphAlgorithm<Distances, f64> for MultiSourceSssp {
@@ -232,21 +227,15 @@ impl GraphAlgorithm<Distances, f64> for MultiSourceSssp {
         Some(key)
     }
 
-    /// Distances only ever tighten: relaxation applies a strict `<`, per-path
-    /// sums are deterministic, and a converged distance vector is a valid
-    /// upper bound to restart from.  After inserts, warm values plus the
-    /// dirty frontier therefore converge to the bit-identical fixed point a
-    /// from-scratch run reaches; after removals, so do they once the engine
-    /// has re-initialised what [`derived_via`](GraphAlgorithm::derived_via)
-    /// marks as possibly derived through a removed edge.
-    fn supports_incremental(&self) -> bool {
-        true
-    }
-
-    /// Seeds every batch from its dirty frontier.  Edge removals can
-    /// *lengthen* shortest paths; the engine's trim re-initialises the
-    /// distances they may have shortened, so removals stay incremental.
-    /// Vertex detaches still force a cold re-run.
+    /// Seeds every batch from its dirty frontier.  Distances only ever
+    /// tighten: relaxation applies a strict `<`, per-path sums are
+    /// deterministic, and a converged distance vector is a valid upper bound
+    /// to restart from, so warm values plus the dirty frontier converge to
+    /// the bit-identical fixed point a from-scratch run reaches.  Edge
+    /// removals can *lengthen* shortest paths; the engine's trim
+    /// re-initialises what [`derived_via`](GraphAlgorithm::derived_via)
+    /// marks as possibly derived through a removed edge, so removals stay
+    /// incremental.  Vertex detaches still force a cold re-run.
     fn rescope(&self, scope: &MutationScope) -> Option<Vec<VertexId>> {
         (!scope.has_detaches).then(|| scope.dirty.clone())
     }
@@ -496,7 +485,7 @@ mod tests {
         let one = MultiSourceSssp::new(vec![0]);
         let four = MultiSourceSssp::paper_default();
         assert!(four.operational_intensity() > one.operational_intensity());
-        assert_eq!(four.num_sources(), 4);
+        assert_eq!(four.sources().len(), 4);
         assert_eq!(four.name(), "SSSP-BF");
     }
 

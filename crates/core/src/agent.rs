@@ -68,8 +68,8 @@ pub(crate) const UNPIPELINED_MAX_BATCH: usize = 65_536;
 
 /// The download plan of one iteration: what the agent found active and what
 /// it had to move across the upper-system boundary.  The active edge ids
-/// themselves live in the core's pooled [`PlanScratch`] (see
-/// [`AgentCore::active_edge_ids`]), so the plan is a cheap copy.
+/// themselves live in the agent's pooled [`PlanScratch`], so the plan is a
+/// cheap copy.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct IterationPlan {
     /// Number of active edge triplets (`d`, the iteration's data volume).
@@ -166,65 +166,72 @@ impl<V, E, M> AgentScratch<V, E, M> {
     }
 }
 
-/// The middleware bookkeeping of one distributed node: configuration, cache,
-/// statistics and the per-iteration phases that do *not* involve a device —
-/// the download, upload and timing logic of an [`Agent`].
+/// The agent of one distributed node, bridging the upper system and the
+/// node's daemons.
+///
+/// `V` and `E` are the graph's vertex and edge attribute types; `M` is the
+/// message type of the algorithm this agent serves for the current run
+/// (`A::Msg`).  Carrying `M` in the type is what lets the agent own pooled
+/// message buffers instead of allocating fresh ones every iteration.
 #[derive(Debug)]
-pub(crate) struct AgentCore<V> {
-    node_id: PartitionId,
+pub struct Agent<V, E, M> {
     config: MiddlewareConfig,
     profile: RuntimeProfile,
     cache: Option<VertexCache<V>>,
     edges_registered: bool,
     stats: AgentStats,
     plan: PlanScratch,
+    /// The daemons, in daemon order.
+    daemons: Vec<Daemon>,
+    /// Capacity factors of the daemons, captured once (they are static).
+    capacities: Vec<f64>,
+    scratch: AgentScratch<V, E, M>,
 }
 
-impl<V> AgentCore<V>
+impl<V, E, M> Agent<V, E, M>
 where
-    V: Clone + PartialEq,
+    V: Clone + PartialEq + Send + Sync,
+    E: Clone + Send + Sync,
+    M: Clone + Send + Sync,
 {
-    pub(crate) fn new(
+    /// Creates an agent for distributed node `node_id`, bridging the given
+    /// daemons to an upper system with runtime profile `profile`.  Nothing
+    /// the agent computes depends on `node_id`: the node it serves is the
+    /// one each [`process_iteration`](Agent::process_iteration) call hands
+    /// it.
+    ///
+    /// `local_vertices` sizes the synchronization cache (a configured
+    /// fraction of the node's vertex count).
+    pub fn new(
         node_id: PartitionId,
+        daemons: Vec<Daemon>,
         profile: RuntimeProfile,
         config: MiddlewareConfig,
         local_vertices: usize,
     ) -> Self {
+        let _ = node_id;
+        assert!(!daemons.is_empty(), "an agent needs at least one daemon");
+        let capacities: Vec<f64> = daemons.iter().map(Daemon::capacity_factor).collect();
         let cache = config.caching.then(|| {
             let capacity =
                 ((local_vertices as f64 * config.cache_capacity_fraction).ceil() as usize).max(1);
             VertexCache::new(capacity, local_vertices)
         });
         Self {
-            node_id,
             config,
             profile,
             cache,
             edges_registered: false,
             stats: AgentStats::default(),
             plan: PlanScratch::default(),
+            scratch: AgentScratch::new(daemons.len()),
+            daemons,
+            capacities,
         }
     }
 
-    /// The active edge ids of the current iteration, as planned by the last
-    /// [`AgentCore::begin_iteration`] call (pooled across iterations).
-    pub(crate) fn active_edge_ids(&self) -> &[usize] {
-        &self.plan.active_edge_ids
-    }
-
-    pub(crate) fn node_id(&self) -> PartitionId {
-        self.node_id
-    }
-
-    pub(crate) fn config(&self) -> &MiddlewareConfig {
-        &self.config
-    }
-
-    pub(crate) fn profile(&self) -> &RuntimeProfile {
-        &self.profile
-    }
-
-    pub(crate) fn stats(&self) -> AgentStats {
+    /// Accumulated statistics.
+    pub fn stats(&self) -> AgentStats {
         let mut stats = self.stats;
         if let Some(cache) = &self.cache {
             stats.cache = cache.stats();
@@ -232,8 +239,122 @@ where
         stats
     }
 
-    pub(crate) fn record_init_time(&mut self, init: SimDuration) {
-        self.stats.init_time += init;
+    /// Installs a pooled block buffer (e.g. the session's, so a reused
+    /// session keeps one warm buffer per node across runs).  A buffer still
+    /// shared elsewhere cannot be refilled in place; the agent starts from an
+    /// empty one instead.
+    pub fn install_triplet_buffer(&mut self, buffer: Arc<TripletBuffer<V, E>>) {
+        self.scratch.block = Arc::into_inner(buffer).unwrap_or_else(TripletBuffer::new);
+    }
+
+    /// Takes the block buffer back (leaving a fresh empty one to the agent),
+    /// so the session can pool it for the next run.  Between iterations it
+    /// holds the last block the agent computed: never more than one block's
+    /// triplets.
+    pub fn take_triplet_buffer(&mut self) -> Arc<TripletBuffer<V, E>> {
+        Arc::new(std::mem::replace(
+            &mut self.scratch.block,
+            TripletBuffer::new(),
+        ))
+    }
+
+    /// `connect()`: starts every daemon (device initialisation happens here,
+    /// once per run — runtime isolation).  Returns the summed initialisation
+    /// time, which the runner reports as setup cost.
+    pub fn connect(&mut self) -> SimDuration {
+        let mut total = SimDuration::ZERO;
+        for daemon in self.daemons.iter_mut() {
+            total += daemon.start();
+        }
+        self.stats.init_time += total;
+        total
+    }
+
+    /// `disconnect()`: shuts every daemon down.
+    pub fn disconnect(&mut self) {
+        for daemon in self.daemons.iter_mut() {
+            daemon.shutdown();
+        }
+    }
+
+    /// Releases the daemons without shutting them down, so a session can keep
+    /// their device contexts alive for the next run.
+    pub fn into_daemons(self) -> Vec<Daemon> {
+        self.daemons
+    }
+
+    /// Executes one middleware iteration for this agent's node on the
+    /// calling thread and returns the merged messages plus the timing
+    /// attribution the cluster driver expects.  Every daemon's share runs in
+    /// daemon order, one pipeline block at a time: fill the block buffer
+    /// (sources-only for a kernel that never reads destination attributes),
+    /// launch `MSGGen`, fold the block's messages into the `MSGMerge`.
+    ///
+    /// # Errors
+    /// [`RuntimeError::Kernel`] if a device rejects a block (e.g. a mis-sized
+    /// block exceeding device memory): the first in daemon order, which stops
+    /// the iteration and aborts the run instead of the process.
+    pub fn process_iteration<A>(
+        &mut self,
+        node: &mut NodeState<V, E>,
+        algorithm: &A,
+        iteration: usize,
+    ) -> Result<NodeComputeOutput<V, M>, RuntimeError>
+    where
+        A: GraphAlgorithm<V, E, Msg = M>,
+    {
+        let sources_only = !algorithm.reads_destination_attribute();
+        let plan = match self.begin_iteration(node, iteration, sources_only) {
+            Some(plan) => plan,
+            None => return Ok(NodeComputeOutput::idle()),
+        };
+        let node = &*node;
+        // Every local edge has both endpoints on the node, so each block's
+        // fill yields one triplet per id.
+        let edge_ids = &self.plan.active_edge_ids;
+        let scratch = &mut self.scratch;
+        split_by_capacity_into(plan.d, &self.capacities, &mut scratch.shares);
+        scratch.share_runs.clear();
+        scratch.block_msgs.clear();
+        scratch.merge.begin(node.num_vertices());
+
+        for (daemon, range) in self.daemons.iter_mut().zip(&scratch.shares) {
+            if range.is_empty() {
+                continue;
+            }
+            let coefficients = daemon.coefficients(&self.profile);
+            let block_size = choose_block_size(
+                &self.config.pipeline,
+                &coefficients,
+                range.len(),
+                daemon
+                    .backend()
+                    .cost_model()
+                    .memory_capacity_items
+                    .unwrap_or(UNPIPELINED_MAX_BATCH),
+            );
+            let ids = &edge_ids[range.clone()];
+            let mut staging = ChunkStaging::for_daemon(daemon);
+            for (index, block_ids) in ids.chunks(block_size).enumerate() {
+                let triplets = if sources_only {
+                    node.fill_triplet_sources(block_ids, &mut scratch.block)
+                } else {
+                    node.fill_triplets(block_ids, &mut scratch.block)
+                };
+                let block = TripletBlockRef { index, triplets };
+                let out = &mut scratch.block_msgs;
+                launch_block(daemon, algorithm, block, iteration, &mut staging, out)?;
+                scratch.merge.fold(node, algorithm, out.drain(..));
+            }
+            scratch.share_runs.push(ShareRun {
+                coefficients,
+                share_len: range.len(),
+                block_size,
+                blocks: ids.len().div_ceil(block_size),
+            });
+        }
+        let merged = scratch.merge.drain(node);
+        Ok(self.finish_iteration(&plan, merged))
     }
 
     /// The download phase: determines the active workload and moves the
@@ -245,9 +366,9 @@ where
     ///
     /// The planning vectors (active edge ids, the download working set) are
     /// pooled in [`PlanScratch`]: steady-state iterations refill them in
-    /// place, allocating nothing.  The active edge ids stay readable through
-    /// [`AgentCore::active_edge_ids`] until the next `begin_iteration`.
-    pub(crate) fn begin_iteration<E>(
+    /// place, allocating nothing.  The active edge ids stay readable in
+    /// `self.plan` until the next `begin_iteration`.
+    fn begin_iteration(
         &mut self,
         node: &mut NodeState<V, E>,
         iteration: usize,
@@ -316,31 +437,15 @@ where
         })
     }
 
-    /// Chooses the block size for a share on a daemon with the given
-    /// coefficients and memory capacity.
-    pub(crate) fn block_size_for(
-        &self,
-        coefficients: &PipelineCoefficients,
-        share_len: usize,
-        memory_capacity_items: Option<usize>,
-    ) -> usize {
-        choose_block_size(
-            &self.config.pipeline,
-            coefficients,
-            share_len,
-            memory_capacity_items.unwrap_or(UNPIPELINED_MAX_BATCH),
-        )
-    }
-
     /// The upload and timing-attribution phases.  `merged` is the
     /// iteration's per-target `MSGMerge` output (see [`DenseMerge`]), folded
     /// in daemon, then block, then triplet order.
-    pub(crate) fn finish_iteration<M>(
+    fn finish_iteration(
         &mut self,
         plan: &IterationPlan,
         merged: Merged<M>,
-        share_runs: &[ShareRun],
     ) -> NodeComputeOutput<V, M> {
+        let share_runs = &self.scratch.share_runs;
         let d = plan.d;
         self.stats.triplets_processed += d as u64;
         for run in share_runs {
@@ -400,197 +505,6 @@ where
             messages,
             vertex_type: PhantomData,
         }
-    }
-}
-
-/// The agent of one distributed node, bridging the upper system and the
-/// node's daemons.
-///
-/// `V` and `E` are the graph's vertex and edge attribute types; `M` is the
-/// message type of the algorithm this agent serves for the current run
-/// (`A::Msg`).  Carrying `M` in the type is what lets the agent own pooled
-/// message buffers instead of allocating fresh ones every iteration.
-#[derive(Debug)]
-pub struct Agent<V, E, M> {
-    core: AgentCore<V>,
-    /// The daemons, in daemon order.
-    daemons: Vec<Daemon>,
-    /// Capacity factors of the daemons, captured once (they are static).
-    capacities: Vec<f64>,
-    scratch: AgentScratch<V, E, M>,
-}
-
-impl<V, E, M> Agent<V, E, M>
-where
-    V: Clone + PartialEq + Send + Sync,
-    E: Clone + Send + Sync,
-    M: Clone + Send + Sync,
-{
-    /// Creates an agent for distributed node `node_id`, bridging the given
-    /// daemons to an upper system with runtime profile `profile`.
-    ///
-    /// `local_vertices` sizes the synchronization cache (a configured
-    /// fraction of the node's vertex count).
-    pub fn new(
-        node_id: PartitionId,
-        daemons: Vec<Daemon>,
-        profile: RuntimeProfile,
-        config: MiddlewareConfig,
-        local_vertices: usize,
-    ) -> Self {
-        assert!(!daemons.is_empty(), "an agent needs at least one daemon");
-        let capacities: Vec<f64> = daemons.iter().map(Daemon::capacity_factor).collect();
-        Self {
-            core: AgentCore::new(node_id, profile, config, local_vertices),
-            scratch: AgentScratch::new(daemons.len()),
-            daemons,
-            capacities,
-        }
-    }
-
-    /// The distributed node this agent serves.
-    pub fn node_id(&self) -> PartitionId {
-        self.core.node_id()
-    }
-
-    /// The daemons attached to this agent, in daemon order.
-    pub fn daemons(&self) -> impl Iterator<Item = &Daemon> {
-        self.daemons.iter()
-    }
-
-    /// Number of attached daemons.
-    pub fn num_daemons(&self) -> usize {
-        self.daemons.len()
-    }
-
-    /// Total computation capacity factor of the attached daemons.
-    pub fn capacity_factor(&self) -> f64 {
-        self.capacities.iter().sum()
-    }
-
-    /// The middleware configuration in force.
-    pub fn config(&self) -> &MiddlewareConfig {
-        self.core.config()
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> AgentStats {
-        self.core.stats()
-    }
-
-    /// Installs a pooled block buffer (e.g. the session's, so a reused
-    /// session keeps one warm buffer per node across runs).  A buffer still
-    /// shared elsewhere cannot be refilled in place; the agent starts from an
-    /// empty one instead.
-    pub fn install_triplet_buffer(&mut self, buffer: Arc<TripletBuffer<V, E>>) {
-        self.scratch.block = Arc::into_inner(buffer).unwrap_or_else(TripletBuffer::new);
-    }
-
-    /// Takes the block buffer back (leaving a fresh empty one to the agent),
-    /// so the session can pool it for the next run.  Between iterations it
-    /// holds the last block the agent computed: never more than one block's
-    /// triplets.
-    pub fn take_triplet_buffer(&mut self) -> Arc<TripletBuffer<V, E>> {
-        Arc::new(std::mem::replace(
-            &mut self.scratch.block,
-            TripletBuffer::new(),
-        ))
-    }
-
-    /// `connect()`: starts every daemon (device initialisation happens here,
-    /// once per run — runtime isolation).  Returns the summed initialisation
-    /// time, which the runner reports as setup cost.
-    pub fn connect(&mut self) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        for daemon in self.daemons.iter_mut() {
-            total += daemon.start();
-        }
-        self.core.record_init_time(total);
-        total
-    }
-
-    /// `disconnect()`: shuts every daemon down.
-    pub fn disconnect(&mut self) {
-        for daemon in self.daemons.iter_mut() {
-            daemon.shutdown();
-        }
-    }
-
-    /// Releases the daemons without shutting them down, so a session can keep
-    /// their device contexts alive for the next run.
-    pub fn into_daemons(self) -> Vec<Daemon> {
-        self.daemons
-    }
-
-    /// Executes one middleware iteration for this agent's node on the
-    /// calling thread and returns the merged messages plus the timing
-    /// attribution the cluster driver expects.  Every daemon's share runs in
-    /// daemon order, one pipeline block at a time: fill the block buffer
-    /// (sources-only for a kernel that never reads destination attributes),
-    /// launch `MSGGen`, fold the block's messages into the `MSGMerge`.
-    ///
-    /// # Errors
-    /// [`RuntimeError::Kernel`] if a device rejects a block (e.g. a mis-sized
-    /// block exceeding device memory): the first in daemon order, which stops
-    /// the iteration and aborts the run instead of the process.
-    pub fn process_iteration<A>(
-        &mut self,
-        node: &mut NodeState<V, E>,
-        algorithm: &A,
-        iteration: usize,
-    ) -> Result<NodeComputeOutput<V, M>, RuntimeError>
-    where
-        A: GraphAlgorithm<V, E, Msg = M>,
-    {
-        let sources_only = !algorithm.reads_destination_attribute();
-        let plan = match self.core.begin_iteration(node, iteration, sources_only) {
-            Some(plan) => plan,
-            None => return Ok(NodeComputeOutput::idle()),
-        };
-        let node = &*node;
-        // Every local edge has both endpoints on the node, so each block's
-        // fill yields one triplet per id.
-        let edge_ids = self.core.active_edge_ids();
-        let scratch = &mut self.scratch;
-        split_by_capacity_into(plan.d, &self.capacities, &mut scratch.shares);
-        scratch.share_runs.clear();
-        scratch.block_msgs.clear();
-        scratch.merge.begin(node.num_vertices());
-
-        for (daemon, range) in self.daemons.iter_mut().zip(&scratch.shares) {
-            if range.is_empty() {
-                continue;
-            }
-            let coefficients = daemon.coefficients(self.core.profile());
-            let block_size = self.core.block_size_for(
-                &coefficients,
-                range.len(),
-                daemon.backend().cost_model().memory_capacity_items,
-            );
-            let ids = &edge_ids[range.clone()];
-            let mut staging = ChunkStaging::for_daemon(daemon);
-            for (index, block_ids) in ids.chunks(block_size).enumerate() {
-                let triplets = if sources_only {
-                    node.fill_triplet_sources(block_ids, &mut scratch.block)
-                } else {
-                    node.fill_triplets(block_ids, &mut scratch.block)
-                };
-                let block = TripletBlockRef { index, triplets };
-                let out = &mut scratch.block_msgs;
-                launch_block(daemon, algorithm, block, iteration, &mut staging, out)?;
-                scratch.merge.fold(node, algorithm, out.drain(..));
-            }
-            scratch.share_runs.push(ShareRun {
-                coefficients,
-                share_len: range.len(),
-                block_size,
-                blocks: ids.len().div_ceil(block_size),
-            });
-        }
-        let merged = scratch.merge.drain(node);
-        Ok(self
-            .core
-            .finish_iteration(&plan, merged, &scratch.share_runs))
     }
 }
 

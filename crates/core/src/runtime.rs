@@ -158,26 +158,6 @@ where
         self.agent.as_mut().expect(HOME)
     }
 
-    /// The distributed node this agent serves.
-    pub fn node_id(&self) -> PartitionId {
-        self.agent().node_id()
-    }
-
-    /// Number of attached daemons.
-    pub fn num_daemons(&self) -> usize {
-        self.agent().num_daemons()
-    }
-
-    /// Total computation capacity factor of the attached daemons.
-    pub fn capacity_factor(&self) -> f64 {
-        self.agent().capacity_factor()
-    }
-
-    /// The middleware configuration in force.
-    pub fn config(&self) -> &MiddlewareConfig {
-        self.agent().config()
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> AgentStats {
         self.agent().stats()

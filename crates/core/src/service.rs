@@ -25,9 +25,10 @@
 //!   [`RunOverrides`]-style knobs (`max_iterations`, `config_override`)
 //!   routed through [`Session::run_with`] so no job mutates the session for
 //!   the jobs after it.
-//! * **Heterogeneous jobs** — algorithms are erased behind
-//!   [`DynAlgorithm`], so PageRank-style and SSSP-style jobs with the same
-//!   message type share one queue ([`GraphService::submit_dyn`]).
+//! * **Heterogeneous jobs** — [`GraphService::submit`] takes any
+//!   [`GraphAlgorithm`] and erases the whole run behind the queue's job
+//!   type, so PageRank-style and SSSP-style jobs share one queue whatever
+//!   their message types.
 //! * **Deterministic teardown** — [`GraphService::shutdown`] *drains*:
 //!   every accepted job runs and every ticket resolves.
 //!   [`GraphService::abort`] cancels the backlog: queued tickets resolve
@@ -108,7 +109,7 @@
 
 use crate::config::{MiddlewareConfig, PipelineMode};
 use crate::session::{RunOutcome, RunOverrides, Session, SessionError, SessionSpec};
-use gxplug_engine::template::{DynAlgorithm, GraphAlgorithm, SharedAlgorithm};
+use gxplug_engine::template::GraphAlgorithm;
 use gxplug_graph::graph::PropertyGraph;
 use gxplug_graph::mutate::{MutationBatch, MutationError, MutationLog, ResolvedMutation};
 use gxplug_ipc::oneshot::{oneshot, resolved, OneshotReceiver, OneshotSender};
@@ -379,9 +380,9 @@ impl JobCell {
 type JobResult<V> = Result<Arc<RunOutcome<V>>, ServiceError>;
 
 /// A job with its algorithm type erased, so heterogeneous jobs share the
-/// scheduler queue.  [`DynAlgorithm`] erases the *message* type behind a
-/// shared handle; this second layer erases the vertex-level run entirely, so
-/// the queue does not even need a common message type.
+/// scheduler queue.  The erasure covers the whole vertex-level run, so the
+/// queue needs no common message type, while the run itself stays
+/// monomorphised over the concrete algorithm.
 trait ErasedJob<V, E>: Send {
     /// The cacheable identity of this job — the algorithm's name combined
     /// with its [`GraphAlgorithm::cache_key`] parameter encoding — or `None`
@@ -1182,23 +1183,6 @@ where
         self.enqueue(Box::new(AlgorithmJob(algorithm)), options, false)
     }
 
-    /// Submits an algorithm already erased behind [`DynAlgorithm`] — the
-    /// route for heterogeneous job mixes sharing a message type `M`
-    /// (mixed PageRank/SSSP traffic in one queue).
-    ///
-    /// # Errors
-    /// See [`GraphService::submit`].
-    pub fn submit_dyn<M>(
-        &self,
-        algorithm: Arc<dyn DynAlgorithm<V, E, M>>,
-        options: JobOptions,
-    ) -> Result<JobTicket<V>, ServiceError>
-    where
-        M: Clone + Send + Sync + 'static,
-    {
-        self.submit_with(SharedAlgorithm::from_arc(algorithm), options)
-    }
-
     fn enqueue(
         &self,
         job: Box<dyn ErasedJob<V, E>>,
@@ -1801,13 +1785,11 @@ where
     /// Entries are evicted coldest-first until the estimated resident bytes
     /// fit; a single result larger than the whole budget is never stored.
     ///
-    /// The estimate counts the outcome's inline vectors plus whatever heap
-    /// payload the algorithm declares via [`GraphAlgorithm::value_bytes`].
-    /// For vertex values owning heap data the algorithm does not declare
-    /// (including any algorithm erased behind `SharedAlgorithm`, where the
-    /// `Self: Sized` hook is unreachable), the estimate undercounts by that
-    /// payload — size the budget conservatively or rely on
-    /// [`ServiceBuilder::cache_capacity`]'s entry cap in that case.
+    /// The estimate counts the outcome's inline vectors plus the heap
+    /// payload the submitted algorithm declares per value via
+    /// [`GraphAlgorithm::value_bytes`]; every job is sized at its concrete
+    /// algorithm type.  An algorithm whose values own heap data it does not
+    /// declare is undercounted by that payload.
     pub fn cache_bytes(mut self, cache_bytes: usize) -> Self {
         self.cache_bytes = cache_bytes;
         self
@@ -1885,6 +1867,7 @@ mod tests {
     use super::*;
     use crate::config::ExecutionMode;
     use gxplug_accel::{presets, DeviceSpec};
+    use gxplug_algos::MultiSourceSssp;
     use gxplug_engine::template::AddressedMessage;
     use gxplug_graph::generators::{Generator, Rmat};
     use gxplug_graph::partition::{GreedyVertexCutPartitioner, Partitioner};
@@ -2663,23 +2646,68 @@ mod tests {
         assert_eq!(stats.coalesced_jobs, 2);
     }
 
+    /// Hop counts from vertex 0 over f64 vertices, carried as `u32`
+    /// messages: a job whose message type differs from `Sssp`'s.
+    struct HopCount;
+
+    impl GraphAlgorithm<f64, f64> for HopCount {
+        type Msg = u32;
+        fn init_vertex(&self, v: VertexId, _d: usize) -> f64 {
+            if v == 0 {
+                0.0
+            } else {
+                f64::INFINITY
+            }
+        }
+        fn msg_gen_into(
+            &self,
+            t: &Triplet<f64, f64>,
+            _i: usize,
+            out: &mut Vec<AddressedMessage<u32>>,
+        ) {
+            if t.src_attr.is_finite() {
+                out.push(AddressedMessage::new(t.dst, t.src_attr as u32 + 1));
+            }
+        }
+        fn msg_merge(&self, a: u32, b: u32) -> u32 {
+            a.min(b)
+        }
+        fn msg_apply(&self, _v: VertexId, cur: &f64, msg: &u32, _i: usize) -> Option<f64> {
+            (f64::from(*msg) < *cur).then_some(f64::from(*msg))
+        }
+        fn initial_active(&self, _n: usize) -> Option<Vec<VertexId>> {
+            Some(vec![0])
+        }
+        fn name(&self) -> &'static str {
+            "hop-count"
+        }
+    }
+
     #[test]
-    fn heterogeneous_dyn_jobs_share_one_queue() {
-        // Two different algorithm types with the same message type in one
-        // queue: Sssp and GatedSssp behind `dyn DynAlgorithm<f64, f64, f64>`.
+    fn jobs_with_different_message_types_share_one_queue() {
+        // `Sssp` exchanges f64 messages and `HopCount` u32 ones; typed
+        // submits queue both, interleaved, on one worker.
         let graph = test_graph();
         let service = small_service(&graph, 1, 8);
-        let jobs: Vec<Arc<dyn DynAlgorithm<f64, f64, f64>>> = vec![
-            Arc::new(Sssp { sources: vec![0] }),
-            Arc::new(LoggedSssp::new(9, Arc::new(Mutex::new(Vec::new())))),
+        let tickets = [
+            service.submit(Sssp { sources: vec![0] }).unwrap(),
+            service.submit(HopCount).unwrap(),
+            service.submit(Sssp { sources: vec![1] }).unwrap(),
+            service.submit(HopCount).unwrap(),
         ];
-        let tickets: Vec<_> = jobs
+        let outcomes: Vec<_> = tickets
             .into_iter()
-            .map(|job| service.submit_dyn(job, JobOptions::new()).unwrap())
+            .map(|ticket| ticket.wait().unwrap())
             .collect();
-        for ticket in tickets {
-            assert!(ticket.wait().unwrap().report.converged);
+        for outcome in &outcomes {
+            assert!(outcome.report.converged);
         }
+        let hops = &outcomes[1].values;
+        assert_eq!(hops[0], 0.0);
+        assert!(hops.iter().all(|h| h.is_infinite() || h.fract() == 0.0));
+        assert!(hops.iter().filter(|h| h.is_finite()).count() > 1);
+        assert_eq!(outcomes[1].values, outcomes[3].values);
+        assert_eq!(service.stats().completed, 4);
     }
 
     #[test]
@@ -3444,6 +3472,11 @@ mod tests {
 
     /// A one-worker `MiniMulti` service.
     fn mini_service() -> GraphService<Vec<f64>, f64> {
+        mini_service_caching(DEFAULT_CACHE_BYTES)
+    }
+
+    /// [`mini_service`] with a result-cache byte budget of `cache_bytes`.
+    fn mini_service_caching(cache_bytes: usize) -> GraphService<Vec<f64>, f64> {
         let list = Rmat::new(8, 8.0).generate(11);
         let graph = Arc::new(PropertyGraph::from_edge_list(list, Vec::new()).unwrap());
         let parts = 2;
@@ -3455,8 +3488,39 @@ mod tests {
             .devices(gpus_per_node(parts))
             .max_iterations(200)
             .worker_sessions(1)
+            .cache_bytes(cache_bytes)
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn the_cache_budget_charges_the_heap_payload_of_every_value() {
+        // `MultiSourceSssp` declares each vertex's distance vector through
+        // `value_bytes`, and the service sizes the outcome at that type.
+        let job = || MultiSourceSssp::new(vec![0, 5]);
+        let outcome = mini_service().submit(job()).unwrap().wait().unwrap();
+        let shallow = outcome_bytes(&outcome);
+        let deep = sized_outcome_bytes::<Vec<f64>, f64, MultiSourceSssp>(&outcome);
+        let columns: usize = outcome.values.iter().map(Vec::len).sum();
+        let payload = columns * std::mem::size_of::<f64>();
+        assert_eq!(deep, shallow + payload);
+        assert!(payload > 0);
+
+        // Above the shallow size but below the deep one: nothing is stored.
+        let tight = mini_service_caching(shallow + payload / 2);
+        for _ in 0..2 {
+            tight.submit(job()).unwrap().wait().unwrap();
+        }
+        assert_eq!(tight.cached_results(), 0);
+        assert_eq!(tight.stats().cache_hits, 0);
+
+        // A budget that fits the deep size stores it, and a duplicate hits.
+        let roomy = mini_service_caching(deep);
+        let fill = roomy.submit(job()).unwrap().wait().unwrap();
+        assert_eq!(roomy.cached_results(), 1);
+        let hit = roomy.submit(job()).unwrap().wait().unwrap();
+        assert!(Arc::ptr_eq(&fill, &hit));
+        assert_eq!(roomy.stats().cache_hits, 1);
     }
 
     /// Holds `service`'s only worker on a gated job until the gate opens.

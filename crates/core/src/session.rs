@@ -594,7 +594,7 @@ where
             // A fresh build is already initialised for `algorithm`.
             return cluster;
         }
-        let seed = if mutated && algorithm.supports_incremental() {
+        let seed = if mutated {
             self.warm
                 .as_ref()
                 .filter(|warm| {
@@ -738,9 +738,9 @@ where
     ///
     /// The batch's footprint is folded into the session's mutation scope:
     /// the next run either re-seeds incrementally from the accumulated dirty
-    /// frontier (when the algorithm opts in via
-    /// [`GraphAlgorithm::supports_incremental`] and is continuing from its
-    /// own converged values) or falls back to a full
+    /// frontier (when the algorithm's [`GraphAlgorithm::rescope`] returns a
+    /// seed and it is continuing from its own converged values) or falls
+    /// back to a full
     /// [`Cluster::reset_for`].
     pub fn apply_mutations(&mut self, delta: &Arc<ResolvedMutation<V, E>>) {
         let deployment = &mut self.deployment;

@@ -35,6 +35,4 @@ pub use metrics::{IterationMetrics, RunReport};
 pub use network::NetworkModel;
 pub use node::NodeState;
 pub use profile::RuntimeProfile;
-pub use template::{
-    AddressedMessage, ComputationModel, DynAlgorithm, GraphAlgorithm, SharedAlgorithm,
-};
+pub use template::{AddressedMessage, ComputationModel, GraphAlgorithm};

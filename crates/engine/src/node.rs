@@ -494,14 +494,6 @@ impl<V, E> NodeState<V, E> {
         self.active.len()
     }
 
-    /// Returns `true` if vertex `v` is active on this node.
-    pub fn is_active(&self, v: VertexId) -> bool {
-        match self.vertex_table.local_of(v) {
-            Some(local) => self.active.contains(local),
-            None => false,
-        }
-    }
-
     /// Iterates over the active vertices, ascending by dense local id.
     pub fn active_vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
         self.active
@@ -768,7 +760,7 @@ mod tests {
             .map(|e| e.src)
             .expect("node 0 should hold at least one edge");
         node.activate(some_src);
-        assert!(node.is_active(some_src));
+        assert_eq!(node.active_vertices().collect::<Vec<_>>(), [some_src]);
         let expected = node.out_edge_ids(some_src).len();
         assert_eq!(node.active_edge_count(), expected);
         assert_eq!(node.active_triplets().len(), expected);

@@ -78,24 +78,6 @@ impl RuntimeProfile {
         }
     }
 
-    /// Cost of downloading `n` data entities from the upper system into the
-    /// middleware (one crossing plus per-item cost).
-    pub fn download_cost(&self, n: usize) -> SimDuration {
-        if n == 0 {
-            return SimDuration::ZERO;
-        }
-        self.per_crossing + self.per_item_download * n as f64
-    }
-
-    /// Cost of uploading `n` data entities from the middleware into the upper
-    /// system.
-    pub fn upload_cost(&self, n: usize) -> SimDuration {
-        if n == 0 {
-            return SimDuration::ZERO;
-        }
-        self.per_crossing + self.per_item_upload * n as f64
-    }
-
     /// Cost of natively processing `triplets` edge triplets and applying
     /// `applies` merged messages (scaled by the algorithm's operational
     /// intensity).
@@ -124,17 +106,6 @@ mod tests {
         assert!(pg.per_iteration_overhead < gx.per_iteration_overhead);
         assert_eq!(gx.model, ComputationModel::Bsp);
         assert_eq!(pg.model, ComputationModel::Gas);
-    }
-
-    #[test]
-    fn transfer_costs_include_the_crossing_only_when_data_moves() {
-        let gx = RuntimeProfile::graphx();
-        assert!(gx.download_cost(0).is_zero());
-        assert!(gx.upload_cost(0).is_zero());
-        let one = gx.download_cost(1);
-        let thousand = gx.download_cost(1_000);
-        assert!(one.as_millis() >= gx.per_crossing.as_millis());
-        assert!(thousand > one);
     }
 
     #[test]

@@ -27,8 +27,6 @@
 use gxplug_graph::mutate::MutationScope;
 use gxplug_graph::types::{Triplet, VertexId};
 use serde::{Deserialize, Serialize};
-use std::fmt;
-use std::sync::Arc;
 
 /// The computation model of an upper system (§IV-B2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -211,40 +209,27 @@ pub trait GraphAlgorithm<V, E>: Send + Sync {
     /// encoding is exact (`0.1 + 0.2` and `0.3` must not collide).
     ///
     /// `None` (the default) marks the algorithm as uncacheable: the scheduler
-    /// will never serve a stored result for it, so existing algorithms are
-    /// unaffected until they opt in.
+    /// never serves a stored result for it.
     fn cache_key(&self) -> Option<String> {
         None
     }
 
-    /// Returns `true` if the algorithm can continue from a previous
-    /// converged run after live graph mutations, re-seeding only what the
-    /// mutations invalidate instead of re-initialising every vertex.
+    /// The seed frontier for continuing a converged run after the mutations
+    /// in `scope`, or `None` (the default) to start cold with a full reset.
+    /// Consulted only when the deployment holds this algorithm's own
+    /// converged values; the engine's trim completes a seed for a batch
+    /// with removals.
     ///
-    /// Opting in asserts a monotonicity contract for selective kernels
-    /// (values only ever tighten, by a strict-improvement apply over positive
-    /// edge weights): starting every vertex from its previously converged
-    /// value, activating the vertices a mutation batch touched, and — for
-    /// batches that remove edges — re-initialising every vertex whose value
-    /// may have come through a removed edge (see
+    /// Returning a seed asserts a monotonicity contract (values only ever
+    /// tighten, by a strict-improvement apply over positive edge weights):
+    /// starting every vertex from its converged value, activating the seed
+    /// and, for removals, re-initialising every vertex whose value may have
+    /// come through a removed edge (see
     /// [`derived_via`](GraphAlgorithm::derived_via)) and activating its
-    /// in-neighbours, must reach the *bit-identical* fixed point a
-    /// from-scratch run over the mutated graph reaches.  SSSP-style
-    /// relaxation satisfies this; fixed-point algorithms whose every value
-    /// depends on every other (PageRank) do not and keep the default
-    /// `false`.
-    fn supports_incremental(&self) -> bool {
-        false
-    }
-
-    /// Given the [`MutationScope`] accumulated since the last converged run,
-    /// returns the seed frontier for an incremental recompute — or `None`
-    /// when these particular mutations force a full re-run (the engine then
-    /// falls back to a cold reset).  Only consulted when
-    /// [`supports_incremental`](GraphAlgorithm::supports_incremental) is
-    /// `true`.  A seed returned for a batch with removals is completed by
-    /// the engine's trim: the vertices removed edges invalidate are
-    /// re-initialised and their in-neighbours join the seed.
+    /// in-neighbours must reach the *bit-identical* fixed point of a
+    /// from-scratch run over the mutated graph.  SSSP-style relaxation
+    /// satisfies this; PageRank, where every value depends on every other,
+    /// does not and keeps the default.
     fn rescope(&self, scope: &MutationScope) -> Option<Vec<VertexId>> {
         let _ = scope;
         None
@@ -273,296 +258,13 @@ pub trait GraphAlgorithm<V, E>: Send + Sync {
     /// small structs).  Algorithms whose vertex values own heap data — like
     /// multi-source SSSP's per-vertex distance vector — should override it
     /// so a byte-budgeted cache tracks resident memory instead of only the
-    /// values' inline headers.  This is a `Self: Sized` hook: it does not
-    /// survive [`SharedAlgorithm`] erasure, which falls back to the shallow
-    /// default.
+    /// values' inline headers.
     fn value_bytes(value: &V) -> usize
     where
         Self: Sized,
     {
         let _ = value;
         0
-    }
-}
-
-/// Object-safe view of a [`GraphAlgorithm`] with the message type lifted
-/// into a type parameter.
-///
-/// [`GraphAlgorithm::Msg`] is an associated type, so two different algorithm
-/// implementations are two different types even when they exchange the same
-/// messages — fine for a single monomorphised run, but a *job service* wants
-/// one queue of heterogeneous jobs over one deployed graph.  `DynAlgorithm`
-/// erases the implementation: every `A: GraphAlgorithm<V, E>` automatically
-/// implements `DynAlgorithm<V, E, A::Msg>` (blanket impl), so a
-/// `dyn DynAlgorithm<V, E, M>` can stand for any algorithm whose messages
-/// are `M` — PageRank-style contributions and SSSP-style relaxations share a
-/// queue as long as they agree on `M`.
-///
-/// [`SharedAlgorithm`] closes the loop: it wraps an
-/// `Arc<dyn DynAlgorithm<V, E, M>>` back into a concrete type implementing
-/// [`GraphAlgorithm`], so erased jobs run through the exact same engine and
-/// middleware code paths as statically-typed ones — bit-identically, since
-/// every call is a plain delegation.
-pub trait DynAlgorithm<V, E, M>: Send + Sync {
-    /// See [`GraphAlgorithm::init_vertex`].
-    fn init_vertex(&self, v: VertexId, out_degree: usize) -> V;
-    /// See [`GraphAlgorithm::msg_gen_into`].
-    fn msg_gen_into(
-        &self,
-        triplet: &Triplet<V, E>,
-        iteration: usize,
-        out: &mut Vec<AddressedMessage<M>>,
-    );
-    /// See [`GraphAlgorithm::msg_merge`].
-    fn msg_merge(&self, a: M, b: M) -> M;
-    /// See [`GraphAlgorithm::msg_apply`].
-    fn msg_apply(&self, vertex: VertexId, current: &V, message: &M, iteration: usize) -> Option<V>;
-    /// See [`GraphAlgorithm::msg_apply_in_place`].
-    fn msg_apply_in_place(
-        &self,
-        vertex: VertexId,
-        value: &mut V,
-        message: &M,
-        iteration: usize,
-    ) -> bool
-    where
-        V: PartialEq;
-    /// See [`GraphAlgorithm::initial_active`].
-    fn initial_active(&self, num_vertices: usize) -> Option<Vec<VertexId>>;
-    /// See [`GraphAlgorithm::max_iterations`].
-    fn max_iterations(&self) -> usize;
-    /// See [`GraphAlgorithm::always_active`].
-    fn always_active(&self) -> bool;
-    /// See [`GraphAlgorithm::reads_destination_attribute`].
-    fn reads_destination_attribute(&self) -> bool;
-    /// See [`GraphAlgorithm::name`].
-    fn name(&self) -> &'static str;
-    /// See [`GraphAlgorithm::operational_intensity`].
-    fn operational_intensity(&self) -> f64;
-    /// See [`GraphAlgorithm::cache_key`].
-    fn cache_key(&self) -> Option<String>;
-    /// See [`GraphAlgorithm::supports_incremental`].
-    fn supports_incremental(&self) -> bool;
-    /// See [`GraphAlgorithm::rescope`].
-    fn rescope(&self, scope: &MutationScope) -> Option<Vec<VertexId>>;
-    /// See [`GraphAlgorithm::derived_via`].
-    fn derived_via(&self, src: &V, edge: &E, dst: &V) -> bool;
-}
-
-impl<V, E, A> DynAlgorithm<V, E, A::Msg> for A
-where
-    A: GraphAlgorithm<V, E>,
-{
-    fn init_vertex(&self, v: VertexId, out_degree: usize) -> V {
-        GraphAlgorithm::init_vertex(self, v, out_degree)
-    }
-
-    fn msg_gen_into(
-        &self,
-        triplet: &Triplet<V, E>,
-        iteration: usize,
-        out: &mut Vec<AddressedMessage<A::Msg>>,
-    ) {
-        GraphAlgorithm::msg_gen_into(self, triplet, iteration, out)
-    }
-
-    fn msg_merge(&self, a: A::Msg, b: A::Msg) -> A::Msg {
-        GraphAlgorithm::msg_merge(self, a, b)
-    }
-
-    fn msg_apply(
-        &self,
-        vertex: VertexId,
-        current: &V,
-        message: &A::Msg,
-        iteration: usize,
-    ) -> Option<V> {
-        GraphAlgorithm::msg_apply(self, vertex, current, message, iteration)
-    }
-
-    fn msg_apply_in_place(
-        &self,
-        vertex: VertexId,
-        value: &mut V,
-        message: &A::Msg,
-        iteration: usize,
-    ) -> bool
-    where
-        V: PartialEq,
-    {
-        GraphAlgorithm::msg_apply_in_place(self, vertex, value, message, iteration)
-    }
-
-    fn initial_active(&self, num_vertices: usize) -> Option<Vec<VertexId>> {
-        GraphAlgorithm::initial_active(self, num_vertices)
-    }
-
-    fn max_iterations(&self) -> usize {
-        GraphAlgorithm::max_iterations(self)
-    }
-
-    fn always_active(&self) -> bool {
-        GraphAlgorithm::always_active(self)
-    }
-
-    fn reads_destination_attribute(&self) -> bool {
-        GraphAlgorithm::reads_destination_attribute(self)
-    }
-
-    fn name(&self) -> &'static str {
-        GraphAlgorithm::name(self)
-    }
-
-    fn operational_intensity(&self) -> f64 {
-        GraphAlgorithm::operational_intensity(self)
-    }
-
-    fn cache_key(&self) -> Option<String> {
-        GraphAlgorithm::cache_key(self)
-    }
-
-    fn supports_incremental(&self) -> bool {
-        GraphAlgorithm::supports_incremental(self)
-    }
-
-    fn rescope(&self, scope: &MutationScope) -> Option<Vec<VertexId>> {
-        GraphAlgorithm::rescope(self, scope)
-    }
-
-    fn derived_via(&self, src: &V, edge: &E, dst: &V) -> bool {
-        GraphAlgorithm::derived_via(self, src, edge, dst)
-    }
-}
-
-/// A cheaply-cloneable, type-erased [`GraphAlgorithm`] handle.
-///
-/// Wraps an `Arc<dyn DynAlgorithm<V, E, M>>` and implements
-/// [`GraphAlgorithm`] by delegation, so heterogeneous algorithms sharing a
-/// message type can travel through APIs written against the static trait —
-/// in particular, through a job queue.  Because every method forwards
-/// unchanged, an algorithm run through its `SharedAlgorithm` wrapper is
-/// bit-identical to the same algorithm run directly.
-pub struct SharedAlgorithm<V, E, M> {
-    inner: Arc<dyn DynAlgorithm<V, E, M>>,
-}
-
-impl<V, E, M> SharedAlgorithm<V, E, M> {
-    /// Erases `algorithm` behind the shared handle.
-    pub fn new<A>(algorithm: A) -> Self
-    where
-        A: GraphAlgorithm<V, E, Msg = M> + 'static,
-        V: 'static,
-        E: 'static,
-        M: 'static,
-    {
-        Self {
-            inner: Arc::new(algorithm),
-        }
-    }
-
-    /// Wraps an already-erased algorithm.
-    pub fn from_arc(inner: Arc<dyn DynAlgorithm<V, E, M>>) -> Self {
-        Self { inner }
-    }
-}
-
-impl<V, E, M> Clone for SharedAlgorithm<V, E, M> {
-    fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl<V, E, M> fmt::Debug for SharedAlgorithm<V, E, M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SharedAlgorithm")
-            .field("algorithm", &self.inner.name())
-            .finish()
-    }
-}
-
-impl<V, E, M> GraphAlgorithm<V, E> for SharedAlgorithm<V, E, M>
-where
-    V: Send + Sync,
-    E: Send + Sync,
-    M: Clone + Send + Sync,
-{
-    type Msg = M;
-
-    fn init_vertex(&self, v: VertexId, out_degree: usize) -> V {
-        self.inner.init_vertex(v, out_degree)
-    }
-
-    fn msg_gen_into(
-        &self,
-        triplet: &Triplet<V, E>,
-        iteration: usize,
-        out: &mut Vec<AddressedMessage<M>>,
-    ) {
-        self.inner.msg_gen_into(triplet, iteration, out)
-    }
-
-    fn msg_merge(&self, a: M, b: M) -> M {
-        self.inner.msg_merge(a, b)
-    }
-
-    fn msg_apply(&self, vertex: VertexId, current: &V, message: &M, iteration: usize) -> Option<V> {
-        self.inner.msg_apply(vertex, current, message, iteration)
-    }
-
-    fn msg_apply_in_place(
-        &self,
-        vertex: VertexId,
-        value: &mut V,
-        message: &M,
-        iteration: usize,
-    ) -> bool
-    where
-        V: PartialEq,
-    {
-        self.inner
-            .msg_apply_in_place(vertex, value, message, iteration)
-    }
-
-    fn initial_active(&self, num_vertices: usize) -> Option<Vec<VertexId>> {
-        self.inner.initial_active(num_vertices)
-    }
-
-    fn max_iterations(&self) -> usize {
-        self.inner.max_iterations()
-    }
-
-    fn always_active(&self) -> bool {
-        self.inner.always_active()
-    }
-
-    fn reads_destination_attribute(&self) -> bool {
-        self.inner.reads_destination_attribute()
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn operational_intensity(&self) -> f64 {
-        self.inner.operational_intensity()
-    }
-
-    fn cache_key(&self) -> Option<String> {
-        self.inner.cache_key()
-    }
-
-    fn supports_incremental(&self) -> bool {
-        self.inner.supports_incremental()
-    }
-
-    fn rescope(&self, scope: &MutationScope) -> Option<Vec<VertexId>> {
-        self.inner.rescope(scope)
-    }
-
-    fn derived_via(&self, src: &V, edge: &E, dst: &V) -> bool {
-        self.inner.derived_via(src, edge, dst)
     }
 }
 
@@ -577,7 +279,8 @@ mod tests {
         assert_eq!(m.payload, 1.5);
     }
 
-    /// Min-propagation over f64 vertices, f64 messages.
+    /// Min-propagation over f64 vertices, f64 messages; overrides
+    /// `derived_via`.
     struct MinProp;
 
     impl GraphAlgorithm<f64, f64> for MinProp {
@@ -611,8 +314,8 @@ mod tests {
         }
     }
 
-    /// Max-propagation: a *different* implementation with the same message
-    /// type, so both fit behind one `dyn DynAlgorithm<f64, f64, f64>`.
+    /// Max-propagation: keeps the `derived_via` default and opts into
+    /// caching.
     struct MaxProp;
 
     impl GraphAlgorithm<f64, f64> for MaxProp {
@@ -634,9 +337,6 @@ mod tests {
         fn msg_apply(&self, _v: VertexId, cur: &f64, msg: &f64, _i: usize) -> Option<f64> {
             (msg > cur).then_some(*msg)
         }
-        fn always_active(&self) -> bool {
-            true
-        }
         fn name(&self) -> &'static str {
             "max-prop"
         }
@@ -646,87 +346,50 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_algorithms_share_a_dyn_slot() {
-        // The whole point of the erasure: one collection holds different
-        // implementations that agree on the message type.
-        let jobs: Vec<Arc<dyn DynAlgorithm<f64, f64, f64>>> =
-            vec![Arc::new(MinProp), Arc::new(MaxProp)];
-        assert_eq!(jobs[0].name(), "min-prop");
-        assert_eq!(jobs[1].name(), "max-prop");
-        assert!(!jobs[0].always_active());
-        assert!(jobs[1].always_active());
-    }
-
-    #[test]
-    fn shared_algorithm_delegates_every_method() {
-        let shared = SharedAlgorithm::new(MinProp);
-        let cloned = shared.clone();
-        let triplet = Triplet::new(0, 1, 2.0, f64::INFINITY, 3.0);
-        assert_eq!(
-            GraphAlgorithm::msg_gen(&cloned, &triplet, 0),
-            GraphAlgorithm::msg_gen(&MinProp, &triplet, 0)
-        );
-        assert_eq!(
-            GraphAlgorithm::init_vertex(&shared, 5, 2).to_bits(),
-            GraphAlgorithm::init_vertex(&MinProp, 5, 2).to_bits()
-        );
-        assert_eq!(GraphAlgorithm::msg_merge(&shared, 4.0, 2.0), 2.0);
-        assert_eq!(
-            GraphAlgorithm::msg_apply(&shared, 1, &5.0, &2.0, 0),
-            Some(2.0)
-        );
+    fn default_hooks_apply_in_place_and_derive_conservatively() {
         // In place: an improvement assigns and reports a change, anything
         // else leaves the value alone.
         let mut value = 5.0;
-        assert!(GraphAlgorithm::msg_apply_in_place(
-            &shared, 1, &mut value, &2.0, 0
-        ));
+        assert!(MinProp.msg_apply_in_place(1, &mut value, &2.0, 0));
         assert_eq!(value, 2.0);
-        assert!(!GraphAlgorithm::msg_apply_in_place(
-            &shared, 1, &mut value, &7.0, 0
-        ));
+        assert!(!MinProp.msg_apply_in_place(1, &mut value, &7.0, 0));
         assert_eq!(value, 2.0);
-        assert!(GraphAlgorithm::derived_via(&shared, &1.0, &2.0, &3.0));
-        assert!(!GraphAlgorithm::derived_via(&shared, &1.0, &2.0, &4.0));
-        // The default is the conservative answer.
-        assert!(GraphAlgorithm::derived_via(&MaxProp, &1.0, &2.0, &4.0));
-        assert_eq!(GraphAlgorithm::name(&shared), "min-prop");
-        assert_eq!(
-            GraphAlgorithm::max_iterations(&shared),
-            GraphAlgorithm::max_iterations(&MinProp)
-        );
+        let mut value = 3.0;
+        assert!(MaxProp.msg_apply_in_place(1, &mut value, &4.0, 0));
+        assert!(!MaxProp.msg_apply_in_place(1, &mut value, &4.0, 0));
+        assert_eq!(value, 4.0);
+        // The override answers per edge; the default is the conservative
+        // answer.
+        assert!(MinProp.derived_via(&1.0, &2.0, &3.0));
+        assert!(!MinProp.derived_via(&1.0, &2.0, &4.0));
+        assert!(MaxProp.derived_via(&1.0, &2.0, &4.0));
+        assert_eq!(MinProp.max_iterations(), usize::MAX);
+        assert_eq!(MinProp.rescope(&MutationScope::default()), None);
     }
 
     #[test]
-    fn msg_gen_into_appends_through_the_erased_handle() {
+    fn msg_gen_into_appends_without_clearing() {
         // The kernel contract: earlier messages in the sink are kept, in
-        // order, and the wrapper yields exactly what was appended.
-        let shared = SharedAlgorithm::new(MinProp);
+        // order, and `msg_gen` yields exactly what one call appends.
         let triplet = Triplet::new(0, 1, 2.0, f64::INFINITY, 3.0);
         let mut out = vec![AddressedMessage::new(9, -1.0)];
-        GraphAlgorithm::msg_gen_into(&shared, &triplet, 0, &mut out);
-        GraphAlgorithm::msg_gen_into(&MinProp, &triplet, 0, &mut out);
+        MinProp.msg_gen_into(&triplet, 0, &mut out);
+        MaxProp.msg_gen_into(&triplet, 0, &mut out);
         assert_eq!(
             out,
             vec![
                 AddressedMessage::new(9, -1.0),
                 AddressedMessage::new(1, 5.0),
-                AddressedMessage::new(1, 5.0),
+                AddressedMessage::new(1, 2.0),
             ]
         );
-        assert_eq!(GraphAlgorithm::msg_gen(&shared, &triplet, 0), out[2..]);
+        assert_eq!(MinProp.msg_gen(&triplet, 0), out[1..2]);
     }
 
     #[test]
     fn the_cache_hook_defaults_to_opted_out() {
         // Algorithms that don't opt in are uncacheable.
-        assert_eq!(GraphAlgorithm::cache_key(&MinProp), None);
-    }
-
-    #[test]
-    fn cache_keys_survive_erasure() {
-        // The cache key delegates through the erased handle unchanged.
-        let shared = SharedAlgorithm::new(MaxProp);
-        assert_eq!(GraphAlgorithm::cache_key(&shared), Some("v=1".into()));
+        assert_eq!(MinProp.cache_key(), None);
+        assert_eq!(MaxProp.cache_key(), Some("v=1".into()));
     }
 }

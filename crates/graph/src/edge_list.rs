@@ -73,13 +73,6 @@ impl<E> EdgeList<E> {
         self.edges.push(Edge::new(src, dst, attr));
     }
 
-    /// Adds a pre-built edge, growing the vertex range as needed.
-    pub fn push_edge(&mut self, edge: Edge<E>) {
-        self.ensure_vertex(edge.src);
-        self.ensure_vertex(edge.dst);
-        self.edges.push(edge);
-    }
-
     /// Read-only view of the edges.
     pub fn edges(&self) -> &[Edge<E>] {
         &self.edges
@@ -104,19 +97,6 @@ impl<E> EdgeList<E> {
         }
         Ok(())
     }
-
-    /// Sorts edges by `(src, dst)`, which groups each vertex's out-edges
-    /// contiguously.  Sorting is stable so parallel edges keep insertion order.
-    pub fn sort_by_source(&mut self) {
-        self.edges.sort_by_key(|e| (e.src, e.dst));
-    }
-
-    /// Removes self loops in place and returns how many were removed.
-    pub fn remove_self_loops(&mut self) -> usize {
-        let before = self.edges.len();
-        self.edges.retain(|e| !e.is_self_loop());
-        before - self.edges.len()
-    }
 }
 
 impl<E: Clone> EdgeList<E> {
@@ -133,20 +113,6 @@ impl<E: Clone> EdgeList<E> {
             .map(|e| e.clone().reversed())
             .collect();
         self.edges.extend(reversed);
-    }
-}
-
-impl<E: PartialEq> EdgeList<E> {
-    /// Removes exact duplicate edges (same source, destination and attribute).
-    ///
-    /// Requires the list to be sorted with [`EdgeList::sort_by_source`] first
-    /// to be complete; this method only removes *adjacent* duplicates, matching
-    /// the behaviour of `Vec::dedup`.
-    pub fn dedup_adjacent(&mut self) -> usize {
-        let before = self.edges.len();
-        self.edges
-            .dedup_by(|a, b| a.src == b.src && a.dst == b.dst && a.attr == b.attr);
-        before - self.edges.len()
     }
 }
 
@@ -191,14 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_self_loops_counts_removed() {
-        let mut list = sample();
-        assert_eq!(list.remove_self_loops(), 1);
-        assert_eq!(list.num_edges(), 3);
-        assert!(list.edges().iter().all(|e| !e.is_self_loop()));
-    }
-
-    #[test]
     fn symmetrize_adds_reverse_edges_except_self_loops() {
         let mut list = sample();
         list.symmetrize();
@@ -208,18 +166,5 @@ mod tests {
             .edges()
             .iter()
             .any(|e| e.src == 1 && e.dst == 0 && e.attr == 1.0));
-    }
-
-    #[test]
-    fn sort_and_dedup_removes_duplicates() {
-        let mut list: EdgeList<u32> = [(1, 2, 7), (0, 1, 3), (1, 2, 7), (1, 2, 8)]
-            .into_iter()
-            .collect();
-        list.sort_by_source();
-        let removed = list.dedup_adjacent();
-        assert_eq!(removed, 1);
-        assert_eq!(list.num_edges(), 3);
-        let srcs: Vec<_> = list.edges().iter().map(|e| e.src).collect();
-        assert_eq!(srcs, vec![0, 1, 1]);
     }
 }

@@ -89,11 +89,6 @@ impl<V, E> PropertyGraph<V, E> {
             })
     }
 
-    /// Mutable access to a vertex attribute.
-    pub fn vertex_attr_mut(&mut self, v: VertexId) -> &mut V {
-        &mut self.vertex_attrs[v as usize]
-    }
-
     /// All vertex attributes, indexed by vertex id.
     pub fn vertex_attrs(&self) -> &[V] {
         &self.vertex_attrs
@@ -260,7 +255,7 @@ mod tests {
     #[test]
     fn vertex_attribute_mutation() {
         let mut g = diamond();
-        *g.vertex_attr_mut(1) = 99.0;
+        g.set_vertex_attrs(vec![0.0, 99.0, 20.0, 30.0]);
         assert_eq!(*g.vertex_attr(1), 99.0);
         assert!(g.try_vertex_attr(17).is_err());
     }

@@ -177,11 +177,6 @@ impl<V> VertexTable<V> {
         self.rows.iter()
     }
 
-    /// Iterates over dirty rows (updated since the last synchronisation).
-    pub fn dirty_rows(&self) -> impl Iterator<Item = &VertexRow<V>> {
-        self.rows.iter().filter(|r| r.dirty)
-    }
-
     /// Number of dirty rows.
     pub fn dirty_count(&self) -> usize {
         self.rows.iter().filter(|r| r.dirty).count()
@@ -375,7 +370,8 @@ mod tests {
         assert!(t.update(1, 5.0));
         assert!(!t.update(99, 5.0));
         assert_eq!(t.dirty_count(), 1);
-        assert_eq!(t.dirty_rows().next().unwrap().id, 1);
+        assert!(t.get(1).unwrap().dirty);
+        assert!(!t.get(2).unwrap().dirty);
         t.clear_dirty();
         assert_eq!(t.dirty_count(), 0);
     }

@@ -2,11 +2,12 @@
 //! [`GraphService`], with priority lanes and per-job overrides.
 //!
 //! One accelerator deployment serves many tenants at once.  PageRank-style
-//! and SSSP-style jobs are *different algorithm types*; because both
-//! exchange `f64` messages they fit behind one `dyn DynAlgorithm` and share
-//! a single scheduler queue — the service never needs to know which is
-//! which.  Interactive SSSP tenants submit at high priority; the heavier
-//! PageRank batch jobs ride the low-priority lane.
+//! and SSSP-style jobs are *different algorithm types*; each is submitted
+//! as itself, and the service erases the run behind its job queue, so both
+//! share a single scheduler queue — the service never needs to know which
+//! is which, nor that their messages agree.  Interactive SSSP tenants
+//! submit at high priority; the heavier PageRank batch jobs ride the
+//! low-priority lane.
 //!
 //! ```bash
 //! cargo run --release --example serving_multi_tenant
@@ -87,8 +88,7 @@ impl GraphAlgorithm<TenantVertex, f64> for RankJob {
 }
 
 /// SSSP over [`TenantVertex`] (messages: min-merged `f64` distances) — a
-/// different implementation with the *same* message type, so it shares the
-/// erased queue with [`RankJob`].
+/// different implementation sharing the service's queue with [`RankJob`].
 struct ReachJob {
     source: VertexId,
 }
@@ -176,25 +176,26 @@ fn main() {
         service.queue_depth()
     );
 
-    // The traffic mix, all in one erased queue: interactive SSSP tenants at
+    // The traffic mix, all in one queue: interactive SSSP tenants at
     // high priority, PageRank batch analytics at low priority.  Submission
     // is non-blocking; every tenant gets a ticket.
     let mut tickets: Vec<(String, JobTicket<TenantVertex>)> = Vec::new();
     for source in [0u32, 7, 23, 41] {
-        let job: Arc<dyn DynAlgorithm<TenantVertex, f64, f64>> = Arc::new(ReachJob { source });
         let ticket = service
-            .submit_dyn(job, JobOptions::new().with_priority(JobPriority::High))
+            .submit_with(
+                ReachJob { source },
+                JobOptions::new().with_priority(JobPriority::High),
+            )
             .expect("service is accepting");
         tickets.push((format!("sssp from {source}"), ticket));
     }
     for (damping, iterations) in [(0.85, 20), (0.90, 15)] {
-        let job: Arc<dyn DynAlgorithm<TenantVertex, f64, f64>> = Arc::new(RankJob {
-            damping,
-            iterations,
-        });
         let ticket = service
-            .submit_dyn(
-                job,
+            .submit_with(
+                RankJob {
+                    damping,
+                    iterations,
+                },
                 JobOptions::new()
                     .with_priority(JobPriority::Low)
                     // Batch tenants also carry their own iteration budget —

@@ -88,8 +88,8 @@ pub mod prelude {
         SessionError, SessionSpec,
     };
     pub use gxplug_engine::{
-        AddressedMessage, Cluster, ComputationModel, DynAlgorithm, GraphAlgorithm, NetworkModel,
-        RunReport, RuntimeProfile, SharedAlgorithm, SyncPolicy,
+        AddressedMessage, Cluster, ComputationModel, GraphAlgorithm, NetworkModel, RunReport,
+        RuntimeProfile, SyncPolicy,
     };
     pub use gxplug_graph::datasets::{DatasetSpec, Scale, CATALOGUE};
     pub use gxplug_graph::generators::{ErdosRenyi, Generator, GridRoad, Rmat};

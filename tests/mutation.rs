@@ -244,8 +244,8 @@ fn mutated_service_sssp_incremental_recompute_matches_rebuilt_service() {
         let (warm_graph, warm_partitioning) = rebuild(&mutated_graph, &extended, &rewarm);
         // Then a batch retires tight edges — ones some converged distance
         // came through — and adds others: the trimmed refresh re-derives
-        // what they carried, through the erased `SharedAlgorithm` the
-        // service runs, and still lands on the rebuild's bits.
+        // what they carried, through the typed algorithm the service's
+        // queued job runs, and still lands on the rebuild's bits.
         // The farthest heads carry the least downstream, so the trim stays
         // smaller than a cold run.
         let farthest = |d: &Vec<f64>| {
