@@ -392,4 +392,24 @@ mod tests {
         assert_eq!(MinProp.cache_key(), None);
         assert_eq!(MaxProp.cache_key(), Some("v=1".into()));
     }
+
+    #[test]
+    fn cache_keys_survive_erasure() {
+        // Queues that mix algorithm types erase each one behind a trait
+        // object of their own and read the key through the generic bound;
+        // the key must come out as the concrete algorithm reports it.
+        trait Keyed {
+            fn key(&self) -> Option<String>;
+        }
+        struct Erased<A>(A);
+        impl<A: GraphAlgorithm<f64, f64>> Keyed for Erased<A> {
+            fn key(&self) -> Option<String> {
+                self.0.cache_key()
+            }
+        }
+        let jobs: Vec<Box<dyn Keyed>> = vec![Box::new(Erased(MaxProp)), Box::new(Erased(MinProp))];
+        let keys: Vec<_> = jobs.iter().map(|job| job.key()).collect();
+        assert_eq!(keys, vec![MaxProp.cache_key(), MinProp.cache_key()]);
+        assert_eq!(keys, vec![Some("v=1".into()), None]);
+    }
 }
