@@ -68,7 +68,7 @@
 //!   cap).  At submit time the key is checked against an LRU,
 //!   byte-budgeted cache ([`ServiceBuilder::cache_capacity`],
 //!   [`ServiceBuilder::cache_bytes`]); a hit resolves the [`JobTicket`]
-//!   through an already-fired oneshot slot without touching a worker.
+//!   through an already-sent channel without touching a worker.
 //!   Nothing is copied: a run's outcome lives in one `Arc` that its
 //!   flight's tickets, its cache entry and every later hit share, so a hit
 //!   costs one refcount bump whatever the result's size.  Entries are
@@ -112,12 +112,13 @@ use crate::session::{RunOutcome, RunOverrides, Session, SessionError, SessionSpe
 use gxplug_engine::template::GraphAlgorithm;
 use gxplug_graph::graph::PropertyGraph;
 use gxplug_graph::mutate::{MutationBatch, MutationError, MutationLog, ResolvedMutation};
-use gxplug_ipc::oneshot::{oneshot, resolved, OneshotReceiver, OneshotSender};
-use gxplug_ipc::queue::QueueRecvError;
+use gxplug_ipc::{oneshot, resolved, OneshotSender};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
@@ -365,7 +366,7 @@ impl JobCell {
         }
     }
 
-    /// What a ticket whose result slot is gone resolves to.
+    /// What a ticket whose result channel is disconnected resolves to.
     fn unresolved(&self) -> ServiceError {
         match self.status() {
             JobStatus::Cancelled => ServiceError::Cancelled,
@@ -617,7 +618,11 @@ struct JobEnvelope<V, E> {
 pub struct JobTicket<V> {
     id: u64,
     cell: Arc<JobCell>,
-    reply: OneshotReceiver<JobResult<V>>,
+    reply: Receiver<JobResult<V>>,
+    /// Set once the result was taken.  A delivered ticket reads as
+    /// resolved even in the instant between the worker's send and the drop
+    /// of its sender, when the channel is empty but not yet disconnected.
+    delivered: Cell<bool>,
 }
 
 impl<V> JobTicket<V> {
@@ -660,7 +665,7 @@ impl<V> JobTicket<V> {
     /// every call — a wait loop enforcing one overall budget should use
     /// [`JobTicket::wait_deadline`] instead.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<JobResult<V>> {
-        self.wait_deadline(Instant::now() + timeout)
+        self.settle(self.reply.recv_timeout(timeout))
     }
 
     /// [`JobTicket::wait`] up to an absolute deadline.  `None` means the job
@@ -668,20 +673,30 @@ impl<V> JobTicket<V> {
     /// in the past degrades to a non-blocking poll — so a serving loop can
     /// interleave ticket waits with heartbeat deadlines without drifting.
     pub fn wait_deadline(&self, deadline: Instant) -> Option<JobResult<V>> {
-        match self.reply.recv_deadline(deadline) {
-            Ok(result) => Some(result),
-            Err(QueueRecvError::Timeout) | Err(QueueRecvError::Empty) => None,
-            Err(QueueRecvError::Disconnected) => Some(Err(self.cell.unresolved())),
-        }
+        self.wait_timeout(deadline.saturating_duration_since(Instant::now()))
     }
 
     /// Non-blocking poll: `None` while the job is queued or running,
     /// `Some(result)` once it resolved.  The result is delivered once;
     /// polling again afterwards yields `Some(Err(ServiceError::Lost))`.
     pub fn try_result(&self) -> Option<JobResult<V>> {
-        match self.reply.try_recv() {
-            Ok(result) => Some(result),
-            Err(QueueRecvError::Empty) => None,
+        self.settle(self.reply.try_recv().map_err(|error| match error {
+            TryRecvError::Empty => RecvTimeoutError::Timeout,
+            TryRecvError::Disconnected => RecvTimeoutError::Disconnected,
+        }))
+    }
+
+    /// What one receive from the result channel tells the caller: the
+    /// result, `None` while it has not landed, or — once the channel is
+    /// disconnected or the result was already taken — what the job left
+    /// behind.
+    fn settle(&self, received: Result<JobResult<V>, RecvTimeoutError>) -> Option<JobResult<V>> {
+        match received {
+            Ok(result) => {
+                self.delivered.set(true);
+                Some(result)
+            }
+            Err(RecvTimeoutError::Timeout) if !self.delivered.get() => None,
             Err(_) => Some(Err(self.cell.unresolved())),
         }
     }
@@ -1225,12 +1240,13 @@ where
                         let cell = Arc::new(JobCell::new());
                         cell.finish();
                         lock(&shared.stats).record_hit(looked_up.elapsed());
-                        // The ticket resolves through an already-fired slot:
-                        // no queue slot, no worker.
+                        // The ticket resolves through an already-sent
+                        // channel: no queue slot, no worker.
                         return Ok(JobTicket {
                             id,
                             cell,
                             reply: resolved(Ok(outcome)),
+                            delivered: Cell::new(false),
                         });
                     }
                     None => lock(&shared.stats).cache_misses += 1,
@@ -1278,6 +1294,7 @@ where
             id: shared.next_id.fetch_add(1, Ordering::Relaxed),
             cell,
             reply: ticket_reply,
+            delivered: Cell::new(false),
         })
     }
 
@@ -3202,6 +3219,45 @@ mod tests {
         // entry are the outcome's only owners.
         service.shutdown();
         assert_eq!(Arc::strong_count(&fill), 1 + hits.len() + 1);
+    }
+
+    #[test]
+    fn a_landed_result_is_delivered_once_past_any_deadline() {
+        let graph = test_graph();
+        let service = small_service(&graph, 1, 8);
+        let fill = service
+            .submit(KeyedSssp::new(vec![0]))
+            .unwrap()
+            .wait()
+            .unwrap();
+        // A cache hit has its result before the caller sees the ticket: a
+        // past deadline still delivers it.
+        let hit = service.submit(KeyedSssp::new(vec![0])).unwrap();
+        let delivered = hit.wait_deadline(Instant::now() - Duration::from_millis(1));
+        assert!(Arc::ptr_eq(&delivered.unwrap().unwrap(), &fill));
+        // `try_result` delivers once, then reads as lost.
+        let hit = service.submit(KeyedSssp::new(vec![0])).unwrap();
+        assert!(Arc::ptr_eq(&hit.try_result().unwrap().unwrap(), &fill));
+        assert!(matches!(hit.try_result(), Some(Err(ServiceError::Lost))));
+        assert_eq!(service.stats().cache_hits, 2);
+    }
+
+    #[test]
+    fn an_abandoned_ticket_drops_its_undelivered_result() {
+        let graph = test_graph();
+        let service = small_service(&graph, 1, 8);
+        let fill = service
+            .submit(KeyedSssp::new(vec![0]))
+            .unwrap()
+            .wait()
+            .unwrap();
+        let hit = service.submit(KeyedSssp::new(vec![0])).unwrap();
+        // Joined workers hold nothing: the caller's handle, the cache entry
+        // and the hit's channel are the outcome's only owners.
+        service.shutdown();
+        assert_eq!(Arc::strong_count(&fill), 3);
+        drop(hit);
+        assert_eq!(Arc::strong_count(&fill), 2);
     }
 
     #[test]

@@ -37,6 +37,7 @@ use gxplug_graph::graph::PropertyGraph;
 use gxplug_graph::partition::Partitioning;
 use gxplug_graph::tables;
 use gxplug_graph::types::{Edge, PartitionId, VertexId};
+use gxplug_graph::view::TripletBuffer;
 use serde::{Deserialize, Serialize};
 use std::convert::Infallible;
 use std::marker::PhantomData;
@@ -1160,7 +1161,6 @@ where
             let row = nodes[master as usize].vertex_table_mut().row_at_mut(local);
             applies += 1;
             if algorithm.msg_apply_in_place(target, &mut row.attr, &message, iteration) {
-                row.dirty = true;
                 changed[master as usize].insert(local);
             }
         }
@@ -1201,7 +1201,6 @@ where
                     let row = replica.vertex_table_mut().row_at_mut(replica_local);
                     row.attr
                         .clone_from(&owner.vertex_table().row_at(local).attr);
-                    row.dirty = true;
                     replica.activate_local(replica_local);
                     replica_updates += 1;
                 }
@@ -1313,9 +1312,14 @@ impl<M> DenseMerge<M> {
     }
 }
 
+/// Active triplets the native compute phase fills and folds at a time.
+const NATIVE_BLOCK: usize = 1_024;
+
 /// The native (non-accelerated) compute phase of one node: `MSGGen` over the
 /// active triplets and `MSGMerge` per target ([`DenseMerge`]), all at the
-/// upper system's own per-edge cost.
+/// upper system's own per-edge cost.  The triplets stream through one
+/// [`TripletBuffer`] a block at a time, in active-edge order, so the phase
+/// holds one block of attribute copies, not one per active edge.
 pub fn native_node_compute<V, E, A>(
     node: &mut NodeState<V, E>,
     algorithm: &A,
@@ -1327,22 +1331,32 @@ where
     E: Clone,
     A: GraphAlgorithm<V, E>,
 {
-    let triplets = node.active_triplets();
+    let edge_ids = node.active_edge_ids();
+    let node = &*node;
+    let sources_only = !algorithm.reads_destination_attribute();
+    let mut block = TripletBuffer::new();
     let mut merge = DenseMerge::default();
     merge.begin(node.num_vertices());
     // One scratch sink for every triplet: drained after each kernel call, so
     // its capacity is reused and the loop allocates only when it grows.
     let mut generated = Vec::new();
-    for triplet in &triplets {
-        algorithm.msg_gen_into(triplet, iteration, &mut generated);
-        merge.fold(node, algorithm, generated.drain(..));
+    for block_ids in edge_ids.chunks(NATIVE_BLOCK) {
+        let triplets = if sources_only {
+            node.fill_triplet_sources(block_ids, &mut block)
+        } else {
+            node.fill_triplets(block_ids, &mut block)
+        };
+        for triplet in triplets {
+            algorithm.msg_gen_into(triplet, iteration, &mut generated);
+            merge.fold(node, algorithm, generated.drain(..));
+        }
     }
     let compute_time =
-        profile.native_compute_cost(triplets.len(), 0, algorithm.operational_intensity());
+        profile.native_compute_cost(edge_ids.len(), 0, algorithm.operational_intensity());
     NodeComputeOutput {
         compute_time,
         middleware_time: SimDuration::ZERO,
-        triplets_processed: triplets.len(),
+        triplets_processed: edge_ids.len(),
         messages: merge.drain(node).messages,
         vertex_type: PhantomData,
     }

@@ -3,8 +3,8 @@
 //!
 //! GX-Plug's pipeline model (§III-A) sizes a block so that the fixed cost `a`
 //! of a kernel launch is amortised by the work in the block.  Handing work to
-//! another thread has a fixed cost too — one queue hop to wake the worker and
-//! one to hear back, each a condition-variable wake-up — so the same rule
+//! another thread has a fixed cost too — one channel hop to wake the worker
+//! and one to hear back, each a thread wake-up — so the same rule
 //! applies to threads: a superstep goes to workers only when it carries at
 //! least the run's floor of active edges ([`floor_for`]); anything smaller
 //! runs on the calling thread.  A serial
@@ -14,10 +14,12 @@
 //! Nodes are lent through the one mechanism here, a [`Lane`] per node.  The
 //! workers are **parked, not spawned per superstep**.
 //! A [`Lane`] starts its thread at its first loan, on a [`Scope`] that
-//! outlives the run, and the thread then sleeps on its job queue between
-//! loans.  A compute
-//! phase only holds its nodes for the length of one `compute` call, so a lane
-//! cannot borrow them; instead the state is *lent by value*: it travels to
+//! outlives the run, and the thread then sleeps on its job channel between
+//! loans.  A lane never has more than one loan out, so its job and result
+//! channels hold one message each ([`sync_queue`]); their slots are
+//! allocated with the channels, so a warm loan allocates only its boxed job.
+//! A compute phase only holds its nodes for the length of one `compute`
+//! call, so a lane cannot borrow them; instead the state is *lent by value*: it travels to
 //! the worker inside the job and comes back with the result, which needs no
 //! `unsafe` and no `'static` bound.  [`fan_out`] lends every state but one,
 //! runs the last on the calling thread, and returns all of them in input
@@ -30,9 +32,10 @@
 //! therefore never be left parked on a dead worker.
 
 use crate::cluster::ExecutionMode;
-use gxplug_ipc::queue::{sync_queue, QueueReceiver, QueueSender};
+use gxplug_ipc::sync_queue;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{Receiver, SyncSender};
 use std::thread::{self, Scope};
 
 /// Fewest active edges worth a thread hand-off.
@@ -40,11 +43,11 @@ use std::thread::{self, Scope};
 /// Derived once, from two measurements on the 2-core reference box (the
 /// sweep is recorded in CHANGES.md, PR 24).  A fanned-out superstep pays a
 /// fixed ≈ 75 µs over a serial one (125 µs against 50 µs at 1 024 edges) —
-/// about four of the ≈ 20 µs queue hops (`ipc.queue.hop_ns`): the wake-ups
-/// out overlap, the ones back mostly do not — and the superstep path costs
-/// ≈ 50 ns per active edge at these sizes (frontier scan, triplet fill,
-/// `MSGGen`, `MSGMerge`, cache probe).  Four lanes on two cores take ≈ 0.3 of
-/// that work off the critical path, so the hops are paid back from
+/// about four of the ≈ 20 µs hops then measured (`ipc.queue.hop_ns`): the
+/// wake-ups out overlap, the ones back mostly do not — and the superstep
+/// path costs ≈ 50 ns per active edge at these sizes (frontier scan,
+/// triplet fill, `MSGGen`, `MSGMerge`, cache probe).  Four lanes on two
+/// cores take ≈ 0.3 of that work off the critical path, so the hops are paid back from
 /// 75 µs / (0.3 × 50 ns) = 5 000 edges on.  Measured, fanned-out PageRank
 /// supersteps run 0.85x serial at 6 144 edges, 0.9–1.1x at 8 192 and
 /// 1.1–1.4x from 10 240: the floor is the power of two at break-even.
@@ -73,11 +76,8 @@ pub type Returned<S, O> = (S, thread::Result<O>);
 
 type Job<'scope, S, O> = Box<dyn FnOnce() -> Returned<S, O> + Send + 'scope>;
 
-/// The caller's ends of a parked worker's job and result queues.
-type Worker<'scope, S, O> = (
-    QueueSender<Job<'scope, S, O>>,
-    QueueReceiver<Returned<S, O>>,
-);
+/// The caller's ends of a parked worker's job and result channels.
+type Worker<'scope, S, O> = (SyncSender<Job<'scope, S, O>>, Receiver<Returned<S, O>>);
 
 /// Runs `job` over `state`, catching a panic so the state survives it.
 fn run_caught<S, O>(mut state: S, job: impl FnOnce(&mut S) -> O) -> Returned<S, O> {
@@ -140,7 +140,7 @@ where
             let (jobs, inbox) = sync_queue::<Job<'scope, S, O>>();
             let (outbox, done) = sync_queue();
             // The worker owns the only sender of `done`: should it die, the
-            // queue disconnects and `take_back` fails instead of waiting.
+            // channel disconnects and `take_back` fails instead of waiting.
             scope.spawn(move || {
                 while let Ok(job) = inbox.recv() {
                     if outbox.send(job()).is_err() {
@@ -300,7 +300,7 @@ mod tests {
             assert_eq!(payload.downcast_ref::<&str>(), Some(&"lent job exploded"));
             assert_eq!(returned[1].0, 18);
             assert_eq!(returned[1].1.as_ref().ok(), Some(&18));
-            // The worker caught the unwind and is still parked on its queue.
+            // The worker caught the unwind and is still parked on its channel.
             let again = fan_out(scope, &mut lanes, vec![1, 2], |state: &mut u32| *state * 2);
             let outputs: Vec<u32> = again.into_iter().map(|(_, o)| o.unwrap()).collect();
             assert_eq!(outputs, vec![2, 4]);

@@ -206,10 +206,7 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
         for local in 0..self.vertex_table.len() as u32 {
             let v = self.vertex_table.global_of(local);
             let degree = self.out_degrees[local as usize] as usize;
-            let attr = algorithm.init_vertex(v, degree);
-            let row = self.vertex_table.row_at_mut(local);
-            row.attr = attr;
-            row.dirty = false;
+            self.vertex_table.row_at_mut(local).attr = algorithm.init_vertex(v, degree);
         }
         self.seed_frontier(algorithm, num_global_vertices);
     }
@@ -382,8 +379,8 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
     /// Seeds the node for an *incremental* recompute: vertices in `reinit`
     /// (those added since the warm state) are re-initialised through the
     /// algorithm template, every other row keeps its warm converged value,
-    /// dirty flags are cleared and the frontier is replaced by the `seed`
-    /// set — the dirty vertices of the mutations since the warm run.
+    /// and the frontier is replaced by the `seed` set — the dirty vertices
+    /// of the mutations since the warm run.
     pub fn seed_incremental<A>(&mut self, algorithm: &A, seed: &[VertexId], reinit: &[VertexId])
     where
         A: GraphAlgorithm<V, E> + ?Sized,
@@ -395,7 +392,6 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
                 self.vertex_table.row_at_mut(local).attr = attr;
             }
         }
-        self.vertex_table.clear_dirty();
         self.active.clear();
         for &v in seed {
             self.activate(v);
@@ -590,10 +586,11 @@ impl<V, E> NodeState<V, E> {
 }
 
 impl<V: Clone, E: Clone> NodeState<V, E> {
-    /// Materialises the triplet of local edge `id` by joining the edge and
-    /// vertex tables through the precomputed endpoint local ids — two array
-    /// loads, no hashing.  Returns `None` if `id` is not a local edge id.
-    pub fn triplet(&self, id: EdgeId) -> Option<Triplet<V, E>> {
+    /// An owned copy of the triplet of local edge `id` (`None` if `id` is
+    /// not a local edge id): the reference the fill tests compare
+    /// [`NodeState::fill_triplets`] against.
+    #[cfg(test)]
+    fn triplet(&self, id: EdgeId) -> Option<Triplet<V, E>> {
         (id < self.num_edges()).then(|| {
             let t = self.triplet_ref(id);
             Triplet::new(
@@ -606,7 +603,8 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
         })
     }
 
-    /// [`NodeState::triplet`] borrowed from the tables, cloning nothing.
+    /// The triplet of local edge `id`, borrowed from the tables through the
+    /// precomputed endpoint local ids: two array loads, no hashing, no clone.
     #[inline]
     fn triplet_ref(&self, id: EdgeId) -> Triplet<&V, &E> {
         let edge = &self.edge_table.edges()[id];
@@ -621,7 +619,8 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
     }
 
     /// Materialises triplets for the given local edge ids.
-    pub fn triplets_for(&self, edge_ids: &[EdgeId]) -> Vec<Triplet<V, E>> {
+    #[cfg(test)]
+    fn triplets_for(&self, edge_ids: &[EdgeId]) -> Vec<Triplet<V, E>> {
         edge_ids.iter().filter_map(|&id| self.triplet(id)).collect()
     }
 
@@ -657,14 +656,8 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
         buffer.refill_sources_in_place(edge_ids.iter().map(|&id| self.triplet_ref(id)))
     }
 
-    /// Materialises the triplets of all currently active edges.
-    pub fn active_triplets(&mut self) -> Vec<Triplet<V, E>> {
-        let ids = self.active_edge_ids();
-        self.triplets_for(&ids)
-    }
-
-    /// Updates the attribute of a local vertex (marking it dirty); returns
-    /// `true` if the vertex exists locally.
+    /// Updates the attribute of a local vertex; returns `true` if the vertex
+    /// exists locally.
     pub fn update_vertex(&mut self, v: VertexId, value: V) -> bool {
         self.vertex_table.update(v, value)
     }
@@ -751,7 +744,7 @@ mod tests {
         let mut node = NodeState::build(0, &graph, &partitioning, &MinLabel);
         node.clear_active();
         assert_eq!(node.active_edge_count(), 0);
-        assert!(node.active_triplets().is_empty());
+        assert!(node.active_edge_ids().is_empty());
         // Activate one vertex that has local out-edges.
         let some_src = node
             .edge_table()
@@ -763,7 +756,7 @@ mod tests {
         assert_eq!(node.active_vertices().collect::<Vec<_>>(), [some_src]);
         let expected = node.out_edge_ids(some_src).len();
         assert_eq!(node.active_edge_count(), expected);
-        assert_eq!(node.active_triplets().len(), expected);
+        assert_eq!(node.active_edge_ids().len(), expected);
     }
 
     #[test]
@@ -804,16 +797,15 @@ mod tests {
         let mut node = NodeState::build(0, &graph, &partitioning, &MinLabel);
         let fresh = node.clone();
         // Dirty the node the way a run would: update values, shrink the
-        // frontier, mark rows dirty.
+        // frontier.
         let ids: Vec<VertexId> = node.vertex_table().ids().collect();
         for &v in &ids {
             node.update_vertex(v, 999);
         }
         node.clear_active();
-        assert_ne!(node.vertex_table().dirty_count(), 0);
+        assert_eq!(node.vertex_value(ids[0]), Some(&999));
         node.reset_for(&MinLabel, graph.num_vertices());
         assert_eq!(node.active_count(), fresh.active_count());
-        assert_eq!(node.vertex_table().dirty_count(), 0);
         for (got, want) in node.vertex_table().rows().zip(fresh.vertex_table().rows()) {
             assert_eq!(got, want);
         }
@@ -955,13 +947,15 @@ mod tests {
     }
 
     #[test]
-    fn update_vertex_marks_dirty() {
+    fn update_vertex_writes_the_value() {
         let (graph, partitioning) = setup();
         let mut node = NodeState::build(0, &graph, &partitioning, &MinLabel);
-        let v = node.vertex_table().ids().next().unwrap();
+        let ids: Vec<VertexId> = node.vertex_table().ids().take(2).collect();
+        let (v, other) = (ids[0], ids[1]);
+        let before = *node.vertex_value(other).unwrap();
         assert!(node.update_vertex(v, 99));
         assert!(!node.update_vertex(10_000, 0));
-        assert_eq!(node.vertex_table().dirty_count(), 1);
         assert_eq!(*node.vertex_value(v).unwrap(), 99);
+        assert_eq!(*node.vertex_value(other).unwrap(), before);
     }
 }

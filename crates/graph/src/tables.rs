@@ -20,11 +20,6 @@ pub struct VertexRow<V> {
     pub id: VertexId,
     /// Current attribute value.
     pub attr: V,
-    /// Whether the attribute was updated since the last synchronisation.
-    ///
-    /// The synchronisation-caching optimisation (§III-B) only uploads vertices
-    /// whose attribute actually changed.
-    pub dirty: bool,
     /// Whether this node is the *master* (owning) replica of the vertex.
     pub is_master: bool,
 }
@@ -89,7 +84,6 @@ impl<V> VertexTable<V> {
                 self.rows.push(VertexRow {
                     id,
                     attr,
-                    dirty: false,
                     is_master,
                 });
                 true
@@ -159,13 +153,12 @@ impl<V> VertexTable<V> {
         self.index.local(id).is_some()
     }
 
-    /// Updates the attribute of `id`, marking the row dirty.  Returns `false`
-    /// if the vertex is not present locally.
+    /// Updates the attribute of `id`.  Returns `false` if the vertex is not
+    /// present locally.
     pub fn update(&mut self, id: VertexId, attr: V) -> bool {
         match self.get_mut(id) {
             Some(row) => {
                 row.attr = attr;
-                row.dirty = true;
                 true
             }
             None => false,
@@ -175,18 +168,6 @@ impl<V> VertexTable<V> {
     /// Iterates over all rows.
     pub fn rows(&self) -> impl Iterator<Item = &VertexRow<V>> {
         self.rows.iter()
-    }
-
-    /// Number of dirty rows.
-    pub fn dirty_count(&self) -> usize {
-        self.rows.iter().filter(|r| r.dirty).count()
-    }
-
-    /// Clears all dirty flags (after a successful synchronisation).
-    pub fn clear_dirty(&mut self) {
-        for row in &mut self.rows {
-            row.dirty = false;
-        }
     }
 
     /// Ids of all locally stored vertices.
@@ -362,18 +343,15 @@ mod tests {
     }
 
     #[test]
-    fn vertex_table_dirty_tracking() {
+    fn vertex_table_update_writes_one_row() {
         let mut t = VertexTable::new();
         t.upsert(1, 0.0, true);
         t.upsert(2, 0.0, true);
-        assert_eq!(t.dirty_count(), 0);
         assert!(t.update(1, 5.0));
         assert!(!t.update(99, 5.0));
-        assert_eq!(t.dirty_count(), 1);
-        assert!(t.get(1).unwrap().dirty);
-        assert!(!t.get(2).unwrap().dirty);
-        t.clear_dirty();
-        assert_eq!(t.dirty_count(), 0);
+        assert_eq!(t.get(1).unwrap().attr, 5.0);
+        assert_eq!(t.get(2).unwrap().attr, 0.0);
+        assert_eq!(t.len(), 2);
     }
 
     #[test]

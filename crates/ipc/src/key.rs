@@ -14,21 +14,9 @@ use std::fmt;
 pub struct IpcKey(u64);
 
 impl IpcKey {
-    /// Creates a key from a raw value.
-    pub fn from_raw(raw: u64) -> Self {
-        Self(raw)
-    }
-
     /// The raw key value.
     pub fn raw(self) -> u64 {
         self.0
-    }
-
-    /// Derives a related key — e.g. the `index`-th pipeline zone inside a
-    /// daemon's shared memory space.  Deterministic, and scrambled so that
-    /// the sub-keys of different daemons stay well separated.
-    pub fn subkey(self, index: u64) -> IpcKey {
-        IpcKey(splitmix64(self.0.wrapping_add(index)))
     }
 }
 
@@ -105,24 +93,8 @@ mod tests {
     }
 
     #[test]
-    fn subkeys_are_deterministic_and_distinct() {
-        let generator = KeyGenerator::new(3);
-        let mut seen = HashSet::new();
-        for node in 0..8 {
-            for daemon in 0..4 {
-                let base = generator.key_for(node, daemon);
-                for zone in 0..3u64 {
-                    assert!(seen.insert(base.subkey(zone)));
-                    assert_eq!(base.subkey(zone), base.subkey(zone));
-                }
-            }
-        }
-        assert_eq!(seen.len(), 8 * 4 * 3);
-    }
-
-    #[test]
     fn display_is_hex() {
-        let key = IpcKey::from_raw(0xabc);
+        let key = IpcKey(0xabc);
         assert_eq!(format!("{key}"), "0x000000000abc");
         assert_eq!(key.raw(), 0xabc);
     }

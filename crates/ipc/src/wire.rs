@@ -329,8 +329,9 @@ pub struct JobResultFrame {
     pub converged: bool,
     /// Iterations executed.
     pub iterations: u32,
-    /// Wall time of the physical run, in microseconds.
-    pub run_wall_us: u64,
+    /// The run's simulated time under the cost model
+    /// (`RunReport::total_time`), in microseconds — not the wall clock.
+    pub sim_time_us: u64,
     /// One value per vertex, in vertex-id order.
     pub values: Vec<f64>,
 }
@@ -700,7 +701,7 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             payload.put_str(&result.algorithm);
             payload.put_bool(result.converged);
             payload.put_u32(result.iterations);
-            payload.put_u64(result.run_wall_us);
+            payload.put_u64(result.sim_time_us);
             payload.put_u32(result.values.len() as u32);
             for value in &result.values {
                 payload.put_f64(*value);
@@ -950,7 +951,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, WireError> {
             let algorithm = r.take_str()?;
             let converged = r.take_bool()?;
             let iterations = r.take_u32()?;
-            let run_wall_us = r.take_u64()?;
+            let sim_time_us = r.take_u64()?;
             let declared = r.take_u32()?;
             let count = r.checked_count(declared, 8)?;
             let mut values = Vec::with_capacity(count);
@@ -962,7 +963,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, WireError> {
                 algorithm,
                 converged,
                 iterations,
-                run_wall_us,
+                sim_time_us,
                 values,
             })
         }
@@ -1174,7 +1175,7 @@ mod tests {
             algorithm: "pagerank".into(),
             converged: true,
             iterations: 20,
-            run_wall_us: 1_234_567,
+            sim_time_us: 1_234_567,
             values: vec![0.15, f64::INFINITY, -0.0, f64::MIN_POSITIVE],
         }));
         roundtrip(Frame::Error {
@@ -1246,7 +1247,7 @@ mod tests {
             algorithm: "x".into(),
             converged: false,
             iterations: 0,
-            run_wall_us: 0,
+            sim_time_us: 0,
             values: vec![quiet, signalling],
         });
         let (decoded, _) = decode(&encode(&frame)).unwrap();
@@ -1361,7 +1362,7 @@ mod tests {
             algorithm: String::new(),
             converged: false,
             iterations: 0,
-            run_wall_us: 0,
+            sim_time_us: 0,
             values: vec![],
         }));
         let count_at = bytes.len() - 4;

@@ -91,7 +91,7 @@ proptest! {
         job in any::<u64>(),
         bits in prop::collection::vec(any::<u64>(), 0..64),
         iterations in 0u32..100_000,
-        wall in any::<u64>(),
+        sim_time in any::<u64>(),
         converged in any::<bool>(),
     ) {
         let values: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
@@ -100,7 +100,7 @@ proptest! {
             algorithm: "sssp".into(),
             converged,
             iterations,
-            run_wall_us: wall,
+            sim_time_us: sim_time,
             values,
         });
         let (decoded, _) = decode(&encode(&frame)).expect("well-formed frame");

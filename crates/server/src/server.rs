@@ -1,10 +1,11 @@
 //! The serving front end: accept loop, HTTP routing, the job table, quota
 //! enforcement and the WebSocket streaming loop.
 //!
-//! Architecture: one acceptor thread pushes accepted [`TcpStream`]s onto an
-//! [`ipc sync queue`](gxplug_ipc::sync_queue); a fixed pool of handler
-//! threads pulls connections with [`recv_deadline`](gxplug_ipc::QueueReceiver::recv_deadline)
-//! so each can poll the stop flag while idle.  A handler owns its connection
+//! Architecture: one acceptor thread sends accepted [`TcpStream`]s down a
+//! [`std::sync::mpsc`] channel; a fixed pool of handler threads shares its
+//! receiver behind a mutex and pulls connections with a
+//! [`recv_timeout`](std::sync::mpsc::Receiver::recv_timeout), so each can
+//! poll the stop flag while idle.  A handler owns its connection
 //! for the connection's lifetime (HTTP keep-alive or a WebSocket session) —
 //! the same thread-per-conversation shape the middleware's daemons use, so
 //! no async runtime is needed.
@@ -27,11 +28,11 @@ use gxplug_ipc::wire::{
     self, Frame, JobResultFrame, JobSpec, JobState, ServerError, StatsFrame, WireJobOptions,
     WireMutationOp,
 };
-use gxplug_ipc::{sync_queue, QueueReceiver, QueueRecvError};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -201,7 +202,8 @@ where
             counters: Mutex::new(HashMap::new()),
         });
 
-        let (conn_tx, conn_rx) = sync_queue::<TcpStream>();
+        let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
+        let conn_rx = Arc::new(Mutex::new(conn_rx));
         let acceptor = {
             let shared = Arc::clone(&shared);
             thread::spawn(move || {
@@ -221,16 +223,17 @@ where
         let handlers = (0..config.handler_threads.max(1))
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                let conn_rx: QueueReceiver<TcpStream> = conn_rx.clone();
+                let conn_rx = Arc::clone(&conn_rx);
                 thread::spawn(move || loop {
-                    match conn_rx.recv_deadline(Instant::now() + POLL_INTERVAL) {
+                    let next = lock(&conn_rx).recv_timeout(POLL_INTERVAL);
+                    match next {
                         Ok(stream) => handle_connection(&shared, stream),
-                        Err(QueueRecvError::Timeout) => {
+                        Err(RecvTimeoutError::Timeout) => {
                             if shared.stop.load(Ordering::Acquire) {
                                 break;
                             }
                         }
-                        Err(_) => break,
+                        Err(RecvTimeoutError::Disconnected) => break,
                     }
                 })
             })
@@ -420,7 +423,7 @@ fn poll_job<V>(table: &mut JobTable<V>, job: u64, tenant: &str) -> Result<Frame,
                 algorithm: entry.algorithm.clone(),
                 converged: outcome.report.converged,
                 iterations: outcome.report.num_iterations() as u32,
-                run_wall_us: (outcome.report.total_time().as_millis() * 1000.0) as u64,
+                sim_time_us: (outcome.report.total_time().as_millis() * 1000.0) as u64,
                 values: extract(&outcome.values),
             });
             entry.state = EntryState::Done(frame.clone());

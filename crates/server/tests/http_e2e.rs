@@ -554,6 +554,21 @@ fn live_mutations_apply_over_the_socket_and_invalidate_the_cache() {
         "post-mutation bits differ across the socket"
     );
 
+    // The frame's `sim_time_us` is the run's cost-model time: an in-process
+    // cache hit on the same key shares the socket run's outcome.
+    let hits = server.stats_snapshot().cache_hits;
+    let shared = server
+        .service()
+        .submit(ServeReach { sources: vec![0] })
+        .expect("direct submit")
+        .wait()
+        .expect("cache hit");
+    assert_eq!(server.stats_snapshot().cache_hits, hits + 1);
+    assert_eq!(
+        after.sim_time_us,
+        (shared.report.total_time().as_millis() * 1000.0) as u64
+    );
+
     server.shutdown();
 }
 
