@@ -23,7 +23,12 @@
 //!   (the submitting thread's net allocation across `apply_mutations`: the
 //!   resolved batch plus the log's amortised growth), and the allocations
 //!   of replaying a measured insert-only batch into a warm session deployed
-//!   like the service's worker (`Session::apply_mutations`, averaged).
+//!   like the service's worker (`Session::apply_mutations`, averaged);
+//! * for `mutate_live`, Σ triplets of that session's incremental refresh
+//!   after the first insert-only batch and after the first retiring one
+//!   (`Incr triplets`, printed `insert/retiring`), and of the same
+//!   algorithm rerun cold on the same mutated session after
+//!   `Session::forget_warm_state` (`Cold triplets`).
 //!
 //! Every figure is a count, not a clock reading, so stdout is identical from
 //! run to run and CI diffs it against `crates/bench/golden/work.txt`.  The
@@ -164,6 +169,9 @@ struct Work {
     batch_bytes: Option<(u64, u64)>,
     /// `(allocations, batches)` over the measured insert-only replays.
     replay_allocations: Option<(u64, u64)>,
+    /// `[incremental, cold]` triplets after the first insert-only batch and
+    /// after the first retiring batch.
+    refresh_triplets: Option<[[u64; 2]; 2]>,
 }
 
 impl Work {
@@ -220,6 +228,14 @@ impl Work {
                 .map_or_else(|| "-".to_string(), |(bytes, batches)| per(bytes, batches)),
             self.replay_allocations
                 .map_or_else(|| "-".to_string(), |(total, batches)| per(total, batches)),
+            self.refresh_triplets.map_or_else(
+                || "-".to_string(),
+                |[insert, retire]| format!("{}/{}", insert[0], retire[0]),
+            ),
+            self.refresh_triplets.map_or_else(
+                || "-".to_string(),
+                |[insert, retire]| format!("{}/{}", insert[1], retire[1]),
+            ),
         ]
     }
 }
@@ -366,6 +382,9 @@ const RETIRE_EVERY: usize = 8;
 /// a hit on the refreshed key.  Then a plain session deployed like the
 /// service's worker replays the same batches, each followed by the same
 /// refresh, and its replays of the measured insert-only batches are counted.
+/// After the first insert-only and the first retiring batch, that session
+/// also reruns the algorithm cold, to set each refresh's triplets beside a
+/// full rerun's.
 fn mutate_live(log2: u32, config: MiddlewareConfig) -> Work {
     let service = service(log2, config);
     let algorithm = MultiSourceSssp::paper_default();
@@ -423,14 +442,24 @@ fn mutate_live(log2: u32, config: MiddlewareConfig) -> Work {
         .expect("a valid deployment");
     replica.run(&algorithm).expect("the cold run");
     let mut replays = (0, 0);
+    let mut refreshes = [[0; 2]; 2];
     for (round, delta) in (1..).zip(&deltas) {
         let ((), allocations) = allocations(|| replica.apply_mutations(delta));
-        replica.run(&algorithm).expect("the refresh");
+        let refresh = replica.run(&algorithm).expect("the refresh");
         if round > RETIRE_EVERY && !delta.has_removals() {
             replays = (replays.0 + allocations, replays.1 + 1);
         }
+        if round == 1 || round == RETIRE_EVERY {
+            replica.forget_warm_state();
+            let cold = replica.run(&algorithm).expect("the cold rerun");
+            refreshes[usize::from(round == RETIRE_EVERY)] = [
+                refresh.report.total_triplets() as u64,
+                cold.report.total_triplets() as u64,
+            ];
+        }
     }
     work.replay_allocations = Some(replays);
+    work.refresh_triplets = Some(refreshes);
     work
 }
 
@@ -462,6 +491,8 @@ fn main() {
             "Allocs/hit",
             "Bytes/batch",
             "Replay allocs",
+            "Incr triplets",
+            "Cold triplets",
         ],
         &rows,
     );

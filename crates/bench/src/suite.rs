@@ -137,12 +137,6 @@ impl ComboSpec {
         self.config = config;
         self
     }
-
-    /// Sets the random seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 /// Builds the per-node device lists for an [`Accel`] configuration.

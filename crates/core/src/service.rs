@@ -126,8 +126,8 @@ use std::time::{Duration, Instant};
 /// Number of priority lanes ([`JobPriority`] variants).
 const LANES: usize = 3;
 
-/// How many per-job `(queue wait, run wall)` samples [`ServiceStats`] keeps
-/// for percentile queries (oldest evicted first).
+/// How many samples each of the service's latency windows keeps for the
+/// [`StatsSnapshot`] percentiles (oldest evicted first).
 const RECENT_SAMPLES: usize = 1024;
 
 /// Locks a mutex, recovering from poisoning: every lock in this module only
@@ -724,51 +724,23 @@ impl<V, E> Backlog<V, E> {
     }
 }
 
-/// Internal counters behind [`ServiceStats`].
+/// Internal state behind [`StatsSnapshot`] and [`ServiceStats`]: the
+/// counters (the gauges and percentiles of `totals` stay unset) and the
+/// bounded sample windows, oldest first.
+#[derive(Default)]
 struct StatsInner {
-    submitted: u64,
-    completed: u64,
-    failed: u64,
-    cancelled: u64,
-    panicked: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    coalesced_jobs: u64,
-    queue_wait_total: Duration,
-    queue_wait_max: Duration,
-    run_wall_total: Duration,
-    run_wall_max: Duration,
+    totals: StatsSnapshot,
     recent_waits: VecDeque<Duration>,
     recent_walls: VecDeque<Duration>,
     recent_hits: VecDeque<Duration>,
 }
 
 impl StatsInner {
-    fn new() -> Self {
-        Self {
-            submitted: 0,
-            completed: 0,
-            failed: 0,
-            cancelled: 0,
-            panicked: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            coalesced_jobs: 0,
-            queue_wait_total: Duration::ZERO,
-            queue_wait_max: Duration::ZERO,
-            run_wall_total: Duration::ZERO,
-            run_wall_max: Duration::ZERO,
-            recent_waits: VecDeque::new(),
-            recent_walls: VecDeque::new(),
-            recent_hits: VecDeque::new(),
-        }
-    }
-
     /// Counts one resolved job's queue wait.  Every member of a coalesced
     /// flight waited on its own, so this is recorded per job.
     fn record_wait(&mut self, queue_wait: Duration) {
-        self.queue_wait_total += queue_wait;
-        self.queue_wait_max = self.queue_wait_max.max(queue_wait);
+        self.totals.queue_wait_total += queue_wait;
+        self.totals.queue_wait_max = self.totals.queue_wait_max.max(queue_wait);
         if self.recent_waits.len() == RECENT_SAMPLES {
             self.recent_waits.pop_front();
         }
@@ -779,8 +751,8 @@ impl StatsInner {
     /// once, so only its leader records this — the wall totals and
     /// percentiles measure worker occupancy, not per-job attribution.
     fn record_wall(&mut self, run_wall: Duration) {
-        self.run_wall_total += run_wall;
-        self.run_wall_max = self.run_wall_max.max(run_wall);
+        self.totals.run_wall_total += run_wall;
+        self.totals.run_wall_max = self.totals.run_wall_max.max(run_wall);
         if self.recent_walls.len() == RECENT_SAMPLES {
             self.recent_walls.pop_front();
         }
@@ -788,7 +760,7 @@ impl StatsInner {
     }
 
     fn record_hit(&mut self, latency: Duration) {
-        self.cache_hits += 1;
+        self.totals.cache_hits += 1;
         if self.recent_hits.len() == RECENT_SAMPLES {
             self.recent_hits.pop_front();
         }
@@ -800,21 +772,9 @@ impl StatsInner {
     /// the stats lock, so this never nests another lock inside it.
     fn snapshot(&self, queued: usize, running: usize, worker_sessions: usize) -> StatsSnapshot {
         StatsSnapshot {
-            submitted: self.submitted,
-            completed: self.completed,
-            failed: self.failed,
-            cancelled: self.cancelled,
-            panicked: self.panicked,
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
-            coalesced_jobs: self.coalesced_jobs,
             queued,
             running,
             worker_sessions,
-            queue_wait_total: self.queue_wait_total,
-            queue_wait_max: self.queue_wait_max,
-            run_wall_total: self.run_wall_total,
-            run_wall_max: self.run_wall_max,
             wait_p50: percentile(self.recent_waits.iter().copied(), 0.50),
             wait_p90: percentile(self.recent_waits.iter().copied(), 0.90),
             wait_p99: percentile(self.recent_waits.iter().copied(), 0.99),
@@ -822,12 +782,14 @@ impl StatsInner {
             wall_p90: percentile(self.recent_walls.iter().copied(), 0.90),
             wall_p99: percentile(self.recent_walls.iter().copied(), 0.99),
             hit_p50: percentile(self.recent_hits.iter().copied(), 0.50),
+            ..self.totals
         }
     }
 }
 
-/// A point-in-time snapshot of a service's counters and latency samples
-/// ([`GraphService::stats`]).
+/// The retained latency samples of a service ([`GraphService::stats`]),
+/// oldest first and bounded.  The counters and the percentiles over these
+/// windows are in [`StatsSnapshot`].
 ///
 /// *Queue wait* is submission → claimed by a worker; *run wall* is the
 /// job's wall-clock execution time on its worker session.  The two together
@@ -835,6 +797,38 @@ impl StatsInner {
 /// jobs got heavier" (wall grows).
 #[derive(Debug, Clone)]
 pub struct ServiceStats {
+    recent_waits: Vec<Duration>,
+    recent_walls: Vec<Duration>,
+}
+
+impl ServiceStats {
+    /// The retained per-job queue-wait samples, oldest first.
+    pub fn recent_wait_samples(&self) -> &[Duration] {
+        &self.recent_waits
+    }
+
+    /// The retained per-physical-run wall samples, oldest first.  A
+    /// coalesced flight contributes one sample, recorded by its leader.
+    pub fn recent_wall_samples(&self) -> &[Duration] {
+        &self.recent_walls
+    }
+}
+
+/// A compact, lock-consistent point-in-time view of a service's counters
+/// and latency percentiles — what a `/metrics` scrape renders.
+///
+/// It is the one place the counters are declared.  It carries no sample
+/// vectors (those are [`ServiceStats`]), so producing one is a single
+/// stats-lock acquisition and a bounded percentile computation:
+/// cheap enough to call on every scrape, and *torn-read free* — every
+/// counter and every percentile comes from the same locked instant, so
+/// [`StatsSnapshot::executed`] can never exceed
+/// [`StatsSnapshot::submitted`].  (The `queued`/`running` gauges are sampled
+/// immediately before that instant from their own sources; they are moving
+/// occupancy figures, not monotone counters, and carry no cross-field
+/// invariant.)
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StatsSnapshot {
     /// Jobs accepted into the queue since the service started.
     pub submitted: u64,
     /// Jobs that ran to a successful outcome.
@@ -866,96 +860,6 @@ pub struct ServiceStats {
     /// Total wall time across *physical* runs: a coalesced flight executes
     /// once and counts once here, however many job tickets it
     /// resolved — this is worker occupancy, not per-job attribution.
-    pub run_wall_total: Duration,
-    /// Largest single physical-run wall time.
-    pub run_wall_max: Duration,
-    /// The retained per-job queue-wait samples, oldest first (bounded; the
-    /// basis of [`ServiceStats::queue_wait_percentile`]).
-    recent_waits: Vec<Duration>,
-    /// The retained per-physical-run wall samples, oldest first (bounded;
-    /// the basis of [`ServiceStats::run_wall_percentile`]).
-    recent_walls: Vec<Duration>,
-    /// The retained cache-hit resolution latencies, oldest first (bounded).
-    recent_hits: Vec<Duration>,
-}
-
-impl ServiceStats {
-    /// Jobs that reached a worker and resolved (completed, failed or
-    /// panicked).
-    pub fn executed(&self) -> u64 {
-        self.completed + self.failed + self.panicked
-    }
-
-    /// The retained per-job queue-wait samples, oldest first.
-    pub fn recent_wait_samples(&self) -> &[Duration] {
-        &self.recent_waits
-    }
-
-    /// The retained per-physical-run wall samples, oldest first.  A
-    /// coalesced flight contributes one sample, recorded by its leader.
-    pub fn recent_wall_samples(&self) -> &[Duration] {
-        &self.recent_walls
-    }
-
-    /// The `q`-quantile (`0.0..=1.0`) of the retained queue-wait samples.
-    pub fn queue_wait_percentile(&self, q: f64) -> Option<Duration> {
-        percentile(self.recent_waits.iter().copied(), q)
-    }
-
-    /// The `q`-quantile (`0.0..=1.0`) of the retained run-wall samples (one
-    /// per physical run).
-    pub fn run_wall_percentile(&self, q: f64) -> Option<Duration> {
-        percentile(self.recent_walls.iter().copied(), q)
-    }
-
-    /// The `q`-quantile (`0.0..=1.0`) of the retained cache-hit resolution
-    /// latencies — submit-time lookup through ticket wiring.
-    pub fn cache_hit_percentile(&self, q: f64) -> Option<Duration> {
-        percentile(self.recent_hits.iter().copied(), q)
-    }
-}
-
-/// A compact, lock-consistent point-in-time view of a service's counters
-/// and latency percentiles — what a `/metrics` scrape renders.
-///
-/// Unlike [`ServiceStats`] it carries no sample vectors, so producing one is
-/// a single stats-lock acquisition and a bounded percentile computation:
-/// cheap enough to call on every scrape, and *torn-read free* — every
-/// counter and every percentile comes from the same locked instant, so
-/// [`StatsSnapshot::executed`] can never exceed
-/// [`StatsSnapshot::submitted`].  (The `queued`/`running` gauges are sampled
-/// immediately before that instant from their own sources; they are moving
-/// occupancy figures, not monotone counters, and carry no cross-field
-/// invariant.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Jobs accepted into the queue since the service started.
-    pub submitted: u64,
-    /// Jobs that ran to a successful outcome.
-    pub completed: u64,
-    /// Jobs that ran and failed with a session error.
-    pub failed: u64,
-    /// Jobs cancelled before running.
-    pub cancelled: u64,
-    /// Jobs that panicked while running.
-    pub panicked: u64,
-    /// Submissions served straight from the result cache.
-    pub cache_hits: u64,
-    /// Cache-eligible submissions that missed and queued normally.
-    pub cache_misses: u64,
-    /// Queued duplicate jobs resolved from another job's single flight.
-    pub coalesced_jobs: u64,
-    /// Jobs currently waiting in the priority lanes.
-    pub queued: usize,
-    /// Jobs currently executing on worker sessions.
-    pub running: usize,
-    /// Worker sessions the service was built with.
-    pub worker_sessions: usize,
-    /// Total queue wait across all executed jobs.
-    pub queue_wait_total: Duration,
-    /// Largest single queue wait.
-    pub queue_wait_max: Duration,
-    /// Total wall time across physical runs.
     pub run_wall_total: Duration,
     /// Largest single physical-run wall time.
     pub run_wall_max: Duration,
@@ -1249,7 +1153,7 @@ where
                             delivered: Cell::new(false),
                         });
                     }
-                    None => lock(&shared.stats).cache_misses += 1,
+                    None => lock(&shared.stats).totals.cache_misses += 1,
                 }
             }
         }
@@ -1278,7 +1182,7 @@ where
         // Counted before the push: a worker can claim and finish the job the
         // moment it is queued, and a stats snapshot must never show more
         // executed jobs than submitted ones.
-        lock(&shared.stats).submitted += 1;
+        lock(&shared.stats).totals.submitted += 1;
         backlog.lanes[options.priority.lane()].push_back(JobEnvelope {
             cell: Arc::clone(&cell),
             reply,
@@ -1298,38 +1202,13 @@ where
         })
     }
 
-    /// A point-in-time snapshot of the service's counters and latency
-    /// samples.
-    ///
-    /// The gauges (`queued`, `running`) are sampled from their own sources
-    /// immediately before the stats lock is taken — never nested inside it —
-    /// and every counter and sample window is then read under that one
-    /// acquisition, so the monotone counters are mutually consistent
-    /// (`executed() <= submitted`, always).
+    /// A copy of the service's retained latency samples, taken under one
+    /// stats-lock acquisition.
     pub fn stats(&self) -> ServiceStats {
-        let shared = &self.inner.shared;
-        let queued = lock(&shared.backlog).queued();
-        let running = shared.running.load(Ordering::Relaxed);
-        let stats = lock(&shared.stats);
+        let stats = lock(&self.inner.shared.stats);
         ServiceStats {
-            submitted: stats.submitted,
-            completed: stats.completed,
-            failed: stats.failed,
-            cancelled: stats.cancelled,
-            panicked: stats.panicked,
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
-            coalesced_jobs: stats.coalesced_jobs,
-            queued,
-            running,
-            worker_sessions: shared.worker_sessions,
-            queue_wait_total: stats.queue_wait_total,
-            queue_wait_max: stats.queue_wait_max,
-            run_wall_total: stats.run_wall_total,
-            run_wall_max: stats.run_wall_max,
             recent_waits: stats.recent_waits.iter().copied().collect(),
             recent_walls: stats.recent_walls.iter().copied().collect(),
-            recent_hits: stats.recent_hits.iter().copied().collect(),
         }
     }
 
@@ -1528,7 +1407,7 @@ impl<V, E> Flight<V, E> {
             let queue_wait = envelope.submitted.elapsed();
             if abort || !envelope.cell.begin_running() {
                 envelope.cell.cancel();
-                lock(&shared.stats).cancelled += 1;
+                lock(&shared.stats).totals.cancelled += 1;
                 let _ = envelope.reply.send(Err(ServiceError::Cancelled));
                 return None;
             }
@@ -1588,14 +1467,14 @@ fn land<V, E>(
             let mut stats = lock(&shared.stats);
             stats.record_wait(member.queue_wait);
             match &result {
-                Ok(_) => stats.completed += 1,
-                Err(ServiceError::JobPanicked) => stats.panicked += 1,
-                Err(_) => stats.failed += 1,
+                Ok(_) => stats.totals.completed += 1,
+                Err(ServiceError::JobPanicked) => stats.totals.panicked += 1,
+                Err(_) => stats.totals.failed += 1,
             }
             if leader {
                 stats.record_wall(run_wall);
             } else {
-                stats.coalesced_jobs += 1;
+                stats.totals.coalesced_jobs += 1;
             }
         }
         let _ = member.reply.send(result);
@@ -1677,10 +1556,7 @@ fn worker_loop<V, E>(
 /// own knobs — pool size, queue depth and the result cache's bounds.
 ///
 /// The graph is shared (`Arc`) rather than borrowed because the worker
-/// sessions live on scheduler threads that outlive the builder's scope.  An
-/// existing [`SessionBuilder`](crate::SessionBuilder) converts via
-/// [`SessionBuilder::into_spec`](crate::SessionBuilder::into_spec) +
-/// [`ServiceBuilder::from_spec`].
+/// sessions live on scheduler threads that outlive the builder's scope.
 #[derive(Debug)]
 pub struct ServiceBuilder<V, E> {
     graph: Arc<PropertyGraph<V, E>>,
@@ -1708,15 +1584,9 @@ where
     /// Starts describing a service over `graph` with one worker session and
     /// a queue depth of [`DEFAULT_QUEUE_DEPTH`].
     pub fn new(graph: Arc<PropertyGraph<V, E>>) -> Self {
-        Self::from_spec(graph, SessionSpec::default())
-    }
-
-    /// Starts from an existing deployment description (e.g.
-    /// [`SessionBuilder::into_spec`](crate::SessionBuilder::into_spec)).
-    pub fn from_spec(graph: Arc<PropertyGraph<V, E>>, spec: SessionSpec) -> Self {
         Self {
             graph,
-            spec,
+            spec: SessionSpec::default(),
             worker_sessions: 1,
             queue_depth: DEFAULT_QUEUE_DEPTH,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
@@ -1834,7 +1704,7 @@ where
             worker_sessions: self.worker_sessions,
             running: AtomicUsize::new(0),
             next_id: AtomicU64::new(0),
-            stats: Mutex::new(StatsInner::new()),
+            stats: Mutex::new(StatsInner::default()),
             cache: Mutex::new(ResultCache::new(self.cache_capacity, self.cache_bytes)),
             graph_version: AtomicU64::new(0),
             mutations: Mutex::new(MutationLog::new(
@@ -2111,11 +1981,11 @@ mod tests {
         let outcome = ticket.wait().unwrap();
         assert!(outcome.report.converged);
         assert_eq!(outcome.values.len(), graph.num_vertices());
-        let stats = service.stats();
+        let stats = service.stats_snapshot();
         assert_eq!(stats.submitted, 1);
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.executed(), 1);
-        assert!(stats.queue_wait_percentile(0.5).is_some());
+        assert!(stats.wait_p50.is_some());
         service.shutdown();
         assert!(!service.is_open());
     }
@@ -2141,7 +2011,7 @@ mod tests {
         for submitter in submitters {
             assert!(submitter.join().unwrap().into_iter().all(|c| c));
         }
-        let stats = service.stats();
+        let stats = service.stats_snapshot();
         assert_eq!(stats.submitted, 12);
         assert_eq!(stats.completed, 12);
         assert_eq!(stats.queued, 0);
@@ -2222,10 +2092,24 @@ mod tests {
         assert_eq!(snap.executed(), 12);
         assert_eq!(snap.queued, 0);
         assert_eq!(snap.running, 0);
-        // The snapshot's percentiles agree with the heavyweight report's.
+        // The snapshot's percentiles are the nearest-rank percentiles of
+        // the retained sample windows.
         let stats = service.stats();
-        assert_eq!(snap.wait_p50, stats.queue_wait_percentile(0.5));
-        assert_eq!(snap.wall_p99, stats.run_wall_percentile(0.99));
+        let nearest_rank = |samples: &[Duration], q: f64| {
+            let mut sorted = samples.to_vec();
+            sorted.sort_unstable();
+            sorted
+                .get(((sorted.len() as f64 - 1.0) * q).round() as usize)
+                .copied()
+        };
+        assert_eq!(
+            snap.wait_p50,
+            nearest_rank(stats.recent_wait_samples(), 0.5)
+        );
+        assert_eq!(
+            snap.wall_p99,
+            nearest_rank(stats.recent_wall_samples(), 0.99)
+        );
     }
 
     #[test]
@@ -2364,7 +2248,7 @@ mod tests {
         assert!(ticket.wait().unwrap().report.converged);
         assert!(busy.wait().is_ok());
         assert!(ahead.wait().is_ok());
-        assert_eq!(service.stats().submitted, 3);
+        assert_eq!(service.stats_snapshot().submitted, 3);
     }
 
     #[test]
@@ -2400,7 +2284,7 @@ mod tests {
         assert!(busy.wait().is_ok());
         assert!(leader.wait().is_ok());
         assert!(duplicate.wait().is_ok());
-        assert_eq!(service.stats().coalesced_jobs, 1);
+        assert_eq!(service.stats_snapshot().coalesced_jobs, 1);
     }
 
     #[test]
@@ -2440,7 +2324,7 @@ mod tests {
             } else {
                 assert!(queued.is_ok());
             }
-            assert_eq!(service.stats().submitted, 2);
+            assert_eq!(service.stats_snapshot().submitted, 2);
         }
     }
 
@@ -2468,7 +2352,7 @@ mod tests {
         gate.release();
         assert!(matches!(doomed.wait(), Err(ServiceError::Cancelled)));
         assert!(busy.wait().is_ok());
-        assert_eq!(service.stats().cancelled, 1);
+        assert_eq!(service.stats_snapshot().cancelled, 1);
     }
 
     #[test]
@@ -2569,7 +2453,7 @@ mod tests {
             service.submit(Sssp { sources: vec![0] }).unwrap_err(),
             ServiceError::ShutDown
         );
-        let stats = service.stats();
+        let stats = service.stats_snapshot();
         assert_eq!(stats.completed, 6);
         assert_eq!(stats.queued, 0);
     }
@@ -2608,7 +2492,7 @@ mod tests {
         for ticket in doomed {
             assert!(matches!(ticket.wait(), Err(ServiceError::Cancelled)));
         }
-        assert_eq!(service.stats().cancelled, 3);
+        assert_eq!(service.stats_snapshot().cancelled, 3);
     }
 
     #[test]
@@ -2624,7 +2508,7 @@ mod tests {
             .wait()
             .unwrap();
         assert!(outcome.report.converged);
-        let stats = service.stats();
+        let stats = service.stats_snapshot();
         assert_eq!(stats.panicked, 1);
         assert_eq!(stats.completed, 1);
     }
@@ -2653,12 +2537,13 @@ mod tests {
         for ticket in tickets {
             assert!(matches!(ticket.wait(), Err(ServiceError::JobPanicked)));
         }
-        let stats = service.stats();
+        let stats = service.stats_snapshot();
         assert_eq!(stats.panicked, 3);
         // One wait for the gated job, then one per panicked ticket; one wall
         // per physical run.
-        assert_eq!(stats.recent_wait_samples().len(), 1 + 3);
-        assert_eq!(stats.recent_wall_samples().len(), 2);
+        let samples = service.stats();
+        assert_eq!(samples.recent_wait_samples().len(), 1 + 3);
+        assert_eq!(samples.recent_wall_samples().len(), 2);
         // The duplicates were resolved from the leader's flight.
         assert_eq!(stats.coalesced_jobs, 2);
     }
@@ -2724,7 +2609,7 @@ mod tests {
         assert!(hops.iter().all(|h| h.is_infinite() || h.fract() == 0.0));
         assert!(hops.iter().filter(|h| h.is_finite()).count() > 1);
         assert_eq!(outcomes[1].values, outcomes[3].values);
-        assert_eq!(service.stats().completed, 4);
+        assert_eq!(service.stats_snapshot().completed, 4);
     }
 
     #[test]
@@ -2952,14 +2837,14 @@ mod tests {
         for (a, b) in fill.values.iter().zip(&hit.values) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        let stats = service.stats();
+        let stats = service.stats_snapshot();
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.cache_misses, 1);
         // Hits never enter the queue: only the fill run was submitted.
         assert_eq!(stats.submitted, 1);
         assert_eq!(stats.completed, 1);
         assert_eq!(service.cached_results(), 1);
-        assert!(stats.cache_hit_percentile(0.5).unwrap() < Duration::from_millis(50));
+        assert!(stats.hit_p50.unwrap() < Duration::from_millis(50));
     }
 
     #[test]
@@ -2975,7 +2860,7 @@ mod tests {
             .unwrap()
             .wait()
             .unwrap();
-        let stats = service.stats();
+        let stats = service.stats_snapshot();
         assert_eq!(stats.cache_misses, 0);
         assert_eq!(service.cached_results(), 0);
         // Fill, then Refresh: the job reruns even though the key is cached.
@@ -2992,7 +2877,7 @@ mod tests {
             .unwrap()
             .wait()
             .unwrap();
-        let stats = service.stats();
+        let stats = service.stats_snapshot();
         assert_eq!(stats.cache_hits, 0);
         assert_eq!(stats.submitted, 3);
         assert_eq!(service.cached_results(), 1);
@@ -3002,7 +2887,7 @@ mod tests {
             .unwrap()
             .wait()
             .unwrap();
-        assert_eq!(service.stats().cache_hits, 1);
+        assert_eq!(service.stats_snapshot().cache_hits, 1);
     }
 
     #[test]
@@ -3021,8 +2906,8 @@ mod tests {
             .unwrap()
             .wait()
             .unwrap();
-        assert_eq!(service.stats().cache_hits, 0);
-        assert_eq!(service.stats().submitted, 2);
+        assert_eq!(service.stats_snapshot().cache_hits, 0);
+        assert_eq!(service.stats_snapshot().submitted, 2);
         service.clear_cache();
         assert_eq!(service.cached_results(), 0);
         service
@@ -3030,7 +2915,7 @@ mod tests {
             .unwrap()
             .wait()
             .unwrap();
-        assert_eq!(service.stats().submitted, 3);
+        assert_eq!(service.stats_snapshot().submitted, 3);
     }
 
     #[test]
@@ -3043,7 +2928,7 @@ mod tests {
             .wait()
             .unwrap();
         assert_eq!(before.values.len(), graph.num_vertices());
-        assert_eq!(service.stats().cache_misses, 1);
+        assert_eq!(service.stats_snapshot().cache_misses, 1);
 
         // Append a vertex hanging off source 0 at distance 0.25.
         let new_vertex = graph.num_vertices() as VertexId;
@@ -3069,7 +2954,7 @@ mod tests {
             .unwrap()
             .wait()
             .unwrap();
-        let stats = service.stats();
+        let stats = service.stats_snapshot();
         assert_eq!(stats.cache_hits, 0);
         assert_eq!(stats.cache_misses, 2);
         assert_eq!(stats.submitted, 2);
@@ -3082,7 +2967,7 @@ mod tests {
             .unwrap()
             .wait()
             .unwrap();
-        assert_eq!(service.stats().cache_hits, 1);
+        assert_eq!(service.stats_snapshot().cache_hits, 1);
 
         // An invalid batch is rejected atomically: no version bump, cache
         // entries stay live.
@@ -3095,7 +2980,7 @@ mod tests {
             .unwrap()
             .wait()
             .unwrap();
-        assert_eq!(service.stats().cache_hits, 2);
+        assert_eq!(service.stats_snapshot().cache_hits, 2);
     }
 
     #[test]
@@ -3130,8 +3015,8 @@ mod tests {
             .unwrap()
             .wait()
             .unwrap();
-        assert_eq!(service.stats().cache_hits, 0);
-        assert_eq!(service.stats().submitted, 3);
+        assert_eq!(service.stats_snapshot().cache_hits, 0);
+        assert_eq!(service.stats_snapshot().submitted, 3);
 
         // A byte budget too small for any outcome never stores anything.
         let tiny = GraphService::builder(Arc::clone(&graph))
@@ -3151,8 +3036,8 @@ mod tests {
             .unwrap()
             .wait()
             .unwrap();
-        assert_eq!(tiny.stats().cache_hits, 0);
-        assert_eq!(tiny.stats().submitted, 2);
+        assert_eq!(tiny.stats_snapshot().cache_hits, 0);
+        assert_eq!(tiny.stats_snapshot().submitted, 2);
     }
 
     #[test]
@@ -3185,7 +3070,7 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
-        let stats = service.stats();
+        let stats = service.stats_snapshot();
         assert_eq!(stats.coalesced_jobs, 3);
         assert_eq!(stats.completed, 5);
         assert_eq!(stats.cache_hits, 0);
@@ -3214,7 +3099,7 @@ mod tests {
         for hit in &hits {
             assert!(Arc::ptr_eq(hit, &fill));
         }
-        assert_eq!(service.stats().cache_hits, 3);
+        assert_eq!(service.stats_snapshot().cache_hits, 3);
         // Joined workers hold nothing: the caller's handles and the cache
         // entry are the outcome's only owners.
         service.shutdown();
@@ -3239,7 +3124,7 @@ mod tests {
         let hit = service.submit(KeyedSssp::new(vec![0])).unwrap();
         assert!(Arc::ptr_eq(&hit.try_result().unwrap().unwrap(), &fill));
         assert!(matches!(hit.try_result(), Some(Err(ServiceError::Lost))));
-        assert_eq!(service.stats().cache_hits, 2);
+        assert_eq!(service.stats_snapshot().cache_hits, 2);
     }
 
     #[test]
@@ -3283,7 +3168,7 @@ mod tests {
             .into_iter()
             .map(|ticket| ticket.wait().unwrap())
             .collect();
-        assert_eq!(service.stats().coalesced_jobs, 3);
+        assert_eq!(service.stats_snapshot().coalesced_jobs, 3);
         for outcome in &outcomes[1..] {
             assert!(Arc::ptr_eq(outcome, &outcomes[0]));
         }
@@ -3322,8 +3207,8 @@ mod tests {
         assert_eq!(held, 1);
         busy.wait().unwrap();
         let refill = pending.wait().unwrap();
-        assert_eq!(service.stats().cache_hits, 0);
-        assert_eq!(service.stats().submitted, 3);
+        assert_eq!(service.stats_snapshot().cache_hits, 0);
+        assert_eq!(service.stats_snapshot().submitted, 3);
         assert!(!Arc::ptr_eq(&fill, &refill));
         // The refill replaced the stale entry rather than adding a second.
         assert_eq!(service.cached_results(), 1);
@@ -3351,7 +3236,7 @@ mod tests {
             .wait()
             .unwrap();
         assert_eq!(service.cached_results(), 2);
-        assert_eq!(service.stats().cache_hits, 1);
+        assert_eq!(service.stats_snapshot().cache_hits, 1);
     }
 
     #[test]
@@ -3386,7 +3271,7 @@ mod tests {
             .wait()
             .unwrap();
         assert!(Arc::ptr_eq(&hit, &refill));
-        assert_eq!(service.stats().cache_hits, 1);
+        assert_eq!(service.stats_snapshot().cache_hits, 1);
     }
 
     #[test]
@@ -3422,7 +3307,7 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
-        let stats = service.stats();
+        let stats = service.stats_snapshot();
         assert_eq!(stats.panicked, 2);
         assert_eq!(stats.completed, 3);
     }
@@ -3568,7 +3453,7 @@ mod tests {
             tight.submit(job()).unwrap().wait().unwrap();
         }
         assert_eq!(tight.cached_results(), 0);
-        assert_eq!(tight.stats().cache_hits, 0);
+        assert_eq!(tight.stats_snapshot().cache_hits, 0);
 
         // A budget that fits the deep size stores it, and a duplicate hits.
         let roomy = mini_service_caching(deep);
@@ -3576,7 +3461,7 @@ mod tests {
         assert_eq!(roomy.cached_results(), 1);
         let hit = roomy.submit(job()).unwrap().wait().unwrap();
         assert!(Arc::ptr_eq(&fill, &hit));
-        assert_eq!(roomy.stats().cache_hits, 1);
+        assert_eq!(roomy.stats_snapshot().cache_hits, 1);
     }
 
     /// Holds `service`'s only worker on a gated job until the gate opens.
@@ -3629,12 +3514,12 @@ mod tests {
         gate.release();
         busy.wait().unwrap();
         let outcomes: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
-        let stats = service.stats();
+        let stats = service.stats_snapshot();
         assert_eq!(stats.coalesced_jobs, 1);
         assert_eq!(stats.completed, 5);
         // One wall sample each: the gated job, the leader's flight (with its
         // duplicate) and the two other jobs' own flights.
-        assert_eq!(stats.recent_wall_samples().len(), 4);
+        assert_eq!(service.stats().recent_wall_samples().len(), 4);
         let solo = mini_service();
         for ((sources, options), outcome) in jobs.iter().zip(&outcomes) {
             let alone = solo

@@ -520,13 +520,6 @@ where
         self
     }
 
-    /// Detaches the owned deployment description from the graph borrow —
-    /// the form a [`GraphService`](crate::service) stores and stamps out
-    /// once per worker session.
-    pub fn into_spec(self) -> SessionSpec {
-        self.spec
-    }
-
     /// Validates the deployment and builds the [`Session`].
     ///
     /// # Errors

@@ -40,17 +40,22 @@ use std::thread::{self, Scope};
 
 /// Fewest active edges worth a thread hand-off.
 ///
-/// Derived once, from two measurements on the 2-core reference box (the
-/// sweep is recorded in CHANGES.md, PR 24).  A fanned-out superstep pays a
-/// fixed ≈ 75 µs over a serial one (125 µs against 50 µs at 1 024 edges) —
-/// about four of the ≈ 20 µs hops then measured (`ipc.queue.hop_ns`): the
-/// wake-ups out overlap, the ones back mostly do not — and the superstep
-/// path costs ≈ 50 ns per active edge at these sizes (frontier scan,
-/// triplet fill, `MSGGen`, `MSGMerge`, cache probe).  Four lanes on two
-/// cores take ≈ 0.3 of that work off the critical path, so the hops are paid back from
-/// 75 µs / (0.3 × 50 ns) = 5 000 edges on.  Measured, fanned-out PageRank
-/// supersteps run 0.85x serial at 6 144 edges, 0.9–1.1x at 8 192 and
-/// 1.1–1.4x from 10 240: the floor is the power of two at break-even.
+/// Derived once, from a sweep on the 2-core reference box (recorded in
+/// CHANGES.md with the change that introduced this floor).  A fanned-out
+/// superstep then paid a fixed ≈ 75 µs over a serial one (125 µs against
+/// 50 µs at 1 024 edges) — about four hand-off hops of the ≈ 20 µs measured
+/// then: the wake-ups out overlap, the ones back mostly do not — and the
+/// superstep path costs ≈ 50 ns per active edge at these sizes (frontier
+/// scan, triplet fill, `MSGGen`, `MSGMerge`, cache probe).  Four lanes on
+/// two cores take ≈ 0.3 of that work off the critical path, so the hops are
+/// paid back from 75 µs / (0.3 × 50 ns) = 5 000 edges on.  Measured,
+/// fanned-out PageRank supersteps ran 0.85x serial at 6 144 edges, 0.9–1.1x
+/// at 8 192 and 1.1–1.4x from 10 240: the floor is the power of two at
+/// break-even.
+///
+/// The hop that sweep assumed has since fallen: a `std::sync::mpsc` hop
+/// reads ≈ 6–9 µs on the same box, so the break-even may now sit lower.
+/// The constant stands until the sweep is run again.
 const FAN_OUT_FLOOR: usize = 8_192;
 
 /// Fewest active edges a run in `mode` hands to another thread: the measured

@@ -28,14 +28,6 @@ impl NetworkModel {
         }
     }
 
-    /// A slower, commodity-Ethernet interconnect (for sensitivity studies).
-    pub fn commodity() -> Self {
-        Self {
-            latency: SimDuration::from_millis(0.5),
-            per_item: SimDuration::from_micros(0.1),
-        }
-    }
-
     /// An ideal zero-cost network (to isolate compute effects in ablations).
     pub fn ideal() -> Self {
         Self {
@@ -107,6 +99,5 @@ mod tests {
     #[test]
     fn network_presets_are_ordered() {
         assert!(NetworkModel::ideal().per_item < NetworkModel::datacenter().per_item);
-        assert!(NetworkModel::datacenter().per_item < NetworkModel::commodity().per_item);
     }
 }

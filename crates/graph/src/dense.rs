@@ -102,11 +102,6 @@ impl LocalIdMap {
     pub fn global(&self, local: u32) -> VertexId {
         self.to_global[local as usize]
     }
-
-    /// All mapped global ids, in dense local-id order.
-    pub fn globals(&self) -> &[VertexId] {
-        &self.to_global
-    }
 }
 
 /// An epoch-stamped bitset over dense ids `0..capacity`, iterated ascending.
@@ -422,7 +417,6 @@ mod tests {
         assert_eq!(map.local(1_000), None, "beyond the forward table");
         assert_eq!(map.global(0), 7);
         assert_eq!(map.global(1), 3);
-        assert_eq!(map.globals(), &[7, 3]);
     }
 
     #[test]

@@ -11,16 +11,14 @@ use crate::types::VertexId;
 use rand::Rng;
 
 /// Uniform random multigraph with a fixed number of vertices and edges
-/// (the `G(n, m)` model, sampling endpoints independently and uniformly).
+/// (the `G(n, m)` model, sampling endpoints independently and uniformly),
+/// with edge weights uniform in `[1.0, 10.0]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ErdosRenyi {
     /// Number of vertices.
     pub num_vertices: usize,
     /// Number of edges.
     pub num_edges: usize,
-    /// Maximum edge weight (weights uniform in `[1.0, weight_max]`), times 10
-    /// to keep the struct `Eq`; see [`ErdosRenyi::weight_max`].
-    weight_max_tenths: u32,
 }
 
 impl ErdosRenyi {
@@ -29,20 +27,7 @@ impl ErdosRenyi {
         Self {
             num_vertices,
             num_edges,
-            weight_max_tenths: 100,
         }
-    }
-
-    /// Overrides the maximum edge weight.
-    pub fn with_weight_max(mut self, weight_max: f64) -> Self {
-        assert!(weight_max >= 1.0);
-        self.weight_max_tenths = (weight_max * 10.0).round() as u32;
-        self
-    }
-
-    /// Maximum edge weight used for uniform weight sampling.
-    pub fn weight_max(&self) -> f64 {
-        self.weight_max_tenths as f64 / 10.0
     }
 }
 
@@ -64,7 +49,7 @@ impl Generator for ErdosRenyi {
             while dst == src {
                 dst = rng.gen_range(0..n);
             }
-            let weight = rng.gen_range(1.0..=self.weight_max());
+            let weight = rng.gen_range(1.0..=10.0);
             list.push(src, dst, weight);
         }
         list

@@ -55,13 +55,6 @@ impl Rmat {
         self
     }
 
-    /// Overrides the maximum edge weight.
-    pub fn with_weight_max(mut self, weight_max: f64) -> Self {
-        assert!(weight_max >= 1.0);
-        self.weight_max = weight_max;
-        self
-    }
-
     /// Number of vertices this configuration produces.
     pub fn num_vertices(&self) -> usize {
         1usize << self.scale
@@ -159,7 +152,10 @@ mod tests {
 
     #[test]
     fn weights_lie_in_configured_range() {
-        let gen = Rmat::new(8, 4.0).with_weight_max(3.0);
+        let gen = Rmat {
+            weight_max: 3.0,
+            ..Rmat::new(8, 4.0)
+        };
         let list = gen.generate(3);
         assert!(list.edges().iter().all(|e| e.attr >= 1.0 && e.attr <= 3.0));
     }

@@ -4,7 +4,7 @@ use crate::csr::Csr;
 use crate::edge_list::EdgeList;
 use crate::mutate::ResolvedMutation;
 use crate::tables::remove_positions;
-use crate::types::{Edge, EdgeId, GraphError, Result, Triplet, VertexId};
+use crate::types::{Edge, EdgeId, Result, Triplet, VertexId};
 
 /// A directed property graph with per-vertex and per-edge attributes.
 ///
@@ -73,20 +73,9 @@ impl<V, E> PropertyGraph<V, E> {
     /// Attribute of vertex `v`.
     ///
     /// # Panics
-    /// Panics if `v` is out of range; use [`PropertyGraph::try_vertex_attr`]
-    /// for a fallible variant.
+    /// Panics if `v` is out of range.
     pub fn vertex_attr(&self, v: VertexId) -> &V {
         &self.vertex_attrs[v as usize]
-    }
-
-    /// Fallible access to a vertex attribute.
-    pub fn try_vertex_attr(&self, v: VertexId) -> Result<&V> {
-        self.vertex_attrs
-            .get(v as usize)
-            .ok_or(GraphError::VertexOutOfRange {
-                vertex: v,
-                num_vertices: self.num_vertices(),
-            })
     }
 
     /// All vertex attributes, indexed by vertex id.
@@ -257,7 +246,6 @@ mod tests {
         let mut g = diamond();
         g.set_vertex_attrs(vec![0.0, 99.0, 20.0, 30.0]);
         assert_eq!(*g.vertex_attr(1), 99.0);
-        assert!(g.try_vertex_attr(17).is_err());
     }
 
     #[test]
@@ -303,20 +291,5 @@ mod tests {
         assert_eq!(g.out_csr(), reference.out_csr());
         assert_eq!(g.in_csr(), reference.in_csr());
         assert_eq!(*g.vertex_attr(4), 40.0);
-    }
-
-    #[test]
-    fn rejects_out_of_range_edges() {
-        let mut list: EdgeList<()> = EdgeList::with_vertices(2);
-        list.push(0, 1, ());
-        // Manually craft a broken list by shrinking the vertex count through
-        // parts; simpler: validate() is covered by from_edge_list, so build a
-        // graph whose vertex range is consistent and check the error variant
-        // through try_vertex_attr instead.
-        let g = PropertyGraph::from_edge_list(list, 0u8).unwrap();
-        assert!(matches!(
-            g.try_vertex_attr(5),
-            Err(GraphError::VertexOutOfRange { vertex: 5, .. })
-        ));
     }
 }

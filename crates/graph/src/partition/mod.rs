@@ -307,19 +307,6 @@ impl Partitioning {
             add_incidences(vertices, counts, group);
         }
     }
-
-    /// Counts how many vertices have at least one replica outside their
-    /// master part — the vertices whose updates require cross-node
-    /// synchronisation.  Used by the synchronization-skipping analysis.
-    pub fn boundary_vertex_count(&self) -> usize {
-        let mut counts = vec![0usize; self.num_vertices];
-        for part in &self.parts {
-            for &v in &part.vertices {
-                counts[v as usize] += 1;
-            }
-        }
-        counts.iter().filter(|&&c| c > 1).count()
-    }
 }
 
 /// Adds one incidence per `(_, vertex)` of `added` (ascending by vertex,
@@ -429,7 +416,6 @@ mod tests {
                 assert!((1.0..=parts as f64).contains(&replication));
                 let balance = partitioning.edge_balance();
                 assert!((1.0..=parts as f64).contains(&balance));
-                assert!(partitioning.boundary_vertex_count() < g.num_vertices());
             }
         }
     }
@@ -470,11 +456,9 @@ mod tests {
         assert_eq!(all_in_one.edge_counts(), vec![6, 0]);
         assert!((all_in_one.edge_balance() - 2.0).abs() < 1e-12);
         assert!((all_in_one.replication_factor() - 1.0).abs() < 1e-12);
-        assert_eq!(all_in_one.boundary_vertex_count(), 0);
 
         let split = Partitioning::from_edge_assignment(&g, 2, vec![0, 1, 0, 1, 0, 1]).unwrap();
         assert!(split.replication_factor() > 1.0);
-        assert!(split.boundary_vertex_count() > 0);
     }
 
     #[test]

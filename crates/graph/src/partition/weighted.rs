@@ -18,7 +18,6 @@ use crate::types::{GraphError, Result};
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightedEdgePartitioner {
     weights: Vec<f64>,
-    seed: u64,
 }
 
 impl WeightedEdgePartitioner {
@@ -33,18 +32,12 @@ impl WeightedEdgePartitioner {
         if weights.iter().any(|&w| w <= 0.0 || !w.is_finite()) {
             return Err(GraphError::NonPositiveWeight);
         }
-        Ok(Self { weights, seed: 0 })
+        Ok(Self { weights })
     }
 
     /// Creates a partitioner with equal weights (plain balanced partitioning).
     pub fn uniform(num_parts: usize) -> Result<Self> {
         Self::new(vec![1.0; num_parts.max(1)])
-    }
-
-    /// Sets the hash seed used to shuffle the edge stream.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 
     /// The normalised target fraction for each part.
@@ -73,7 +66,7 @@ impl Partitioner for WeightedEdgePartitioner {
         // Hash-order the edges so that consecutive edges (which often share a
         // source) spread across parts instead of clumping.
         let mut order: Vec<usize> = (0..m).collect();
-        order.sort_by_key(|&e| mix64(e as u64 ^ self.seed));
+        order.sort_by_key(|&e| mix64(e as u64));
         let mut assignment = vec![0usize; m];
         for edge_id in order {
             // Pick the part with the largest remaining deficit relative to its

@@ -13,13 +13,6 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct IpcKey(u64);
 
-impl IpcKey {
-    /// The raw key value.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
-
 impl fmt::Display for IpcKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "0x{:012x}", self.0)
@@ -96,6 +89,5 @@ mod tests {
     fn display_is_hex() {
         let key = IpcKey(0xabc);
         assert_eq!(format!("{key}"), "0x000000000abc");
-        assert_eq!(key.raw(), 0xabc);
     }
 }

@@ -35,7 +35,6 @@
 //! bytes are all rejected with a typed [`WireError`].
 
 use std::fmt;
-use std::io::{self, Read, Write};
 
 /// The two magic bytes opening every frame.
 pub const WIRE_MAGIC: [u8; 2] = *b"GX";
@@ -1031,20 +1030,6 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, WireError> {
     Ok(frame)
 }
 
-/// Inspects a (possibly incomplete) buffer's header: returns the total frame
-/// length (header + payload) once the header is readable, `Ok(None)` while
-/// more bytes are needed, or an error if the header is already invalid.
-/// Stream readers use this to reassemble frames from partial reads without
-/// buffering past the frame boundary.
-pub fn frame_len(buf: &[u8]) -> Result<Option<usize>, WireError> {
-    if buf.len() < HEADER_LEN {
-        return Ok(None);
-    }
-    check_header(buf)?;
-    let len = u32::from_le_bytes(buf[5..9].try_into().unwrap());
-    Ok(Some(HEADER_LEN + len as usize))
-}
-
 fn check_header(buf: &[u8]) -> Result<(), WireError> {
     if buf[0..2] != WIRE_MAGIC {
         return Err(WireError::BadMagic([buf[0], buf[1]]));
@@ -1079,58 +1064,6 @@ pub fn decode(buf: &[u8]) -> Result<(Frame, usize), WireError> {
     }
     let frame = decode_payload(kind, &buf[HEADER_LEN..HEADER_LEN + len])?;
     Ok((frame, HEADER_LEN + len))
-}
-
-/// A failure while reading a frame from a byte stream: either the transport
-/// failed or the bytes did not parse.
-#[derive(Debug)]
-pub enum FrameReadError {
-    /// The underlying reader failed (includes a clean EOF before the header).
-    Io(io::Error),
-    /// The bytes were read but are not a valid frame.
-    Wire(WireError),
-}
-
-impl fmt::Display for FrameReadError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FrameReadError::Io(e) => write!(f, "frame read failed: {e}"),
-            FrameReadError::Wire(e) => write!(f, "frame read failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for FrameReadError {}
-
-impl From<io::Error> for FrameReadError {
-    fn from(e: io::Error) -> Self {
-        FrameReadError::Io(e)
-    }
-}
-
-impl From<WireError> for FrameReadError {
-    fn from(e: WireError) -> Self {
-        FrameReadError::Wire(e)
-    }
-}
-
-/// Writes one encoded frame to a byte stream.
-pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    writer.write_all(&encode(frame))
-}
-
-/// Reads exactly one frame from a byte stream (header first, then the
-/// declared payload).  The typed header errors — bad magic, version
-/// mismatch, oversized payload — surface before any payload byte is read.
-pub fn read_frame(reader: &mut impl Read) -> Result<Frame, FrameReadError> {
-    let mut header = [0u8; HEADER_LEN];
-    reader.read_exact(&mut header)?;
-    check_header(&header)?;
-    let kind = header[4];
-    let len = u32::from_le_bytes(header[5..9].try_into().unwrap()) as usize;
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
-    Ok(decode_payload(kind, &payload)?)
 }
 
 #[cfg(test)]
@@ -1303,9 +1236,10 @@ mod tests {
                 expected: WIRE_VERSION,
             })
         );
-        // frame_len surfaces the same error from just the header.
+        // The header alone is enough: the version is checked before the
+        // missing payload is noticed.
         assert_eq!(
-            frame_len(&bytes[..HEADER_LEN]),
+            decode(&bytes[..HEADER_LEN]),
             Err(WireError::VersionMismatch {
                 got: WIRE_VERSION + 1,
                 expected: WIRE_VERSION,
@@ -1371,45 +1305,19 @@ mod tests {
     }
 
     #[test]
-    fn frame_len_supports_streaming_reassembly() {
+    fn decode_reports_the_bytes_it_consumed() {
         let bytes = encode(&Frame::State {
             job: 9,
             state: JobState::Done,
         });
-        assert_eq!(frame_len(&bytes[..HEADER_LEN - 1]), Ok(None));
-        assert_eq!(frame_len(&bytes), Ok(Some(bytes.len())));
         // Two frames back to back: decode reports how much it consumed.
         let mut two = bytes.clone();
         two.extend_from_slice(&encode(&Frame::Cancel { job: 9 }));
         let (first, consumed) = decode(&two).unwrap();
+        assert_eq!(consumed, bytes.len());
         assert!(matches!(first, Frame::State { job: 9, .. }));
         let (second, _) = decode(&two[consumed..]).unwrap();
         assert_eq!(second, Frame::Cancel { job: 9 });
-    }
-
-    #[test]
-    fn stream_read_and_write_round_trip() {
-        let frames = [
-            Frame::Accepted { job: 1 },
-            Frame::State {
-                job: 1,
-                state: JobState::Queued,
-            },
-            Frame::Cancel { job: 1 },
-        ];
-        let mut stream = Vec::new();
-        for frame in &frames {
-            write_frame(&mut stream, frame).unwrap();
-        }
-        let mut cursor = io::Cursor::new(stream);
-        for frame in &frames {
-            assert_eq!(&read_frame(&mut cursor).unwrap(), frame);
-        }
-        // Clean EOF surfaces as an Io error, not a Wire error.
-        assert!(matches!(
-            read_frame(&mut cursor),
-            Err(FrameReadError::Io(_))
-        ));
     }
 
     #[test]

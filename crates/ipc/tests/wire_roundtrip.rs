@@ -4,8 +4,8 @@
 //! frames.
 
 use gxplug_ipc::wire::{
-    decode, encode, frame_len, Frame, JobResultFrame, JobSpec, JobState, ParamValue, ServerError,
-    StatsFrame, WireConfig, WireError, WireJobOptions, WirePipeline, HEADER_LEN, WIRE_VERSION,
+    decode, encode, Frame, JobResultFrame, JobSpec, JobState, ParamValue, ServerError, StatsFrame,
+    WireConfig, WireError, WireJobOptions, WirePipeline, HEADER_LEN, WIRE_VERSION,
 };
 use proptest::prelude::*;
 
@@ -184,7 +184,7 @@ proptest! {
     }
 
     /// A frame stamped with a foreign version is rejected with the typed
-    /// mismatch error, from both the full decoder and the header peek.
+    /// mismatch error, from the whole frame and from its header alone.
     #[test]
     fn foreign_versions_are_rejected(
         job in any::<u64>(),
@@ -195,7 +195,7 @@ proptest! {
         bytes[2..4].copy_from_slice(&other.to_le_bytes());
         let expected = WireError::VersionMismatch { got: other, expected: WIRE_VERSION };
         prop_assert_eq!(decode(&bytes), Err(expected.clone()));
-        prop_assert_eq!(frame_len(&bytes[..HEADER_LEN]), Err(expected));
+        prop_assert_eq!(decode(&bytes[..HEADER_LEN]), Err(expected));
     }
 
     /// Single-byte corruption anywhere in the payload never panics the

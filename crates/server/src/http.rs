@@ -159,8 +159,6 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, RequestError> 
 pub struct Response {
     /// Status code (200, 404, ...).
     pub status: u16,
-    /// Extra headers beyond `Content-Length`/`Content-Type`.
-    pub headers: Vec<(String, String)>,
     /// Content type of the body.
     pub content_type: &'static str,
     /// Response body.
@@ -172,7 +170,6 @@ impl Response {
     pub fn frame(status: u16, body: Vec<u8>) -> Self {
         Self {
             status,
-            headers: Vec::new(),
             content_type: FRAME_CONTENT_TYPE,
             body,
         }
@@ -182,16 +179,9 @@ impl Response {
     pub fn text(status: u16, body: impl Into<String>) -> Self {
         Self {
             status,
-            headers: Vec::new(),
             content_type: "text/plain; charset=utf-8",
             body: body.into().into_bytes(),
         }
-    }
-
-    /// Adds a header.
-    pub fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
-        self.headers.push((name.into(), value.into()));
-        self
     }
 
     /// Serialises the response onto a stream.
@@ -204,9 +194,6 @@ impl Response {
         )?;
         write!(writer, "Content-Type: {}\r\n", self.content_type)?;
         write!(writer, "Content-Length: {}\r\n", self.body.len())?;
-        for (name, value) in &self.headers {
-            write!(writer, "{name}: {value}\r\n")?;
-        }
         writer.write_all(b"\r\n")?;
         writer.write_all(&self.body)?;
         writer.flush()
@@ -315,14 +302,10 @@ mod tests {
     #[test]
     fn responses_serialise_with_length_and_reason() {
         let mut out = Vec::new();
-        Response::text(429, "slow down")
-            .with_header("Retry-After", "1")
-            .write_to(&mut out)
-            .unwrap();
+        Response::text(429, "slow down").write_to(&mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(text.contains("Content-Length: 9\r\n"));
-        assert!(text.contains("Retry-After: 1\r\n"));
         assert!(text.ends_with("\r\n\r\nslow down"));
     }
 

@@ -21,8 +21,8 @@
 //!   core option mapping.
 //! - [`metrics`] — Prometheus text exposition of the service snapshot and
 //!   per-tenant counters.
-//! - [`server`] — the acceptor/handler pool, routing, the job table and the
-//!   WebSocket streaming loop.
+//! - [`server`] — the handler pool (each handler accepts its own
+//!   connections), routing, the job table and the WebSocket streaming loop.
 //!
 //! ## Endpoints
 //!
@@ -32,7 +32,7 @@
 //! | `GET /v1/jobs/{id}` | Poll: state, result, or the job's terminal error |
 //! | `DELETE /v1/jobs/{id}` | Cancel |
 //! | `GET /v1/stream` + Upgrade | WebSocket: submit/cancel, server pushes state transitions and final results |
-//! | `GET /v1/stats` | The service snapshot as a binary Stats frame |
+//! | `GET /v1/stats` | The service snapshot as a binary Stats frame (the `/metrics` text with `Accept: text/plain`) |
 //! | `GET /metrics` | Prometheus text exposition (unauthenticated) |
 //!
 //! Binary bodies use the versioned length-prefixed frames of

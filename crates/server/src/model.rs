@@ -280,13 +280,6 @@ impl<V, E> AlgorithmRegistry<V, E> {
             None => Err(ServerError::UnknownAlgorithm(spec.algorithm.clone())),
         }
     }
-
-    /// The registered names, sorted (for error messages and docs).
-    pub fn names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.factories.keys().map(String::as_str).collect();
-        names.sort_unstable();
-        names
-    }
 }
 
 /// The stock registry over [`ServeVertex`] graphs: `"pagerank"` (params:
@@ -410,15 +403,6 @@ pub fn priority_of(code: u8) -> JobPriority {
     }
 }
 
-/// The wire code of a [`JobPriority`].
-pub fn priority_code(priority: JobPriority) -> u8 {
-    match priority {
-        JobPriority::High => 0,
-        JobPriority::Normal => 1,
-        JobPriority::Low => 2,
-    }
-}
-
 /// Validates and maps a wire configuration override onto
 /// [`MiddlewareConfig`].
 pub fn middleware_config(wire: &WireConfig) -> Result<MiddlewareConfig, ServerError> {
@@ -532,8 +516,6 @@ mod tests {
     #[test]
     fn the_standard_registry_validates_parameters() {
         let registry = standard_registry();
-        assert_eq!(registry.names(), vec!["pagerank", "sssp"]);
-
         assert!(registry.prepare(&JobSpec::new("pagerank")).is_ok());
         assert!(registry
             .prepare(&JobSpec::new("pagerank").with_f64("damping", 1.5))

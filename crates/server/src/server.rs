@@ -1,14 +1,15 @@
 //! The serving front end: accept loop, HTTP routing, the job table, quota
 //! enforcement and the WebSocket streaming loop.
 //!
-//! Architecture: one acceptor thread sends accepted [`TcpStream`]s down a
-//! [`std::sync::mpsc`] channel; a fixed pool of handler threads shares its
-//! receiver behind a mutex and pulls connections with a
-//! [`recv_timeout`](std::sync::mpsc::Receiver::recv_timeout), so each can
-//! poll the stop flag while idle.  A handler owns its connection
-//! for the connection's lifetime (HTTP keep-alive or a WebSocket session) —
-//! the same thread-per-conversation shape the middleware's daemons use, so
-//! no async runtime is needed.
+//! Architecture: a fixed pool of handler threads, each calling `accept` on
+//! its own clone of the listener and checking the stop flag before and
+//! after every `accept`.  A handler owns its connection for the
+//! connection's lifetime (HTTP keep-alive or a WebSocket session) — the
+//! same thread-per-conversation shape the middleware's daemons use, so no
+//! async runtime is needed.  A connection's reads time out every
+//! `POLL_INTERVAL` so an idle handler can poll the stop flag; once a
+//! request or message has its first byte, the handler reads on until it is
+//! complete (see `ConnReader`).
 //!
 //! Every submission is tenant-checked *before* it reaches the service: the
 //! quota sweep runs under the job-table lock, so two racing submissions from
@@ -29,20 +30,20 @@ use gxplug_ipc::wire::{
     WireMutationOp,
 };
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// How long a handler blocks on the connection queue (and on an idle
-/// socket) before re-checking the stop flag.
+/// How long a handler blocks on an idle socket before re-checking the stop
+/// flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Idle keep-alive budget: a connection with no request for this long is
-/// closed so its handler can serve someone else.
+/// closed so its handler can serve someone else.  A request or message
+/// split across reads gets the same budget to complete.
 const KEEP_ALIVE: Duration = Duration::from_secs(5);
 
 /// WebSocket heartbeat interval.
@@ -154,7 +155,7 @@ impl<V> JobTable<V> {
     }
 }
 
-/// State shared by the acceptor, the handlers and the owning [`Server`].
+/// State shared by the handlers and the owning [`Server`].
 struct Shared<V: 'static, E: 'static> {
     service: GraphService<V, E>,
     registry: AlgorithmRegistry<V, E>,
@@ -166,12 +167,11 @@ struct Shared<V: 'static, E: 'static> {
 }
 
 /// A running serving front end.  Dropping (or [`Server::shutdown`]) stops
-/// the acceptor and joins every handler; the wrapped service shuts down
-/// when the server is dropped.
+/// and joins every handler; the wrapped service shuts down when the server
+/// is dropped.
 pub struct Server<V: 'static, E: 'static> {
     shared: Arc<Shared<V, E>>,
     addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
     handlers: Vec<JoinHandle<()>>,
 }
 
@@ -180,7 +180,8 @@ where
     V: Clone + Default + PartialEq + Send + Sync + 'static,
     E: Clone + From<f64> + Send + Sync + 'static,
 {
-    /// Binds the listener and starts the acceptor + handler threads.
+    /// Binds the listener and starts the handler threads, each accepting
+    /// connections on its own clone of the listener.
     ///
     /// `config.queue_depth` should mirror the queue depth the service was
     /// built with — it is the denominator of every tenant's queue share.
@@ -202,38 +203,23 @@ where
             counters: Mutex::new(HashMap::new()),
         });
 
-        let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if shared.stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    if let Ok(stream) = stream {
-                        if conn_tx.send(stream).is_err() {
+        // Every clone first: a failed clone must not leave handlers behind.
+        let listeners = (0..config.handler_threads.max(1))
+            .map(|_| listener.try_clone())
+            .collect::<io::Result<Vec<_>>>()?;
+        let handlers = listeners
+            .into_iter()
+            .map(|listener| {
+                let shared = Arc::clone(&shared);
+                thread::spawn(move || {
+                    while !shared.stop.load(Ordering::Acquire) {
+                        let Ok((stream, _)) = listener.accept() else {
+                            continue;
+                        };
+                        if shared.stop.load(Ordering::Acquire) {
                             break;
                         }
-                    }
-                }
-            })
-        };
-
-        let handlers = (0..config.handler_threads.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let conn_rx = Arc::clone(&conn_rx);
-                thread::spawn(move || loop {
-                    let next = lock(&conn_rx).recv_timeout(POLL_INTERVAL);
-                    match next {
-                        Ok(stream) => handle_connection(&shared, stream),
-                        Err(RecvTimeoutError::Timeout) => {
-                            if shared.stop.load(Ordering::Acquire) {
-                                break;
-                            }
-                        }
-                        Err(RecvTimeoutError::Disconnected) => break,
+                        handle_connection(&shared, stream);
                     }
                 })
             })
@@ -242,7 +228,6 @@ where
         Ok(Self {
             shared,
             addr,
-            acceptor: Some(acceptor),
             handlers,
         })
     }
@@ -272,11 +257,10 @@ where
 impl<V, E> Server<V, E> {
     fn stop_and_join(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
-        // The acceptor parks inside `accept()`; a throwaway connection
-        // wakes it to observe the flag.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+        // An idle handler parks inside `accept()`; one throwaway connection
+        // per handler wakes each of them to observe the flag.
+        for _ in &self.handlers {
+            let _ = TcpStream::connect(self.addr);
         }
         for handler in self.handlers.drain(..) {
             let _ = handler.join();
@@ -440,6 +424,60 @@ fn poll_job<V>(table: &mut JobTable<V>, job: u64, tenant: &str) -> Result<Frame,
     }
 }
 
+/// A connection's read half.  A read that times out before the first byte
+/// of a request or WebSocket message surfaces as a timeout, so an idle
+/// handler can poll its stop flag.  After that first byte, a timeout is
+/// retried until the request or message is complete, with the stop flag
+/// checked between reads; the reader gives up [`KEEP_ALIVE`] after the read
+/// that followed the first byte, so a client that trickles bytes cannot
+/// hold a handler forever.  A request that arrives in one read costs no
+/// more than a bare stream read.
+struct ConnReader<'a> {
+    stream: TcpStream,
+    stop: &'a AtomicBool,
+    /// Whether the current request or message has its first byte.
+    started: bool,
+    /// When a split request or message is given up.
+    deadline: Option<Instant>,
+}
+
+impl ConnReader<'_> {
+    /// Readies `reader` for the next request or message, which has started
+    /// already if its first bytes are buffered.
+    fn next_message(reader: &mut BufReader<Self>) {
+        let started = !reader.buffer().is_empty();
+        let conn = reader.get_mut();
+        conn.started = started;
+        conn.deadline = None;
+    }
+}
+
+impl Read for ConnReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if !self.started {
+            let read = self.stream.read(buf)?;
+            self.started = read > 0;
+            return Ok(read);
+        }
+        let deadline = *self
+            .deadline
+            .get_or_insert_with(|| Instant::now() + KEEP_ALIVE);
+        loop {
+            if self.stop.load(Ordering::Acquire) || Instant::now() >= deadline {
+                return Err(io::ErrorKind::ConnectionAborted.into());
+            }
+            match self.stream.read(buf) {
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) => {}
+                result => return result,
+            }
+        }
+    }
+}
+
 /// Serves one accepted connection until it closes, upgrades, idles out or
 /// the server stops.
 fn handle_connection<V, E>(shared: &Arc<Shared<V, E>>, stream: TcpStream)
@@ -455,7 +493,12 @@ where
         Ok(clone) => clone,
         Err(_) => return,
     };
-    let mut reader = BufReader::new(reader_stream);
+    let mut reader = BufReader::new(ConnReader {
+        stream: reader_stream,
+        stop: &shared.stop,
+        started: false,
+        deadline: None,
+    });
     let mut writer = stream;
     let mut idle_deadline = Instant::now() + KEEP_ALIVE;
 
@@ -463,6 +506,7 @@ where
         if shared.stop.load(Ordering::Acquire) {
             return;
         }
+        ConnReader::next_message(&mut reader);
         match read_request(&mut reader) {
             Ok(request) => {
                 if request.path == "/v1/stream" && is_upgrade(&request) {
@@ -803,7 +847,7 @@ fn method_not_allowed(request: &Request) -> Response {
 fn serve_websocket<V, E>(
     shared: &Arc<Shared<V, E>>,
     request: &Request,
-    mut reader: BufReader<TcpStream>,
+    mut reader: BufReader<ConnReader<'_>>,
     mut writer: TcpStream,
 ) where
     V: Clone + PartialEq + Send + Sync + 'static,
@@ -844,6 +888,7 @@ fn serve_websocket<V, E>(
             let _ = ws::write_close(&mut writer, 1001);
             return;
         }
+        ConnReader::next_message(&mut reader);
         match ws::read_message(&mut reader) {
             Ok(WsMessage::Binary(payload)) => {
                 let reply = match wire::decode(&payload) {

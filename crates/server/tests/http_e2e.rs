@@ -17,13 +17,23 @@ use gxplug_server::{
     metrics, standard_registry, standard_service, ws, ServeRank, ServeReach, ServeVertex, Server,
     ServerConfig, Tenant, TenantQuota, TenantRegistry,
 };
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Boots a server over the stock deployment.
+/// Boots a server over the stock deployment with six handler threads.
 fn boot(scale: u32, seed: u64, workers: usize) -> Server<gxplug_server::ServeVertex, f64> {
+    boot_with_handlers(scale, seed, workers, 6)
+}
+
+/// Boots a server over the stock deployment.
+fn boot_with_handlers(
+    scale: u32,
+    seed: u64,
+    workers: usize,
+    handler_threads: usize,
+) -> Server<gxplug_server::ServeVertex, f64> {
     let queue_depth = 32;
     let service = standard_service(scale, seed, workers, queue_depth);
     let tenants = TenantRegistry::new()
@@ -41,7 +51,7 @@ fn boot(scale: u32, seed: u64, workers: usize) -> Server<gxplug_server::ServeVer
         tenants,
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            handler_threads: 6,
+            handler_threads,
             queue_depth,
         },
     )
@@ -76,7 +86,11 @@ fn request(
     head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
     stream.write_all(head.as_bytes()).expect("write head");
     stream.write_all(body).expect("write body");
+    read_response(&mut stream)
+}
 
+/// Reads one response up to the server's close: `(status, body)`.
+fn read_response(stream: &mut TcpStream) -> (u16, Vec<u8>) {
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw).expect("read response");
     let header_end = raw
@@ -594,11 +608,9 @@ fn read_server_frame(reader: &mut impl Read) -> std::io::Result<(u8, Vec<u8>)> {
     Ok((opcode, payload))
 }
 
-#[test]
-fn websocket_streams_transitions_and_bit_identical_results() {
-    let server = boot(8, 29, 2);
-    let addr = server.local_addr();
-
+/// Opens a `/v1/stream` WebSocket as tenant `acme` and checks the 101
+/// handshake.
+fn ws_connect(addr: SocketAddr) -> TcpStream {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
@@ -625,6 +637,15 @@ fn websocket_streams_transitions_and_bit_identical_results() {
         response.contains(&format!("Sec-WebSocket-Accept: {}", ws::accept_key(key))),
         "{response}"
     );
+    stream
+}
+
+#[test]
+fn websocket_streams_transitions_and_bit_identical_results() {
+    let server = boot(8, 29, 2);
+    let addr = server.local_addr();
+
+    let mut stream = ws_connect(addr);
 
     // Submit over the socket (client frames must be masked).
     let submit = wire::encode(&Frame::Submit {
@@ -697,5 +718,233 @@ fn websocket_streams_transitions_and_bit_identical_results() {
     // Clean close.
     let close = ws::client_frame(0x8, &1000u16.to_be_bytes(), [1, 2, 3, 4]);
     stream.write_all(&close).unwrap();
+    server.shutdown();
+}
+
+/// The pause the split-request tests put between a request's pieces: three
+/// times the handler's 100 ms read poll, so the server sees a read time out
+/// mid-request.
+const SPLIT_PAUSE: Duration = Duration::from_millis(300);
+
+/// The server's keep-alive budget, which a trickled request also gets.
+const KEEP_ALIVE: Duration = Duration::from_secs(5);
+
+/// A text-form submission as raw bytes, on a closing connection.
+fn text_submission() -> Vec<u8> {
+    let body = "algorithm=sssp&sources=0";
+    format!(
+        "POST /v1/jobs HTTP/1.1\r\nHost: localhost\r\nAuthorization: Bearer tok-a\r\n\
+         Connection: close\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+/// Writes `bytes` with a [`SPLIT_PAUSE`] at byte offset `cut`, then reads
+/// the response.
+fn send_split(addr: SocketAddr, bytes: &[u8], cut: usize) -> (u16, Vec<u8>) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(&bytes[..cut]).unwrap();
+    std::thread::sleep(SPLIT_PAUSE);
+    stream.write_all(&bytes[cut..]).unwrap();
+    read_response(&mut stream)
+}
+
+#[test]
+fn a_body_sent_after_its_headers_is_still_read() {
+    let server = boot(6, 3, 1);
+    let bytes = text_submission();
+    let headers_end = bytes.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+    let (status, body) = send_split(server.local_addr(), &bytes, headers_end);
+    assert_eq!(status, 202, "{}", String::from_utf8_lossy(&body));
+    server.shutdown();
+}
+
+#[test]
+fn a_request_line_split_by_a_pause_is_still_read() {
+    let server = boot(6, 3, 1);
+    let (status, body) = send_split(server.local_addr(), &text_submission(), "POST /v1/jo".len());
+    assert_eq!(status, 202, "{}", String::from_utf8_lossy(&body));
+    server.shutdown();
+}
+
+#[test]
+fn a_websocket_frame_split_across_a_pause_is_still_read() {
+    let server = boot(6, 3, 1);
+    let mut stream = ws_connect(server.local_addr());
+    stream.set_nodelay(true).unwrap();
+    let submit = wire::encode(&Frame::Submit {
+        spec: JobSpec::new("sssp").with_ids("sources", vec![0]),
+        options: bypass(),
+    });
+    let masked = ws::client_frame(0x2, &submit, [7, 1, 7, 1]);
+    // Cut inside the mask, so the head, the mask and the payload all wait.
+    stream.write_all(&masked[..4]).unwrap();
+    std::thread::sleep(SPLIT_PAUSE);
+    stream.write_all(&masked[4..]).unwrap();
+    loop {
+        let (opcode, payload) = read_server_frame(&mut stream).expect("stream frame");
+        match opcode {
+            0x9 => continue,
+            0x2 => {
+                let (frame, _) = wire::decode(&payload).expect("pushed frame decodes");
+                assert!(matches!(frame, Frame::Accepted { .. }), "{frame:?}");
+                break;
+            }
+            other => panic!("unexpected opcode {other}"),
+        }
+    }
+    server.shutdown();
+}
+
+#[test]
+fn a_trickled_request_is_closed_within_the_keep_alive_budget() {
+    let server = boot(6, 3, 1);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    // Each read below doubles as the 50 ms pause between bytes.
+    stream
+        .set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    // Far longer than a trickle can deliver within the test's bound.
+    let padding = "a".repeat(400);
+    let bytes = format!(
+        "GET /v1/stats HTTP/1.1\r\nAuthorization: Bearer tok-a\r\nX-Pad: {padding}\r\n\r\n"
+    );
+    let started = Instant::now();
+    let mut closed = false;
+    for byte in bytes.as_bytes() {
+        if stream.write_all(&[*byte]).is_err() {
+            closed = true;
+            break;
+        }
+        let mut sink = [0u8; 64];
+        match stream.read(&mut sink) {
+            Ok(0) => {
+                closed = true;
+                break;
+            }
+            Ok(_) => panic!("the server answered a request it never fully received"),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(_) => {
+                closed = true;
+                break;
+            }
+        }
+        assert!(
+            started.elapsed() < KEEP_ALIVE + Duration::from_secs(1),
+            "a trickling client held its handler past the keep-alive budget"
+        );
+    }
+    assert!(closed, "the whole request trickled through");
+    server.shutdown();
+}
+
+#[test]
+fn binary_stats_match_the_snapshot_once_every_job_resolved() {
+    let server = boot(6, 5, 1);
+    let addr = server.local_addr();
+    let spec = || JobSpec::new("sssp").with_ids("sources", vec![1]);
+    for _ in 0..2 {
+        // The second submission is a cache hit.
+        let job = submit(addr, "tok-a", spec(), WireJobOptions::default()).expect("accepted");
+        poll_until_terminal(addr, "tok-a", job);
+    }
+    let job = submit(addr, "tok-a", spec(), bypass()).expect("accepted");
+    poll_until_terminal(addr, "tok-a", job);
+
+    let (status, body) = request(addr, "GET", "/v1/stats", Some("tok-a"), None, false, &[]);
+    assert_eq!(status, 200);
+    let (frame, _) = wire::decode(&body).expect("stats response is a frame");
+    let Frame::Stats(stats) = frame else {
+        panic!("expected a Stats frame, got {frame:?}")
+    };
+    let snapshot = server.stats_snapshot();
+    let us = |duration: Duration| duration.as_micros() as u64;
+    assert_eq!(
+        (stats.submitted, stats.completed, stats.failed),
+        (snapshot.submitted, snapshot.completed, snapshot.failed)
+    );
+    assert_eq!(
+        (stats.cancelled, stats.panicked, stats.coalesced_jobs),
+        (
+            snapshot.cancelled,
+            snapshot.panicked,
+            snapshot.coalesced_jobs
+        )
+    );
+    assert_eq!(
+        (stats.cache_hits, stats.cache_misses),
+        (snapshot.cache_hits, snapshot.cache_misses)
+    );
+    assert_eq!(
+        (stats.queued, stats.running, stats.worker_sessions),
+        (0, 0, snapshot.worker_sessions as u32)
+    );
+    assert_eq!(stats.queue_wait_total_us, us(snapshot.queue_wait_total));
+    assert_eq!(stats.run_wall_total_us, us(snapshot.run_wall_total));
+    assert_eq!(stats.wait_p50_us, snapshot.wait_p50.map(us));
+    assert_eq!(stats.wall_p99_us, snapshot.wall_p99.map(us));
+    // Two physical runs and one hit.
+    assert_eq!((stats.submitted, stats.completed), (2, 2));
+    assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
+    server.shutdown();
+}
+
+#[test]
+fn an_oversized_body_gets_400_and_closes_only_its_connection() {
+    let server = boot(6, 3, 1);
+    let addr = server.local_addr();
+    // A keep-alive neighbour, open before and after the oversized request.
+    let mut neighbour = TcpStream::connect(addr).expect("connect");
+    neighbour
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+
+    let mut hostile = TcpStream::connect(addr).expect("connect");
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let head = format!(
+        "POST /v1/jobs HTTP/1.1\r\nAuthorization: Bearer tok-a\r\nContent-Length: {}\r\n\r\n",
+        gxplug_server::http::MAX_BODY + 1
+    );
+    hostile.write_all(head.as_bytes()).unwrap();
+    // `read_response` reads to the close: the server hung up after the 400.
+    let (status, _) = read_response(&mut hostile);
+    assert_eq!(status, 400);
+
+    neighbour
+        .write_all(
+            b"GET /v1/stats HTTP/1.1\r\nAuthorization: Bearer tok-a\r\nConnection: close\r\n\r\n",
+        )
+        .unwrap();
+    let (status, body) = read_response(&mut neighbour);
+    assert_eq!(status, 200);
+    assert!(matches!(wire::decode(&body), Ok((Frame::Stats(_), _))));
+    server.shutdown();
+}
+
+#[test]
+fn a_websocket_client_gone_mid_frame_frees_the_only_handler() {
+    let server = boot_with_handlers(6, 3, 1, 1);
+    let addr = server.local_addr();
+    let mut stream = ws_connect(addr);
+    let submit = wire::encode(&Frame::Submit {
+        spec: JobSpec::new("sssp").with_ids("sources", vec![0]),
+        options: bypass(),
+    });
+    let masked = ws::client_frame(0x2, &submit, [3, 1, 4, 1]);
+    stream.write_all(&masked[..masked.len() / 2]).unwrap();
+    drop(stream);
+
+    // The one handler must be back in `accept` to answer this.
+    let (status, body) = request(addr, "GET", "/v1/stats", Some("tok-a"), None, false, &[]);
+    assert_eq!(status, 200);
+    assert!(matches!(wire::decode(&body), Ok((Frame::Stats(_), _))));
     server.shutdown();
 }

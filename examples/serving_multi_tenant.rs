@@ -220,16 +220,13 @@ fn main() {
     }
 
     // The books: queue wait vs run wall separates saturation from job cost.
-    let stats = service.stats();
+    let stats = service.stats_snapshot();
     println!(
         "served {} jobs ({} completed) on {} workers",
         stats.submitted, stats.completed, stats.worker_sessions
     );
-    if let (Some(p50), Some(p95)) = (
-        stats.queue_wait_percentile(0.5),
-        stats.queue_wait_percentile(0.95),
-    ) {
-        println!("queue wait p50 {p50:?}, p95 {p95:?}");
+    if let (Some(p50), Some(p90)) = (stats.wait_p50, stats.wait_p90) {
+        println!("queue wait p50 {p50:?}, p90 {p90:?}");
     }
 
     // Drain-shutdown: deterministic teardown, every worker session closed.

@@ -583,10 +583,10 @@ fn cache_hits_are_bit_identical_to_the_fill_run() {
         assert_eq!(sssp_bits(&fill.values), sssp_bits(&hit.values));
         assert_eq!(fill.report, hit.report);
         assert_eq!(fill.agent_stats, hit.agent_stats);
-        let stats = service.stats();
+        let stats = service.stats_snapshot();
         assert_eq!(stats.cache_hits, 1, "in {mode:?}");
         assert_eq!(stats.submitted, 1, "hits never reach the queue");
-        assert!(stats.cache_hit_percentile(0.5).unwrap().as_millis() < 50);
+        assert!(stats.hit_p50.unwrap().as_millis() < 50);
     }
 }
 
@@ -641,7 +641,7 @@ fn pagerank_cache_misses_and_hits_are_bit_identical_to_a_fresh_session() {
         assert_eq!(rank_bits(&fill.values), rank_bits(&hit.values));
         assert_eq!(fill.report, hit.report);
         assert_eq!(fill.agent_stats, hit.agent_stats);
-        let stats = service.stats();
+        let stats = service.stats_snapshot();
         assert_eq!(stats.cache_hits, 1, "in {mode:?}");
         assert_eq!(stats.submitted, 1, "in {mode:?}");
     }
@@ -695,7 +695,7 @@ fn concurrent_duplicates_resolve_single_flight_and_identical() {
         assert_eq!(sssp_bits(&outcome.values), sssp_bits(&reference.values));
         assert_eq!(outcome.report.iterations, reference.report.iterations);
     }
-    let stats = service.stats();
+    let stats = service.stats_snapshot();
     // Every submission was served by a hit, a coalesced resolve or a run —
     // and the very first run is the only execution that was strictly needed,
     // so hits + coalesced account for everything except actual runs.
@@ -732,14 +732,14 @@ fn bypass_and_refresh_policies_rerun_but_stay_identical() {
         .wait()
         .unwrap();
     // Both policies force fresh executions...
-    assert_eq!(service.stats().cache_hits, 0);
-    assert_eq!(service.stats().submitted, 3);
+    assert_eq!(service.stats_snapshot().cache_hits, 0);
+    assert_eq!(service.stats_snapshot().submitted, 3);
     // ...whose answers are bit-identical to the original fill run anyway.
     assert_eq!(sssp_bits(&fill.values), sssp_bits(&bypass.values));
     assert_eq!(sssp_bits(&fill.values), sssp_bits(&refresh.values));
     // The refresh re-filled the cache: the next default submission hits.
     service.submit(algo).unwrap().wait().unwrap();
-    assert_eq!(service.stats().cache_hits, 1);
+    assert_eq!(service.stats_snapshot().cache_hits, 1);
 }
 
 #[test]

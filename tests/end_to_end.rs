@@ -332,7 +332,7 @@ fn job_service_serves_mixed_tenants_against_the_reference() {
             }
         }
     }
-    let stats = service.stats();
+    let stats = service.stats_snapshot();
     assert_eq!(stats.completed, 6);
     assert_eq!(stats.queued, 0);
     assert_eq!(stats.running, 0);

@@ -346,7 +346,7 @@ proptest! {
                 Err(other) => prop_assert!(false, "unexpected ticket outcome: {}", other),
             }
         }
-        let stats = service.stats();
+        let stats = service.stats_snapshot();
         prop_assert_eq!(stats.submitted, (completed + cancelled));
         prop_assert_eq!(stats.completed, completed);
         prop_assert_eq!(stats.cancelled, cancelled);
@@ -355,8 +355,9 @@ proptest! {
         prop_assert_eq!(stats.queued, 0);
         prop_assert_eq!(stats.running, 0);
         prop_assert_eq!(stats.executed(), completed);
-        prop_assert_eq!(stats.recent_wait_samples().len() as u64, completed);
-        prop_assert!(stats.recent_wall_samples().len() as u64 <= completed);
+        let samples = service.stats();
+        prop_assert_eq!(samples.recent_wait_samples().len() as u64, completed);
+        prop_assert!(samples.recent_wall_samples().len() as u64 <= completed);
         prop_assert!(stats.coalesced_jobs <= completed);
     }
 
@@ -465,7 +466,7 @@ proptest! {
                 prop_assert_eq!(row, &vec![f64::INFINITY]);
             }
         }
-        let stats = service.stats();
+        let stats = service.stats_snapshot();
         prop_assert_eq!(stats.cache_hits + stats.submitted, submissions);
         prop_assert_eq!(stats.completed, stats.submitted);
         prop_assert_eq!(stats.failed, 0);
@@ -552,7 +553,7 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(service.stats().cache_hits, hits);
+            prop_assert_eq!(service.stats_snapshot().cache_hits, hits);
             prop_assert_eq!(service.cached_results(), model.len());
         }
     }

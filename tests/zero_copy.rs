@@ -481,7 +481,7 @@ fn a_submit_on_a_stale_key_frees_nothing_of_the_stale_result() {
         "{frees} frees on the submitting thread, the stale result has {rows} rows"
     );
     let refill = ticket.wait().unwrap();
-    assert_eq!(service.stats().cache_hits, 0);
+    assert_eq!(service.stats_snapshot().cache_hits, 0);
     assert_eq!(service.cached_results(), 1);
     let hit = service
         .submit(MultiSourceSssp::paper_default())
