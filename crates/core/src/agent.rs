@@ -177,7 +177,7 @@ impl<V, E, M> AgentScratch<V, E, M> {
 pub struct Agent<V, E, M> {
     config: MiddlewareConfig,
     profile: RuntimeProfile,
-    cache: Option<VertexCache<V>>,
+    cache: Option<VertexCache>,
     edges_registered: bool,
     stats: AgentStats,
     plan: PlanScratch,
@@ -411,8 +411,8 @@ where
                 let mut downloads = 0usize;
                 for rank in needed.iter() {
                     let local = order[rank as usize];
-                    let current = &table.row_at(local).attr;
-                    if cache.probe(local, tie[local as usize], current, iteration as u64) {
+                    let version = table.version_at(local);
+                    if cache.probe(tie[local as usize], version, iteration as u64) {
                         downloads += 1;
                     }
                 }

@@ -16,10 +16,21 @@
 //! uploading is the remote-target count in the agent's `finish_iteration`.
 //! There are no global query/data queues.
 //!
+//! "Has not changed" is answered from **versions, not values**: the vertex
+//! table bumps a row's change counter on every attribute write
+//! ([`VertexTable::version_at`]), the way an upper system knows which rows
+//! it wrote (GraphX ships only the attributes changed since the last
+//! triplet view).  The cache keeps one packed `u64` per resident vertex and
+//! never clones or compares a value.  Why a `u32` version is enough, and
+//! the one edge where this differs from comparing values, is written down at
+//! [`VertexCache`].
+//!
 //! Every probe of one iteration carries the same `now`, so the LRU order is
 //! a sequence of **generations**, one per iteration, each ordered by a
 //! per-vertex tie key.  That makes every cache operation O(1) amortised
 //! without a heap: see [`VertexCache`].
+//!
+//! [`VertexTable::version_at`]: gxplug_graph::tables::VertexTable::version_at
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -47,15 +58,41 @@ impl CacheStats {
     }
 }
 
-/// A resident vertex: the value last downloaded and the iteration of its
-/// last probe.
-#[derive(Debug, Clone)]
-struct Slot<V> {
-    value: V,
-    last_used: u64,
+/// A packed slot holds the recency stamp above this many bits and the
+/// version below them.
+const STAMP_SHIFT: u32 = 32;
+
+/// The recency stamp of generation `now`, shifted into place: `now + 1`, so
+/// a resident slot is never zero.
+fn stamp_of(now: u64) -> u64 {
+    assert!(
+        now < u64::from(u32::MAX),
+        "the sync cache counts at most u32::MAX - 1 iterations per run"
+    );
+    (now + 1) << STAMP_SHIFT
 }
 
-/// The agent-local LRU vertex cache, addressed by the node's dense local ids.
+/// The agent-local LRU vertex cache, addressed by per-vertex tie keys.
+///
+/// The cache remembers **versions, not values**: a resident slot is one
+/// packed `u64`, the recency stamp of its last probe (`last_used + 1`) over
+/// the row version ([`VertexTable::version_at`]) that probe saw.  A probe
+/// whose version differs from the slot's is a download, exactly as if the
+/// cache had kept a copy of the value and compared it, because the upper
+/// system bumps a row's version on every attribute write that changes it.
+/// Two invariants make the 32-bit version safe:
+///
+/// * a row changes at most once per superstep (its master applies one
+///   merged message, a mirror takes one refresh), so the version cannot
+///   wrap between two probes of one run;
+/// * the cache lives for one run (each run builds its agents afresh), so
+///   versions never need a reset, and a row's version at the start of a run
+///   is whatever earlier runs left.
+///
+/// One edge differs from comparing values: a value that changes and then
+/// returns to its old bits between two probes counts as a download — as it
+/// would in a system that tracks writes rather than values.  SSSP, CC and
+/// k-core are monotone and never do that.
 ///
 /// The victim of an eviction is the resident entry with the smallest
 /// `(last_used, tie)`, where `tie` is a per-vertex key ordered like the
@@ -67,8 +104,8 @@ struct Slot<V> {
 ///   a two-level bitset over tie keys, which yields its minimum for an
 ///   eviction within the iteration and drains in ascending order when the
 ///   next iteration starts;
-/// * each drained, **closed** generation is a run of local ids ascending by
-///   tie key, appended to one queue consumed from the front.  An entry that
+/// * each drained, **closed** generation is a run of tie keys in ascending
+///   order, appended to one queue consumed from the front.  An entry that
 ///   was hit again (it moved to a newer generation) or evicted stays behind
 ///   as a stale queue item, skipped when the front reaches it; the queue is
 ///   compacted once stale items outnumber resident entries.
@@ -76,23 +113,26 @@ struct Slot<V> {
 /// Every closed entry is older than every open one, so the first live item
 /// of the queue — or, when the queue has none, the open bitset's minimum —
 /// is the true victim, provided `now` never decreases between probes.
+///
+/// [`VertexTable::version_at`]: gxplug_graph::tables::VertexTable::version_at
 #[derive(Debug, Clone)]
-pub struct VertexCache<V> {
+pub struct VertexCache {
     capacity: usize,
-    /// Indexed by local id.
-    slots: Vec<Option<Slot<V>>>,
+    /// Indexed by tie key: 0 when not resident, else the recency stamp of
+    /// the last probe (see [`stamp_of`]) over the version it saw.
+    slots: Vec<u64>,
     /// Number of resident entries.
     len: usize,
-    /// The `now` of the open generation.
+    /// The `now` of the open generation, and its stamp.
     open_now: u64,
+    open_stamp: u64,
     /// The open generation, by tie key.
     open: KeySet,
-    /// The local id behind every tie key inserted so far.
-    local_of_tie: Vec<u32>,
-    /// Closed generations, oldest first; live items start at `head`.
+    /// Closed generations' tie keys, oldest first; live items start at
+    /// `head`.
     closed: Vec<u32>,
     head: usize,
-    /// `(last_used, end)` of every closed generation with items at or past
+    /// `(stamp, end)` of every closed generation with items at or past
     /// `head`: the generation's items sit in `closed` below `end`.
     generations: VecDeque<(u64, usize)>,
     /// Resident entries with an item in `closed`; the other items are stale.
@@ -100,23 +140,22 @@ pub struct VertexCache<V> {
     stats: CacheStats,
 }
 
-impl<V: Clone + PartialEq> VertexCache<V> {
+impl VertexCache {
     /// Creates a cache holding at most `capacity` (at least one) of a node's
     /// `locals` vertices, with tie keys below `locals`.  Everything is
     /// allocated here, once — on the constructing thread: the probes may run
     /// on a per-run worker, and growing these buffers there cost ~2 MB of
     /// peak RSS (allocator arenas) on an rmat-14 PageRank session.  A probe
-    /// of a local id or tie key beyond `locals` still works, it grows the
-    /// arrays.
+    /// of a tie key beyond `locals` still works, it grows the arrays.
     pub fn new(capacity: usize, locals: usize) -> Self {
         let capacity = capacity.max(1);
         Self {
             capacity,
-            slots: (0..locals).map(|_| None).collect(),
+            slots: vec![0; locals],
             len: 0,
             open_now: 0,
+            open_stamp: stamp_of(0),
             open: KeySet::new(locals),
-            local_of_tie: vec![0; locals],
             // At most every resident entry plus as many stale items (see
             // `close_generation`).
             closed: Vec::with_capacity(2 * capacity.min(locals)),
@@ -149,106 +188,85 @@ impl<V: Clone + PartialEq> VertexCache<V> {
         self.stats
     }
 
-    /// Returns `true` if the vertex at `local` is resident, without touching
-    /// recency or statistics.
-    pub fn contains(&self, local: u32) -> bool {
-        matches!(self.slots.get(local as usize), Some(Some(_)))
+    /// Returns `true` if the vertex with tie key `tie` is resident, without
+    /// touching recency or statistics.
+    pub fn contains(&self, tie: u32) -> bool {
+        self.slots.get(tie as usize).is_some_and(|&slot| slot != 0)
     }
 
-    /// Probes the vertex at dense id `local` (recency tie key `tie`, distinct
-    /// per vertex and ordered like its global id) for computation at
-    /// iteration `now`, given its `current` value in the upper system.
-    /// Returns `true` if the vertex has to be downloaded: it was not
-    /// resident, or the resident copy differs from `current`.  Either way the
-    /// cache holds `current` afterwards.
+    /// Probes the vertex with tie key `tie` (distinct per vertex and ordered
+    /// like its global id) for computation at iteration `now`, given the
+    /// `version` of its row in the upper system.  Returns `true` if the
+    /// vertex has to be downloaded: it was not resident, or it was resident
+    /// at another version.  Either way the cache holds `version` afterwards.
     ///
     /// A resident vertex counts as a hit and has its recency refreshed even
     /// when stale.  A non-resident one is a miss and evicts the least
     /// recently used entry (ties broken by `tie`) once the cache is full.
     ///
     /// `now` must not decrease from one probe to the next.
-    pub fn probe(&mut self, local: u32, tie: u32, current: &V, now: u64) -> bool {
+    pub fn probe(&mut self, tie: u32, version: u32, now: u64) -> bool {
         if now != self.open_now {
             debug_assert!(now > self.open_now, "`now` went backwards");
             self.close_generation();
             self.open_now = now;
+            self.open_stamp = stamp_of(now);
         }
-        let index = local as usize;
+        let index = tie as usize;
         if index >= self.slots.len() {
-            self.slots.resize_with(index + 1, || None);
+            self.slots.resize(index + 1, 0);
         }
-        if let Some(slot) = &mut self.slots[index] {
+        let stamped = self.open_stamp | u64::from(version);
+        let slot = self.slots[index];
+        if slot != 0 {
             self.stats.hits += 1;
-            if slot.last_used != now {
+            if slot >> STAMP_SHIFT != self.open_stamp >> STAMP_SHIFT {
                 // From a closed generation into the open one: its queue item
                 // goes stale.
-                slot.last_used = now;
                 self.live_closed -= 1;
                 self.open.insert(tie);
             }
-            let stale = slot.value != *current;
-            if stale {
-                slot.value.clone_from(current);
-            }
-            return stale;
+            self.slots[index] = stamped;
+            return slot as u32 != version;
         }
         self.stats.misses += 1;
-        // A full cache recycles the victim's value, so its allocation (if
-        // any) is reused by `clone_from`.
-        let value = if self.len >= self.capacity {
-            let mut value = self.evict_lru();
-            value.clone_from(current);
-            value
+        if self.len >= self.capacity {
+            self.evict_lru();
         } else {
             self.len += 1;
-            current.clone()
-        };
-        self.slots[index] = Some(Slot {
-            value,
-            last_used: now,
-        });
-        self.open.insert(tie);
-        let tie = tie as usize;
-        if tie >= self.local_of_tie.len() {
-            self.local_of_tie.resize(tie + 1, 0);
         }
-        self.local_of_tie[tie] = local;
+        self.slots[index] = stamped;
+        self.open.insert(tie);
         true
     }
 
-    /// Removes the entry with the smallest `(last_used, tie)` and returns its
-    /// value.  Only called on a full (hence non-empty) cache.
-    fn evict_lru(&mut self) -> V {
-        let local = match self.pop_closed() {
-            Some(local) => local,
-            None => {
-                let tie = self
-                    .open
-                    .pop_min()
-                    .expect("a full cache has a resident entry");
-                self.local_of_tie[tie as usize]
-            }
+    /// Removes the entry with the smallest `(last_used, tie)`.  Only called
+    /// on a full (hence non-empty) cache.
+    fn evict_lru(&mut self) {
+        let tie = match self.pop_closed() {
+            Some(tie) => tie,
+            None => self
+                .open
+                .pop_min()
+                .expect("a full cache has a resident entry"),
         };
         self.stats.evictions += 1;
-        self.slots[local as usize]
-            .take()
-            .expect("the victim is resident")
-            .value
+        self.slots[tie as usize] = 0;
     }
 
     /// Pops the oldest live item of the closed generations, skipping stale
     /// ones.
     fn pop_closed(&mut self) -> Option<u32> {
-        while let Some(&(last_used, end)) = self.generations.front() {
+        while let Some(&(stamp, end)) = self.generations.front() {
             if self.head == end {
                 self.generations.pop_front();
                 continue;
             }
-            let local = self.closed[self.head];
+            let tie = self.closed[self.head];
             self.head += 1;
-            if is_live(&self.slots, local, last_used) {
+            if is_live(&self.slots, tie, stamp) {
                 self.live_closed -= 1;
-                return Some(local);
+                return Some(tie);
             }
         }
         None
@@ -263,16 +281,12 @@ impl<V: Clone + PartialEq> VertexCache<V> {
         if self.closed.len() - self.live_closed > self.len {
             self.compact();
         }
-        let Self {
-            open,
-            closed,
-            local_of_tie,
-            ..
-        } = self;
-        let before = closed.len();
-        open.drain_ascending(|tie| closed.push(local_of_tie[tie as usize]));
+        let before = self.closed.len();
+        let closed = &mut self.closed;
+        self.open.drain_ascending(|tie| closed.push(tie));
         self.live_closed += closed.len() - before;
-        self.generations.push_back((self.open_now, closed.len()));
+        self.generations
+            .push_back((self.open_stamp, self.closed.len()));
     }
 
     /// Drops every stale item from the queue, keeping the live ones in order.
@@ -285,12 +299,12 @@ impl<V: Clone + PartialEq> VertexCache<V> {
         } = self;
         let mut write = 0;
         let mut read = self.head;
-        generations.retain_mut(|(last_used, end)| {
+        generations.retain_mut(|(stamp, end)| {
             let start = write;
             for index in read..*end {
-                let local = closed[index];
-                if is_live(slots, local, *last_used) {
-                    closed[write] = local;
+                let tie = closed[index];
+                if is_live(slots, tie, *stamp) {
+                    closed[write] = tie;
                     write += 1;
                 }
             }
@@ -303,10 +317,10 @@ impl<V: Clone + PartialEq> VertexCache<V> {
     }
 }
 
-/// Whether the queue item `local` of the closed generation `last_used` is
+/// Whether the queue item `tie` of the closed generation stamped `stamp` is
 /// live: the vertex is resident and was not probed since.
-fn is_live<V>(slots: &[Option<Slot<V>>], local: u32, last_used: u64) -> bool {
-    matches!(&slots[local as usize], Some(slot) if slot.last_used == last_used)
+fn is_live(slots: &[u64], tie: u32, stamp: u64) -> bool {
+    slots[tie as usize] >> STAMP_SHIFT == stamp >> STAMP_SHIFT
 }
 
 /// A set of `u32` keys as a two-level bitset: one bit per key, one summary
@@ -392,14 +406,11 @@ mod tests {
 
     #[test]
     fn lookups_hit_after_fill_and_miss_before() {
-        let mut cache = VertexCache::new(8, 4);
-        assert!(cache.probe(3, 30, &1.5f64, 0), "first probe downloads");
-        assert!(!cache.probe(3, 30, &1.5, 1), "an unchanged value is fresh");
-        assert!(
-            cache.probe(3, 30, &2.5, 2),
-            "a changed value is re-downloaded"
-        );
-        assert!(!cache.probe(3, 30, &2.5, 3), "and then cached again");
+        let mut cache = VertexCache::new(8, 40);
+        assert!(cache.probe(30, 0, 0), "first probe downloads");
+        assert!(!cache.probe(30, 0, 1), "an unchanged version is fresh");
+        assert!(cache.probe(30, 1, 2), "a changed version is re-downloaded");
+        assert!(!cache.probe(30, 1, 3), "and then cached again");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (3, 1, 0));
         assert!((stats.hit_ratio() - 0.75).abs() < 1e-12);
@@ -407,13 +418,28 @@ mod tests {
     }
 
     #[test]
+    fn versions_are_compared_whole_and_a_probe_keeps_only_the_last() {
+        let mut cache = VertexCache::new(4, 4);
+        assert!(cache.probe(1, u32::MAX, 0));
+        assert!(!cache.probe(1, u32::MAX, 0), "the top bit survives packing");
+        // A wrapped version is still a change.
+        assert!(cache.probe(1, 0, 1));
+        // The version of the last probe is kept, not the first: two changes
+        // that land back on an earlier version still read as a change once.
+        assert!(cache.probe(1, 5, 2));
+        assert!(cache.probe(1, 0, 3));
+        assert!(!cache.probe(1, 0, 4));
+        assert_eq!(cache.stats().misses, 1);
+    }
+
+    #[test]
     fn lru_eviction_prefers_least_recently_used() {
         let mut cache = VertexCache::new(2, 4);
-        cache.probe(1, 10, &10, 0);
-        cache.probe(2, 20, &20, 1);
+        cache.probe(1, 0, 0);
+        cache.probe(2, 0, 1);
         // Touch vertex 1 so vertex 2 becomes the LRU entry.
-        cache.probe(1, 10, &10, 2);
-        cache.probe(3, 30, &30, 3);
+        cache.probe(1, 0, 2);
+        cache.probe(3, 0, 3);
         assert!(cache.contains(1));
         assert!(!cache.contains(2));
         assert!(cache.contains(3));
@@ -423,26 +449,26 @@ mod tests {
 
     #[test]
     fn recency_ties_evict_the_smallest_global_id() {
-        // Local id order is the reverse of global id order here; the global
-        // ids themselves serve as tie keys.
+        // Probed out of tie order; the global ids themselves serve as tie
+        // keys.
         let mut cache = VertexCache::new(3, 5);
-        cache.probe(0, 9, &0, 0);
-        cache.probe(1, 5, &0, 0);
-        cache.probe(2, 7, &0, 0);
-        cache.probe(3, 1, &0, 1);
-        assert!(!cache.contains(1), "global 5 is the smallest of the tie");
-        cache.probe(4, 2, &0, 1);
-        assert!(!cache.contains(2), "then global 7");
-        assert!(cache.contains(0) && cache.contains(3) && cache.contains(4));
+        cache.probe(9, 0, 0);
+        cache.probe(5, 0, 0);
+        cache.probe(7, 0, 0);
+        cache.probe(1, 0, 1);
+        assert!(!cache.contains(5), "global 5 is the smallest of the tie");
+        cache.probe(2, 0, 1);
+        assert!(!cache.contains(7), "then global 7");
+        assert!(cache.contains(9) && cache.contains(1) && cache.contains(2));
     }
 
     #[test]
     fn cache_capacity_is_at_least_one() {
-        let mut cache: VertexCache<u8> = VertexCache::new(0, 2);
+        let mut cache = VertexCache::new(0, 2);
         assert_eq!(cache.capacity(), 1);
         assert!(cache.is_empty());
-        cache.probe(0, 0, &1, 0);
-        cache.probe(1, 1, &1, 0);
+        cache.probe(0, 1, 0);
+        cache.probe(1, 1, 0);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().evictions, 1);
     }
@@ -456,7 +482,7 @@ mod tests {
         let mut cache = VertexCache::new(hot as usize, hot as usize);
         for now in 0..200u64 {
             for local in 0..hot {
-                cache.probe(local, (local * 7) % hot, &now, now);
+                cache.probe((local * 7) % hot, now as u32, now);
             }
             assert!(cache.closed.len() <= 2 * cache.len() + hot as usize);
         }

@@ -1158,9 +1158,11 @@ where
                 continue;
             };
             let (master, local) = routes.owner[target as usize];
-            let row = nodes[master as usize].vertex_table_mut().row_at_mut(local);
+            let table = nodes[master as usize].vertex_table_mut();
             applies += 1;
-            if algorithm.msg_apply_in_place(target, &mut row.attr, &message, iteration) {
+            if table.apply_at(local, |attr| {
+                algorithm.msg_apply_in_place(target, attr, &message, iteration)
+            }) {
                 changed[master as usize].insert(local);
             }
         }
@@ -1198,9 +1200,13 @@ where
                 }
                 for &(part, replica_local) in mirrors.of(local, !reads_destination) {
                     let (replica, owner) = pair_mut(nodes, part as usize, master);
-                    let row = replica.vertex_table_mut().row_at_mut(replica_local);
-                    row.attr
-                        .clone_from(&owner.vertex_table().row_at(local).attr);
+                    let attr = &owner.vertex_table().row_at(local).attr;
+                    replica
+                        .vertex_table_mut()
+                        .apply_at(replica_local, |mirror| {
+                            mirror.clone_from(attr);
+                            true
+                        });
                     replica.activate_local(replica_local);
                     replica_updates += 1;
                 }

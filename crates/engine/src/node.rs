@@ -206,7 +206,8 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
         for local in 0..self.vertex_table.len() as u32 {
             let v = self.vertex_table.global_of(local);
             let degree = self.out_degrees[local as usize] as usize;
-            self.vertex_table.row_at_mut(local).attr = algorithm.init_vertex(v, degree);
+            self.vertex_table
+                .update_at(local, algorithm.init_vertex(v, degree));
         }
         self.seed_frontier(algorithm, num_global_vertices);
     }
@@ -332,8 +333,8 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
     /// Resets the attributes of the `detached` vertices held here.
     fn reset_detached(&mut self, detached: &[(VertexId, V)]) {
         for (v, attr) in detached {
-            if let Some(row) = self.vertex_table.get_mut(*v) {
-                row.attr = attr.clone();
+            if let Some(local) = self.vertex_table.local_of(*v) {
+                self.vertex_table.update_at(local, attr.clone());
             }
         }
     }
@@ -389,7 +390,7 @@ impl<V: Clone, E: Clone> NodeState<V, E> {
             if let Some(local) = self.vertex_table.local_of(v) {
                 let degree = self.out_degrees[local as usize] as usize;
                 let attr = algorithm.init_vertex(v, degree);
-                self.vertex_table.row_at_mut(local).attr = attr;
+                self.vertex_table.update_at(local, attr);
             }
         }
         self.active.clear();

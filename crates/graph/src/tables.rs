@@ -31,9 +31,23 @@ pub struct VertexRow<V> {
 /// vertex space.  A row's position *is* its dense local id, so hot-path
 /// consumers can resolve `global → local` once and address rows by index
 /// thereafter ([`VertexTable::row_at`]).
+///
+/// Every row carries a **version**, a change counter read through
+/// [`VertexTable::version_at`]: each attribute write bumps it, so a reader
+/// that remembers a row's version knows whether the row was written since
+/// without looking at (or keeping a copy of) the value — how the
+/// middleware's synchronization cache tells a changed vertex from an
+/// unchanged one.  Attributes are written only through the table's methods
+/// ([`upsert`](VertexTable::upsert), [`update`](VertexTable::update),
+/// [`update_at`](VertexTable::update_at),
+/// [`apply_at`](VertexTable::apply_at)), so no write skips its bump.
+/// Versions wrap on overflow and never reset; only their changes carry
+/// meaning.
 #[derive(Debug, Clone, Default)]
 pub struct VertexTable<V> {
     rows: Vec<VertexRow<V>>,
+    /// One change counter per row, indexed by local id.
+    versions: Vec<u32>,
     index: LocalIdMap,
 }
 
@@ -42,6 +56,7 @@ impl<V> VertexTable<V> {
     pub fn new() -> Self {
         Self {
             rows: Vec::new(),
+            versions: Vec::new(),
             index: LocalIdMap::new(),
         }
     }
@@ -50,6 +65,7 @@ impl<V> VertexTable<V> {
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             rows: Vec::with_capacity(capacity),
+            versions: Vec::with_capacity(capacity),
             index: LocalIdMap::with_capacity(capacity),
         }
     }
@@ -67,16 +83,17 @@ impl<V> VertexTable<V> {
     /// Reserves room for at least `additional` more rows.
     pub fn reserve(&mut self, additional: usize) {
         self.rows.reserve(additional);
+        self.versions.reserve(additional);
         self.index.reserve(additional);
     }
 
     /// Inserts or replaces a vertex row; returns `true` if the vertex was new.
+    /// A replaced row's version is bumped.
     pub fn upsert(&mut self, id: VertexId, attr: V, is_master: bool) -> bool {
         match self.index.local(id) {
             Some(local) => {
-                let row = &mut self.rows[local as usize];
-                row.attr = attr;
-                row.is_master = is_master;
+                self.rows[local as usize].is_master = is_master;
+                self.update_at(local, attr);
                 false
             }
             None => {
@@ -86,16 +103,26 @@ impl<V> VertexTable<V> {
                     attr,
                     is_master,
                 });
+                self.versions.push(0);
                 true
             }
         }
     }
 
     /// Drops every row `keep` rejects.  The survivors keep their relative
-    /// order and take the dense local ids `0..len` again, so every local id
-    /// held outside the table is invalidated.
+    /// order, their versions, and take the dense local ids `0..len` again, so
+    /// every local id held outside the table is invalidated.
     pub fn retain(&mut self, mut keep: impl FnMut(&VertexRow<V>) -> bool) {
-        self.rows.retain(|row| keep(row));
+        let mut kept = 0;
+        for position in 0..self.rows.len() {
+            if keep(&self.rows[position]) {
+                self.rows.swap(kept, position);
+                self.versions[kept] = self.versions[position];
+                kept += 1;
+            }
+        }
+        self.rows.truncate(kept);
+        self.versions.truncate(kept);
         self.index = LocalIdMap::with_capacity(self.rows.len());
         for row in &self.rows {
             self.index.insert(row.id);
@@ -126,13 +153,14 @@ impl<V> VertexTable<V> {
         &self.rows[local as usize]
     }
 
-    /// Mutable access to the row at dense local id `local`.
+    /// The version of the row at dense local id `local`: it moves with every
+    /// write of the row's attribute.
     ///
     /// # Panics
     /// Panics if `local` is out of range.
     #[inline]
-    pub fn row_at_mut(&mut self, local: u32) -> &mut VertexRow<V> {
-        &mut self.rows[local as usize]
+    pub fn version_at(&self, local: u32) -> u32 {
+        self.versions[local as usize]
     }
 
     /// Returns the row for `id`, if present.
@@ -141,28 +169,53 @@ impl<V> VertexTable<V> {
         self.index.local(id).map(|local| &self.rows[local as usize])
     }
 
-    /// Returns a mutable row for `id`, if present.
-    #[inline]
-    pub fn get_mut(&mut self, id: VertexId) -> Option<&mut VertexRow<V>> {
-        let local = self.index.local(id)?;
-        Some(&mut self.rows[local as usize])
-    }
-
     /// Returns `true` if the vertex is stored locally.
     pub fn contains(&self, id: VertexId) -> bool {
         self.index.local(id).is_some()
     }
 
-    /// Updates the attribute of `id`.  Returns `false` if the vertex is not
-    /// present locally.
+    /// Updates the attribute of `id` and bumps its version.  Returns `false`
+    /// if the vertex is not present locally.
     pub fn update(&mut self, id: VertexId, attr: V) -> bool {
-        match self.get_mut(id) {
-            Some(row) => {
-                row.attr = attr;
+        match self.index.local(id) {
+            Some(local) => {
+                self.update_at(local, attr);
                 true
             }
             None => false,
         }
+    }
+
+    /// Replaces the attribute at dense local id `local` and bumps its
+    /// version.
+    ///
+    /// # Panics
+    /// Panics if `local` is out of range.
+    #[inline]
+    pub fn update_at(&mut self, local: u32, attr: V) {
+        self.rows[local as usize].attr = attr;
+        self.bump(local);
+    }
+
+    /// Lets `write` change the attribute at dense local id `local` in place.
+    /// `write` returns whether it changed the value; the version is bumped
+    /// exactly then, and that answer is returned.
+    ///
+    /// # Panics
+    /// Panics if `local` is out of range.
+    #[inline]
+    pub fn apply_at(&mut self, local: u32, write: impl FnOnce(&mut V) -> bool) -> bool {
+        let changed = write(&mut self.rows[local as usize].attr);
+        if changed {
+            self.bump(local);
+        }
+        changed
+    }
+
+    #[inline]
+    fn bump(&mut self, local: u32) {
+        let version = &mut self.versions[local as usize];
+        *version = version.wrapping_add(1);
     }
 
     /// Iterates over all rows.
@@ -390,7 +443,43 @@ mod tests {
         assert_eq!(t.global_of(0), 9);
         assert_eq!(t.global_of(1), 4);
         assert_eq!(t.row_at(0).attr, 3.0);
-        t.row_at_mut(1).attr = 7.0;
+        t.update_at(1, 7.0);
         assert_eq!(t.get(4).unwrap().attr, 7.0);
+    }
+
+    #[test]
+    fn every_attribute_write_bumps_its_row_version_only() {
+        let mut t = VertexTable::new();
+        for id in [5, 8, 3] {
+            t.upsert(id, 0.0, true);
+        }
+        let versions = |t: &VertexTable<f64>| [0, 1, 2].map(|local| t.version_at(local));
+        assert_eq!(versions(&t), [0, 0, 0], "an inserted row starts at 0");
+        t.upsert(8, 1.0, false);
+        assert_eq!(versions(&t), [0, 1, 0]);
+        assert!(t.update(3, 2.0));
+        assert!(!t.update(99, 2.0));
+        assert_eq!(versions(&t), [0, 1, 1]);
+        t.update_at(0, 3.0);
+        assert!(t.apply_at(1, |attr| {
+            attr.clone_from(&4.0);
+            true
+        }));
+        assert_eq!(versions(&t), [1, 2, 1]);
+        assert!(
+            !t.apply_at(2, |_| false),
+            "an unchanged value keeps its version"
+        );
+        assert!(t.apply_at(2, |attr| {
+            *attr += 1.0;
+            true
+        }));
+        assert_eq!(versions(&t), [1, 2, 2]);
+        assert_eq!(t.row_at(2).attr, 3.0);
+        // Retained rows keep their versions at their new local ids.
+        t.retain(|row| row.id != 5);
+        assert_eq!((t.local_of(8), t.local_of(3)), (Some(0), Some(1)));
+        assert_eq!((t.version_at(0), t.version_at(1)), (2, 2));
+        assert_eq!((t.row_at(0).attr, t.row_at(1).attr), (4.0, 3.0));
     }
 }

@@ -18,7 +18,7 @@ use gxplug_server::{
     ServerConfig, Tenant, TenantQuota, TenantRegistry,
 };
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -946,5 +946,58 @@ fn a_websocket_client_gone_mid_frame_frees_the_only_handler() {
     let (status, body) = request(addr, "GET", "/v1/stats", Some("tok-a"), None, false, &[]);
     assert_eq!(status, 200);
     assert!(matches!(wire::decode(&body), Ok((Frame::Stats(_), _))));
+    server.shutdown();
+}
+
+#[test]
+fn a_request_followed_by_a_write_shutdown_still_gets_its_response() {
+    let server = boot(6, 3, 1);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    // A keep-alive request: only the shutdown tells the server no other
+    // request follows.
+    stream
+        .write_all(b"GET /v1/stats HTTP/1.1\r\nAuthorization: Bearer tok-a\r\n\r\n")
+        .unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    // `read_response` reads to the close: the server hung up after answering.
+    let (status, body) = read_response(&mut stream);
+    assert_eq!(status, 200);
+    assert!(matches!(wire::decode(&body), Ok((Frame::Stats(_), _))));
+    server.shutdown();
+}
+
+#[test]
+fn a_partial_request_followed_by_a_write_shutdown_frees_the_only_handler() {
+    let server = boot_with_handlers(6, 3, 1, 1);
+    let addr = server.local_addr();
+    let started = Instant::now();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(2 * KEEP_ALIVE)).unwrap();
+    // The headers and half the body, then the client's write half closes.
+    let bytes = text_submission();
+    stream.write_all(&bytes[..bytes.len() - 8]).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut raw = Vec::new();
+    stream
+        .read_to_end(&mut raw)
+        .expect("the server closes the half-closed connection");
+    assert!(
+        raw.is_empty(),
+        "the server answered a request it never fully received: {}",
+        String::from_utf8_lossy(&raw)
+    );
+
+    // The one handler must be back in `accept` to answer this.
+    let (status, body) = request(addr, "GET", "/v1/stats", Some("tok-a"), None, false, &[]);
+    assert_eq!(status, 200);
+    assert!(matches!(wire::decode(&body), Ok((Frame::Stats(_), _))));
+    assert!(
+        started.elapsed() < KEEP_ALIVE / 2,
+        "a half-closed client held the only handler for {:?}",
+        started.elapsed()
+    );
     server.shutdown();
 }

@@ -163,10 +163,12 @@ proptest! {
 
     // ---------------- Synchronization cache ----------------
 
-    /// The dense, generation-ordered sync cache is indistinguishable from
-    /// the naive algorithm it replaced — a flat list with a linear
-    /// `min (last_used, global id)` victim scan: same download answer on
-    /// every probe, same victim on every eviction, same counters.  Four
+    /// The dense, generation-ordered sync cache, probed with row versions
+    /// and packing each into one slot with its recency, is
+    /// indistinguishable from the naive algorithm it replaced — a flat list
+    /// of copied versions with a linear `min (last_used, global id)` victim
+    /// scan: same download answer on every probe, same victim on every
+    /// eviction, same counters.  Four
     /// shapes of probe sequence: the first advances `now` by 0 or 1 at
     /// random; the second probes ~32 vertices per `now` into a smaller cache,
     /// so most evictions hit the iteration's own generation; the third lets
@@ -224,30 +226,33 @@ proptest! {
 }
 
 /// Replays `(local, changed, advance)` probes on a `VertexCache` sized for 48
-/// locals (locals up to 95 grow its slots) and on the naive oracle, checking
-/// both agree after every probe.  Local ids map to global ids out of order,
+/// tie keys (keys up to 100 grow its slots) and on the naive oracle,
+/// checking both agree after every probe.  The upper system is one change
+/// counter per local — the row versions the cache is probed with — bumped
+/// when `changed`; the oracle keeps a copy of it and compares, as a cache of
+/// values would.  Local ids map to global ids (the tie keys) out of order,
 /// so recency ties are provably broken on *global* ids.
 fn check_sync_cache_against_oracle(
     capacity: usize,
     operations: impl IntoIterator<Item = (u32, bool, u64)>,
 ) {
     let global_of = |local: u32| (local * 37 + 11) % 101;
-    let mut cache = gx_plug::core::VertexCache::<u64>::new(capacity, 48);
-    // The oracle: `(global id, cached value, last_used)` per resident entry.
-    let mut oracle: Vec<(u32, u64, u64)> = Vec::new();
+    let mut cache = gx_plug::core::VertexCache::new(capacity, 48);
+    // The oracle: `(global id, cached version, last_used)` per resident entry.
+    let mut oracle: Vec<(u32, u32, u64)> = Vec::new();
     let mut expected = gx_plug::core::CacheStats::default();
-    let mut upper_system = [0u64; 96];
+    let mut upper_system = [0u32; 96];
     let mut now = 0u64;
     for (local, changed, advance) in operations {
         now += advance;
-        let current = &mut upper_system[local as usize];
-        *current += u64::from(changed);
+        let version = &mut upper_system[local as usize];
+        *version += u32::from(changed);
         let global = global_of(local);
         let download = match oracle.iter_mut().find(|entry| entry.0 == global) {
             Some(entry) => {
                 expected.hits += 1;
-                let stale = entry.1 != *current;
-                *entry = (global, *current, now);
+                let stale = entry.1 != *version;
+                *entry = (global, *version, now);
                 stale
             }
             None => {
@@ -259,22 +264,193 @@ fn check_sync_cache_against_oracle(
                     oracle.swap_remove(victim);
                     expected.evictions += 1;
                 }
-                oracle.push((global, *current, now));
+                oracle.push((global, *version, now));
                 true
             }
         };
-        prop_assert_eq!(cache.probe(local, global, current, now), download);
+        prop_assert_eq!(cache.probe(global, *version, now), download);
         prop_assert_eq!(cache.stats(), expected);
         prop_assert_eq!(cache.len(), oracle.len());
         for local in 0..96 {
-            let resident = oracle.iter().any(|entry| entry.0 == global_of(local));
+            let global = global_of(local);
+            let resident = oracle.iter().any(|entry| entry.0 == global);
             prop_assert_eq!(
-                cache.contains(local),
+                cache.contains(global),
                 resident,
                 "residency of local {}",
                 local
             );
         }
+    }
+}
+
+// ---------------- Row versions: the sync cache's change signal ----------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A row's version moves exactly when its value does: between two
+    /// compute phases of one run, every row whose value changed (a master
+    /// apply or a mirror refresh) has a version one higher, and every other
+    /// row the same version.  That is what lets the sync cache compare
+    /// versions instead of values.  Checked for PageRank, multi-source SSSP,
+    /// CC, LP and k-core, on 1–4 nodes, under both sync policies, over two
+    /// runs of one cluster (the second after a reset, so versions do not
+    /// start at zero).
+    #[test]
+    fn row_versions_move_exactly_when_values_change(
+        seed in 0u64..1_000,
+        nodes in 1usize..5,
+        skip in any::<bool>(),
+    ) {
+        let policy = if skip { SyncPolicy::SkipWhenLocal } else { SyncPolicy::AlwaysSync };
+        let list = Rmat::new(7, 4.0).generate(seed);
+        let rank = RankValue { rank: 1.0, out_degree: 0 };
+        let graph = PropertyGraph::from_edge_list(list.clone(), rank).unwrap();
+        check_row_versions(&graph, &PageRank::new(8), nodes, seed, policy);
+        let graph = PropertyGraph::from_edge_list(list.clone(), Vec::new()).unwrap();
+        check_row_versions(&graph, &MultiSourceSssp::new(vec![0, 1, 2]), nodes, seed, policy);
+        let graph = PropertyGraph::from_edge_list(list.clone(), 0u32).unwrap();
+        check_row_versions(&graph, &ConnectedComponents, nodes, seed, policy);
+        check_row_versions(&graph, &LabelPropagation::new(6), nodes, seed, policy);
+        let mut symmetric = list;
+        symmetric.symmetrize();
+        let alive = gx_plug::algos::CoreState { alive: true };
+        let graph = PropertyGraph::from_edge_list(symmetric, alive).unwrap();
+        check_row_versions(&graph, &KCore::new(3), nodes, seed, policy);
+    }
+}
+
+/// Runs `algorithm` twice on one `nodes`-node cluster of `graph` (the
+/// second run after a reset) through a [`VersionCheck`] compute phase, and
+/// checks the final rows of each run against the last compute phase's too.
+fn check_row_versions<V, A>(
+    graph: &PropertyGraph<V, f64>,
+    algorithm: &A,
+    nodes: usize,
+    seed: u64,
+    policy: SyncPolicy,
+) where
+    V: Clone + PartialEq + Send + Sync + std::fmt::Debug,
+    A: GraphAlgorithm<V, f64>,
+{
+    use gx_plug::engine::network::NetworkModel;
+    let partitioning = HashEdgePartitioner::new(seed)
+        .partition(graph, nodes)
+        .unwrap();
+    let profile = RuntimeProfile::powergraph();
+    let mut cluster = Cluster::build(
+        graph,
+        partitioning,
+        algorithm,
+        profile,
+        NetworkModel::datacenter(),
+    );
+    for run in 0..2 {
+        if run > 0 {
+            cluster.reset_for(algorithm);
+        }
+        let mut phase = VersionCheck {
+            algorithm,
+            profile,
+            previous: Vec::new(),
+            moved: 0,
+        };
+        let Ok(report) = cluster.run_phased(
+            algorithm,
+            "versions",
+            "native",
+            200,
+            policy,
+            SimDuration::ZERO,
+            &mut phase,
+        );
+        phase.check(cluster.nodes());
+        prop_assert!(
+            phase.moved > 0 || report.iterations.len() < 2,
+            "{}: no row changed in {} supersteps",
+            algorithm.name(),
+            report.iterations.len()
+        );
+    }
+}
+
+/// A native compute phase that snapshots `(value, version)` of every row
+/// before each superstep's compute and compares it with the snapshot of the
+/// superstep before: what synchronize wrote in between.
+struct VersionCheck<'a, V, A> {
+    algorithm: &'a A,
+    profile: RuntimeProfile,
+    /// Per node, per local id: the last snapshot.
+    previous: Vec<Vec<(V, u32)>>,
+    /// Rows whose value (and version) moved, over the run.
+    moved: usize,
+}
+
+impl<V, A> VersionCheck<'_, V, A>
+where
+    V: Clone + PartialEq + std::fmt::Debug,
+{
+    /// Snapshots `nodes` and checks every row against the last snapshot.
+    fn check(&mut self, nodes: &[gx_plug::engine::node::NodeState<V, f64>]) {
+        let snapshot: Vec<Vec<(V, u32)>> = nodes
+            .iter()
+            .map(|node| {
+                let table = node.vertex_table();
+                (0..table.len() as u32)
+                    .map(|local| (table.row_at(local).attr.clone(), table.version_at(local)))
+                    .collect()
+            })
+            .collect();
+        for (node, (before, after)) in self.previous.iter().zip(&snapshot).enumerate() {
+            for (local, ((old, old_version), (new, new_version))) in
+                before.iter().zip(after).enumerate()
+            {
+                let moved = new_version.wrapping_sub(*old_version);
+                prop_assert!(
+                    moved <= 1,
+                    "node {} local {}: {} writes in one superstep",
+                    node,
+                    local,
+                    moved
+                );
+                prop_assert_eq!(
+                    moved == 1,
+                    old != new,
+                    "node {} local {}: {:?} -> {:?} at versions {} -> {}",
+                    node,
+                    local,
+                    old,
+                    new,
+                    old_version,
+                    new_version
+                );
+                self.moved += moved as usize;
+            }
+        }
+        self.previous = snapshot;
+    }
+}
+
+impl<V, A> gx_plug::engine::cluster::ComputePhase<V, f64, A::Msg> for VersionCheck<'_, V, A>
+where
+    V: Clone + PartialEq + std::fmt::Debug,
+    A: GraphAlgorithm<V, f64>,
+{
+    type Error = std::convert::Infallible;
+
+    fn compute(
+        &mut self,
+        nodes: &mut [gx_plug::engine::node::NodeState<V, f64>],
+        iteration: usize,
+    ) -> Result<Vec<gx_plug::engine::cluster::NodeComputeOutput<V, A::Msg>>, Self::Error> {
+        self.check(nodes);
+        Ok(nodes
+            .iter_mut()
+            .map(|node| {
+                gx_plug::engine::native_node_compute(node, self.algorithm, &self.profile, iteration)
+            })
+            .collect())
     }
 }
 

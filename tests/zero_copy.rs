@@ -28,6 +28,9 @@
 //!   results instead of copying them: a warm cache hit allocates the same
 //!   handful of times whatever the result's size, and a submit that finds
 //!   its key stale frees none of the stale result on the caller's thread;
+//! * counting per run, that the sync cache allocates its buffers once per
+//!   run, not once per miss: it remembers row versions, never a copy of a
+//!   `Vec<f64>` value;
 //! * and, counting bytes, that replaying an insert-only mutation batch into
 //!   a deployed session allocates for the batch, not for the graph: no
 //!   node's CSR, ranks or routes are rebuilt.
@@ -404,6 +407,57 @@ fn warm_multi_source_sssp_supersteps_allocate_far_less_than_once_per_triplet() {
     assert!(
         allocations < triplets / 64,
         "{allocations} allocations for {triplets} SSSP triplets in one warm superstep"
+    );
+}
+
+/// Heap allocations of one warm run — a deployed session's second — of
+/// 4-source SSSP over rmat-`scale` on two serial nodes, with the sync cache
+/// on or off, and the run's sync-cache misses.
+fn warm_sssp_run(scale: u32, caching: bool) -> (u64, u64) {
+    let graph =
+        PropertyGraph::from_edge_list(Rmat::new(scale, 8.0).generate(5), Vec::new()).unwrap();
+    let partitioning = GreedyVertexCutPartitioner::default()
+        .partition(&graph, 2)
+        .unwrap();
+    let config = MiddlewareConfig::default()
+        .with_execution(ExecutionMode::Serial)
+        .with_caching(caching);
+    let mut session = SessionBuilder::new(&graph)
+        .partitioned_by(partitioning)
+        .devices(vec![vec![gpu_v100("n0-gpu")], vec![gpu_v100("n1-gpu")]])
+        .config(config)
+        .max_iterations(200)
+        .build()
+        .unwrap();
+    let algorithm = MultiSourceSssp::paper_default();
+    session.run(&algorithm).unwrap();
+    let before = allocations_here();
+    let outcome = session.run(&algorithm).unwrap();
+    let allocations = allocations_here() - before;
+    let misses = outcome.agent_stats.iter().map(|s| s.cache.misses).sum();
+    (allocations, misses)
+}
+
+#[test]
+fn the_sync_cache_allocates_per_run_not_per_miss() {
+    let _guard = serialize_test();
+    let extra = [10, 12].map(|scale| {
+        let (on, misses) = warm_sssp_run(scale, true);
+        let (off, _) = warm_sssp_run(scale, false);
+        assert!(misses >= 1_000, "only {misses} misses at rmat-{scale}");
+        // The cache's buffers, allocated once per node and run when its
+        // agent is built: slots, the open bitset's two levels, the queue and
+        // its generation deque.  A cache that keeps a copy of every
+        // downloaded `Vec<f64>` value allocates once per miss.
+        assert!(
+            on <= off + 16,
+            "caching on allocated {on} times, off {off}, over {misses} misses at rmat-{scale}"
+        );
+        on - off
+    });
+    assert_eq!(
+        extra[0], extra[1],
+        "the cache's allocations grew with the graph"
     );
 }
 
